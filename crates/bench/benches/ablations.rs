@@ -1,5 +1,6 @@
 //! Criterion bench for the ablation study: what each Conclave optimization
-//! contributes to the market-concentration query (DESIGN.md §5).
+//! contributes to the market-concentration query (the pass pipeline in
+//! ARCHITECTURE.md, "Life of a query").
 
 use bench::figures::ablations;
 use bench::queries::market_concentration;

@@ -19,9 +19,9 @@ pub enum LocalBackend {
 ///
 /// The default [`PartyRuntime::Simulated`] mode runs the single-process
 /// protocol engine (all shares in one struct, modeled network costs) — fast,
-/// and the differential-testing oracle. The distributed modes spawn one
-/// protocol endpoint **per computing party**, each holding only its own
-/// shares and exchanging real messages over a
+/// and the reference engine. The distributed modes run the *same* generic
+/// operators on one protocol endpoint **per computing party**, each holding
+/// only its own shares and exchanging real messages over a
 /// [`conclave_net::Transport`]; [`crate::report::RunReport::net`] then
 /// carries *measured* per-link bytes and rounds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

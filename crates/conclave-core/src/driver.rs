@@ -31,7 +31,6 @@ use conclave_ir::error::IrError;
 use conclave_ir::ops::{ExecSite, Operator};
 use conclave_ir::party::PartyId;
 use conclave_mpc::backend::{MpcEngine, MpcError};
-use conclave_mpc::oblivious;
 use conclave_parallel::ParallelEngine;
 use std::collections::HashMap;
 use std::fmt;
@@ -656,34 +655,8 @@ impl Driver {
         let presorted = self.aggregate_is_presorted(plan, id, op)?;
         // Sort-elimination pay-off: an MPC aggregation whose input is already
         // sorted by its group-by key skips the oblivious sort (§5.4).
-        if presorted {
-            if let Operator::Aggregate {
-                group_by,
-                func,
-                over,
-                out,
-            } = op
-            {
-                self.mpc.protocol().reset_counts();
-                let shared = self.mpc.share_table(inputs[0])?;
-                let aggregated = oblivious::aggregate_sorted(
-                    &shared,
-                    group_by,
-                    *func,
-                    over.as_deref(),
-                    out,
-                    self.mpc.protocol(),
-                )
-                .map_err(MpcError::Exec)?;
-                let rel = self.mpc.reconstruct(&aggregated);
-                let stats = self
-                    .mpc
-                    .drain_stats(inputs[0].num_rows() as u64, rel.num_rows() as u64);
-                return Ok((Table::from_rows(rel), stats));
-            }
-        }
         self.mpc
-            .execute_op_tables(op, inputs)
+            .execute_op_presorted(op, inputs, presorted)
             .map(|(rel, stats)| (Table::from_rows(rel), stats))
             .map_err(DriverError::from)
     }

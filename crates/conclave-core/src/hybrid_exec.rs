@@ -80,8 +80,8 @@ pub fn hybrid_join(
     let right_shuffled = oblivious::shuffle(&right_shared, engine.protocol());
 
     // 2. Project the key columns and reveal them to the STP.
-    let left_keys_shared = left_shuffled.project(left_keys).map_err(MpcError::Exec)?;
-    let right_keys_shared = right_shuffled.project(right_keys).map_err(MpcError::Exec)?;
+    let left_keys_shared = left_shuffled.project(left_keys)?;
+    let right_keys_shared = right_shuffled.project(right_keys)?;
     let left_keys_clear = Table::from_rows(engine.reconstruct(&left_keys_shared));
     let right_keys_clear = Table::from_rows(engine.reconstruct(&right_keys_shared));
 
@@ -136,15 +136,13 @@ pub fn hybrid_join(
         &left_indexes_shared,
         "__lidx",
         engine.protocol(),
-    )
-    .map_err(MpcError::Exec)?;
+    )?;
     let right_rows = oblivious::oblivious_select(
         &right_shuffled,
         &right_indexes_shared,
         "__ridx",
         engine.protocol(),
-    )
-    .map_err(MpcError::Exec)?;
+    )?;
 
     // 7. Concatenate column-wise (dropping the right key columns) and shuffle.
     let schema = join_schema(left.schema(), right.schema(), left_keys, right_keys)
@@ -253,9 +251,7 @@ pub fn hybrid_aggregate(
     let shuffled = oblivious::shuffle(&shared, engine.protocol());
 
     // 2. Reveal the (shuffled) group-by column to the STP.
-    let keys_shared = shuffled
-        .project(std::slice::from_ref(key))
-        .map_err(MpcError::Exec)?;
+    let keys_shared = shuffled.project(std::slice::from_ref(key))?;
     let keys_clear = Table::from_rows(engine.reconstruct(&keys_shared));
 
     // 3–4. STP: enumerate and sort by key in the clear; the resulting index
@@ -291,8 +287,7 @@ pub fn hybrid_aggregate(
     // the STP-provided equality flags; their cost is a small constant factor
     // of the linear scan either way.
     let aggregated =
-        oblivious::aggregate_sorted(&reordered, group_by, func, over, out, engine.protocol())
-            .map_err(MpcError::Exec)?;
+        oblivious::aggregate_sorted(&reordered, group_by, func, over, out, engine.protocol())?;
     let result = Table::from_rows(engine.reconstruct(&aggregated));
     let mpc_stats = engine.drain_stats(input.num_rows() as u64, result.num_rows() as u64);
     let conversions = intermediate_conversions(&[&keys_clear, &enumerated, &sorted]);

@@ -33,9 +33,10 @@
 //! batch-size-dependent only, so the cross-party equality check in step 5
 //! covers them too.
 //!
-//! The in-process [`conclave_mpc::Protocol`] path remains the default and the
-//! differential-testing oracle: a transport-executed plan must reveal
-//! cell-identical results. [`execute_op_distributed`] survives as a
+//! The in-process [`conclave_mpc::Protocol`] engine remains the default; both
+//! engines run the one generic operator stack of [`conclave_mpc::operators`],
+//! so a transport-executed plan must reveal cell-identical results and
+//! charge identical primitive counts. [`execute_op_distributed`] survives as a
 //! single-step convenience wrapper over the runtime.
 
 use crate::config::{DealerMode, PartyRuntime};
@@ -49,12 +50,11 @@ use conclave_mpc::dealer::{
 };
 use conclave_mpc::runtime::{
     begin_open_relation, execute_party_op, finish_open_relation, share_relation, PartyError,
-    PartyRelation, PartySession, PendingOpen,
+    PartyRelation, PartyResult, PartySession, PendingOpen,
 };
 use conclave_mpc::MpcError;
 use conclave_net::{merge_mesh_stats, ChannelTransport, Mesh, NetStats, Transport};
 use std::collections::{BTreeMap, HashMap};
-use std::path::PathBuf;
 use std::sync::mpsc::{Receiver, Sender, TryRecvError};
 use std::thread::JoinHandle;
 
@@ -165,19 +165,10 @@ enum WorkerReply {
     },
 }
 
-/// What one worker thread needs to set up its session's offline feed.
-enum WorkerDealer {
-    /// Synthesize material from the mesh seed in-process.
-    Seeded,
-    /// Load this party's pregenerated dealer file.
-    File(PathBuf),
-    /// Stream blocks over this dedicated link (the party holds endpoint 0,
-    /// the dealer server endpoint 1).
-    Link(Box<dyn Transport>),
-    /// Preload this party's block of a pool bundle; later queries on the
-    /// same mesh are topped up via [`WorkMsg::Refill`].
-    Preloaded(Box<MaterialBlocks>),
-}
+/// Resolves a worker's offline feed. Runs on the worker thread, so a slow
+/// or unreadable dealer file fails that party's steps instead of stalling
+/// mesh construction.
+type DealerFeed = Box<dyn FnOnce() -> PartyResult<DealerSource> + Send>;
 
 struct WorkerHandle {
     work: Sender<WorkMsg>,
@@ -260,21 +251,28 @@ impl PartyMeshRuntime {
             .into_iter()
             .enumerate()
             .map(|(i, net)| {
-                let feed = match dealer {
-                    DealerMode::Seeded => WorkerDealer::Seeded,
+                let feed: DealerFeed = match dealer {
+                    DealerMode::Seeded => Box::new(|| Ok(DealerSource::Seeded)),
                     DealerMode::File(dir) => {
-                        WorkerDealer::File(dir.join(format!("party-{i}.dealer")))
+                        let path = dir.join(format!("party-{i}.dealer"));
+                        Box::new(move || {
+                            load_party_file(&path).map(|b| DealerSource::Preloaded(Box::new(b)))
+                        })
                     }
+                    // Preload this party's block of the pool bundle; later
+                    // queries on the mesh are topped up via `WorkMsg::Refill`.
                     DealerMode::Pooled(_) => {
                         let bundle = pool_bundle.as_mut().expect("bundle taken above");
-                        WorkerDealer::Preloaded(Box::new(std::mem::take(&mut bundle[i])))
+                        let blocks = Box::new(std::mem::take(&mut bundle[i]));
+                        Box::new(move || Ok(DealerSource::Preloaded(blocks)))
                     }
                     DealerMode::Streamed => {
                         // One dedicated 2-endpoint link per party: the party
                         // keeps endpoint 0, the dealer server thread serves
                         // on endpoint 1 until the party drops its end.
                         let mut ends = ChannelTransport::mesh(2).into_iter();
-                        let party_end = ends.next().expect("two endpoints");
+                        let link: Box<dyn Transport> =
+                            Box::new(ends.next().expect("two endpoints"));
                         let dealer_end = ends.next().expect("two endpoints");
                         let party = i as u32;
                         dealer_servers.push((
@@ -284,7 +282,7 @@ impl PartyMeshRuntime {
                                 (served, dealer_end.stats())
                             }),
                         ));
-                        WorkerDealer::Link(Box::new(party_end))
+                        Box::new(move || Ok(DealerSource::Streamed { link, dealer: 1 }))
                     }
                 };
                 let (work_tx, work_rx) = std::sync::mpsc::channel();
@@ -627,19 +625,11 @@ struct DeferredOpen {
 fn worker_main(
     net: Box<dyn Transport>,
     seed: u64,
-    dealer: WorkerDealer,
+    dealer: DealerFeed,
     work: Receiver<WorkMsg>,
     replies: Sender<WorkerReply>,
 ) -> (NetStats, Option<NetStats>) {
-    let source = match dealer {
-        WorkerDealer::Seeded => Ok(DealerSource::Seeded),
-        WorkerDealer::File(path) => {
-            load_party_file(&path).map(|b| DealerSource::Preloaded(Box::new(b)))
-        }
-        WorkerDealer::Link(link) => Ok(DealerSource::Streamed { link, dealer: 1 }),
-        WorkerDealer::Preloaded(blocks) => Ok(DealerSource::Preloaded(blocks)),
-    };
-    let mut sess = match source.and_then(|s| PartySession::with_dealer(&*net, seed, s)) {
+    let mut sess = match dealer().and_then(|s| PartySession::with_dealer(&*net, seed, s)) {
         Ok(sess) => sess,
         Err(e) => {
             // The offline phase failed (unreadable file, dead dealer): fail

@@ -10,14 +10,13 @@
 //! (up to 10⁹ records).
 
 use crate::cost::{GarbledCostModel, PrimitiveCounts, SecretShareCostModel};
+use crate::engine::OpError;
 use crate::garbled::{gates, CircuitStats};
-use crate::oblivious;
+use crate::operators;
 use crate::protocol::Protocol;
 use crate::relation::SharedRelation;
-use crate::share::Shares;
 use conclave_engine::Relation;
-use conclave_ir::expr::{BinOp, Expr};
-use conclave_ir::ops::{Operand, Operator};
+use conclave_ir::ops::Operator;
 use conclave_net::NetworkModel;
 use std::fmt;
 use std::time::Duration;
@@ -176,6 +175,15 @@ impl fmt::Display for MpcError {
 
 impl std::error::Error for MpcError {}
 
+impl From<OpError> for MpcError {
+    fn from(e: OpError) -> Self {
+        match e {
+            OpError::Invalid(s) => MpcError::Exec(s),
+            OpError::Unsupported(s) => MpcError::Unsupported(s),
+        }
+    }
+}
+
 /// Result alias for MPC operations.
 pub type MpcResult<T> = Result<T, MpcError>;
 
@@ -257,19 +265,15 @@ impl MpcEngine {
         inputs: &[&Relation],
     ) -> MpcResult<(Relation, MpcStepStats)> {
         let input_rows: u64 = inputs.iter().map(|r| r.num_rows() as u64).sum();
-        match self.config.kind {
-            BackendKind::SharemindLike => {
-                self.proto.reset_counts();
-                let shared_inputs: Vec<SharedRelation> = inputs
-                    .iter()
-                    .map(|r| self.share(r))
-                    .collect::<MpcResult<_>>()?;
-                self.execute_and_open(op, shared_inputs, input_rows)
-            }
-            BackendKind::OblivCLike | BackendKind::OblivVmLike => {
-                self.execute_garbled(op, inputs, input_rows)
-            }
+        if !self.config.kind.is_secret_sharing() {
+            return self.execute_garbled(op, inputs, input_rows);
         }
+        self.proto.reset_counts();
+        let shared_inputs = inputs
+            .iter()
+            .map(|r| self.share(r))
+            .collect::<MpcResult<_>>()?;
+        self.execute_and_open(op, shared_inputs, input_rows, false)
     }
 
     /// [`MpcEngine::execute_op`] over the unified [`conclave_engine::Table`]
@@ -282,201 +286,48 @@ impl MpcEngine {
         op: &Operator,
         inputs: &[&conclave_engine::Table],
     ) -> MpcResult<(Relation, MpcStepStats)> {
+        self.execute_op_presorted(op, inputs, false)
+    }
+
+    /// [`MpcEngine::execute_op_tables`] with the dispatcher's `presorted`
+    /// argument: a grouped aggregation whose input is already sorted by its
+    /// key skips the oblivious sort (§5.4) and is otherwise an MPC job like
+    /// any other.
+    pub fn execute_op_presorted(
+        &mut self,
+        op: &Operator,
+        inputs: &[&conclave_engine::Table],
+        presorted: bool,
+    ) -> MpcResult<(Relation, MpcStepStats)> {
         let input_rows: u64 = inputs.iter().map(|t| t.num_rows() as u64).sum();
-        match self.config.kind {
-            BackendKind::SharemindLike => {
-                self.proto.reset_counts();
-                let shared_inputs: Vec<SharedRelation> = inputs
-                    .iter()
-                    .map(|t| self.share_table(t))
-                    .collect::<MpcResult<_>>()?;
-                self.execute_and_open(op, shared_inputs, input_rows)
-            }
-            BackendKind::OblivCLike | BackendKind::OblivVmLike => {
-                let rows: Vec<&Relation> = inputs.iter().map(|t| t.as_rows()).collect();
-                self.execute_garbled(op, &rows, input_rows)
-            }
+        if !self.config.kind.is_secret_sharing() {
+            let rows: Vec<&Relation> = inputs.iter().map(|t| t.as_rows()).collect();
+            return self.execute_garbled(op, &rows, input_rows);
         }
+        self.proto.reset_counts();
+        let shared_inputs = inputs
+            .iter()
+            .map(|t| self.share_table(t))
+            .collect::<MpcResult<_>>()?;
+        self.execute_and_open(op, shared_inputs, input_rows, presorted)
     }
 
     /// Shared tail of the secret-sharing execution paths: run the oblivious
-    /// protocol over already-shared inputs, open the result and charge the
-    /// standalone-job overhead.
+    /// operator over already-shared inputs on the in-process engine, open the
+    /// result and charge the standalone-job overhead.
     fn execute_and_open(
         &mut self,
         op: &Operator,
         shared_inputs: Vec<SharedRelation>,
         input_rows: u64,
+        presorted: bool,
     ) -> MpcResult<(Relation, MpcStepStats)> {
         let refs: Vec<&SharedRelation> = shared_inputs.iter().collect();
-        let shared_out = self.execute_shared(op, &refs)?;
+        let shared_out = operators::execute_op(&mut self.proto, op, &refs, presorted)?;
         let out = self.reconstruct(&shared_out);
         let mut stats = self.drain_stats(input_rows, out.num_rows() as u64);
         stats.simulated_time += Duration::from_secs_f64(self.config.ss_cost.job_overhead);
         Ok((out, stats))
-    }
-
-    /// Executes one operator over already-shared relations (secret-sharing
-    /// backends only). Statistics accumulate in the protocol counters; call
-    /// [`MpcEngine::drain_stats`] to collect them.
-    pub fn execute_shared(
-        &mut self,
-        op: &Operator,
-        inputs: &[&SharedRelation],
-    ) -> MpcResult<SharedRelation> {
-        if !self.config.kind.is_secret_sharing() {
-            return Err(MpcError::Unsupported(
-                "execute_shared requires a secret-sharing backend".into(),
-            ));
-        }
-        let need = |n: usize| -> MpcResult<()> {
-            if inputs.len() == n {
-                Ok(())
-            } else {
-                Err(MpcError::Exec(format!(
-                    "{} expects {n} inputs, got {}",
-                    op.name(),
-                    inputs.len()
-                )))
-            }
-        };
-        let proto = &mut self.proto;
-        match op {
-            Operator::Project { columns } => {
-                need(1)?;
-                inputs[0].project(columns).map_err(MpcError::Exec)
-            }
-            Operator::Concat => {
-                let parts: Vec<SharedRelation> = inputs.iter().map(|r| (*r).clone()).collect();
-                SharedRelation::concat(&parts).map_err(MpcError::Exec)
-            }
-            Operator::Filter { predicate } => {
-                need(1)?;
-                oblivious_filter(inputs[0], predicate, proto)
-            }
-            Operator::Join {
-                left_keys,
-                right_keys,
-                ..
-            } => {
-                need(2)?;
-                oblivious::cartesian_join(inputs[0], inputs[1], left_keys, right_keys, proto)
-                    .map_err(MpcError::Exec)
-            }
-            Operator::Aggregate {
-                group_by,
-                func,
-                over,
-                out,
-            } => {
-                need(1)?;
-                if group_by.len() > 1 {
-                    return Err(MpcError::Unsupported(
-                        "multi-column group-by under MPC".into(),
-                    ));
-                }
-                let sorted = if let Some(key) = group_by.first() {
-                    oblivious::sort_by(inputs[0], key, true, proto).map_err(MpcError::Exec)?
-                } else {
-                    inputs[0].clone()
-                };
-                oblivious::aggregate_sorted(&sorted, group_by, *func, over.as_deref(), out, proto)
-                    .map_err(MpcError::Exec)
-            }
-            Operator::Multiply { out, operands } => {
-                need(1)?;
-                mpc_multiply(inputs[0], out, operands, proto)
-            }
-            Operator::SortBy { column, ascending } => {
-                need(1)?;
-                oblivious::sort_by(inputs[0], column, *ascending, proto).map_err(MpcError::Exec)
-            }
-            Operator::Merge { column, ascending } => {
-                let parts: Vec<SharedRelation> = inputs.iter().map(|r| (*r).clone()).collect();
-                oblivious::merge_sorted(&parts, column, *ascending, proto).map_err(MpcError::Exec)
-            }
-            Operator::Limit { n } => {
-                need(1)?;
-                let mut rel = inputs[0].clone();
-                rel.rows.truncate(*n);
-                Ok(rel)
-            }
-            Operator::Shuffle => {
-                need(1)?;
-                Ok(oblivious::shuffle(inputs[0], proto))
-            }
-            Operator::Enumerate { out } => {
-                need(1)?;
-                let mut schema = inputs[0].schema.clone();
-                schema
-                    .push(conclave_ir::schema::ColumnDef::new(
-                        out,
-                        conclave_ir::types::DataType::Int,
-                    ))
-                    .map_err(|e| MpcError::Exec(e.to_string()))?;
-                let rows = inputs[0]
-                    .rows
-                    .iter()
-                    .enumerate()
-                    .map(|(i, r)| {
-                        let mut row = r.clone();
-                        row.push(proto.constant(i as i64));
-                        row
-                    })
-                    .collect();
-                Ok(SharedRelation { schema, rows })
-            }
-            Operator::ObliviousSelect { index_column } => {
-                need(2)?;
-                oblivious::oblivious_select(inputs[0], inputs[1], index_column, proto)
-                    .map_err(MpcError::Exec)
-            }
-            Operator::Distinct { columns } => {
-                need(1)?;
-                let proj = inputs[0].project(columns).map_err(MpcError::Exec)?;
-                let key = columns
-                    .first()
-                    .ok_or_else(|| MpcError::Exec("distinct needs columns".into()))?;
-                let sorted = oblivious::sort_by(&proj, key, true, proto).map_err(MpcError::Exec)?;
-                distinct_sorted(&sorted, proto)
-            }
-            Operator::DistinctCount { column, out } => {
-                need(1)?;
-                let proj = inputs[0]
-                    .project(std::slice::from_ref(column))
-                    .map_err(MpcError::Exec)?;
-                let sorted =
-                    oblivious::sort_by(&proj, column, true, proto).map_err(MpcError::Exec)?;
-                let distinct = distinct_sorted(&sorted, proto)?;
-                let n = distinct.num_rows() as i64;
-                let schema =
-                    conclave_ir::schema::Schema::new(vec![conclave_ir::schema::ColumnDef::new(
-                        out,
-                        conclave_ir::types::DataType::Int,
-                    )]);
-                Ok(SharedRelation {
-                    schema,
-                    rows: vec![vec![proto.constant(n)]],
-                })
-            }
-            Operator::RevealTo { .. }
-            | Operator::Open { .. }
-            | Operator::CloseTo
-            | Operator::Collect { .. } => {
-                need(1)?;
-                Ok(inputs[0].clone())
-            }
-            Operator::Divide { .. } => Err(MpcError::Unsupported(
-                "division under MPC; Conclave pushes divisions out of the MPC frontier".into(),
-            )),
-            Operator::Input { .. } => Err(MpcError::Unsupported("input binding".into())),
-            Operator::HybridJoin { .. }
-            | Operator::PublicJoin { .. }
-            | Operator::HybridAggregate { .. } => Err(MpcError::Unsupported(format!(
-                "{} is a multi-site protocol orchestrated by the driver",
-                op.name()
-            ))),
-        }
     }
 
     // ------------------------------------------------------------------
@@ -826,225 +677,12 @@ fn log2(n: u64) -> u64 {
     64 - n.max(2).leading_zeros() as u64
 }
 
-/// Evaluates a (restricted) predicate over a shared row, producing a shared
-/// 0/1 bit. Supported forms: comparisons between columns and integer
-/// literals, and boolean combinations thereof.
-fn eval_predicate_shared(
-    expr: &Expr,
-    rel: &SharedRelation,
-    row: &[Shares],
-    proto: &mut Protocol,
-) -> MpcResult<Shares> {
-    match expr {
-        Expr::Bin { op, left, right } => {
-            match op {
-                BinOp::And | BinOp::Or => {
-                    let l = eval_predicate_shared(left, rel, row, proto)?;
-                    let r = eval_predicate_shared(right, rel, row, proto)?;
-                    let prod = proto.mul(&l, &r);
-                    if *op == BinOp::And {
-                        Ok(prod)
-                    } else {
-                        // a OR b = a + b - a·b
-                        let sum = proto.add(&l, &r);
-                        Ok(proto.sub(&sum, &prod))
-                    }
-                }
-                BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
-                    let l = operand_shares(left, rel, row, proto)?;
-                    let r = operand_shares(right, rel, row, proto)?;
-                    let result = match op {
-                        BinOp::Eq => proto.eq(&l, &r),
-                        BinOp::Ne => {
-                            let e = proto.eq(&l, &r);
-                            let one = proto.constant(1);
-                            proto.sub(&one, &e)
-                        }
-                        BinOp::Lt => proto.lt(&l, &r),
-                        BinOp::Gt => proto.lt(&r, &l),
-                        BinOp::Le => {
-                            let gt = proto.lt(&r, &l);
-                            let one = proto.constant(1);
-                            proto.sub(&one, &gt)
-                        }
-                        BinOp::Ge => {
-                            let lt = proto.lt(&l, &r);
-                            let one = proto.constant(1);
-                            proto.sub(&one, &lt)
-                        }
-                        _ => unreachable!(),
-                    };
-                    Ok(result)
-                }
-                _ => Err(MpcError::Unsupported(format!(
-                    "arithmetic operator {op} in an MPC filter predicate"
-                ))),
-            }
-        }
-        Expr::Not(inner) => {
-            let b = eval_predicate_shared(inner, rel, row, proto)?;
-            let one = proto.constant(1);
-            Ok(proto.sub(&one, &b))
-        }
-        other => Err(MpcError::Unsupported(format!(
-            "predicate form `{other}` under MPC"
-        ))),
-    }
-}
-
-fn operand_shares(
-    expr: &Expr,
-    rel: &SharedRelation,
-    row: &[Shares],
-    proto: &mut Protocol,
-) -> MpcResult<Shares> {
-    match expr {
-        Expr::Col(name) => {
-            let idx = rel
-                .col_index(name)
-                .ok_or_else(|| MpcError::Exec(format!("unknown column `{name}`")))?;
-            Ok(row[idx].clone())
-        }
-        Expr::Const(v) => {
-            let i = v
-                .as_int()
-                .ok_or_else(|| MpcError::Unsupported("non-integer literal under MPC".into()))?;
-            Ok(proto.constant(i))
-        }
-        other => Err(MpcError::Unsupported(format!(
-            "operand form `{other}` under MPC"
-        ))),
-    }
-}
-
-/// Oblivious filter: computes the predicate bit per row, shuffles, reveals
-/// the bits and keeps the selected rows (leaking only the output size, like
-/// the paper's non-padded operators).
-fn oblivious_filter(
-    rel: &SharedRelation,
-    predicate: &Expr,
-    proto: &mut Protocol,
-) -> MpcResult<SharedRelation> {
-    let mut flagged_rows = Vec::with_capacity(rel.num_rows());
-    for row in &rel.rows {
-        let flag = eval_predicate_shared(predicate, rel, row, proto)?;
-        let mut r = row.clone();
-        r.push(flag);
-        flagged_rows.push(r);
-    }
-    let mut schema = rel.schema.clone();
-    schema
-        .push(conclave_ir::schema::ColumnDef::new(
-            "__filter_flag",
-            conclave_ir::types::DataType::Int,
-        ))
-        .map_err(|e| MpcError::Exec(e.to_string()))?;
-    let flagged = SharedRelation {
-        schema,
-        rows: flagged_rows,
-    };
-    let shuffled = oblivious::shuffle(&flagged, proto);
-    let mut rows = Vec::new();
-    for row in shuffled.rows {
-        let flag = row.last().expect("flag present").clone();
-        if proto.open(&flag) == 1 {
-            rows.push(row[..row.len() - 1].to_vec());
-        }
-    }
-    Ok(SharedRelation {
-        schema: rel.schema.clone(),
-        rows,
-    })
-}
-
-/// Column arithmetic under MPC: multiplies operand columns/literals into `out`.
-fn mpc_multiply(
-    rel: &SharedRelation,
-    out: &str,
-    operands: &[Operand],
-    proto: &mut Protocol,
-) -> MpcResult<SharedRelation> {
-    let replace = rel.col_index(out);
-    let mut schema = rel.schema.clone();
-    if replace.is_none() {
-        schema
-            .push(conclave_ir::schema::ColumnDef::new(
-                out,
-                conclave_ir::types::DataType::Int,
-            ))
-            .map_err(|e| MpcError::Exec(e.to_string()))?;
-    }
-    let mut rows = Vec::with_capacity(rel.num_rows());
-    for row in &rel.rows {
-        let mut acc = proto.constant(1);
-        let mut first = true;
-        for o in operands {
-            match o {
-                Operand::Col(c) => {
-                    let idx = rel
-                        .col_index(c)
-                        .ok_or_else(|| MpcError::Exec(format!("unknown column `{c}`")))?;
-                    if first {
-                        acc = row[idx].clone();
-                        first = false;
-                    } else {
-                        acc = proto.mul(&acc, &row[idx]);
-                    }
-                }
-                Operand::Lit(v) => {
-                    let i = v.as_int().ok_or_else(|| {
-                        MpcError::Unsupported("non-integer literal under MPC".into())
-                    })?;
-                    acc = proto.mul_public(&acc, i);
-                    first = false;
-                }
-            }
-        }
-        let mut new_row = row.clone();
-        match replace {
-            Some(i) => new_row[i] = acc,
-            None => new_row.push(acc),
-        }
-        rows.push(new_row);
-    }
-    Ok(SharedRelation { schema, rows })
-}
-
-/// Removes duplicate adjacent rows (over all columns) from a key-sorted
-/// relation, the core of the MPC `distinct` operator.
-fn distinct_sorted(rel: &SharedRelation, proto: &mut Protocol) -> MpcResult<SharedRelation> {
-    if rel.num_rows() == 0 {
-        return Ok(rel.clone());
-    }
-    let mut keep_flags: Vec<Shares> = Vec::with_capacity(rel.num_rows());
-    keep_flags.push(proto.constant(1));
-    for i in 1..rel.num_rows() {
-        // keep = 1 - all-columns-equal(previous, current)
-        let mut all_eq = proto.constant(1);
-        for c in 0..rel.num_cols() {
-            let e = proto.eq(&rel.rows[i][c], &rel.rows[i - 1][c]);
-            all_eq = proto.mul(&all_eq, &e);
-        }
-        let one = proto.constant(1);
-        keep_flags.push(proto.sub(&one, &all_eq));
-    }
-    let mut rows = Vec::new();
-    for (i, row) in rel.rows.iter().enumerate() {
-        if proto.open(&keep_flags[i]) == 1 {
-            rows.push(row.clone());
-        }
-    }
-    Ok(SharedRelation {
-        schema: rel.schema.clone(),
-        rows,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use conclave_engine::execute;
-    use conclave_ir::ops::{AggFunc, JoinKind};
+    use conclave_ir::expr::Expr;
+    use conclave_ir::ops::{AggFunc, JoinKind, Operand};
 
     fn sharemind() -> MpcEngine {
         MpcEngine::new(MpcBackendConfig::sharemind())
@@ -1262,10 +900,6 @@ mod tests {
         assert!(out.same_rows_unordered(&execute(&op, &[&rel]).unwrap()));
         assert!(stats.circuit.and_gates > 0);
         assert_eq!(stats.counts, PrimitiveCounts::default());
-        // execute_shared is a secret-sharing-only API.
-        let mut p = Protocol::new(2, 1);
-        let shared = SharedRelation::from_relation(&rel, &mut p).unwrap();
-        assert!(eng.execute_shared(&Operator::Shuffle, &[&shared]).is_err());
     }
 
     #[test]

@@ -5,16 +5,27 @@
 //! circuits); its SMCQL comparison additionally uses ObliVM. None of these
 //! are available here, so this crate implements the substrates from scratch:
 //!
-//! * [`ring`], [`share`], [`triples`], [`protocol`] — a real additive
-//!   secret-sharing layer over `Z_{2^64}` with Beaver-triple multiplication,
+//! * [`engine`] — the small [`Engine`] trait (local linear algebra, batched
+//!   multiply/compare/multiplex, open, cost charging, a shuffle permutation)
+//!   that everything relational is written against. Exactly two engines
+//!   implement it, [`Protocol`] and [`runtime::StepCtx`].
+//! * [`operators`], [`relation`] — the oblivious relational sub-protocols,
+//!   written **once**, generic over the engine, on the engine-generic
+//!   relation [`Rel`]: shuffles, Batcher sorting networks, odd-even merges,
+//!   Laud-style oblivious indexing, Cartesian-product joins, the
+//!   Jónsson-style sorting aggregation the paper builds on, filters, column
+//!   arithmetic, and the one `Operator` dispatcher [`operators::execute_op`].
+//!   [`oblivious`] pins the four the hybrid protocols call to the in-process
+//!   engine.
+//! * [`ring`], [`share`], [`triples`], [`protocol`] — the **in-process
+//!   engine**: a real additive secret-sharing layer over `Z_{2^64}` holding
+//!   every party's shares in one struct, with Beaver-triple multiplication,
 //!   reveal/reshare, and *simulated-oblivious* comparisons (the comparison
 //!   result is computed by a trusted simulator while the documented
 //!   communication/computation cost of a bit-decomposition protocol is
-//!   charged — see DESIGN.md §2 for the substitution rationale).
-//! * [`oblivious`], [`relation`] — oblivious relational sub-protocols over
-//!   secret-shared relations: shuffles, Batcher sorting networks, merges,
-//!   Laud-style oblivious indexing, Cartesian-product joins, and the
-//!   Jónsson-style sorting aggregation the paper builds on.
+//!   charged — see the fidelity note in [`protocol`] and ARCHITECTURE.md's
+//!   party-runtime section for the substitution rationale). It is the fast
+//!   path and the reference *engine* for the circuit-backed one.
 //! * [`garbled`] — a garbled-circuit backend model (Obliv-C / ObliVM-like):
 //!   boolean circuit construction with gate counting and a memory model that
 //!   reproduces the out-of-memory cliffs in Figure 1.
@@ -23,14 +34,15 @@
 //! * [`backend`] — a unified engine that executes IR operators under a chosen
 //!   backend over cleartext inputs, returning the result relation together
 //!   with simulated runtime and traffic statistics.
-//! * [`runtime`] — the **distributed party runtime**: a session-lifetime
+//! * [`runtime`] — the **per-party engine**: a session-lifetime
 //!   [`runtime::PartySession`] (identity, dealer streams, triple cache) that
-//!   hands out per-plan-step [`runtime::StepCtx`] drivers. Each step drives
-//!   open/multiply/comparisons and the oblivious relational operators through
-//!   real [`conclave_net::Transport`] message rounds on its own logical
-//!   stream, recording observed (not modeled) traffic. The in-process
-//!   [`Protocol`] remains the fast path and the differential-testing oracle
-//!   for it.
+//!   hands out per-plan-step [`runtime::StepCtx`] engines. Each step drives
+//!   open/multiply/comparisons — and, through them, the same generic
+//!   operators — as real [`conclave_net::Transport`] message rounds on its
+//!   own logical stream, recording observed (not modeled) traffic. Both
+//!   engines are differentially tested against the cleartext
+//!   `conclave_engine::execute`, the independent reference for operator
+//!   logic.
 //! * [`circuits`] — bit-decomposed comparison circuits for the party
 //!   runtime: signed less-than and equality computed entirely on shares
 //!   (Kogge-Stone carry adders over XOR-shared bits, binary Beaver ANDs,
@@ -52,8 +64,10 @@ pub mod backend;
 pub mod circuits;
 pub mod cost;
 pub mod dealer;
+pub mod engine;
 pub mod garbled;
 pub mod oblivious;
+pub mod operators;
 pub mod protocol;
 pub mod relation;
 pub mod ring;
@@ -67,8 +81,9 @@ pub use dealer::{
     generate_blocks, load_party_file, serve_party, write_party_files, DealerSource, DealerStream,
     InputMask, MaterialBlocks, MaterialSpec,
 };
+pub use engine::{Engine, OpError};
 pub use protocol::Protocol;
-pub use relation::SharedRelation;
+pub use relation::{Rel, SharedRelation};
 pub use ring::RingElem;
 pub use runtime::{PartyError, PartyRelation, PartyResult, PartySession, PendingOpen, StepCtx};
 pub use share::{AuthShare, Shares};

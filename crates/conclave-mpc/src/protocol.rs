@@ -18,6 +18,7 @@
 //! paper's evaluation depends on.
 
 use crate::cost::PrimitiveCounts;
+use crate::engine::{Engine, OpError};
 use crate::ring::RingElem;
 use crate::share::Shares;
 use crate::triples::TripleDealer;
@@ -83,11 +84,6 @@ impl Protocol {
         values.iter().map(|&v| self.share_value(v)).collect()
     }
 
-    /// Shares a public constant (no randomness, no input cost).
-    pub fn constant(&self, v: i64) -> Shares {
-        Shares::constant(RingElem::from_i64(v), self.parties)
-    }
-
     /// Opens (reveals) a shared value to all parties.
     pub fn open(&mut self, x: &Shares) -> i64 {
         self.counts.opened_elems += 1;
@@ -100,30 +96,6 @@ impl Protocol {
     pub fn reveal(&mut self, x: &Shares) -> i64 {
         self.counts.opened_elems += 1;
         x.reconstruct().to_i64()
-    }
-
-    // ------------------------------------------------------------------
-    // Linear operations (free).
-    // ------------------------------------------------------------------
-
-    /// Adds two shared values (local).
-    pub fn add(&self, x: &Shares, y: &Shares) -> Shares {
-        x.add(y)
-    }
-
-    /// Subtracts two shared values (local).
-    pub fn sub(&self, x: &Shares, y: &Shares) -> Shares {
-        x.sub(y)
-    }
-
-    /// Adds a public constant (local).
-    pub fn add_public(&self, x: &Shares, c: i64) -> Shares {
-        x.add_public(RingElem::from_i64(c))
-    }
-
-    /// Multiplies by a public constant (local).
-    pub fn mul_public(&self, x: &Shares, c: i64) -> Shares {
-        x.mul_public(RingElem::from_i64(c))
     }
 
     // ------------------------------------------------------------------
@@ -158,24 +130,81 @@ impl Protocol {
         let scaled = self.mul(c, &diff);
         b.add(&scaled)
     }
+}
 
-    /// Records the cost of obliviously shuffling `elements` field elements
-    /// (the driver calls this from the relational shuffle).
-    pub fn charge_shuffle(&mut self, elements: u64) {
-        self.counts.shuffled_elems += elements;
+/// The in-process engine: every batch loops the scalar primitive, linear
+/// operations are share-vector arithmetic, nothing can fail but operator
+/// logic itself.
+impl Engine for Protocol {
+    type Share = Shares;
+    type Error = OpError;
+
+    fn constant(&self, v: i64) -> Shares {
+        Shares::constant(RingElem::from_i64(v), self.parties)
     }
 
-    /// Adds externally-computed primitive counts (used by analytical
+    fn add(&self, x: &Shares, y: &Shares) -> Shares {
+        x.add(y)
+    }
+
+    fn sub(&self, x: &Shares, y: &Shares) -> Shares {
+        x.sub(y)
+    }
+
+    fn add_public(&self, x: &Shares, c: i64) -> Shares {
+        x.add_public(RingElem::from_i64(c))
+    }
+
+    fn mul_public(&self, x: &Shares, c: i64) -> Shares {
+        x.mul_public(RingElem::from_i64(c))
+    }
+
+    fn mul_batch(&mut self, pairs: &[(&Shares, &Shares)]) -> Result<Vec<Shares>, OpError> {
+        Ok(pairs.iter().map(|(x, y)| self.mul(x, y)).collect())
+    }
+
+    fn lt_batch(&mut self, pairs: &[(&Shares, &Shares)]) -> Result<Vec<Shares>, OpError> {
+        Ok(pairs.iter().map(|(x, y)| self.lt(x, y)).collect())
+    }
+
+    fn eq_batch_groups(
+        &mut self,
+        groups: &[Vec<(&Shares, &Shares)>],
+    ) -> Result<Vec<Vec<Shares>>, OpError> {
+        Ok(groups
+            .iter()
+            .map(|g| g.iter().map(|(x, y)| self.eq(x, y)).collect())
+            .collect())
+    }
+
+    fn mux_batch(
+        &mut self,
+        selectors: &[(&Shares, &Shares, &Shares)],
+    ) -> Result<Vec<Shares>, OpError> {
+        Ok(selectors
+            .iter()
+            .map(|(c, a, b)| self.mux(c, a, b))
+            .collect())
+    }
+
+    fn open_column(&mut self, shares: &[&Shares]) -> Result<Vec<i64>, OpError> {
+        Ok(shares.iter().map(|s| self.open(s)).collect())
+    }
+
+    /// Adds externally-computed primitive counts (also used by analytical
     /// estimators that skip real execution).
-    pub fn charge(&mut self, extra: &PrimitiveCounts) {
+    fn charge(&mut self, extra: &PrimitiveCounts) {
         self.counts.merge(extra);
     }
 
-    /// Generates a random permutation of `0..n` (for oblivious shuffles); the
-    /// permutation itself stays inside the protocol simulator.
-    pub fn random_permutation(&mut self, n: usize) -> Vec<usize> {
+    fn charge_shuffle(&mut self, elements: u64) {
+        self.counts.shuffled_elems += elements;
+    }
+
+    /// Fisher–Yates over the protocol RNG; the permutation itself stays
+    /// inside the protocol simulator.
+    fn random_permutation(&mut self, n: usize) -> Vec<usize> {
         let mut perm: Vec<usize> = (0..n).collect();
-        // Fisher–Yates.
         for i in (1..n).rev() {
             let j = self.rng.gen_range(0..=i);
             perm.swap(i, j);

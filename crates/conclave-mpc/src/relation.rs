@@ -1,112 +1,36 @@
 //! Secret-shared relations.
 //!
-//! A [`SharedRelation`] is the MPC-resident counterpart of
+//! A [`Rel`] is the MPC-resident counterpart of
 //! [`conclave_engine::Relation`]: the schema stays public (as in the paper,
-//! relation schemas and sizes are not hidden) while every cell is an
-//! additively-shared 64-bit integer.
+//! relation schemas and sizes are not hidden) while every cell is a share.
+//! The share type is the engine's: [`SharedRelation`] holds every party's
+//! additive shares ([`Shares`], the in-process [`Protocol`] engine),
+//! [`crate::runtime::PartyRelation`] holds one party's authenticated share.
 
+use crate::engine::OpError;
 use crate::protocol::Protocol;
 use crate::share::Shares;
 use conclave_engine::{ColumnarRelation, Relation, Table};
 use conclave_ir::schema::Schema;
 use conclave_ir::types::{DataType, Value};
 
-/// A relation whose cells are secret-shared.
+/// A relation whose cells are secret-shared as `S`.
 #[derive(Debug, Clone)]
-pub struct SharedRelation {
+pub struct Rel<S> {
     /// Public schema (column names and types).
     pub schema: Schema,
     /// Secret-shared rows.
-    pub rows: Vec<Vec<Shares>>,
+    pub rows: Vec<Vec<S>>,
 }
 
-impl SharedRelation {
-    /// Secret-shares a cleartext relation into the MPC. Non-integer cells
-    /// are rejected because the arithmetic backends operate on `Z_{2^64}`.
-    pub fn from_relation(rel: &Relation, proto: &mut Protocol) -> Result<Self, String> {
-        for col in &rel.schema.columns {
-            if !col.dtype.mpc_compatible() {
-                return Err(format!(
-                    "column `{}` has type {} which cannot be secret-shared",
-                    col.name, col.dtype
-                ));
-            }
-        }
-        let mut rows = Vec::with_capacity(rel.num_rows());
-        for row in &rel.rows {
-            let mut out = Vec::with_capacity(row.len());
-            for v in row {
-                let int = v
-                    .as_int()
-                    .ok_or_else(|| format!("cannot share non-integer value {v}"))?;
-                out.push(proto.share_value(int));
-            }
-            rows.push(out);
-        }
-        Ok(SharedRelation {
-            schema: rel.schema.clone(),
-            rows,
-        })
-    }
+/// A relation holding all parties' shares of every cell (the in-process
+/// [`Protocol`] engine's relation).
+pub type SharedRelation = Rel<Shares>;
 
-    /// Secret-shares a columnar relation into the MPC, one whole column at a
-    /// time: each column is extracted as a contiguous `i64` vector and handed
-    /// to [`Protocol::share_column`] in a single bulk call, instead of
-    /// walking boxed row values cell by cell.
-    pub fn from_columnar(rel: &ColumnarRelation, proto: &mut Protocol) -> Result<Self, String> {
-        for col in &rel.schema.columns {
-            if !col.dtype.mpc_compatible() {
-                return Err(format!(
-                    "column `{}` has type {} which cannot be secret-shared",
-                    col.name, col.dtype
-                ));
-            }
-        }
-        let n = rel.num_rows();
-        let mut shared_columns: Vec<Vec<Shares>> = Vec::with_capacity(rel.num_cols());
-        for (c, col) in rel.columns().iter().enumerate() {
-            // Fast path: a null-free integer column shares its slice directly,
-            // with no intermediate copy.
-            let shared = if let Some(slice) = col.as_ints() {
-                proto.share_column(slice)
-            } else {
-                let ints: Vec<i64> = (0..n)
-                    .map(|i| {
-                        let v = rel.value(i, c);
-                        v.as_int()
-                            .ok_or_else(|| format!("cannot share non-integer value {v}"))
-                    })
-                    .collect::<Result<_, _>>()?;
-                proto.share_column(&ints)
-            };
-            shared_columns.push(shared);
-        }
-        // Transpose into the row-major share layout the oblivious operators
-        // consume.
-        let rows = (0..n)
-            .map(|i| shared_columns.iter().map(|col| col[i].clone()).collect())
-            .collect();
-        Ok(SharedRelation {
-            schema: rel.schema.clone(),
-            rows,
-        })
-    }
-
-    /// Secret-shares a [`Table`] into the MPC, picking the column-at-a-time
-    /// sharing path whenever the table's columnar representation is already
-    /// materialized (no conversion is ever forced: a row-only table shares
-    /// row by row).
-    pub fn from_table(table: &Table, proto: &mut Protocol) -> Result<Self, String> {
-        if table.has_columns() {
-            SharedRelation::from_columnar(table.as_columns(), proto)
-        } else {
-            SharedRelation::from_relation(table.as_rows(), proto)
-        }
-    }
-
+impl<S: Clone> Rel<S> {
     /// Creates an empty shared relation with the given schema.
     pub fn empty(schema: Schema) -> Self {
-        SharedRelation {
+        Rel {
             schema,
             rows: Vec::new(),
         }
@@ -132,74 +56,168 @@ impl SharedRelation {
         self.schema.index_of(name)
     }
 
-    /// Opens the whole relation to cleartext (an `open` per cell is charged).
-    pub fn reconstruct(&self, proto: &mut Protocol) -> Relation {
-        let rows = self
-            .rows
-            .iter()
-            .map(|row| {
-                row.iter()
-                    .map(|s| {
-                        let v = proto.open(s);
-                        Value::Int(v)
-                    })
-                    .collect()
-            })
-            .collect();
-        // Reconstructed cells are integers; coerce the schema accordingly so
-        // downstream cleartext steps treat them consistently.
+    /// Index of a named column, or the operator error for a missing one.
+    pub fn require(&self, name: &str) -> Result<usize, OpError> {
+        self.col_index(name)
+            .ok_or_else(|| OpError::Invalid(format!("unknown column `{name}`")))
+    }
+
+    /// Indexes of several named columns.
+    pub fn require_all(&self, names: &[String]) -> Result<Vec<usize>, OpError> {
+        names.iter().map(|c| self.require(c)).collect()
+    }
+
+    /// The shares of one column, borrowed.
+    pub fn column(&self, idx: usize) -> Vec<&S> {
+        self.rows.iter().map(|r| &r[idx]).collect()
+    }
+
+    /// The schema a cleartext opening of this relation carries: opened cells
+    /// are integers, so `Bool` columns are coerced for downstream steps.
+    pub fn opened_schema(&self) -> Schema {
         let mut schema = self.schema.clone();
         for col in &mut schema.columns {
             if col.dtype == DataType::Bool {
                 col.dtype = DataType::Int;
             }
         }
-        Relation { schema, rows }
+        schema
     }
 
     /// Projects onto the named columns (free: shares are just re-arranged).
-    pub fn project(&self, columns: &[String]) -> Result<SharedRelation, String> {
-        let idxs: Vec<usize> = columns
-            .iter()
-            .map(|c| {
-                self.col_index(c)
-                    .ok_or_else(|| format!("unknown column `{c}`"))
-            })
-            .collect::<Result<_, _>>()?;
-        let schema = self.schema.project(columns).map_err(|e| e.to_string())?;
+    pub fn project(&self, columns: &[String]) -> Result<Self, OpError> {
+        let idxs = self.require_all(columns)?;
+        let schema = self
+            .schema
+            .project(columns)
+            .map_err(|e| OpError::Invalid(e.to_string()))?;
         let rows = self
             .rows
             .iter()
             .map(|row| idxs.iter().map(|&i| row[i].clone()).collect())
             .collect();
-        Ok(SharedRelation { schema, rows })
+        Ok(Rel { schema, rows })
     }
 
     /// Concatenates shared relations with identical arity (free).
-    pub fn concat(parts: &[SharedRelation]) -> Result<SharedRelation, String> {
+    pub fn concat(parts: &[&Self]) -> Result<Self, OpError> {
         let Some(first) = parts.first() else {
-            return Err("concat of zero shared relations".into());
+            return Err(OpError::Invalid("concat of zero relations".into()));
         };
         let mut rows = Vec::new();
         for p in parts {
             if p.num_cols() != first.num_cols() {
-                return Err("concat arity mismatch".into());
+                return Err(OpError::Invalid("concat arity mismatch".into()));
             }
             rows.extend(p.rows.iter().cloned());
         }
-        Ok(SharedRelation {
+        Ok(Rel {
             schema: first.schema.clone(),
             rows,
         })
     }
 
-    /// Applies a row permutation (used by shuffles; the permutation itself is
-    /// known only to the protocol simulator).
-    pub fn permute(&self, perm: &[usize]) -> SharedRelation {
+    /// Applies a row permutation (used by shuffles; the permutation itself
+    /// never leaves the engine).
+    pub fn permute(&self, perm: &[usize]) -> Self {
         assert_eq!(perm.len(), self.num_rows());
-        let rows = perm.iter().map(|&i| self.rows[i].clone()).collect();
-        SharedRelation {
+        Rel {
             schema: self.schema.clone(),
+            rows: perm.iter().map(|&i| self.rows[i].clone()).collect(),
+        }
+    }
+}
+
+/// Rejects schemas with a column type the `Z_{2^64}` engines cannot share.
+pub(crate) fn check_shareable(schema: &Schema) -> Result<(), String> {
+    match schema.columns.iter().find(|c| !c.dtype.mpc_compatible()) {
+        Some(col) => Err(format!(
+            "column `{}` has type {} which cannot be secret-shared",
+            col.name, col.dtype
+        )),
+        None => Ok(()),
+    }
+}
+
+/// The integer a cell is shared as.
+pub(crate) fn shareable_int(v: &Value) -> Result<i64, String> {
+    v.as_int()
+        .ok_or_else(|| format!("cannot share non-integer value {v}"))
+}
+
+impl SharedRelation {
+    /// Secret-shares a cleartext relation into the MPC. Non-integer cells
+    /// are rejected because the arithmetic backends operate on `Z_{2^64}`.
+    pub fn from_relation(rel: &Relation, proto: &mut Protocol) -> Result<Self, String> {
+        check_shareable(&rel.schema)?;
+        let rows = rel
+            .rows
+            .iter()
+            .map(|row| {
+                row.iter()
+                    .map(|v| Ok(proto.share_value(shareable_int(v)?)))
+                    .collect()
+            })
+            .collect::<Result<_, String>>()?;
+        Ok(Rel {
+            schema: rel.schema.clone(),
+            rows,
+        })
+    }
+
+    /// Secret-shares a columnar relation into the MPC, one whole column at a
+    /// time: each column is extracted as a contiguous `i64` vector and handed
+    /// to [`Protocol::share_column`] in a single bulk call, instead of
+    /// walking boxed row values cell by cell.
+    pub fn from_columnar(rel: &ColumnarRelation, proto: &mut Protocol) -> Result<Self, String> {
+        check_shareable(&rel.schema)?;
+        let n = rel.num_rows();
+        let mut shared_columns: Vec<Vec<Shares>> = Vec::with_capacity(rel.num_cols());
+        for (c, col) in rel.columns().iter().enumerate() {
+            // Fast path: a null-free integer column shares its slice directly,
+            // with no intermediate copy.
+            let shared = if let Some(slice) = col.as_ints() {
+                proto.share_column(slice)
+            } else {
+                let ints: Vec<i64> = (0..n)
+                    .map(|i| shareable_int(&rel.value(i, c)))
+                    .collect::<Result<_, _>>()?;
+                proto.share_column(&ints)
+            };
+            shared_columns.push(shared);
+        }
+        // Transpose into the row-major share layout the oblivious operators
+        // consume.
+        let rows = (0..n)
+            .map(|i| shared_columns.iter().map(|col| col[i].clone()).collect())
+            .collect();
+        Ok(Rel {
+            schema: rel.schema.clone(),
+            rows,
+        })
+    }
+
+    /// Secret-shares a [`Table`] into the MPC, picking the column-at-a-time
+    /// sharing path whenever the table's columnar representation is already
+    /// materialized (no conversion is ever forced: a row-only table shares
+    /// row by row).
+    pub fn from_table(table: &Table, proto: &mut Protocol) -> Result<Self, String> {
+        if table.has_columns() {
+            SharedRelation::from_columnar(table.as_columns(), proto)
+        } else {
+            SharedRelation::from_relation(table.as_rows(), proto)
+        }
+    }
+
+    /// Opens the whole relation to cleartext (an `open` per cell is charged).
+    pub fn reconstruct(&self, proto: &mut Protocol) -> Relation {
+        let rows = self
+            .rows
+            .iter()
+            .map(|row| row.iter().map(|s| Value::Int(proto.open(s))).collect())
+            .collect();
+        Relation {
+            schema: self.opened_schema(),
             rows,
         }
     }
@@ -301,11 +319,11 @@ mod tests {
         );
         assert!(shared.project(&["zzz".to_string()]).is_err());
 
-        let cat = SharedRelation::concat(&[shared.clone(), shared.clone()]).unwrap();
+        let cat = SharedRelation::concat(&[&shared, &shared]).unwrap();
         assert_eq!(cat.num_rows(), 6);
         assert!(SharedRelation::concat(&[]).is_err());
         let other = SharedRelation::empty(Schema::ints(&["a"]));
-        assert!(SharedRelation::concat(&[shared, other]).is_err());
+        assert!(SharedRelation::concat(&[&shared, &other]).is_err());
     }
 
     #[test]

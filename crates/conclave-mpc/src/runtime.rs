@@ -1,10 +1,10 @@
 //! The distributed party runtime: per-party protocol state over a
 //! [`Transport`].
 //!
-//! The single-process [`crate::protocol::Protocol`] materializes *every*
-//! party's shares inside one struct — convenient for simulation, but it
-//! cannot measure the thing the paper's evaluation is about: per-party
-//! message exchange. This module provides the real counterpart, split into
+//! The single-process [`crate::protocol::Protocol`] engine materializes
+//! *every* party's shares inside one struct — convenient for simulation, but
+//! it cannot measure the thing the paper's evaluation is about: per-party
+//! message exchange. This module provides the engine that can, split into
 //! **session-lifetime** and **per-step** state:
 //!
 //! * [`PartySession`] is **one party's** query-lifetime endpoint: identity,
@@ -20,14 +20,14 @@
 //!   tagged with a `(step, stream)` [`StreamTag`] so concurrent steps can
 //!   multiplex the same session-lifetime connections. The transport's
 //!   [`NetStats`] record *observed* bytes and rounds.
-//! * [`PartyRelation`] is the per-party slice of a secret-shared relation
-//!   (public schema, one share per cell), and the free functions implement
-//!   the oblivious relational operators over it ([`sort_by`], [`shuffle`],
-//!   [`aggregate_sorted`], [`cartesian_join`], [`filter`], …), mirroring the
-//!   in-process implementations in [`crate::oblivious`] cell for cell.
-//! * [`execute_party_op`] dispatches one relational [`Operator`] exactly like
-//!   [`crate::backend::MpcEngine::execute_shared`], so a driver can swap the
-//!   simulated engine for a party mesh without changing plan semantics.
+//! * [`StepCtx`] implements [`Engine`], so the oblivious relational
+//!   operators of [`crate::operators`] — written once, generic over the
+//!   engine — run on it unchanged: [`PartyRelation`] is the engine-generic
+//!   relation holding one [`AuthShare`] per cell, and [`sort_by`],
+//!   [`aggregate_sorted`] and the dispatcher [`execute_party_op`] are
+//!   re-exports of the generic functions, not ports of them.
+//!   A driver can therefore swap the in-process engine for a party mesh
+//!   without changing plan semantics, primitive counts or leakage.
 //!
 //! ## Open/reveal semantics
 //!
@@ -80,17 +80,17 @@
 //! transport.
 //!
 //! The split preserves exact `Z_{2^64}` arithmetic, which is what the
-//! transport-equivalence test suite pins against the in-process oracle.
+//! transport-equivalence test suite pins against the in-process engine.
 
 use crate::cost::PrimitiveCounts;
 use crate::dealer::{self, DealerSource, InputMask, MaterialBlocks};
+use crate::engine::{Engine, OpError};
+use crate::relation::{check_shareable, shareable_int, Rel};
 use crate::ring::RingElem;
 use crate::share::AuthShare;
 use conclave_engine::Relation;
-use conclave_ir::expr::{BinOp, Expr};
-use conclave_ir::ops::{aggregate_schema, join_schema, AggFunc, Operand, Operator};
-use conclave_ir::schema::{ColumnDef, Schema};
-use conclave_ir::types::{DataType, Value};
+use conclave_ir::schema::Schema;
+use conclave_ir::types::Value;
 use conclave_net::{MessageKind, NetStats, StreamTag, Transport, TransportError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -146,6 +146,15 @@ impl std::error::Error for PartyError {
 impl From<TransportError> for PartyError {
     fn from(e: TransportError) -> Self {
         PartyError::Net(e)
+    }
+}
+
+impl From<OpError> for PartyError {
+    fn from(e: OpError) -> Self {
+        match e {
+            OpError::Invalid(s) => PartyError::Proto(s),
+            OpError::Unsupported(s) => PartyError::Unsupported(s),
+        }
     }
 }
 
@@ -1166,31 +1175,6 @@ impl<'n> StepCtx<'_, 'n> {
         x + self.constant_elem(c)
     }
 
-    /// A public constant: party 0 holds the value, everyone else zero.
-    pub fn constant(&self, v: i64) -> AuthShare {
-        self.constant_elem(RingElem::from_i64(v))
-    }
-
-    /// Local addition of two sharings.
-    pub fn add(&self, x: AuthShare, y: AuthShare) -> AuthShare {
-        x + y
-    }
-
-    /// Local subtraction of two sharings.
-    pub fn sub(&self, x: AuthShare, y: AuthShare) -> AuthShare {
-        x - y
-    }
-
-    /// Local addition of a public constant.
-    pub fn add_public(&self, x: AuthShare, c: i64) -> AuthShare {
-        self.add_public_elem(x, RingElem::from_i64(c))
-    }
-
-    /// Local multiplication by a public constant (scales both components).
-    pub fn mul_public(&self, x: AuthShare, c: i64) -> AuthShare {
-        x.mul_public(RingElem::from_i64(c))
-    }
-
     // ------------------------------------------------------------------
     // Non-linear operations (communication).
     // ------------------------------------------------------------------
@@ -1250,68 +1234,94 @@ impl<'n> StepCtx<'_, 'n> {
         crate::circuits::eq_batch(self, pairs)
     }
 
-    /// Oblivious equality over **several independent batches at once**: all
-    /// groups flatten into a single circuit execution, so the whole set
+    /// Oblivious less-than of one pair.
+    pub fn lt(&mut self, x: AuthShare, y: AuthShare) -> PartyResult<AuthShare> {
+        Ok(self.lt_batch(&[(x, y)])?[0])
+    }
+}
+
+/// The per-party engine: the generic operators' reference-taking batches
+/// forward to the inherent by-value batches above (MACed, circuit-backed, one
+/// set of rounds per call), linear operations are local share arithmetic.
+impl Engine for StepCtx<'_, '_> {
+    type Share = AuthShare;
+    type Error = PartyError;
+
+    fn constant(&self, v: i64) -> AuthShare {
+        self.constant_elem(RingElem::from_i64(v))
+    }
+
+    fn add(&self, x: &AuthShare, y: &AuthShare) -> AuthShare {
+        *x + *y
+    }
+
+    fn sub(&self, x: &AuthShare, y: &AuthShare) -> AuthShare {
+        *x - *y
+    }
+
+    fn add_public(&self, x: &AuthShare, c: i64) -> AuthShare {
+        self.add_public_elem(*x, RingElem::from_i64(c))
+    }
+
+    fn mul_public(&self, x: &AuthShare, c: i64) -> AuthShare {
+        x.mul_public(RingElem::from_i64(c))
+    }
+
+    fn mul_batch(&mut self, pairs: &[(&AuthShare, &AuthShare)]) -> PartyResult<Vec<AuthShare>> {
+        let owned: Vec<_> = pairs.iter().map(|&(x, y)| (*x, *y)).collect();
+        StepCtx::mul_batch(self, &owned)
+    }
+
+    fn lt_batch(&mut self, pairs: &[(&AuthShare, &AuthShare)]) -> PartyResult<Vec<AuthShare>> {
+        let owned: Vec<_> = pairs.iter().map(|&(x, y)| (*x, *y)).collect();
+        StepCtx::lt_batch(self, &owned)
+    }
+
+    /// All groups flatten into a single circuit execution, so the whole set
     /// costs the same 8 rounds as one `eq_batch` call, where a per-group
-    /// loop would pay 8 rounds per group. Returns one flag vector per group.
-    pub fn eq_batch_groups(
+    /// loop would pay 8 rounds per group.
+    fn eq_batch_groups(
         &mut self,
-        groups: &[Vec<(AuthShare, AuthShare)>],
+        groups: &[Vec<(&AuthShare, &AuthShare)>],
     ) -> PartyResult<Vec<Vec<AuthShare>>> {
-        self.sess.counts.equalities += groups.iter().map(|g| g.len() as u64).sum::<u64>();
-        let flat: Vec<(AuthShare, AuthShare)> = groups.iter().flatten().copied().collect();
-        let bits = crate::circuits::eq_batch(self, &flat)?;
-        let mut bits = bits.into_iter();
+        let flat: Vec<_> = groups.iter().flatten().map(|&(x, y)| (*x, *y)).collect();
+        let mut bits = self.eq_batch(&flat)?.into_iter();
         Ok(groups
             .iter()
             .map(|g| bits.by_ref().take(g.len()).collect())
             .collect())
     }
 
-    /// Oblivious less-than of one pair.
-    pub fn lt(&mut self, x: AuthShare, y: AuthShare) -> PartyResult<AuthShare> {
-        Ok(self.lt_batch(&[(x, y)])?[0])
-    }
-
-    /// Oblivious equality of one pair.
-    pub fn eq(&mut self, x: AuthShare, y: AuthShare) -> PartyResult<AuthShare> {
-        Ok(self.eq_batch(&[(x, y)])?[0])
-    }
-
-    /// Oblivious multiplexer batch: element-wise `b + c·(a − b)`.
-    pub fn mux_batch(
+    /// Element-wise `b + c·(a − b)`: one Beaver batch.
+    fn mux_batch(
         &mut self,
-        selectors: &[(AuthShare, AuthShare, AuthShare)],
+        selectors: &[(&AuthShare, &AuthShare, &AuthShare)],
     ) -> PartyResult<Vec<AuthShare>> {
-        let pairs: Vec<(AuthShare, AuthShare)> =
-            selectors.iter().map(|&(c, a, b)| (c, a - b)).collect();
-        let scaled = self.mul_batch(&pairs)?;
+        let pairs: Vec<_> = selectors.iter().map(|&(c, a, b)| (*c, *a - *b)).collect();
+        let scaled = StepCtx::mul_batch(self, &pairs)?;
         Ok(selectors
             .iter()
             .zip(scaled)
-            .map(|(&(_, _, b), s)| b + s)
+            .map(|(&(_, _, b), s)| *b + s)
             .collect())
     }
 
-    /// Oblivious multiplexer: `a` if the shared bit `c` is 1, else `b`.
-    pub fn mux(&mut self, c: AuthShare, a: AuthShare, b: AuthShare) -> PartyResult<AuthShare> {
-        Ok(self.mux_batch(&[(c, a, b)])?[0])
+    fn open_column(&mut self, shares: &[&AuthShare]) -> PartyResult<Vec<i64>> {
+        let owned: Vec<AuthShare> = shares.iter().map(|s| **s).collect();
+        StepCtx::open_column(self, &owned)
     }
 
-    /// Charges the cost of obliviously shuffling `elements` field elements.
-    pub fn charge_shuffle(&mut self, elements: u64) {
-        self.sess.counts.shuffled_elems += elements;
-    }
-
-    /// Adds externally-derived primitive counts (for operators whose real
-    /// cost is charged analytically, mirroring the in-process engine).
-    pub fn charge(&mut self, extra: &PrimitiveCounts) {
+    fn charge(&mut self, extra: &PrimitiveCounts) {
         self.sess.counts.merge(extra);
     }
 
-    /// A random permutation of `0..n` from the common stream — identical on
-    /// every party, so a shuffle needs no index exchange.
-    pub fn random_permutation(&mut self, n: usize) -> Vec<usize> {
+    fn charge_shuffle(&mut self, elements: u64) {
+        self.sess.counts.shuffled_elems += elements;
+    }
+
+    /// Drawn from the common stream — identical on every party, so a shuffle
+    /// needs no index exchange.
+    fn random_permutation(&mut self, n: usize) -> Vec<usize> {
         self.sess.random_permutation(n)
     }
 }
@@ -1326,98 +1336,9 @@ impl fmt::Debug for StepCtx<'_, '_> {
     }
 }
 
-/// A secret-shared relation as held by **one** party: public schema, one
-/// additive share per cell.
-#[derive(Debug, Clone)]
-pub struct PartyRelation {
-    /// Public schema (column names and types).
-    pub schema: Schema,
-    /// This party's authenticated share of every cell, row-major.
-    pub rows: Vec<Vec<AuthShare>>,
-}
-
-impl PartyRelation {
-    /// An empty relation with the given schema.
-    pub fn empty(schema: Schema) -> Self {
-        PartyRelation {
-            schema,
-            rows: Vec::new(),
-        }
-    }
-
-    /// Number of rows.
-    pub fn num_rows(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Number of columns.
-    pub fn num_cols(&self) -> usize {
-        self.schema.len()
-    }
-
-    /// Total number of shared field elements.
-    pub fn num_elems(&self) -> u64 {
-        (self.num_rows() * self.num_cols()) as u64
-    }
-
-    /// Index of a named column.
-    pub fn col_index(&self, name: &str) -> Option<usize> {
-        self.schema.index_of(name)
-    }
-
-    /// This party's shares of one column.
-    pub fn column(&self, idx: usize) -> Vec<AuthShare> {
-        self.rows.iter().map(|r| r[idx]).collect()
-    }
-
-    /// Applies a row permutation.
-    pub fn permute(&self, perm: &[usize]) -> PartyRelation {
-        assert_eq!(perm.len(), self.num_rows());
-        PartyRelation {
-            schema: self.schema.clone(),
-            rows: perm.iter().map(|&i| self.rows[i].clone()).collect(),
-        }
-    }
-
-    /// Projects onto the named columns (local share re-arrangement).
-    pub fn project(&self, columns: &[String]) -> PartyResult<PartyRelation> {
-        let idxs: Vec<usize> = columns
-            .iter()
-            .map(|c| {
-                self.col_index(c)
-                    .ok_or_else(|| PartyError::Proto(format!("unknown column `{c}`")))
-            })
-            .collect::<PartyResult<_>>()?;
-        let schema = self
-            .schema
-            .project(columns)
-            .map_err(|e| PartyError::Proto(e.to_string()))?;
-        let rows = self
-            .rows
-            .iter()
-            .map(|row| idxs.iter().map(|&i| row[i]).collect())
-            .collect();
-        Ok(PartyRelation { schema, rows })
-    }
-
-    /// Concatenates relations with identical arity (local).
-    pub fn concat(parts: &[PartyRelation]) -> PartyResult<PartyRelation> {
-        let Some(first) = parts.first() else {
-            return Err(PartyError::Proto("concat of zero relations".into()));
-        };
-        let mut rows = Vec::new();
-        for p in parts {
-            if p.num_cols() != first.num_cols() {
-                return Err(PartyError::Proto("concat arity mismatch".into()));
-            }
-            rows.extend(p.rows.iter().cloned());
-        }
-        Ok(PartyRelation {
-            schema: first.schema.clone(),
-            rows,
-        })
-    }
-}
+/// A secret-shared relation as held by **one** party: public schema, this
+/// party's authenticated share of every cell, row-major.
+pub type PartyRelation = Rel<AuthShare>;
 
 // ---------------------------------------------------------------------------
 // Relation-level protocol steps.
@@ -1432,29 +1353,12 @@ pub fn share_relation(
     schema: &Schema,
     num_rows: usize,
 ) -> PartyResult<PartyRelation> {
-    for col in &schema.columns {
-        if !col.dtype.mpc_compatible() {
-            return Err(PartyError::Proto(format!(
-                "column `{}` has type {} which cannot be secret-shared",
-                col.name, col.dtype
-            )));
-        }
-    }
+    check_shareable(schema).map_err(PartyError::Proto)?;
     let cols = schema.len();
-    let flat: Option<Vec<i64>> = match cleartext {
-        Some(rel) => {
-            let mut flat = Vec::with_capacity(num_rows * cols);
-            for row in &rel.rows {
-                for v in row {
-                    flat.push(v.as_int().ok_or_else(|| {
-                        PartyError::Proto(format!("cannot share non-integer value {v}"))
-                    })?);
-                }
-            }
-            Some(flat)
-        }
-        None => None,
-    };
+    let flat: Option<Vec<i64>> = cleartext
+        .map(|rel| rel.rows.iter().flatten().map(shareable_int).collect())
+        .transpose()
+        .map_err(PartyError::Proto)?;
     let shares = proto.input_column(owner, flat.as_deref(), num_rows * cols)?;
     let rows = shares
         .chunks(cols.max(1))
@@ -1510,7 +1414,7 @@ pub fn begin_open_relation(proto: &mut StepCtx, rel: &PartyRelation) -> PartyRes
     }
     Ok(PendingOpen {
         tag,
-        schema: rel.schema.clone(),
+        schema: rel.opened_schema(),
         num_rows: rel.num_rows(),
         local,
         macs,
@@ -1564,753 +1468,17 @@ pub fn finish_open_relation(
                 .collect()
         })
         .collect();
-    // Reconstructed cells are integers; coerce Bool columns like the
-    // in-process `SharedRelation::reconstruct` does.
-    let mut schema = schema;
-    for col in &mut schema.columns {
-        if col.dtype == DataType::Bool {
-            col.dtype = DataType::Int;
-        }
-    }
     Ok(Relation { schema, rows })
 }
 
-/// Obliviously shuffles the relation: the permutation comes from the common
-/// randomness stream (standing in for a resharing-based shuffle), the moved
-/// elements are charged like the in-process implementation.
-pub fn shuffle(proto: &mut StepCtx, rel: &PartyRelation) -> PartyRelation {
-    proto.charge_shuffle(rel.num_elems());
-    let perm = proto.random_permutation(rel.num_rows());
-    rel.permute(&perm)
-}
-
-/// One oblivious compare-exchange across all columns: one comparison round
-/// plus one (batched) multiplexer round.
-fn compare_exchange(
-    proto: &mut StepCtx,
-    rows: &mut [Vec<AuthShare>],
-    i: usize,
-    j: usize,
-    key: usize,
-    ascending: bool,
-) -> PartyResult<()> {
-    let (a, b) = (rows[i][key], rows[j][key]);
-    let swap = if ascending {
-        proto.lt(b, a)?
-    } else {
-        proto.lt(a, b)?
-    };
-    let cols = rows[i].len();
-    let mut selectors = Vec::with_capacity(cols * 2);
-    // Indexing (not iterators) because each column reads two distinct rows.
-    #[allow(clippy::needless_range_loop)]
-    for c in 0..cols {
-        let x = rows[i][c];
-        let y = rows[j][c];
-        selectors.push((swap, y, x)); // new row i
-        selectors.push((swap, x, y)); // new row j
-    }
-    let muxed = proto.mux_batch(&selectors)?;
-    // Indexing (not iterators) because each column writes two distinct rows.
-    #[allow(clippy::needless_range_loop)]
-    for c in 0..cols {
-        rows[i][c] = muxed[2 * c];
-        rows[j][c] = muxed[2 * c + 1];
-    }
-    Ok(())
-}
-
-/// Generates the Batcher odd-even merge-sort compare-exchange pairs
-/// (identical to the in-process network, so both runtimes sort in the same
-/// order).
-fn batcher_pairs(n: usize) -> Vec<(usize, usize)> {
-    let mut pairs = Vec::new();
-    let mut p = 1;
-    while p < n {
-        let mut k = p;
-        while k >= 1 {
-            let mut j = k % p;
-            while j + k < n {
-                for i in 0..k {
-                    let a = i + j;
-                    let b = i + j + k;
-                    if b < n && (a / (p * 2)) == (b / (p * 2)) {
-                        pairs.push((a, b));
-                    }
-                }
-                j += k * 2;
-            }
-            k /= 2;
-        }
-        p *= 2;
-    }
-    pairs
-}
-
-/// Obliviously sorts by the named column with a Batcher network.
-pub fn sort_by(
-    proto: &mut StepCtx,
-    rel: &PartyRelation,
-    column: &str,
-    ascending: bool,
-) -> PartyResult<PartyRelation> {
-    let key = rel
-        .col_index(column)
-        .ok_or_else(|| PartyError::Proto(format!("unknown sort column `{column}`")))?;
-    let mut rows = rel.rows.clone();
-    let n = rows.len();
-    if n > 1 {
-        for (i, j) in batcher_pairs(n) {
-            compare_exchange(proto, &mut rows, i, j, key, ascending)?;
-        }
-    }
-    Ok(PartyRelation {
-        schema: rel.schema.clone(),
-        rows,
-    })
-}
-
-/// Sorting-based oblivious aggregation over a key-sorted relation, mirroring
-/// [`crate::oblivious::aggregate_sorted`]: a linear accumulation scan, then a
-/// shuffle-and-reveal of the group-boundary flags.
-pub fn aggregate_sorted(
-    proto: &mut StepCtx,
-    rel: &PartyRelation,
-    group_by: &[String],
-    func: AggFunc,
-    over: Option<&str>,
-    out: &str,
-) -> PartyResult<PartyRelation> {
-    let key_cols: Vec<usize> = group_by
-        .iter()
-        .map(|c| {
-            rel.col_index(c)
-                .ok_or_else(|| PartyError::Proto(format!("unknown column `{c}`")))
-        })
-        .collect::<PartyResult<_>>()?;
-    let over_col = match over {
-        Some(o) => Some(
-            rel.col_index(o)
-                .ok_or_else(|| PartyError::Proto(format!("unknown column `{o}`")))?,
-        ),
-        None => None,
-    };
-    if func.needs_over() && over_col.is_none() {
-        return Err(PartyError::Proto(format!("{func} requires an over column")));
-    }
-    let schema = aggregate_schema(&rel.schema, group_by, func, over, out)
-        .map_err(|e| PartyError::Proto(e.to_string()))?;
-
-    let n = rel.num_rows();
-    if n == 0 {
-        return Ok(PartyRelation::empty(schema));
-    }
-
-    // Scalar aggregation.
-    if key_cols.is_empty() {
-        let value = match func {
-            AggFunc::Count => proto.constant(n as i64),
-            AggFunc::Sum => {
-                let c = over_col.expect("checked above");
-                rel.rows
-                    .iter()
-                    .fold(proto.constant(0), |acc, row| acc + row[c])
-            }
-            AggFunc::Min | AggFunc::Max => {
-                let c = over_col.expect("checked above");
-                let mut acc = rel.rows[0][c];
-                for row in rel.rows.iter().skip(1) {
-                    let cond = if func == AggFunc::Min {
-                        proto.lt(row[c], acc)?
-                    } else {
-                        proto.lt(acc, row[c])?
-                    };
-                    acc = proto.mux(cond, row[c], acc)?;
-                }
-                acc
-            }
-        };
-        return Ok(PartyRelation {
-            schema,
-            rows: vec![vec![value]],
-        });
-    }
-
-    // Group-boundary flags: eq[i-1] = 1 iff row i is in the same group as
-    // row i-1 (all key columns equal). The per-column equality openings are
-    // coalesced into ONE round, then combined with batched multiplications.
-    let groups: Vec<Vec<(AuthShare, AuthShare)>> = key_cols
-        .iter()
-        .map(|&k| {
-            (1..n)
-                .map(|i| (rel.rows[i][k], rel.rows[i - 1][k]))
-                .collect()
-        })
-        .collect();
-    let mut per_col = proto.eq_batch_groups(&groups)?.into_iter();
-    let mut eq: Vec<AuthShare> = per_col.next().expect("at least one key column");
-    for flags in per_col {
-        let products: Vec<(AuthShare, AuthShare)> = eq.iter().copied().zip(flags).collect();
-        eq = proto.mul_batch(&products)?;
-    }
-
-    let init = |proto: &StepCtx, row: &[AuthShare]| -> AuthShare {
-        match func {
-            AggFunc::Count => proto.constant(1),
-            _ => row[over_col.expect("checked above")],
-        }
-    };
-    let mut acc: Vec<AuthShare> = Vec::with_capacity(n);
-    let mut last_of_group: Vec<AuthShare> = Vec::with_capacity(n);
-    acc.push(init(proto, &rel.rows[0]));
-    for i in 1..n {
-        let current = init(proto, &rel.rows[i]);
-        let combined = match func {
-            AggFunc::Count | AggFunc::Sum => acc[i - 1] + current,
-            AggFunc::Min => {
-                let cond = proto.lt(acc[i - 1], current)?;
-                proto.mux(cond, acc[i - 1], current)?
-            }
-            AggFunc::Max => {
-                let cond = proto.lt(current, acc[i - 1])?;
-                proto.mux(cond, acc[i - 1], current)?
-            }
-        };
-        let value = proto.mux(eq[i - 1], combined, current)?;
-        acc.push(value);
-        let one = proto.constant(1);
-        last_of_group.push(one - eq[i - 1]);
-    }
-    last_of_group.push(proto.constant(1));
-
-    // Candidates = keys + aggregate + flag; shuffle; open the flags (one
-    // round); keep the group-final rows.
-    let mut candidates = Vec::with_capacity(n);
-    for i in 0..n {
-        let mut row: Vec<AuthShare> = key_cols.iter().map(|&k| rel.rows[i][k]).collect();
-        row.push(acc[i]);
-        row.push(last_of_group[i]);
-        candidates.push(row);
-    }
-    let mut flagged_schema = schema.clone();
-    flagged_schema
-        .push(ColumnDef::new("__last_of_group", DataType::Int))
-        .map_err(|e| PartyError::Proto(e.to_string()))?;
-    let tmp = PartyRelation {
-        schema: flagged_schema,
-        rows: candidates,
-    };
-    let shuffled = shuffle(proto, &tmp);
-    let flag_col = shuffled.num_cols() - 1;
-    let flags = proto.open_column(&shuffled.column(flag_col))?;
-    let rows = shuffled
-        .rows
-        .into_iter()
-        .zip(flags)
-        .filter(|(_, flag)| *flag == 1)
-        .map(|(row, _)| row[..flag_col].to_vec())
-        .collect();
-    Ok(PartyRelation { schema, rows })
-}
-
-/// Standard MPC join: Cartesian-product oblivious equality tests, mirroring
-/// [`crate::oblivious::cartesian_join`]. All pair flags are computed in one
-/// batched round per key column, then opened in one round.
-pub fn cartesian_join(
-    proto: &mut StepCtx,
-    left: &PartyRelation,
-    right: &PartyRelation,
-    left_keys: &[String],
-    right_keys: &[String],
-) -> PartyResult<PartyRelation> {
-    let lk: Vec<usize> = left_keys
-        .iter()
-        .map(|c| {
-            left.col_index(c)
-                .ok_or_else(|| PartyError::Proto(format!("unknown column `{c}`")))
-        })
-        .collect::<PartyResult<_>>()?;
-    let rk: Vec<usize> = right_keys
-        .iter()
-        .map(|c| {
-            right
-                .col_index(c)
-                .ok_or_else(|| PartyError::Proto(format!("unknown column `{c}`")))
-        })
-        .collect::<PartyResult<_>>()?;
-    let schema = join_schema(&left.schema, &right.schema, left_keys, right_keys)
-        .map_err(|e| PartyError::Proto(e.to_string()))?;
-    let right_keep: Vec<usize> = (0..right.num_cols()).filter(|i| !rk.contains(i)).collect();
-
-    let n = left.num_rows();
-    let m = right.num_rows();
-    if n == 0 || m == 0 {
-        return Ok(PartyRelation::empty(schema));
-    }
-
-    // match[i*m + j] = 1 iff all key columns of (left i, right j) agree.
-    // All key columns' equality openings cross the wire in one round.
-    let groups: Vec<Vec<(AuthShare, AuthShare)>> = lk
-        .iter()
-        .zip(&rk)
-        .map(|(&lc, &rc)| {
-            (0..n)
-                .flat_map(|i| (0..m).map(move |j| (i, j)))
-                .map(|(i, j)| (left.rows[i][lc], right.rows[j][rc]))
-                .collect()
-        })
-        .collect();
-    let mut per_col = proto.eq_batch_groups(&groups)?.into_iter();
-    let mut matched: Vec<AuthShare> = per_col.next().expect("at least one key column");
-    for flags in per_col {
-        let products: Vec<(AuthShare, AuthShare)> = matched.iter().copied().zip(flags).collect();
-        matched = proto.mul_batch(&products)?;
-    }
-    // Reveal which pairs matched (the paper's non-padded join reveals the
-    // output size and match structure identically).
-    let opened = proto.open_column(&matched)?;
-
-    let mut rows = Vec::new();
-    for i in 0..n {
-        for j in 0..m {
-            if opened[i * m + j] == 1 {
-                let mut out = left.rows[i].clone();
-                for &c in &right_keep {
-                    out.push(right.rows[j][c]);
-                }
-                rows.push(out);
-            }
-        }
-    }
-    Ok(PartyRelation { schema, rows })
-}
-
-/// Evaluates a (restricted) predicate over every row at once, producing a
-/// shared 0/1 flag per row. Each expression node costs one batched round.
-fn eval_predicate(
-    proto: &mut StepCtx,
-    rel: &PartyRelation,
-    expr: &Expr,
-) -> PartyResult<Vec<AuthShare>> {
-    let n = rel.num_rows();
-    match expr {
-        Expr::Bin { op, left, right } => match op {
-            BinOp::And | BinOp::Or => {
-                let l = eval_predicate(proto, rel, left)?;
-                let r = eval_predicate(proto, rel, right)?;
-                let pairs: Vec<(AuthShare, AuthShare)> =
-                    l.iter().copied().zip(r.iter().copied()).collect();
-                let prod = proto.mul_batch(&pairs)?;
-                if *op == BinOp::And {
-                    Ok(prod)
-                } else {
-                    // a OR b = a + b − a·b
-                    Ok((0..n).map(|i| l[i] + r[i] - prod[i]).collect())
-                }
-            }
-            BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
-                let l = eval_operand(proto, rel, left)?;
-                let r = eval_operand(proto, rel, right)?;
-                let pairs: Vec<(AuthShare, AuthShare)> = match op {
-                    BinOp::Gt | BinOp::Le => r.into_iter().zip(l).collect(),
-                    _ => l.into_iter().zip(r).collect(),
-                };
-                let raw = match op {
-                    BinOp::Eq | BinOp::Ne => proto.eq_batch(&pairs)?,
-                    _ => proto.lt_batch(&pairs)?,
-                };
-                match op {
-                    BinOp::Ne | BinOp::Le | BinOp::Ge => {
-                        let one = proto.constant(1);
-                        Ok(raw.into_iter().map(|b| one - b).collect())
-                    }
-                    _ => Ok(raw),
-                }
-            }
-            _ => Err(PartyError::Unsupported(format!(
-                "arithmetic operator {op} in an MPC filter predicate"
-            ))),
-        },
-        Expr::Not(inner) => {
-            let b = eval_predicate(proto, rel, inner)?;
-            let one = proto.constant(1);
-            Ok(b.into_iter().map(|x| one - x).collect())
-        }
-        other => Err(PartyError::Unsupported(format!(
-            "predicate form `{other}` under MPC"
-        ))),
-    }
-}
-
-fn eval_operand(
-    proto: &mut StepCtx,
-    rel: &PartyRelation,
-    expr: &Expr,
-) -> PartyResult<Vec<AuthShare>> {
-    match expr {
-        Expr::Col(name) => {
-            let idx = rel
-                .col_index(name)
-                .ok_or_else(|| PartyError::Proto(format!("unknown column `{name}`")))?;
-            Ok(rel.column(idx))
-        }
-        Expr::Const(v) => {
-            let i = v
-                .as_int()
-                .ok_or_else(|| PartyError::Unsupported("non-integer literal under MPC".into()))?;
-            Ok(vec![proto.constant(i); rel.num_rows()])
-        }
-        other => Err(PartyError::Unsupported(format!(
-            "operand form `{other}` under MPC"
-        ))),
-    }
-}
-
-/// Oblivious filter, mirroring the in-process one: per-row predicate flags,
-/// shuffle, open the flags, keep the selected rows (leaking only the output
-/// size).
-pub fn filter(
-    proto: &mut StepCtx,
-    rel: &PartyRelation,
-    predicate: &Expr,
-) -> PartyResult<PartyRelation> {
-    if rel.num_rows() == 0 {
-        // Still validate the predicate shape on the public schema.
-        eval_predicate(proto, rel, predicate)?;
-        return Ok(rel.clone());
-    }
-    let flags = eval_predicate(proto, rel, predicate)?;
-    let mut flagged_schema = rel.schema.clone();
-    flagged_schema
-        .push(ColumnDef::new("__filter_flag", DataType::Int))
-        .map_err(|e| PartyError::Proto(e.to_string()))?;
-    let flagged_rows: Vec<Vec<AuthShare>> = rel
-        .rows
-        .iter()
-        .zip(&flags)
-        .map(|(row, &flag)| {
-            let mut r = row.clone();
-            r.push(flag);
-            r
-        })
-        .collect();
-    let flagged = PartyRelation {
-        schema: flagged_schema,
-        rows: flagged_rows,
-    };
-    let shuffled = shuffle(proto, &flagged);
-    let flag_col = shuffled.num_cols() - 1;
-    let opened = proto.open_column(&shuffled.column(flag_col))?;
-    let rows = shuffled
-        .rows
-        .into_iter()
-        .zip(opened)
-        .filter(|(_, f)| *f == 1)
-        .map(|(row, _)| row[..flag_col].to_vec())
-        .collect();
-    Ok(PartyRelation {
-        schema: rel.schema.clone(),
-        rows,
-    })
-}
-
-/// Column arithmetic: multiplies operand columns/literals into `out`,
-/// mirroring the in-process `mpc_multiply` (one batched Beaver round per
-/// extra factor).
-pub fn multiply_columns(
-    proto: &mut StepCtx,
-    rel: &PartyRelation,
-    out: &str,
-    operands: &[Operand],
-) -> PartyResult<PartyRelation> {
-    let replace = rel.col_index(out);
-    let mut schema = rel.schema.clone();
-    if replace.is_none() {
-        schema
-            .push(ColumnDef::new(out, DataType::Int))
-            .map_err(|e| PartyError::Proto(e.to_string()))?;
-    }
-    let n = rel.num_rows();
-    let mut acc: Vec<AuthShare> = vec![proto.constant(1); n];
-    let mut first = true;
-    for o in operands {
-        match o {
-            Operand::Col(c) => {
-                let idx = rel
-                    .col_index(c)
-                    .ok_or_else(|| PartyError::Proto(format!("unknown column `{c}`")))?;
-                if first {
-                    acc = rel.column(idx);
-                    first = false;
-                } else {
-                    let pairs: Vec<(AuthShare, AuthShare)> =
-                        acc.into_iter().zip(rel.column(idx)).collect();
-                    acc = proto.mul_batch(&pairs)?;
-                }
-            }
-            Operand::Lit(v) => {
-                let i = v.as_int().ok_or_else(|| {
-                    PartyError::Unsupported("non-integer literal under MPC".into())
-                })?;
-                acc = acc.into_iter().map(|a| proto.mul_public(a, i)).collect();
-                first = false;
-            }
-        }
-    }
-    let rows = rel
-        .rows
-        .iter()
-        .zip(acc)
-        .map(|(row, a)| {
-            let mut new_row = row.clone();
-            match replace {
-                Some(i) => new_row[i] = a,
-                None => new_row.push(a),
-            }
-            new_row
-        })
-        .collect();
-    Ok(PartyRelation { schema, rows })
-}
-
-/// Removes duplicate adjacent rows from a key-sorted relation (the core of
-/// `distinct`), mirroring the in-process implementation: adjacent all-column
-/// equality flags, opened directly.
-fn distinct_sorted(proto: &mut StepCtx, rel: &PartyRelation) -> PartyResult<PartyRelation> {
-    let n = rel.num_rows();
-    if n == 0 {
-        return Ok(rel.clone());
-    }
-    let cols = rel.num_cols();
-    // all_eq[i-1] = 1 iff row i equals row i-1 on every column. One coalesced
-    // equality round covers every column.
-    let groups: Vec<Vec<(AuthShare, AuthShare)>> = (0..cols)
-        .map(|c| {
-            (1..n)
-                .map(|i| (rel.rows[i][c], rel.rows[i - 1][c]))
-                .collect()
-        })
-        .collect();
-    let mut per_col = proto.eq_batch_groups(&groups)?.into_iter();
-    let mut all_eq: Vec<AuthShare> = per_col.next().expect("at least one column");
-    for flags in per_col {
-        let products: Vec<(AuthShare, AuthShare)> = all_eq.iter().copied().zip(flags).collect();
-        all_eq = proto.mul_batch(&products)?;
-    }
-    let one = proto.constant(1);
-    let mut keep_flags = Vec::with_capacity(n);
-    keep_flags.push(one);
-    for e in all_eq {
-        keep_flags.push(one - e);
-    }
-    let opened = proto.open_column(&keep_flags)?;
-    let rows = rel
-        .rows
-        .iter()
-        .zip(opened)
-        .filter(|(_, f)| *f == 1)
-        .map(|(row, _)| row.clone())
-        .collect();
-    Ok(PartyRelation {
-        schema: rel.schema.clone(),
-        rows,
-    })
-}
-
-/// Laud-style oblivious indexing: the index column is opened (standing in
-/// for the oblivious-indexing sub-protocol, whose cost is charged) and each
-/// party selects its own shares of the addressed rows.
-pub fn oblivious_select(
-    proto: &mut StepCtx,
-    data: &PartyRelation,
-    indexes: &PartyRelation,
-    index_column: &str,
-) -> PartyResult<PartyRelation> {
-    let idx_col = indexes
-        .col_index(index_column)
-        .ok_or_else(|| PartyError::Proto(format!("unknown index column `{index_column}`")))?;
-    let n = data.num_rows() as u64;
-    let m = indexes.num_rows() as u64;
-    let total = (n + m).max(2);
-    let log = 64 - total.leading_zeros() as u64;
-    proto.charge(&PrimitiveCounts {
-        mults: total * log * data.num_cols() as u64,
-        ..Default::default()
-    });
-    if indexes.num_rows() == 0 {
-        return Ok(PartyRelation::empty(data.schema.clone()));
-    }
-    let opened = proto.open_column(&indexes.column(idx_col))?;
-    let mut rows = Vec::with_capacity(indexes.num_rows());
-    for i in opened {
-        let i = usize::try_from(i)
-            .map_err(|_| PartyError::Proto("negative oblivious index".to_string()))?;
-        let data_row = data
-            .rows
-            .get(i)
-            .ok_or_else(|| PartyError::Proto(format!("oblivious index {i} out of bounds")))?;
-        rows.push(data_row.clone());
-    }
-    Ok(PartyRelation {
-        schema: data.schema.clone(),
-        rows,
-    })
-}
-
-/// Executes one relational operator over already-shared party relations,
-/// mirroring [`crate::backend::MpcEngine::execute_shared`] operator for
-/// operator. `presorted_aggregate` skips the oblivious sort in front of a
-/// grouped aggregation (the §5.4 sort-elimination pay-off).
-pub fn execute_party_op(
-    proto: &mut StepCtx,
-    op: &Operator,
-    inputs: &[&PartyRelation],
-    presorted_aggregate: bool,
-) -> PartyResult<PartyRelation> {
-    let need = |n: usize| -> PartyResult<()> {
-        if inputs.len() == n {
-            Ok(())
-        } else {
-            Err(PartyError::Proto(format!(
-                "{} expects {n} inputs, got {}",
-                op.name(),
-                inputs.len()
-            )))
-        }
-    };
-    match op {
-        Operator::Project { columns } => {
-            need(1)?;
-            inputs[0].project(columns)
-        }
-        Operator::Concat => {
-            let parts: Vec<PartyRelation> = inputs.iter().map(|r| (*r).clone()).collect();
-            PartyRelation::concat(&parts)
-        }
-        Operator::Filter { predicate } => {
-            need(1)?;
-            filter(proto, inputs[0], predicate)
-        }
-        Operator::Join {
-            left_keys,
-            right_keys,
-            ..
-        } => {
-            need(2)?;
-            cartesian_join(proto, inputs[0], inputs[1], left_keys, right_keys)
-        }
-        Operator::Aggregate {
-            group_by,
-            func,
-            over,
-            out,
-        } => {
-            need(1)?;
-            if group_by.len() > 1 {
-                return Err(PartyError::Unsupported(
-                    "multi-column group-by under MPC".into(),
-                ));
-            }
-            let sorted = match group_by.first() {
-                Some(key) if !presorted_aggregate => sort_by(proto, inputs[0], key, true)?,
-                _ => inputs[0].clone(),
-            };
-            aggregate_sorted(proto, &sorted, group_by, *func, over.as_deref(), out)
-        }
-        Operator::Multiply { out, operands } => {
-            need(1)?;
-            multiply_columns(proto, inputs[0], out, operands)
-        }
-        Operator::SortBy { column, ascending } => {
-            need(1)?;
-            sort_by(proto, inputs[0], column, *ascending)
-        }
-        Operator::Merge { column, ascending } => {
-            // The party runtime merges by re-sorting the concatenation: the
-            // result is identical, only the (already charged) cost profile
-            // of a dedicated merge network is foregone.
-            let parts: Vec<PartyRelation> = inputs.iter().map(|r| (*r).clone()).collect();
-            let cat = PartyRelation::concat(&parts)?;
-            sort_by(proto, &cat, column, *ascending)
-        }
-        Operator::Limit { n } => {
-            need(1)?;
-            let mut rel = inputs[0].clone();
-            rel.rows.truncate(*n);
-            Ok(rel)
-        }
-        Operator::Shuffle => {
-            need(1)?;
-            Ok(shuffle(proto, inputs[0]))
-        }
-        Operator::Enumerate { out } => {
-            need(1)?;
-            let mut schema = inputs[0].schema.clone();
-            schema
-                .push(ColumnDef::new(out, DataType::Int))
-                .map_err(|e| PartyError::Proto(e.to_string()))?;
-            let rows = inputs[0]
-                .rows
-                .iter()
-                .enumerate()
-                .map(|(i, r)| {
-                    let mut row = r.clone();
-                    row.push(proto.constant(i as i64));
-                    row
-                })
-                .collect();
-            Ok(PartyRelation { schema, rows })
-        }
-        Operator::ObliviousSelect { index_column } => {
-            need(2)?;
-            oblivious_select(proto, inputs[0], inputs[1], index_column)
-        }
-        Operator::Distinct { columns } => {
-            need(1)?;
-            let proj = inputs[0].project(columns)?;
-            let key = columns
-                .first()
-                .ok_or_else(|| PartyError::Proto("distinct needs columns".into()))?;
-            let sorted = sort_by(proto, &proj, key, true)?;
-            distinct_sorted(proto, &sorted)
-        }
-        Operator::DistinctCount { column, out } => {
-            need(1)?;
-            let proj = inputs[0].project(std::slice::from_ref(column))?;
-            let sorted = sort_by(proto, &proj, column, true)?;
-            let distinct = distinct_sorted(proto, &sorted)?;
-            let n = distinct.num_rows() as i64;
-            let schema = Schema::new(vec![ColumnDef::new(out, DataType::Int)]);
-            Ok(PartyRelation {
-                schema,
-                rows: vec![vec![proto.constant(n)]],
-            })
-        }
-        Operator::RevealTo { .. }
-        | Operator::Open { .. }
-        | Operator::CloseTo
-        | Operator::Collect { .. } => {
-            need(1)?;
-            Ok(inputs[0].clone())
-        }
-        Operator::Divide { .. } => Err(PartyError::Unsupported(
-            "division under MPC; Conclave pushes divisions out of the MPC frontier".into(),
-        )),
-        Operator::Input { .. } => Err(PartyError::Unsupported("input binding".into())),
-        Operator::HybridJoin { .. }
-        | Operator::PublicJoin { .. }
-        | Operator::HybridAggregate { .. } => Err(PartyError::Unsupported(format!(
-            "{} is a multi-site protocol orchestrated by the driver",
-            op.name()
-        ))),
-    }
-}
+// The oblivious relational operators are engine-generic; these are the names
+// party workers call them by, with a [`StepCtx`] as the engine.
+pub use crate::operators::{aggregate_sorted, execute_op as execute_party_op, sort_by};
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{MpcBackendConfig, MpcEngine};
-    use conclave_ir::ops::JoinKind;
+    use conclave_ir::ops::{Operand, Operator};
     use conclave_net::ChannelTransport;
 
     /// Runs `f` on every party of a fresh `n`-party channel mesh and returns
@@ -2399,10 +1567,9 @@ mod tests {
             let s = proto.input_column(owner, own.then_some(vals.as_slice()), 4)?;
             let lt = proto.lt(s[0], s[1])?; // 3 < 5 → 1
             let ge = proto.lt(s[1], s[0])?; // 5 < 3 → 0
-            let eq = proto.eq(s[1], s[2])?; // 5 == 5 → 1
-            let ne = proto.eq(s[0], s[3])?; // 3 == −2 → 0
-            let picked = proto.mux(lt, s[0], s[1])?; // → 3
-            proto.open_column(&[lt, ge, eq, ne, picked])
+            let eqs = proto.eq_batch(&[(s[1], s[2]), (s[0], s[3])])?; // 5 == 5 → 1, 3 == −2 → 0
+            let picked = Engine::mux_batch(proto, &[(&lt, &s[0], &s[1])])?; // → 3
+            proto.open_column(&[lt, ge, eqs[0], eqs[1], picked[0]])
         });
         for r in &results {
             assert_eq!(r, &vec![1, 0, 1, 0, 3]);
@@ -2422,10 +1589,10 @@ mod tests {
                             let proto = sess.step(0);
                             let a = proto.constant(10);
                             let b = proto.constant(4);
-                            let _ = proto.add(a, b);
-                            let _ = proto.sub(a, b);
-                            let _ = proto.add_public(a, 5);
-                            let _ = proto.mul_public(a, 3);
+                            let _ = proto.add(&a, &b);
+                            let _ = proto.sub(&a, &b);
+                            let _ = proto.add_public(&a, 5);
+                            let _ = proto.mul_public(&a, 3);
                             t.stats()
                         })
                     })
@@ -2439,191 +1606,6 @@ mod tests {
         for s in &stats {
             assert_eq!(s.total_messages(), 0);
             assert_eq!(s.rounds, 0);
-        }
-    }
-
-    #[test]
-    fn party_sort_and_aggregate_match_the_inprocess_oracle() {
-        let rel = demo();
-        let op = Operator::Aggregate {
-            group_by: vec!["k".into()],
-            func: AggFunc::Sum,
-            over: Some("v".into()),
-            out: "s".into(),
-        };
-        let mut oracle = MpcEngine::new(MpcBackendConfig::sharemind());
-        let (expected, _) = oracle.execute_op(&op, &[&rel]).unwrap();
-        let outs = run_parties(3, 11, |proto| {
-            let data = mine(proto, 0, &rel);
-            let shared = share_relation(proto, 0, data, &rel.schema, rel.num_rows())?;
-            let out = execute_party_op(proto, &op, &[&shared], false)?;
-            open_relation(proto, &out)
-        });
-        for out in &outs {
-            assert!(
-                out.same_rows_unordered(&expected),
-                "got\n{out}\nvs\n{expected}"
-            );
-        }
-        // All parties opened the identical relation (same shuffle stream).
-        assert_eq!(outs[0].rows, outs[1].rows);
-        assert_eq!(outs[1].rows, outs[2].rows);
-    }
-
-    #[test]
-    fn party_join_filter_multiply_match_the_oracle() {
-        let left = Relation::from_ints(&["k", "a"], &[vec![1, 1], vec![2, 2], vec![3, 3]]);
-        let right = Relation::from_ints(&["k", "b"], &[vec![2, 20], vec![3, 30], vec![4, 40]]);
-        let join = Operator::Join {
-            left_keys: vec!["k".into()],
-            right_keys: vec!["k".into()],
-            kind: JoinKind::Inner,
-        };
-        let filter_op = Operator::Filter {
-            predicate: Expr::col("a")
-                .ge(Expr::lit(2))
-                .and(Expr::col("k").ne(Expr::lit(3))),
-        };
-        let mul = Operator::Multiply {
-            out: "sq".into(),
-            operands: vec![Operand::col("a"), Operand::col("a"), Operand::lit(2)],
-        };
-        let mut oracle = MpcEngine::new(MpcBackendConfig::sharemind());
-        let (expected_join, _) = oracle.execute_op(&join, &[&left, &right]).unwrap();
-        let (expected_filter, _) = oracle.execute_op(&filter_op, &[&left]).unwrap();
-        let (expected_mul, _) = oracle.execute_op(&mul, &[&left]).unwrap();
-        let outs = run_parties(3, 12, |proto| {
-            let ldata = mine(proto, 0, &left);
-            let sl = share_relation(proto, 0, ldata, &left.schema, left.num_rows())?;
-            let rdata = mine(proto, 1, &right);
-            let sr = share_relation(proto, 1, rdata, &right.schema, right.num_rows())?;
-            let j = execute_party_op(proto, &join, &[&sl, &sr], false)?;
-            let f = execute_party_op(proto, &filter_op, &[&sl], false)?;
-            let m = execute_party_op(proto, &mul, &[&sl], false)?;
-            Ok((
-                open_relation(proto, &j)?,
-                open_relation(proto, &f)?,
-                open_relation(proto, &m)?,
-            ))
-        });
-        for (j, f, m) in &outs {
-            assert!(j.same_rows_unordered(&expected_join));
-            assert!(f.same_rows_unordered(&expected_filter));
-            assert!(m.same_rows_unordered(&expected_mul));
-        }
-    }
-
-    #[test]
-    fn party_distinct_select_enumerate_and_misc_ops() {
-        let rel = Relation::from_ints(
-            &["k", "v"],
-            &[vec![1, 10], vec![2, 20], vec![1, 10], vec![3, 30]],
-        );
-        let idx = Relation::from_ints(&["i"], &[vec![2], vec![0]]);
-        let outs = run_parties(2, 13, |proto| {
-            let data = mine(proto, 0, &rel);
-            let shared = share_relation(proto, 0, data, &rel.schema, rel.num_rows())?;
-            let idata = mine(proto, 1, &idx);
-            let sidx = share_relation(proto, 1, idata, &idx.schema, idx.num_rows())?;
-            let distinct = execute_party_op(
-                proto,
-                &Operator::Distinct {
-                    columns: vec!["k".into()],
-                },
-                &[&shared],
-                false,
-            )?;
-            let dcount = execute_party_op(
-                proto,
-                &Operator::DistinctCount {
-                    column: "v".into(),
-                    out: "n".into(),
-                },
-                &[&shared],
-                false,
-            )?;
-            let selected = execute_party_op(
-                proto,
-                &Operator::ObliviousSelect {
-                    index_column: "i".into(),
-                },
-                &[&shared, &sidx],
-                false,
-            )?;
-            let enumerated = execute_party_op(
-                proto,
-                &Operator::Enumerate { out: "row".into() },
-                &[&shared],
-                false,
-            )?;
-            let limited = execute_party_op(proto, &Operator::Limit { n: 2 }, &[&shared], false)?;
-            let projected = execute_party_op(
-                proto,
-                &Operator::Project {
-                    columns: vec!["v".into()],
-                },
-                &[&shared],
-                false,
-            )?;
-            Ok((
-                open_relation(proto, &distinct)?,
-                open_relation(proto, &dcount)?,
-                open_relation(proto, &selected)?,
-                open_relation(proto, &enumerated)?,
-                limited.num_rows(),
-                projected
-                    .schema
-                    .names()
-                    .iter()
-                    .map(|s| s.to_string())
-                    .collect::<Vec<String>>(),
-            ))
-        });
-        for (distinct, dcount, selected, enumerated, limited, projected) in &outs {
-            assert_eq!(distinct.num_rows(), 3);
-            assert_eq!(dcount.rows[0][0], Value::Int(3));
-            assert_eq!(selected.rows[0][0], Value::Int(1));
-            assert_eq!(selected.rows[1][0], Value::Int(1));
-            assert_eq!(enumerated.column_values("row").unwrap().len(), 4);
-            assert_eq!(*limited, 2);
-            assert_eq!(projected, &vec!["v".to_string()]);
-        }
-    }
-
-    #[test]
-    fn empty_relations_flow_through_the_party_operators() {
-        let schema = Schema::ints(&["k", "v"]);
-        let empty_rel = Relation::from_ints(&["k", "v"], &[]);
-        let outs = run_parties(2, 14, |proto| {
-            let data = mine(proto, 0, &empty_rel);
-            let shared = share_relation(proto, 0, data, &schema, 0)?;
-            let sorted = execute_party_op(
-                proto,
-                &Operator::SortBy {
-                    column: "k".into(),
-                    ascending: true,
-                },
-                &[&shared],
-                false,
-            )?;
-            let agg = execute_party_op(
-                proto,
-                &Operator::Aggregate {
-                    group_by: vec!["k".into()],
-                    func: AggFunc::Sum,
-                    over: Some("v".into()),
-                    out: "s".into(),
-                },
-                &[&shared],
-                false,
-            )?;
-            let opened = open_relation(proto, &agg)?;
-            Ok((sorted.num_rows(), opened))
-        });
-        for (sorted_rows, agg) in &outs {
-            assert_eq!(*sorted_rows, 0);
-            assert_eq!(agg.num_rows(), 0);
-            assert_eq!(agg.schema.names(), vec!["k", "s"]);
         }
     }
 
@@ -2732,7 +1714,7 @@ mod tests {
         let results = run_parties(3, 21, |proto| {
             let data = mine(proto, 0, &rel);
             let shared = share_relation(proto, 0, data, &rel.schema, rel.num_rows())?;
-            let mut col = shared.column(1);
+            let mut col: Vec<AuthShare> = shared.column(1).into_iter().copied().collect();
             if proto.party() == 2 {
                 col[0].v += RingElem::from_i64(5);
             }
@@ -2769,7 +1751,8 @@ mod tests {
                         let data = mine(&proto, 0, rel);
                         let shared =
                             share_relation(&mut proto, 0, data, &rel.schema, rel.num_rows())?;
-                        let mut col = shared.column(1);
+                        let mut col: Vec<AuthShare> =
+                            shared.column(1).into_iter().copied().collect();
                         if proto.party() == 2 {
                             col[0].v += RingElem::from_i64(5);
                         }

@@ -1,0 +1,106 @@
+//! The one differential helper shared by the operator suites.
+//!
+//! [`assert_engines_match_cleartext`] runs one relational operator on every
+//! engine — the in-process `Protocol` (through `MpcEngine::execute_op`) and
+//! the per-party `StepCtx` runtime over the channel *and* localhost-TCP
+//! meshes (through `execute_op_distributed`) — and checks all three against
+//! the independent cleartext reference `conclave_engine::execute`. Because
+//! both engines run the same generic operator bodies, it also requires their
+//! engine-independent primitive counts to be equal.
+
+// Each test target includes this module and uses the parts it needs.
+#![allow(dead_code)]
+
+use conclave::core::config::PartyRuntime;
+use conclave::core::party_exec::execute_op_distributed;
+use conclave::mpc::backend::{MpcBackendConfig, MpcEngine, MpcStepStats};
+use conclave::mpc::PrimitiveCounts;
+use conclave::prelude::*;
+use conclave_ir::ops::Operator;
+
+/// How an operator's output order relates to the cleartext reference's.
+#[derive(Debug, Clone, Copy)]
+pub enum Order {
+    /// Row for row (operators that neither shuffle nor sort).
+    Exact,
+    /// As a multiset: the operator shuffles obliviously, so every engine
+    /// draws its own permutation.
+    Any,
+    /// As a multiset that is sorted by this column (sorting networks are not
+    /// stable, so ties may land differently than the cleartext sort's).
+    SortedBy(&'static str, bool),
+}
+
+/// The primitive counts every engine must agree on: everything except the
+/// circuit-level tallies and MAC checks only the party runtime has.
+pub fn engine_independent(counts: PrimitiveCounts) -> PrimitiveCounts {
+    PrimitiveCounts {
+        bit_ands: 0,
+        circuit_rounds: 0,
+        mac_checks: 0,
+        ..counts
+    }
+}
+
+fn assert_matches(engine: &str, op: &Operator, got: &Relation, expected: &Relation, order: Order) {
+    let ok = got.schema.names() == expected.schema.names()
+        && match order {
+            Order::Exact => got.rows == expected.rows,
+            Order::Any => got.same_rows_unordered(expected),
+            Order::SortedBy(column, ascending) => {
+                got.same_rows_unordered(expected) && got.is_sorted_by(column, ascending)
+            }
+        };
+    assert!(
+        ok,
+        "{engine} diverged from cleartext on {} ({order:?}):\n{got}\nvs\n{expected}",
+        op.name()
+    );
+}
+
+/// Executes `op` over `inputs` on {`Protocol`, `StepCtx`/channel,
+/// `StepCtx`/TCP}, checks every result against `conclave_engine::execute`,
+/// and checks that the engines charged the same engine-independent counts
+/// and — where no shuffle is involved — produced the same row order.
+/// Returns the `Protocol` engine's step statistics.
+pub fn assert_engines_match_cleartext(
+    op: &Operator,
+    inputs: &[&Relation],
+    seed: u64,
+    order: Order,
+) -> MpcStepStats {
+    let expected = conclave_engine::execute(op, inputs).expect("cleartext reference executes");
+    let mut protocol = MpcEngine::new(MpcBackendConfig {
+        seed,
+        ..MpcBackendConfig::sharemind()
+    });
+    let (out, stats) = protocol
+        .execute_op(op, inputs)
+        .expect("Protocol engine executes");
+    assert_matches("Protocol", op, &out, &expected, order);
+
+    let tables: Vec<Table> = inputs
+        .iter()
+        .map(|r| Table::from_rows((*r).clone()))
+        .collect();
+    let tables: Vec<&Table> = tables.iter().collect();
+    for runtime in [PartyRuntime::Channel, PartyRuntime::Tcp] {
+        let outcome = execute_op_distributed(op, &tables, 3, seed, runtime, false)
+            .expect("StepCtx engine executes");
+        let engine = format!("StepCtx/{runtime:?}");
+        assert_matches(&engine, op, &outcome.relation, &expected, order);
+        if !matches!(order, Order::Any) {
+            // Sorting and merge networks are deterministic: same comparators,
+            // same row order, whichever engine evaluates them.
+            assert_eq!(outcome.relation.rows, out.rows, "{engine} vs Protocol");
+        }
+        assert_eq!(
+            engine_independent(outcome.counts),
+            engine_independent(stats.counts),
+            "{engine} and Protocol charged different primitives for {}",
+            op.name()
+        );
+        assert!(outcome.net.total_bytes() > 0, "traffic must be observed");
+    }
+    stats
+}

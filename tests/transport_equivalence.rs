@@ -1,21 +1,25 @@
 //! Transport-equivalence property tests.
 //!
 //! The distributed party runtime must be **observationally identical** to the
-//! single-process `Protocol` oracle: for random share/open/multiply/aggregate
-//! workloads (including the empty-relation edge case), the values revealed by
-//! a mesh of real per-party endpoints — over the in-process channel transport
-//! *and* over localhost TCP — must be cell-identical to what the in-process
-//! engine reveals. Row *order* may differ where a protocol step involves an
-//! oblivious shuffle (the permutation streams differ), so relation-valued
-//! results are compared as multisets, exactly like the driver-level suites.
+//! single-process `Protocol` engine: for random share/open/multiply
+//! workloads, the values revealed by a mesh of real per-party endpoints —
+//! over the in-process channel transport *and* over localhost TCP — must be
+//! cell-identical to what the in-process engine reveals. Operator-level
+//! properties (random aggregations and sorts, signed boundaries, the empty
+//! relation) go through the shared differential helper in `tests/common`,
+//! which checks both engines on both transports against the cleartext
+//! reference; `tests/operator_differential.rs` is the fixed-case matrix over
+//! every operator. Whole-plan properties (pinned rounds, dealer modes,
+//! pipelining) follow at the end.
 
 // Demo/test target: panicking on bad setup is the desired behavior here
 // (the workspace-level clippy::unwrap_used lint targets library code).
 #![allow(clippy::unwrap_used)]
 
+mod common;
+
+use common::{assert_engines_match_cleartext, Order};
 use conclave::core::config::PartyRuntime;
-use conclave::core::party_exec::execute_op_distributed;
-use conclave::mpc::backend::{MpcBackendConfig, MpcEngine};
 use conclave::mpc::runtime::{PartyResult, PartySession, StepCtx};
 use conclave::mpc::AuthShare;
 use conclave::net::{ChannelTransport, TcpTransport, Transport};
@@ -191,8 +195,8 @@ proptest! {
         }
     }
 
-    /// Sorting columns that contain i64::MIN/MAX and negatives produces the
-    /// oracle's exact row order on both distributed runtimes.
+    /// Sorting columns that contain i64::MIN/MAX and negatives sorts them on
+    /// every engine, in the same row order on all of them.
     #[test]
     fn sort_matches_the_oracle_on_signed_boundaries(
         values in prop::collection::vec(edge_i64(), 0..8),
@@ -203,7 +207,7 @@ proptest! {
             &values.iter().enumerate().map(|(i, &v)| vec![i as i64, v]).collect::<Vec<_>>(),
         );
         let op = Operator::SortBy { column: "v".into(), ascending };
-        assert_op_equivalence(&op, &rel, seed, true);
+        assert_engines_match_cleartext(&op, &[&rel], seed, Order::SortedBy("v", ascending));
     }
 }
 
@@ -218,39 +222,11 @@ fn keyed_relation(rows: &[(i64, i64)]) -> Relation {
     )
 }
 
-/// Executes `op` on the in-process oracle and on both distributed transports,
-/// and requires cell-identical reveals. `ordered` demands the exact same row
-/// order (sorts, whose networks are deterministic and shuffle-free);
-/// unordered comparison is for operators whose output order depends on an
-/// oblivious shuffle, where the two runtimes draw different permutations.
-fn assert_op_equivalence(op: &Operator, rel: &Relation, seed: u64, ordered: bool) {
-    let mut oracle = MpcEngine::new(MpcBackendConfig::sharemind());
-    let (expected, _) = oracle.execute_op(op, &[rel]).expect("oracle executes");
-    let table = Table::from_rows(rel.clone());
-    for runtime in [PartyRuntime::Channel, PartyRuntime::Tcp] {
-        let outcome = execute_op_distributed(op, &[&table], 3, seed, runtime, false)
-            .expect("distributed step executes");
-        let matches = if ordered {
-            outcome.relation.rows == expected.rows
-        } else {
-            outcome.relation.same_rows_unordered(&expected)
-        };
-        assert!(
-            matches,
-            "{runtime:?} diverged on {}:\n{}\nvs oracle\n{}",
-            op.name(),
-            outcome.relation,
-            expected
-        );
-        assert!(outcome.net.total_bytes() > 0, "traffic must be observed");
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Random grouped-aggregation workloads reveal identical cells on the
-    /// oracle, the channel mesh and the TCP mesh.
+    /// Random grouped-aggregation workloads reveal the cleartext result on
+    /// the in-process engine, the channel mesh and the TCP mesh.
     #[test]
     fn aggregate_matches_the_oracle(rows in prop::collection::vec((any::<i64>(), any::<i64>()), 0..10),
                                     func_sel in 0u8..4,
@@ -269,7 +245,7 @@ proptest! {
             over,
             out: "agg".into(),
         };
-        assert_op_equivalence(&op, &rel, seed, false);
+        assert_engines_match_cleartext(&op, &[&rel], seed, Order::Any);
     }
 
     /// Random sort workloads produce identically-ordered reveals.
@@ -279,7 +255,7 @@ proptest! {
                                seed in any::<u64>()) {
         let rel = keyed_relation(&rows);
         let op = Operator::SortBy { column: "v".into(), ascending };
-        assert_op_equivalence(&op, &rel, seed, true);
+        assert_engines_match_cleartext(&op, &[&rel], seed, Order::SortedBy("v", ascending));
     }
 }
 
@@ -293,7 +269,7 @@ fn empty_relation_share_open_and_aggregate() {
         over: Some("v".into()),
         out: "s".into(),
     };
-    assert_op_equivalence(&op, &empty, 99, false);
+    assert_engines_match_cleartext(&op, &[&empty], 99, Order::Any);
     // Raw share/open of an empty column moves no payload but still works.
     let outs = run_mesh(ChannelTransport::mesh(2), 5, |p| {
         share_open_program(p, 0, &[])

@@ -7,12 +7,13 @@
 //! 1. **Offline dealing** — wall-clock for `write_party_files` with the
 //!    default [`MaterialSpec`] and the size of one party's material file;
 //! 2. **Online MAC overhead** — the same input/multiply/compare/open
-//!    workload on a 3-party channel mesh, once with SPDZ-MACed shares and
-//!    the deferred reveal-boundary integrity check (`PartySession::new`)
-//!    and once on the unauthenticated pre-MAC baseline
-//!    (`PartySession::unauthenticated`). The build **fails** if the MACed
-//!    run exceeds 2x the unauthenticated wall-clock — authentication must
-//!    stay an overhead, not a regime change;
+//!    workload on a 3-party channel mesh, once with the opened-value log
+//!    and the deferred reveal-boundary integrity check (`PartySession::new`)
+//!    and once without them (`PartySession::unauthenticated`). Both sides
+//!    deal and carry the same MAC shares — there is one dealer — so the
+//!    ratio isolates logging plus the two check rounds. The build **fails**
+//!    if the checked run exceeds 2x the unchecked wall-clock —
+//!    authentication must stay an overhead, not a regime change;
 //! 3. **File-mode end-to-end** — a full SQL query through `Session` whose
 //!    party workers load the pregenerated files (`DealerMode::File`),
 //!    reporting the measured rounds, wire bytes and MAC-check count.

@@ -48,9 +48,9 @@ impl PartyRuntime {
 /// distributed; the simulated engine models no offline phase.
 #[derive(Debug, Clone, Default)]
 pub enum DealerMode {
-    /// Synthesize material in-process from the mesh seed (default). The
-    /// offline phase is elided; shares still carry MACs and every reveal is
-    /// still checked.
+    /// Every party runs the deterministic dealer in-process on the mesh seed
+    /// and keeps its own slice (default). No separate offline phase; shares
+    /// still carry MACs and every reveal is still checked.
     #[default]
     Seeded,
     /// Load pregenerated per-party `party-{i}.dealer` files from this

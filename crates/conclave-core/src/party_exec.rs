@@ -148,7 +148,7 @@ enum WorkMsg {
     /// The worker (and its session, MAC key, dealer feed) stays alive for
     /// the next query.
     EndQuery,
-    /// Tops up the session's preloaded stock with a fresh pool bundle
+    /// Replaces the session's preloaded stock with a fresh pool bundle
     /// (dealt under the same MAC key) before the next query runs.
     Refill(Box<MaterialBlocks>),
     Finish,
@@ -382,7 +382,7 @@ impl PartyMeshRuntime {
 
     /// Prepares a long-lived mesh for its next query: in pooled-dealer mode,
     /// draws one fresh bundle from the pool (blocking if the refiller lags)
-    /// and tops up every worker's session. A no-op under other dealer modes
+    /// and hands it to every worker's session. A no-op under other dealer modes
     /// — their feeds are query-unbounded by construction.
     pub fn begin_query(&mut self) -> Result<(), DriverError> {
         let Some(pool) = self.pool.clone() else {
@@ -1006,8 +1006,8 @@ mod tests {
         let (seeded, seeded_summary) = run_with_dealer(&DealerMode::Seeded);
         let (filed, filed_summary) = run_with_dealer(&DealerMode::File(dir.clone()));
         std::fs::remove_dir_all(&dir).ok();
-        // Same result set (row order may differ: the seeded mode's α draw
-        // shifts the common stream, so shuffle permutations differ).
+        // Same result set (compared unordered: where a shuffle puts a row
+        // is the common stream's business, not the dealer's).
         assert!(seeded.same_rows_unordered(&filed), "got\n{filed}");
         // Pregenerated files involve no dedicated links and no extra mesh.
         assert!(filed_summary.dealer_net.is_none());

@@ -14,17 +14,23 @@
 //! * Every arithmetic value is dealt as a SPDZ-authenticated sharing
 //!   ([`crate::share::AuthShare`]): additive shares of the value plus
 //!   additive shares of its MAC `α·x` under the dealer's global key `α`.
-//! * Material reaches a party either **preloaded** — written to per-party
-//!   files by [`write_party_files`] and loaded with [`load_party_file`] — or
-//!   **streamed** on demand over a dedicated two-endpoint link served by
-//!   [`serve_party`] (wire kind [`MessageKind::Dealer`]).
+//! * Each material kind has **one** generator ([`DealerStream::deal`] and
+//!   [`DealerStream::blocks`] are its single-party and all-party
+//!   projections), driven by a typed [`Request`] and emitting the block in
+//!   the dealer's word encoding; [`MaterialBlocks::absorb`] is the one
+//!   decoder, and the one place a short or misframed block is rejected.
+//! * Material reaches a party **preloaded** — written to per-party files by
+//!   [`write_party_files`] and loaded with [`load_party_file`] — **streamed**
+//!   on demand over a dedicated two-endpoint link served by [`serve_party`]
+//!   (wire kind [`MessageKind::Dealer`]), or **seeded**: the party runs the
+//!   same `DealerStream` locally and keeps its own slice.
 //!
 //! The trusted-dealer trust model itself is unchanged from the paper's
 //! Sharemind-style deployment (see `docs/SECURITY.md`); what the split buys
-//! is that *computing parties no longer hold the dealer seed*, so no computing
-//! party can unmask another party's masked openings, and the MACs extend the
-//! guarantee from "passive observer learns nothing" to "active tampering is
-//! detected before any result is revealed".
+//! is that in the file and streamed modes *computing parties no longer hold
+//! the dealer seed*, so no computing party can unmask another party's masked
+//! openings, and the MACs extend the guarantee from "passive observer learns
+//! nothing" to "active tampering is detected before any result is revealed".
 
 use crate::ring::RingElem;
 use crate::runtime::{PartyError, PartyResult};
@@ -37,20 +43,12 @@ use std::fmt;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
-/// Block-request code: the requesting party's share of the MAC key `α`.
-pub const REQ_ALPHA: u64 = 0;
-/// Block-request code: arithmetic Beaver triples.
-pub const REQ_TRIPLES: u64 = 1;
-/// Block-request code: binary (bitwise-AND) Beaver triples.
-pub const REQ_BIT_TRIPLES: u64 = 2;
-/// Block-request code: shared random bits (XOR shares + authenticated
-/// arithmetic shares of the same value).
-pub const REQ_SHARED_BITS: u64 = 3;
-/// Block-request code: daBits (XOR-shared random bits with authenticated
-/// arithmetic shares of each bit).
-pub const REQ_DABITS: u64 = 4;
-/// Block-request code: input masks for one owner (`[code, owner, count]`).
-pub const REQ_INPUT_MASKS: u64 = 5;
+const REQ_ALPHA: u64 = 0;
+const REQ_TRIPLES: u64 = 1;
+const REQ_BIT_TRIPLES: u64 = 2;
+const REQ_SHARED_BITS: u64 = 3;
+const REQ_DABITS: u64 = 4;
+const REQ_INPUT_MASKS: u64 = 5;
 
 const DOMAIN_ALPHA: u64 = 1;
 const DOMAIN_TRIPLES: u64 = 2;
@@ -59,41 +57,166 @@ const DOMAIN_SHARED_BITS: u64 = 4;
 const DOMAIN_DABITS: u64 = 5;
 const DOMAIN_INPUT_MASKS: u64 = 6;
 
-/// Words on the wire / in a file per Beaver triple share.
-const TRIPLE_WORDS: usize = 6;
+/// Words per authenticated share: the value share, then the MAC share.
+const AUTH_WORDS: usize = 2;
+/// Words on the wire per Beaver triple share.
+const TRIPLE_WORDS: usize = 3 * AUTH_WORDS;
 /// Words per binary triple share.
 const BIT_TRIPLE_WORDS: usize = 3;
-/// Words per shared-bit share.
-const SHARED_BIT_WORDS: usize = 3;
-/// Words per daBit share: the XOR-share word plus 64 (value, MAC) pairs.
-const DABIT_WORDS: usize = 1 + 2 * 64;
+/// Words per shared-bit share: the XOR-share word plus one authenticated share.
+const SHARED_BIT_WORDS: usize = 1 + AUTH_WORDS;
+/// Words per daBit share: the XOR-share word plus 64 authenticated shares.
+const DABIT_WORDS: usize = 1 + 64 * AUTH_WORDS;
+
+/// Largest block, in words, a dealer deals for one request (128 MiB). A
+/// count read off the wire is checked against it before anything allocates.
+pub const MAX_BLOCK_WORDS: usize = 1 << 24;
 
 fn domain_rng(seed: u64, tag: u64) -> StdRng {
     StdRng::seed_from_u64(seed ^ tag.wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
-fn additive_share(rng: &mut StdRng, value: RingElem, n: usize) -> Vec<RingElem> {
-    let mut shares = Vec::with_capacity(n);
+/// Shares `value` additively among `n` parties, handing each party's share
+/// to `put` as `(party, word)`.
+fn additive_share(rng: &mut StdRng, value: RingElem, n: usize, put: &mut impl FnMut(usize, u64)) {
     let mut acc = RingElem::ZERO;
-    for _ in 0..n - 1 {
+    for p in 0..n - 1 {
         let r = RingElem(rng.gen::<u64>());
-        shares.push(r);
         acc += r;
+        put(p, r.0);
     }
-    shares.push(value - acc);
-    shares
+    put(n - 1, (value - acc).0);
 }
 
-fn xor_share(rng: &mut StdRng, value: u64, n: usize) -> Vec<u64> {
-    let mut shares = Vec::with_capacity(n);
+/// The XOR-sharing analogue of [`additive_share`].
+fn xor_share(rng: &mut StdRng, value: u64, n: usize, put: &mut impl FnMut(usize, u64)) {
     let mut acc = 0u64;
-    for _ in 0..n - 1 {
+    for p in 0..n - 1 {
         let r = rng.gen::<u64>();
-        shares.push(r);
         acc ^= r;
+        put(p, r);
     }
-    shares.push(value ^ acc);
-    shares
+    put(n - 1, value ^ acc);
+}
+
+/// An authenticated sharing: additive shares of `value`, then additive
+/// shares of its MAC `alpha · value`.
+fn auth_share(
+    rng: &mut StdRng,
+    alpha: RingElem,
+    value: RingElem,
+    n: usize,
+    put: &mut impl FnMut(usize, u64),
+) {
+    additive_share(rng, value, n, put);
+    additive_share(rng, alpha * value, n, put);
+}
+
+/// One pull on a dealer: which material, and how much of it. The typed form
+/// of the `[code, ...]` frame a party sends on its dealer link.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Request {
+    /// The requesting party's additive share of the MAC key `α`.
+    Alpha,
+    /// Authenticated arithmetic Beaver triples.
+    Triples(usize),
+    /// Binary (bitwise-AND) Beaver triple words.
+    BitTriples(usize),
+    /// Shared random bits: an XOR-shared word plus an authenticated
+    /// arithmetic sharing of the same value.
+    SharedBits(usize),
+    /// daBits: an XOR-shared word plus an authenticated arithmetic sharing
+    /// of each of its 64 bits.
+    DaBits(usize),
+    /// Input masks for the columns `owner` will share.
+    InputMasks {
+        /// The party whose inputs the masks hide; only its block carries
+        /// the mask values in the clear.
+        owner: usize,
+        /// Number of masks.
+        count: usize,
+    },
+}
+
+impl Request {
+    /// Items in the requested block.
+    pub fn count(&self) -> usize {
+        match *self {
+            Request::Alpha => 1,
+            Request::Triples(n)
+            | Request::BitTriples(n)
+            | Request::SharedBits(n)
+            | Request::DaBits(n)
+            | Request::InputMasks { count: n, .. } => n,
+        }
+    }
+
+    /// Words per item in `party`'s block.
+    fn item_words(&self, party: usize) -> usize {
+        match *self {
+            Request::Alpha => 1,
+            Request::Triples(_) => TRIPLE_WORDS,
+            Request::BitTriples(_) => BIT_TRIPLE_WORDS,
+            Request::SharedBits(_) => SHARED_BIT_WORDS,
+            Request::DaBits(_) => DABIT_WORDS,
+            Request::InputMasks { owner, .. } => AUTH_WORDS + usize::from(owner == party),
+        }
+    }
+
+    /// Words in `party`'s block.
+    fn block_words(&self, party: usize) -> usize {
+        self.count() * self.item_words(party)
+    }
+
+    /// The request as it crosses a dealer link.
+    pub fn encode(&self) -> Vec<u64> {
+        match *self {
+            Request::Alpha => vec![REQ_ALPHA],
+            Request::Triples(n) => vec![REQ_TRIPLES, n as u64],
+            Request::BitTriples(n) => vec![REQ_BIT_TRIPLES, n as u64],
+            Request::SharedBits(n) => vec![REQ_SHARED_BITS, n as u64],
+            Request::DaBits(n) => vec![REQ_DABITS, n as u64],
+            Request::InputMasks { owner, count } => {
+                vec![REQ_INPUT_MASKS, owner as u64, count as u64]
+            }
+        }
+    }
+
+    /// Parses a request frame received by a dealer for a `parties`-party
+    /// mesh. Frames come from outside the dealer, so everything is checked
+    /// here: an unknown code, a wrong arity, an owner outside the mesh or a
+    /// count whose block would exceed [`MAX_BLOCK_WORDS`] is a
+    /// [`PartyError::Proto`], never a panic or an allocation.
+    pub fn decode(words: &[u64], parties: usize) -> PartyResult<Request> {
+        let bad = |why: &str| {
+            let head = &words[..words.len().min(3)];
+            PartyError::Proto(format!(
+                "dealer request {head:?} ({} words): {why}",
+                words.len()
+            ))
+        };
+        let count = |n: u64| usize::try_from(n).map_err(|_| bad("count out of range"));
+        let req = match *words {
+            [REQ_ALPHA] => Request::Alpha,
+            [REQ_TRIPLES, n] => Request::Triples(count(n)?),
+            [REQ_BIT_TRIPLES, n] => Request::BitTriples(count(n)?),
+            [REQ_SHARED_BITS, n] => Request::SharedBits(count(n)?),
+            [REQ_DABITS, n] => Request::DaBits(count(n)?),
+            [REQ_INPUT_MASKS, owner, n] => match usize::try_from(owner) {
+                Ok(owner) if owner < parties => Request::InputMasks {
+                    owner,
+                    count: count(n)?,
+                },
+                _ => return Err(bad("owner outside the mesh")),
+            },
+            _ => return Err(bad("unknown code or wrong arity")),
+        };
+        let widest = (0..parties).map(|p| req.item_words(p)).max().unwrap_or(1);
+        if req.count() > MAX_BLOCK_WORDS / widest {
+            return Err(bad("count above the dealer's block cap"));
+        }
+        Ok(req)
+    }
 }
 
 /// One party's slice of an input mask: the authenticated sharing of a random
@@ -111,8 +234,9 @@ pub struct InputMask {
 /// seed. Each material type draws from its own domain-separated RNG, so two
 /// `DealerStream`s with the same seed produce identical global streams even
 /// when their callers request blocks in different type interleavings — the
-/// property that lets one independent server thread per party link stay
-/// share-consistent with its siblings.
+/// property that lets one independent server thread per party link (or, in
+/// seeded mode, one local stream per party) stay share-consistent with its
+/// siblings.
 #[derive(Debug)]
 pub struct DealerStream {
     parties: usize,
@@ -131,7 +255,10 @@ impl DealerStream {
         assert!(parties >= 2, "need at least two parties");
         let mut alpha_rng = domain_rng(seed, DOMAIN_ALPHA);
         let alpha = RingElem(alpha_rng.gen::<u64>());
-        let alpha_shares = additive_share(&mut alpha_rng, alpha, parties);
+        let mut alpha_shares = vec![RingElem::ZERO; parties];
+        additive_share(&mut alpha_rng, alpha, parties, &mut |p, w| {
+            alpha_shares[p] = RingElem(w);
+        });
         DealerStream {
             parties,
             alpha,
@@ -161,117 +288,89 @@ impl DealerStream {
         self.alpha_shares[p]
     }
 
-    fn auth_shares(
-        &mut self,
-        value: RingElem,
-        which: fn(&mut Self) -> &mut StdRng,
-    ) -> Vec<AuthShare> {
-        let alpha = self.alpha;
-        let n = self.parties;
-        let rng = which(self);
-        let vs = additive_share(rng, value, n);
-        let ms = additive_share(rng, alpha * value, n);
-        vs.into_iter()
-            .zip(ms)
-            .map(|(v, m)| AuthShare::new(v, m))
-            .collect()
-    }
-
-    /// Generates `count` authenticated Beaver triples; result is indexed
-    /// `[party][i]`.
-    pub fn triples(&mut self, count: usize) -> Vec<Vec<(AuthShare, AuthShare, AuthShare)>> {
-        let mut out = vec![Vec::with_capacity(count); self.parties];
-        for _ in 0..count {
-            let a = RingElem(self.triples.gen::<u64>());
-            let b = RingElem(self.triples.gen::<u64>());
-            let c = a * b;
-            let sa = self.auth_shares(a, |s| &mut s.triples);
-            let sb = self.auth_shares(b, |s| &mut s.triples);
-            let sc = self.auth_shares(c, |s| &mut s.triples);
-            for p in 0..self.parties {
-                out[p].push((sa[p], sb[p], sc[p]));
-            }
-        }
-        out
-    }
-
-    /// Generates `count` binary triples (`c = a & b`, XOR-shared words);
-    /// indexed `[party][i]`.
-    pub fn bit_triples(&mut self, count: usize) -> Vec<Vec<(u64, u64, u64)>> {
-        let mut out = vec![Vec::with_capacity(count); self.parties];
-        for _ in 0..count {
-            let a = self.bit_triples.gen::<u64>();
-            let b = self.bit_triples.gen::<u64>();
-            let c = a & b;
-            let sa = xor_share(&mut self.bit_triples, a, self.parties);
-            let sb = xor_share(&mut self.bit_triples, b, self.parties);
-            let sc = xor_share(&mut self.bit_triples, c, self.parties);
-            for p in 0..self.parties {
-                out[p].push((sa[p], sb[p], sc[p]));
-            }
-        }
-        out
-    }
-
-    /// Generates `count` shared random bits: a word of XOR shares of the bit
-    /// pattern `r` together with an authenticated arithmetic sharing of the
-    /// same 64-bit value; indexed `[party][i]`.
-    pub fn shared_bits(&mut self, count: usize) -> Vec<Vec<(u64, AuthShare)>> {
-        let mut out = vec![Vec::with_capacity(count); self.parties];
-        for _ in 0..count {
-            let r = self.shared_bits.gen::<u64>();
-            let bits = xor_share(&mut self.shared_bits, r, self.parties);
-            let adds = self.auth_shares(RingElem(r), |s| &mut s.shared_bits);
-            for p in 0..self.parties {
-                out[p].push((bits[p], adds[p]));
-            }
-        }
-        out
-    }
-
-    /// Generates `count` daBits: a word of 64 XOR-shared random bits together
-    /// with an authenticated arithmetic sharing of each individual bit;
-    /// indexed `[party][i]`.
-    pub fn dabits(&mut self, count: usize) -> Vec<Vec<(u64, Vec<AuthShare>)>> {
-        let mut out = vec![Vec::with_capacity(count); self.parties];
-        for _ in 0..count {
-            let rho = self.dabits.gen::<u64>();
-            let bits = xor_share(&mut self.dabits, rho, self.parties);
-            let mut adds: Vec<Vec<AuthShare>> = vec![Vec::with_capacity(64); self.parties];
-            for k in 0..64 {
-                let bit = RingElem((rho >> k) & 1);
-                let shares = self.auth_shares(bit, |s| &mut s.dabits);
-                for p in 0..self.parties {
-                    adds[p].push(shares[p]);
+    /// The generator: advances the requested kind's stream by `req.count()`
+    /// items and returns the blocks in the dealer's word encoding — every
+    /// party's (indexed by party) when `only` is `None`, else just that
+    /// party's (at index 0). The draws do not depend on `only`; a share
+    /// nobody keeps is simply not stored.
+    fn deal_words(&mut self, req: Request, only: Option<usize>) -> Vec<Vec<u64>> {
+        let (n, alpha) = (self.parties, self.alpha);
+        let mut out: Vec<Vec<u64>> = match only {
+            Some(p) => vec![Vec::with_capacity(req.block_words(p))],
+            None => (0..n)
+                .map(|p| Vec::with_capacity(req.block_words(p)))
+                .collect(),
+        };
+        let put = &mut |p: usize, w: u64| match only {
+            None => out[p].push(w),
+            Some(q) if q == p => out[0].push(w),
+            Some(_) => {}
+        };
+        match req {
+            Request::Alpha => {
+                for (p, share) in self.alpha_shares.iter().enumerate() {
+                    put(p, share.0);
                 }
             }
-            for (p, word) in bits.iter().enumerate() {
-                out[p].push((*word, std::mem::take(&mut adds[p])));
+            Request::Triples(count) => {
+                let rng = &mut self.triples;
+                for _ in 0..count {
+                    let a = RingElem(rng.gen::<u64>());
+                    let b = RingElem(rng.gen::<u64>());
+                    for x in [a, b, a * b] {
+                        auth_share(rng, alpha, x, n, put);
+                    }
+                }
+            }
+            Request::BitTriples(count) => {
+                let rng = &mut self.bit_triples;
+                for _ in 0..count {
+                    let a = rng.gen::<u64>();
+                    let b = rng.gen::<u64>();
+                    for x in [a, b, a & b] {
+                        xor_share(rng, x, n, put);
+                    }
+                }
+            }
+            Request::SharedBits(count) => {
+                let rng = &mut self.shared_bits;
+                for _ in 0..count {
+                    let r = rng.gen::<u64>();
+                    xor_share(rng, r, n, put);
+                    auth_share(rng, alpha, RingElem(r), n, put);
+                }
+            }
+            Request::DaBits(count) => {
+                let rng = &mut self.dabits;
+                for _ in 0..count {
+                    let rho = rng.gen::<u64>();
+                    xor_share(rng, rho, n, put);
+                    for k in 0..64 {
+                        auth_share(rng, alpha, RingElem((rho >> k) & 1), n, put);
+                    }
+                }
+            }
+            Request::InputMasks { owner, count } => {
+                let rng = &mut self.input_masks[owner];
+                for _ in 0..count {
+                    let r = RingElem(rng.gen::<u64>());
+                    auth_share(rng, alpha, r, n, put);
+                    // The mask in the clear, to its owner only.
+                    put(owner, r.0);
+                }
             }
         }
         out
     }
 
-    /// Generates `count` input masks for `owner`: each is `(r, shares)` where
-    /// `shares[p]` is party `p`'s authenticated share of the random `r`. The
-    /// caller must forward `r` in the clear **only** to the owner.
-    pub fn input_masks(&mut self, owner: usize, count: usize) -> Vec<(RingElem, Vec<AuthShare>)> {
-        let alpha = self.alpha;
-        let n = self.parties;
-        let mut out = Vec::with_capacity(count);
-        for _ in 0..count {
-            let rng = &mut self.input_masks[owner];
-            let r = RingElem(rng.gen::<u64>());
-            let vs = additive_share(rng, r, n);
-            let ms = additive_share(rng, alpha * r, n);
-            let shares = vs
-                .into_iter()
-                .zip(ms)
-                .map(|(v, m)| AuthShare::new(v, m))
-                .collect();
-            out.push((r, shares));
-        }
-        out
+    /// Deals `party`'s block for `req` from this stream's current position,
+    /// in the dealer's word encoding: what [`serve_party`] puts on the link,
+    /// what a seeded session draws locally, and what
+    /// [`MaterialBlocks::absorb`] reads. Equal to slice `party` of the
+    /// all-party deal at the same position ([`DealerStream::blocks`]).
+    pub fn deal(&mut self, party: usize, req: Request) -> Vec<u64> {
+        assert!(party < self.parties, "party outside the mesh");
+        self.deal_words(req, Some(party)).swap_remove(0)
     }
 }
 
@@ -305,8 +404,8 @@ impl Default for MaterialSpec {
     }
 }
 
-/// One party's preloaded stock of offline material, as produced by
-/// [`generate_blocks`] or loaded from a dealer file.
+/// One party's stock of offline material: what [`generate_blocks`] deals, a
+/// dealer file holds, and a [`crate::runtime::PartySession`] consumes.
 #[derive(Debug, Clone, Default)]
 pub struct MaterialBlocks {
     /// The party this stock belongs to.
@@ -327,6 +426,60 @@ pub struct MaterialBlocks {
     pub input_masks: Vec<VecDeque<InputMask>>,
 }
 
+impl MaterialBlocks {
+    /// An empty stock for `party` of `parties`: the key share and one (empty)
+    /// input-mask queue per owner.
+    pub fn empty(party: usize, parties: usize, alpha: RingElem) -> Self {
+        MaterialBlocks {
+            party: party as u32,
+            parties: parties as u32,
+            alpha,
+            input_masks: vec![VecDeque::new(); parties],
+            ..MaterialBlocks::default()
+        }
+    }
+
+    /// Appends the block a dealer returned for `req` — `words` in the
+    /// encoding of [`DealerStream::deal`] — to the matching queue. The block
+    /// must hold exactly the requested items: a short, empty or misframed
+    /// one is a [`PartyError::Proto`], so a consumer never waits on (or
+    /// indexes into) material that did not arrive.
+    pub fn absorb(&mut self, req: Request, words: &[u64]) -> PartyResult<()> {
+        let width = req.item_words(self.party as usize);
+        if words.len() != req.block_words(self.party as usize) {
+            return Err(PartyError::Proto(format!(
+                "dealer block for {req:?} has {} words, expected {} x {width}",
+                words.len(),
+                req.count()
+            )));
+        }
+        let auth = |c: &[u64]| AuthShare::new(RingElem(c[0]), RingElem(c[1]));
+        let items = words.chunks_exact(width);
+        match req {
+            Request::Alpha => self.alpha = RingElem(words[0]),
+            Request::Triples(_) => self
+                .triples
+                .extend(items.map(|c| (auth(c), auth(&c[2..]), auth(&c[4..])))),
+            Request::BitTriples(_) => self.bit_triples.extend(items.map(|c| (c[0], c[1], c[2]))),
+            Request::SharedBits(_) => self
+                .shared_bits
+                .extend(items.map(|c| (c[0], auth(&c[1..])))),
+            Request::DaBits(_) => self
+                .dabits
+                .extend(items.map(|c| (c[0], c[1..].chunks_exact(AUTH_WORDS).map(auth).collect()))),
+            Request::InputMasks { owner, .. } => self
+                .input_masks
+                .get_mut(owner)
+                .ok_or_else(|| PartyError::Proto(format!("no input-mask queue for P{owner}")))?
+                .extend(items.map(|c| InputMask {
+                    share: auth(c),
+                    clear: c.get(AUTH_WORDS).map(|&r| RingElem(r)),
+                })),
+        }
+        Ok(())
+    }
+}
+
 impl DealerStream {
     /// Deals one bundle of [`MaterialBlocks`] — one block per party — drawn
     /// from this stream's current position. The MAC key `α` and the per-party
@@ -335,45 +488,27 @@ impl DealerStream {
     /// calls can safely [`refill`](crate::runtime::PartySession::refill) a
     /// session initialized from an earlier one.
     pub fn blocks(&mut self, spec: MaterialSpec) -> Vec<MaterialBlocks> {
-        let parties = self.parties();
-        let triples = self.triples(spec.triples);
-        let bit_triples = self.bit_triples(spec.bit_triples);
-        let shared_bits = self.shared_bits(spec.shared_bits);
-        let dabits = self.dabits(spec.dabits);
-        let mut masks: Vec<Vec<(RingElem, Vec<AuthShare>)>> = Vec::with_capacity(parties);
-        for owner in 0..parties {
-            masks.push(self.input_masks(owner, spec.input_masks));
-        }
-        let mut out = Vec::with_capacity(parties);
-        for ((((p, t), bt), sb), db) in (0..parties)
-            .zip(triples)
-            .zip(bit_triples)
-            .zip(shared_bits)
-            .zip(dabits)
-        {
-            let input_masks = masks
-                .iter()
-                .enumerate()
-                .map(|(owner, per_owner)| {
-                    per_owner
-                        .iter()
-                        .map(|(r, shares)| InputMask {
-                            share: shares[p],
-                            clear: if owner == p { Some(*r) } else { None },
-                        })
-                        .collect()
-                })
-                .collect();
-            out.push(MaterialBlocks {
-                party: p as u32,
-                parties: parties as u32,
-                alpha: self.alpha_share(p),
-                triples: t.into_iter().collect(),
-                bit_triples: bt.into_iter().collect(),
-                shared_bits: sb.into_iter().collect(),
-                dabits: db.into_iter().collect(),
-                input_masks,
-            });
+        let n = self.parties;
+        let mut out: Vec<MaterialBlocks> = (0..n)
+            .map(|p| MaterialBlocks::empty(p, n, self.alpha_shares[p]))
+            .collect();
+        let requests = [
+            Request::Triples(spec.triples),
+            Request::BitTriples(spec.bit_triples),
+            Request::SharedBits(spec.shared_bits),
+            Request::DaBits(spec.dabits),
+        ]
+        .into_iter()
+        .chain((0..n).map(|owner| Request::InputMasks {
+            owner,
+            count: spec.input_masks,
+        }));
+        for req in requests {
+            for (block, words) in out.iter_mut().zip(self.deal_words(req, None)) {
+                block
+                    .absorb(req, &words)
+                    .expect("the dealer frames its own blocks");
+            }
         }
         out
     }
@@ -587,141 +722,18 @@ pub fn load_party_file(path: &Path) -> PartyResult<MaterialBlocks> {
     })
 }
 
-// ---------------------------------------------------------------------------
-// Wire encoding for the streamed dealer protocol.
-// ---------------------------------------------------------------------------
-
-pub(crate) fn encode_triples(ts: &[(AuthShare, AuthShare, AuthShare)]) -> Vec<u64> {
-    let mut w = Vec::with_capacity(ts.len() * TRIPLE_WORDS);
-    for (a, b, c) in ts {
-        w.extend_from_slice(&[a.v.0, a.m.0, b.v.0, b.m.0, c.v.0, c.m.0]);
-    }
-    w
-}
-
-pub(crate) fn decode_triples(w: &[u64]) -> PartyResult<Vec<(AuthShare, AuthShare, AuthShare)>> {
-    if !w.len().is_multiple_of(TRIPLE_WORDS) {
-        return Err(PartyError::Proto("misframed dealer triple block".into()));
-    }
-    Ok(w.chunks_exact(TRIPLE_WORDS)
-        .map(|c| {
-            (
-                AuthShare::new(RingElem(c[0]), RingElem(c[1])),
-                AuthShare::new(RingElem(c[2]), RingElem(c[3])),
-                AuthShare::new(RingElem(c[4]), RingElem(c[5])),
-            )
-        })
-        .collect())
-}
-
-pub(crate) fn encode_bit_triples(ts: &[(u64, u64, u64)]) -> Vec<u64> {
-    let mut w = Vec::with_capacity(ts.len() * BIT_TRIPLE_WORDS);
-    for (a, b, c) in ts {
-        w.extend_from_slice(&[*a, *b, *c]);
-    }
-    w
-}
-
-pub(crate) fn decode_bit_triples(w: &[u64]) -> PartyResult<Vec<(u64, u64, u64)>> {
-    if !w.len().is_multiple_of(BIT_TRIPLE_WORDS) {
-        return Err(PartyError::Proto(
-            "misframed dealer bit-triple block".into(),
-        ));
-    }
-    Ok(w.chunks_exact(BIT_TRIPLE_WORDS)
-        .map(|c| (c[0], c[1], c[2]))
-        .collect())
-}
-
-pub(crate) fn encode_shared_bits(ts: &[(u64, AuthShare)]) -> Vec<u64> {
-    let mut w = Vec::with_capacity(ts.len() * SHARED_BIT_WORDS);
-    for (bits, add) in ts {
-        w.extend_from_slice(&[*bits, add.v.0, add.m.0]);
-    }
-    w
-}
-
-pub(crate) fn decode_shared_bits(w: &[u64]) -> PartyResult<Vec<(u64, AuthShare)>> {
-    if !w.len().is_multiple_of(SHARED_BIT_WORDS) {
-        return Err(PartyError::Proto(
-            "misframed dealer shared-bit block".into(),
-        ));
-    }
-    Ok(w.chunks_exact(SHARED_BIT_WORDS)
-        .map(|c| (c[0], AuthShare::new(RingElem(c[1]), RingElem(c[2]))))
-        .collect())
-}
-
-pub(crate) fn encode_dabits(ts: &[(u64, Vec<AuthShare>)]) -> Vec<u64> {
-    let mut w = Vec::with_capacity(ts.len() * DABIT_WORDS);
-    for (bits, adds) in ts {
-        w.push(*bits);
-        for a in adds {
-            w.extend_from_slice(&[a.v.0, a.m.0]);
-        }
-    }
-    w
-}
-
-pub(crate) fn decode_dabits(w: &[u64]) -> PartyResult<Vec<(u64, Vec<AuthShare>)>> {
-    if !w.len().is_multiple_of(DABIT_WORDS) {
-        return Err(PartyError::Proto("misframed dealer daBit block".into()));
-    }
-    Ok(w.chunks_exact(DABIT_WORDS)
-        .map(|c| {
-            let adds = c[1..]
-                .chunks_exact(2)
-                .map(|p| AuthShare::new(RingElem(p[0]), RingElem(p[1])))
-                .collect();
-            (c[0], adds)
-        })
-        .collect())
-}
-
-pub(crate) fn encode_input_masks(ms: &[InputMask], include_clear: bool) -> Vec<u64> {
-    let width = if include_clear { 3 } else { 2 };
-    let mut w = Vec::with_capacity(ms.len() * width);
-    for m in ms {
-        w.extend_from_slice(&[m.share.v.0, m.share.m.0]);
-        if include_clear {
-            // Encoding a clear value the material does not carry would be a
-            // dealer-side bug, not a recoverable wire condition.
-            w.push(m.clear.map(|r| r.0).unwrap_or_default());
-        }
-    }
-    w
-}
-
-pub(crate) fn decode_input_masks(w: &[u64], has_clear: bool) -> PartyResult<Vec<InputMask>> {
-    let width = if has_clear { 3 } else { 2 };
-    if !w.len().is_multiple_of(width) {
-        return Err(PartyError::Proto(
-            "misframed dealer input-mask block".into(),
-        ));
-    }
-    Ok(w.chunks_exact(width)
-        .map(|c| InputMask {
-            share: AuthShare::new(RingElem(c[0]), RingElem(c[1])),
-            clear: if has_clear {
-                Some(RingElem(c[2]))
-            } else {
-                None
-            },
-        })
-        .collect())
-}
-
 /// Serves one party's offline material over a dedicated two-endpoint link
 /// until the party drops its end. `link` is the **dealer's** endpoint;
 /// `party`/`parties` identify the served party within the computing mesh
 /// (the link's own ids are just `0`/`1`).
 ///
 /// The protocol is pull-based: the party sends a [`MessageKind::Dealer`]
-/// request `[code, ...]` (see the `REQ_*` constants) and the dealer answers
-/// with one block. Because every server derives the same deterministic
-/// [`DealerStream`], independent per-party servers stay share-consistent as
-/// long as the parties consume blocks in the same collective order — which
-/// the synchronous online protocol guarantees.
+/// frame holding an encoded [`Request`] and the dealer answers with that
+/// party's block ([`DealerStream::deal`]). Because every server derives the
+/// same deterministic [`DealerStream`], independent per-party servers stay
+/// share-consistent as long as the parties consume blocks in the same
+/// collective order — which the synchronous online protocol guarantees. A
+/// frame that does not decode ends the service with a typed error.
 pub fn serve_party(link: &dyn Transport, party: u32, parties: u32, seed: u64) -> PartyResult<()> {
     let peer = 1 - link.party();
     let mut stream = DealerStream::new(seed, parties as usize);
@@ -734,57 +746,24 @@ pub fn serve_party(link: &dyn Transport, party: u32, parties: u32, seed: u64) ->
             Err(TransportError::Timeout { .. }) => continue,
             Err(e) => return Err(e.into()),
         };
-        if env.kind != MessageKind::Dealer || env.payload.is_empty() {
+        if env.kind != MessageKind::Dealer {
             return Err(PartyError::Proto(format!(
-                "unexpected frame on dealer link: kind {}, {} words",
-                env.kind,
-                env.payload.len()
+                "unexpected {} frame on dealer link",
+                env.kind
             )));
         }
-        let count = env.payload.get(1).copied().unwrap_or(0) as usize;
-        let words = match env.payload[0] {
-            REQ_ALPHA => vec![stream.alpha_share(party as usize).0],
-            REQ_TRIPLES => encode_triples(&stream.triples(count)[party as usize]),
-            REQ_BIT_TRIPLES => encode_bit_triples(&stream.bit_triples(count)[party as usize]),
-            REQ_SHARED_BITS => encode_shared_bits(&stream.shared_bits(count)[party as usize]),
-            REQ_DABITS => encode_dabits(&stream.dabits(count)[party as usize]),
-            REQ_INPUT_MASKS => {
-                let owner = env.payload.get(1).copied().unwrap_or(0) as usize;
-                let count = env.payload.get(2).copied().unwrap_or(0) as usize;
-                if owner >= parties as usize {
-                    return Err(PartyError::Proto(format!(
-                        "dealer request names owner {owner} outside the mesh"
-                    )));
-                }
-                let masks: Vec<InputMask> = stream
-                    .input_masks(owner, count)
-                    .into_iter()
-                    .map(|(r, shares)| InputMask {
-                        share: shares[party as usize],
-                        clear: if owner == party as usize {
-                            Some(r)
-                        } else {
-                            None
-                        },
-                    })
-                    .collect();
-                encode_input_masks(&masks, owner == party as usize)
-            }
-            other => {
-                return Err(PartyError::Proto(format!(
-                    "unknown dealer request code {other}"
-                )))
-            }
-        };
+        let req = Request::decode(&env.payload, parties as usize)?;
+        let words = stream.deal(party as usize, req);
         link.send_to(peer, MessageKind::Dealer, "dealer block", &words)?;
     }
 }
 
 /// Where a [`crate::runtime::PartySession`] obtains its offline material.
 pub enum DealerSource {
-    /// Derive material on the fly from the session's common seed — the
-    /// original semi-honest development mode, in which every party can
-    /// recompute the dealer. Kept as the default for differential testing.
+    /// Run the deterministic dealer locally — a [`DealerStream`] seeded with
+    /// the session's mesh-wide seed — and keep this party's slice. Every
+    /// party holds the seed, so every party *could* recompute every share
+    /// and the key: the semi-honest development mode, and the default.
     Seeded,
     /// Consume pregenerated per-party material (e.g. loaded from a dealer
     /// file with [`load_party_file`]). Requests beyond the preloaded stock
@@ -857,8 +836,8 @@ struct PoolInner {
 ///
 /// The pool owns **one** persistent [`DealerStream`]: every bundle it deals
 /// authenticates under the same MAC key `α` with identical per-party
-/// `α`-shares, which is what makes it sound to top up a running
-/// [`crate::runtime::PartySession`] (via `refill`) with a later bundle. The
+/// `α`-shares, which is what makes it sound to hand a running
+/// [`crate::runtime::PartySession`] (via `refill`) a later bundle. The
 /// refiller thread keeps up to `depth` bundles ready and parks when the pool
 /// is full; it holds only a weak reference, so dropping the last pool handle
 /// shuts it down.
@@ -1059,6 +1038,16 @@ mod tests {
             })
     }
 
+    fn tiny_spec() -> MaterialSpec {
+        MaterialSpec {
+            triples: 8,
+            bit_triples: 8,
+            shared_bits: 4,
+            dabits: 2,
+            input_masks: 4,
+        }
+    }
+
     #[test]
     fn dealt_material_is_consistent_and_authenticated() {
         let mut stream = DealerStream::new(77, 3);
@@ -1069,64 +1058,222 @@ mod tests {
                 .fold(RingElem::ZERO, |a, s| a + s),
             alpha
         );
+        let spec = tiny_spec();
+        let blocks = stream.blocks(spec);
 
-        let triples = stream.triples(8);
-        for i in 0..8 {
-            let (av, am) = reconstruct((0..3).map(|p| triples[p][i].0));
-            let (bv, bm) = reconstruct((0..3).map(|p| triples[p][i].1));
-            let (cv, cm) = reconstruct((0..3).map(|p| triples[p][i].2));
+        for i in 0..spec.triples {
+            let (av, am) = reconstruct((0..3).map(|p| blocks[p].triples[i].0));
+            let (bv, bm) = reconstruct((0..3).map(|p| blocks[p].triples[i].1));
+            let (cv, cm) = reconstruct((0..3).map(|p| blocks[p].triples[i].2));
             assert_eq!(cv, av * bv, "triple {i} is not multiplicative");
             assert_eq!(am, alpha * av);
             assert_eq!(bm, alpha * bv);
             assert_eq!(cm, alpha * cv);
         }
 
-        let bits = stream.bit_triples(4);
-        for i in 0..4 {
-            let a = (0..3).fold(0u64, |acc, p| acc ^ bits[p][i].0);
-            let b = (0..3).fold(0u64, |acc, p| acc ^ bits[p][i].1);
-            let c = (0..3).fold(0u64, |acc, p| acc ^ bits[p][i].2);
+        for i in 0..spec.bit_triples {
+            let a = (0..3).fold(0u64, |acc, p| acc ^ blocks[p].bit_triples[i].0);
+            let b = (0..3).fold(0u64, |acc, p| acc ^ blocks[p].bit_triples[i].1);
+            let c = (0..3).fold(0u64, |acc, p| acc ^ blocks[p].bit_triples[i].2);
             assert_eq!(c, a & b);
         }
 
-        let sb = stream.shared_bits(4);
-        for i in 0..4 {
-            let r = (0..3).fold(0u64, |acc, p| acc ^ sb[p][i].0);
-            let (v, m) = reconstruct((0..3).map(|p| sb[p][i].1));
+        for i in 0..spec.shared_bits {
+            let r = (0..3).fold(0u64, |acc, p| acc ^ blocks[p].shared_bits[i].0);
+            let (v, m) = reconstruct((0..3).map(|p| blocks[p].shared_bits[i].1));
             assert_eq!(v, RingElem(r), "XOR and arithmetic views disagree");
             assert_eq!(m, alpha * v);
         }
 
-        let db = stream.dabits(2);
-        for i in 0..2 {
-            let rho = (0..3).fold(0u64, |acc, p| acc ^ db[p][i].0);
+        for i in 0..spec.dabits {
+            let rho = (0..3).fold(0u64, |acc, p| acc ^ blocks[p].dabits[i].0);
             for k in 0..64 {
-                let (v, m) = reconstruct((0..3).map(|p| db[p][i].1[k]));
+                let (v, m) = reconstruct((0..3).map(|p| blocks[p].dabits[i].1[k]));
                 assert_eq!(v, RingElem((rho >> k) & 1));
                 assert_eq!(m, alpha * v);
             }
         }
 
-        let masks = stream.input_masks(1, 4);
-        for (r, shares) in masks {
-            let (v, m) = reconstruct(shares);
-            assert_eq!(v, r);
-            assert_eq!(m, alpha * v);
+        for owner in 0..3 {
+            for i in 0..spec.input_masks {
+                let (v, m) = reconstruct((0..3).map(|p| blocks[p].input_masks[owner][i].share));
+                assert_eq!(m, alpha * v);
+                for p in 0..3 {
+                    let clear = blocks[p].input_masks[owner][i].clear;
+                    assert_eq!(clear, (p == owner).then_some(v), "clear mask: owner only");
+                }
+            }
+        }
+    }
+
+    /// `deal(p, req)` is slice `p` of the all-party deal, for every kind and
+    /// every party, whatever order the kinds are requested in — the property
+    /// that makes a seeded mesh (one local stream per party), a streamed
+    /// mesh (one server per party) and a dealt bundle hold the same material.
+    #[test]
+    fn deal_equals_the_party_slice_of_the_all_party_deal() {
+        let kinds = [
+            Request::Alpha,
+            Request::Triples(3),
+            Request::BitTriples(5),
+            Request::SharedBits(2),
+            Request::DaBits(1),
+            Request::InputMasks { owner: 0, count: 3 },
+            Request::InputMasks { owner: 2, count: 2 },
+        ];
+        for parties in [2, 3, 4] {
+            let kinds: Vec<Request> = kinds
+                .into_iter()
+                .filter(|k| !matches!(k, Request::InputMasks { owner, .. } if *owner >= parties))
+                .collect();
+            // Two rounds of every kind, so the second draws mid-stream.
+            let forward: Vec<Request> = kinds.iter().chain(&kinds).copied().collect();
+            let mut all = DealerStream::new(31, parties);
+            let expected: Vec<(Request, Vec<Vec<u64>>)> = forward
+                .iter()
+                .map(|&req| (req, all.deal_words(req, None)))
+                .collect();
+            for p in 0..parties {
+                // Same per-kind sequence, opposite interleaving across kinds.
+                let mut single = DealerStream::new(31, parties);
+                let mut seen: Vec<(Request, Vec<u64>)> = Vec::new();
+                for &req in kinds.iter().rev() {
+                    seen.push((req, single.deal(p, req)));
+                }
+                for &req in kinds.iter().rev() {
+                    seen.push((req, single.deal(p, req)));
+                }
+                for &kind in &kinds {
+                    let want: Vec<&Vec<u64>> = expected
+                        .iter()
+                        .filter(|(r, _)| *r == kind)
+                        .map(|(_, blocks)| &blocks[p])
+                        .collect();
+                    let got: Vec<&Vec<u64>> = seen
+                        .iter()
+                        .filter(|(r, _)| *r == kind)
+                        .map(|(_, words)| words)
+                        .collect();
+                    assert_eq!(got, want, "{kind:?} for P{p} of {parties}");
+                    assert!(got.iter().all(|w| w.len() == kind.block_words(p)));
+                }
+            }
+        }
+    }
+
+    /// The typed view agrees: a block built by absorbing `deal(p, ·)` kind by
+    /// kind is the block `blocks()` deals for `p`.
+    #[test]
+    fn absorbed_deals_rebuild_the_dealt_bundle() {
+        let spec = tiny_spec();
+        let bundle = generate_blocks(5, 3, spec);
+        for p in 0..3 {
+            let mut stream = DealerStream::new(5, 3);
+            let mut block = MaterialBlocks::empty(p, 3, RingElem::ZERO);
+            let mut requests = vec![
+                Request::Alpha,
+                Request::DaBits(spec.dabits),
+                Request::Triples(spec.triples),
+                Request::SharedBits(spec.shared_bits),
+                Request::BitTriples(spec.bit_triples),
+            ];
+            requests.extend((0..3).rev().map(|owner| Request::InputMasks {
+                owner,
+                count: spec.input_masks,
+            }));
+            for req in requests {
+                block.absorb(req, &stream.deal(p, req)).unwrap();
+            }
+            assert_eq!(block.alpha, bundle[p].alpha);
+            assert_eq!(block.triples, bundle[p].triples);
+            assert_eq!(block.bit_triples, bundle[p].bit_triples);
+            assert_eq!(block.shared_bits, bundle[p].shared_bits);
+            assert_eq!(block.dabits, bundle[p].dabits);
+            assert_eq!(block.input_masks, bundle[p].input_masks);
         }
     }
 
     #[test]
-    fn type_interleaving_does_not_change_the_streams() {
-        // One consumer asks triples-then-bits, the other bits-then-triples;
-        // the per-type streams must be identical.
-        let mut a = DealerStream::new(9, 2);
-        let mut b = DealerStream::new(9, 2);
-        let ta = a.triples(3);
-        let ba = a.bit_triples(2);
-        let bb = b.bit_triples(2);
-        let tb = b.triples(3);
-        assert_eq!(ta, tb);
-        assert_eq!(ba, bb);
+    fn short_or_misframed_blocks_are_rejected() {
+        let mut block = MaterialBlocks::empty(1, 3, RingElem::ZERO);
+        let mut stream = DealerStream::new(8, 3);
+        for req in [
+            Request::Alpha,
+            Request::Triples(2),
+            Request::BitTriples(2),
+            Request::SharedBits(2),
+            Request::DaBits(2),
+            Request::InputMasks { owner: 1, count: 2 },
+            Request::InputMasks { owner: 0, count: 2 },
+        ] {
+            let words = stream.deal(1, req);
+            for bad in [&words[..0], &words[..words.len() - 1]] {
+                let err = block.absorb(req, bad).unwrap_err();
+                assert!(matches!(err, PartyError::Proto(_)), "{req:?}: {err}");
+            }
+            block.absorb(req, &words).unwrap();
+        }
+        // A non-owner's mask block must not be read as an owner's.
+        let foreign = stream.deal(0, Request::InputMasks { owner: 1, count: 2 });
+        assert!(block
+            .absorb(Request::InputMasks { owner: 1, count: 2 }, &foreign)
+            .is_err());
+    }
+
+    /// Requests arrive from outside the dealer: every malformed or oversized
+    /// one is a typed error — never a panic, never an allocation.
+    #[test]
+    fn hostile_dealer_link_requests_are_typed_errors() {
+        let hostile: Vec<Vec<u64>> = vec![
+            vec![],
+            vec![REQ_TRIPLES],
+            vec![REQ_TRIPLES, u64::MAX],
+            vec![REQ_TRIPLES, 1, 1],
+            vec![
+                REQ_BIT_TRIPLES,
+                (MAX_BLOCK_WORDS / BIT_TRIPLE_WORDS) as u64 + 1,
+            ],
+            vec![REQ_SHARED_BITS, 1 << 40],
+            vec![REQ_DABITS, (MAX_BLOCK_WORDS / DABIT_WORDS) as u64 + 1],
+            vec![REQ_ALPHA, 1],
+            vec![REQ_INPUT_MASKS, 1],
+            vec![REQ_INPUT_MASKS, 3, 1],
+            vec![REQ_INPUT_MASKS, u64::MAX, 1],
+            vec![REQ_INPUT_MASKS, 0, u64::MAX],
+            vec![6, 1],
+            vec![u64::MAX; 4096],
+        ];
+        for words in &hostile {
+            let err = Request::decode(words, 3).unwrap_err();
+            assert!(matches!(err, PartyError::Proto(_)), "{words:?}: {err}");
+        }
+        // Every well-formed request survives the round trip, cap included.
+        for req in [
+            Request::Alpha,
+            Request::Triples(0),
+            Request::BitTriples(MAX_BLOCK_WORDS / BIT_TRIPLE_WORDS),
+            Request::SharedBits(7),
+            Request::DaBits(MAX_BLOCK_WORDS / DABIT_WORDS),
+            Request::InputMasks { owner: 2, count: 9 },
+        ] {
+            assert_eq!(Request::decode(&req.encode(), 3).unwrap(), req);
+        }
+
+        // Over a real link: the server answers a hostile frame by returning
+        // the typed error (its thread does not panic), and the party sees
+        // the link close instead of a block.
+        for words in [vec![REQ_TRIPLES, u64::MAX], vec![REQ_DABITS]] {
+            let mut mesh = ChannelTransport::mesh(2);
+            let dealer_end = mesh.pop().unwrap();
+            let party_end = mesh.pop().unwrap();
+            let server = std::thread::spawn(move || serve_party(&dealer_end, 0, 3, 1));
+            party_end
+                .send_to(1, MessageKind::Dealer, "dealer request", &words)
+                .unwrap();
+            let served = server.join().expect("the dealer thread must not panic");
+            assert!(matches!(served, Err(PartyError::Proto(_))), "{served:?}");
+            assert!(party_end.recv_from(1).is_err());
+        }
     }
 
     #[test]
@@ -1198,13 +1345,16 @@ mod tests {
                 serve_party(&dealer_end, p, parties, seed)
             }));
         }
+        let req = Request::Triples(2);
         let mut pulled = Vec::new();
-        for link in &party_ends {
-            link.send_to(1, MessageKind::Dealer, "dealer request", &[REQ_TRIPLES, 2])
+        for (p, link) in party_ends.iter().enumerate() {
+            link.send_to(1, MessageKind::Dealer, "dealer request", &req.encode())
                 .unwrap();
             let env = link.recv_from(1).unwrap();
             assert_eq!(env.kind, MessageKind::Dealer);
-            pulled.push(decode_triples(&env.payload).unwrap());
+            let mut block = MaterialBlocks::empty(p, parties as usize, RingElem::ZERO);
+            block.absorb(req, &env.payload).unwrap();
+            pulled.push(block.triples);
         }
         let stream = DealerStream::new(seed, parties as usize);
         let alpha = stream.alpha();
@@ -1218,16 +1368,6 @@ mod tests {
         drop(party_ends);
         for h in handles {
             h.join().unwrap().unwrap();
-        }
-    }
-
-    fn tiny_spec() -> MaterialSpec {
-        MaterialSpec {
-            triples: 8,
-            bit_triples: 8,
-            shared_bits: 4,
-            dabits: 2,
-            input_masks: 4,
         }
     }
 

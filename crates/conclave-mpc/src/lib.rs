@@ -52,8 +52,9 @@
 //!   pregenerates SPDZ-authenticated Beaver triples, binary triples, dual
 //!   bit masks, daBits, and input masks, delivered to the online parties as
 //!   per-party files ([`dealer::write_party_files`]), over a dedicated
-//!   dealer link ([`dealer::serve_party`]), or synthesized in-process from
-//!   the session seed. Online shares carry SPDZ MACs ([`share::AuthShare`])
+//!   dealer link ([`dealer::serve_party`]), or by every party running the
+//!   same [`dealer::DealerStream`] locally on the session seed and keeping
+//!   its own slice. Online shares carry SPDZ MACs ([`share::AuthShare`])
 //!   checked at every reveal boundary.
 
 // Also enforced workspace-wide via [workspace.lints]; stated here so the
@@ -79,7 +80,7 @@ pub use backend::{BackendKind, MpcBackendConfig, MpcEngine, MpcError, MpcResult,
 pub use cost::{GarbledCostModel, PrimitiveCounts, SecretShareCostModel};
 pub use dealer::{
     generate_blocks, load_party_file, serve_party, write_party_files, DealerSource, DealerStream,
-    InputMask, MaterialBlocks, MaterialSpec,
+    InputMask, MaterialBlocks, MaterialSpec, Request,
 };
 pub use engine::{Engine, OpError};
 pub use protocol::Protocol;

@@ -8,12 +8,11 @@
 //! **session-lifetime** and **per-step** state:
 //!
 //! * [`PartySession`] is **one party's** query-lifetime endpoint: identity,
-//!   the dealer state (common + private randomness streams, seeded once per
-//!   query), the Beaver triple cache, and the [`Transport`]. Because the
-//!   additive sharing is defined by the session, shares produced in one plan
-//!   step remain valid in every later step — intermediate relations stay
-//!   resident on the parties instead of being opened and re-shared at every
-//!   step boundary.
+//!   one stock of offline material behind one top-up function, the MAC-check
+//!   log, and the [`Transport`]. Because the additive sharing is defined by
+//!   the session, shares produced in one plan step remain valid in every
+//!   later step — intermediate relations stay resident on the parties
+//!   instead of being opened and re-shared at every step boundary.
 //! * [`StepCtx`] (from [`PartySession::step`]) is one plan step's view: the
 //!   protocol primitives — input sharing, opening, Beaver multiplication,
 //!   comparisons — driven through explicit [`Transport`] message rounds, each
@@ -44,20 +43,25 @@
 //!
 //! The session consumes **offline material** (Beaver triples — arithmetic
 //! and binary — dual-shared bit-decomposition masks, daBits, input masks)
-//! through a [`DealerSource`]:
+//! out of one [`MaterialBlocks`] stock. There is one dealer — the
+//! deterministic [`DealerStream`] of [`crate::dealer`] — and the
+//! [`DealerSource`] only says where it runs:
 //!
-//! * [`DealerSource::Seeded`] — the original *common-seed dealer*: every
-//!   party derives the identical dealer stream from the shared RNG seed and
-//!   keeps its own share (the semi-honest development mode, still the
-//!   differential-testing default);
-//! * [`DealerSource::Preloaded`] — per-party material pregenerated by the
-//!   standalone dealer ([`crate::dealer`]) and loaded from a file;
-//! * [`DealerSource::Streamed`] — blocks pulled on demand from a dealer
-//!   process over a dedicated link.
+//! * [`DealerSource::Seeded`] — every party runs the same dealer locally,
+//!   seeded with the mesh-wide seed, and keeps its own slice (the
+//!   semi-honest development mode, still the default: a party holding the
+//!   seed *can* recompute every share and the key, but no session stores or
+//!   uses anything beyond its own slice);
+//! * [`DealerSource::Preloaded`] — the slice was pregenerated by the
+//!   standalone dealer and loaded from a file or a pool bundle;
+//! * [`DealerSource::Streamed`] — the slice is pulled block by block from a
+//!   dealer process over a dedicated link.
 //!
-//! In the two dealer-backed modes no computing party holds the dealer seed,
-//! so none can unmask a peer's masked openings. In every authenticated mode
-//! each arithmetic share is a SPDZ-style [`AuthShare`] carrying a MAC share
+//! The same seed deals the same material in all three, and the online phase
+//! — input sharing by dealer mask `δ = x − r` included — is the same code in
+//! all three. In the two dealer-backed modes no computing party holds the
+//! dealer seed, so none can unmask a peer's masked openings. Each arithmetic
+//! share is a SPDZ-style [`AuthShare`] carrying a MAC share
 //! under the dealer's additively-shared global key `α`. The *online* phase
 //! processes openings **unchecked** — Beaver `d`/`e` terms, circuit masked
 //! openings and reveals cross the transport exactly as before — while the
@@ -70,7 +74,8 @@
 //! [`PartyError::Integrity`] before a wrong answer is revealed** —
 //! `tests/malicious_integrity.rs` certifies this against the active-adversary
 //! [`conclave_net::TamperingTransport`]. [`PartySession::unauthenticated`]
-//! preserves the pre-MAC runtime shape for baselines and regression pins.
+//! is the same session with the log and the check switched off, for
+//! baselines and the silent-forgery regression pin.
 //!
 //! Comparisons are **not** simulated: `lt`/`eq` run the bit-decomposed
 //! comparison circuits of [`crate::circuits`] entirely on shares (9 rounds
@@ -83,7 +88,7 @@
 //! transport-equivalence test suite pins against the in-process engine.
 
 use crate::cost::PrimitiveCounts;
-use crate::dealer::{self, DealerSource, InputMask, MaterialBlocks};
+use crate::dealer::{DealerSource, DealerStream, InputMask, MaterialBlocks, Request};
 use crate::engine::{Engine, OpError};
 use crate::relation::{check_shareable, shareable_int, Rel};
 use crate::ring::RingElem;
@@ -161,30 +166,56 @@ impl From<OpError> for PartyError {
 /// Result alias for party-runtime operations.
 pub type PartyResult<T> = Result<T, PartyError>;
 
-/// Number of Beaver triples derived from the common stream per cache refill.
+/// Beaver triples per top-up of the session's stock.
 const TRIPLE_BLOCK: usize = 1024;
 
-/// Binary (bitwise) Beaver triple words per cache refill. One word carries
-/// 64 AND gates, so a block covers ~16 k gates.
+/// Binary (bitwise) Beaver triple words per top-up. One word carries 64 AND
+/// gates, so a block covers ~16 k gates.
 const BIT_TRIPLE_BLOCK: usize = 256;
 
-/// Dual-shared bit-decomposition masks per cache refill.
+/// Dual-shared bit-decomposition masks per top-up.
 const SHARED_BITS_BLOCK: usize = 256;
 
-/// daBit words (64 dual-shared random bits each) per cache refill.
+/// daBit words (64 dual-shared random bits each) per top-up.
 const DABIT_BLOCK: usize = 16;
 
-/// One party's **session-lifetime** protocol state: identity, dealer state
-/// (the common and private randomness streams), the Beaver triple cache and
-/// the transport endpoint. A session lives as long as the query — shares it
+/// What a session's stock is topped up from: a [`DealerSource`] once the
+/// session has taken its preloaded material out of it.
+enum Feed {
+    /// [`DealerSource::Seeded`]: this party runs the deterministic dealer
+    /// itself and keeps its own slice of every block.
+    Local(DealerStream),
+    /// [`DealerSource::Preloaded`]: the stock is all there is.
+    Fixed,
+    /// [`DealerSource::Streamed`]: blocks are pulled over the dealer link.
+    Link {
+        link: Box<dyn Transport>,
+        dealer: u32,
+    },
+}
+
+impl fmt::Debug for Feed {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            Feed::Local(_) => "Seeded",
+            Feed::Fixed => "Preloaded",
+            Feed::Link { .. } => "Streamed",
+        })
+    }
+}
+
+/// One party's **session-lifetime** protocol state: identity, the stock of
+/// offline material with the feed that tops it up, the MAC-check log and the
+/// transport endpoint. A session lives as long as the query — shares it
 /// produced in one plan step stay valid in every later step, because the
 /// additive sharing is defined by the session, not by any step.
 ///
 /// All parties of a mesh must construct their `PartySession` with the *same*
-/// `seed` and then execute the *same* sequence of collective operations; the
-/// shared seed drives the common-randomness stream (triples, permutations,
-/// deterministic re-sharing) that keeps the parties in lock-step without a
-/// coordinator.
+/// `seed` and then execute the *same* sequence of collective operations:
+/// every party then tops up its stock at the same points with the same
+/// requests, which keeps the dealt material aligned mesh-wide without a
+/// coordinator. The seed also drives the common-randomness stream behind
+/// [`PartySession::random_permutation`].
 ///
 /// Per-step work happens through [`PartySession::step`], which hands out a
 /// [`StepCtx`] carrying the plan-step id: every collective exchange inside
@@ -193,35 +224,19 @@ const DABIT_BLOCK: usize = 16;
 /// already crossing the same connections.
 pub struct PartySession<'n> {
     net: &'n dyn Transport,
-    /// Common randomness: identical stream on every party.
+    /// Common randomness: identical stream on every party. Feeds only
+    /// [`PartySession::random_permutation`].
     common: StdRng,
-    /// Private randomness: distinct per party (used to share own inputs).
-    private: StdRng,
-    /// Where offline material comes from (see [`DealerSource`]).
-    feed: DealerSource,
-    /// Whether shares carry SPDZ MACs (false only for
+    /// Where top-ups of `stock` come from.
+    feed: Feed,
+    /// Whether openings are MAC-logged and checked (false only for
     /// [`PartySession::unauthenticated`]).
     auth: bool,
-    /// This party's additive share `α_i` of the global MAC key.
-    alpha: RingElem,
-    /// The global key itself — known only in [`DealerSource::Seeded`] mode,
-    /// where every party can recompute the dealer anyway; zero otherwise.
-    alpha_global: RingElem,
-    /// Beaver triple shares, authenticated.
-    triples: VecDeque<(AuthShare, AuthShare, AuthShare)>,
-    /// Binary Beaver triple words `(a, b, c = a & b)`, XOR-shared: each word
-    /// feeds 64 AND gates of the comparison circuits.
-    bit_triples: VecDeque<(u64, u64, u64)>,
-    /// Bit-decomposition masks in dual representation: the mask's 64 bits
-    /// XOR-shared as one word, plus an authenticated additive share of the
-    /// same value.
-    shared_bits: VecDeque<(u64, AuthShare)>,
-    /// daBits, word-packed: 64 random bits XOR-shared as one word, with an
-    /// authenticated additive share of each individual bit.
-    dabits: VecDeque<(u64, Vec<AuthShare>)>,
-    /// Dealer-provided input masks, indexed by owning party (dealer-backed
-    /// modes only; seeded mode shares inputs from private randomness).
-    input_masks: Vec<VecDeque<InputMask>>,
+    /// This party's offline material: its share `α_i` of the MAC key and the
+    /// queues of triples, binary triples, shared bits, daBits and input
+    /// masks the online phase consumes. Grows only through
+    /// [`PartySession::top_up`] and [`PartySession::refill`].
+    stock: MaterialBlocks,
     /// Every arithmetic opening since the last integrity check: the publicly
     /// reconstructed value and this party's MAC share of it.
     opened_log: Vec<(RingElem, RingElem)>,
@@ -236,107 +251,84 @@ pub struct PartySession<'n> {
     counts: PrimitiveCounts,
 }
 
+/// A preloaded block must be this endpoint's own: dealt for this party of
+/// this mesh, with one input-mask queue per owner.
+fn check_stock(net: &dyn Transport, blocks: &MaterialBlocks) -> PartyResult<()> {
+    if blocks.party != net.party()
+        || blocks.parties != net.parties()
+        || blocks.input_masks.len() != net.parties() as usize
+    {
+        return Err(PartyError::Proto(format!(
+            "dealer material is for P{} of {} ({} mask queues), not P{} of {}",
+            blocks.party,
+            blocks.parties,
+            blocks.input_masks.len(),
+            net.party(),
+            net.parties()
+        )));
+    }
+    Ok(())
+}
+
 impl<'n> PartySession<'n> {
-    /// Creates the session for `net`'s party with the mesh-wide `seed`,
-    /// seeding the dealer **once** for the whole query. Equivalent to
-    /// [`PartySession::with_dealer`] with [`DealerSource::Seeded`].
+    /// Creates the session for `net`'s party with the mesh-wide `seed`.
+    /// Equivalent to [`PartySession::with_dealer`] with
+    /// [`DealerSource::Seeded`].
     pub fn new(net: &'n dyn Transport, seed: u64) -> Self {
         Self::with_dealer(net, seed, DealerSource::Seeded).expect("seeded dealer cannot fail")
     }
 
     /// Creates a session drawing offline material from `source`. All parties
     /// must use the same mesh-wide `seed` (it drives the common stream used
-    /// for shuffles and, in seeded mode, the dealer) and compatible sources.
+    /// for shuffles and, in seeded mode, the local dealer) and compatible
+    /// sources.
     pub fn with_dealer(
         net: &'n dyn Transport,
         seed: u64,
         source: DealerSource,
     ) -> PartyResult<Self> {
-        let party = net.party() as u64;
-        let mut sess = PartySession {
-            net,
-            common: StdRng::seed_from_u64(seed),
-            private: StdRng::seed_from_u64(seed ^ (party + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-            feed: source,
-            auth: true,
-            alpha: RingElem::ZERO,
-            alpha_global: RingElem::ZERO,
-            triples: VecDeque::new(),
-            bit_triples: VecDeque::new(),
-            shared_bits: VecDeque::new(),
-            dabits: VecDeque::new(),
-            input_masks: Vec::new(),
-            opened_log: Vec::new(),
-            xor_digest: FNV_OFFSET,
-            xor_opened: 0,
-            check_seq: 0,
-            counts: PrimitiveCounts::default(),
-        };
-        match &mut sess.feed {
+        let (party, parties) = (net.party() as usize, net.parties() as usize);
+        let (feed, stock) = match source {
             DealerSource::Seeded => {
-                // The key is the FIRST draw from the common stream, so every
-                // party derives the same global α and consistent α_i shares.
-                sess.alpha_global = RingElem(sess.common.gen::<u64>());
-                sess.alpha = sess.reshare_from_common(sess.alpha_global);
+                let dealer = DealerStream::new(seed, parties);
+                let stock = MaterialBlocks::empty(party, parties, dealer.alpha_share(party));
+                (Feed::Local(dealer), stock)
             }
             DealerSource::Preloaded(blocks) => {
-                if blocks.party != net.party() || blocks.parties != net.parties() {
-                    return Err(PartyError::Proto(format!(
-                        "dealer material is for P{} of {}, not P{} of {}",
-                        blocks.party,
-                        blocks.parties,
-                        net.party(),
-                        net.parties()
-                    )));
-                }
-                sess.alpha = blocks.alpha;
-                sess.triples = std::mem::take(&mut blocks.triples);
-                sess.bit_triples = std::mem::take(&mut blocks.bit_triples);
-                sess.shared_bits = std::mem::take(&mut blocks.shared_bits);
-                sess.dabits = std::mem::take(&mut blocks.dabits);
-                sess.input_masks = std::mem::take(&mut blocks.input_masks);
+                check_stock(net, &blocks)?;
+                (Feed::Fixed, *blocks)
             }
             DealerSource::Streamed { link, dealer } => {
-                let words = request_block(link.as_ref(), *dealer, &[dealer::REQ_ALPHA, 1])?;
-                if words.len() != 1 {
-                    return Err(PartyError::Proto(format!(
-                        "dealer sent {} words for the key share",
-                        words.len()
-                    )));
-                }
-                sess.alpha = RingElem(words[0]);
-                sess.input_masks = (0..net.parties()).map(|_| VecDeque::new()).collect();
+                let mut stock = MaterialBlocks::empty(party, parties, RingElem::ZERO);
+                let key = request_block(link.as_ref(), dealer, Request::Alpha)?;
+                stock.absorb(Request::Alpha, &key)?;
+                (Feed::Link { link, dealer }, stock)
             }
-        }
-        Ok(sess)
-    }
-
-    /// Creates an **unauthenticated** seeded session: shares carry no MACs
-    /// (`m = 0` throughout, `α = 0`) and [`PartySession::check_integrity`] is
-    /// a no-op. The common stream is drawn exactly as the pre-MAC runtime
-    /// drew it, preserving the historical runtime shape for the baseline
-    /// benchmark and for `tests/malicious_integrity.rs`' pinned
-    /// silent-tampering regression.
-    pub fn unauthenticated(net: &'n dyn Transport, seed: u64) -> Self {
-        let party = net.party() as u64;
-        PartySession {
+        };
+        Ok(PartySession {
             net,
             common: StdRng::seed_from_u64(seed),
-            private: StdRng::seed_from_u64(seed ^ (party + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-            feed: DealerSource::Seeded,
-            auth: false,
-            alpha: RingElem::ZERO,
-            alpha_global: RingElem::ZERO,
-            triples: VecDeque::new(),
-            bit_triples: VecDeque::new(),
-            shared_bits: VecDeque::new(),
-            dabits: VecDeque::new(),
-            input_masks: Vec::new(),
+            feed,
+            auth: true,
+            stock,
             opened_log: Vec::new(),
             xor_digest: FNV_OFFSET,
             xor_opened: 0,
             check_seq: 0,
             counts: PrimitiveCounts::default(),
+        })
+    }
+
+    /// Creates an **unauthenticated** seeded session: the same material and
+    /// the same wire traffic as [`PartySession::new`], but openings are not
+    /// logged and [`PartySession::check_integrity`] is a zero-round no-op —
+    /// the MAC shares ride along unused. The baseline that
+    /// `tests/malicious_integrity.rs` shows accepting a forged opening, and
+    /// that the `dealer_phases` bench measures the check against.
+    pub fn unauthenticated(net: &'n dyn Transport, seed: u64) -> Self {
+        PartySession {
+            auth: false,
+            ..Self::new(net, seed)
         }
     }
 
@@ -361,51 +353,40 @@ impl<'n> PartySession<'n> {
         self.counts
     }
 
-    /// Whether this session's shares carry SPDZ MACs.
+    /// Whether this session's openings are MAC-checked.
     pub fn is_authenticated(&self) -> bool {
         self.auth
     }
 
     /// This party's additive share of the global MAC key.
     pub fn alpha_share(&self) -> RingElem {
-        self.alpha
+        self.stock.alpha
     }
 
-    /// Tops up a preloaded session's offline stock with a later bundle from
-    /// the *same* dealer. The bundle must target this party/mesh and must be
-    /// dealt under the same MAC key share `α_i` — a bundle from a different
-    /// dealer seed would authenticate under a different key and every
-    /// subsequent MAC check would abort, so it is rejected up front with a
-    /// typed [`PartyError::Proto`].
-    pub fn refill(&mut self, mut blocks: MaterialBlocks) -> PartyResult<()> {
-        if !matches!(self.feed, DealerSource::Preloaded(_)) {
+    /// Hands a preloaded session the next query's bundle from the *same*
+    /// dealer. The bundle must target this party/mesh and must be dealt
+    /// under the same MAC key share `α_i` — a bundle from a different dealer
+    /// seed would authenticate under a different key and every subsequent
+    /// MAC check would abort, so it is rejected up front with a typed
+    /// [`PartyError::Proto`].
+    ///
+    /// The bundle **replaces** whatever the previous query left unused: a
+    /// long-lived session therefore never holds more than one bundle. Every
+    /// party's queues have equal lengths at a query boundary, so all parties
+    /// drop the same items and the material stays aligned mesh-wide.
+    pub fn refill(&mut self, blocks: MaterialBlocks) -> PartyResult<()> {
+        if !matches!(self.feed, Feed::Fixed) {
             return Err(PartyError::Proto(
                 "refill only applies to preloaded dealer sessions".into(),
             ));
         }
-        if blocks.party != self.net.party() || blocks.parties != self.net.parties() {
-            return Err(PartyError::Proto(format!(
-                "refill material is for P{} of {}, not P{} of {}",
-                blocks.party,
-                blocks.parties,
-                self.net.party(),
-                self.net.parties()
-            )));
-        }
-        if blocks.alpha != self.alpha {
+        check_stock(self.net, &blocks)?;
+        if blocks.alpha != self.stock.alpha {
             return Err(PartyError::Proto(
                 "refill material was dealt under a different MAC key share".into(),
             ));
         }
-        self.triples.append(&mut blocks.triples);
-        self.bit_triples.append(&mut blocks.bit_triples);
-        self.shared_bits.append(&mut blocks.shared_bits);
-        self.dabits.append(&mut blocks.dabits);
-        for (owner, mut masks) in blocks.input_masks.into_iter().enumerate() {
-            if let Some(queue) = self.input_masks.get_mut(owner) {
-                queue.append(&mut masks);
-            }
-        }
+        self.stock = blocks;
         Ok(())
     }
 
@@ -413,7 +394,7 @@ impl<'n> PartySession<'n> {
     /// offline material (this endpoint's sends: the block requests).
     pub fn dealer_stats(&self) -> Option<NetStats> {
         match &self.feed {
-            DealerSource::Streamed { link, .. } => Some(link.stats()),
+            Feed::Link { link, .. } => Some(link.stats()),
             _ => None,
         }
     }
@@ -429,219 +410,80 @@ impl<'n> PartySession<'n> {
         }
     }
 
-    /// Draws `n` shares of `value` from the common randomness stream and
-    /// returns this party's one. Every party performs the identical draws, so
-    /// the shares are consistent without communication.
-    fn reshare_from_common(&mut self, value: RingElem) -> RingElem {
-        let n = self.parties() as usize;
-        let mut acc = RingElem::ZERO;
-        let mut own = RingElem::ZERO;
-        for p in 0..n - 1 {
-            let r = RingElem(self.common.gen::<u64>());
-            if p == self.party() as usize {
-                own = r;
+    /// Tops the stock up with the block the feed deals for `req` — the one
+    /// place offline material enters a running session, whatever its
+    /// source. All parties top up at the same point of the same collective
+    /// operation with the same request, so their dealer streams stay
+    /// aligned. A feed that delivers anything but exactly the requested
+    /// items is a [`PartyError::Proto`].
+    fn top_up(&mut self, req: Request) -> PartyResult<()> {
+        let words = match &mut self.feed {
+            Feed::Local(dealer) => dealer.deal(self.net.party() as usize, req),
+            Feed::Link { link, dealer } => request_block(link.as_ref(), *dealer, req)?,
+            Feed::Fixed => {
+                return Err(PartyError::Proto(format!(
+                    "dealer material exhausted ({req:?}); pregenerate a larger MaterialSpec"
+                )))
             }
-            acc += r;
-        }
-        if self.party() as usize == n - 1 {
-            own = value - acc;
-        }
-        own
-    }
-
-    /// Reshare of `value` from the common stream, paired with a MAC share:
-    /// the seeded dealer's authenticated analogue of
-    /// [`PartySession::reshare_from_common`]. In unauthenticated mode the MAC
-    /// component stays zero **and the common stream is not advanced for it**,
-    /// keeping the stream identical to the pre-MAC runtime.
-    fn auth_reshare_from_common(&mut self, value: RingElem) -> AuthShare {
-        let v = self.reshare_from_common(value);
-        let m = if self.auth {
-            let mac = self.alpha_global * value;
-            self.reshare_from_common(mac)
-        } else {
-            RingElem::ZERO
         };
-        AuthShare::new(v, m)
+        self.stock.absorb(req, &words)
     }
 
-    /// Material-exhausted error for the preloaded dealer mode.
-    fn exhausted(what: &str) -> PartyError {
-        PartyError::Proto(format!(
-            "dealer material exhausted ({what}); pregenerate a larger MaterialSpec"
-        ))
-    }
-
-    /// Takes the next Beaver triple share from the cache, refilling a whole
-    /// block when it runs dry — from the common stream (seeded mode) or the
-    /// dealer link (streamed mode). All parties refill at the same point of
-    /// the same collective operation, so their dealer streams stay aligned.
-    fn next_triple(&mut self) -> PartyResult<(AuthShare, AuthShare, AuthShare)> {
-        if self.triples.is_empty() {
-            match &self.feed {
-                DealerSource::Seeded => {
-                    for _ in 0..TRIPLE_BLOCK {
-                        let a = RingElem(self.common.gen::<u64>());
-                        let b = RingElem(self.common.gen::<u64>());
-                        let c = a * b;
-                        let a_i = self.auth_reshare_from_common(a);
-                        let b_i = self.auth_reshare_from_common(b);
-                        let c_i = self.auth_reshare_from_common(c);
-                        self.triples.push_back((a_i, b_i, c_i));
-                    }
-                }
-                DealerSource::Preloaded(_) => return Err(Self::exhausted("triples")),
-                DealerSource::Streamed { link, dealer } => {
-                    let words = request_block(
-                        link.as_ref(),
-                        *dealer,
-                        &[dealer::REQ_TRIPLES, TRIPLE_BLOCK as u64],
-                    )?;
-                    self.triples.extend(dealer::decode_triples(&words)?);
-                }
-            }
+    /// Takes `n` items off one of the stock's queues, first topping it up by
+    /// the shortfall (at least `block` items) when it holds fewer.
+    fn take<T>(
+        &mut self,
+        n: usize,
+        block: usize,
+        request: impl Fn(usize) -> Request,
+        queue: impl Fn(&mut MaterialBlocks) -> &mut VecDeque<T>,
+    ) -> PartyResult<Vec<T>> {
+        let have = queue(&mut self.stock).len();
+        if have < n {
+            self.top_up(request((n - have).max(block)))?;
         }
-        Ok(self.triples.pop_front().expect("refilled above"))
+        Ok(queue(&mut self.stock).drain(..n).collect())
     }
 
-    /// Draws XOR shares of `value` from the common stream and returns this
-    /// party's word. The binary analogue of
-    /// [`PartySession::reshare_from_common`].
-    fn xor_share_from_common(&mut self, value: u64) -> u64 {
-        let n = self.parties() as usize;
-        let mut acc = 0u64;
-        let mut own = 0u64;
-        for p in 0..n - 1 {
-            let r = self.common.gen::<u64>();
-            if p == self.party() as usize {
-                own = r;
-            }
-            acc ^= r;
-        }
-        if self.party() as usize == n - 1 {
-            own = value ^ acc;
-        }
-        own
+    /// Takes `n` authenticated Beaver triples.
+    fn take_triples(&mut self, n: usize) -> PartyResult<Vec<(AuthShare, AuthShare, AuthShare)>> {
+        self.take(n, TRIPLE_BLOCK, Request::Triples, |s| &mut s.triples)
     }
 
-    /// Takes `n` binary Beaver triple words, refilling whole blocks when the
-    /// cache runs dry (same alignment argument as
-    /// [`PartySession::next_triple`]).
+    /// Takes `n` binary Beaver triple words `(a, b, c = a & b)`, XOR-shared:
+    /// each word feeds 64 AND gates of the comparison circuits.
     fn take_bit_triples(&mut self, n: usize) -> PartyResult<Vec<(u64, u64, u64)>> {
-        while self.bit_triples.len() < n {
-            match &self.feed {
-                DealerSource::Seeded => {
-                    for _ in 0..BIT_TRIPLE_BLOCK {
-                        let a = self.common.gen::<u64>();
-                        let b = self.common.gen::<u64>();
-                        let c = a & b;
-                        let a_i = self.xor_share_from_common(a);
-                        let b_i = self.xor_share_from_common(b);
-                        let c_i = self.xor_share_from_common(c);
-                        self.bit_triples.push_back((a_i, b_i, c_i));
-                    }
-                }
-                DealerSource::Preloaded(_) => return Err(Self::exhausted("bit triples")),
-                DealerSource::Streamed { link, dealer } => {
-                    let words = request_block(
-                        link.as_ref(),
-                        *dealer,
-                        &[dealer::REQ_BIT_TRIPLES, BIT_TRIPLE_BLOCK as u64],
-                    )?;
-                    self.bit_triples.extend(dealer::decode_bit_triples(&words)?);
-                }
-            }
-        }
-        Ok(self.bit_triples.drain(..n).collect())
+        self.take(n, BIT_TRIPLE_BLOCK, Request::BitTriples, |s| {
+            &mut s.bit_triples
+        })
     }
 
     /// Takes `n` dual-shared bit-decomposition masks (XOR-shared bits plus
     /// an authenticated additive share of the same 64-bit value).
     fn take_shared_bits(&mut self, n: usize) -> PartyResult<Vec<(u64, AuthShare)>> {
-        while self.shared_bits.len() < n {
-            match &self.feed {
-                DealerSource::Seeded => {
-                    for _ in 0..SHARED_BITS_BLOCK {
-                        let r = self.common.gen::<u64>();
-                        let bits_i = self.xor_share_from_common(r);
-                        let add_i = self.auth_reshare_from_common(RingElem(r));
-                        self.shared_bits.push_back((bits_i, add_i));
-                    }
-                }
-                DealerSource::Preloaded(_) => return Err(Self::exhausted("shared bits")),
-                DealerSource::Streamed { link, dealer } => {
-                    let words = request_block(
-                        link.as_ref(),
-                        *dealer,
-                        &[dealer::REQ_SHARED_BITS, SHARED_BITS_BLOCK as u64],
-                    )?;
-                    self.shared_bits.extend(dealer::decode_shared_bits(&words)?);
-                }
-            }
-        }
-        Ok(self.shared_bits.drain(..n).collect())
+        self.take(n, SHARED_BITS_BLOCK, Request::SharedBits, |s| {
+            &mut s.shared_bits
+        })
     }
 
     /// Takes `n` daBit words: 64 random bits per word, XOR-shared as a word
     /// and additively shared (authenticated) bit by bit.
     fn take_dabits(&mut self, n: usize) -> PartyResult<Vec<(u64, Vec<AuthShare>)>> {
-        while self.dabits.len() < n {
-            match &self.feed {
-                DealerSource::Seeded => {
-                    for _ in 0..DABIT_BLOCK {
-                        let rho = self.common.gen::<u64>();
-                        let bits_i = self.xor_share_from_common(rho);
-                        let adds: Vec<AuthShare> = (0..64)
-                            .map(|k| self.auth_reshare_from_common(RingElem((rho >> k) & 1)))
-                            .collect();
-                        self.dabits.push_back((bits_i, adds));
-                    }
-                }
-                DealerSource::Preloaded(_) => return Err(Self::exhausted("daBits")),
-                DealerSource::Streamed { link, dealer } => {
-                    let words = request_block(
-                        link.as_ref(),
-                        *dealer,
-                        &[dealer::REQ_DABITS, DABIT_BLOCK as u64],
-                    )?;
-                    self.dabits.extend(dealer::decode_dabits(&words)?);
-                }
-            }
-        }
-        Ok(self.dabits.drain(..n).collect())
+        self.take(n, DABIT_BLOCK, Request::DaBits, |s| &mut s.dabits)
     }
 
-    /// Takes `n` input masks for `owner` from a dealer-backed feed. Returns
-    /// `None` in seeded mode, where input sharing uses the owner's private
-    /// randomness instead of dealer masks.
-    fn take_input_masks(&mut self, owner: u32, n: usize) -> PartyResult<Option<Vec<InputMask>>> {
-        match &mut self.feed {
-            DealerSource::Seeded => Ok(None),
-            DealerSource::Preloaded(_) => {
-                let queue = self
-                    .input_masks
-                    .get_mut(owner as usize)
-                    .ok_or_else(|| PartyError::Proto(format!("no input masks for P{owner}")))?;
-                if queue.len() < n {
-                    return Err(Self::exhausted("input masks"));
-                }
-                Ok(Some(queue.drain(..n).collect()))
-            }
-            DealerSource::Streamed { link, dealer } => {
-                let queue = &mut self.input_masks[owner as usize];
-                if queue.len() < n {
-                    let shortfall = (n - queue.len()) as u64;
-                    let words = request_block(
-                        link.as_ref(),
-                        *dealer,
-                        &[dealer::REQ_INPUT_MASKS, owner as u64, shortfall],
-                    )?;
-                    let own = owner == self.net.party();
-                    queue.extend(dealer::decode_input_masks(&words, own)?);
-                }
-                Ok(Some(queue.drain(..n).collect()))
-            }
+    /// Takes `n` input masks for `owner`'s next input column.
+    fn take_input_masks(&mut self, owner: u32, n: usize) -> PartyResult<Vec<InputMask>> {
+        let owner = owner as usize;
+        if owner >= self.stock.input_masks.len() {
+            return Err(PartyError::Proto(format!("no input masks for P{owner}")));
         }
+        self.take(
+            n,
+            0,
+            |count| Request::InputMasks { owner, count },
+            |s| &mut s.input_masks[owner],
+        )
     }
 
     /// Records arithmetic openings (public value + this party's MAC share)
@@ -700,7 +542,7 @@ impl<'n> PartySession<'n> {
         let mut sigma = RingElem::ZERO;
         for &(x, m) in &self.opened_log {
             let coeff = RingElem(chi.gen::<u64>());
-            sigma += coeff * (m - self.alpha * x);
+            sigma += coeff * (m - self.stock.alpha * x);
         }
         let bin = self.xor_digest;
         let me = self.party();
@@ -803,10 +645,10 @@ impl fmt::Debug for PartySession<'_> {
     }
 }
 
-/// One pull on the dealer link: send a `[code, ...]` request, receive the
-/// block. The link is a dedicated two-endpoint mesh, so ordering is trivial.
-fn request_block(link: &dyn Transport, dealer: u32, request: &[u64]) -> PartyResult<Vec<u64>> {
-    link.send_to(dealer, MessageKind::Dealer, "dealer request", request)?;
+/// One pull on the dealer link: send the request, receive the block. The
+/// link is a dedicated two-endpoint mesh, so ordering is trivial.
+fn request_block(link: &dyn Transport, dealer: u32, req: Request) -> PartyResult<Vec<u64>> {
+    link.send_to(dealer, MessageKind::Dealer, "dealer request", &req.encode())?;
     let env = link.recv_from(dealer)?;
     if env.kind != MessageKind::Dealer {
         return Err(PartyError::Proto(format!(
@@ -880,19 +722,13 @@ impl<'n> StepCtx<'_, 'n> {
     /// Collective input sharing of a column of `n` values owned by `owner`.
     ///
     /// The owner passes `Some(values)`; everyone else passes `None`. Returns
-    /// this party's local (authenticated) share vector. The wire scheme
-    /// depends on the session's dealer feed:
-    ///
-    /// * **dealer-backed** (preloaded/streamed): the dealer supplied an
-    ///   authenticated mask `[r]` per cell, with `r` in the clear to the
-    ///   owner only. The owner broadcasts `δ = x − r` (uniform, so it
-    ///   reveals nothing) and every party computes `[x] = [r] + δ` locally —
-    ///   tampering with `δ` on any link breaks the MAC trail and is caught
-    ///   at the next [`PartySession::check_integrity`];
-    /// * **seeded**: the owner splits each value with its *private*
-    ///   randomness and sends every other party its share vector, exactly
-    ///   the pre-MAC scheme; MAC shares derive locally from the mesh-wide
-    ///   seeded key (`m_i = α·x_i`).
+    /// this party's local (authenticated) share vector. The scheme is the
+    /// same whatever feeds the session: the dealer supplied an authenticated
+    /// mask `[r]` per cell, with `r` in the clear to the owner only. The
+    /// owner broadcasts `δ = x − r` (uniform, so it reveals nothing) and
+    /// every party computes `[x] = [r] + δ` locally — tampering with `δ` on
+    /// any link breaks the MAC trail and is caught at the next
+    /// [`PartySession::check_integrity`].
     pub fn input_column(
         &mut self,
         owner: u32,
@@ -902,112 +738,57 @@ impl<'n> StepCtx<'_, 'n> {
         self.sess.counts.input_elems += n as u64;
         let masks = self.sess.take_input_masks(owner, n)?;
         let tag = self.next_tag();
-        if let Some(masks) = masks {
-            let delta: Vec<u64> = if self.party() == owner {
-                let values = values.ok_or_else(|| {
-                    PartyError::Proto("input owner must supply the cleartext values".into())
-                })?;
-                if values.len() != n {
-                    return Err(PartyError::Proto(format!(
-                        "input length mismatch: {} values for {n} rows",
-                        values.len()
-                    )));
-                }
-                let delta: Vec<u64> = values
-                    .iter()
-                    .zip(&masks)
-                    .map(|(&x, mask)| {
-                        let r = mask.clear.ok_or_else(|| {
-                            PartyError::Proto(
-                                "dealer input mask is missing its cleartext value".into(),
-                            )
-                        })?;
-                        Ok((RingElem::from_i64(x) - r).0)
-                    })
-                    .collect::<PartyResult<_>>()?;
-                self.sess
-                    .net
-                    .send_all_tagged(tag, MessageKind::SecretShare, "input", &delta)?;
-                delta
-            } else {
-                let env = self.sess.net.recv_tagged(owner, tag)?;
-                if env.payload.len() != n {
-                    return Err(PartyError::Proto(format!(
-                        "expected {n} input offsets from P{owner}, got {}",
-                        env.payload.len()
-                    )));
-                }
-                env.payload
-            };
-            // [x] = [r] + δ: the public offset lands on party 0's value
-            // share, every party adjusts its MAC share by α_i·δ.
-            let alpha = self.sess.alpha;
-            let adjust = self.party() == 0;
-            Ok(masks
-                .into_iter()
-                .zip(delta)
-                .map(|(mask, d)| {
-                    let d = RingElem(d);
-                    let mut s = mask.share;
-                    if adjust {
-                        s.v += d;
-                    }
-                    s.m += alpha * d;
-                    s
+        let delta: Vec<u64> = if self.party() == owner {
+            let values = values.ok_or_else(|| {
+                PartyError::Proto("input owner must supply the cleartext values".into())
+            })?;
+            if values.len() != n {
+                return Err(PartyError::Proto(format!(
+                    "input length mismatch: {} values for {n} rows",
+                    values.len()
+                )));
+            }
+            let delta: Vec<u64> = values
+                .iter()
+                .zip(&masks)
+                .map(|(&x, mask)| {
+                    let r = mask.clear.ok_or_else(|| {
+                        PartyError::Proto("dealer input mask is missing its cleartext value".into())
+                    })?;
+                    Ok((RingElem::from_i64(x) - r).0)
                 })
-                .collect())
+                .collect::<PartyResult<_>>()?;
+            self.sess
+                .net
+                .send_all_tagged(tag, MessageKind::SecretShare, "input", &delta)?;
+            delta
         } else {
-            let alpha = self.sess.alpha_global;
-            let shares: Vec<RingElem> = if self.party() == owner {
-                let values = values.ok_or_else(|| {
-                    PartyError::Proto("input owner must supply the cleartext values".into())
-                })?;
-                if values.len() != n {
-                    return Err(PartyError::Proto(format!(
-                        "input length mismatch: {} values for {n} rows",
-                        values.len()
-                    )));
+            let env = self.sess.net.recv_tagged(owner, tag)?;
+            if env.payload.len() != n {
+                return Err(PartyError::Proto(format!(
+                    "expected {n} input offsets from P{owner}, got {}",
+                    env.payload.len()
+                )));
+            }
+            env.payload
+        };
+        // [x] = [r] + δ: the public offset lands on party 0's value share,
+        // every party adjusts its MAC share by α_i·δ.
+        let alpha = self.sess.stock.alpha;
+        let adjust = self.party() == 0;
+        Ok(masks
+            .into_iter()
+            .zip(delta)
+            .map(|(mask, d)| {
+                let d = RingElem(d);
+                let mut s = mask.share;
+                if adjust {
+                    s.v += d;
                 }
-                let parties = self.parties() as usize;
-                // per_party[p][i] = party p's share of values[i].
-                let mut per_party = vec![vec![RingElem::ZERO; n]; parties];
-                for (i, &v) in values.iter().enumerate() {
-                    let mut acc = RingElem::ZERO;
-                    for row in per_party.iter_mut().take(parties - 1) {
-                        let r = RingElem(self.sess.private.gen::<u64>());
-                        row[i] = r;
-                        acc += r;
-                    }
-                    per_party[parties - 1][i] = RingElem::from_i64(v) - acc;
-                }
-                for (p, shares) in per_party.iter().enumerate() {
-                    if p as u32 != owner {
-                        let payload: Vec<u64> = shares.iter().map(|s| s.0).collect();
-                        self.sess.net.send_tagged(
-                            p as u32,
-                            tag,
-                            MessageKind::SecretShare,
-                            "input",
-                            &payload,
-                        )?;
-                    }
-                }
-                per_party.swap_remove(owner as usize)
-            } else {
-                let env = self.sess.net.recv_tagged(owner, tag)?;
-                if env.payload.len() != n {
-                    return Err(PartyError::Proto(format!(
-                        "expected {n} input shares from P{owner}, got {}",
-                        env.payload.len()
-                    )));
-                }
-                env.payload.into_iter().map(RingElem).collect()
-            };
-            Ok(shares
-                .into_iter()
-                .map(|v| AuthShare::new(v, alpha * v))
-                .collect())
-        }
+                s.m += alpha * d;
+                s
+            })
+            .collect())
     }
 
     /// Opens a batch of shared values to every party: one broadcast round.
@@ -1165,7 +946,7 @@ impl<'n> StepCtx<'_, 'n> {
     pub(crate) fn constant_elem(&self, c: RingElem) -> AuthShare {
         AuthShare::new(
             if self.party() == 0 { c } else { RingElem::ZERO },
-            self.sess.alpha * c,
+            self.sess.stock.alpha * c,
         )
     }
 
@@ -1187,26 +968,19 @@ impl<'n> StepCtx<'_, 'n> {
             return Ok(Vec::new());
         }
         self.sess.counts.mults += pairs.len() as u64;
-        let mut a_shares = Vec::with_capacity(pairs.len());
-        let mut b_shares = Vec::with_capacity(pairs.len());
-        let mut c_shares = Vec::with_capacity(pairs.len());
+        let triples = self.sess.take_triples(pairs.len())?;
         let mut masked = Vec::with_capacity(pairs.len() * 2);
-        for &(x, y) in pairs {
-            let (a_i, b_i, c_i) = self.sess.next_triple()?;
+        for (&(x, y), &(a_i, b_i, _)) in pairs.iter().zip(&triples) {
             masked.push(x - a_i);
             masked.push(y - b_i);
-            a_shares.push(a_i);
-            b_shares.push(b_i);
-            c_shares.push(c_i);
         }
         let opened = self.exchange_and_sum(&masked, MessageKind::MaskedOpen, "beaver d/e")?;
         let mut out = Vec::with_capacity(pairs.len());
-        for i in 0..pairs.len() {
-            let d = opened[2 * i];
-            let e = opened[2 * i + 1];
+        for (&(a_i, b_i, c_i), de) in triples.iter().zip(opened.chunks_exact(2)) {
+            let (d, e) = (de[0], de[1]);
             // z_i = c_i + d·b_i + e·a_i (+ the public product d·e, which
             // adjusts party 0's value share and every party's MAC by α_i·d·e).
-            let z = c_shares[i] + b_shares[i].mul_public(d) + a_shares[i].mul_public(e);
+            let z = c_i + b_i.mul_public(d) + a_i.mul_public(e);
             out.push(self.add_public_elem(z, d * e));
         }
         Ok(out)
@@ -1836,5 +1610,124 @@ mod tests {
             assert_eq!(s.total_messages(), 0);
             assert_eq!(s.rounds, 0);
         }
+    }
+
+    /// A well-framed but empty or short dealer block must fail the take that
+    /// asked for it, at once: no spinning on refills, no indexing into
+    /// material that never arrived.
+    #[test]
+    fn empty_dealer_link_blocks_are_typed_errors() {
+        for reply in [vec![], vec![1, 2]] {
+            let mesh = ChannelTransport::mesh(2);
+            let mut link = ChannelTransport::mesh(2);
+            let dealer_end = link.pop().expect("two endpoints");
+            let party_end = link.pop().expect("two endpoints");
+            // A fake dealer: the key share honestly, then `reply` whatever
+            // is asked.
+            let fake = std::thread::spawn(move || {
+                let mut block = vec![7];
+                while dealer_end.recv_from(0).is_ok() {
+                    if dealer_end
+                        .send_to(0, MessageKind::Dealer, "dealer block", &block)
+                        .is_err()
+                    {
+                        break;
+                    }
+                    block.clone_from(&reply);
+                }
+            });
+            let source = DealerSource::Streamed {
+                link: Box::new(party_end),
+                dealer: 1,
+            };
+            let mut sess = PartySession::with_dealer(&mesh[0], 1, source).expect("key share");
+            assert_eq!(sess.alpha_share(), RingElem(7));
+            let started = std::time::Instant::now();
+            let failures = [
+                sess.take_triples(1).err(),
+                sess.take_bit_triples(3).err(),
+                sess.take_shared_bits(2).err(),
+                sess.take_dabits(1).err(),
+                sess.take_input_masks(0, 4).err(),
+                sess.take_input_masks(1, 4).err(),
+            ];
+            for e in &failures {
+                assert!(matches!(e, Some(PartyError::Proto(_))), "got {e:?}");
+            }
+            assert!(
+                started.elapsed() < std::time::Duration::from_secs(5),
+                "a short block must fail promptly, not wait out receive timeouts"
+            );
+            drop(sess);
+            fake.join().expect("fake dealer panicked");
+        }
+    }
+
+    /// A pooled session is refilled before every query. Each bundle replaces
+    /// what the last query left, so 200 queries that each consume less than
+    /// a bundle leave every queue at most one bundle long — and the material
+    /// stays aligned across parties: every result is still right.
+    #[test]
+    fn refills_replace_leftovers_so_the_stock_stays_bounded() {
+        use crate::dealer::MaterialSpec;
+        let spec = MaterialSpec {
+            triples: 8,
+            bit_triples: 160,
+            shared_bits: 16,
+            dabits: 2,
+            input_masks: 8,
+        };
+        let xs = [3i64, -5, 1 << 40];
+        let ys = [4i64, 7, -9];
+        let expected: Vec<i64> = xs
+            .iter()
+            .zip(&ys)
+            .map(|(&x, &y)| x.wrapping_mul(y))
+            .chain(xs.iter().zip(&ys).map(|(&x, &y)| i64::from(x < y)))
+            .collect();
+        let mesh = ChannelTransport::mesh(3);
+        std::thread::scope(|s| {
+            for t in mesh {
+                let (xs, ys, expected) = (&xs, &ys, &expected);
+                s.spawn(move || {
+                    let p = t.party() as usize;
+                    // Every party replays the same dealer and keeps its own
+                    // block of each bundle, as a pool hands them out.
+                    let mut dealer = DealerStream::new(99, 3);
+                    let first = dealer.blocks(spec).swap_remove(p);
+                    let source = DealerSource::Preloaded(Box::new(first));
+                    let mut sess = PartySession::with_dealer(&t, 5, source).expect("own block");
+                    for query in 0..200u32 {
+                        sess.refill(dealer.blocks(spec).swap_remove(p))
+                            .expect("same dealer, same key");
+                        let mut proto = sess.step(query);
+                        let sx = proto
+                            .input_column(0, (p == 0).then_some(&xs[..]), 3)
+                            .expect("masks in stock");
+                        let sy = proto
+                            .input_column(1, (p == 1).then_some(&ys[..]), 3)
+                            .expect("masks in stock");
+                        let pairs: Vec<_> = sx.into_iter().zip(sy).collect();
+                        let mut vals = proto.mul_batch(&pairs).expect("triples in stock");
+                        vals.extend(proto.lt_batch(&pairs).expect("circuit material in stock"));
+                        assert_eq!(&proto.open_column(&vals).expect("open"), expected);
+                        sess.check_integrity().expect("honest run");
+                        let left = &sess.stock;
+                        for (name, have, bundle) in [
+                            ("triples", left.triples.len(), spec.triples),
+                            ("bit triples", left.bit_triples.len(), spec.bit_triples),
+                            ("shared bits", left.shared_bits.len(), spec.shared_bits),
+                            ("daBits", left.dabits.len(), spec.dabits),
+                            ("masks", left.input_masks[0].len(), spec.input_masks),
+                        ] {
+                            assert!(
+                                0 < have && have < bundle,
+                                "query {query}: {have} {name} left of a bundle of {bundle}"
+                            );
+                        }
+                    }
+                });
+            }
+        });
     }
 }

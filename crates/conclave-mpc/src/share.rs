@@ -113,8 +113,8 @@ impl Shares {
 /// its MAC by `α_i·c` — so they live on the session (which knows the party
 /// index and `α_i`), not here.
 ///
-/// The unauthenticated runtime mode reuses this type with `m = 0` throughout,
-/// so one cell representation serves both modes.
+/// An unauthenticated session carries the same type and simply never reads
+/// `m`, so one cell representation serves both modes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AuthShare {
     /// This party's additive share of the value.

@@ -7,6 +7,9 @@
 //! the independent cleartext reference `conclave_engine::execute`. Because
 //! both engines run the same generic operator bodies, it also requires their
 //! engine-independent primitive counts to be equal.
+//!
+//! [`SniffTransport`] is the passive wire observer of `wire_privacy.rs`, and
+//! the tap of `transport_equivalence.rs`' one-dealer differential.
 
 // Each test target includes this module and uses the parts it needs.
 #![allow(dead_code)]
@@ -15,8 +18,12 @@ use conclave::core::config::PartyRuntime;
 use conclave::core::party_exec::execute_op_distributed;
 use conclave::mpc::backend::{MpcBackendConfig, MpcEngine, MpcStepStats};
 use conclave::mpc::PrimitiveCounts;
+use conclave::net::{
+    ChannelTransport, Envelope, MessageKind, NetStats, StreamTag, Transport, TransportError,
+};
 use conclave::prelude::*;
 use conclave_ir::ops::Operator;
+use std::sync::{Arc, Mutex};
 
 /// How an operator's output order relates to the cleartext reference's.
 #[derive(Debug, Clone, Copy)]
@@ -103,4 +110,77 @@ pub fn assert_engines_match_cleartext(
         assert!(outcome.net.total_bytes() > 0, "traffic must be observed");
     }
     stats
+}
+
+/// One captured directed frame.
+#[derive(Debug, Clone)]
+pub struct SniffedFrame {
+    pub from: u32,
+    pub kind: MessageKind,
+    pub tag: StreamTag,
+    pub payload: Vec<u64>,
+}
+
+/// A [`Transport`] wrapper that records every outgoing envelope into a log
+/// shared across all parties — the view of a passive network observer who
+/// does *not* know the dealer seed.
+pub struct SniffTransport {
+    pub inner: ChannelTransport,
+    pub log: Arc<Mutex<Vec<SniffedFrame>>>,
+}
+
+impl Transport for SniffTransport {
+    fn party(&self) -> u32 {
+        self.inner.party()
+    }
+
+    fn parties(&self) -> u32 {
+        self.inner.parties()
+    }
+
+    fn send_to(
+        &self,
+        to: u32,
+        kind: MessageKind,
+        label: &str,
+        payload: &[u64],
+    ) -> Result<(), TransportError> {
+        self.send_tagged(to, StreamTag::default(), kind, label, payload)
+    }
+
+    fn send_tagged(
+        &self,
+        to: u32,
+        tag: StreamTag,
+        kind: MessageKind,
+        label: &str,
+        payload: &[u64],
+    ) -> Result<(), TransportError> {
+        self.log
+            .lock()
+            .expect("a sniffing party panicked")
+            .push(SniffedFrame {
+                from: self.party(),
+                kind,
+                tag,
+                payload: payload.to_vec(),
+            });
+        self.inner.send_tagged(to, tag, kind, label, payload)
+    }
+
+    fn recv_from(&self, from: u32) -> Result<Envelope, TransportError> {
+        self.inner.recv_from(from)
+    }
+
+    fn recv_tagged(&self, from: u32, tag: StreamTag) -> Result<Envelope, TransportError> {
+        self.inner.recv_tagged(from, tag)
+    }
+
+    fn record_round(&self) {
+        self.inner.record_round()
+    }
+
+    fn stats(&self) -> NetStats {
+        self.inner.stats()
+    }
 }

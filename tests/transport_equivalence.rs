@@ -18,15 +18,17 @@
 
 mod common;
 
-use common::{assert_engines_match_cleartext, Order};
+use common::{assert_engines_match_cleartext, Order, SniffTransport, SniffedFrame};
 use conclave::core::config::PartyRuntime;
+use conclave::mpc::dealer::{serve_party, DealerSource};
 use conclave::mpc::runtime::{PartyResult, PartySession, StepCtx};
-use conclave::mpc::AuthShare;
-use conclave::net::{ChannelTransport, TcpTransport, Transport};
+use conclave::mpc::{AuthShare, RingElem};
+use conclave::net::{ChannelTransport, MessageKind, NetStats, TcpTransport, Transport};
 use conclave::prelude::*;
 use conclave_ir::expr::Expr;
 use conclave_ir::ops::{Operand, Operator};
 use proptest::prelude::*;
+use std::sync::{Arc, Mutex};
 
 /// Runs the same per-party program on every endpoint of a mesh and returns
 /// each party's result.
@@ -410,6 +412,96 @@ fn dealer_modes_match_the_oracle_on_every_transport() {
         }
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// What one party of [`run_dealer_mesh`] reports: its key share, what it
+/// opened, and its endpoint's online traffic.
+type DealerMeshParty = (RingElem, Vec<i64>, NetStats);
+
+/// Runs share → multiply → compare → open on a 3-party channel mesh whose
+/// sessions are either all seeded or all streamed from per-party dealer
+/// servers holding the *same* seed, with every send on the online mesh
+/// sniffed. Returns the per-party reports and the captured frames.
+fn run_dealer_mesh(seed: u64, streamed: bool) -> (Vec<DealerMeshParty>, Vec<SniffedFrame>) {
+    const XS: [i64; 4] = [7, -3, i64::MAX, 0];
+    const YS: [i64; 4] = [-2, 11, 1, 0];
+    let log = Arc::new(Mutex::new(Vec::new()));
+    let reports = std::thread::scope(|s| {
+        let handles: Vec<_> = ChannelTransport::mesh(3)
+            .into_iter()
+            .map(|inner| {
+                let party = inner.party();
+                let t = SniffTransport {
+                    inner,
+                    log: Arc::clone(&log),
+                };
+                let source = if streamed {
+                    let mut ends = ChannelTransport::mesh(2).into_iter();
+                    let link: Box<dyn Transport> = Box::new(ends.next().unwrap());
+                    let dealer_end = ends.next().unwrap();
+                    s.spawn(move || serve_party(&dealer_end, party, 3, seed).unwrap());
+                    DealerSource::Streamed { link, dealer: 1 }
+                } else {
+                    DealerSource::Seeded
+                };
+                s.spawn(move || -> PartyResult<DealerMeshParty> {
+                    let mut sess = PartySession::with_dealer(&t, seed, source)?;
+                    let alpha = sess.alpha_share();
+                    let mut proto = sess.step(0);
+                    let sx = proto.input_column(0, (party == 0).then_some(&XS[..]), 4)?;
+                    let sy = proto.input_column(1, (party == 1).then_some(&YS[..]), 4)?;
+                    let pairs: Vec<(AuthShare, AuthShare)> = sx.into_iter().zip(sy).collect();
+                    let mut vals = proto.mul_batch(&pairs)?;
+                    vals.extend(proto.lt_batch(&pairs)?);
+                    let opened = proto.open_column(&vals)?;
+                    sess.check_integrity()?;
+                    Ok((alpha, opened, t.stats()))
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("party panicked").expect("party failed"))
+            .collect()
+    });
+    let frames = log.lock().unwrap().clone();
+    (reports, frames)
+}
+
+/// One dealer, run in two places: with the same seed, a seeded mesh (every
+/// party runs the dealer locally and keeps its slice) and a streamed mesh
+/// (a dealer server per party deals the slice over a link) hold identical
+/// material. So the parties hold the same key shares, the online mesh
+/// carries the same traffic — rounds, bytes by kind, messages per link —
+/// and the very first masked opening on a tapped link is word-for-word the
+/// same. Before the seeded feed ran the real dealer, the two modes shared
+/// inputs by different wire schemes under different keys.
+#[test]
+fn seeded_and_streamed_dealer_meshes_hold_identical_material() {
+    let (seeded, seeded_tap) = run_dealer_mesh(31, false);
+    let (streamed, streamed_tap) = run_dealer_mesh(31, true);
+    let expected: Vec<i64> = vec![-14, -33, i64::MAX, 0, 0, 1, 0, 0];
+    for (p, (a, b)) in seeded.iter().zip(&streamed).enumerate() {
+        assert_eq!(a.1, expected, "P{p} opened a wrong result (seeded)");
+        assert_eq!(b.1, expected, "P{p} opened a wrong result (streamed)");
+        assert_eq!(a.0, b.0, "P{p}'s MAC key share differs between the modes");
+        assert_eq!(a.2.rounds, b.2.rounds, "P{p}: online rounds");
+        assert_eq!(a.2.bytes_by_kind, b.2.bytes_by_kind, "P{p}: bytes by kind");
+        assert_eq!(a.2.links, b.2.links, "P{p}: messages and bytes per link");
+    }
+    // A party broadcasts one payload per round, so its first masked frame
+    // is what crosses each of its links.
+    let first_masked = |tap: &[SniffedFrame]| {
+        tap.iter()
+            .find(|f| f.from == 1 && f.kind == MessageKind::MaskedOpen)
+            .map(|f| f.payload.clone())
+            .expect("the sniffer saw P1 send a masked opening")
+    };
+    assert_eq!(first_masked(&seeded_tap), first_masked(&streamed_tap));
+    // A different seed deals different material: the equality is not vacuous.
+    let (other, other_tap) = run_dealer_mesh(32, false);
+    assert_ne!(other[0].0, seeded[0].0);
+    assert_ne!(first_masked(&other_tap), first_masked(&seeded_tap));
 }
 
 proptest! {

@@ -16,84 +16,15 @@
 // (the workspace-level clippy::unwrap_used lint targets library code).
 #![allow(clippy::unwrap_used)]
 
+mod common;
+
+use common::{SniffTransport, SniffedFrame};
 use conclave::mpc::dealer::{serve_party, DealerSource};
 use conclave::mpc::runtime::{share_relation, sort_by, PartyResult, PartySession, StepCtx};
 use conclave::mpc::{AuthShare, RingElem};
-use conclave::net::{
-    ChannelTransport, Envelope, MessageKind, NetStats, StreamTag, Transport, TransportError,
-};
+use conclave::net::{ChannelTransport, MessageKind, StreamTag, Transport};
 use conclave::prelude::*;
 use std::sync::{Arc, Mutex};
-
-/// One captured directed frame.
-#[derive(Debug, Clone)]
-struct SniffedFrame {
-    from: u32,
-    kind: MessageKind,
-    tag: StreamTag,
-    payload: Vec<u64>,
-}
-
-/// A [`Transport`] wrapper that records every outgoing envelope into a log
-/// shared across all parties — the view of a passive network observer who
-/// does *not* know the dealer seed.
-struct SniffTransport {
-    inner: ChannelTransport,
-    log: Arc<Mutex<Vec<SniffedFrame>>>,
-}
-
-impl Transport for SniffTransport {
-    fn party(&self) -> u32 {
-        self.inner.party()
-    }
-
-    fn parties(&self) -> u32 {
-        self.inner.parties()
-    }
-
-    fn send_to(
-        &self,
-        to: u32,
-        kind: MessageKind,
-        label: &str,
-        payload: &[u64],
-    ) -> Result<(), TransportError> {
-        self.send_tagged(to, StreamTag::default(), kind, label, payload)
-    }
-
-    fn send_tagged(
-        &self,
-        to: u32,
-        tag: StreamTag,
-        kind: MessageKind,
-        label: &str,
-        payload: &[u64],
-    ) -> Result<(), TransportError> {
-        self.log.lock().unwrap().push(SniffedFrame {
-            from: self.party(),
-            kind,
-            tag,
-            payload: payload.to_vec(),
-        });
-        self.inner.send_tagged(to, tag, kind, label, payload)
-    }
-
-    fn recv_from(&self, from: u32) -> Result<Envelope, TransportError> {
-        self.inner.recv_from(from)
-    }
-
-    fn recv_tagged(&self, from: u32, tag: StreamTag) -> Result<Envelope, TransportError> {
-        self.inner.recv_tagged(from, tag)
-    }
-
-    fn record_round(&self) {
-        self.inner.record_round()
-    }
-
-    fn stats(&self) -> NetStats {
-        self.inner.stats()
-    }
-}
 
 /// Distinctive operand sentinels: values a uniformly-masked word matches
 /// with probability 2^-64, so any hit in the capture is a leak.

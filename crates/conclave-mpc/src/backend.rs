@@ -9,9 +9,8 @@
 //! reproduce the paper's figures at scales that cannot be executed in-process
 //! (up to 10⁹ records).
 
-use crate::cost::{GarbledCostModel, PrimitiveCounts, SecretShareCostModel};
+use crate::cost::{gates, CircuitStats, GarbledCostModel, PrimitiveCounts, SecretShareCostModel};
 use crate::engine::OpError;
-use crate::garbled::{gates, CircuitStats};
 use crate::operators;
 use crate::protocol::Protocol;
 use crate::relation::SharedRelation;

@@ -258,6 +258,69 @@ impl Default for GarbledCostModel {
     }
 }
 
+/// Gate and state counters for one garbled-circuit job, as the cost model
+/// counts them — no circuit is built or garbled.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct CircuitStats {
+    /// AND gates (cost communication and crypto under half-gates).
+    pub and_gates: u64,
+    /// XOR gates (free under free-XOR; tracked for completeness).
+    pub xor_gates: u64,
+    /// Input wires fed into the circuit.
+    pub input_wires: u64,
+    /// Output wires revealed.
+    pub output_wires: u64,
+}
+
+impl CircuitStats {
+    /// Merges another stats object into this one.
+    pub fn merge(&mut self, other: &CircuitStats) {
+        self.and_gates += other.and_gates;
+        self.xor_gates += other.xor_gates;
+        self.input_wires += other.input_wires;
+        self.output_wires += other.output_wires;
+    }
+}
+
+/// Analytic AND-gate counts for whole relational operators over 64-bit
+/// integers, from the textbook constructions (one AND per bit for an adder,
+/// comparator, equality test or multiplexer): what [`GarbledCostModel`]
+/// prices to reproduce the runtime curves and out-of-memory cliffs of
+/// Figure 1.
+pub mod gates {
+    /// Width in bits of the integers the relational circuits operate on.
+    const WORD_BITS: u64 = 64;
+
+    /// Gates for obliviously aggregating `n` rows with `g` group-by columns:
+    /// a bitonic sort (`n·log²n` comparator+mux stages) followed by a linear
+    /// scan of equality + adder + mux per row.
+    pub fn aggregate(n: u64, g: u64) -> u64 {
+        let n = n.max(2);
+        let log = 64 - (n - 1).leading_zeros() as u64;
+        let sort = n * log * log / 2 * 2 * WORD_BITS;
+        let scan = n * (g.max(1) + 2) * WORD_BITS;
+        sort + scan
+    }
+
+    /// Gates for a Cartesian-product join of `n × m` rows over `k` key
+    /// columns with `w` payload columns muxed into the output.
+    pub fn join(n: u64, m: u64, k: u64, w: u64) -> u64 {
+        n * m * (k.max(1) + w) * WORD_BITS
+    }
+
+    /// Gates for projecting `n` rows of `w` columns (re-wiring only; the cost
+    /// is dominated by input/output handling, roughly one gate per bit).
+    pub fn project(n: u64, w: u64) -> u64 {
+        n * w * WORD_BITS
+    }
+
+    /// Gates for a distinct / distinct-count over `n` rows (sort + adjacent
+    /// equality scan).
+    pub fn distinct(n: u64) -> u64 {
+        aggregate(n, 1)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -427,5 +490,50 @@ mod tests {
         // A 64-bit multiplier is ~4,000 AND gates.
         let gc = GarbledCostModel::obliv_vm().time(1_000_000 * 4_000, &lan);
         assert!(ss < gc);
+    }
+
+    #[test]
+    fn circuit_stats_merge() {
+        let mut a = CircuitStats {
+            and_gates: 10,
+            xor_gates: 5,
+            input_wires: 1,
+            output_wires: 2,
+        };
+        let b = CircuitStats {
+            and_gates: 1,
+            xor_gates: 1,
+            input_wires: 1,
+            output_wires: 1,
+        };
+        a.merge(&b);
+        assert_eq!(a.and_gates, 11);
+        assert_eq!(a.xor_gates, 6);
+    }
+
+    #[test]
+    fn join_gates_grow_quadratically() {
+        let g1 = gates::join(1_000, 1_000, 1, 2);
+        let g2 = gates::join(2_000, 2_000, 1, 2);
+        assert_eq!(g2, g1 * 4);
+    }
+
+    #[test]
+    fn aggregate_gates_are_superlinear_but_subquadratic() {
+        let g1 = gates::aggregate(10_000, 1);
+        let g2 = gates::aggregate(20_000, 1);
+        let ratio = g2 as f64 / g1 as f64;
+        assert!(ratio > 2.0 && ratio < 4.0, "ratio {ratio}");
+        assert!(gates::distinct(1_000) > gates::project(1_000, 1));
+    }
+
+    #[test]
+    fn obliv_c_join_is_impractical_at_figure_1_scale() {
+        // Fig. 1b: the Obliv-C join is far slower than insecure execution and
+        // only reaches tens of thousands of records before failing.
+        let m = GarbledCostModel::obliv_c();
+        let lan = NetworkModel::lan();
+        let t = m.time(gates::join(5_000, 5_000, 1, 1), &lan);
+        assert!(t.as_secs_f64() > 100.0, "got {:?}", t);
     }
 }

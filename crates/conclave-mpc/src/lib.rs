@@ -26,20 +26,22 @@
 //!   charged — see the fidelity note in [`protocol`] and ARCHITECTURE.md's
 //!   party-runtime section for the substitution rationale). It is the fast
 //!   path and the reference *engine* for the circuit-backed one.
-//! * [`garbled`] — a garbled-circuit backend model (Obliv-C / ObliVM-like):
-//!   boolean circuit construction with gate counting and a memory model that
-//!   reproduces the out-of-memory cliffs in Figure 1.
 //! * [`cost`] — cost models converting primitive counts into simulated
 //!   wall-clock time, calibrated against the datapoints the paper reports.
+//!   The garbled-circuit "backend" (Obliv-C / ObliVM-like) is one of them
+//!   and nothing more: analytic gate counts ([`cost::gates`]) priced by a
+//!   time and memory model that reproduces the out-of-memory cliffs in
+//!   Figure 1. No circuit is built or garbled.
 //! * [`backend`] — a unified engine that executes IR operators under a chosen
 //!   backend over cleartext inputs, returning the result relation together
 //!   with simulated runtime and traffic statistics.
 //! * [`runtime`] — the **per-party engine**: a session-lifetime
-//!   [`runtime::PartySession`] (identity, dealer streams, triple cache) that
-//!   hands out per-plan-step [`runtime::StepCtx`] engines. Each step drives
-//!   open/multiply/comparisons — and, through them, the same generic
+//!   [`runtime::PartySession`] (identity, stock of dealt material, MAC log)
+//!   that hands out per-plan-step [`runtime::StepCtx`] engines. Each step
+//!   drives open/multiply/comparisons — and, through them, the same generic
 //!   operators — as real [`conclave_net::Transport`] message rounds on its
-//!   own logical stream, recording observed (not modeled) traffic. Both
+//!   own logical stream, recording observed (not modeled) traffic; every
+//!   round is one call of the runtime's one split-phase exchange. Both
 //!   engines are differentially tested against the cleartext
 //!   `conclave_engine::execute`, the independent reference for operator
 //!   logic.
@@ -66,7 +68,6 @@ pub mod circuits;
 pub mod cost;
 pub mod dealer;
 pub mod engine;
-pub mod garbled;
 pub mod oblivious;
 pub mod operators;
 pub mod protocol;

@@ -1,20 +1,21 @@
-//! Multi-party networking: a [`Transport`] abstraction with real and
-//! simulated implementations.
+//! Multi-party networking: the [`Transport`] abstraction, its two
+//! implementations, and the latency/bandwidth model the cost models use.
 //!
 //! MPC performance is dominated by communication: secret-sharing protocols
 //! pay a network round per batch of multiplications, and garbled circuits
-//! ship large wire-label state. This crate provides both ways of accounting
-//! for that:
+//! ship large wire-label state. This crate accounts for that twice over:
 //!
 //! * the [`Transport`] trait ([`transport`]) moves typed [`Envelope`]s
 //!   between parties for real — over an in-process channel mesh
 //!   ([`ChannelTransport`]) or TCP sockets ([`TcpTransport`]) — recording
-//!   *observed* per-link bytes and rounds into [`NetStats`]; and
-//! * [`SimNetwork`] ([`sim`]) converts message counts, bytes and rounds into
-//!   simulated elapsed time using a configurable latency/bandwidth
-//!   [`NetworkModel`]. It implements [`Transport`] too (with in-memory
-//!   loopback queues), so the cost-model path and the measured path share
-//!   one interface.
+//!   *observed* per-link bytes and rounds into [`NetStats`]; a [`Mesh`] is
+//!   a query's full set of endpoints; and
+//! * [`NetworkModel`] ([`model`]) converts bytes and rounds into *modeled*
+//!   elapsed time for the cost models of `conclave-mpc` and `conclave-core`.
+//!
+//! [`TamperingTransport`] ([`tamper`]) wraps an endpoint as an active
+//! man-in-the-middle for the integrity suites, and [`serve`] frames the
+//! `conclave-server` request/response protocol over a transport link.
 
 // Also enforced workspace-wide via [workspace.lints]; stated here so the
 // guarantee is visible at the crate root.
@@ -24,15 +25,13 @@ pub mod mesh;
 pub mod message;
 pub mod model;
 pub mod serve;
-pub mod sim;
 pub mod stats;
 pub mod tamper;
 pub mod transport;
 
-pub use mesh::{BatchSums, Mesh, RoundBatcher};
-pub use message::{Message, MessageKind};
+pub use mesh::Mesh;
+pub use message::MessageKind;
 pub use model::NetworkModel;
-pub use sim::SimNetwork;
 pub use stats::{LinkStats, NetStats};
 pub use tamper::{Fault, FaultSpec, TamperingTransport};
 pub use transport::{

@@ -1,19 +1,13 @@
-//! Query-lifetime transport meshes and round batching.
+//! Query-lifetime transport meshes.
 //!
 //! The paper's central cost claim is that MPC wall-clock is dominated by
-//! synchronous communication rounds, not bytes. Two consequences for the
-//! transport layer live here:
-//!
-//! * [`Mesh`] — the full set of per-party endpoints, built **once per query**
-//!   (one TCP handshake per link for the whole plan) and handed to the
-//!   per-party workers. Rebuilding a mesh per plan step — the old behaviour —
-//!   shows up as `NetStats::mesh_builds > 1`.
-//! * [`RoundBatcher`] — staging for independent share openings so that
-//!   everything a step has pending crosses the network in **one** synchronous
-//!   exchange instead of one round per opening.
+//! synchronous communication rounds, not bytes, so connection set-up must
+//! not be paid per round or per plan step: a [`Mesh`] is the full set of
+//! per-party endpoints, built **once per query** (one TCP handshake per link
+//! for the whole plan) and handed to the per-party workers. Rebuilding a
+//! mesh per plan step shows up as `NetStats::mesh_builds > 1`.
 
-use crate::message::MessageKind;
-use crate::transport::{ChannelTransport, StreamTag, TcpTransport, Transport, TransportError};
+use crate::transport::{ChannelTransport, TcpTransport, Transport, TransportError};
 
 /// A query-lifetime transport mesh: one endpoint per party, indexed by party
 /// id. Build it once with [`Mesh::channel`] / [`Mesh::tcp_localhost`] (or
@@ -64,105 +58,6 @@ impl Mesh {
     }
 }
 
-/// Stages independent share-opening (or masked-value) vectors so they cross
-/// the network in **one** synchronous exchange: every staged segment is
-/// concatenated into a single broadcast, each peer's reply is summed
-/// element-wise, and the per-segment sums are handed back. `k` independent
-/// openings cost one round instead of `k`.
-///
-/// The staging buffer is retained across exchanges, so steady-state use
-/// allocates only the returned sums.
-#[derive(Debug, Default)]
-pub struct RoundBatcher {
-    staged: Vec<u64>,
-    ends: Vec<usize>,
-}
-
-impl RoundBatcher {
-    /// Creates an empty batcher.
-    pub fn new() -> RoundBatcher {
-        RoundBatcher::default()
-    }
-
-    /// Stages one segment of words for the next exchange; returns its
-    /// segment index into the eventual [`BatchSums`].
-    pub fn stage(&mut self, words: &[u64]) -> usize {
-        self.staged.extend_from_slice(words);
-        self.ends.push(self.staged.len());
-        self.ends.len() - 1
-    }
-
-    /// Number of segments currently staged.
-    pub fn segments(&self) -> usize {
-        self.ends.len()
-    }
-
-    /// Whether nothing is staged.
-    pub fn is_empty(&self) -> bool {
-        self.ends.is_empty()
-    }
-
-    /// Runs the batched exchange on stream `tag`: broadcasts all staged
-    /// words, receives every peer's broadcast, sums element-wise (wrapping,
-    /// i.e. in `Z_{2^64}`), and returns the segment-addressable sums. Records
-    /// exactly **one** round regardless of how many segments were staged; a
-    /// batcher with nothing staged exchanges nothing and records no round.
-    pub fn exchange_summed(
-        &mut self,
-        net: &dyn Transport,
-        tag: StreamTag,
-        kind: MessageKind,
-        label: &str,
-    ) -> Result<BatchSums, TransportError> {
-        let mut words = std::mem::take(&mut self.staged);
-        let ends = std::mem::take(&mut self.ends);
-        if ends.is_empty() {
-            return Ok(BatchSums { words, ends });
-        }
-        net.send_all_tagged(tag, kind, label, &words)?;
-        for peer in 0..net.parties() {
-            if peer == net.party() {
-                continue;
-            }
-            let env = net.recv_tagged(peer, tag)?;
-            if env.payload.len() != words.len() {
-                return Err(TransportError::Io(format!(
-                    "batched exchange {tag} length mismatch from P{peer}: \
-                     got {} words, want {}",
-                    env.payload.len(),
-                    words.len()
-                )));
-            }
-            for (acc, w) in words.iter_mut().zip(&env.payload) {
-                *acc = acc.wrapping_add(*w);
-            }
-        }
-        net.record_round();
-        Ok(BatchSums { words, ends })
-    }
-}
-
-/// The element-wise sums of one batched exchange, addressable by the segment
-/// indices [`RoundBatcher::stage`] returned.
-#[derive(Debug)]
-pub struct BatchSums {
-    words: Vec<u64>,
-    ends: Vec<usize>,
-}
-
-impl BatchSums {
-    /// Number of segments in the exchange.
-    pub fn segments(&self) -> usize {
-        self.ends.len()
-    }
-
-    /// The summed words of segment `i`.
-    pub fn segment(&self, i: usize) -> &[u64] {
-        let start = if i == 0 { 0 } else { self.ends[i - 1] };
-        &self.words[start..self.ends[i]]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -177,61 +72,5 @@ mod tests {
             assert_eq!(e.party(), i as u32);
             assert_eq!(e.stats().mesh_builds, 1);
         }
-    }
-
-    #[test]
-    fn batched_exchange_sums_per_segment_in_one_round() {
-        let endpoints = Mesh::channel(3).into_endpoints();
-        let outs: Vec<(Vec<Vec<u64>>, crate::NetStats)> = std::thread::scope(|s| {
-            let handles: Vec<_> = endpoints
-                .into_iter()
-                .map(|net| {
-                    s.spawn(move || {
-                        let p = u64::from(net.party());
-                        let mut batcher = RoundBatcher::new();
-                        // Two independent "openings" staged into one round.
-                        let a = batcher.stage(&[p, 10 + p]);
-                        let b = batcher.stage(&[100 * (p + 1)]);
-                        let sums = batcher
-                            .exchange_summed(
-                                net.as_ref(),
-                                StreamTag::new(7, 0),
-                                MessageKind::Reveal,
-                                "test",
-                            )
-                            .unwrap();
-                        assert!(batcher.is_empty(), "staging cleared after exchange");
-                        (
-                            vec![sums.segment(a).to_vec(), sums.segment(b).to_vec()],
-                            net.stats(),
-                        )
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        // Sums over parties 0+1+2: [0+1+2, 10·3+3] and [100+200+300].
-        for (out, stats) in &outs {
-            assert_eq!(out[0], vec![3, 33]);
-            assert_eq!(out[1], vec![600]);
-            assert_eq!(stats.rounds, 1, "k segments still cost one round");
-        }
-    }
-
-    #[test]
-    fn empty_batcher_exchanges_nothing() {
-        let endpoints = Mesh::channel(2).into_endpoints();
-        let mut batcher = RoundBatcher::new();
-        let sums = batcher
-            .exchange_summed(
-                endpoints[0].as_ref(),
-                StreamTag::default(),
-                MessageKind::Reveal,
-                "noop",
-            )
-            .unwrap();
-        assert_eq!(sums.segments(), 0);
-        assert_eq!(endpoints[0].stats().rounds, 0);
-        assert_eq!(endpoints[0].stats().total_messages(), 0);
     }
 }

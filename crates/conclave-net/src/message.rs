@@ -1,10 +1,10 @@
-//! Message metadata used for tracing simulated traffic.
+//! The kinds of payload a message carries.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// The kind of payload a simulated message carries. Used for tracing and for
-/// the leakage audit in `conclave-core` (e.g. "a reveal message was sent to a
+/// The kind of payload a message carries. Used for per-kind traffic stats and
+/// for the leakage audit in `conclave-core` (e.g. "a reveal message was sent to a
 /// party that is not authorized").
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum MessageKind {
@@ -99,64 +99,9 @@ impl fmt::Display for MessageKind {
     }
 }
 
-/// Record of one simulated message.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Message {
-    /// Sending party id.
-    pub from: u32,
-    /// Receiving party id.
-    pub to: u32,
-    /// Payload size in bytes.
-    pub bytes: u64,
-    /// Payload kind.
-    pub kind: MessageKind,
-    /// Free-form label (operator or protocol step name).
-    pub label: String,
-}
-
-impl Message {
-    /// Creates a message record.
-    pub fn new(
-        from: u32,
-        to: u32,
-        bytes: u64,
-        kind: MessageKind,
-        label: impl Into<String>,
-    ) -> Self {
-        Message {
-            from,
-            to,
-            bytes,
-            kind,
-            label: label.into(),
-        }
-    }
-}
-
-impl fmt::Display for Message {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "P{} -> P{} [{} B, {}] {}",
-            self.from, self.to, self.bytes, self.kind, self.label
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn display_includes_all_fields() {
-        let m = Message::new(1, 2, 128, MessageKind::Reveal, "hybrid_join keys");
-        let s = m.to_string();
-        assert!(s.contains("P1"));
-        assert!(s.contains("P2"));
-        assert!(s.contains("128"));
-        assert!(s.contains("reveal"));
-        assert!(s.contains("hybrid_join"));
-    }
 
     #[test]
     fn kind_display() {

@@ -251,16 +251,6 @@ impl<T: Transport> Transport for TamperingTransport<T> {
         self.inner.parties()
     }
 
-    fn send_to(
-        &self,
-        to: u32,
-        kind: MessageKind,
-        label: &str,
-        payload: &[u64],
-    ) -> Result<(), TransportError> {
-        self.inner.send_to(to, kind, label, payload)
-    }
-
     fn send_tagged(
         &self,
         to: u32,

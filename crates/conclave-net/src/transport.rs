@@ -3,18 +3,32 @@
 //! The extended Conclave TR treats per-party message exchange as *the*
 //! defining cost of MPC, so the real execution path needs parties that hold
 //! only their own shares and communicate explicitly. This module provides the
-//! interface those parties program against — [`Transport::send_to`],
-//! [`Transport::recv_from`] and [`Transport::send_all`] of typed
-//! [`Envelope`]s — together with two genuine implementations:
+//! interface those parties program against — [`Transport::send_tagged`],
+//! [`Transport::recv_tagged`] and [`Transport::recv_from`] of typed
+//! [`Envelope`]s, plus the broadcast and default-stream forms provided on top
+//! of them — together with its two implementations:
 //!
 //! * [`ChannelTransport`] — an in-process full mesh of unbounded channels,
 //!   one thread per party, for fast local multi-party runs and tests; and
 //! * [`TcpTransport`] — length-prefixed frames over `std::net` TCP sockets,
 //!   for real multi-process deployments (or multi-thread over localhost).
 //!
-//! [`crate::SimNetwork`] implements the same trait, so the latency/bandwidth
-//! *cost-model* path and the *measured* path share one interface: MPC code
-//! written against `&dyn Transport` runs unchanged over either.
+//! # One frame
+//!
+//! A TCP frame is a fixed [`FRAME_HEADER_BYTES`]-byte header — sender, kind,
+//! stream tag, label length, payload length — followed by the label and the
+//! payload words. `encode_frame_into` builds it in the link's reusable write
+//! buffer and sends it with one write; `decode_frame` takes the header in one
+//! read and validates every length in it before anything is allocated. A
+//! length the header cannot carry is refused by the sender before a byte is
+//! written; a timeout with no byte of a frame read is an idle, retryable
+//! [`TransportError::Timeout`], while a timeout or EOF once a frame has begun
+//! is not retryable — the link has lost its framing.
+//!
+//! The payload is read with one `read_exact` per 8-byte word on the
+//! unbuffered socket, and that loop — not the round structure — is what
+//! makes a TCP mesh ten times slower than a channel mesh on big frames
+//! (ROADMAP, rounds item, has the measurement and the replacement).
 //!
 //! # Logical streams
 //!
@@ -37,13 +51,13 @@ use crate::stats::NetStats;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::fmt;
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
-/// Fixed per-frame overhead charged on every message: 4 bytes sender id,
-/// 1 byte kind, 4 + 4 bytes stream tag (step id, stream id), 2 bytes label
-/// length, 4 bytes payload length.
+/// Fixed per-frame overhead charged on every message, and the TCP frame
+/// header in wire order: 4 bytes sender id, 1 byte kind, 4 + 4 bytes stream
+/// tag (step id, stream id), 2 bytes label length, 4 bytes payload length.
 pub const FRAME_HEADER_BYTES: u64 = 19;
 
 /// Default bound on blocking receives: a peer that stays silent this long is
@@ -51,8 +65,9 @@ pub const FRAME_HEADER_BYTES: u64 = 19;
 pub const DEFAULT_RECV_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Upper bound on a single frame's payload length in 64-bit words (128 MiB).
-/// A length above this is treated as a corrupt/desynchronized stream rather
-/// than an allocation request.
+/// The TCP sender refuses to frame more, and a received length above it is
+/// treated as a corrupt/desynchronized stream rather than an allocation
+/// request.
 pub const MAX_FRAME_WORDS: usize = 1 << 24;
 
 /// Identifies the logical stream a frame belongs to when several protocol
@@ -100,7 +115,7 @@ pub struct Envelope {
 }
 
 impl Envelope {
-    /// Creates an envelope on the default stream (single-stream transports).
+    /// Creates an envelope on the default stream.
     pub fn new(from: u32, kind: MessageKind, label: impl Into<String>, payload: Vec<u64>) -> Self {
         Envelope::tagged(from, StreamTag::default(), kind, label, payload)
     }
@@ -180,7 +195,8 @@ impl From<std::io::Error> for TransportError {
 /// A `Transport` value is **one party's endpoint** into the mesh: it knows its
 /// own id, the total party count, and how to reach every peer. Protocol code
 /// holds a `&dyn Transport` and stays agnostic of whether messages move over
-/// in-process channels, TCP sockets, or the simulated cost-model network.
+/// in-process channels or TCP sockets. Every frame travels on a logical
+/// stream; the untagged forms are the [`StreamTag::default`] stream.
 pub trait Transport: Send {
     /// This endpoint's party id (`0..parties`).
     fn party(&self) -> u32;
@@ -188,43 +204,7 @@ pub trait Transport: Send {
     /// Total number of parties in the mesh.
     fn parties(&self) -> u32;
 
-    /// Sends a typed payload to one peer.
-    fn send_to(
-        &self,
-        to: u32,
-        kind: MessageKind,
-        label: &str,
-        payload: &[u64],
-    ) -> Result<(), TransportError>;
-
-    /// Receives the next message from one peer (blocking, bounded by the
-    /// transport's receive timeout). Messages on one link arrive in order.
-    fn recv_from(&self, from: u32) -> Result<Envelope, TransportError>;
-
-    /// Records one synchronous protocol round in this endpoint's statistics.
-    fn record_round(&self);
-
-    /// Snapshot of the traffic this endpoint has sent (and rounds recorded).
-    fn stats(&self) -> NetStats;
-
-    /// Sends the same payload to every other party.
-    fn send_all(
-        &self,
-        kind: MessageKind,
-        label: &str,
-        payload: &[u64],
-    ) -> Result<(), TransportError> {
-        for p in 0..self.parties() {
-            if p != self.party() {
-                self.send_to(p, kind, label, payload)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Sends a typed payload on a specific logical stream. The default
-    /// forwards to [`Transport::send_to`] and drops the tag — transports
-    /// that multiplex concurrent steps over one connection override this.
+    /// Sends a typed payload to one peer on a specific logical stream.
     fn send_tagged(
         &self,
         to: u32,
@@ -232,19 +212,32 @@ pub trait Transport: Send {
         kind: MessageKind,
         label: &str,
         payload: &[u64],
-    ) -> Result<(), TransportError> {
-        let _ = tag;
-        self.send_to(to, kind, label, payload)
-    }
+    ) -> Result<(), TransportError>;
+
+    /// Receives the next message from one peer, whatever its stream
+    /// (blocking, bounded by the transport's receive timeout). Messages on
+    /// one link arrive in order.
+    fn recv_from(&self, from: u32) -> Result<Envelope, TransportError>;
 
     /// Receives the next message from `from` on the given logical stream,
-    /// buffering (not discarding) frames that belong to other streams. The
-    /// default forwards to [`Transport::recv_from`] without checking the tag
-    /// — correct for single-stream transports that deliver strictly in
-    /// order, like the simulated network.
-    fn recv_tagged(&self, from: u32, tag: StreamTag) -> Result<Envelope, TransportError> {
-        let _ = tag;
-        self.recv_from(from)
+    /// buffering (not discarding) frames that belong to other streams.
+    fn recv_tagged(&self, from: u32, tag: StreamTag) -> Result<Envelope, TransportError>;
+
+    /// Records one synchronous protocol round in this endpoint's statistics.
+    fn record_round(&self);
+
+    /// Snapshot of the traffic this endpoint has sent (and rounds recorded).
+    fn stats(&self) -> NetStats;
+
+    /// Sends a typed payload to one peer on the default stream.
+    fn send_to(
+        &self,
+        to: u32,
+        kind: MessageKind,
+        label: &str,
+        payload: &[u64],
+    ) -> Result<(), TransportError> {
+        self.send_tagged(to, StreamTag::default(), kind, label, payload)
     }
 
     /// Sends the same payload to every other party on a logical stream.
@@ -261,6 +254,16 @@ pub trait Transport: Send {
             }
         }
         Ok(())
+    }
+
+    /// Sends the same payload to every other party on the default stream.
+    fn send_all(
+        &self,
+        kind: MessageKind,
+        label: &str,
+        payload: &[u64],
+    ) -> Result<(), TransportError> {
+        self.send_all_tagged(StreamTag::default(), kind, label, payload)
     }
 }
 
@@ -335,16 +338,6 @@ impl Transport for ChannelTransport {
 
     fn parties(&self) -> u32 {
         self.parties
-    }
-
-    fn send_to(
-        &self,
-        to: u32,
-        kind: MessageKind,
-        label: &str,
-        payload: &[u64],
-    ) -> Result<(), TransportError> {
-        self.send_tagged(to, StreamTag::default(), kind, label, payload)
     }
 
     fn send_tagged(
@@ -566,7 +559,8 @@ impl TcpTransport {
 }
 
 /// Encodes one frame into `buf` (cleared first, so a per-link buffer can be
-/// reused across sends) and returns its wire length in bytes.
+/// reused across sends) and returns its wire length in bytes. Lengths the
+/// header cannot carry are refused here, before anything is written.
 fn encode_frame_into(
     buf: &mut Vec<u8>,
     from: u32,
@@ -574,53 +568,84 @@ fn encode_frame_into(
     kind: MessageKind,
     label: &str,
     payload: &[u64],
-) -> u64 {
+) -> Result<u64, TransportError> {
+    let label_len = u16::try_from(label.len()).map_err(|_| {
+        TransportError::Io(format!(
+            "frame label of {} bytes exceeds the {}-byte cap",
+            label.len(),
+            u16::MAX
+        ))
+    })?;
+    if payload.len() > MAX_FRAME_WORDS {
+        return Err(TransportError::Io(format!(
+            "frame payload of {} words exceeds the {MAX_FRAME_WORDS}-word cap",
+            payload.len()
+        )));
+    }
     buf.clear();
     buf.extend_from_slice(&from.to_le_bytes());
     buf.push(kind.code());
     buf.extend_from_slice(&tag.step.to_le_bytes());
     buf.extend_from_slice(&tag.stream.to_le_bytes());
-    buf.extend_from_slice(&(label.len() as u16).to_le_bytes());
-    buf.extend_from_slice(label.as_bytes());
+    buf.extend_from_slice(&label_len.to_le_bytes());
     buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    buf.extend_from_slice(label.as_bytes());
     for word in payload {
         buf.extend_from_slice(&word.to_le_bytes());
     }
-    buf.len() as u64
+    Ok(buf.len() as u64)
 }
 
-/// Reads one envelope frame from a stream.
-fn decode_frame(stream: &mut TcpStream) -> Result<Envelope, TransportError> {
-    let mut u32buf = [0u8; 4];
-    stream.read_exact(&mut u32buf).map_err(map_read_err)?;
-    let from = u32::from_le_bytes(u32buf);
-    let mut kind_buf = [0u8; 1];
-    stream.read_exact(&mut kind_buf).map_err(map_read_err)?;
-    let kind = MessageKind::from_code(kind_buf[0])
-        .ok_or_else(|| TransportError::Io(format!("bad message kind code {}", kind_buf[0])))?;
-    let mut tag_buf = [0u8; 4];
-    stream.read_exact(&mut tag_buf).map_err(map_read_err)?;
-    let step = u32::from_le_bytes(tag_buf);
-    stream.read_exact(&mut tag_buf).map_err(map_read_err)?;
-    let tag = StreamTag::new(step, u32::from_le_bytes(tag_buf));
-    let mut u16buf = [0u8; 2];
-    stream.read_exact(&mut u16buf).map_err(map_read_err)?;
-    let mut label_bytes = vec![0u8; u16::from_le_bytes(u16buf) as usize];
-    stream.read_exact(&mut label_bytes).map_err(map_read_err)?;
-    let label =
-        String::from_utf8(label_bytes).map_err(|_| TransportError::Io("non-UTF-8 label".into()))?;
-    stream.read_exact(&mut u32buf).map_err(map_read_err)?;
-    let len = u32::from_le_bytes(u32buf) as usize;
+/// Reads one envelope frame: the fixed header in one read, every length in
+/// it checked before anything is allocated, then the label and the payload
+/// words. The peer id of the returned errors is a placeholder the caller,
+/// which knows the link, substitutes.
+///
+/// A timeout before the first byte of a frame means the link is idle and is
+/// the retryable [`TransportError::Timeout`]. Once a frame has begun, a
+/// timeout or EOF leaves the stream mid-frame, so it is reported as a
+/// truncated frame / disconnect that a caller must not retry past.
+fn decode_frame(stream: &mut impl Read) -> Result<Envelope, TransportError> {
+    let mut header = [0u8; FRAME_HEADER_BYTES as usize];
+    let mut filled = 0;
+    while filled < header.len() {
+        match stream.read(&mut header[filled..]) {
+            Ok(0) => return Err(TransportError::Disconnected { party: u32::MAX }),
+            Ok(n) => filled += n,
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) if filled == 0 && is_timeout(&e) => {
+                return Err(TransportError::Timeout { from: u32::MAX })
+            }
+            Err(e) => return Err(truncated_frame(&e, "header")),
+        }
+    }
+    let u32_at = |at: usize| {
+        u32::from_le_bytes([header[at], header[at + 1], header[at + 2], header[at + 3]])
+    };
+    let from = u32_at(0);
+    let kind = MessageKind::from_code(header[4])
+        .ok_or_else(|| TransportError::Io(format!("bad message kind code {}", header[4])))?;
+    let tag = StreamTag::new(u32_at(5), u32_at(9));
+    let label_len = usize::from(u16::from_le_bytes([header[13], header[14]]));
+    let len = u32_at(15) as usize;
     if len > MAX_FRAME_WORDS {
         return Err(TransportError::Io(format!(
             "frame payload length {len} exceeds the {MAX_FRAME_WORDS}-word cap \
              (corrupt or desynchronized stream)"
         )));
     }
+    let body_err = |e: std::io::Error| match e.kind() {
+        ErrorKind::UnexpectedEof => TransportError::Disconnected { party: u32::MAX },
+        _ => truncated_frame(&e, "body"),
+    };
+    let mut label = vec![0u8; label_len];
+    stream.read_exact(&mut label).map_err(body_err)?;
+    let label =
+        String::from_utf8(label).map_err(|_| TransportError::Io("non-UTF-8 label".into()))?;
     let mut payload = Vec::with_capacity(len);
     let mut word = [0u8; 8];
     for _ in 0..len {
-        stream.read_exact(&mut word).map_err(map_read_err)?;
+        stream.read_exact(&mut word).map_err(body_err)?;
         payload.push(u64::from_le_bytes(word));
     }
     Ok(Envelope {
@@ -632,15 +657,21 @@ fn decode_frame(stream: &mut TcpStream) -> Result<Envelope, TransportError> {
     })
 }
 
-fn map_read_err(e: std::io::Error) -> TransportError {
-    match e.kind() {
-        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut => {
-            // `from` is substituted by the caller, which knows the peer.
-            TransportError::Timeout { from: u32::MAX }
-        }
-        std::io::ErrorKind::UnexpectedEof => TransportError::Disconnected { party: u32::MAX },
-        _ => TransportError::Io(e.to_string()),
-    }
+fn is_timeout(e: &std::io::Error) -> bool {
+    matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut)
+}
+
+/// A read failure after part of a frame was consumed: the bytes read so far
+/// are gone, so the next read would start mid-frame.
+fn truncated_frame(e: &std::io::Error, part: &str) -> TransportError {
+    let why = if is_timeout(e) {
+        "the peer stalled".to_owned()
+    } else {
+        e.to_string()
+    };
+    TransportError::Io(format!(
+        "truncated frame: {why} inside the {part}; the link is desynchronized"
+    ))
 }
 
 impl Transport for TcpTransport {
@@ -650,16 +681,6 @@ impl Transport for TcpTransport {
 
     fn parties(&self) -> u32 {
         self.parties
-    }
-
-    fn send_to(
-        &self,
-        to: u32,
-        kind: MessageKind,
-        label: &str,
-        payload: &[u64],
-    ) -> Result<(), TransportError> {
-        self.send_tagged(to, StreamTag::default(), kind, label, payload)
     }
 
     fn send_tagged(
@@ -674,7 +695,7 @@ impl Transport for TcpTransport {
         {
             let mut link = self.link(to)?.lock();
             let TcpLink { stream, wbuf } = &mut *link;
-            bytes = encode_frame_into(wbuf, self.party, tag, kind, label, payload);
+            bytes = encode_frame_into(wbuf, self.party, tag, kind, label, payload)?;
             stream.write_all(wbuf)?;
             stream.flush()?;
         }
@@ -760,6 +781,7 @@ pub fn merge_mesh_stats<I: IntoIterator<Item = NetStats>>(endpoints: I) -> NetSt
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn exercise_pair<T: Transport>(a: &T, b: &T) {
         a.send_to(b.party(), MessageKind::SecretShare, "x", &[1, 2, 3])
@@ -932,6 +954,142 @@ mod tests {
         let env = mesh[1].recv_from(0).unwrap();
         assert!(env.payload.is_empty());
         assert_eq!(env.wire_bytes(), FRAME_HEADER_BYTES);
+    }
+
+    #[test]
+    fn an_absurd_length_is_rejected_as_a_corrupt_stream() {
+        let mut wire = Vec::new();
+        encode_frame_into(
+            &mut wire,
+            0,
+            StreamTag::default(),
+            MessageKind::Control,
+            "",
+            &[],
+        )
+        .unwrap();
+        wire[15..19].copy_from_slice(&u32::MAX.to_le_bytes());
+        let err = decode_frame(&mut &wire[..]).unwrap_err();
+        assert!(
+            matches!(&err, TransportError::Io(m) if m.contains("cap")),
+            "{err}"
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// `decode(encode(x)) == x`, and the bytes written are the bytes the
+        /// statistics charge — for any tag, kind, label and payload, the
+        /// empty label and the empty payload included.
+        #[test]
+        fn codec_round_trips(
+            from in any::<u32>(),
+            step in any::<u32>(),
+            stream in any::<u32>(),
+            code in 0u8..10,
+            label in prop::collection::vec(32u8..127, 0..40),
+            payload in prop::collection::vec(any::<u64>(), 0..300),
+        ) {
+            let kind = MessageKind::from_code(code).unwrap();
+            let label = String::from_utf8(label).unwrap();
+            let env = Envelope::tagged(from, StreamTag::new(step, stream), kind, label, payload);
+            let mut wire = Vec::new();
+            let written =
+                encode_frame_into(&mut wire, env.from, env.tag, env.kind, &env.label, &env.payload)
+                    .unwrap();
+            prop_assert_eq!(written, env.wire_bytes());
+            prop_assert_eq!(wire.len() as u64, env.wire_bytes());
+            let mut rest = &wire[..];
+            prop_assert_eq!(decode_frame(&mut rest).unwrap(), env);
+            prop_assert!(rest.is_empty());
+        }
+    }
+
+    /// A connected localhost socket pair; the reading side gives up after
+    /// 50 ms of silence.
+    fn loopback_pair() -> (TcpStream, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let writer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (reader, _) = listener.accept().unwrap();
+        reader
+            .set_read_timeout(Some(Duration::from_millis(50)))
+            .unwrap();
+        (writer, reader)
+    }
+
+    #[test]
+    fn only_a_timeout_between_frames_is_retryable() {
+        let (mut writer, mut reader) = loopback_pair();
+        // An idle link: nothing of a frame was consumed, polling again is safe.
+        assert_eq!(
+            decode_frame(&mut reader),
+            Err(TransportError::Timeout { from: u32::MAX })
+        );
+        // Half a header, then a stall: those bytes are gone, so the error
+        // must not read as an idle poll.
+        let mut wire = Vec::new();
+        encode_frame_into(
+            &mut wire,
+            0,
+            StreamTag::default(),
+            MessageKind::Control,
+            "x",
+            &[7],
+        )
+        .unwrap();
+        writer.write_all(&wire[..9]).unwrap();
+        let err = decode_frame(&mut reader).unwrap_err();
+        assert!(
+            matches!(&err, TransportError::Io(m) if m.contains("truncated frame")),
+            "{err}"
+        );
+        // The same once the header is in and the body stalls…
+        let (mut writer, mut reader) = loopback_pair();
+        writer.write_all(&wire[..wire.len() - 3]).unwrap();
+        let err = decode_frame(&mut reader).unwrap_err();
+        assert!(
+            matches!(&err, TransportError::Io(m) if m.contains("truncated frame")),
+            "{err}"
+        );
+        // …and a peer that hangs up mid-frame is a disconnect, not a timeout.
+        let (mut writer, mut reader) = loopback_pair();
+        writer.write_all(&wire[..9]).unwrap();
+        drop(writer);
+        assert_eq!(
+            decode_frame(&mut reader),
+            Err(TransportError::Disconnected { party: u32::MAX })
+        );
+    }
+
+    #[test]
+    fn tcp_sender_refuses_lengths_it_cannot_frame() {
+        let mesh = TcpTransport::localhost_mesh(2).unwrap();
+        let too_long = vec![0u64; MAX_FRAME_WORDS + 1];
+        let err = mesh[0]
+            .send_to(1, MessageKind::SecretShare, "big", &too_long)
+            .unwrap_err();
+        assert!(
+            matches!(&err, TransportError::Io(m) if m.contains(&MAX_FRAME_WORDS.to_string())),
+            "{err}"
+        );
+        let label = "l".repeat(usize::from(u16::MAX) + 1);
+        let err = mesh[0]
+            .send_to(1, MessageKind::Control, &label, &[1])
+            .unwrap_err();
+        assert!(
+            matches!(&err, TransportError::Io(m) if m.contains("65535")),
+            "{err}"
+        );
+        // Not a byte of either went out: nothing was charged, and the link
+        // still frames the next message correctly.
+        assert_eq!(mesh[0].stats().total_messages(), 0);
+        let longest = "l".repeat(usize::from(u16::MAX));
+        mesh[0]
+            .send_to(1, MessageKind::Control, &longest, &[2])
+            .unwrap();
+        let env = mesh[1].recv_from(0).unwrap();
+        assert_eq!((env.label, env.payload), (longest, vec![2]));
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! measures.
 
 use conclave_mpc::backend::{MpcBackendConfig, MpcEngine, MpcResult, MpcStepStats};
-use conclave_mpc::garbled::gates;
+use conclave_mpc::cost::gates;
 use std::time::Duration;
 
 /// Configuration of the SMCQL baseline.

@@ -138,16 +138,6 @@ impl Transport for SniffTransport {
         self.inner.parties()
     }
 
-    fn send_to(
-        &self,
-        to: u32,
-        kind: MessageKind,
-        label: &str,
-        payload: &[u64],
-    ) -> Result<(), TransportError> {
-        self.send_tagged(to, StreamTag::default(), kind, label, payload)
-    }
-
     fn send_tagged(
         &self,
         to: u32,

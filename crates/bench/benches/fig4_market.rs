@@ -10,7 +10,7 @@ use bench::figures::fig4;
 use bench::queries::market_concentration;
 use conclave_core::{compile, ConclaveConfig, Driver};
 use conclave_data::TaxiGenerator;
-use conclave_engine::Relation;
+use conclave_engine::Table;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::collections::HashMap;
 
@@ -21,12 +21,12 @@ fn series(c: &mut Criterion) {
     group.finish();
 }
 
-fn taxi_inputs(total: usize) -> HashMap<String, Relation> {
+fn taxi_inputs(total: usize) -> HashMap<String, Table> {
     let mut gen = TaxiGenerator::new(7);
     let parts = gen.split_across_parties(total, 3);
     let mut inputs = HashMap::new();
     for (name, rel) in ["inputA", "inputB", "inputC"].iter().zip(parts) {
-        inputs.insert(name.to_string(), rel);
+        inputs.insert(name.to_string(), Table::from_rows(rel));
     }
     inputs
 }
@@ -41,7 +41,7 @@ fn real_end_to_end(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("conclave", total), &inputs, |b, inputs| {
             b.iter(|| {
                 let mut driver = Driver::new(ConclaveConfig::standard().with_sequential_local());
-                driver.run(&plan, inputs).unwrap()
+                driver.run_tables(&plan, inputs).unwrap()
             })
         });
     }
@@ -51,7 +51,7 @@ fn real_end_to_end(c: &mut Criterion) {
     group.bench_function("mpc_only_120", |b| {
         b.iter(|| {
             let mut driver = Driver::new(ConclaveConfig::mpc_only().with_sequential_local());
-            driver.run(&plan, &inputs).unwrap()
+            driver.run_tables(&plan, &inputs).unwrap()
         })
     });
     group.finish();

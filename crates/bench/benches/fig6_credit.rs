@@ -9,7 +9,7 @@ use bench::figures::fig6;
 use bench::queries::credit_card_regulation;
 use conclave_core::{compile, ConclaveConfig, Driver};
 use conclave_data::CreditGenerator;
-use conclave_engine::Relation;
+use conclave_engine::Table;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::collections::HashMap;
 
@@ -20,12 +20,21 @@ fn series(c: &mut Criterion) {
     group.finish();
 }
 
-fn credit_inputs(population: usize) -> HashMap<String, Relation> {
+fn credit_inputs(population: usize) -> HashMap<String, Table> {
     let mut gen = CreditGenerator::new(11);
     let mut inputs = HashMap::new();
-    inputs.insert("demographics".to_string(), gen.demographics(population));
-    inputs.insert("scores1".to_string(), gen.agency_scores(population));
-    inputs.insert("scores2".to_string(), gen.agency_scores(population));
+    inputs.insert(
+        "demographics".to_string(),
+        Table::from_rows(gen.demographics(population)),
+    );
+    inputs.insert(
+        "scores1".to_string(),
+        Table::from_rows(gen.agency_scores(population)),
+    );
+    inputs.insert(
+        "scores2".to_string(),
+        Table::from_rows(gen.agency_scores(population)),
+    );
     inputs
 }
 
@@ -43,7 +52,7 @@ fn real_end_to_end(c: &mut Criterion) {
                 b.iter(|| {
                     let mut driver =
                         Driver::new(ConclaveConfig::standard().with_sequential_local());
-                    driver.run(&hybrid_plan, inputs).unwrap()
+                    driver.run_tables(&hybrid_plan, inputs).unwrap()
                 })
             },
         );
@@ -55,7 +64,7 @@ fn real_end_to_end(c: &mut Criterion) {
     group.bench_function("sharemind_only_150", |b| {
         b.iter(|| {
             let mut driver = Driver::new(ConclaveConfig::mpc_only().with_sequential_local());
-            driver.run(&baseline_plan, &inputs).unwrap()
+            driver.run_tables(&baseline_plan, &inputs).unwrap()
         })
     });
     group.finish();

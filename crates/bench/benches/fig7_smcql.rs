@@ -10,6 +10,7 @@ use bench::figures::{fig7a, fig7b};
 use bench::queries;
 use conclave_core::{compile, ConclaveConfig, Driver};
 use conclave_data::HealthGenerator;
+use conclave_engine::Table;
 use conclave_smcql::queries as smcql_queries;
 use conclave_smcql::SmcqlPlanner;
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -38,14 +39,14 @@ fn real_queries(c: &mut Criterion) {
     // Conclave: compiled aspirin-count plan.
     let aspirin_plan = compile(&queries::aspirin_count(), &ConclaveConfig::standard()).unwrap();
     let mut aspirin_inputs = HashMap::new();
-    aspirin_inputs.insert("diagnoses1".to_string(), d0.clone());
-    aspirin_inputs.insert("diagnoses2".to_string(), d1.clone());
-    aspirin_inputs.insert("medications1".to_string(), m0.clone());
-    aspirin_inputs.insert("medications2".to_string(), m1.clone());
+    aspirin_inputs.insert("diagnoses1".to_string(), Table::from_rows(d0.clone()));
+    aspirin_inputs.insert("diagnoses2".to_string(), Table::from_rows(d1.clone()));
+    aspirin_inputs.insert("medications1".to_string(), Table::from_rows(m0.clone()));
+    aspirin_inputs.insert("medications2".to_string(), Table::from_rows(m1.clone()));
     group.bench_function("conclave_aspirin_400", |b| {
         b.iter(|| {
             let mut driver = Driver::new(ConclaveConfig::standard().with_sequential_local());
-            driver.run(&aspirin_plan, &aspirin_inputs).unwrap()
+            driver.run_tables(&aspirin_plan, &aspirin_inputs).unwrap()
         })
     });
     group.bench_function("smcql_aspirin_400", |b| {
@@ -58,12 +59,14 @@ fn real_queries(c: &mut Criterion) {
     // Comorbidity under both systems.
     let comorbidity_plan = compile(&queries::comorbidity(), &ConclaveConfig::standard()).unwrap();
     let mut comorbidity_inputs = HashMap::new();
-    comorbidity_inputs.insert("diagnoses1".to_string(), cd0.clone());
-    comorbidity_inputs.insert("diagnoses2".to_string(), cd1.clone());
+    comorbidity_inputs.insert("diagnoses1".to_string(), Table::from_rows(cd0.clone()));
+    comorbidity_inputs.insert("diagnoses2".to_string(), Table::from_rows(cd1.clone()));
     group.bench_function("conclave_comorbidity_400", |b| {
         b.iter(|| {
             let mut driver = Driver::new(ConclaveConfig::standard().with_sequential_local());
-            driver.run(&comorbidity_plan, &comorbidity_inputs).unwrap()
+            driver
+                .run_tables(&comorbidity_plan, &comorbidity_inputs)
+                .unwrap()
         })
     });
     group.bench_function("smcql_comorbidity_400", |b| {

@@ -45,7 +45,10 @@ impl PartyRuntime {
 /// Where the distributed party runtime's offline material (SPDZ MAC key
 /// shares, authenticated Beaver triples, binary triples, shared bits, daBits)
 /// comes from. Only meaningful when [`ConclaveConfig::party_runtime`] is
-/// distributed; the simulated engine models no offline phase.
+/// distributed; the simulated engine models no offline phase. The source
+/// feeds a party mesh for as long as its [`crate::driver::Driver`] lives:
+/// one run under [`crate::session::Session`], every run of a
+/// [`crate::session::PersistentSession`].
 #[derive(Debug, Clone, Default)]
 pub enum DealerMode {
     /// Every party runs the deterministic dealer in-process on the mesh seed
@@ -55,16 +58,20 @@ pub enum DealerMode {
     Seeded,
     /// Load pregenerated per-party `party-{i}.dealer` files from this
     /// directory, as written by the `conclave-dealer` binary
-    /// ([`conclave_mpc::dealer::write_party_files`]).
+    /// ([`conclave_mpc::dealer::write_party_files`]). Loaded once per mesh:
+    /// a mesh that serves several queries draws them all from that one
+    /// stock, so the files must be sized for all of them.
     File(std::path::PathBuf),
     /// Stream blocks on demand from a dealer endpoint over a dedicated
-    /// per-party link ([`conclave_mpc::dealer::serve_party`]); the dealer's
-    /// traffic is accounted separately in the run report.
+    /// per-party link ([`conclave_mpc::dealer::serve_party`]); each run's
+    /// traffic on those links, requests and blocks, is accounted separately
+    /// in its report ([`crate::report::RunReport::dealer_net`]).
     Streamed,
     /// Draw preloaded bundles from a shared, background-refilled
     /// [`MaterialPool`] — the serving-layer mode: the pool amortizes the
-    /// offline phase across queries (and tenants), and a long-lived mesh is
-    /// topped up with a fresh bundle per query.
+    /// offline phase across queries (and tenants). Every query on a mesh,
+    /// the first included, takes exactly one bundle, which replaces what
+    /// the previous query left unused.
     Pooled(MaterialPool),
 }
 

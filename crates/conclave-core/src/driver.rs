@@ -41,10 +41,8 @@ use std::time::Duration;
 pub enum DriverError {
     /// An input relation named by the query was not bound to data.
     MissingInput(String),
-    /// The SQL text passed to [`Driver::run_sql`] failed to parse or lower.
-    Sql(conclave_sql::SqlError),
-    /// The query lowered from SQL failed to compile under the driver's
-    /// configuration.
+    /// The plan failed the pre-execution re-verification for a reason other
+    /// than a leakage violation.
     Compile(crate::plan::CompileError),
     /// A cleartext engine error (typed; the source chain is preserved).
     Engine(EngineError),
@@ -71,7 +69,6 @@ impl fmt::Display for DriverError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             DriverError::MissingInput(n) => write!(f, "no data bound for input relation `{n}`"),
-            DriverError::Sql(e) => write!(f, "SQL frontend error: {e}"),
             DriverError::Compile(e) => write!(f, "compilation error: {e}"),
             DriverError::Engine(e) => write!(f, "cleartext engine error: {e}"),
             DriverError::Mpc(e) => write!(f, "MPC error: {e}"),
@@ -96,7 +93,6 @@ impl std::error::Error for DriverError {
             DriverError::Mpc(e) => Some(e),
             DriverError::Ir(e) => Some(e),
             DriverError::Transport(e) => Some(e),
-            DriverError::Sql(e) => Some(e),
             DriverError::Compile(e) => Some(e),
             DriverError::MissingInput(_) | DriverError::UnauthorizedReveal { .. } => None,
         }
@@ -122,6 +118,20 @@ impl From<IrError> for DriverError {
 }
 
 /// Executes compiled plans over bound input data.
+///
+/// In a distributed [`crate::config::PartyRuntime`] mode the driver **keeps
+/// its party mesh between runs**: the first MPC-bearing plan builds it, and
+/// every such plan — first included — is one
+/// [`begin_query`](party_exec::PartyMeshRuntime::begin_query) …
+/// [`end_query`](party_exec::PartyMeshRuntime::end_query) on it, so a driver
+/// run twice reuses one set of workers, sessions and MAC key
+/// ([`RunReport::mesh_builds`] 1, then 0; a [`crate::config::DealerMode::File`]
+/// stock is not reloaded, so it must cover every run) and each report carries
+/// only its own run's traffic. The mesh lives exactly as long as its owner:
+/// per-run isolation is [`crate::session::Session`], which builds a driver
+/// per run and drops it; [`crate::session::PersistentSession`] keeps its
+/// driver. A failed run drops the mesh, so a failed query can never leave
+/// stale shares or a desynchronized work queue behind.
 pub struct Driver {
     config: ConclaveConfig,
     mpc: MpcEngine,
@@ -130,12 +140,9 @@ pub struct Driver {
     /// Executor for STP/helper steps of hybrid protocols (always sequential:
     /// the trusted party runs them single-site).
     stp_exec: Box<dyn Executor + Send + Sync>,
-    /// When [`Driver::retain_mesh`] is on: the party mesh kept alive between
-    /// [`Driver::run_tables`] calls, so repeated queries reuse one set of
-    /// workers, sessions and MAC key (`mesh_builds` stays at 1). Errors drop
-    /// it — the next run starts from a clean mesh.
-    persistent_mesh: Option<party_exec::PartyMeshRuntime>,
-    retain_mesh: bool,
+    /// The party mesh, once a run has needed one. [`Driver::run_tables`]
+    /// takes it out while a plan runs and puts it back on success.
+    mesh: Option<party_exec::PartyMeshRuntime>,
 }
 
 impl Driver {
@@ -154,74 +161,24 @@ impl Driver {
             mpc,
             local_exec,
             stp_exec,
-            persistent_mesh: None,
-            retain_mesh: false,
+            mesh: None,
         }
     }
 
-    /// Keeps the distributed party mesh alive across [`Driver::run_tables`]
-    /// calls (the serving-layer mode): the first MPC-bearing plan builds the
-    /// mesh, later plans reuse its workers and sessions via
-    /// [`party_exec::PartyMeshRuntime::begin_query`]/`end_query`, and each
-    /// run's report carries only that query's traffic. Any run error discards
-    /// the mesh, so a failed query can never leave stale shares or a
-    /// desynchronized work queue behind.
-    pub fn retain_mesh(&mut self, keep: bool) {
-        self.retain_mesh = keep;
-        if !keep {
-            self.persistent_mesh = None;
-        }
-    }
-
-    /// Drops the retained party mesh (if any), joining its workers. The next
-    /// run builds a fresh one.
+    /// Drops the party mesh (if any), joining its workers. The next run
+    /// builds a fresh one.
     pub fn reset_mesh(&mut self) {
-        self.persistent_mesh = None;
+        self.mesh = None;
     }
 
-    /// Whether a retained party mesh is currently alive.
+    /// Whether a party mesh is currently alive from an earlier run.
     pub fn has_live_mesh(&self) -> bool {
-        self.persistent_mesh.is_some()
+        self.mesh.is_some()
     }
 
     /// The executor used for local cleartext steps.
     pub fn local_executor(&self) -> &dyn Executor {
         &*self.local_exec
-    }
-
-    /// Executes a plan over row-major relations. This is a thin shim over
-    /// [`Driver::run_tables`] kept for compatibility with the pre-`Table`
-    /// API: each relation is wrapped into a [`Table`] once and shared from
-    /// there.
-    pub fn run(
-        &mut self,
-        plan: &PhysicalPlan,
-        inputs: &HashMap<String, Relation>,
-    ) -> Result<RunReport, DriverError> {
-        let tables: HashMap<String, Table> = inputs
-            .iter()
-            .map(|(name, rel)| (name.clone(), Table::from_rows(rel.clone())))
-            .collect();
-        self.run_tables(plan, &tables)
-    }
-
-    /// Compiles and executes a self-contained SQL script (see `docs/SQL.md`)
-    /// in one call: the script's `CREATE TABLE` declarations must cover every
-    /// referenced relation, the SQL is lowered to an IR query, compiled under
-    /// this driver's configuration, and executed over `inputs`.
-    ///
-    /// Most callers should prefer [`crate::session::Session::run_sql`], which
-    /// additionally validates the declared schemas against the bound data;
-    /// this entry point exists for code already driving compiled plans by
-    /// hand.
-    pub fn run_sql(
-        &mut self,
-        sql: &str,
-        inputs: &HashMap<String, Table>,
-    ) -> Result<RunReport, DriverError> {
-        let query = conclave_sql::compile_sql(sql).map_err(|e| DriverError::Sql(e.located(sql)))?;
-        let plan = crate::plan::compile(&query, &self.config).map_err(DriverError::Compile)?;
-        self.run_tables(&plan, inputs)
     }
 
     /// Executes a plan. `inputs` binds every `input` relation name to a
@@ -258,20 +215,19 @@ impl Driver {
         let viewers = analysis::authorized_viewers(&plan.dag, &plan.parties)?;
         let order = plan.dag.topo_order()?;
 
-        // Distributed party runtime: one mesh and one set of party workers
-        // for the whole plan, created lazily at the first MPC step. Steps are
-        // enqueued without waiting; their intermediate results stay resident
-        // on the workers as shares and are opened only at reveal boundaries.
+        // Distributed party runtime: one mesh and one set of party workers,
+        // created lazily at the first MPC step of the first plan that has
+        // one. Steps are enqueued without waiting; their intermediate results
+        // stay resident on the workers as shares and are opened only at
+        // reveal boundaries.
         let distributed = self.config.party_runtime.is_distributed()
             && self.mpc.config().kind.is_secret_sharing();
-        // A retained mesh from an earlier run is taken (not borrowed): if
-        // this run errors out anywhere below, the mesh is dropped with it and
-        // the driver is back in a defined, mesh-less state.
-        let mut mesh_rt: Option<party_exec::PartyMeshRuntime> = self.persistent_mesh.take();
-        // Whether this plan actually opened a query on the mesh (built it
-        // fresh, or called `begin_query` on a reused one).
-        let mut query_started = false;
+        // The mesh is taken (not borrowed): if this run errors out anywhere
+        // below, the mesh is dropped with it and the driver is back in a
+        // defined, mesh-less state.
+        let mut mesh_rt: Option<party_exec::PartyMeshRuntime> = self.mesh.take();
         // Node → enqueued step id, for wiring resident inputs and reveals.
+        // Non-empty iff this plan opened a query on the mesh.
         let mut mpc_steps: HashMap<NodeId, u32> = HashMap::new();
         // Step id → index into `report.per_node` whose duration is patched
         // once the step's primitive counts arrive at finish.
@@ -292,25 +248,18 @@ impl Driver {
         for id in order {
             let node = plan.dag.node(id)?;
             if pipelined(node) {
-                match mesh_rt.as_mut() {
-                    None => {
-                        mesh_rt = Some(party_exec::PartyMeshRuntime::with_dealer(
-                            self.mpc.config().kind.parties(),
-                            self.config.mpc.seed,
-                            self.config.party_runtime,
-                            &self.config.dealer,
-                        )?);
-                        query_started = true;
-                    }
-                    Some(rt) if !query_started => {
-                        // Reusing a retained mesh: top up pooled material for
-                        // this query before the first step lands on it.
-                        rt.begin_query()?;
-                        query_started = true;
-                    }
-                    Some(_) => {}
+                let rt = match &mut mesh_rt {
+                    Some(rt) => rt,
+                    None => mesh_rt.insert(party_exec::PartyMeshRuntime::with_dealer(
+                        self.mpc.config().kind.parties(),
+                        self.config.mpc.seed,
+                        self.config.party_runtime,
+                        &self.config.dealer,
+                    )?),
+                };
+                if mpc_steps.is_empty() {
+                    rt.begin_query()?;
                 }
-                let rt = mesh_rt.as_mut().expect("just created");
                 let reveal = consumers.get(&id).is_none_or(|cs| {
                     cs.iter()
                         .any(|&c| plan.dag.node(c).map(|cn| !pipelined(cn)).unwrap_or(true))
@@ -489,22 +438,13 @@ impl Driver {
             tracked.push((result.clone(), result.conversion_counts()));
             results.insert(id, result);
         }
-        // Wind down the party mesh: flush in-flight opens, collect every
-        // step's primitive counts (patching the per-node duration
+        // End the query on the party mesh: flush in-flight opens, collect
+        // every step's primitive counts (patching the per-node duration
         // placeholders), and account the observed wire traffic exactly once.
+        // A plan that never touched the mesh puts it back as it found it.
         if let Some(mut rt) = mesh_rt {
-            if !query_started {
-                // The plan never touched the mesh (no pipelined MPC steps):
-                // stash the retained mesh back untouched.
-                self.persistent_mesh = Some(rt);
-            } else {
-                let summary = if self.retain_mesh {
-                    let summary = rt.end_query()?;
-                    self.persistent_mesh = Some(rt);
-                    summary
-                } else {
-                    rt.finish()?
-                };
+            if !mpc_steps.is_empty() {
+                let summary = rt.end_query()?;
                 for outcome in &summary.steps {
                     let stats = self.mpc.stats_from_counts(
                         outcome.counts,
@@ -522,6 +462,7 @@ impl Driver {
                 report.net_measured = true;
                 report.dealer_net = summary.dealer_net;
             }
+            self.mesh = Some(rt);
         }
         // Tally per-run conversions. Clones share one counter, so count each
         // distinct cache once, from its earliest baseline.
@@ -674,22 +615,23 @@ mod tests {
     use conclave_ir::trust::TrustSet;
     use conclave_ir::types::{DataType, Value};
 
-    fn market_inputs() -> HashMap<String, Relation> {
+    fn market_inputs() -> HashMap<String, Table> {
         let mut m = HashMap::new();
         m.insert(
             "inputA".to_string(),
             Relation::from_ints(
                 &["companyID", "price"],
                 &[vec![1, 10], vec![2, 0], vec![1, 5]],
-            ),
+            )
+            .into(),
         );
         m.insert(
             "inputB".to_string(),
-            Relation::from_ints(&["companyID", "price"], &[vec![2, 7], vec![3, 9]]),
+            Relation::from_ints(&["companyID", "price"], &[vec![2, 7], vec![3, 9]]).into(),
         );
         m.insert(
             "inputC".to_string(),
-            Relation::from_ints(&["companyID", "price"], &[vec![1, 3], vec![3, 4]]),
+            Relation::from_ints(&["companyID", "price"], &[vec![1, 3], vec![3, 4]]).into(),
         );
         m
     }
@@ -728,7 +670,7 @@ mod tests {
         ] {
             let plan = compile(&query, &config).unwrap();
             let mut driver = Driver::new(config);
-            let report = driver.run(&plan, &market_inputs()).unwrap();
+            let report = driver.run_tables(&plan, &market_inputs()).unwrap();
             let out = report.output_for(1).expect("party 1 receives the result");
             assert!(
                 out.same_rows_unordered(&expected_market_result()),
@@ -745,8 +687,8 @@ mod tests {
         let baseline_plan = compile(&query, &ConclaveConfig::mpc_only()).unwrap();
         let mut d1 = Driver::new(ConclaveConfig::standard().with_sequential_local());
         let mut d2 = Driver::new(ConclaveConfig::mpc_only().with_sequential_local());
-        let optimized = d1.run(&optimized_plan, &market_inputs()).unwrap();
-        let baseline = d2.run(&baseline_plan, &market_inputs()).unwrap();
+        let optimized = d1.run_tables(&optimized_plan, &market_inputs()).unwrap();
+        let baseline = d2.run_tables(&baseline_plan, &market_inputs()).unwrap();
         assert!(
             optimized.mpc_time < baseline.mpc_time,
             "optimized MPC time {:?} should be below baseline {:?}",
@@ -762,7 +704,7 @@ mod tests {
         let mut driver = Driver::new(ConclaveConfig::standard());
         let mut inputs = market_inputs();
         inputs.remove("inputB");
-        match driver.run(&plan, &inputs) {
+        match driver.run_tables(&plan, &inputs) {
             Err(DriverError::MissingInput(name)) => assert_eq!(name, "inputB"),
             other => panic!("expected MissingInput, got {other:?}"),
         }
@@ -791,22 +733,24 @@ mod tests {
         q.build().unwrap()
     }
 
-    fn credit_inputs() -> HashMap<String, Relation> {
+    fn credit_inputs() -> HashMap<String, Table> {
         let mut m = HashMap::new();
         m.insert(
             "demographics".to_string(),
             Relation::from_ints(
                 &["ssn", "zip"],
                 &[vec![1, 10], vec![2, 20], vec![3, 10], vec![4, 30]],
-            ),
+            )
+            .into(),
         );
         m.insert(
             "scores1".to_string(),
-            Relation::from_ints(&["ssn", "score"], &[vec![1, 700], vec![3, 650]]),
+            Relation::from_ints(&["ssn", "score"], &[vec![1, 700], vec![3, 650]]).into(),
         );
         m.insert(
             "scores2".to_string(),
-            Relation::from_ints(&["ssn", "score"], &[vec![2, 600], vec![3, 640], vec![9, 1]]),
+            Relation::from_ints(&["ssn", "score"], &[vec![2, 600], vec![3, 640], vec![9, 1]])
+                .into(),
         );
         m
     }
@@ -817,7 +761,7 @@ mod tests {
         let plan = compile(&query, &ConclaveConfig::standard()).unwrap();
         assert_eq!(plan.hybrid_node_count(), 2);
         let mut driver = Driver::new(ConclaveConfig::standard().with_sequential_local());
-        let report = driver.run(&plan, &credit_inputs()).unwrap();
+        let report = driver.run_tables(&plan, &credit_inputs()).unwrap();
         let out = report.output_for(1).unwrap();
         // zip 10: scores 700 + 650 + 640 = 1990; zip 20: 600.
         let expected = Relation::from_ints(&["zip", "total"], &[vec![10, 1990], vec![20, 600]]);
@@ -843,22 +787,22 @@ mod tests {
         let s2: Vec<Vec<i64>> = (0..30).map(|i| vec![i * 2 + 1, 600 + i]).collect();
         inputs.insert(
             "demographics".to_string(),
-            Relation::from_ints(&["ssn", "zip"], &demo),
+            Relation::from_ints(&["ssn", "zip"], &demo).into(),
         );
         inputs.insert(
             "scores1".to_string(),
-            Relation::from_ints(&["ssn", "score"], &s1),
+            Relation::from_ints(&["ssn", "score"], &s1).into(),
         );
         inputs.insert(
             "scores2".to_string(),
-            Relation::from_ints(&["ssn", "score"], &s2),
+            Relation::from_ints(&["ssn", "score"], &s2).into(),
         );
         let hybrid_plan = compile(&query, &ConclaveConfig::standard()).unwrap();
         let mpc_plan = compile(&query, &ConclaveConfig::mpc_only()).unwrap();
         let mut d1 = Driver::new(ConclaveConfig::standard().with_sequential_local());
         let mut d2 = Driver::new(ConclaveConfig::mpc_only().with_sequential_local());
-        let a = d1.run(&hybrid_plan, &inputs).unwrap();
-        let b = d2.run(&mpc_plan, &inputs).unwrap();
+        let a = d1.run_tables(&hybrid_plan, &inputs).unwrap();
+        let b = d2.run_tables(&mpc_plan, &inputs).unwrap();
         assert!(a
             .output_for(1)
             .unwrap()
@@ -888,7 +832,7 @@ mod tests {
             *stp = 2; // bank A is not trusted with the regulator's SSN column
         }
         let mut driver = Driver::new(ConclaveConfig::standard().with_sequential_local());
-        match driver.run(&plan, &credit_inputs()) {
+        match driver.run_tables(&plan, &credit_inputs()) {
             Err(DriverError::UnauthorizedReveal { to_party, .. }) => assert_eq!(to_party, 2),
             other => panic!("expected UnauthorizedReveal, got {other:?}"),
         }
@@ -902,7 +846,7 @@ mod tests {
         // Oracle: the default simulated in-process path.
         let plan = compile(&query, &ConclaveConfig::mpc_only()).unwrap();
         let mut oracle = Driver::new(ConclaveConfig::mpc_only().with_sequential_local());
-        let expected = oracle.run(&plan, &inputs).unwrap();
+        let expected = oracle.run_tables(&plan, &inputs).unwrap();
         assert!(!expected.net_measured);
         assert_eq!(expected.net.total_bytes(), 0);
         for runtime in [PartyRuntime::Channel, PartyRuntime::Tcp] {
@@ -911,7 +855,7 @@ mod tests {
                 .with_party_runtime(runtime);
             let plan = compile(&query, &config).unwrap();
             let mut driver = Driver::new(config);
-            let report = driver.run(&plan, &inputs).unwrap();
+            let report = driver.run_tables(&plan, &inputs).unwrap();
             let out = report.output_for(1).unwrap();
             assert!(
                 out.same_rows_unordered(expected.output_for(1).unwrap()),
@@ -943,13 +887,13 @@ mod tests {
         let mut inputs = HashMap::new();
         inputs.insert(
             "a".to_string(),
-            Relation::from_ints(&["k", "v"], &[vec![1, 2]]),
+            Relation::from_ints(&["k", "v"], &[vec![1, 2]]).into(),
         );
         inputs.insert(
             "b".to_string(),
-            Relation::from_ints(&["k", "v"], &[vec![1, 3]]),
+            Relation::from_ints(&["k", "v"], &[vec![1, 3]]).into(),
         );
-        let report = driver.run(&plan, &inputs).unwrap();
+        let report = driver.run_tables(&plan, &inputs).unwrap();
         assert!(report.output_for(1).is_some());
         assert!(report.output_for(2).is_some());
         assert_eq!(

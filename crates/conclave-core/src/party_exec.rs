@@ -1,37 +1,61 @@
-//! Distributed execution of MPC plan steps: a query-lifetime party mesh.
+//! Distributed execution of MPC plan steps: a party mesh with **one** query
+//! lifecycle.
 //!
 //! When [`crate::config::ConclaveConfig::party_runtime`] selects a
 //! distributed mode, the driver routes the plan's secret-sharing MPC steps
-//! into a [`PartyMeshRuntime`]:
+//! into a [`PartyMeshRuntime`]. [`PartyMeshRuntime::with_dealer`] builds
+//! **one** transport mesh ([`Mesh::channel`] or a localhost
+//! [`Mesh::tcp_localhost`], per the configured [`PartyRuntime`]) and spawns
+//! one worker thread per computing party, each owning a mesh-lifetime
+//! [`PartySession`] (MAC key share, offline stock, dealer feed) that holds
+//! **only that party's shares**. Every query on the mesh — the only query of
+//! a one-shot run exactly like the hundredth of a serving tenant — then goes
+//! through the same three calls, and the mesh ends with the fourth:
 //!
-//! 1. **one** transport mesh ([`Mesh::channel`] or a localhost
-//!    [`Mesh::tcp_localhost`], per the configured [`PartyRuntime`]) is built
-//!    for the whole query — `NetStats::mesh_builds` stays at 1 however many
-//!    steps the plan has;
-//! 2. one worker thread per computing party is spawned **once**, each owning
-//!    a session-lifetime [`PartySession`] (dealer streams, triple cache) that
-//!    holds **only that party's shares**;
-//! 3. the driver feeds plan steps over a work queue. Intermediate relations
-//!    stay **resident** on the workers as shares between steps — they are
-//!    re-used by reference, not re-shared — and results are opened only at
-//!    *reveal boundaries* (steps whose output leaves the MPC pipeline);
-//! 4. opens are split-phase ([`begin_open_relation`] /
-//!    [`finish_open_relation`]): the broadcast goes out as soon as a step
-//!    finishes, but the peer shares are collected only once the work queue
-//!    drains, so a worker accepts the next step's inputs while the previous
-//!    step's final open is still in flight;
-//! 5. at every reveal the driver verifies that all parties opened the
-//!    *identical* relation (a built-in consistency check of the share
-//!    arithmetic), and [`PartyMeshRuntime::finish`] merges the per-endpoint
-//!    [`NetStats`] into one measured per-link byte/round picture for
-//!    [`crate::report::RunReport::net`].
+//! 1. [`PartyMeshRuntime::begin_query`] readies the sessions' offline
+//!    material: under [`DealerMode::Pooled`] it draws exactly one bundle from
+//!    the pool and hands every worker its block (the first query's bundle
+//!    included — construction takes none); under the other modes the feeds
+//!    are query-unbounded and it does nothing.
+//! 2. [`PartyMeshRuntime::enqueue`] feeds plan steps over the work queues
+//!    without waiting. Intermediate relations stay **resident** on the
+//!    workers as shares between steps — re-used by reference, not re-shared —
+//!    and results are opened only at *reveal boundaries* (steps whose output
+//!    leaves the MPC pipeline). Opens are split-phase
+//!    ([`begin_open_relation`] / [`finish_open_relation`]): the broadcast
+//!    goes out as soon as a step finishes, but the peer shares are collected
+//!    only once the work queue drains, so a worker accepts the next step's
+//!    inputs while the previous step's final open is still in flight.
+//!    [`PartyMeshRuntime::wait_opened`] blocks on one reveal and verifies
+//!    that all parties opened the *identical* relation (a built-in
+//!    consistency check of the share arithmetic).
+//! 3. [`PartyMeshRuntime::end_query`] flushes every in-flight open, drains
+//!    this query's step outcomes, drops the workers' resident relations and
+//!    assembles the query's [`MeshSummary`] — the one place one is built.
+//!    The workers report *cumulative* endpoint counters and the runtime
+//!    subtracts the previous query's, so a summary covers exactly one
+//!    query's traffic: `mesh_builds` is 1 for the first query on a mesh and
+//!    0 for every later one, and [`MeshSummary::dealer_net`] carries both
+//!    directions of the offline links. The mesh — threads, sessions, MAC key
+//!    — is ready for the next `begin_query`.
+//! 4. [`PartyMeshRuntime::finish`] is `end_query` followed by the teardown:
+//!    the work senders are dropped (which ends each worker's loop after a
+//!    last flush), every worker and dealer-server thread is joined, and a
+//!    dealer server's protocol error is returned. `Drop` runs the same
+//!    teardown and ignores that error, so no thread outlives the runtime on
+//!    any path.
+//!
+//! An error from any of these calls leaves the work queues in an unknown
+//! state, so the mesh is not reusable after one: the [`crate::driver::Driver`]
+//! holds its mesh by value while a plan runs and drops it with the failed
+//! run, and the next run builds a fresh one.
 //!
 //! Comparison-bearing steps (sorts, joins, filters) run the bit-decomposed
 //! circuits of [`conclave_mpc::circuits`], so their [`StepOutcome::counts`]
 //! additionally report `bit_ands` (binary Beaver AND gates) and
 //! `circuit_rounds` (masked-open / gate-level synchronous rounds); both are
-//! batch-size-dependent only, so the cross-party equality check in step 5
-//! covers them too.
+//! batch-size-dependent only, so the cross-party equality check on every
+//! step's outcome covers them too.
 //!
 //! The in-process [`conclave_mpc::Protocol`] engine remains the default; both
 //! engines run the one generic operator stack of [`conclave_mpc::operators`],
@@ -106,18 +130,19 @@ pub struct StepOutcome {
     pub opened: Option<Relation>,
 }
 
-/// Everything a finished query measured: per-step outcomes plus the merged
-/// observed traffic of the whole mesh.
+/// Everything one query measured: per-step outcomes plus the merged observed
+/// traffic of the whole mesh. Assembled by [`PartyMeshRuntime::end_query`].
 #[derive(Debug)]
 pub struct MeshSummary {
     /// Outcomes ordered by step id.
     pub steps: Vec<StepOutcome>,
     /// Per-link bytes/messages, synchronous rounds, and mesh builds.
     pub net: NetStats,
-    /// Traffic on the dedicated per-party dealer links (the offline phase),
-    /// present only under [`DealerMode::Streamed`]. Link keys use
-    /// [`DEALER_ID`] for the dealer endpoint; this traffic is accounted
-    /// separately from the online mesh in [`MeshSummary::net`].
+    /// Traffic on the dedicated per-party dealer links (the offline phase:
+    /// block requests out, blocks back), present only under
+    /// [`DealerMode::Streamed`]. Link keys use [`DEALER_ID`] for the dealer
+    /// endpoint; this traffic is accounted separately from the online mesh
+    /// in [`MeshSummary::net`].
     pub dealer_net: Option<NetStats>,
 }
 
@@ -141,24 +166,26 @@ enum WorkerInput {
     Resident(u32),
 }
 
+/// What the runtime sends a worker. There is no shutdown message: dropping
+/// the sender ends the worker's loop.
 enum WorkMsg {
     Step(Box<StepSpec>),
-    /// Ends the current query on a long-lived mesh: flush deferred opens,
-    /// drop resident relations, acknowledge with cumulative endpoint stats.
-    /// The worker (and its session, MAC key, dealer feed) stays alive for
-    /// the next query.
+    /// Ends the current query: flush deferred opens, drop resident
+    /// relations, acknowledge with cumulative endpoint stats. The worker
+    /// (and its session, MAC key, dealer feed) stays alive for the next
+    /// query.
     EndQuery,
-    /// Replaces the session's preloaded stock with a fresh pool bundle
-    /// (dealt under the same MAC key) before the next query runs.
+    /// Replaces the session's preloaded stock with this query's pool bundle
+    /// (dealt under the same MAC key).
     Refill(Box<MaterialBlocks>),
-    Finish,
 }
 
 enum WorkerReply {
     Step(u32, Result<StepOutcome, PartyError>),
-    /// Acknowledges [`WorkMsg::EndQuery`]: this endpoint's *cumulative* mesh
-    /// stats (the runtime turns them into per-query deltas) plus, in
-    /// streamed-dealer mode, the cumulative dealer-link stats.
+    /// Acknowledges [`WorkMsg::EndQuery`] — the only way stats leave a
+    /// worker: this endpoint's *cumulative* mesh stats (the runtime turns
+    /// them into per-query deltas) plus, in streamed-dealer mode, the
+    /// cumulative dealer-link stats.
     QueryEnd {
         net: NetStats,
         dealer: Option<NetStats>,
@@ -173,23 +200,20 @@ type DealerFeed = Box<dyn FnOnce() -> PartyResult<DealerSource> + Send>;
 struct WorkerHandle {
     work: Sender<WorkMsg>,
     replies: Receiver<WorkerReply>,
-    join: Option<JoinHandle<(NetStats, Option<NetStats>)>>,
+    join: JoinHandle<()>,
 }
 
-/// A streamed-mode dealer server thread: yields whether serving succeeded
-/// and the traffic observed on the dealer's end of the link.
-type DealerServerHandle = JoinHandle<(Result<(), PartyError>, NetStats)>;
-
-/// The query-lifetime distributed runtime: one mesh, one worker thread and
-/// one [`PartySession`] per party, a pipelined work queue of plan steps.
-/// Under a non-seeded [`DealerMode`] the offline phase runs first: per-party
-/// dealer files are loaded, or a dealer server thread per party streams
-/// blocks over a dedicated link for the lifetime of the query.
+/// The distributed runtime: one mesh, one worker thread and one
+/// [`PartySession`] per party, a pipelined work queue of plan steps, any
+/// number of queries (see the module docs for the lifecycle). Under a
+/// non-seeded [`DealerMode`] the offline phase runs first: per-party dealer
+/// files are loaded, or a dealer server thread per party streams blocks over
+/// a dedicated link for the lifetime of the mesh.
 pub struct PartyMeshRuntime {
     workers: Vec<WorkerHandle>,
     /// In-process dealer servers (streamed mode), one per party, joined at
-    /// [`PartyMeshRuntime::finish`] once the workers drop their link ends.
-    dealer_servers: Vec<(u32, DealerServerHandle)>,
+    /// teardown once the workers drop their link ends.
+    dealer_servers: Vec<JoinHandle<PartyResult<()>>>,
     next_step: u32,
     /// Replies received out of order, per worker, keyed by step.
     buffered: Vec<HashMap<u32, StepOutcome>>,
@@ -199,7 +223,7 @@ pub struct PartyMeshRuntime {
     /// [`PartyMeshRuntime::begin_query`] draws one fresh bundle from it.
     pool: Option<MaterialPool>,
     /// First step id of the current query (step ids keep counting across
-    /// queries on a long-lived mesh).
+    /// the queries of a mesh).
     query_start: u32,
     /// Per-worker cumulative-stats baselines as of the last
     /// [`PartyMeshRuntime::end_query`], for per-query delta attribution.
@@ -209,13 +233,8 @@ pub struct PartyMeshRuntime {
 }
 
 impl PartyMeshRuntime {
-    /// Builds the mesh (once) and spawns the per-party workers (once),
-    /// synthesizing offline material from the seed ([`DealerMode::Seeded`]).
-    pub fn new(parties: u32, seed: u64, runtime: PartyRuntime) -> Result<Self, DriverError> {
-        Self::with_dealer(parties, seed, runtime, &DealerMode::Seeded)
-    }
-
-    /// Builds the mesh and workers with an explicit offline-material source.
+    /// Builds the mesh (once) and spawns the per-party workers (once), each
+    /// drawing offline material from `dealer`.
     pub fn with_dealer(
         parties: u32,
         seed: u64,
@@ -232,20 +251,14 @@ impl PartyMeshRuntime {
             PartyRuntime::Tcp => Mesh::tcp_localhost(parties).map_err(DriverError::Transport)?,
         };
         let mut dealer_servers = Vec::new();
-        // Pooled mode draws the first bundle up front (blocking until the
-        // refiller has one ready — a starved pool delays, never corrupts).
-        let mut pool_bundle = match dealer {
-            DealerMode::Pooled(pool) => {
-                if pool.parties() != parties as usize {
-                    return Err(DriverError::Mpc(MpcError::Exec(format!(
-                        "dealer pool deals for {} parties, but the mesh has {parties}",
-                        pool.parties()
-                    ))));
-                }
-                Some(pool.take())
+        if let DealerMode::Pooled(pool) = dealer {
+            if pool.parties() != parties as usize {
+                return Err(DriverError::Mpc(MpcError::Exec(format!(
+                    "dealer pool deals for {} parties, but the mesh has {parties}",
+                    pool.parties()
+                ))));
             }
-            _ => None,
-        };
+        }
         let workers: Vec<WorkerHandle> = mesh
             .into_endpoints()
             .into_iter()
@@ -259,12 +272,11 @@ impl PartyMeshRuntime {
                             load_party_file(&path).map(|b| DealerSource::Preloaded(Box::new(b)))
                         })
                     }
-                    // Preload this party's block of the pool bundle; later
-                    // queries on the mesh are topped up via `WorkMsg::Refill`.
-                    DealerMode::Pooled(_) => {
-                        let bundle = pool_bundle.as_mut().expect("bundle taken above");
-                        let blocks = Box::new(std::mem::take(&mut bundle[i]));
-                        Box::new(move || Ok(DealerSource::Preloaded(blocks)))
+                    // An empty stock under the pool's MAC key: every query's
+                    // bundle, the first included, arrives via `begin_query`.
+                    DealerMode::Pooled(pool) => {
+                        let stock = MaterialBlocks::empty(i, parties as usize, pool.alpha_share(i));
+                        Box::new(move || Ok(DealerSource::Preloaded(Box::new(stock))))
                     }
                     DealerMode::Streamed => {
                         // One dedicated 2-endpoint link per party: the party
@@ -274,14 +286,9 @@ impl PartyMeshRuntime {
                         let link: Box<dyn Transport> =
                             Box::new(ends.next().expect("two endpoints"));
                         let dealer_end = ends.next().expect("two endpoints");
-                        let party = i as u32;
-                        dealer_servers.push((
-                            party,
-                            std::thread::spawn(move || {
-                                let served = serve_party(&dealer_end, party, parties, seed);
-                                (served, dealer_end.stats())
-                            }),
-                        ));
+                        dealer_servers.push(std::thread::spawn(move || {
+                            serve_party(&dealer_end, i as u32, parties, seed)
+                        }));
                         Box::new(move || Ok(DealerSource::Streamed { link, dealer: 1 }))
                     }
                 };
@@ -292,7 +299,7 @@ impl PartyMeshRuntime {
                 WorkerHandle {
                     work: work_tx,
                     replies: reply_rx,
-                    join: Some(join),
+                    join,
                 }
             })
             .collect();
@@ -335,7 +342,7 @@ impl PartyMeshRuntime {
         let step = self.next_step;
         self.next_step += 1;
         let parties = self.parties();
-        for (w, worker) in self.workers.iter().enumerate() {
+        self.send_all(|w| {
             let spec_inputs: Vec<WorkerInput> = inputs
                 .iter()
                 .enumerate()
@@ -352,21 +359,25 @@ impl PartyMeshRuntime {
                     StepInput::Resident(s) => WorkerInput::Resident(*s),
                 })
                 .collect();
-            let spec = StepSpec {
+            WorkMsg::Step(Box::new(StepSpec {
                 step,
                 op: op.clone(),
                 inputs: spec_inputs,
                 presorted,
                 reveal,
-            };
-            worker
-                .work
-                .send(WorkMsg::Step(Box::new(spec)))
-                .map_err(|_| {
-                    DriverError::Mpc(MpcError::Exec(format!("party worker {w} exited early")))
-                })?;
-        }
+            }))
+        })?;
         Ok(step)
+    }
+
+    /// Sends every worker `w` its `msg(w)`.
+    fn send_all(&self, mut msg: impl FnMut(usize) -> WorkMsg) -> Result<(), DriverError> {
+        for (w, worker) in self.workers.iter().enumerate() {
+            worker.work.send(msg(w)).map_err(|_| {
+                DriverError::Mpc(MpcError::Exec(format!("party worker {w} exited early")))
+            })?;
+        }
+        Ok(())
     }
 
     /// Blocks until every party has opened step `step`, cross-checks that
@@ -380,24 +391,18 @@ impl PartyMeshRuntime {
         })
     }
 
-    /// Prepares a long-lived mesh for its next query: in pooled-dealer mode,
-    /// draws one fresh bundle from the pool (blocking if the refiller lags)
-    /// and hands it to every worker's session. A no-op under other dealer modes
-    /// — their feeds are query-unbounded by construction.
+    /// Opens a query on the mesh — every query's first call, the first
+    /// query's included. In pooled-dealer mode it draws the query's one
+    /// bundle from the pool (blocking until the refiller has one ready — a
+    /// starved pool delays, never corrupts) and hands every worker's session
+    /// its block. A no-op under the other dealer modes — their feeds are
+    /// query-unbounded by construction.
     pub fn begin_query(&mut self) -> Result<(), DriverError> {
-        let Some(pool) = self.pool.clone() else {
+        let Some(pool) = &self.pool else {
             return Ok(());
         };
         let mut bundle = pool.take();
-        for (i, w) in self.workers.iter().enumerate() {
-            let blocks = std::mem::take(&mut bundle[i]);
-            w.work
-                .send(WorkMsg::Refill(Box::new(blocks)))
-                .map_err(|_| {
-                    DriverError::Mpc(MpcError::Exec(format!("party worker {i} exited early")))
-                })?;
-        }
-        Ok(())
+        self.send_all(|w| WorkMsg::Refill(Box::new(std::mem::take(&mut bundle[w]))))
     }
 
     /// Ends the current query **without** tearing down the mesh: flushes all
@@ -407,18 +412,20 @@ impl PartyMeshRuntime {
     /// first query on a mesh and 0 for every later one). The workers, their
     /// sessions and the MAC key survive for the next query.
     pub fn end_query(&mut self) -> Result<MeshSummary, DriverError> {
-        for (i, w) in self.workers.iter().enumerate() {
-            w.work.send(WorkMsg::EndQuery).map_err(|_| {
-                DriverError::Mpc(MpcError::Exec(format!("party worker {i} exited early")))
-            })?;
-        }
+        self.send_all(|_| WorkMsg::EndQuery)?;
         for step in self.query_start..self.next_step {
             self.collect_step(step)?;
         }
         let mut mesh_stats = Vec::new();
         let mut dealer_net: Option<NetStats> = None;
-        for w in 0..self.workers.len() {
-            let (net, dealer) = self.take_query_end(w)?;
+        for (w, worker) in self.workers.iter().enumerate() {
+            // Every step reply of the query was collected above, so the
+            // acknowledgement is the next thing on the reply queue.
+            let Ok(WorkerReply::QueryEnd { net, dealer }) = worker.replies.recv() else {
+                return Err(DriverError::Mpc(MpcError::Exec(format!(
+                    "party worker {w} exited before acknowledging query end"
+                ))));
+            };
             mesh_stats.push(net.since(&self.net_base[w]));
             self.net_base[w] = net;
             if let Some(d) = dealer {
@@ -440,78 +447,36 @@ impl PartyMeshRuntime {
         })
     }
 
-    /// Receives worker `w`'s [`WorkerReply::QueryEnd`] acknowledgement,
-    /// buffering any step replies that are still in flight ahead of it.
-    fn take_query_end(&mut self, w: usize) -> Result<(NetStats, Option<NetStats>), DriverError> {
-        loop {
-            match self.workers[w].replies.recv() {
-                Ok(WorkerReply::QueryEnd { net, dealer }) => return Ok((net, dealer)),
-                Ok(WorkerReply::Step(s, Ok(outcome))) => {
-                    self.buffered[w].insert(s, outcome);
-                }
-                Ok(WorkerReply::Step(_, Err(e))) => return Err(party_to_driver_error(e)),
-                Err(_) => {
-                    return Err(DriverError::Mpc(MpcError::Exec(format!(
-                        "party worker {w} exited before acknowledging query end"
-                    ))))
-                }
-            }
-        }
+    /// Ends the mesh's last query and tears the mesh down: [`end_query`]
+    /// followed by the teardown `Drop` runs, except that a dealer server's
+    /// failure is returned instead of ignored.
+    ///
+    /// [`end_query`]: PartyMeshRuntime::end_query
+    pub fn finish(mut self) -> Result<MeshSummary, DriverError> {
+        let summary = self.end_query()?;
+        self.teardown()?;
+        Ok(summary)
     }
 
-    /// Flushes all in-flight opens, drains every outstanding step outcome,
-    /// joins the workers, and returns the per-step outcomes together with
-    /// the merged measured traffic (since the last
-    /// [`PartyMeshRuntime::end_query`], if any was run).
-    pub fn finish(mut self) -> Result<MeshSummary, DriverError> {
-        for w in &self.workers {
-            let _ = w.work.send(WorkMsg::Finish);
+    /// Ends and joins every thread of the mesh. Dropping the work senders
+    /// ends each worker's loop once its queue is drained: all workers
+    /// received identical queues, so their remaining collective steps stay
+    /// aligned and terminate, and transport timeouts bound the wait if a
+    /// peer died. The dealer servers return once their party's worker (the
+    /// link owner) is gone; the first one that failed to serve is reported.
+    fn teardown(&mut self) -> Result<(), DriverError> {
+        let joins: Vec<JoinHandle<()>> = self.workers.drain(..).map(|w| w.join).collect();
+        for join in joins {
+            // A worker that panicked already surfaced as "exited early".
+            let _ = join.join();
         }
-        let mut first_err = None;
-        for step in self.query_start..self.next_step {
-            if let Err(e) = self.collect_step(step) {
-                first_err = Some(e);
-                break;
+        let mut served = Ok(());
+        for server in self.dealer_servers.drain(..) {
+            if let Ok(Err(e)) = server.join() {
+                served = served.and(Err(party_to_driver_error(e)));
             }
         }
-        // Join every worker even on error, so no thread outlives the query.
-        let mut mesh_stats = Vec::new();
-        let mut dealer_net: Option<NetStats> = None;
-        for (i, w) in self.workers.iter_mut().enumerate() {
-            if let Some(j) = w.join.take() {
-                let (net, dealer) = j.join().expect("party worker panicked");
-                // Baselines are empty unless `end_query` ran: a one-shot mesh
-                // reports its full traffic, a long-lived one only the
-                // residual since its last per-query summary.
-                mesh_stats.push(net.since(&self.net_base[i]));
-                if let Some(d) = dealer {
-                    dealer_net
-                        .get_or_insert_with(NetStats::default)
-                        .merge(&remap_dealer_stats(i as u32, d.since(&self.dealer_base[i])));
-                }
-            }
-        }
-        // The workers dropped their link ends above, so the dealer servers
-        // have observed the disconnect and returned.
-        for (party, j) in self.dealer_servers.drain(..) {
-            let (served, stats) = j.join().expect("dealer server panicked");
-            if let Err(e) = served {
-                if first_err.is_none() {
-                    first_err = Some(party_to_driver_error(e));
-                }
-            }
-            dealer_net
-                .get_or_insert_with(NetStats::default)
-                .merge(&remap_dealer_stats(party, stats));
-        }
-        if let Some(e) = first_err {
-            return Err(e);
-        }
-        Ok(MeshSummary {
-            steps: std::mem::take(&mut self.completed).into_values().collect(),
-            net: merge_mesh_stats(mesh_stats),
-            dealer_net,
-        })
+        served
     }
 
     /// Ensures step `step`'s outcome has been received from every worker and
@@ -574,22 +539,9 @@ impl PartyMeshRuntime {
 
 impl Drop for PartyMeshRuntime {
     fn drop(&mut self) {
-        // On early teardown (driver error paths): ask every worker to flush
-        // and exit, then wait for it. All workers received identical work
-        // queues, so their remaining collective steps stay aligned and
-        // terminate; transport timeouts bound the wait if a peer died.
-        for w in &self.workers {
-            let _ = w.work.send(WorkMsg::Finish);
-        }
-        for w in &mut self.workers {
-            if let Some(j) = w.join.take() {
-                let _ = j.join();
-            }
-        }
-        // Dealer servers exit once their party's worker (link owner) is gone.
-        for (_, j) in self.dealer_servers.drain(..) {
-            let _ = j.join();
-        }
+        // A no-op after `finish`; on every other path (driver errors, a
+        // serving tenant going away) no thread outlives the runtime.
+        let _ = self.teardown();
     }
 }
 
@@ -618,51 +570,31 @@ struct DeferredOpen {
     pending: PendingOpen,
 }
 
-/// The per-party worker: one [`PartySession`] for the whole query, resident
-/// shares between steps, deferred opens flushed when the queue runs dry.
-/// Returns the online mesh stats plus, in streamed-dealer mode, this
-/// endpoint's request traffic on its dedicated dealer link.
+/// The per-party worker: one [`PartySession`] for the life of the mesh,
+/// resident shares between a query's steps, deferred opens flushed when the
+/// queue runs dry. Runs until the runtime drops the work sender.
 fn worker_main(
     net: Box<dyn Transport>,
     seed: u64,
     dealer: DealerFeed,
     work: Receiver<WorkMsg>,
     replies: Sender<WorkerReply>,
-) -> (NetStats, Option<NetStats>) {
-    let mut sess = match dealer().and_then(|s| PartySession::with_dealer(&*net, seed, s)) {
-        Ok(sess) => sess,
-        Err(e) => {
-            // The offline phase failed (unreadable file, dead dealer): fail
-            // every queued step so the driver surfaces it, then exit.
-            let msg = format!("offline phase failed: {e}");
-            while let Ok(m) = work.recv() {
-                match m {
-                    WorkMsg::Finish => break,
-                    WorkMsg::Step(spec) => {
-                        let _ = replies.send(WorkerReply::Step(
-                            spec.step,
-                            Err(PartyError::Proto(msg.clone())),
-                        ));
-                    }
-                    WorkMsg::EndQuery => {
-                        let _ = replies.send(WorkerReply::QueryEnd {
-                            net: net.stats(),
-                            dealer: None,
-                        });
-                    }
-                    WorkMsg::Refill(_) => {}
-                }
-            }
-            return (net.stats(), None);
-        }
-    };
+) {
+    // The one poison state. A failed offline phase (unreadable file, dead
+    // dealer) or a failed refill (wrong mesh, foreign MAC key) leaves the
+    // worker answering messages but unable to run what the driver expects:
+    // every subsequent step fails with the stored reason until the mesh is
+    // torn down. The seeded session standing in after a failed offline phase
+    // never executes a step; it is there so the loop below is the only one.
+    let mut poisoned: Option<String> = None;
+    let mut sess = dealer()
+        .and_then(|source| PartySession::with_dealer(&*net, seed, source))
+        .unwrap_or_else(|e| {
+            poisoned = Some(format!("offline phase failed: {e}"));
+            PartySession::new(&*net, seed)
+        });
     let mut resident: HashMap<u32, PartyRelation> = HashMap::new();
     let mut deferred: Vec<DeferredOpen> = Vec::new();
-    // A failed refill (wrong mesh, foreign MAC key) poisons the worker: the
-    // material in the session is still sound, but the driver's expectation
-    // ("this query was topped up") is not, so every subsequent step fails
-    // with the stored reason until the mesh is torn down.
-    let mut refill_err: Option<String> = None;
     loop {
         // Pipelining: only collect in-flight opens once no further step is
         // queued — the next step's protocol rounds take priority.
@@ -678,7 +610,6 @@ fn worker_main(
             Err(TryRecvError::Disconnected) => break,
         };
         match msg {
-            WorkMsg::Finish => break,
             WorkMsg::EndQuery => {
                 flush_opens(&mut sess, &mut deferred, &replies);
                 resident.clear();
@@ -689,12 +620,12 @@ fn worker_main(
             }
             WorkMsg::Refill(blocks) => {
                 if let Err(e) = sess.refill(*blocks) {
-                    refill_err = Some(format!("dealer refill failed: {e}"));
+                    poisoned.get_or_insert(format!("dealer refill failed: {e}"));
                 }
             }
             WorkMsg::Step(spec) => {
                 let step = spec.step;
-                if let Some(msg) = &refill_err {
+                if let Some(msg) = &poisoned {
                     let _ =
                         replies.send(WorkerReply::Step(step, Err(PartyError::Proto(msg.clone()))));
                     continue;
@@ -728,8 +659,6 @@ fn worker_main(
         }
     }
     flush_opens(&mut sess, &mut deferred, &replies);
-    let dealer_net = sess.dealer_stats();
-    (net.stats(), dealer_net)
 }
 
 /// Shares fresh inputs, resolves resident ones, executes the operator, and —
@@ -848,7 +777,8 @@ pub fn execute_op_distributed(
     runtime: PartyRuntime,
     presorted_aggregate: bool,
 ) -> Result<DistributedOutcome, DriverError> {
-    let mut rt = PartyMeshRuntime::new(parties, seed, runtime)?;
+    let mut rt = PartyMeshRuntime::with_dealer(parties, seed, runtime, &DealerMode::Seeded)?;
+    rt.begin_query()?;
     let step_inputs: Vec<StepInput> = inputs
         .iter()
         .map(|t| StepInput::Table(t.as_rows().clone()))
@@ -1050,22 +980,36 @@ mod tests {
         let dir = std::env::temp_dir().join("conclave-no-such-dealer-dir");
         let table = sales_table();
         let op = Operator::Shuffle;
-        let mut rt =
-            PartyMeshRuntime::with_dealer(3, 42, PartyRuntime::Channel, &DealerMode::File(dir))
-                .unwrap();
-        let step = rt
-            .enqueue(
-                &op,
-                vec![StepInput::Table(table.as_rows().clone())],
-                false,
-                true,
+        // The failure reaches the caller through whichever call collects the
+        // step first: the reveal, or — the retained-mesh wind-down — the
+        // query's end. Neither hangs: poisoned workers still acknowledge.
+        for via_end_query in [false, true] {
+            let mut rt = PartyMeshRuntime::with_dealer(
+                3,
+                42,
+                PartyRuntime::Channel,
+                &DealerMode::File(dir.clone()),
             )
             .unwrap();
-        let err = rt.wait_opened(step).unwrap_err();
-        assert!(
-            format!("{err:?}").contains("offline phase failed"),
-            "got {err:?}"
-        );
+            rt.begin_query().unwrap();
+            let step = rt
+                .enqueue(
+                    &op,
+                    vec![StepInput::Table(table.as_rows().clone())],
+                    false,
+                    true,
+                )
+                .unwrap();
+            let err = if via_end_query {
+                rt.end_query().unwrap_err()
+            } else {
+                rt.wait_opened(step).unwrap_err()
+            };
+            assert!(
+                format!("{err:?}").contains("offline phase failed"),
+                "got {err:?}"
+            );
+        }
     }
 
     #[test]
@@ -1097,11 +1041,9 @@ mod tests {
         .unwrap();
         let mut mesh_builds = 0;
         for q in 0..3 {
-            if q > 0 {
-                // Later queries top the long-lived sessions up with a fresh
-                // bundle (same MAC key) instead of rebuilding anything.
-                rt.begin_query().unwrap();
-            }
+            // Every query, the first included, hands the long-lived sessions
+            // one fresh bundle (same MAC key) instead of rebuilding anything.
+            rt.begin_query().unwrap();
             let step = rt
                 .enqueue(
                     &op,
@@ -1122,7 +1064,7 @@ mod tests {
         }
         assert_eq!(mesh_builds, 1, "one mesh for all queries, not one each");
         drop(rt);
-        assert!(pool.stats().taken >= 3, "one bundle per query");
+        assert_eq!(pool.stats().taken, 3, "exactly one bundle per query");
     }
 
     #[test]
@@ -1143,7 +1085,9 @@ mod tests {
         let (sorted, _) = oracle.execute_op(&filter_op, &[table.as_rows()]).unwrap();
         let (expected, _) = oracle.execute_op(&agg_op, &[&sorted]).unwrap();
 
-        let mut rt = PartyMeshRuntime::new(3, 11, PartyRuntime::Channel).unwrap();
+        let mut rt =
+            PartyMeshRuntime::with_dealer(3, 11, PartyRuntime::Channel, &DealerMode::Seeded)
+                .unwrap();
         let s0 = rt
             .enqueue(
                 &filter_op,

@@ -254,18 +254,29 @@ impl Session {
     /// assert!(out.same_rows_unordered(&expected));
     /// ```
     pub fn run_sql(&self, sql: &str) -> Result<RunReport, SessionError> {
+        self.run_sql_with(sql, |plan| self.run_plan(plan))
+    }
+
+    /// The one body of `run_sql`, here and on [`PersistentSession`]: parse,
+    /// check against the bindings, lower and compile `sql`, then hand the
+    /// plan to `run_plan` — which is all the two differ in.
+    fn run_sql_with(
+        &self,
+        sql: &str,
+        run_plan: impl FnOnce(&PhysicalPlan) -> Result<RunReport, SessionError>,
+    ) -> Result<RunReport, SessionError> {
         let script = self.parse_and_check(sql)?;
         let query = conclave_sql::lower_script(&script).map_err(|e| located(e, sql))?;
+        let plan = self.compile(&query)?;
         if script.explain_leakage {
-            // `EXPLAIN LEAKAGE`: compile (which runs the leakage linter) and
-            // return the statically certified report without executing.
-            let report = self.explain_leakage(&query)?;
+            // `EXPLAIN LEAKAGE`: compiling ran the leakage linter; return
+            // the statically certified report without executing.
             return Ok(RunReport {
-                static_leakage: Some(report),
+                static_leakage: Some(plan.leakage),
                 ..RunReport::default()
             });
         }
-        self.run(&query)
+        run_plan(&plan)
     }
 
     /// Parses, binds and lowers a SQL script to an IR [`Query`] without
@@ -318,7 +329,9 @@ impl Session {
         Ok(script)
     }
 
-    /// Executes an already-compiled plan over the bound inputs.
+    /// Executes an already-compiled plan over the bound inputs, on a
+    /// [`Driver`] — and so, in a distributed mode, a party mesh — of its own
+    /// that is dropped when the call returns.
     pub fn run_plan(&self, plan: &PhysicalPlan) -> Result<RunReport, SessionError> {
         let mut driver = Driver::new(self.config.clone());
         driver
@@ -334,17 +347,18 @@ fn located(e: SqlError, sql: &str) -> SessionError {
 }
 
 /// A long-lived session for serving many queries: a [`Session`] plus one
-/// [`Driver`] with [`Driver::retain_mesh`] enabled, so consecutive runs reuse
-/// a single party mesh (workers, MAC key, resident dealer sessions —
-/// `mesh_builds` stays at 1 across queries).
+/// [`Driver`] it keeps, so consecutive runs reuse that driver's single party
+/// mesh (workers, MAC key, resident dealer sessions — `mesh_builds` stays at
+/// 1 across queries). The first query on it runs exactly what a one-shot
+/// [`Session`] runs; the mesh simply is not dropped afterwards.
 ///
 /// Unlike [`Session`]'s consuming builder, bindings here are updated in
 /// place, because a serving tenant rebinds inputs between queries. The
 /// reuse contract is explicit:
 ///
 /// * **Rebinding** a name replaces the previous table (last bind wins).
-/// * **A failed run leaves the session in a defined state**: the retained
-///   mesh is discarded on any error, so the next run starts from a fresh
+/// * **A failed run leaves the session in a defined state**: the driver
+///   discards its mesh on any error, so the next run starts from a fresh
 ///   mesh instead of a desynchronized work queue, and bindings are
 ///   untouched.
 pub struct PersistentSession {
@@ -363,14 +377,12 @@ impl fmt::Debug for PersistentSession {
 
 impl PersistentSession {
     /// Creates a persistent session with the given configuration and no
-    /// bindings. The mesh-retaining driver is created eagerly; the mesh
-    /// itself is built lazily by the first run that needs MPC.
+    /// bindings. The driver is created eagerly; its mesh is built lazily by
+    /// the first run that needs MPC.
     pub fn new(config: ConclaveConfig) -> Self {
-        let mut driver = Driver::new(config.clone());
-        driver.retain_mesh(true);
         PersistentSession {
+            driver: Driver::new(config.clone()),
             session: Session::new(config),
-            driver,
         }
     }
 
@@ -397,26 +409,18 @@ impl PersistentSession {
     }
 
     /// Drops the retained party mesh (if any); the next run builds a fresh
-    /// one. Runs call this automatically on error.
+    /// one. A failed run does this by itself.
     pub fn reset_mesh(&mut self) {
         self.driver.reset_mesh();
     }
 
     /// Executes an already-compiled plan over the bound inputs, reusing the
-    /// retained mesh. On error the mesh is discarded so the next run starts
-    /// clean.
+    /// retained mesh. On error the driver has discarded the mesh, so the
+    /// next run starts clean.
     pub fn run_plan(&mut self, plan: &PhysicalPlan) -> Result<RunReport, SessionError> {
-        let result = self
-            .driver
+        self.driver
             .run_tables(plan, &self.session.bindings)
-            .map_err(SessionError::from);
-        if result.is_err() {
-            // `run_tables` already drops the in-flight mesh on its own
-            // errors; this also covers future error paths so a failed run
-            // can never leave a stale mesh behind.
-            self.driver.reset_mesh();
-        }
-        result
+            .map_err(SessionError::from)
     }
 
     /// Compiles and executes the query over the bound inputs, reusing the
@@ -430,16 +434,12 @@ impl PersistentSession {
     /// retained mesh. Semantics match [`Session::run_sql`], including
     /// `EXPLAIN LEAKAGE` scripts (which compile but do not execute).
     pub fn run_sql(&mut self, sql: &str) -> Result<RunReport, SessionError> {
-        let script = self.session.parse_and_check(sql)?;
-        let query = conclave_sql::lower_script(&script).map_err(|e| located(e, sql))?;
-        if script.explain_leakage {
-            let report = self.session.explain_leakage(&query)?;
-            return Ok(RunReport {
-                static_leakage: Some(report),
-                ..RunReport::default()
-            });
-        }
-        self.run(&query)
+        let PersistentSession { session, driver } = self;
+        session.run_sql_with(sql, |plan| {
+            driver
+                .run_tables(plan, &session.bindings)
+                .map_err(SessionError::from)
+        })
     }
 }
 
@@ -645,6 +645,133 @@ mod tests {
         let report = sess.run_sql(SUM_SQL).unwrap();
         assert_eq!(report.mesh_builds(), 1, "fresh mesh after the failure");
         assert!(sess.has_live_mesh());
+    }
+
+    /// A one-shot session and a persistent one over the same configuration
+    /// and bindings (`config` is called once per session, so each gets its
+    /// own dealer pool where one is used).
+    fn lifecycle_sessions(config: impl Fn() -> ConclaveConfig) -> (Session, PersistentSession) {
+        let ta = Relation::from_ints(&["k", "v"], &[vec![1, 2], vec![2, 5], vec![1, 4]]);
+        let tb = Relation::from_ints(&["k", "v"], &[vec![1, 3], vec![3, 9]]);
+        let oneshot = Session::new(config())
+            .bind("ta", ta.clone())
+            .bind("tb", tb.clone());
+        let mut kept = PersistentSession::new(config());
+        kept.bind("ta", ta).bind("tb", tb);
+        (oneshot, kept)
+    }
+
+    #[test]
+    fn lifecycle_oneshot_run_equals_first_and_second_retained_run() {
+        use crate::config::PartyRuntime;
+        use conclave_mpc::dealer::{MaterialPool, MaterialSpec};
+        let spec = MaterialSpec {
+            triples: 512,
+            bit_triples: 1024,
+            shared_bits: 512,
+            dabits: 128,
+            input_masks: 256,
+        };
+        for runtime in [PartyRuntime::Channel, PartyRuntime::Tcp] {
+            for pooled in [false, true] {
+                let (oneshot, mut kept) = lifecycle_sessions(|| {
+                    let config = ConclaveConfig::standard()
+                        .with_sequential_local()
+                        .with_party_runtime(runtime);
+                    if pooled {
+                        config.with_pooled_dealer(MaterialPool::start(7, 3, spec, 2))
+                    } else {
+                        config
+                    }
+                });
+                let plan = oneshot.compile(&two_party_sum_query()).unwrap();
+                let base = oneshot.run_plan(&plan).unwrap();
+                assert!(base.net.total_bytes() > 0, "the plan has MPC steps");
+                let first = kept.run_plan(&plan).unwrap();
+                let second = kept.run_plan(&plan).unwrap();
+                for (run, report, builds) in [
+                    ("one-shot", &base, 1),
+                    ("first retained", &first, 1),
+                    ("second retained", &second, 0),
+                ] {
+                    let case = format!("{run} run, {runtime:?}, pooled: {pooled}");
+                    assert_eq!(report.mesh_builds(), builds, "{case}");
+                    assert!(
+                        report
+                            .output_for(1)
+                            .unwrap()
+                            .same_rows_unordered(base.output_for(1).unwrap()),
+                        "{case}"
+                    );
+                    assert_eq!(report.mpc_stats.counts, base.mpc_stats.counts, "{case}");
+                    assert_eq!(report.net.rounds, base.net.rounds, "{case}");
+                    assert_eq!(report.net.total_bytes(), base.net.total_bytes(), "{case}");
+                    assert_eq!(
+                        report.net.total_messages(),
+                        base.net.total_messages(),
+                        "{case}"
+                    );
+                    assert_eq!(report.net.links, base.net.links, "per-link, {case}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lifecycle_streamed_dealer_blocks_are_counted_on_a_retained_mesh() {
+        use crate::party_exec::DEALER_ID;
+        let (oneshot, mut kept) = lifecycle_sessions(|| {
+            ConclaveConfig::standard()
+                .with_sequential_local()
+                .with_channel_runtime()
+                .with_streamed_dealer()
+        });
+        let plan = oneshot.compile(&two_party_sum_query()).unwrap();
+        let expected = oneshot.run_plan(&plan).unwrap().dealer_net;
+        for query in 0..2 {
+            let dealer = kept.run_plan(&plan).unwrap().dealer_net;
+            let links = &dealer.as_ref().expect("streamed mode measures links").links;
+            for p in 0..3 {
+                for (what, key) in [("requests", (p, DEALER_ID)), ("blocks", (DEALER_ID, p))] {
+                    assert!(
+                        links.get(&key).is_some_and(|l| l.bytes > 0),
+                        "query {query}: no {what} counted on {key:?}: {links:?}"
+                    );
+                }
+            }
+            if query == 0 {
+                assert_eq!(dealer, expected, "first retained query vs one-shot");
+            }
+        }
+    }
+
+    #[test]
+    fn lifecycle_failed_offline_phase_drops_the_mesh_and_the_next_run_rebuilds_it() {
+        let dir =
+            std::env::temp_dir().join(format!("conclave-lifecycle-dealer-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = ConclaveConfig::standard()
+            .with_sequential_local()
+            .with_channel_runtime()
+            .with_dealer_files(&dir);
+        let seed = config.mpc.seed;
+        let (_, mut kept) = lifecycle_sessions(|| config.clone());
+        let query = two_party_sum_query();
+        // No dealer files yet: the typed error comes back (no hang) and the
+        // poisoned mesh is gone.
+        let err = kept.run(&query).unwrap_err();
+        assert!(err.to_string().contains("offline phase failed"), "{err}");
+        assert!(!kept.has_live_mesh());
+        // The same session, once the directory is valid, runs on a new mesh.
+        std::fs::create_dir_all(&dir).unwrap();
+        conclave_mpc::dealer::write_party_files(&dir, seed, 3, Default::default()).unwrap();
+        let report = kept.run(&query);
+        std::fs::remove_dir_all(&dir).ok();
+        let report = report.unwrap();
+        assert_eq!(report.mesh_builds(), 1, "rebuilt, not reused");
+        assert!(kept.has_live_mesh());
+        let expected = Relation::from_ints(&["k", "total"], &[vec![1, 9], vec![2, 5], vec![3, 9]]);
+        assert!(report.output_for(1).unwrap().same_rows_unordered(&expected));
     }
 
     #[test]

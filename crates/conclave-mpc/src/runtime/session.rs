@@ -47,9 +47,12 @@ enum Feed {
     /// [`DealerSource::Preloaded`]: the stock is all there is.
     Fixed,
     /// [`DealerSource::Streamed`]: blocks are pulled over the dealer link.
+    /// `received` counts the blocks that came back, on the `(dealer, party)`
+    /// direction the link endpoint itself does not record (it counts sends).
     Link {
         link: Box<dyn Transport>,
         dealer: u32,
+        received: NetStats,
     },
 }
 
@@ -159,9 +162,15 @@ impl<'n> PartySession<'n> {
             }
             DealerSource::Streamed { link, dealer } => {
                 let mut stock = MaterialBlocks::empty(party, parties, RingElem::ZERO);
-                let key = request_block(link.as_ref(), dealer, Request::Alpha)?;
+                let mut received = NetStats::default();
+                let key = request_block(link.as_ref(), dealer, Request::Alpha, &mut received)?;
                 stock.absorb(Request::Alpha, &key)?;
-                (Feed::Link { link, dealer }, stock)
+                let feed = Feed::Link {
+                    link,
+                    dealer,
+                    received,
+                };
+                (feed, stock)
             }
         };
         Ok(PartySession {
@@ -250,10 +259,15 @@ impl<'n> PartySession<'n> {
     }
 
     /// Traffic on the dedicated dealer link, if this session streams its
-    /// offline material (this endpoint's sends: the block requests).
+    /// offline material — both directions: the block requests this endpoint
+    /// sent and the blocks it received.
     pub fn dealer_stats(&self) -> Option<NetStats> {
         match &self.feed {
-            Feed::Link { link, .. } => Some(link.stats()),
+            Feed::Link { link, received, .. } => {
+                let mut stats = link.stats();
+                stats.merge(received);
+                Some(stats)
+            }
             _ => None,
         }
     }
@@ -278,7 +292,11 @@ impl<'n> PartySession<'n> {
     fn top_up(&mut self, req: Request) -> PartyResult<()> {
         let words = match &mut self.feed {
             Feed::Local(dealer) => dealer.deal(self.net.party() as usize, req),
-            Feed::Link { link, dealer } => request_block(link.as_ref(), *dealer, req)?,
+            Feed::Link {
+                link,
+                dealer,
+                received,
+            } => request_block(link.as_ref(), *dealer, req, received)?,
             Feed::Fixed => {
                 return Err(PartyError::Proto(format!(
                     "dealer material exhausted ({req:?}); pregenerate a larger MaterialSpec"
@@ -490,9 +508,15 @@ impl fmt::Debug for PartySession<'_> {
 
 /// One pull on the dealer link: send the request, receive the block. The
 /// link is a dedicated two-endpoint mesh, so ordering is trivial.
-fn request_block(link: &dyn Transport, dealer: u32, req: Request) -> PartyResult<Vec<u64>> {
+fn request_block(
+    link: &dyn Transport,
+    dealer: u32,
+    req: Request,
+    received: &mut NetStats,
+) -> PartyResult<Vec<u64>> {
     link.send_to(dealer, MessageKind::Dealer, "dealer request", &req.encode())?;
     let env = link.recv_from(dealer)?;
+    received.record(dealer, link.party(), env.wire_bytes(), env.kind);
     if env.kind != MessageKind::Dealer {
         return Err(PartyError::Proto(format!(
             "expected a dealer block, got {} traffic",

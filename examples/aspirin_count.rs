@@ -110,12 +110,12 @@ fn main() {
     let config = ConclaveConfig::standard().with_sequential_local();
     let plan = compile(&query, &config).expect("compiles");
     let mut inputs = HashMap::new();
-    inputs.insert("diagnoses1".to_string(), d0.clone());
-    inputs.insert("diagnoses2".to_string(), d1.clone());
-    inputs.insert("medications1".to_string(), m0.clone());
-    inputs.insert("medications2".to_string(), m1.clone());
+    inputs.insert("diagnoses1".to_string(), Table::from_rows(d0.clone()));
+    inputs.insert("diagnoses2".to_string(), Table::from_rows(d1.clone()));
+    inputs.insert("medications1".to_string(), Table::from_rows(m0.clone()));
+    inputs.insert("medications2".to_string(), Table::from_rows(m1.clone()));
     let mut driver = Driver::new(config);
-    let report = driver.run(&plan, &inputs).expect("runs");
+    let report = driver.run_tables(&plan, &inputs).expect("runs");
     let conclave_count = report
         .output_for(1)
         .and_then(|r| r.scalar().cloned())

@@ -76,10 +76,10 @@ fn main() {
         println!("  - {t}");
     }
     let mut inputs = HashMap::new();
-    inputs.insert("diagnoses1".to_string(), d0.clone());
-    inputs.insert("diagnoses2".to_string(), d1.clone());
+    inputs.insert("diagnoses1".to_string(), Table::from_rows(d0.clone()));
+    inputs.insert("diagnoses2".to_string(), Table::from_rows(d1.clone()));
     let mut driver = Driver::new(config);
-    let builder_report = driver.run(&plan, &inputs).expect("runs");
+    let builder_report = driver.run_tables(&plan, &inputs).expect("runs");
     let builder_top = builder_report
         .output_for(1)
         .expect("hospital A receives the output");

@@ -65,9 +65,9 @@ fn main() {
     );
 
     let mut inputs = HashMap::new();
-    inputs.insert("demographics".to_string(), demographics);
-    inputs.insert("scores1".to_string(), scores1);
-    inputs.insert("scores2".to_string(), scores2);
+    inputs.insert("demographics".to_string(), Table::from_rows(demographics));
+    inputs.insert("scores1".to_string(), Table::from_rows(scores1));
+    inputs.insert("scores2".to_string(), Table::from_rows(scores2));
 
     for (name, annotated) in [
         ("with SSN trust annotation", true),
@@ -77,7 +77,7 @@ fn main() {
         let config = ConclaveConfig::standard().with_sequential_local();
         let plan = compile(&query, &config).expect("compiles");
         let mut driver = Driver::new(config);
-        let report = driver.run(&plan, &inputs).expect("runs");
+        let report = driver.run_tables(&plan, &inputs).expect("runs");
         let output = report.output_for(1).expect("the regulator gets the output");
 
         // Check a few averages against the cleartext reference.

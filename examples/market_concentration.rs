@@ -53,7 +53,7 @@ fn main() {
 
     let mut inputs = HashMap::new();
     for (name, rel) in ["inputA", "inputB", "inputC"].iter().zip(parts.iter()) {
-        inputs.insert(name.to_string(), rel.clone());
+        inputs.insert(name.to_string(), Table::from_rows(rel.clone()));
     }
 
     let query = build_query();
@@ -63,7 +63,7 @@ fn main() {
     for (name, config) in [("Conclave", optimized_cfg), ("MPC only", baseline_cfg)] {
         let plan = compile(&query, &config).expect("compiles");
         let mut driver = Driver::new(config.clone());
-        let report = driver.run(&plan, &inputs).expect("runs");
+        let report = driver.run_tables(&plan, &inputs).expect("runs");
         let output = report.output_for(1).expect("party 1 receives the output");
         // The revealed value is the sum of squared revenues; dividing by the
         // squared total revenue (known to the recipient from its own output)

@@ -66,8 +66,8 @@ proptest! {
         let query = build_query(threshold);
         let expected = reference(&a, &b, threshold);
         let mut inputs = HashMap::new();
-        inputs.insert("a".to_string(), to_relation(&a));
-        inputs.insert("b".to_string(), to_relation(&b));
+        inputs.insert("a".to_string(), Table::from_rows(to_relation(&a)));
+        inputs.insert("b".to_string(), Table::from_rows(to_relation(&b)));
 
         for config in [
             ConclaveConfig::standard().with_sequential_local(),
@@ -75,7 +75,7 @@ proptest! {
         ] {
             let plan = conclave_core::compile(&query, &config).unwrap();
             let mut driver = Driver::new(config);
-            let report = driver.run(&plan, &inputs).unwrap();
+            let report = driver.run_tables(&plan, &inputs).unwrap();
             let out = report.output_for(1).unwrap();
             prop_assert_eq!(out.num_rows(), expected.len());
             for row in &out.rows {
@@ -99,12 +99,12 @@ proptest! {
         // And the actual executed MPC work (non-linear operations) is no
         // larger either.
         let mut inputs = HashMap::new();
-        inputs.insert("a".to_string(), to_relation(&a));
-        inputs.insert("b".to_string(), to_relation(&b));
+        inputs.insert("a".to_string(), Table::from_rows(to_relation(&a)));
+        inputs.insert("b".to_string(), Table::from_rows(to_relation(&b)));
         let mut d1 = Driver::new(ConclaveConfig::standard().with_sequential_local());
         let mut d2 = Driver::new(ConclaveConfig::mpc_only().with_sequential_local());
-        let opt = d1.run(&optimized, &inputs).unwrap();
-        let base = d2.run(&baseline, &inputs).unwrap();
+        let opt = d1.run_tables(&optimized, &inputs).unwrap();
+        let base = d2.run_tables(&baseline, &inputs).unwrap();
         prop_assert!(
             opt.mpc_stats.counts.nonlinear_ops() <= base.mpc_stats.counts.nonlinear_ops()
         );

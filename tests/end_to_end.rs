@@ -36,12 +36,12 @@ fn market_query() -> conclave_ir::builder::Query {
     q.build().unwrap()
 }
 
-fn taxi_inputs(total: usize, seed: u64) -> (HashMap<String, Relation>, Vec<Relation>) {
+fn taxi_inputs(total: usize, seed: u64) -> (HashMap<String, Table>, Vec<Relation>) {
     let mut gen = TaxiGenerator::new(seed);
     let parts = gen.split_across_parties(total, 3);
     let mut inputs = HashMap::new();
     for (name, rel) in ["inputA", "inputB", "inputC"].iter().zip(parts.iter()) {
-        inputs.insert(name.to_string(), rel.clone());
+        inputs.insert(name.to_string(), Table::from_rows(rel.clone()));
     }
     (inputs, parts)
 }
@@ -82,7 +82,7 @@ fn market_query_is_correct_under_all_configurations() {
             conclave_core::compile(&query, &config).unwrap_or_else(|e| panic!("{name}: {e}"));
         let mut driver = Driver::new(config);
         let report = driver
-            .run(&plan, &inputs)
+            .run_tables(&plan, &inputs)
             .unwrap_or_else(|e| panic!("{name}: {e}"));
         let out = report.output_for(1).expect("party 1 receives the result");
         assert_eq!(out.num_rows(), reference.len(), "{name}: wrong group count");
@@ -131,7 +131,7 @@ fn market_query_agrees_across_engine_and_hybrid_matrix() {
             conclave_core::compile(&query, &config).unwrap_or_else(|e| panic!("{name}: {e}"));
         let mut driver = Driver::new(config);
         let report = driver
-            .run(&plan, &inputs)
+            .run_tables(&plan, &inputs)
             .unwrap_or_else(|e| panic!("{name}: {e}"));
         let out = report.output_for(1).expect("party 1 receives the result");
         assert_eq!(out.num_rows(), reference.len(), "{name}: wrong group count");
@@ -165,9 +165,9 @@ fn credit_query_agrees_across_engine_and_hybrid_matrix() {
     let reference =
         CreditGenerator::reference_average_by_zip(&demographics, &[s1.clone(), s2.clone()]);
     let mut inputs = HashMap::new();
-    inputs.insert("demographics".to_string(), demographics);
-    inputs.insert("scores1".to_string(), s1);
-    inputs.insert("scores2".to_string(), s2);
+    inputs.insert("demographics".to_string(), Table::from_rows(demographics));
+    inputs.insert("scores1".to_string(), Table::from_rows(s1));
+    inputs.insert("scores2".to_string(), Table::from_rows(s2));
 
     let mut outputs: Vec<(String, Relation)> = Vec::new();
     for (name, config) in engine_hybrid_matrix() {
@@ -181,7 +181,7 @@ fn credit_query_agrees_across_engine_and_hybrid_matrix() {
         }
         let mut driver = Driver::new(config);
         let report = driver
-            .run(&plan, &inputs)
+            .run_tables(&plan, &inputs)
             .unwrap_or_else(|e| panic!("{name}: {e}"));
         let out = report.output_for(1).unwrap();
         let zip_idx = out.schema.index_of("zip").unwrap();
@@ -251,14 +251,13 @@ fn columnar_driven_query_converts_only_at_input_and_collect_boundaries() {
         "exactly one conversion, at the collect boundary"
     );
 
-    // Row-backed inputs (the legacy `Driver::run` shim): one conversion at
-    // the input binding, one at the collect boundary — still nothing between
-    // plan operators.
+    // Row-backed inputs: one conversion at the input binding, one at the
+    // collect boundary — still nothing between plan operators.
     let plan = conclave_core::compile(&query, &config).unwrap();
     let mut driver = Driver::new(config.clone());
     let mut inputs = HashMap::new();
-    inputs.insert("sales".to_string(), rel.clone());
-    let report = driver.run(&plan, &inputs).unwrap();
+    inputs.insert("sales".to_string(), Table::from_rows(rel.clone()));
+    let report = driver.run_tables(&plan, &inputs).unwrap();
     assert_eq!(report.conversions.row_to_columnar, 1, "input binding only");
     assert_eq!(report.conversions.columnar_to_row, 1, "collect only");
 
@@ -274,12 +273,12 @@ fn columnar_driven_query_converts_only_at_input_and_collect_boundaries() {
 fn multi_party_columnar_queries_convert_only_at_boundaries() {
     let query = market_query();
     let (inputs, _) = taxi_inputs(600, 11);
-    let tables: HashMap<String, conclave_engine::Table> = inputs
+    let tables: HashMap<String, Table> = inputs
         .iter()
         .map(|(k, v)| {
             (
                 k.clone(),
-                conclave_engine::Table::from_columns(ColumnarRelation::from_rows(v)),
+                Table::from_columns(ColumnarRelation::from_rows(v.as_rows())),
             )
         })
         .collect();
@@ -322,8 +321,8 @@ fn parallel_and_sequential_local_backends_agree() {
         ConclaveConfig::standard().local_backend,
         LocalBackend::Parallel
     );
-    let seq = seq_driver.run(&plan, &inputs).unwrap();
-    let par = par_driver.run(&plan, &inputs).unwrap();
+    let seq = seq_driver.run_tables(&plan, &inputs).unwrap();
+    let par = par_driver.run_tables(&plan, &inputs).unwrap();
     assert!(seq
         .output_for(1)
         .unwrap()
@@ -376,9 +375,9 @@ fn credit_query_matches_reference_with_and_without_hybrid_operators() {
     let reference =
         CreditGenerator::reference_average_by_zip(&demographics, &[s1.clone(), s2.clone()]);
     let mut inputs = HashMap::new();
-    inputs.insert("demographics".to_string(), demographics);
-    inputs.insert("scores1".to_string(), s1);
-    inputs.insert("scores2".to_string(), s2);
+    inputs.insert("demographics".to_string(), Table::from_rows(demographics));
+    inputs.insert("scores1".to_string(), Table::from_rows(s1));
+    inputs.insert("scores2".to_string(), Table::from_rows(s2));
 
     for (annotated, config) in [
         (true, ConclaveConfig::standard().with_sequential_local()),
@@ -393,7 +392,7 @@ fn credit_query_matches_reference_with_and_without_hybrid_operators() {
             );
         }
         let mut driver = Driver::new(config.clone());
-        let report = driver.run(&plan, &inputs).unwrap();
+        let report = driver.run_tables(&plan, &inputs).unwrap();
         let out = report.output_for(1).unwrap();
         let zip_idx = out.schema.index_of("zip").unwrap();
         let avg_idx = out.schema.index_of("avg_score").unwrap();
@@ -418,9 +417,18 @@ fn hybrid_plan_reveals_only_to_the_stp_and_is_cheaper() {
     let population = 400;
     let mut gen = CreditGenerator::new(4);
     let mut inputs = HashMap::new();
-    inputs.insert("demographics".to_string(), gen.demographics(population));
-    inputs.insert("scores1".to_string(), gen.agency_scores(population));
-    inputs.insert("scores2".to_string(), gen.agency_scores(population));
+    inputs.insert(
+        "demographics".to_string(),
+        Table::from_rows(gen.demographics(population)),
+    );
+    inputs.insert(
+        "scores1".to_string(),
+        Table::from_rows(gen.agency_scores(population)),
+    );
+    inputs.insert(
+        "scores2".to_string(),
+        Table::from_rows(gen.agency_scores(population)),
+    );
 
     let hybrid_plan =
         conclave_core::compile(&credit_query(true), &ConclaveConfig::standard()).unwrap();
@@ -428,8 +436,8 @@ fn hybrid_plan_reveals_only_to_the_stp_and_is_cheaper() {
         conclave_core::compile(&credit_query(false), &ConclaveConfig::mpc_only()).unwrap();
     let mut d1 = Driver::new(ConclaveConfig::standard().with_sequential_local());
     let mut d2 = Driver::new(ConclaveConfig::mpc_only().with_sequential_local());
-    let hybrid = d1.run(&hybrid_plan, &inputs).unwrap();
-    let baseline = d2.run(&mpc_plan, &inputs).unwrap();
+    let hybrid = d1.run_tables(&hybrid_plan, &inputs).unwrap();
+    let baseline = d2.run_tables(&mpc_plan, &inputs).unwrap();
 
     // Results agree.
     assert!(hybrid
@@ -494,12 +502,12 @@ fn aspirin_count_conclave_and_smcql_agree_with_reference() {
     let config = ConclaveConfig::standard().with_sequential_local();
     let plan = conclave_core::compile(&query, &config).unwrap();
     let mut inputs = HashMap::new();
-    inputs.insert("d1".to_string(), d0.clone());
-    inputs.insert("d2".to_string(), d1.clone());
-    inputs.insert("m1".to_string(), m0.clone());
-    inputs.insert("m2".to_string(), m1.clone());
+    inputs.insert("d1".to_string(), Table::from_rows(d0.clone()));
+    inputs.insert("d2".to_string(), Table::from_rows(d1.clone()));
+    inputs.insert("m1".to_string(), Table::from_rows(m0.clone()));
+    inputs.insert("m2".to_string(), Table::from_rows(m1.clone()));
     let mut driver = Driver::new(config);
-    let report = driver.run(&plan, &inputs).unwrap();
+    let report = driver.run_tables(&plan, &inputs).unwrap();
     let conclave_count = report
         .output_for(1)
         .and_then(|r| r.scalar().cloned())
@@ -526,7 +534,7 @@ fn garbled_circuit_backend_runs_small_queries_and_fails_predictably_at_scale() {
         .with_mpc(MpcBackendConfig::obliv_c());
     let plan = conclave_core::compile(&query, &config).unwrap();
     let mut driver = Driver::new(config);
-    let report = driver.run(&plan, &inputs).unwrap();
+    let report = driver.run_tables(&plan, &inputs).unwrap();
     let out = report.output_for(1).unwrap();
     assert_eq!(out.num_rows(), reference.len());
     assert!(

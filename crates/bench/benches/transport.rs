@@ -1,19 +1,17 @@
-//! In-process protocol vs distributed channel-transport throughput.
+//! Party-runtime throughput of the two primitives everything else is built
+//! from, as real message rounds on a 3-party channel mesh:
 //!
-//! Prices the party runtime's real message rounds against the single-process
-//! `Protocol` engine on the two primitives everything else is built from:
+//! * `open`: secret-share a column and open it again (one input round, one
+//!   broadcast round), and
+//! * `multiply`: a batch of Beaver multiplications (one `d`/`e` opening
+//!   round) opened afterwards.
 //!
-//! * `open`: secret-share a column and open it again (one broadcast round on
-//!   the mesh vs a local reconstruction in-process), and
-//! * `multiply`: a batch of Beaver multiplications (one `d`/`e` opening round
-//!   on the mesh vs in-struct mask reconstruction in-process).
-//!
-//! The gap between the two series is the cost of *actually exchanging*
-//! per-party messages — the quantity the simulated path models and the party
-//! runtime measures.
+//! There is no in-process series beside them: the `Protocol` engine computes
+//! in the clear and only counts, so it has no share exchange to price these
+//! rounds against.
 
 use conclave_mpc::runtime::{PartyResult, PartySession, StepCtx};
-use conclave_mpc::{AuthShare, Protocol};
+use conclave_mpc::AuthShare;
 use conclave_net::ChannelTransport;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -59,14 +57,6 @@ fn bench_open(c: &mut Criterion) {
     group.sample_size(10);
     for n in SIZES {
         let vals = values(n);
-        group.bench_with_input(BenchmarkId::new("in_process", n), &vals, |b, vals| {
-            b.iter(|| {
-                let mut proto = Protocol::new(PARTIES as usize, 1);
-                let shared: Vec<_> = vals.iter().map(|&v| proto.share_value(v)).collect();
-                let opened: i64 = shared.iter().map(|s| proto.open(s)).sum();
-                opened
-            })
-        });
         group.bench_with_input(BenchmarkId::new("channel_mesh", n), &vals, |b, vals| {
             b.iter(|| {
                 on_mesh(|proto| {
@@ -86,20 +76,6 @@ fn bench_multiply(c: &mut Criterion) {
     group.sample_size(10);
     for n in SIZES {
         let vals = values(n);
-        group.bench_with_input(BenchmarkId::new("in_process", n), &vals, |b, vals| {
-            b.iter(|| {
-                let mut proto = Protocol::new(PARTIES as usize, 1);
-                let shared: Vec<_> = vals.iter().map(|&v| proto.share_value(v)).collect();
-                let mut acc = 0i64;
-                for pair in shared.chunks(2) {
-                    if let [x, y] = pair {
-                        let z = proto.mul(x, y);
-                        acc = acc.wrapping_add(proto.open(&z));
-                    }
-                }
-                acc
-            })
-        });
         group.bench_with_input(BenchmarkId::new("channel_mesh", n), &vals, |b, vals| {
             b.iter(|| {
                 on_mesh(|proto| {

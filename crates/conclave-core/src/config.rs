@@ -17,16 +17,17 @@ pub enum LocalBackend {
 
 /// How the MPC steps of a plan are executed.
 ///
-/// The default [`PartyRuntime::Simulated`] mode runs the single-process
-/// protocol engine (all shares in one struct, modeled network costs) — fast,
-/// and the reference engine. The distributed modes run the *same* generic
-/// operators on one protocol endpoint **per computing party**, each holding
-/// only its own shares and exchanging real messages over a
+/// The default [`PartyRuntime::Simulated`] mode is a single-process **cost
+/// simulator**: it computes every operator in the clear and charges the
+/// primitive counts of the real protocol (modeled time and bytes, no secrecy
+/// between parties). The distributed modes run the *same* generic operators
+/// on one protocol endpoint **per computing party**, each holding only its
+/// own MACed shares and exchanging real messages over a
 /// [`conclave_net::Transport`]; [`crate::report::RunReport::net`] then
 /// carries *measured* per-link bytes and rounds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PartyRuntime {
-    /// Single-process protocol engine with modeled network costs (default).
+    /// Single-process counting simulator, modeled network costs (default).
     #[default]
     Simulated,
     /// One thread per party over an in-process channel mesh.

@@ -583,14 +583,7 @@ impl Driver {
                 opened_elems: rel.num_rows() as u64,
                 ..Default::default()
             };
-            let config = self.mpc.config();
-            let stats = conclave_mpc::backend::MpcStepStats {
-                simulated_time: config.ss_cost.time_no_overhead(&counts, &config.network),
-                counts,
-                input_rows: n,
-                output_rows: rel.num_rows() as u64,
-                ..Default::default()
-            };
+            let stats = self.mpc.stats_from_counts(counts, n, rel.num_rows() as u64);
             return Ok((Table::from_rows(rel), stats));
         }
         let presorted = self.aggregate_is_presorted(plan, id, op)?;

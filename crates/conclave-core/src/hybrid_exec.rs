@@ -1,8 +1,9 @@
 //! Execution of the hybrid MPC–cleartext protocols (§5.3).
 //!
 //! These functions implement the three hybrid operators end to end, using the
-//! real secret-sharing protocol of `conclave-mpc` for the MPC steps and a
-//! cleartext [`Executor`] for the selectively-trusted party's local steps.
+//! in-process counting engine of `conclave-mpc` for the MPC steps (under every
+//! party runtime) and a cleartext [`Executor`] for the selectively-trusted
+//! party's local steps.
 //! All cleartext data moves as [`Table`]s: the STP-side intermediates stay in
 //! the executor's native representation (columnar executors keep them
 //! columnar), and secret-sharing picks the column-at-a-time path whenever a
@@ -156,7 +157,7 @@ pub fn hybrid_join(
         let mut row = lrow.clone();
         for (c, v) in rrow.iter().enumerate() {
             if !right_key_idx.contains(&c) {
-                row.push(v.clone());
+                row.push(*v);
             }
         }
         rows.push(row);
@@ -309,6 +310,7 @@ mod tests {
         execute, sequential_executor, ColumnarRelation, EngineMode, Relation, RowExecutor,
     };
     use conclave_mpc::backend::MpcBackendConfig;
+    use conclave_mpc::cost::PrimitiveCounts;
 
     fn engine() -> MpcEngine {
         MpcEngine::new(MpcBackendConfig::sharemind())
@@ -377,6 +379,15 @@ mod tests {
         assert!(outcome.mpc_stats.counts.shuffled_elems > 0);
         assert!(outcome.mpc_stats.counts.mults > 0);
         assert_eq!(outcome.mpc_stats.counts.equalities, 0);
+        // The exact charge, pinned: the figures consume these counts.
+        let pinned = PrimitiveCounts {
+            mults: 144,
+            shuffled_elems: 32,
+            input_elems: 28,
+            opened_elems: 30,
+            ..Default::default()
+        };
+        assert_eq!(outcome.mpc_stats.counts, pinned);
     }
 
     #[test]
@@ -457,10 +468,11 @@ mod tests {
             ],
         );
         let input = Table::from_rows(input_rel.clone());
-        for (func, over, out) in [
-            (AggFunc::Sum, Some("score"), "total"),
-            (AggFunc::Count, None, "n"),
-            (AggFunc::Max, Some("score"), "hi"),
+        // (mults, comparisons): MAX pays a comparison and a second mux per row pair.
+        for (func, over, out, (mults, comparisons)) in [
+            (AggFunc::Sum, Some("score"), "total", (5, 0)),
+            (AggFunc::Count, None, "n", (5, 0)),
+            (AggFunc::Max, Some("score"), "hi", (10, 5)),
         ] {
             let outcome = hybrid_aggregate(
                 &mut eng,
@@ -490,6 +502,17 @@ mod tests {
             assert_eq!(outcome.revealed_columns, vec!["zip"]);
             // No oblivious sort: comparisons stay linear in n (no n·log²n blowup).
             assert!(outcome.mpc_stats.counts.comparisons <= input.num_rows() as u64);
+            // The exact charge, pinned: the figures consume these counts.
+            let pinned = PrimitiveCounts {
+                mults,
+                comparisons,
+                equalities: 5,
+                shuffled_elems: 30,
+                input_elems: 12,
+                opened_elems: 18,
+                ..Default::default()
+            };
+            assert_eq!(outcome.mpc_stats.counts, pinned, "{func}");
         }
     }
 

@@ -216,15 +216,6 @@ impl MpcEngine {
         SharedRelation::from_relation(rel, &mut self.proto).map_err(MpcError::Exec)
     }
 
-    /// Secret-shares a columnar relation into the engine, column-at-a-time
-    /// (used by the driver when the vectorized cleartext engine is active).
-    pub fn share_columnar(
-        &mut self,
-        rel: &conclave_engine::ColumnarRelation,
-    ) -> MpcResult<SharedRelation> {
-        SharedRelation::from_columnar(rel, &mut self.proto).map_err(MpcError::Exec)
-    }
-
     /// Secret-shares a [`conclave_engine::Table`], picking the
     /// column-at-a-time path whenever its columnar representation is already
     /// materialized (see [`SharedRelation::from_table`]).
@@ -242,17 +233,7 @@ impl MpcEngine {
     pub fn drain_stats(&mut self, input_rows: u64, output_rows: u64) -> MpcStepStats {
         let counts = self.proto.counts();
         self.proto.reset_counts();
-        MpcStepStats {
-            simulated_time: self
-                .config
-                .ss_cost
-                .time_no_overhead(&counts, &self.config.network),
-            counts,
-            circuit: CircuitStats::default(),
-            memory_bytes: 0.0,
-            input_rows,
-            output_rows,
-        }
+        self.stats_from_counts(counts, input_rows, output_rows)
     }
 
     /// Executes one operator on cleartext inputs: shares them, runs the

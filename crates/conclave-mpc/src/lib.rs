@@ -17,15 +17,15 @@
 //!   arithmetic, and the one `Operator` dispatcher [`operators::execute_op`].
 //!   [`oblivious`] pins the four the hybrid protocols call to the in-process
 //!   engine.
-//! * [`ring`], [`share`], [`triples`], [`protocol`] — the **in-process
-//!   engine**: a real additive secret-sharing layer over `Z_{2^64}` holding
-//!   every party's shares in one struct, with Beaver-triple multiplication,
-//!   reveal/reshare, and *simulated-oblivious* comparisons (the comparison
-//!   result is computed by a trusted simulator while the documented
-//!   communication/computation cost of a bit-decomposition protocol is
-//!   charged — see the fidelity note in [`protocol`] and ARCHITECTURE.md's
-//!   party-runtime section for the substitution rationale). It is the fast
-//!   path and the reference *engine* for the circuit-backed one.
+//! * [`ring`], [`protocol`] — the **in-process engine**: a counting
+//!   cleartext simulator. Its share of a value is the value itself (a
+//!   [`RingElem`] of `Z_{2^64}`); every primitive computes in the clear, in
+//!   one process, and charges the primitive counts of the real protocol —
+//!   which is all the cost model and the paper's figures take from it. It
+//!   runs `PartyRuntime::Simulated` and, under every runtime, the §5.3
+//!   hybrid operators; it offers no secrecy between parties (see the
+//!   fidelity note in [`protocol`] and `docs/SECURITY.md`). [`share`] holds
+//!   the real share type, [`AuthShare`], which only the party runtime uses.
 //! * [`cost`] — cost models converting primitive counts into simulated
 //!   wall-clock time, calibrated against the datapoints the paper reports.
 //!   The garbled-circuit "backend" (Obliv-C / ObliVM-like) is one of them
@@ -75,7 +75,6 @@ pub mod relation;
 pub mod ring;
 pub mod runtime;
 pub mod share;
-pub mod triples;
 
 pub use backend::{BackendKind, MpcBackendConfig, MpcEngine, MpcError, MpcResult, MpcStepStats};
 pub use cost::{GarbledCostModel, PrimitiveCounts, SecretShareCostModel};
@@ -88,4 +87,4 @@ pub use protocol::Protocol;
 pub use relation::{Rel, SharedRelation};
 pub use ring::RingElem;
 pub use runtime::{PartyError, PartyRelation, PartyResult, PartySession, PendingOpen, StepCtx};
-pub use share::{AuthShare, Shares};
+pub use share::AuthShare;

@@ -63,13 +63,13 @@ fn compare_exchange<E: Engine>(
     key: usize,
     ascending: bool,
 ) -> EngineResult<E, ()> {
-    let (a, b) = (&rows[i][key], &rows[j][key]);
+    let (a, b) = (rows[i][key], rows[j][key]);
     // swap = 1 iff the pair is out of order.
     let swap = only(eng.lt_batch(&[if ascending { (b, a) } else { (a, b) }])?);
     let selectors: Vec<_> = rows[i]
         .iter()
         .zip(&rows[j])
-        .flat_map(|(x, y)| [(&swap, y, x), (&swap, x, y)]) // new row i, new row j
+        .flat_map(|(&x, &y)| [(swap, y, x), (swap, x, y)]) // new row i, new row j
         .collect();
     let mut muxed = eng.mux_batch(&selectors)?.into_iter();
     for c in 0..rows[i].len() {
@@ -247,12 +247,12 @@ pub fn oblivious_select<E: Engine>(
 /// multiplication per extra column.
 fn all_equal<E: Engine>(
     eng: &mut E,
-    groups: &[Vec<(&E::Share, &E::Share)>],
+    groups: &[Vec<(E::Share, E::Share)>],
 ) -> EngineResult<E, Vec<E::Share>> {
     let mut per_col = eng.eq_batch_groups(groups)?.into_iter();
     let mut all = per_col.next().unwrap_or_default();
     for flags in per_col {
-        let products: Vec<_> = all.iter().zip(&flags).collect();
+        let products: Vec<_> = all.into_iter().zip(flags).collect();
         all = eng.mul_batch(&products)?;
     }
     Ok(all)
@@ -308,17 +308,17 @@ pub fn cartesian_join<E: Engine>(
     let groups: Vec<Vec<_>> = lk
         .iter()
         .zip(&rk)
-        .map(|(&lc, &rc)| row_pairs().map(|(l, r)| (&l[lc], &r[rc])).collect())
+        .map(|(&lc, &rc)| row_pairs().map(|(l, r)| (l[lc], r[rc])).collect())
         .collect();
     let matched = all_equal(eng, &groups)?;
-    let opened = eng.open_column(&matched.iter().collect::<Vec<_>>())?;
+    let opened = eng.open_column(&matched)?;
     let rows = row_pairs()
         .zip(opened)
         .filter(|(_, flag)| *flag == 1)
         .map(|((l, r), _)| {
             l.iter()
-                .chain(right_keep.iter().map(|&c| &r[c]))
-                .cloned()
+                .copied()
+                .chain(right_keep.iter().map(|&c| r[c]))
                 .collect()
         })
         .collect();
@@ -357,9 +357,9 @@ pub fn aggregate_sorted<E: Engine>(
     // A row's own contribution, and the running aggregate after taking it in.
     let init = |eng: &E, row: &[E::Share]| match func {
         AggFunc::Count => eng.constant(1),
-        _ => row[over_col.expect("checked above")].clone(),
+        _ => row[over_col.expect("checked above")],
     };
-    let combine = |eng: &mut E, acc: &E::Share, current: &E::Share| -> EngineResult<E, _> {
+    let combine = |eng: &mut E, acc: E::Share, current: E::Share| -> EngineResult<E, _> {
         match func {
             AggFunc::Count | AggFunc::Sum => Ok(eng.add(acc, current)),
             AggFunc::Min | AggFunc::Max => {
@@ -369,7 +369,7 @@ pub fn aggregate_sorted<E: Engine>(
                     (current, acc)
                 };
                 let keep_acc = only(eng.lt_batch(&[pair])?);
-                eng.mux_batch(&[(&keep_acc, acc, current)]).map(only)
+                eng.mux_batch(&[(keep_acc, acc, current)]).map(only)
             }
         }
     };
@@ -383,7 +383,7 @@ pub fn aggregate_sorted<E: Engine>(
             let mut acc = init(eng, &rel.rows[0]);
             for row in &rel.rows[1..] {
                 let current = init(eng, row);
-                acc = combine(eng, &acc, &current)?;
+                acc = combine(eng, acc, current)?;
             }
             acc
         };
@@ -396,7 +396,7 @@ pub fn aggregate_sorted<E: Engine>(
     // same_group[i-1] = 1 iff row i belongs to the group of row i-1.
     let groups: Vec<Vec<_>> = key_cols
         .iter()
-        .map(|&k| rel.rows.windows(2).map(|w| (&w[1][k], &w[0][k])).collect())
+        .map(|&k| rel.rows.windows(2).map(|w| (w[1][k], w[0][k])).collect())
         .collect();
     let same_group = all_equal(eng, &groups)?;
 
@@ -406,18 +406,18 @@ pub fn aggregate_sorted<E: Engine>(
     let mut acc = init(eng, &rel.rows[0]);
     let mut candidates = Vec::with_capacity(n);
     for i in 0..n {
-        let mut row: Vec<E::Share> = key_cols.iter().map(|&k| rel.rows[i][k].clone()).collect();
-        row.push(acc.clone());
+        let mut row: Vec<E::Share> = key_cols.iter().map(|&k| rel.rows[i][k]).collect();
+        row.push(acc);
         match same_group.get(i) {
-            Some(same) => {
-                row.push(eng.sub(&one, same));
+            Some(&same) => {
+                row.push(eng.sub(one, same));
                 // If the next row continues the group, carry the combined
                 // aggregate into it; otherwise it restarts.
                 let current = init(eng, &rel.rows[i + 1]);
-                let combined = combine(eng, &acc, &current)?;
-                acc = only(eng.mux_batch(&[(same, &combined, &current)])?);
+                let combined = combine(eng, acc, current)?;
+                acc = only(eng.mux_batch(&[(same, combined, current)])?);
             }
-            None => row.push(one.clone()),
+            None => row.push(one),
         }
         candidates.push(row);
     }
@@ -441,29 +441,30 @@ fn eval_predicate<E: Engine>(
     expr: &Expr,
 ) -> EngineResult<E, Vec<E::Share>> {
     let one = eng.constant(1);
-    let negate = |eng: &E, bits: Vec<E::Share>| bits.iter().map(|b| eng.sub(&one, b)).collect();
+    let negate = |eng: &E, bits: Vec<E::Share>| bits.iter().map(|&b| eng.sub(one, b)).collect();
     match expr {
         Expr::Bin { op, left, right } => match op {
             BinOp::And | BinOp::Or => {
                 let l = eval_predicate(eng, rel, left)?;
                 let r = eval_predicate(eng, rel, right)?;
-                let prod = eng.mul_batch(&l.iter().zip(&r).collect::<Vec<_>>())?;
+                let pairs: Vec<_> = l.into_iter().zip(r).collect();
+                let prod = eng.mul_batch(&pairs)?;
                 if *op == BinOp::And {
                     return Ok(prod);
                 }
                 // a OR b = a + b − a·b
-                Ok(l.iter()
-                    .zip(&r)
-                    .zip(&prod)
-                    .map(|((a, b), ab)| eng.sub(&eng.add(a, b), ab))
+                Ok(pairs
+                    .into_iter()
+                    .zip(prod)
+                    .map(|((a, b), ab)| eng.sub(eng.add(a, b), ab))
                     .collect())
             }
             BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
                 let l = eval_operand(eng, rel, left)?;
                 let r = eval_operand(eng, rel, right)?;
                 let pairs: Vec<_> = match op {
-                    BinOp::Gt | BinOp::Le => r.iter().zip(&l).collect(),
-                    _ => l.iter().zip(&r).collect(),
+                    BinOp::Gt | BinOp::Le => r.into_iter().zip(l).collect(),
+                    _ => l.into_iter().zip(r).collect(),
                 };
                 let raw = match op {
                     BinOp::Eq | BinOp::Ne => only(eng.eq_batch_groups(&[pairs])?),
@@ -496,7 +497,7 @@ fn eval_operand<E: Engine>(
     match expr {
         Expr::Col(name) => {
             let idx = rel.require(name)?;
-            Ok(rel.rows.iter().map(|r| r[idx].clone()).collect())
+            Ok(rel.column(idx))
         }
         Expr::Const(v) => Ok(vec![eng.constant(literal(v)?); rel.num_rows()]),
         other => Err(OpError::Unsupported(format!(
@@ -524,7 +525,7 @@ pub fn filter<E: Engine>(
             .rows
             .iter()
             .zip(flags)
-            .map(|(row, flag)| row.iter().cloned().chain([flag]).collect())
+            .map(|(row, flag)| row.iter().copied().chain([flag]).collect())
             .collect(),
     };
     let shuffled = shuffle(eng, &flagged);
@@ -551,15 +552,17 @@ pub fn multiply_columns<E: Engine>(
             Operand::Col(c) => {
                 let col = rel.column(rel.require(c)?);
                 match &acc {
-                    None => col.into_iter().cloned().collect(),
-                    Some(acc) => eng.mul_batch(&acc.iter().zip(col).collect::<Vec<_>>())?,
+                    None => col,
+                    Some(acc) => {
+                        eng.mul_batch(&acc.iter().copied().zip(col).collect::<Vec<_>>())?
+                    }
                 }
             }
             Operand::Lit(v) => {
                 let i = literal(v)?;
                 match &acc {
                     None => vec![eng.constant(i); rel.num_rows()],
-                    Some(acc) => acc.iter().map(|a| eng.mul_public(a, i)).collect(),
+                    Some(acc) => acc.iter().map(|&a| eng.mul_public(a, i)).collect(),
                 }
             }
         });
@@ -589,14 +592,14 @@ fn distinct_sorted<E: Engine>(eng: &mut E, rel: &Rel<E::Share>) -> EngineResult<
         return Ok(rel.clone());
     }
     let groups: Vec<Vec<_>> = (0..rel.num_cols())
-        .map(|c| rel.rows.windows(2).map(|w| (&w[1][c], &w[0][c])).collect())
+        .map(|c| rel.rows.windows(2).map(|w| (w[1][c], w[0][c])).collect())
         .collect();
     let duplicate = all_equal(eng, &groups)?;
     let one = eng.constant(1);
-    let keep: Vec<E::Share> = std::iter::once(one.clone())
-        .chain(duplicate.iter().map(|d| eng.sub(&one, d)))
+    let keep: Vec<E::Share> = std::iter::once(one)
+        .chain(duplicate.iter().map(|&d| eng.sub(one, d)))
         .collect();
-    let opened = eng.open_column(&keep.iter().collect::<Vec<_>>())?;
+    let opened = eng.open_column(&keep)?;
     let rows = rel
         .rows
         .iter()

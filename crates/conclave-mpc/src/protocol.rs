@@ -1,46 +1,45 @@
-//! The secret-sharing protocol engine.
+//! The in-process engine: a counting cleartext simulator.
 //!
-//! [`Protocol`] provides the primitives the oblivious relational operators
-//! are built from: sharing and opening values, linear arithmetic, Beaver
-//! multiplication, oblivious comparison/equality, and multiplexing. It keeps
-//! a [`PrimitiveCounts`] tally that the cost model converts into simulated
-//! wall-clock time.
+//! [`Protocol`] is the [`Engine`] behind `PartyRuntime::Simulated` and, under
+//! every runtime, behind the §5.3 hybrid operators. Its share of a value is
+//! the value itself ([`RingElem`]): every operator computes in the clear, in
+//! one process, and each primitive increments the [`PrimitiveCounts`] the
+//! real protocol would — the tally the cost model converts into simulated
+//! wall-clock time, and the only thing the paper's figures take from here.
 //!
 //! ## Fidelity note
 //!
-//! Sharing, reconstruction, linear operations and Beaver multiplication are
-//! implemented for real over `Z_{2^64}` shares. Oblivious comparison and
-//! equality are *simulated-oblivious*: the result bit is computed by an
-//! in-process simulator (standing in for the bit-decomposition sub-protocol)
-//! and re-shared, while the primitive counter charges the full documented
-//! cost of the real protocol. This preserves both the data flow (inputs and
-//! outputs remain secret-shared) and the performance shape, which is what the
-//! paper's evaluation depends on.
+//! Nothing here is secret from anyone: one struct sees every value, so it
+//! offers no secrecy between parties and executes no protocol. What it keeps
+//! faithful is the *work*: the generic operators of [`crate::operators`] run
+//! unchanged on it and charge multiplications, comparisons, equalities,
+//! shuffles, inputs and openings exactly as they do on the MACed, circuit-backed
+//! [`crate::runtime::StepCtx`] (`tests/operator_differential.rs` requires equal
+//! counts across both engines), and results wrap in `Z_{2^64}` like real
+//! shares. The security guarantees of `docs/SECURITY.md` are those of the
+//! party runtime, not of this engine.
 
 use crate::cost::PrimitiveCounts;
 use crate::engine::{Engine, OpError};
 use crate::ring::RingElem;
-use crate::share::Shares;
-use crate::triples::TripleDealer;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// A secret-sharing MPC protocol instance shared by one MPC job.
+/// The counting cleartext engine of one (simulated) MPC job.
 #[derive(Debug)]
 pub struct Protocol {
     parties: usize,
-    dealer: TripleDealer,
+    /// Drawn from only by [`Engine::random_permutation`].
     rng: StdRng,
     counts: PrimitiveCounts,
 }
 
 impl Protocol {
-    /// Creates a protocol instance for `parties` computing parties.
+    /// Creates an engine simulating `parties` computing parties.
     pub fn new(parties: usize, seed: u64) -> Self {
         assert!(parties >= 2, "MPC needs at least two parties");
         Protocol {
             parties,
-            dealer: TripleDealer::new(parties),
             rng: StdRng::seed_from_u64(seed),
             counts: PrimitiveCounts::default(),
         }
@@ -61,134 +60,95 @@ impl Protocol {
         self.counts = PrimitiveCounts::default();
     }
 
-    /// Access to the protocol's RNG (for randomized sub-protocols).
-    pub fn rng(&mut self) -> &mut StdRng {
-        &mut self.rng
-    }
-
-    // ------------------------------------------------------------------
-    // Input / output.
-    // ------------------------------------------------------------------
-
-    /// Secret-shares an input value into the MPC.
-    pub fn share_value(&mut self, v: i64) -> Shares {
+    /// Takes an input value into the MPC (charged as one shared element).
+    pub fn share_value(&mut self, v: i64) -> RingElem {
         self.counts.input_elems += 1;
-        Shares::share(RingElem::from_i64(v), self.parties, &mut self.rng)
+        RingElem::from_i64(v)
     }
 
-    /// Secret-shares a whole column of input values at once (one bulk call
-    /// per column instead of per-cell call sites). Delegates to
-    /// [`Protocol::share_value`] so accounting and share construction have a
-    /// single source of truth.
-    pub fn share_column(&mut self, values: &[i64]) -> Vec<Shares> {
+    /// Takes a whole column of input values at once (one bulk call per
+    /// column instead of per-cell call sites). Delegates to
+    /// [`Protocol::share_value`] so the accounting has a single source of
+    /// truth.
+    pub fn share_column(&mut self, values: &[i64]) -> Vec<RingElem> {
         values.iter().map(|&v| self.share_value(v)).collect()
     }
 
-    /// Opens (reveals) a shared value to all parties.
-    pub fn open(&mut self, x: &Shares) -> i64 {
+    /// Opens (reveals) a value to all parties. Revealing to a single party
+    /// (e.g. the STP) costs and counts the same; the *authorization* to do
+    /// either is checked by the compiler, not here.
+    pub fn open(&mut self, x: RingElem) -> i64 {
         self.counts.opened_elems += 1;
-        x.reconstruct().to_i64()
-    }
-
-    /// Reveals a shared value to a single party (e.g. the STP). Costs the
-    /// same as an open but is tracked identically; the *authorization* to do
-    /// this is checked by the compiler, not here.
-    pub fn reveal(&mut self, x: &Shares) -> i64 {
-        self.counts.opened_elems += 1;
-        x.reconstruct().to_i64()
-    }
-
-    // ------------------------------------------------------------------
-    // Non-linear operations (communication).
-    // ------------------------------------------------------------------
-
-    /// Multiplies two shared values with a Beaver triple (one round).
-    pub fn mul(&mut self, x: &Shares, y: &Shares) -> Shares {
-        self.counts.mults += 1;
-        let (z, _d, _e) = self.dealer.beaver_multiply(x, y, &mut self.rng);
-        z
-    }
-
-    /// Oblivious less-than: returns a sharing of `1` if `x < y`, else `0`.
-    pub fn lt(&mut self, x: &Shares, y: &Shares) -> Shares {
-        self.counts.comparisons += 1;
-        let bit = i64::from(x.reconstruct().to_i64() < y.reconstruct().to_i64());
-        Shares::share(RingElem::from_i64(bit), self.parties, &mut self.rng)
-    }
-
-    /// Oblivious equality: returns a sharing of `1` if `x == y`, else `0`.
-    pub fn eq(&mut self, x: &Shares, y: &Shares) -> Shares {
-        self.counts.equalities += 1;
-        let bit = i64::from(x.reconstruct().to_i64() == y.reconstruct().to_i64());
-        Shares::share(RingElem::from_i64(bit), self.parties, &mut self.rng)
-    }
-
-    /// Oblivious multiplexer: returns `a` if the shared bit `c` is 1, else
-    /// `b`. Computed as `b + c·(a − b)`, i.e. one multiplication.
-    pub fn mux(&mut self, c: &Shares, a: &Shares, b: &Shares) -> Shares {
-        let diff = a.sub(b);
-        let scaled = self.mul(c, &diff);
-        b.add(&scaled)
+        x.to_i64()
     }
 }
 
-/// The in-process engine: every batch loops the scalar primitive, linear
-/// operations are share-vector arithmetic, nothing can fail but operator
-/// logic itself.
+/// A 0/1 flag as a ring element.
+fn bit(b: bool) -> RingElem {
+    RingElem::from_i64(i64::from(b))
+}
+
+/// Every primitive is ring arithmetic or a signed comparison on the values
+/// themselves plus its charge; nothing can fail but operator logic itself.
 impl Engine for Protocol {
-    type Share = Shares;
+    type Share = RingElem;
     type Error = OpError;
 
-    fn constant(&self, v: i64) -> Shares {
-        Shares::constant(RingElem::from_i64(v), self.parties)
+    fn constant(&self, v: i64) -> RingElem {
+        RingElem::from_i64(v)
     }
 
-    fn add(&self, x: &Shares, y: &Shares) -> Shares {
-        x.add(y)
+    fn add(&self, x: RingElem, y: RingElem) -> RingElem {
+        x + y
     }
 
-    fn sub(&self, x: &Shares, y: &Shares) -> Shares {
-        x.sub(y)
+    fn sub(&self, x: RingElem, y: RingElem) -> RingElem {
+        x - y
     }
 
-    fn add_public(&self, x: &Shares, c: i64) -> Shares {
-        x.add_public(RingElem::from_i64(c))
+    fn add_public(&self, x: RingElem, c: i64) -> RingElem {
+        x + RingElem::from_i64(c)
     }
 
-    fn mul_public(&self, x: &Shares, c: i64) -> Shares {
-        x.mul_public(RingElem::from_i64(c))
+    fn mul_public(&self, x: RingElem, c: i64) -> RingElem {
+        x * RingElem::from_i64(c)
     }
 
-    fn mul_batch(&mut self, pairs: &[(&Shares, &Shares)]) -> Result<Vec<Shares>, OpError> {
-        Ok(pairs.iter().map(|(x, y)| self.mul(x, y)).collect())
+    fn mul_batch(&mut self, pairs: &[(RingElem, RingElem)]) -> Result<Vec<RingElem>, OpError> {
+        self.counts.mults += pairs.len() as u64;
+        Ok(pairs.iter().map(|&(x, y)| x * y).collect())
     }
 
-    fn lt_batch(&mut self, pairs: &[(&Shares, &Shares)]) -> Result<Vec<Shares>, OpError> {
-        Ok(pairs.iter().map(|(x, y)| self.lt(x, y)).collect())
+    fn lt_batch(&mut self, pairs: &[(RingElem, RingElem)]) -> Result<Vec<RingElem>, OpError> {
+        self.counts.comparisons += pairs.len() as u64;
+        Ok(pairs
+            .iter()
+            .map(|(x, y)| bit(x.to_i64() < y.to_i64()))
+            .collect())
     }
 
     fn eq_batch_groups(
         &mut self,
-        groups: &[Vec<(&Shares, &Shares)>],
-    ) -> Result<Vec<Vec<Shares>>, OpError> {
+        groups: &[Vec<(RingElem, RingElem)>],
+    ) -> Result<Vec<Vec<RingElem>>, OpError> {
+        self.counts.equalities += groups.iter().map(|g| g.len() as u64).sum::<u64>();
         Ok(groups
             .iter()
-            .map(|g| g.iter().map(|(x, y)| self.eq(x, y)).collect())
+            .map(|g| g.iter().map(|(x, y)| bit(x == y)).collect())
             .collect())
     }
 
+    /// `b + c·(a − b)`: charged as the one multiplication it costs.
     fn mux_batch(
         &mut self,
-        selectors: &[(&Shares, &Shares, &Shares)],
-    ) -> Result<Vec<Shares>, OpError> {
-        Ok(selectors
-            .iter()
-            .map(|(c, a, b)| self.mux(c, a, b))
-            .collect())
+        selectors: &[(RingElem, RingElem, RingElem)],
+    ) -> Result<Vec<RingElem>, OpError> {
+        self.counts.mults += selectors.len() as u64;
+        Ok(selectors.iter().map(|&(c, a, b)| b + c * (a - b)).collect())
     }
 
-    fn open_column(&mut self, shares: &[&Shares]) -> Result<Vec<i64>, OpError> {
-        Ok(shares.iter().map(|s| self.open(s)).collect())
+    fn open_column(&mut self, shares: &[RingElem]) -> Result<Vec<i64>, OpError> {
+        Ok(shares.iter().map(|&s| self.open(s)).collect())
     }
 
     /// Adds externally-computed primitive counts (also used by analytical
@@ -201,8 +161,8 @@ impl Engine for Protocol {
         self.counts.shuffled_elems += elements;
     }
 
-    /// Fisher–Yates over the protocol RNG; the permutation itself stays
-    /// inside the protocol simulator.
+    /// Fisher–Yates over the engine's RNG; the permutation itself stays
+    /// inside the simulator.
     fn random_permutation(&mut self, n: usize) -> Vec<usize> {
         let mut perm: Vec<usize> = (0..n).collect();
         for i in (1..n).rev() {
@@ -226,7 +186,7 @@ mod tests {
         let mut p = proto();
         for v in [-5i64, 0, 7, i64::MAX] {
             let s = p.share_value(v);
-            assert_eq!(p.open(&s), v);
+            assert_eq!(p.open(s), v);
         }
         assert_eq!(p.counts().input_elems, 4);
         assert_eq!(p.counts().opened_elems, 4);
@@ -244,15 +204,15 @@ mod tests {
         let a = p.share_value(10);
         let b = p.share_value(4);
         let before = p.counts().nonlinear_ops();
-        let sum = p.add(&a, &b);
-        let diff = p.sub(&a, &b);
-        let scaled = p.mul_public(&a, 3);
-        let shifted = p.add_public(&a, 100);
+        let sum = p.add(a, b);
+        let diff = p.sub(a, b);
+        let scaled = p.mul_public(a, 3);
+        let shifted = p.add_public(a, 100);
         assert_eq!(p.counts().nonlinear_ops(), before);
-        assert_eq!(p.open(&sum), 14);
-        assert_eq!(p.open(&diff), 6);
-        assert_eq!(p.open(&scaled), 30);
-        assert_eq!(p.open(&shifted), 110);
+        assert_eq!(p.open(sum), 14);
+        assert_eq!(p.open(diff), 6);
+        assert_eq!(p.open(scaled), 30);
+        assert_eq!(p.open(shifted), 110);
     }
 
     #[test]
@@ -260,9 +220,11 @@ mod tests {
         let mut p = proto();
         let a = p.share_value(-7);
         let b = p.share_value(6);
-        let prod = p.mul(&a, &b);
-        assert_eq!(p.open(&prod), -42);
-        assert_eq!(p.counts().mults, 1);
+        let big = p.share_value(i64::MAX);
+        let prod = p.mul_batch(&[(a, b), (big, b)]).unwrap();
+        assert_eq!(p.open(prod[0]), -42);
+        assert_eq!(p.open(prod[1]), i64::MAX.wrapping_mul(6));
+        assert_eq!(p.counts().mults, 2);
     }
 
     #[test]
@@ -270,16 +232,14 @@ mod tests {
         let mut p = proto();
         let a = p.share_value(3);
         let b = p.share_value(5);
-        let lt_ab = p.lt(&a, &b);
-        let lt_ba = p.lt(&b, &a);
-        let eq_aa = p.eq(&a, &a.clone());
-        let eq_ab = p.eq(&a, &b);
-        assert_eq!(p.open(&lt_ab), 1);
-        assert_eq!(p.open(&lt_ba), 0);
-        assert_eq!(p.open(&eq_aa), 1);
-        assert_eq!(p.open(&eq_ab), 0);
+        let neg = p.share_value(-1);
+        let lt = p.lt_batch(&[(a, b), (b, a), (neg, a)]).unwrap();
+        let eq = p.eq_batch_groups(&[vec![(a, a)], vec![(a, b)]]).unwrap();
+        // Signed: −1 < 3 although its ring element is the larger word.
+        assert_eq!(p.open_column(&lt).unwrap(), vec![1, 0, 1]);
+        assert_eq!(p.open_column(&eq.concat()).unwrap(), vec![1, 0]);
         let c = p.counts();
-        assert_eq!(c.comparisons, 2);
+        assert_eq!(c.comparisons, 3);
         assert_eq!(c.equalities, 2);
     }
 
@@ -290,10 +250,8 @@ mod tests {
         let b = p.share_value(222);
         let one = p.share_value(1);
         let zero = p.share_value(0);
-        let pick_a = p.mux(&one, &a, &b);
-        let pick_b = p.mux(&zero, &a, &b);
-        assert_eq!(p.open(&pick_a), 111);
-        assert_eq!(p.open(&pick_b), 222);
+        let picked = p.mux_batch(&[(one, a, b), (zero, a, b)]).unwrap();
+        assert_eq!(p.open_column(&picked).unwrap(), vec![111, 222]);
         assert_eq!(p.counts().mults, 2);
     }
 
@@ -301,7 +259,7 @@ mod tests {
     fn constants_and_charges() {
         let mut p = proto();
         let c = p.constant(9);
-        assert_eq!(p.open(&c), 9);
+        assert_eq!(p.open(c), 9);
         p.charge_shuffle(100);
         p.charge(&PrimitiveCounts {
             mults: 7,

@@ -3,13 +3,14 @@
 //! A [`Rel`] is the MPC-resident counterpart of
 //! [`conclave_engine::Relation`]: the schema stays public (as in the paper,
 //! relation schemas and sizes are not hidden) while every cell is a share.
-//! The share type is the engine's: [`SharedRelation`] holds every party's
-//! additive shares ([`Shares`], the in-process [`Protocol`] engine),
-//! [`crate::runtime::PartyRelation`] holds one party's authenticated share.
+//! The share type is the engine's: [`SharedRelation`] is the relation of the
+//! in-process [`Protocol`] engine, whose "share" is the value itself
+//! ([`RingElem`]); [`crate::runtime::PartyRelation`] holds one party's
+//! authenticated share.
 
 use crate::engine::OpError;
 use crate::protocol::Protocol;
-use crate::share::Shares;
+use crate::ring::RingElem;
 use conclave_engine::{ColumnarRelation, Relation, Table};
 use conclave_ir::schema::Schema;
 use conclave_ir::types::{DataType, Value};
@@ -23,11 +24,10 @@ pub struct Rel<S> {
     pub rows: Vec<Vec<S>>,
 }
 
-/// A relation holding all parties' shares of every cell (the in-process
-/// [`Protocol`] engine's relation).
-pub type SharedRelation = Rel<Shares>;
+/// The in-process [`Protocol`] engine's relation: every cell is the value.
+pub type SharedRelation = Rel<RingElem>;
 
-impl<S: Clone> Rel<S> {
+impl<S: Copy> Rel<S> {
     /// Creates an empty shared relation with the given schema.
     pub fn empty(schema: Schema) -> Self {
         Rel {
@@ -67,9 +67,9 @@ impl<S: Clone> Rel<S> {
         names.iter().map(|c| self.require(c)).collect()
     }
 
-    /// The shares of one column, borrowed.
-    pub fn column(&self, idx: usize) -> Vec<&S> {
-        self.rows.iter().map(|r| &r[idx]).collect()
+    /// The shares of one column.
+    pub fn column(&self, idx: usize) -> Vec<S> {
+        self.rows.iter().map(|r| r[idx]).collect()
     }
 
     /// The schema a cleartext opening of this relation carries: opened cells
@@ -94,7 +94,7 @@ impl<S: Clone> Rel<S> {
         let rows = self
             .rows
             .iter()
-            .map(|row| idxs.iter().map(|&i| row[i].clone()).collect())
+            .map(|row| idxs.iter().map(|&i| row[i]).collect())
             .collect();
         Ok(Rel { schema, rows })
     }
@@ -172,7 +172,7 @@ impl SharedRelation {
     pub fn from_columnar(rel: &ColumnarRelation, proto: &mut Protocol) -> Result<Self, String> {
         check_shareable(&rel.schema)?;
         let n = rel.num_rows();
-        let mut shared_columns: Vec<Vec<Shares>> = Vec::with_capacity(rel.num_cols());
+        let mut shared_columns: Vec<Vec<RingElem>> = Vec::with_capacity(rel.num_cols());
         for (c, col) in rel.columns().iter().enumerate() {
             // Fast path: a null-free integer column shares its slice directly,
             // with no intermediate copy.
@@ -189,7 +189,7 @@ impl SharedRelation {
         // Transpose into the row-major share layout the oblivious operators
         // consume.
         let rows = (0..n)
-            .map(|i| shared_columns.iter().map(|col| col[i].clone()).collect())
+            .map(|i| shared_columns.iter().map(|col| col[i]).collect())
             .collect();
         Ok(Rel {
             schema: rel.schema.clone(),
@@ -214,7 +214,7 @@ impl SharedRelation {
         let rows = self
             .rows
             .iter()
-            .map(|row| row.iter().map(|s| Value::Int(proto.open(s))).collect())
+            .map(|row| row.iter().map(|&s| Value::Int(proto.open(s))).collect())
             .collect();
         Relation {
             schema: self.opened_schema(),

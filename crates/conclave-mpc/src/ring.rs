@@ -28,6 +28,14 @@ impl RingElem {
         self.0 as i64
     }
 
+    /// The value an in-process cell stands for: itself. Harness-blocked —
+    /// `conclave_bench/src/probes.rs` reads a [`crate::relation::SharedRelation`]
+    /// cell as `cell.reconstruct().to_i64()`; goes in the `[benchmark]` PR of
+    /// ROADMAP's preamble.
+    pub fn reconstruct(self) -> RingElem {
+        self
+    }
+
     /// Wrapping addition.
     pub fn wrapping_add(self, rhs: RingElem) -> RingElem {
         RingElem(self.0.wrapping_add(rhs.0))

@@ -552,7 +552,7 @@ mod tests {
         let results = run_parties(3, 21, |proto| {
             let data = mine(proto, 0, &rel);
             let shared = share_relation(proto, 0, data, &rel.schema, rel.num_rows())?;
-            let mut col: Vec<AuthShare> = shared.column(1).into_iter().copied().collect();
+            let mut col: Vec<AuthShare> = shared.column(1);
             if proto.party() == 2 {
                 col[0].v += RingElem::from_i64(5);
             }
@@ -589,8 +589,7 @@ mod tests {
                         let data = mine(&proto, 0, rel);
                         let shared =
                             share_relation(&mut proto, 0, data, &rel.schema, rel.num_rows())?;
-                        let mut col: Vec<AuthShare> =
-                            shared.column(1).into_iter().copied().collect();
+                        let mut col: Vec<AuthShare> = shared.column(1);
                         if proto.party() == 2 {
                             col[0].v += RingElem::from_i64(5);
                         }

@@ -389,9 +389,9 @@ impl<'n> StepCtx<'_, 'n> {
     }
 }
 
-/// The per-party engine: the generic operators' reference-taking batches
-/// forward to the inherent by-value batches above (MACed, circuit-backed, one
-/// set of rounds per call), linear operations are local share arithmetic.
+/// The per-party engine: the trait's batches are the inherent batches above
+/// (MACed, circuit-backed, one set of rounds per call), linear operations are
+/// local share arithmetic.
 impl Engine for StepCtx<'_, '_> {
     type Share = AuthShare;
     type Error = PartyError;
@@ -400,30 +400,28 @@ impl Engine for StepCtx<'_, '_> {
         self.constant_elem(RingElem::from_i64(v))
     }
 
-    fn add(&self, x: &AuthShare, y: &AuthShare) -> AuthShare {
-        *x + *y
+    fn add(&self, x: AuthShare, y: AuthShare) -> AuthShare {
+        x + y
     }
 
-    fn sub(&self, x: &AuthShare, y: &AuthShare) -> AuthShare {
-        *x - *y
+    fn sub(&self, x: AuthShare, y: AuthShare) -> AuthShare {
+        x - y
     }
 
-    fn add_public(&self, x: &AuthShare, c: i64) -> AuthShare {
-        self.add_public_elem(*x, RingElem::from_i64(c))
+    fn add_public(&self, x: AuthShare, c: i64) -> AuthShare {
+        self.add_public_elem(x, RingElem::from_i64(c))
     }
 
-    fn mul_public(&self, x: &AuthShare, c: i64) -> AuthShare {
+    fn mul_public(&self, x: AuthShare, c: i64) -> AuthShare {
         x.mul_public(RingElem::from_i64(c))
     }
 
-    fn mul_batch(&mut self, pairs: &[(&AuthShare, &AuthShare)]) -> PartyResult<Vec<AuthShare>> {
-        let owned: Vec<_> = pairs.iter().map(|&(x, y)| (*x, *y)).collect();
-        StepCtx::mul_batch(self, &owned)
+    fn mul_batch(&mut self, pairs: &[(AuthShare, AuthShare)]) -> PartyResult<Vec<AuthShare>> {
+        StepCtx::mul_batch(self, pairs)
     }
 
-    fn lt_batch(&mut self, pairs: &[(&AuthShare, &AuthShare)]) -> PartyResult<Vec<AuthShare>> {
-        let owned: Vec<_> = pairs.iter().map(|&(x, y)| (*x, *y)).collect();
-        StepCtx::lt_batch(self, &owned)
+    fn lt_batch(&mut self, pairs: &[(AuthShare, AuthShare)]) -> PartyResult<Vec<AuthShare>> {
+        StepCtx::lt_batch(self, pairs)
     }
 
     /// All groups flatten into a single circuit execution, so the whole set
@@ -431,10 +429,9 @@ impl Engine for StepCtx<'_, '_> {
     /// loop would pay 8 rounds per group.
     fn eq_batch_groups(
         &mut self,
-        groups: &[Vec<(&AuthShare, &AuthShare)>],
+        groups: &[Vec<(AuthShare, AuthShare)>],
     ) -> PartyResult<Vec<Vec<AuthShare>>> {
-        let flat: Vec<_> = groups.iter().flatten().map(|&(x, y)| (*x, *y)).collect();
-        let mut bits = self.eq_batch(&flat)?.into_iter();
+        let mut bits = self.eq_batch(&groups.concat())?.into_iter();
         Ok(groups
             .iter()
             .map(|g| bits.by_ref().take(g.len()).collect())
@@ -444,20 +441,19 @@ impl Engine for StepCtx<'_, '_> {
     /// Element-wise `b + c·(a − b)`: one Beaver batch.
     fn mux_batch(
         &mut self,
-        selectors: &[(&AuthShare, &AuthShare, &AuthShare)],
+        selectors: &[(AuthShare, AuthShare, AuthShare)],
     ) -> PartyResult<Vec<AuthShare>> {
-        let pairs: Vec<_> = selectors.iter().map(|&(c, a, b)| (*c, *a - *b)).collect();
+        let pairs: Vec<_> = selectors.iter().map(|&(c, a, b)| (c, a - b)).collect();
         let scaled = StepCtx::mul_batch(self, &pairs)?;
         Ok(selectors
             .iter()
             .zip(scaled)
-            .map(|(&(_, _, b), s)| *b + s)
+            .map(|(&(_, _, b), s)| b + s)
             .collect())
     }
 
-    fn open_column(&mut self, shares: &[&AuthShare]) -> PartyResult<Vec<i64>> {
-        let owned: Vec<AuthShare> = shares.iter().map(|s| **s).collect();
-        StepCtx::open_column(self, &owned)
+    fn open_column(&mut self, shares: &[AuthShare]) -> PartyResult<Vec<i64>> {
+        StepCtx::open_column(self, shares)
     }
 
     fn charge(&mut self, extra: &PrimitiveCounts) {
@@ -691,7 +687,7 @@ pub(super) mod tests {
             let lt = proto.lt(s[0], s[1])?; // 3 < 5 → 1
             let ge = proto.lt(s[1], s[0])?; // 5 < 3 → 0
             let eqs = proto.eq_batch(&[(s[1], s[2]), (s[0], s[3])])?; // 5 == 5 → 1, 3 == −2 → 0
-            let picked = Engine::mux_batch(proto, &[(&lt, &s[0], &s[1])])?; // → 3
+            let picked = Engine::mux_batch(proto, &[(lt, s[0], s[1])])?; // → 3
             proto.open_column(&[lt, ge, eqs[0], eqs[1], picked[0]])
         });
         for r in &results {
@@ -712,10 +708,10 @@ pub(super) mod tests {
                             let proto = sess.step(0);
                             let a = proto.constant(10);
                             let b = proto.constant(4);
-                            let _ = proto.add(&a, &b);
-                            let _ = proto.sub(&a, &b);
-                            let _ = proto.add_public(&a, 5);
-                            let _ = proto.mul_public(&a, 3);
+                            let _ = proto.add(a, b);
+                            let _ = proto.sub(a, b);
+                            let _ = proto.add_public(a, 5);
+                            let _ = proto.mul_public(a, 3);
                             t.stats()
                         })
                     })
@@ -835,7 +831,7 @@ pub(super) mod tests {
         let costs = run_parties(3, 31, |proto| {
             let data = mine(proto, 0, &rel);
             let shared = share_relation(proto, 0, data, &rel.schema, rel.num_rows())?;
-            let col: Vec<AuthShare> = shared.column(0).into_iter().copied().collect();
+            let col: Vec<AuthShare> = shared.column(0);
             let empty = PartyRelation {
                 schema: rel.schema.clone(),
                 rows: Vec::new(),

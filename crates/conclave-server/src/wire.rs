@@ -11,6 +11,14 @@
 //!                      3=STR(packed), 4=BOOL(0/1)
 //! ```
 //!
+//! A reply is outside input to the client, so [`decode_outputs`] does work
+//! and allocates in proportion to the words it was handed, never to a count
+//! it read: an output costs at least 3 words, a column 2, a value 1, and a
+//! count the remaining words cannot back is an error before anything is
+//! reserved or looped for it. Rows of a relation with no columns would cost
+//! no words at all, so such a relation carries no rows on the wire (its row
+//! count must be 0).
+//!
 //! Trust annotations are *not* carried: a wire result is cleartext already
 //! revealed to its recipient, so the decoded schema is plain named/typed
 //! columns.
@@ -102,6 +110,19 @@ impl<'a> Cursor<'a> {
         Ok(word)
     }
 
+    /// Reads a count of items that each cost at least `min_words` (≥ 1)
+    /// further words, rejecting one the rest of the payload cannot back.
+    fn count(&mut self, what: &str, min_words: usize) -> Result<usize, String> {
+        let n = self.next()?;
+        let left = self.words.len() - self.at;
+        if n > (left / min_words) as u64 {
+            return Err(format!(
+                "payload claims {n} {what} of at least {min_words} words each with {left} words left"
+            ));
+        }
+        Ok(n as usize)
+    }
+
     fn text(&mut self) -> Result<String, String> {
         let len = self.next()? as usize;
         let body_words = len.div_ceil(8);
@@ -120,18 +141,25 @@ impl<'a> Cursor<'a> {
 /// Decodes a result payload back into per-recipient relations.
 pub fn decode_outputs(words: &[u64]) -> Result<BTreeMap<PartyId, Relation>, String> {
     let mut cur = Cursor { words, at: 0 };
-    let n_outputs = cur.next()?;
+    let n_outputs = cur.count("outputs", 3)?;
     let mut outputs = BTreeMap::new();
     for _ in 0..n_outputs {
         let party = PartyId::try_from(cur.next()?).map_err(|e| format!("bad party id: {e}"))?;
-        let n_cols = cur.next()? as usize;
+        let n_cols = cur.count("columns", 2)?;
         let mut columns = Vec::with_capacity(n_cols);
         for _ in 0..n_cols {
             let name = cur.text()?;
             let dtype = dtype_from_code(cur.next()?)?;
             columns.push(ColumnDef::new(name, dtype));
         }
-        let n_rows = cur.next()? as usize;
+        let n_rows = if n_cols == 0 {
+            match cur.next()? {
+                0 => 0,
+                n => return Err(format!("{n} rows claimed for a relation with no columns")),
+            }
+        } else {
+            cur.count("rows", n_cols)?
+        };
         let mut rows = Vec::with_capacity(n_rows);
         for _ in 0..n_rows {
             let mut row = Vec::with_capacity(n_cols);
@@ -196,6 +224,7 @@ pub fn query_remote(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn outputs_round_trip_through_the_codec() {
@@ -252,5 +281,86 @@ mod tests {
         assert!(decode_outputs(&bad_tag[..len - 1])
             .unwrap_err()
             .contains("unknown value tag"));
+        // Counts the payload cannot back are refused before anything is
+        // reserved or iterated for them: these used to panic with "capacity
+        // overflow", abort on a 64 TiB allocation, and spin building empty
+        // rows (forever at u64::MAX).
+        let started = std::time::Instant::now();
+        for hostile in [
+            vec![1, 0, u64::MAX],
+            vec![1, 0, 1 << 40],
+            vec![1, 0, 0, 50_000_000],
+            vec![1, 0, 0, u64::MAX],
+            vec![u64::MAX],
+            vec![1, 0, 1, 0, 0, u64::MAX],
+        ] {
+            assert!(decode_outputs(&hostile).is_err(), "{hostile:?}");
+        }
+        assert!(started.elapsed() < std::time::Duration::from_secs(1));
+    }
+
+    /// A relation of `dtypes`-typed columns and `n_rows` rows whose cells
+    /// cycle through `cells`: `(0, ..)` is NULL, otherwise the raw integer or
+    /// the (possibly empty) text, as the column's type reads it.
+    fn relation_from(dtypes: &[u64], n_rows: usize, cells: &[(u8, i64, Vec<u8>)]) -> Relation {
+        let columns = dtypes
+            .iter()
+            .enumerate()
+            .map(|(i, &code)| ColumnDef::new(format!("c{i}"), dtype_from_code(code).unwrap()))
+            .collect();
+        let mut cycle = cells.iter().cycle();
+        let rows = (0..if dtypes.is_empty() { 0 } else { n_rows })
+            .map(|_| {
+                dtypes
+                    .iter()
+                    .map(|&code| match (cycle.next().unwrap(), code) {
+                        ((0, _, _), _) => Value::Null,
+                        ((_, raw, _), 0) => Value::Int(*raw),
+                        ((_, raw, _), 1) => Value::Float(*raw as f64 / 8.0),
+                        ((_, _, text), 2) => Value::Str(String::from_utf8(text.clone()).unwrap()),
+                        ((_, raw, _), _) => Value::Bool(raw & 1 == 1),
+                    })
+                    .collect()
+            })
+            .collect();
+        Relation::new(Schema::new(columns), rows).unwrap()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// `decode(encode(x)) == x` for relations of all four column types,
+        /// NULLs and empty strings included; and no single-word corruption
+        /// of such a payload makes the decoder panic.
+        #[test]
+        fn random_relations_round_trip_and_survive_mutation(
+            party in 0u32..8,
+            dtypes in prop::collection::vec(0u64..4, 0..5),
+            n_rows in 0usize..6,
+            cells in prop::collection::vec(
+                (0u8..4, any::<i64>(), prop::collection::vec(32u8..127, 0..12)),
+                1..24,
+            ),
+            at in any::<usize>(),
+            word in prop_oneof![3 => 0u64..8, 1 => any::<u64>()],
+        ) {
+            let mut outputs = BTreeMap::new();
+            outputs.insert(party, relation_from(&dtypes, n_rows, &cells));
+            outputs.insert(party + 1, relation_from(&dtypes[..dtypes.len() / 2], 1, &cells));
+            let mut words = encode_outputs(&outputs);
+            prop_assert_eq!(decode_outputs(&words).unwrap(), outputs);
+            let at = at % words.len();
+            words[at] = word;
+            let _ = decode_outputs(&words);
+        }
+
+        /// Arbitrary words — small ones, so that counts and tags are often
+        /// plausible, mixed with wild ones — never panic the decoder.
+        #[test]
+        fn random_words_never_panic(
+            words in prop::collection::vec(prop_oneof![3 => 0u64..6, 1 => any::<u64>()], 0..48),
+        ) {
+            let _ = decode_outputs(&words);
+        }
     }
 }

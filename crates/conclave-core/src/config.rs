@@ -57,11 +57,11 @@ pub enum DealerMode {
     /// still carry MACs and every reveal is still checked.
     #[default]
     Seeded,
-    /// Load pregenerated per-party `party-{i}.dealer` files from this
-    /// directory, as written by the `conclave-dealer` binary
-    /// ([`conclave_mpc::dealer::write_party_files`]). Loaded once per mesh:
-    /// a mesh that serves several queries draws them all from that one
-    /// stock, so the files must be sized for all of them.
+    /// Load the per-party files the `conclave-dealer` binary wrote to this
+    /// directory ([`conclave_mpc::dealer::write_party_files`]): each is what
+    /// [`DealerMode::Streamed`] would carry for the same requests, recorded.
+    /// Loaded once per mesh: a mesh that serves several queries draws them
+    /// all from that one stock, so the files must be sized for all of them.
     File(std::path::PathBuf),
     /// Stream blocks on demand from a dealer endpoint over a dedicated
     /// per-party link ([`conclave_mpc::dealer::serve_party`]); each run's
@@ -275,7 +275,7 @@ mod tests {
         let c = ConclaveConfig::standard().with_sequential_local();
         assert_eq!(c.local_backend, LocalBackend::Sequential);
         let c = ConclaveConfig::standard().with_mpc(MpcBackendConfig::obliv_c());
-        assert_eq!(c.mpc.kind, BackendKind::OblivCLike);
+        assert_eq!(c.mpc.kind, BackendKind::Garbled);
         assert_eq!(ConclaveConfig::standard().engine_mode, EngineMode::Row);
         let c = ConclaveConfig::standard().with_columnar();
         assert_eq!(c.engine_mode, EngineMode::Columnar);

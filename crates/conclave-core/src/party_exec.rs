@@ -70,7 +70,7 @@ use conclave_ir::ops::Operator;
 use conclave_ir::schema::Schema;
 use conclave_mpc::cost::PrimitiveCounts;
 use conclave_mpc::dealer::{
-    load_party_file, serve_party, DealerSource, MaterialBlocks, MaterialPool,
+    load_party_file, party_file, serve_party, DealerSource, MaterialBlocks, MaterialPool,
 };
 use conclave_mpc::runtime::{
     begin_open_relation, execute_party_op, finish_open_relation, share_relation, PartyError,
@@ -267,7 +267,7 @@ impl PartyMeshRuntime {
                 let feed: DealerFeed = match dealer {
                     DealerMode::Seeded => Box::new(|| Ok(DealerSource::Seeded)),
                     DealerMode::File(dir) => {
-                        let path = dir.join(format!("party-{i}.dealer"));
+                        let path = party_file(dir, i);
                         Box::new(move || {
                             load_party_file(&path).map(|b| DealerSource::Preloaded(Box::new(b)))
                         })

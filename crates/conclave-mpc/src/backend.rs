@@ -25,11 +25,9 @@ use std::time::Duration;
 pub enum BackendKind {
     /// Three-party additive secret sharing (Sharemind-like).
     SharemindLike,
-    /// Two-party garbled circuits (Obliv-C-like).
-    OblivCLike,
-    /// Two-party garbled circuits with a heavier runtime (ObliVM-like), used
-    /// for the SMCQL comparison.
-    OblivVmLike,
+    /// Two-party garbled circuits, as a cost model. Which framework it is
+    /// calibrated to (Obliv-C, ObliVM) is [`MpcBackendConfig::gc_cost`].
+    Garbled,
 }
 
 impl BackendKind {
@@ -37,7 +35,7 @@ impl BackendKind {
     pub fn parties(self) -> u32 {
         match self {
             BackendKind::SharemindLike => 3,
-            BackendKind::OblivCLike | BackendKind::OblivVmLike => 2,
+            BackendKind::Garbled => 2,
         }
     }
 
@@ -51,8 +49,7 @@ impl fmt::Display for BackendKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
             BackendKind::SharemindLike => "sharemind-like",
-            BackendKind::OblivCLike => "obliv-c-like",
-            BackendKind::OblivVmLike => "oblivm-like",
+            BackendKind::Garbled => "garbled-circuit",
         };
         f.write_str(s)
     }
@@ -74,18 +71,15 @@ pub struct MpcBackendConfig {
 }
 
 impl MpcBackendConfig {
-    /// Default configuration for the given framework.
+    /// Default configuration for the given kind (a garbled one is priced as
+    /// Obliv-C; see [`MpcBackendConfig::obliv_vm`] for the other calibration).
     pub fn new(kind: BackendKind) -> Self {
-        let gc_cost = match kind {
-            BackendKind::OblivVmLike => GarbledCostModel::obliv_vm(),
-            _ => GarbledCostModel::obliv_c(),
-        };
         MpcBackendConfig {
             kind,
             network: NetworkModel::lan(),
             seed: 0xC0C1A7E,
             ss_cost: SecretShareCostModel::default(),
-            gc_cost,
+            gc_cost: GarbledCostModel::obliv_c(),
         }
     }
 
@@ -96,12 +90,15 @@ impl MpcBackendConfig {
 
     /// Obliv-C-like defaults.
     pub fn obliv_c() -> Self {
-        Self::new(BackendKind::OblivCLike)
+        Self::new(BackendKind::Garbled)
     }
 
-    /// ObliVM-like defaults.
+    /// ObliVM-like defaults: the heavier runtime of the SMCQL comparison.
     pub fn obliv_vm() -> Self {
-        Self::new(BackendKind::OblivVmLike)
+        MpcBackendConfig {
+            gc_cost: GarbledCostModel::obliv_vm(),
+            ..Self::new(BackendKind::Garbled)
+        }
     }
 }
 
@@ -246,7 +243,7 @@ impl MpcEngine {
     ) -> MpcResult<(Relation, MpcStepStats)> {
         let input_rows: u64 = inputs.iter().map(|r| r.num_rows() as u64).sum();
         if !self.config.kind.is_secret_sharing() {
-            return self.execute_garbled(op, inputs, input_rows);
+            return self.execute_garbled(op, inputs);
         }
         self.proto.reset_counts();
         let shared_inputs = inputs
@@ -282,7 +279,7 @@ impl MpcEngine {
         let input_rows: u64 = inputs.iter().map(|t| t.num_rows() as u64).sum();
         if !self.config.kind.is_secret_sharing() {
             let rows: Vec<&Relation> = inputs.iter().map(|t| t.as_rows()).collect();
-            return self.execute_garbled(op, &rows, input_rows);
+            return self.execute_garbled(op, &rows);
         }
         self.proto.reset_counts();
         let shared_inputs = inputs
@@ -318,77 +315,77 @@ impl MpcEngine {
         &mut self,
         op: &Operator,
         inputs: &[&Relation],
-        input_rows: u64,
     ) -> MpcResult<(Relation, MpcStepStats)> {
-        let cols: u64 = inputs
-            .iter()
-            .map(|r| r.num_cols() as u64)
-            .max()
-            .unwrap_or(1);
-        let (and_gates, memory) = self.garbled_cost_of(op, inputs)?;
+        let rows: Vec<u64> = inputs.iter().map(|r| r.num_rows() as u64).collect();
+        let cols: Vec<u64> = inputs.iter().map(|r| r.num_cols() as u64).collect();
+        // Priced first: past the memory limit nothing executes.
+        let mut stats = self.garbled_stats(op, &rows, &cols, 0)?;
+        let out =
+            conclave_engine::execute(op, inputs).map_err(|e| MpcError::Exec(e.to_string()))?;
+        stats.output_rows = out.num_rows() as u64;
+        Ok((out, stats))
+    }
+
+    /// AND gates and peak state of `op` under garbled circuits, from
+    /// cardinalities alone — the one gate/memory table, which both the
+    /// executed path and [`MpcEngine::estimate_op`] price, so a small run
+    /// and the paper-scale estimate of the same operator cannot disagree.
+    fn garbled_cost(&self, op: &Operator, input_rows: &[u64], input_cols: &[u64]) -> (u64, f64) {
+        let n: u64 = input_rows.iter().sum();
+        let cols: u64 = input_cols.iter().copied().max().unwrap_or(1);
+        // State retained per input record, in multiples of the model's
+        // per-record footprint: a join keeps comparison state for its
+        // nested loop, a sort its network.
+        let (and_gates, state) = match op {
+            Operator::Join { left_keys, .. } => (
+                gates::join(
+                    input_rows.first().copied().unwrap_or(0),
+                    input_rows.get(1).copied().unwrap_or(0),
+                    left_keys.len() as u64,
+                    cols,
+                ),
+                10.0,
+            ),
+            Operator::Aggregate { group_by, .. } => {
+                (gates::aggregate(n, group_by.len() as u64), 3.0)
+            }
+            Operator::Distinct { .. }
+            | Operator::DistinctCount { .. }
+            | Operator::SortBy { .. } => (gates::distinct(n), 3.0),
+            Operator::Filter { predicate } => (n * predicate.op_count() as u64 * 64, 1.0),
+            // One 64×64-gate multiplier per factor after the first.
+            Operator::Multiply { operands, .. } => {
+                (n * operands.len().saturating_sub(1) as u64 * 64 * 64, 1.0)
+            }
+            _ => (gates::project(n, cols), 1.0),
+        };
+        let per_record = self.config.gc_cost.state_bytes_per_record;
+        (and_gates, n as f64 * per_record * state)
+    }
+
+    /// Step statistics of `op` under garbled circuits, or the out-of-memory
+    /// cliff of Figure 1 when its state outgrows the model's limit.
+    fn garbled_stats(
+        &self,
+        op: &Operator,
+        input_rows: &[u64],
+        input_cols: &[u64],
+        output_rows: u64,
+    ) -> MpcResult<MpcStepStats> {
+        let (and_gates, memory) = self.garbled_cost(op, input_rows, input_cols);
         if self.config.gc_cost.exceeds_memory(memory) {
             return Err(MpcError::OutOfMemory {
                 needed: memory,
                 limit: self.config.gc_cost.memory_limit_bytes,
             });
         }
-        let out =
-            conclave_engine::execute(op, inputs).map_err(|e| MpcError::Exec(e.to_string()))?;
-        let circuit = CircuitStats {
-            and_gates,
-            xor_gates: and_gates * 2,
-            input_wires: input_rows * cols * 64,
-            output_wires: out.num_rows() as u64 * out.num_cols() as u64 * 64,
-        };
-        let stats = MpcStepStats {
+        Ok(MpcStepStats {
             simulated_time: self.config.gc_cost.time(and_gates, &self.config.network),
             counts: PrimitiveCounts::default(),
-            circuit,
+            circuit: CircuitStats { and_gates },
             memory_bytes: memory,
-            input_rows,
-            output_rows: out.num_rows() as u64,
-        };
-        Ok((out, stats))
-    }
-
-    /// Gate count and memory footprint of an operator under garbled circuits.
-    fn garbled_cost_of(&self, op: &Operator, inputs: &[&Relation]) -> MpcResult<(u64, f64)> {
-        let rows: Vec<u64> = inputs.iter().map(|r| r.num_rows() as u64).collect();
-        let widths: Vec<u64> = inputs.iter().map(|r| r.num_cols() as u64).collect();
-        let total_rows: u64 = rows.iter().sum();
-        let per_record = self.config.gc_cost.state_bytes_per_record;
-        Ok(match op {
-            Operator::Join { left_keys, .. } => {
-                let n = rows.first().copied().unwrap_or(0);
-                let m = rows.get(1).copied().unwrap_or(0);
-                let w = widths.iter().sum::<u64>();
-                (
-                    gates::join(n, m, left_keys.len() as u64, w),
-                    total_rows as f64 * per_record * 10.0,
-                )
-            }
-            Operator::Aggregate { group_by, .. } => (
-                gates::aggregate(total_rows, group_by.len() as u64),
-                total_rows as f64 * per_record * 3.0,
-            ),
-            Operator::Distinct { .. }
-            | Operator::DistinctCount { .. }
-            | Operator::SortBy { .. } => (
-                gates::distinct(total_rows),
-                total_rows as f64 * per_record * 3.0,
-            ),
-            Operator::Filter { predicate } => (
-                total_rows * predicate.op_count() as u64 * 64,
-                total_rows as f64 * per_record,
-            ),
-            Operator::Multiply { operands, .. } => (
-                total_rows * operands.len().saturating_sub(1) as u64 * 64 * 64,
-                total_rows as f64 * per_record,
-            ),
-            _ => (
-                gates::project(total_rows, widths.iter().copied().max().unwrap_or(1)),
-                total_rows as f64 * per_record,
-            ),
+            input_rows: input_rows.iter().sum(),
+            output_rows,
         })
     }
 
@@ -419,7 +416,8 @@ impl MpcEngine {
     /// `input_rows`/`input_cols` describe each input; `output_rows` is the
     /// (estimated) result cardinality. The same primitive-count formulas as
     /// the real execution path are used, so estimates and measurements agree
-    /// asymptotically.
+    /// asymptotically; under garbled circuits they are the same table and
+    /// agree exactly.
     pub fn estimate_op(
         &self,
         op: &Operator,
@@ -517,50 +515,7 @@ impl MpcEngine {
                 };
                 Ok(self.stats_from_counts(counts, n, output_rows))
             }
-            BackendKind::OblivCLike | BackendKind::OblivVmLike => {
-                let per_record = self.config.gc_cost.state_bytes_per_record;
-                let (and_gates, memory) = match op {
-                    Operator::Join { left_keys, .. } => (
-                        gates::join(
-                            input_rows.first().copied().unwrap_or(0),
-                            input_rows.get(1).copied().unwrap_or(0),
-                            left_keys.len() as u64,
-                            cols,
-                        ),
-                        n as f64 * per_record * 10.0,
-                    ),
-                    Operator::Aggregate { group_by, .. } => (
-                        gates::aggregate(n, group_by.len() as u64),
-                        n as f64 * per_record * 3.0,
-                    ),
-                    Operator::Distinct { .. }
-                    | Operator::DistinctCount { .. }
-                    | Operator::SortBy { .. } => (gates::distinct(n), n as f64 * per_record * 3.0),
-                    Operator::Filter { predicate } => {
-                        (n * predicate.op_count() as u64 * 64, n as f64 * per_record)
-                    }
-                    _ => (gates::project(n, cols), n as f64 * per_record),
-                };
-                if self.config.gc_cost.exceeds_memory(memory) {
-                    return Err(MpcError::OutOfMemory {
-                        needed: memory,
-                        limit: self.config.gc_cost.memory_limit_bytes,
-                    });
-                }
-                Ok(MpcStepStats {
-                    simulated_time: self.config.gc_cost.time(and_gates, &self.config.network),
-                    counts: PrimitiveCounts::default(),
-                    circuit: CircuitStats {
-                        and_gates,
-                        xor_gates: 2 * and_gates,
-                        input_wires: n * cols * 64,
-                        output_wires: output_rows * cols * 64,
-                    },
-                    memory_bytes: memory,
-                    input_rows: n,
-                    output_rows,
-                })
-            }
+            BackendKind::Garbled => self.garbled_stats(op, input_rows, input_cols, output_rows),
         }
     }
 
@@ -678,9 +633,9 @@ mod tests {
     #[test]
     fn backend_kind_properties() {
         assert_eq!(BackendKind::SharemindLike.parties(), 3);
-        assert_eq!(BackendKind::OblivCLike.parties(), 2);
+        assert_eq!(BackendKind::Garbled.parties(), 2);
         assert!(BackendKind::SharemindLike.is_secret_sharing());
-        assert!(!BackendKind::OblivVmLike.is_secret_sharing());
+        assert!(!BackendKind::Garbled.is_secret_sharing());
         assert_eq!(BackendKind::SharemindLike.to_string(), "sharemind-like");
     }
 
@@ -882,6 +837,71 @@ mod tests {
         assert_eq!(stats.counts, PrimitiveCounts::default());
     }
 
+    /// One gate/memory table: what a garbled run reports is what the
+    /// estimator predicts for the same cardinalities, operator by operator.
+    #[test]
+    fn garbled_execution_and_estimate_agree_on_gates_and_memory() {
+        let rows: Vec<Vec<i64>> = (0..100).map(|i| vec![i % 10, i]).collect();
+        let rel = Relation::from_ints(&["k", "v"], &rows);
+        let cases: Vec<(Operator, Vec<&Relation>)> = vec![
+            (
+                Operator::Join {
+                    left_keys: vec!["k".into()],
+                    right_keys: vec!["k".into()],
+                    kind: JoinKind::Inner,
+                },
+                vec![&rel, &rel],
+            ),
+            (
+                Operator::Aggregate {
+                    group_by: vec!["k".into()],
+                    func: AggFunc::Sum,
+                    over: Some("v".into()),
+                    out: "s".into(),
+                },
+                vec![&rel],
+            ),
+            (
+                Operator::Distinct {
+                    columns: vec!["k".into()],
+                },
+                vec![&rel],
+            ),
+            (
+                Operator::Filter {
+                    predicate: Expr::col("v").gt(Expr::lit(6)),
+                },
+                vec![&rel],
+            ),
+            (
+                Operator::Multiply {
+                    out: "p".into(),
+                    operands: vec![Operand::col("k"), Operand::col("v")],
+                },
+                vec![&rel],
+            ),
+            (
+                Operator::Project {
+                    columns: vec!["v".into()],
+                },
+                vec![&rel],
+            ),
+        ];
+        for config in [MpcBackendConfig::obliv_c(), MpcBackendConfig::obliv_vm()] {
+            let mut eng = MpcEngine::new(config);
+            for (op, inputs) in &cases {
+                let (out, ran) = eng.execute_op(op, inputs).unwrap();
+                let in_rows: Vec<u64> = inputs.iter().map(|r| r.num_rows() as u64).collect();
+                let in_cols: Vec<u64> = inputs.iter().map(|r| r.num_cols() as u64).collect();
+                let est = eng
+                    .estimate_op(op, &in_rows, &in_cols, out.num_rows() as u64)
+                    .unwrap();
+                // Gates, memory and the time priced from them, all at once.
+                assert_eq!(ran, est, "{}", op.name());
+            }
+        }
+    }
+
     #[test]
     fn garbled_join_hits_out_of_memory_at_figure_1_scale() {
         let mut eng = MpcEngine::new(MpcBackendConfig::obliv_c());
@@ -996,8 +1016,16 @@ mod tests {
     #[test]
     fn config_constructors() {
         assert_eq!(MpcBackendConfig::default().kind, BackendKind::SharemindLike);
-        assert_eq!(MpcBackendConfig::obliv_vm().kind, BackendKind::OblivVmLike);
-        let eng = MpcEngine::new(MpcBackendConfig::obliv_c());
-        assert_eq!(eng.config().kind, BackendKind::OblivCLike);
+        // The two garbled frameworks are one kind under two calibrations.
+        let (c, vm) = (MpcBackendConfig::obliv_c(), MpcBackendConfig::obliv_vm());
+        assert_eq!(
+            (c.kind, vm.kind),
+            (BackendKind::Garbled, BackendKind::Garbled)
+        );
+        assert_eq!(c.gc_cost, GarbledCostModel::obliv_c());
+        assert_eq!(vm.gc_cost, GarbledCostModel::obliv_vm());
+        assert_eq!(MpcBackendConfig::new(BackendKind::Garbled), c);
+        let eng = MpcEngine::new(c);
+        assert_eq!(eng.config().kind, BackendKind::Garbled);
     }
 }

@@ -202,9 +202,6 @@ pub struct GarbledCostModel {
     /// Bytes of garbled-circuit state retained per input record (wire labels
     /// plus framework bookkeeping); drives the out-of-memory cliffs.
     pub state_bytes_per_record: f64,
-    /// Extra state retained per AND gate evaluated within a join's nested
-    /// loop (Obliv-C's join materializes comparison state).
-    pub state_bytes_per_join_pair: f64,
     /// Memory limit in bytes before the backend aborts (the evaluation VMs
     /// had 8 GB; the framework gets ~4 GB of usable heap).
     pub memory_limit_bytes: f64,
@@ -218,7 +215,6 @@ impl GarbledCostModel {
         GarbledCostModel {
             per_and_gate: 1.0e-6,
             state_bytes_per_record: 14_000.0,
-            state_bytes_per_join_pair: 4_800.0,
             memory_limit_bytes: 4.0e9,
             job_overhead: 2.0,
         }
@@ -231,7 +227,6 @@ impl GarbledCostModel {
         GarbledCostModel {
             per_and_gate: 3.0e-6,
             state_bytes_per_record: 20_000.0,
-            state_bytes_per_join_pair: 6_000.0,
             memory_limit_bytes: 16.0e9, // SMCQL experiments used 32 GB VMs
             job_overhead: 5.0,
         }
@@ -262,23 +257,15 @@ impl Default for GarbledCostModel {
 /// counts them — no circuit is built or garbled.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CircuitStats {
-    /// AND gates (cost communication and crypto under half-gates).
+    /// AND gates (cost communication and crypto under half-gates; XOR gates
+    /// are free under free-XOR and not counted).
     pub and_gates: u64,
-    /// XOR gates (free under free-XOR; tracked for completeness).
-    pub xor_gates: u64,
-    /// Input wires fed into the circuit.
-    pub input_wires: u64,
-    /// Output wires revealed.
-    pub output_wires: u64,
 }
 
 impl CircuitStats {
     /// Merges another stats object into this one.
     pub fn merge(&mut self, other: &CircuitStats) {
         self.and_gates += other.and_gates;
-        self.xor_gates += other.xor_gates;
-        self.input_wires += other.input_wires;
-        self.output_wires += other.output_wires;
     }
 }
 
@@ -458,10 +445,8 @@ mod tests {
         // ≈300 k).
         assert!(!m.exceeds_memory(100_000.0 * m.state_bytes_per_record));
         assert!(m.exceeds_memory(500_000.0 * m.state_bytes_per_record));
-        // Join: OOM between 10 k and 50 k total records (paper: ≈30 k). Join
-        // state grows with the number of compared pairs across parties.
-        let join_state = |n: f64| (n / 2.0) * (n / 2.0).sqrt() * m.state_bytes_per_join_pair;
-        let _ = join_state; // the backend uses its own formula; sanity-check records-based state here
+        // Join: OOM between 10 k and 50 k total records (paper: ≈30 k), at
+        // several records' worth of comparison state per input record.
         assert!(!m.exceeds_memory(10_000.0 * m.state_bytes_per_record * 8.0));
         assert!(m.exceeds_memory(40_000.0 * m.state_bytes_per_record * 8.0));
     }
@@ -494,21 +479,9 @@ mod tests {
 
     #[test]
     fn circuit_stats_merge() {
-        let mut a = CircuitStats {
-            and_gates: 10,
-            xor_gates: 5,
-            input_wires: 1,
-            output_wires: 2,
-        };
-        let b = CircuitStats {
-            and_gates: 1,
-            xor_gates: 1,
-            input_wires: 1,
-            output_wires: 1,
-        };
-        a.merge(&b);
+        let mut a = CircuitStats { and_gates: 10 };
+        a.merge(&CircuitStats { and_gates: 1 });
         assert_eq!(a.and_gates, 11);
-        assert_eq!(a.xor_gates, 6);
     }
 
     #[test]

@@ -17,13 +17,19 @@
 //! * Each material kind has **one** generator ([`DealerStream::deal`] and
 //!   [`DealerStream::blocks`] are its single-party and all-party
 //!   projections), driven by a typed [`Request`] and emitting the block in
-//!   the dealer's word encoding; [`MaterialBlocks::absorb`] is the one
-//!   decoder, and the one place a short or misframed block is rejected.
-//! * Material reaches a party **preloaded** — written to per-party files by
-//!   [`write_party_files`] and loaded with [`load_party_file`] — **streamed**
-//!   on demand over a dedicated two-endpoint link served by [`serve_party`]
-//!   (wire kind [`MessageKind::Dealer`]), or **seeded**: the party runs the
-//!   same `DealerStream` locally and keeps its own slice.
+//!   the dealer's word encoding; [`Request::decode`] with
+//!   [`MaterialBlocks::absorb`] is the one decoder, and the one place a
+//!   hostile request or a short or misframed block is rejected.
+//! * Material reaches a party **streamed** on demand over a dedicated
+//!   two-endpoint link served by [`serve_party`] (wire kind
+//!   [`MessageKind::Dealer`]); **seeded**, the party running the same
+//!   `DealerStream` locally and keeping its own slice; or **preloaded** from
+//!   a per-party file ([`write_party_files`], [`load_party_file`]). A file is
+//!   the recorded link, so the same generator and decoder cover it:
+//!   little-endian `u64` words `[FILE_MAGIC, party, parties, records]`, then
+//!   per record `[n, request frame (n words), block]` — [`Request::Alpha`]
+//!   first, then [`MaterialSpec::requests`] — each frame and block what
+//!   `serve_party` would have received and answered.
 //!
 //! The trusted-dealer trust model itself is unchanged from the paper's
 //! Sharemind-style deployment (see `docs/SECURITY.md`); what the split buys
@@ -40,7 +46,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
 use std::fmt;
-use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 const REQ_ALPHA: u64 = 0;
@@ -404,6 +409,25 @@ impl Default for MaterialSpec {
     }
 }
 
+impl MaterialSpec {
+    /// The requests one bundle of this spec consists of for a
+    /// `parties`-party mesh, in the order a dealer deals them: what
+    /// [`DealerStream::blocks`] absorbs and [`write_party_files`] records.
+    pub fn requests(self, parties: usize) -> impl Iterator<Item = Request> {
+        [
+            Request::Triples(self.triples),
+            Request::BitTriples(self.bit_triples),
+            Request::SharedBits(self.shared_bits),
+            Request::DaBits(self.dabits),
+        ]
+        .into_iter()
+        .chain((0..parties).map(move |owner| Request::InputMasks {
+            owner,
+            count: self.input_masks,
+        }))
+    }
+}
+
 /// One party's stock of offline material: what [`generate_blocks`] deals, a
 /// dealer file holds, and a [`crate::runtime::PartySession`] consumes.
 #[derive(Debug, Clone, Default)]
@@ -492,18 +516,7 @@ impl DealerStream {
         let mut out: Vec<MaterialBlocks> = (0..n)
             .map(|p| MaterialBlocks::empty(p, n, self.alpha_shares[p]))
             .collect();
-        let requests = [
-            Request::Triples(spec.triples),
-            Request::BitTriples(spec.bit_triples),
-            Request::SharedBits(spec.shared_bits),
-            Request::DaBits(spec.dabits),
-        ]
-        .into_iter()
-        .chain((0..n).map(|owner| Request::InputMasks {
-            owner,
-            count: spec.input_masks,
-        }));
-        for req in requests {
+        for req in spec.requests(n) {
             for (block, words) in out.iter_mut().zip(self.deal_words(req, None)) {
                 block
                     .absorb(req, &words)
@@ -523,9 +536,20 @@ fn io_err(what: &str, e: std::io::Error) -> PartyError {
     PartyError::Proto(format!("dealer file {what}: {e}"))
 }
 
+/// First word of every dealer file.
+const FILE_MAGIC: u64 = u64::from_le_bytes(*b"CNCLVDLR");
+
+/// Party `party`'s dealer file under `dir`.
+pub fn party_file(dir: &Path, party: usize) -> PathBuf {
+    dir.join(format!("party-{party}.dealer"))
+}
+
 /// Writes one dealer file per party under `dir` (created if missing) and
-/// returns the paths, indexed by party. Each file holds only that party's
-/// shares; the cleartext mask values appear only in the owning party's file.
+/// returns the paths, indexed by party. A file is the transcript of that
+/// party's dealer link (layout in the module header), so it holds only that
+/// party's shares; the cleartext mask values appear only in the owning
+/// party's file. A spec the link's block cap would refuse is refused here,
+/// so no file is written that cannot be loaded.
 pub fn write_party_files(
     dir: &Path,
     seed: u64,
@@ -533,193 +557,80 @@ pub fn write_party_files(
     spec: MaterialSpec,
 ) -> PartyResult<Vec<PathBuf>> {
     std::fs::create_dir_all(dir).map_err(|e| io_err("create dir", e))?;
-    let blocks = generate_blocks(seed, parties, spec);
+    let mut stream = DealerStream::new(seed, parties);
+    let requests: Vec<Request> = std::iter::once(Request::Alpha)
+        .chain(spec.requests(parties))
+        .collect();
+    let mut files: Vec<Vec<u64>> = (0..parties)
+        .map(|p| vec![FILE_MAGIC, p as u64, parties as u64, requests.len() as u64])
+        .collect();
+    for req in requests {
+        let frame = req.encode();
+        Request::decode(&frame, parties)?;
+        for (file, block) in files.iter_mut().zip(stream.deal_words(req, None)) {
+            file.push(frame.len() as u64);
+            file.extend_from_slice(&frame);
+            file.extend(block);
+        }
+    }
     let mut paths = Vec::with_capacity(parties);
-    for b in &blocks {
-        let mut s = String::new();
-        let _ = writeln!(s, "conclave-dealer v1");
-        let _ = writeln!(s, "party {} of {}", b.party, b.parties);
-        let _ = writeln!(s, "alpha {}", b.alpha.0);
-        let _ = writeln!(s, "triples {}", b.triples.len());
-        for (a, x, c) in &b.triples {
-            let _ = writeln!(
-                s,
-                "{} {} {} {} {} {}",
-                a.v.0, a.m.0, x.v.0, x.m.0, c.v.0, c.m.0
-            );
-        }
-        let _ = writeln!(s, "bit-triples {}", b.bit_triples.len());
-        for (a, x, c) in &b.bit_triples {
-            let _ = writeln!(s, "{a} {x} {c}");
-        }
-        let _ = writeln!(s, "shared-bits {}", b.shared_bits.len());
-        for (bits, add) in &b.shared_bits {
-            let _ = writeln!(s, "{} {} {}", bits, add.v.0, add.m.0);
-        }
-        let _ = writeln!(s, "dabits {}", b.dabits.len());
-        for (bits, adds) in &b.dabits {
-            let _ = write!(s, "{bits}");
-            for a in adds {
-                let _ = write!(s, " {} {}", a.v.0, a.m.0);
-            }
-            let _ = writeln!(s);
-        }
-        for (owner, masks) in b.input_masks.iter().enumerate() {
-            let _ = writeln!(s, "input-masks {} {}", owner, masks.len());
-            for m in masks {
-                match m.clear {
-                    Some(r) => {
-                        let _ = writeln!(s, "{} {} {}", m.share.v.0, m.share.m.0, r.0);
-                    }
-                    None => {
-                        let _ = writeln!(s, "{} {}", m.share.v.0, m.share.m.0);
-                    }
-                }
-            }
-        }
-        let path = dir.join(format!("party-{}.dealer", b.party));
-        std::fs::write(&path, s).map_err(|e| io_err("write", e))?;
+    for (p, words) in files.iter().enumerate() {
+        let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+        let path = party_file(dir, p);
+        std::fs::write(&path, bytes).map_err(|e| io_err("write", e))?;
         paths.push(path);
     }
     Ok(paths)
 }
 
-struct Tokens<'a> {
-    it: std::str::SplitWhitespace<'a>,
-}
-
-impl<'a> Tokens<'a> {
-    fn word(&mut self) -> PartyResult<&'a str> {
-        self.it
-            .next()
-            .ok_or_else(|| PartyError::Proto("dealer file truncated".into()))
-    }
-
-    fn num(&mut self) -> PartyResult<u64> {
-        let w = self.word()?;
-        w.parse::<u64>()
-            .map_err(|_| PartyError::Proto(format!("dealer file: expected number, got {w:?}")))
-    }
-
-    fn expect(&mut self, want: &str) -> PartyResult<()> {
-        let w = self.word()?;
-        if w == want {
-            Ok(())
-        } else {
-            Err(PartyError::Proto(format!(
-                "dealer file: expected {want:?}, got {w:?}"
-            )))
-        }
-    }
-}
-
-/// Upper bound used when pre-reserving from counts read out of a dealer
-/// file. A corrupted count must produce a parse error once the items run
-/// out, never an allocation the size of the lie (capacity-overflow aborts
-/// are panics, and loading untrusted bytes must stay panic-free).
-const MAX_FILE_PREALLOC: usize = 1 << 16;
-
-fn file_capacity(n: usize) -> usize {
-    n.min(MAX_FILE_PREALLOC)
-}
-
 /// Loads one party's [`MaterialBlocks`] from a file written by
-/// [`write_party_files`].
+/// [`write_party_files`] by replaying the recorded link through the link's
+/// own decoders, [`Request::decode`] and [`MaterialBlocks::absorb`].
 ///
-/// Never panics on malformed input: truncation, corruption, absurd counts,
-/// out-of-range party indices and trailing garbage all surface as
-/// [`PartyError`] values (the property tests in `tests/dealer_files.rs`
-/// fuzz exactly this contract).
+/// The file is outside input: bad magic, an endpoint outside the mesh, a cut
+/// anywhere, a hostile count, trailing words and a missing file are all
+/// [`PartyError`] values, never a panic, and nothing is reserved beyond the
+/// words the file holds (`tests/dealer_files.rs` fuzzes this contract).
 pub fn load_party_file(path: &Path) -> PartyResult<MaterialBlocks> {
-    let text = std::fs::read_to_string(path).map_err(|e| io_err("read", e))?;
-    let mut t = Tokens {
-        it: text.split_whitespace(),
+    let bad = |why: String| PartyError::Proto(format!("dealer file: {why}"));
+    let truncated = || bad("truncated".into());
+    let bytes = std::fs::read(path).map_err(|e| io_err("read", e))?;
+    let (chunks, tail) = bytes.as_chunks::<8>();
+    if !tail.is_empty() {
+        return Err(bad(format!("{} bytes is not whole words", bytes.len())));
+    }
+    let words: Vec<u64> = chunks.iter().map(|c| u64::from_le_bytes(*c)).collect();
+    let &[FILE_MAGIC, party, parties, records, ref body @ ..] = words.as_slice() else {
+        return Err(bad("bad magic, or truncated inside the header".into()));
     };
-    t.expect("conclave-dealer")?;
-    t.expect("v1")?;
-    t.expect("party")?;
-    let party = t.num()? as u32;
-    t.expect("of")?;
-    let parties = t.num()? as u32;
-    if parties < 2 || party >= parties {
-        return Err(PartyError::Proto(format!(
-            "dealer file: party {party} of {parties} is not a valid endpoint"
+    // Checked as the words they are, before anything narrows them.
+    if parties < 2 || party >= parties || parties > u64::from(u32::MAX) {
+        return Err(bad(format!(
+            "party {party} of {parties} is not a valid endpoint"
         )));
     }
-    t.expect("alpha")?;
-    let alpha = RingElem(t.num()?);
-    t.expect("triples")?;
-    let n = t.num()? as usize;
-    let mut triples = VecDeque::with_capacity(file_capacity(n));
-    for _ in 0..n {
-        let a = AuthShare::new(RingElem(t.num()?), RingElem(t.num()?));
-        let b = AuthShare::new(RingElem(t.num()?), RingElem(t.num()?));
-        let c = AuthShare::new(RingElem(t.num()?), RingElem(t.num()?));
-        triples.push_back((a, b, c));
+    // `parties` sizes the per-owner mask queues, and each owner's masks are a
+    // record of their own: a header cannot reserve more than the file is long.
+    if parties > body.len() as u64 {
+        return Err(truncated());
     }
-    t.expect("bit-triples")?;
-    let n = t.num()? as usize;
-    let mut bit_triples = VecDeque::with_capacity(file_capacity(n));
-    for _ in 0..n {
-        bit_triples.push_back((t.num()?, t.num()?, t.num()?));
+    let (party, parties) = (party as usize, parties as usize);
+    let mut stock = MaterialBlocks::empty(party, parties, RingElem::ZERO);
+    let mut rest = body;
+    for _ in 0..records {
+        let (&n, after) = rest.split_first().ok_or_else(truncated)?;
+        let frame_len = usize::try_from(n).map_err(|_| truncated())?;
+        let (frame, after) = after.split_at_checked(frame_len).ok_or_else(truncated)?;
+        let req = Request::decode(frame, parties)?;
+        let block_len = req.block_words(party);
+        let (block, after) = after.split_at_checked(block_len).ok_or_else(truncated)?;
+        stock.absorb(req, block)?;
+        rest = after;
     }
-    t.expect("shared-bits")?;
-    let n = t.num()? as usize;
-    let mut shared_bits = VecDeque::with_capacity(file_capacity(n));
-    for _ in 0..n {
-        let bits = t.num()?;
-        let add = AuthShare::new(RingElem(t.num()?), RingElem(t.num()?));
-        shared_bits.push_back((bits, add));
+    if !rest.is_empty() {
+        return Err(bad(format!("{} trailing words", rest.len())));
     }
-    t.expect("dabits")?;
-    let n = t.num()? as usize;
-    let mut dabits = VecDeque::with_capacity(file_capacity(n));
-    for _ in 0..n {
-        let bits = t.num()?;
-        let mut adds = Vec::with_capacity(64);
-        for _ in 0..64 {
-            adds.push(AuthShare::new(RingElem(t.num()?), RingElem(t.num()?)));
-        }
-        dabits.push_back((bits, adds));
-    }
-    let mut input_masks: Vec<VecDeque<InputMask>> = (0..parties).map(|_| VecDeque::new()).collect();
-    for _ in 0..parties {
-        t.expect("input-masks")?;
-        let owner = t.num()? as usize;
-        if owner >= parties as usize {
-            return Err(PartyError::Proto(format!(
-                "dealer file: input-mask owner {owner} out of range"
-            )));
-        }
-        let n = t.num()? as usize;
-        let is_owner = owner == party as usize;
-        let mut masks = VecDeque::with_capacity(file_capacity(n));
-        for _ in 0..n {
-            let share = AuthShare::new(RingElem(t.num()?), RingElem(t.num()?));
-            let clear = if is_owner {
-                Some(RingElem(t.num()?))
-            } else {
-                None
-            };
-            masks.push_back(InputMask { share, clear });
-        }
-        input_masks[owner] = masks;
-    }
-    if let Some(extra) = t.it.next() {
-        return Err(PartyError::Proto(format!(
-            "dealer file: trailing data starting at {extra:?}"
-        )));
-    }
-    Ok(MaterialBlocks {
-        party,
-        parties,
-        alpha,
-        triples,
-        bit_triples,
-        shared_bits,
-        dabits,
-        input_masks,
-    })
+    Ok(stock)
 }
 
 /// Serves one party's offline material over a dedicated two-endpoint link
@@ -1038,6 +949,10 @@ mod tests {
             })
     }
 
+    fn le_bytes(words: &[u64]) -> Vec<u8> {
+        words.iter().flat_map(|w| w.to_le_bytes()).collect()
+    }
+
     fn tiny_spec() -> MaterialSpec {
         MaterialSpec {
             triples: 8,
@@ -1311,19 +1226,64 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// The sentence the file format rests on: after its header, party `p`'s
+    /// file is, record by record, the request frames and the blocks a
+    /// `serve_party` link carries for the same seed and requests.
+    #[test]
+    fn a_dealer_file_is_the_recorded_dealer_link() {
+        let dir = std::env::temp_dir().join(format!("conclave-dealer-link-{}", std::process::id()));
+        let (seed, parties, spec) = (123, 3usize, tiny_spec());
+        let paths = write_party_files(&dir, seed, parties, spec).unwrap();
+        let requests: Vec<Request> = std::iter::once(Request::Alpha)
+            .chain(spec.requests(parties))
+            .collect();
+        for (p, path) in paths.iter().enumerate() {
+            assert_eq!(*path, party_file(&dir, p));
+            let mut mesh = ChannelTransport::mesh(2);
+            let dealer_end = mesh.pop().unwrap();
+            let link = mesh.pop().unwrap();
+            let server = std::thread::spawn(move || {
+                serve_party(&dealer_end, p as u32, parties as u32, seed)
+            });
+            let mut carried = vec![FILE_MAGIC, p as u64, parties as u64, requests.len() as u64];
+            for req in &requests {
+                let frame = req.encode();
+                link.send_to(1, MessageKind::Dealer, "dealer request", &frame)
+                    .unwrap();
+                carried.push(frame.len() as u64);
+                carried.extend(frame);
+                carried.extend(link.recv_from(1).unwrap().payload);
+            }
+            drop(link);
+            server.join().unwrap().unwrap();
+            assert_eq!(
+                std::fs::read(path).unwrap(),
+                le_bytes(&carried),
+                "P{p}'s file"
+            );
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn truncated_or_corrupt_files_are_rejected() {
         let dir =
             std::env::temp_dir().join(format!("conclave-dealer-corrupt-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("bad.dealer");
-        std::fs::write(
-            &path,
-            "conclave-dealer v1\nparty 0 of 2\nalpha 7\ntriples 1\n1 2 3\n",
-        )
-        .unwrap();
+        let write = |words: &[u64]| std::fs::write(&path, le_bytes(words)).unwrap();
+        // P0 of 2, one record: a request for one triple, but only three of
+        // its six words.
+        write(&[FILE_MAGIC, 0, 2, 1, 2, REQ_TRIPLES, 1, 1, 2, 3]);
         let err = load_party_file(&path).unwrap_err();
         assert!(err.to_string().contains("truncated"), "got: {err}");
+        // The same record, whole, loads; so does it with a record count that
+        // stops short of it — as trailing words.
+        write(&[FILE_MAGIC, 0, 2, 1, 2, REQ_TRIPLES, 1, 1, 2, 3, 4, 5, 6]);
+        assert_eq!(load_party_file(&path).unwrap().triples.len(), 1);
+        write(&[FILE_MAGIC, 0, 2, 0, 2, REQ_TRIPLES, 1, 1, 2, 3, 4, 5, 6]);
+        let err = load_party_file(&path).unwrap_err();
+        assert!(err.to_string().contains("trailing"), "got: {err}");
         std::fs::write(&path, "not-a-dealer-file").unwrap();
         assert!(load_party_file(&path).is_err());
         std::fs::remove_dir_all(&dir).unwrap();

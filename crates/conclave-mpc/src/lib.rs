@@ -28,10 +28,12 @@
 //!   the real share type, [`AuthShare`], which only the party runtime uses.
 //! * [`cost`] — cost models converting primitive counts into simulated
 //!   wall-clock time, calibrated against the datapoints the paper reports.
-//!   The garbled-circuit "backend" (Obliv-C / ObliVM-like) is one of them
-//!   and nothing more: analytic gate counts ([`cost::gates`]) priced by a
-//!   time and memory model that reproduces the out-of-memory cliffs in
-//!   Figure 1. No circuit is built or garbled.
+//!   The garbled-circuit "backend" ([`BackendKind::Garbled`], calibrated to
+//!   Obliv-C or ObliVM by its [`GarbledCostModel`]) is one of them and
+//!   nothing more: analytic gate counts ([`cost::gates`]) priced by a time
+//!   and memory model that reproduces the out-of-memory cliffs in Figure 1
+//!   — one table for executed and estimated steps. No circuit is built or
+//!   garbled.
 //! * [`backend`] — a unified engine that executes IR operators under a chosen
 //!   backend over cleartext inputs, returning the result relation together
 //!   with simulated runtime and traffic statistics.
@@ -52,12 +54,13 @@
 //!   the wire unmasked.
 //! * [`dealer`] — the **offline phase**: a standalone dealer that
 //!   pregenerates SPDZ-authenticated Beaver triples, binary triples, dual
-//!   bit masks, daBits, and input masks, delivered to the online parties as
-//!   per-party files ([`dealer::write_party_files`]), over a dedicated
-//!   dealer link ([`dealer::serve_party`]), or by every party running the
-//!   same [`dealer::DealerStream`] locally on the session seed and keeping
-//!   its own slice. Online shares carry SPDZ MACs ([`share::AuthShare`])
-//!   checked at every reveal boundary.
+//!   bit masks, daBits, and input masks, delivered to the online parties
+//!   over a dedicated dealer link ([`dealer::serve_party`]), as per-party
+//!   files that are that link recorded ([`dealer::write_party_files`]), or
+//!   by every party running the same [`dealer::DealerStream`] locally on
+//!   the session seed and keeping its own slice — one generator and one
+//!   decoder for all three. Online shares carry SPDZ MACs
+//!   ([`share::AuthShare`]) checked at every reveal boundary.
 
 // Also enforced workspace-wide via [workspace.lints]; stated here so the
 // guarantee is visible at the crate root.

@@ -146,11 +146,13 @@ impl SmcqlPlanner {
 mod tests {
     use super::*;
     use conclave_mpc::backend::BackendKind;
+    use conclave_mpc::cost::GarbledCostModel;
 
     #[test]
     fn default_setup_uses_oblivm_and_slicing() {
         let p = SmcqlPlanner::default_paper_setup();
-        assert_eq!(p.config().backend.kind, BackendKind::OblivVmLike);
+        assert_eq!(p.config().backend.kind, BackendKind::Garbled);
+        assert_eq!(p.config().backend.gc_cost, GarbledCostModel::obliv_vm());
         assert!(p.config().use_slicing);
     }
 

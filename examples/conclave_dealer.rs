@@ -4,8 +4,10 @@
 //! authenticated Beaver triples, binary triples, shared bits, daBits, and
 //! input masks, all under one global MAC key α — and an **online phase**
 //! that only consumes that material. This binary is the offline phase as a
-//! program: it writes one `party-{i}.dealer` file per computing party, which
-//! a distributed run then loads via
+//! program: it writes one `party-{i}.dealer` file per computing party — the
+//! recorded dealer link of that party, each request frame followed by the
+//! block that answers it, as little-endian words — which a distributed run
+//! then loads via
 //! [`ConclaveConfig::with_dealer_files`](conclave::prelude::ConclaveConfig::with_dealer_files).
 //!
 //! Run with:

@@ -2,18 +2,23 @@
 //!
 //! Dealer files cross a trust boundary: the offline phase may run on a
 //! different machine, and the online party loads whatever bytes arrive on
-//! disk. The contract is that *every* malformed file — truncated, spliced
-//! with garbage, count-corrupted, or missing outright — surfaces as a typed
-//! [`PartyError`] and never as a panic or an absurd allocation. A clean
-//! round trip must keep working, byte-for-byte equal to the generated
-//! material.
+//! disk. A file is the recorded dealer link — little-endian words, a
+//! four-word header, then `[n, request frame, block]` records — and is read
+//! back by the link's own decoders, so the contract is the link's: *every*
+//! malformed file — cut anywhere, overwritten, lying about a count, padded,
+//! or missing outright — surfaces as a typed [`PartyError`], never as a
+//! panic or an allocation the size of the lie. A clean round trip must keep
+//! working.
 
 // Demo/test target: panicking on bad setup is the desired behavior here
 // (the workspace-level clippy::unwrap_used lint targets library code).
 #![allow(clippy::unwrap_used)]
 
-use conclave::mpc::dealer::{load_party_file, write_party_files, MaterialSpec};
-use conclave::mpc::runtime::PartyError;
+use conclave::mpc::dealer::{
+    load_party_file, party_file, write_party_files, DealerStream, MaterialBlocks, MaterialSpec,
+    Request,
+};
+use conclave::mpc::runtime::{PartyError, PartyResult};
 use proptest::prelude::*;
 use std::path::PathBuf;
 
@@ -45,6 +50,29 @@ impl Scratch {
         let paths = write_party_files(&dir, seed, PARTIES, small_spec()).unwrap();
         Scratch { dir, paths }
     }
+
+    /// `party`'s file as words.
+    fn words(&self, party: usize) -> Vec<u64> {
+        let bytes = std::fs::read(&self.paths[party]).unwrap();
+        assert_eq!(bytes.len() % 8, 0, "a dealer file is whole words");
+        bytes
+            .chunks_exact(8)
+            .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
+            .collect()
+    }
+
+    /// Loads `bytes` as a dealer file.
+    fn load_bytes(&self, bytes: &[u8]) -> PartyResult<MaterialBlocks> {
+        let path = self.dir.join("mangled.dealer");
+        std::fs::write(&path, bytes).unwrap();
+        load_party_file(&path)
+    }
+
+    /// Loads `words` as a dealer file.
+    fn load_words(&self, words: &[u64]) -> PartyResult<MaterialBlocks> {
+        let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+        self.load_bytes(&bytes)
+    }
 }
 
 impl Drop for Scratch {
@@ -53,10 +81,35 @@ impl Drop for Scratch {
     }
 }
 
+fn proto_error(result: PartyResult<MaterialBlocks>) -> String {
+    match result {
+        Err(PartyError::Proto(msg)) => msg,
+        other => panic!("expected a Proto error, got {other:?}"),
+    }
+}
+
+/// Positions of the words of `party`'s file that frame it — the header, each
+/// record's length word, each request frame — and, of those, the ones no
+/// other value can stand in for (the magic, the record count, the lengths).
+fn framing_words(party: usize) -> (Vec<usize>, Vec<usize>) {
+    // Block lengths depend only on the request, not on the seed.
+    let mut stream = DealerStream::new(0, PARTIES);
+    let (mut framing, mut rigid) = ((0..4).collect::<Vec<_>>(), vec![0, 3]);
+    let mut at = 4;
+    for req in std::iter::once(Request::Alpha).chain(small_spec().requests(PARTIES)) {
+        let frame = req.encode().len();
+        rigid.push(at);
+        framing.extend(at..=at + frame);
+        at += 1 + frame + stream.deal(party, req).len();
+    }
+    (framing, rigid)
+}
+
 #[test]
 fn clean_files_round_trip() {
     let scratch = Scratch::new("roundtrip", 11);
     for (p, path) in scratch.paths.iter().enumerate() {
+        assert_eq!(*path, party_file(&scratch.dir, p));
         let blocks = load_party_file(path).unwrap();
         assert_eq!(blocks.party as usize, p);
         assert_eq!(blocks.parties as usize, PARTIES);
@@ -71,131 +124,139 @@ fn clean_files_round_trip() {
                 assert_eq!(m.clear.is_some(), owner == p);
             }
         }
+        // The walk the overwrite fuzz relies on covers the file exactly.
+        let (framing, _) = framing_words(p);
+        let words = scratch.words(p);
+        let last_frame = *framing.last().unwrap();
+        assert_eq!(words[last_frame], small_spec().input_masks as u64);
+        let last_block = small_spec().input_masks * (2 + usize::from(p == PARTIES - 1));
+        assert_eq!(words.len(), last_frame + 1 + last_block);
     }
 }
 
 #[test]
 fn missing_file_is_a_typed_io_error() {
     let scratch = Scratch::new("missing", 12);
-    let gone = scratch.dir.join("party-9.dealer");
-    match load_party_file(&gone) {
-        Err(PartyError::Proto(msg)) => assert!(msg.contains("read"), "got {msg:?}"),
-        other => panic!("expected Proto error for missing file, got {other:?}"),
-    }
+    let msg = proto_error(load_party_file(&party_file(&scratch.dir, 9)));
+    assert!(msg.contains("read"), "got {msg:?}");
 }
 
 #[test]
 fn wrong_header_and_bad_endpoints_are_rejected() {
     let scratch = Scratch::new("header", 13);
-    let path = scratch.dir.join("mangled.dealer");
+    let words = scratch.words(0);
 
-    // A file from some other tool entirely.
-    std::fs::write(&path, "totally-not-a-dealer-file v9\n").unwrap();
-    assert!(load_party_file(&path).is_err());
+    // A file from some other tool entirely (five whole words of text), the
+    // same with the right magic pasted on, and one shorter than a header.
+    let text = b"some other tool's file, five words long\n";
+    let msg = proto_error(scratch.load_bytes(text));
+    assert!(msg.contains("bad magic"), "got {msg:?}");
+    let pasted = [&std::fs::read(&scratch.paths[0]).unwrap()[..8], &text[8..]].concat();
+    assert!(scratch.load_bytes(&pasted).is_err());
+    assert!(scratch.load_words(&words[..3]).is_err());
 
-    // A structurally valid prefix claiming party 5 of 3: out of range.
-    std::fs::write(&path, "conclave-dealer v1\nparty 5 of 3\nalpha 1\n").unwrap();
-    match load_party_file(&path) {
-        Err(PartyError::Proto(msg)) => {
-            assert!(msg.contains("not a valid endpoint"), "got {msg:?}");
-        }
-        other => panic!("expected endpoint error, got {other:?}"),
+    // An otherwise valid file claiming party 5 of 3, a single-party deal,
+    // and endpoints that only look valid once narrowed to 32 bits.
+    for (party, parties) in [(5, 3), (0, 1), (1 << 32, (1 << 32) + 3), (0, 1 << 32)] {
+        let mut mangled = words.clone();
+        (mangled[1], mangled[2]) = (party, parties);
+        let msg = proto_error(scratch.load_words(&mangled));
+        assert!(msg.contains("not a valid endpoint"), "got {msg:?}");
     }
-
-    // A degenerate single-party deal is equally meaningless.
-    std::fs::write(&path, "conclave-dealer v1\nparty 0 of 1\nalpha 1\n").unwrap();
-    assert!(load_party_file(&path).is_err());
 }
 
 #[test]
 fn absurd_counts_error_instead_of_allocating() {
     let scratch = Scratch::new("counts", 14);
-    let path = scratch.dir.join("mangled.dealer");
-    // Claims ~2^60 triples but holds none: the parser must hit the typed
-    // truncation error without first reserving memory the size of the lie.
-    std::fs::write(
-        &path,
-        "conclave-dealer v1\nparty 0 of 3\nalpha 7\ntriples 1152921504606846976\n",
-    )
-    .unwrap();
-    match load_party_file(&path) {
-        Err(PartyError::Proto(msg)) => assert!(msg.contains("truncated"), "got {msg:?}"),
-        other => panic!("expected truncation error, got {other:?}"),
+    let words = scratch.words(0);
+    let triples = Request::Triples(small_spec().triples).encode();
+    let at = words
+        .windows(triples.len())
+        .position(|w| w == triples)
+        .unwrap();
+    // (word, lie): each claims far more than the file holds, and must hit a
+    // typed error without first reserving memory the size of the lie.
+    for (word, lie) in [
+        (2, u64::from(u32::MAX)), // parties: one mask queue per owner
+        (3, u64::MAX),            // records
+        (4, u64::MAX),            // the first record's frame length
+        (at + 1, 1 << 60),        // Triples(2^60)
+        (at + 1, 1 << 20),        // under the block cap, over the file
+    ] {
+        let mut mangled = words.clone();
+        mangled[word] = lie;
+        let start = std::time::Instant::now();
+        let msg = proto_error(scratch.load_words(&mangled));
+        assert!(
+            msg.contains("truncated") || msg.contains("block cap"),
+            "word {word}: got {msg:?}"
+        );
+        assert!(start.elapsed().as_secs() < 1, "word {word}: not prompt");
     }
 }
 
 #[test]
 fn trailing_garbage_is_rejected() {
     let scratch = Scratch::new("trailing", 15);
-    let path = &scratch.paths[0];
-    let mut text = std::fs::read_to_string(path).unwrap();
-    text.push_str("\nleftover 123\n");
-    std::fs::write(path, text).unwrap();
-    match load_party_file(path) {
-        Err(PartyError::Proto(msg)) => assert!(msg.contains("trailing"), "got {msg:?}"),
-        other => panic!("expected trailing-data error, got {other:?}"),
+    let mut bytes = std::fs::read(&scratch.paths[0]).unwrap();
+    bytes.extend_from_slice(&123u64.to_le_bytes());
+    let msg = proto_error(scratch.load_bytes(&bytes));
+    assert!(msg.contains("trailing"), "got {msg:?}");
+    // Trailing bytes that are not even a word.
+    bytes.truncate(bytes.len() - 3);
+    let msg = proto_error(scratch.load_bytes(&bytes));
+    assert!(msg.contains("whole words"), "got {msg:?}");
+}
+
+/// Every strict prefix of a valid file is an error — there is no cut that
+/// re-parses as a shorter valid file.
+#[test]
+fn every_strict_prefix_is_rejected() {
+    let scratch = Scratch::new("prefixes", 16);
+    let full = std::fs::read(&scratch.paths[1]).unwrap();
+    for cut in 0..full.len() {
+        let result = scratch.load_bytes(&full[..cut]);
+        assert!(result.is_err(), "cut at {cut} of {}", full.len());
     }
+    assert!(scratch.load_bytes(&full).is_ok());
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Truncating a valid file at any byte boundary yields a typed error
-    /// (or, for a cut inside trailing whitespace, the full parse) — never
-    /// a panic.
+    /// Truncating any party's file, for any seed, at any byte yields a
+    /// typed error — never a panic, never a shorter parse.
     #[test]
     fn truncated_files_never_panic(seed in 0u64..4, party in 0usize..PARTIES, ppm in 0u64..1_000_000) {
         let scratch = Scratch::new("truncate", seed);
         let full = std::fs::read(&scratch.paths[party]).unwrap();
         let cut = (full.len() * ppm as usize) / 1_000_000;
-        let path = scratch.dir.join("cut.dealer");
-        std::fs::write(&path, &full[..cut]).unwrap();
-        let result = load_party_file(&path);
-        let suffix = &full[cut..];
-        if suffix.iter().all(u8::is_ascii_whitespace) {
-            // Only trailing whitespace was removed: every token is intact.
-            prop_assert!(result.is_ok(), "cut at {} of {}: {:?}", cut, full.len(), result.err());
-        } else {
-            // Skip the (possibly shortened) token the cut landed in; if any
-            // further token was removed, the parser must report truncation.
-            let ws = suffix
-                .iter()
-                .position(|b| b.is_ascii_whitespace())
-                .unwrap_or(suffix.len());
-            if !suffix[ws..].iter().all(u8::is_ascii_whitespace) {
-                prop_assert!(result.is_err(), "cut at {} of {}", cut, full.len());
-            }
-            // A cut inside the final token may shorten a number and still
-            // parse; the contract under test there is absence of panics.
-        }
+        let result = scratch.load_bytes(&full[..cut]);
+        prop_assert!(matches!(result, Err(PartyError::Proto(_))), "cut at {} of {}", cut, full.len());
     }
 
-    /// Splicing garbage over one byte of a valid file either still parses
-    /// (the byte landed in a digit and produced another number) or errors —
-    /// never panics. Corrupting a letter of a section header always errors.
+    /// Overwriting any word that frames the file — header, record length,
+    /// request frame — with a random value is an error or an equally valid
+    /// parse (a relabelled mask owner, say), never a panic; the magic, the
+    /// record count and the record lengths admit no other value at all.
     #[test]
     fn spliced_bytes_never_panic(
         seed in 0u64..4,
         party in 0usize..PARTIES,
-        ppm in 0u64..1_000_000,
-        junk_ix in 0usize..4,
+        pick in 0usize..1_000,
+        junk in prop_oneof![0u64..8, any::<u64>()],
     ) {
-        let junk = [b'x', b'-', b'?', 0xffu8][junk_ix];
         let scratch = Scratch::new("splice", seed);
-        let mut bytes = std::fs::read(&scratch.paths[party]).unwrap();
-        let at = (bytes.len() * ppm as usize) / 1_000_000 % bytes.len();
-        let original = bytes[at];
-        bytes[at] = junk;
-        let path = scratch.dir.join("spliced.dealer");
-        std::fs::write(&path, &bytes).unwrap();
-        let result = load_party_file(&path);
-        if original.is_ascii_alphabetic() {
-            // A corrupted keyword can never re-parse as the expected token.
-            prop_assert!(result.is_err());
+        let mut words = scratch.words(party);
+        let (framing, rigid) = framing_words(party);
+        let at = framing[pick % framing.len()];
+        let original = std::mem::replace(&mut words[at], junk);
+        match scratch.load_words(&words) {
+            Ok(blocks) => {
+                prop_assert!(junk == original || !rigid.contains(&at), "word {} <- {}", at, junk);
+                prop_assert!(blocks.parties >= 2 && blocks.party < blocks.parties);
+            }
+            Err(e) => prop_assert!(matches!(e, PartyError::Proto(_)), "word {}: {}", at, e),
         }
-        // Digits hit by another digit-ish byte may legally re-parse; the
-        // contract under test is absence of panics, which reaching this
-        // line demonstrates.
-        let _ = result;
     }
 }

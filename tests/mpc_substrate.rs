@@ -8,6 +8,7 @@ mod common;
 
 use common::{assert_engines_match_cleartext, Order};
 use conclave::mpc::backend::{BackendKind, MpcBackendConfig, MpcEngine};
+use conclave::mpc::cost::GarbledCostModel;
 use conclave::prelude::*;
 use conclave_data::SyntheticGenerator;
 use conclave_ir::ops::{JoinKind, Operator};
@@ -28,10 +29,17 @@ fn secret_sharing_and_garbled_backends_agree_with_cleartext() {
     let ss_stats = assert_engines_match_cleartext(&agg_op(), &[&rel], 21, Order::Any);
     assert!(ss_stats.simulated_time.as_secs_f64() > 0.0);
     let expected = conclave_engine::execute(&agg_op(), &[&rel]).unwrap();
-    for kind in [BackendKind::OblivCLike, BackendKind::OblivVmLike] {
-        let mut engine = MpcEngine::new(MpcBackendConfig::new(kind));
+    // Obliv-C and ObliVM: one garbled kind under two cost calibrations.
+    let vm = MpcBackendConfig::obliv_vm();
+    assert_eq!(vm.gc_cost, GarbledCostModel::obliv_vm());
+    for config in [MpcBackendConfig::obliv_c(), vm] {
+        assert_eq!(config.kind, BackendKind::Garbled);
+        let mut engine = MpcEngine::new(config);
         let (out, stats) = engine.execute_op(&agg_op(), &[&rel]).unwrap();
-        assert!(out.same_rows_unordered(&expected), "{kind} result mismatch");
+        assert!(
+            out.same_rows_unordered(&expected),
+            "garbled result mismatch"
+        );
         assert!(stats.simulated_time.as_secs_f64() > 0.0);
     }
 }

@@ -495,20 +495,6 @@ impl ColumnarRelation {
         ColumnarRelation::new(schema, columns)
     }
 
-    /// Splits into `n` horizontal partitions of near-equal size, slicing
-    /// every column (the columnar counterpart of [`Relation::split`]).
-    pub fn split(&self, n: usize) -> Vec<ColumnarRelation> {
-        let n = n.max(1);
-        let chunk = self.rows.div_ceil(n).max(1);
-        (0..n)
-            .map(|i| {
-                let start = (i * chunk).min(self.rows);
-                let end = ((i + 1) * chunk).min(self.rows);
-                self.slice(start, end)
-            })
-            .collect()
-    }
-
     /// Concatenates columnar relations with identical arity (union all).
     pub fn concat(parts: &[ColumnarRelation]) -> EngineResult<ColumnarRelation> {
         let Some(first) = parts.first() else {
@@ -661,19 +647,6 @@ mod tests {
         assert!(matches!(cat.data(), ColumnData::Mixed(_)));
         assert_eq!(cat.value(2), Value::Float(0.5));
         assert!(Column::concat(&[]).is_empty());
-    }
-
-    #[test]
-    fn split_mirrors_row_split() {
-        let rel = Relation::from_ints(&["a"], &(0..10).map(|i| vec![i]).collect::<Vec<_>>());
-        let col = ColumnarRelation::from_rows(&rel);
-        let row_parts = rel.split(3);
-        let col_parts = col.split(3);
-        assert_eq!(row_parts.len(), col_parts.len());
-        for (r, c) in row_parts.iter().zip(&col_parts) {
-            assert_eq!(c.to_rows(), *r);
-        }
-        assert_eq!(col.split(0).len(), 1);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! `conclave-core` (which combines MPC steps with cleartext steps from this
 //! module).
 
-use crate::relation::Relation;
+use crate::relation::{group_indices, Relation};
 use conclave_ir::expr::Expr;
 use conclave_ir::ops::{AggFunc, Operand, Operator};
 use conclave_ir::schema::Schema;
@@ -29,9 +29,15 @@ fn need(op: &Operator, inputs: &[&Relation], n: usize) -> EngineResult<()> {
     }
 }
 
-fn col_idx(rel: &Relation, name: &str) -> EngineResult<usize> {
-    rel.col_index(name)
+fn col_idx(schema: &Schema, name: &str) -> EngineResult<usize> {
+    schema
+        .index_of(name)
         .ok_or_else(|| EngineError::UnknownColumn(name.to_string()))
+}
+
+/// Resolves column names against a schema, in order.
+pub fn key_indices(schema: &Schema, names: &[String]) -> EngineResult<Vec<usize>> {
+    names.iter().map(|c| col_idx(schema, c)).collect()
 }
 
 /// Executes one operator over its inputs, producing the output relation.
@@ -48,16 +54,16 @@ pub fn execute(op: &Operator, inputs: &[&Relation]) -> EngineResult<Relation> {
                     got: 0,
                 });
             }
-            let parts: Vec<Relation> = inputs.iter().map(|r| (*r).clone()).collect();
-            Relation::concat(&parts)
+            Relation::concat(inputs)
         }
-        Operator::Project { columns } => {
+        Operator::Project { .. }
+        | Operator::Filter { .. }
+        | Operator::Aggregate { .. }
+        | Operator::Multiply { .. }
+        | Operator::Divide { .. }
+        | Operator::Distinct { .. } => {
             need(op, inputs, 1)?;
-            project(inputs[0], columns)
-        }
-        Operator::Filter { predicate } => {
-            need(op, inputs, 1)?;
-            filter(inputs[0], predicate)
+            execute_rows(op, &inputs[0].schema, &inputs[0].rows)
         }
         Operator::Join {
             left_keys,
@@ -66,23 +72,6 @@ pub fn execute(op: &Operator, inputs: &[&Relation]) -> EngineResult<Relation> {
         } => {
             need(op, inputs, 2)?;
             join(inputs[0], inputs[1], left_keys, right_keys)
-        }
-        Operator::Aggregate {
-            group_by,
-            func,
-            over,
-            out,
-        } => {
-            need(op, inputs, 1)?;
-            aggregate(inputs[0], group_by, *func, over.as_deref(), out)
-        }
-        Operator::Multiply { out, operands } => {
-            need(op, inputs, 1)?;
-            multiply(inputs[0], out, operands)
-        }
-        Operator::Divide { out, num, den } => {
-            need(op, inputs, 1)?;
-            divide(inputs[0], out, num, den)
         }
         Operator::SortBy { column, ascending } => {
             need(op, inputs, 1)?;
@@ -96,10 +85,6 @@ pub fn execute(op: &Operator, inputs: &[&Relation]) -> EngineResult<Relation> {
             rel.rows.truncate(*n);
             Ok(rel)
         }
-        Operator::Distinct { columns } => {
-            need(op, inputs, 1)?;
-            distinct(inputs[0], columns)
-        }
         Operator::DistinctCount { column, out } => {
             need(op, inputs, 1)?;
             distinct_count(inputs[0], column, out)
@@ -111,7 +96,7 @@ pub fn execute(op: &Operator, inputs: &[&Relation]) -> EngineResult<Relation> {
         Operator::RevealTo { columns, .. } => {
             need(op, inputs, 1)?;
             match columns {
-                Some(cols) => project(inputs[0], cols),
+                Some(cols) => project(&inputs[0].schema, &inputs[0].rows, cols),
                 None => Ok(inputs[0].clone()),
             }
         }
@@ -148,42 +133,62 @@ pub fn execute(op: &Operator, inputs: &[&Relation]) -> EngineResult<Relation> {
     }
 }
 
-fn out_schema(op: &Operator, inputs: &[&Relation]) -> Schema {
-    let schemas: Vec<Schema> = inputs.iter().map(|r| r.schema.clone()).collect();
-    op.output_schema(&schemas)
-        .unwrap_or_else(|_| inputs[0].schema.clone())
+/// Executes a unary operator that reads its input one row or one group at a
+/// time (`Project`, `Filter`, `Multiply`, `Divide`, `Aggregate`, `Distinct`)
+/// over a borrowed run of rows under `schema`: all of a relation's rows (what
+/// [`execute`] passes) or one partition of them, which then costs no copy.
+pub fn execute_rows(op: &Operator, schema: &Schema, rows: &[Vec<Value>]) -> EngineResult<Relation> {
+    match op {
+        Operator::Project { columns } => project(schema, rows, columns),
+        Operator::Filter { predicate } => filter(schema, rows, predicate),
+        Operator::Aggregate {
+            group_by,
+            func,
+            over,
+            out,
+        } => aggregate(schema, rows, group_by, *func, over.as_deref(), out),
+        Operator::Multiply { out, operands } => multiply(schema, rows, out, operands),
+        Operator::Divide { out, num, den } => divide(schema, rows, out, num, den),
+        Operator::Distinct { columns } => distinct(schema, rows, columns),
+        _ => Err(EngineError::Unsupported(format!(
+            "{} over a row range",
+            op.name()
+        ))),
+    }
 }
 
-fn project(rel: &Relation, columns: &[String]) -> EngineResult<Relation> {
-    let idxs: Vec<usize> = columns
-        .iter()
-        .map(|c| col_idx(rel, c))
-        .collect::<EngineResult<_>>()?;
+fn out_schema(op: &Operator, inputs: &[&Schema]) -> Schema {
+    let schemas: Vec<Schema> = inputs.iter().map(|s| (*s).clone()).collect();
+    op.output_schema(&schemas)
+        .unwrap_or_else(|_| inputs[0].clone())
+}
+
+fn project(schema: &Schema, rows: &[Vec<Value>], columns: &[String]) -> EngineResult<Relation> {
+    let idxs = key_indices(schema, columns)?;
     let op = Operator::Project {
         columns: columns.to_vec(),
     };
-    let schema = out_schema(&op, &[rel]);
-    let rows = rel
-        .rows
+    let schema = out_schema(&op, &[schema]);
+    let rows = rows
         .iter()
         .map(|r| idxs.iter().map(|&i| r[i].clone()).collect())
         .collect();
     Ok(Relation { schema, rows })
 }
 
-fn filter(rel: &Relation, predicate: &Expr) -> EngineResult<Relation> {
-    let mut rows = Vec::new();
-    for row in &rel.rows {
+fn filter(schema: &Schema, rows: &[Vec<Value>], predicate: &Expr) -> EngineResult<Relation> {
+    let mut kept = Vec::new();
+    for row in rows {
         let v = predicate
-            .eval(&rel.schema, row)
+            .eval(schema, row)
             .map_err(|e| EngineError::Eval(e.to_string()))?;
         if v.as_bool().unwrap_or(false) {
-            rows.push(row.clone());
+            kept.push(row.clone());
         }
     }
     Ok(Relation {
-        schema: rel.schema.clone(),
-        rows,
+        schema: schema.clone(),
+        rows: kept,
     })
 }
 
@@ -194,20 +199,14 @@ fn join(
     left_keys: &[String],
     right_keys: &[String],
 ) -> EngineResult<Relation> {
-    let lk: Vec<usize> = left_keys
-        .iter()
-        .map(|c| col_idx(left, c))
-        .collect::<EngineResult<_>>()?;
-    let rk: Vec<usize> = right_keys
-        .iter()
-        .map(|c| col_idx(right, c))
-        .collect::<EngineResult<_>>()?;
+    let lk = key_indices(&left.schema, left_keys)?;
+    let rk = key_indices(&right.schema, right_keys)?;
     let op = Operator::Join {
         left_keys: left_keys.to_vec(),
         right_keys: right_keys.to_vec(),
         kind: conclave_ir::ops::JoinKind::Inner,
     };
-    let schema = out_schema(&op, &[left, right]);
+    let schema = out_schema(&op, &[&left.schema, &right.schema]);
 
     // Build hash table on the right side.
     let mut table: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
@@ -234,18 +233,16 @@ fn join(
 }
 
 fn aggregate(
-    rel: &Relation,
+    schema: &Schema,
+    rows: &[Vec<Value>],
     group_by: &[String],
     func: AggFunc,
     over: Option<&str>,
     out: &str,
 ) -> EngineResult<Relation> {
-    let key_cols: Vec<usize> = group_by
-        .iter()
-        .map(|c| col_idx(rel, c))
-        .collect::<EngineResult<_>>()?;
+    let key_cols = key_indices(schema, group_by)?;
     let over_col = match over {
-        Some(o) => Some(col_idx(rel, o)?),
+        Some(o) => Some(col_idx(schema, o)?),
         None => {
             if func.needs_over() {
                 return Err(EngineError::Eval(format!("{func} requires an over column")));
@@ -259,15 +256,15 @@ fn aggregate(
         over: over.map(|s| s.to_string()),
         out: out.to_string(),
     };
-    let schema = out_schema(&op, &[rel]);
+    let schema = out_schema(&op, &[schema]);
 
     let groups = if key_cols.is_empty() {
-        vec![(Vec::new(), (0..rel.num_rows()).collect::<Vec<_>>())]
+        vec![(Vec::new(), (0..rows.len()).collect::<Vec<_>>())]
     } else {
-        rel.group_indices(&key_cols)
+        group_indices(rows, &key_cols)
     };
 
-    let mut rows = Vec::new();
+    let mut out_rows = Vec::new();
     for (key, idxs) in groups {
         let agg_value = match func {
             AggFunc::Count => Value::Int(idxs.len() as i64),
@@ -275,100 +272,118 @@ fn aggregate(
                 let c = over_col.expect("checked above");
                 let mut acc = Value::Int(0);
                 for &i in &idxs {
-                    acc = acc.add(&rel.rows[i][c]);
+                    acc = acc.add(&rows[i][c]);
                 }
                 acc
             }
             AggFunc::Min => {
                 let c = over_col.expect("checked above");
                 idxs.iter()
-                    .map(|&i| rel.rows[i][c].clone())
+                    .map(|&i| rows[i][c].clone())
                     .min()
                     .unwrap_or(Value::Null)
             }
             AggFunc::Max => {
                 let c = over_col.expect("checked above");
                 idxs.iter()
-                    .map(|&i| rel.rows[i][c].clone())
+                    .map(|&i| rows[i][c].clone())
                     .max()
                     .unwrap_or(Value::Null)
             }
         };
         let mut row = key;
         row.push(agg_value);
-        rows.push(row);
+        out_rows.push(row);
     }
     // A scalar aggregate over an empty relation still yields one row (the
     // additive identity), matching SQL's SUM semantics under COALESCE and the
     // behaviour the downstream HHI computation expects.
-    if rows.is_empty() && key_cols.is_empty() {
-        rows.push(vec![match func {
+    if out_rows.is_empty() && key_cols.is_empty() {
+        out_rows.push(vec![match func {
             AggFunc::Count => Value::Int(0),
             AggFunc::Sum => Value::Int(0),
             _ => Value::Null,
         }]);
     }
-    Ok(Relation { schema, rows })
+    Ok(Relation {
+        schema,
+        rows: out_rows,
+    })
 }
 
-fn operand_value(rel: &Relation, row: &[Value], operand: &Operand) -> EngineResult<Value> {
+fn operand_value(schema: &Schema, row: &[Value], operand: &Operand) -> EngineResult<Value> {
     match operand {
         Operand::Col(c) => {
-            let idx = col_idx(rel, c)?;
+            let idx = col_idx(schema, c)?;
             Ok(row[idx].clone())
         }
         Operand::Lit(v) => Ok(v.clone()),
     }
 }
 
-fn multiply(rel: &Relation, out: &str, operands: &[Operand]) -> EngineResult<Relation> {
+fn multiply(
+    schema: &Schema,
+    rows: &[Vec<Value>],
+    out: &str,
+    operands: &[Operand],
+) -> EngineResult<Relation> {
     let op = Operator::Multiply {
         out: out.to_string(),
         operands: operands.to_vec(),
     };
-    let schema = out_schema(&op, &[rel]);
-    let replace_idx = rel.col_index(out);
-    let mut rows = Vec::with_capacity(rel.num_rows());
-    for row in &rel.rows {
+    let replace_idx = schema.index_of(out);
+    let mut out_rows = Vec::with_capacity(rows.len());
+    for row in rows {
         let mut acc = Value::Int(1);
         for o in operands {
-            acc = acc.mul(&operand_value(rel, row, o)?);
+            acc = acc.mul(&operand_value(schema, row, o)?);
         }
         let mut new_row = row.clone();
         match replace_idx {
             Some(i) => new_row[i] = acc,
             None => new_row.push(acc),
         }
-        rows.push(new_row);
+        out_rows.push(new_row);
     }
-    Ok(Relation { schema, rows })
+    Ok(Relation {
+        schema: out_schema(&op, &[schema]),
+        rows: out_rows,
+    })
 }
 
-fn divide(rel: &Relation, out: &str, num: &Operand, den: &Operand) -> EngineResult<Relation> {
+fn divide(
+    schema: &Schema,
+    rows: &[Vec<Value>],
+    out: &str,
+    num: &Operand,
+    den: &Operand,
+) -> EngineResult<Relation> {
     let op = Operator::Divide {
         out: out.to_string(),
         num: num.clone(),
         den: den.clone(),
     };
-    let schema = out_schema(&op, &[rel]);
-    let replace_idx = rel.col_index(out);
-    let mut rows = Vec::with_capacity(rel.num_rows());
-    for row in &rel.rows {
-        let n = operand_value(rel, row, num)?;
-        let d = operand_value(rel, row, den)?;
+    let replace_idx = schema.index_of(out);
+    let mut out_rows = Vec::with_capacity(rows.len());
+    for row in rows {
+        let n = operand_value(schema, row, num)?;
+        let d = operand_value(schema, row, den)?;
         let v = n.div(&d);
         let mut new_row = row.clone();
         match replace_idx {
             Some(i) => new_row[i] = v,
             None => new_row.push(v),
         }
-        rows.push(new_row);
+        out_rows.push(new_row);
     }
-    Ok(Relation { schema, rows })
+    Ok(Relation {
+        schema: out_schema(&op, &[schema]),
+        rows: out_rows,
+    })
 }
 
-fn distinct(rel: &Relation, columns: &[String]) -> EngineResult<Relation> {
-    let proj = project(rel, columns)?;
+fn distinct(schema: &Schema, rows: &[Vec<Value>], columns: &[String]) -> EngineResult<Relation> {
+    let proj = project(schema, rows, columns)?;
     let mut seen = std::collections::HashSet::new();
     let mut rows = Vec::new();
     for row in proj.rows {
@@ -383,7 +398,7 @@ fn distinct(rel: &Relation, columns: &[String]) -> EngineResult<Relation> {
 }
 
 fn distinct_count(rel: &Relation, column: &str, out: &str) -> EngineResult<Relation> {
-    let idx = col_idx(rel, column)?;
+    let idx = col_idx(&rel.schema, column)?;
     let mut seen = std::collections::HashSet::new();
     for row in &rel.rows {
         seen.insert(row[idx].clone());
@@ -392,7 +407,7 @@ fn distinct_count(rel: &Relation, column: &str, out: &str) -> EngineResult<Relat
         column: column.to_string(),
         out: out.to_string(),
     };
-    let schema = out_schema(&op, &[rel]);
+    let schema = out_schema(&op, &[&rel.schema]);
     Ok(Relation {
         schema,
         rows: vec![vec![Value::Int(seen.len() as i64)]],
@@ -403,7 +418,7 @@ fn enumerate(rel: &Relation, out: &str) -> EngineResult<Relation> {
     let op = Operator::Enumerate {
         out: out.to_string(),
     };
-    let schema = out_schema(&op, &[rel]);
+    let schema = out_schema(&op, &[&rel.schema]);
     let rows = rel
         .rows
         .iter()
@@ -422,7 +437,7 @@ fn select_by_index(
     indexes: &Relation,
     index_column: &str,
 ) -> EngineResult<Relation> {
-    let idx_col = col_idx(indexes, index_column)?;
+    let idx_col = col_idx(&indexes.schema, index_column)?;
     let mut rows = Vec::with_capacity(indexes.num_rows());
     for row in &indexes.rows {
         let i = row[idx_col]
@@ -442,8 +457,7 @@ fn select_by_index(
 }
 
 fn merge_sorted(inputs: &[&Relation], column: &str, ascending: bool) -> EngineResult<Relation> {
-    let parts: Vec<Relation> = inputs.iter().map(|r| (*r).clone()).collect();
-    let mut merged = Relation::concat(&parts)?;
+    let mut merged = Relation::concat(inputs)?;
     merged.sort_by_column(column, ascending)?;
     Ok(merged)
 }
@@ -468,6 +482,49 @@ mod tests {
         let out = execute(&Operator::Concat, &[&a, &b]).unwrap();
         assert_eq!(out.num_rows(), 10);
         assert!(execute(&Operator::Concat, &[]).is_err());
+    }
+
+    #[test]
+    fn concat_keeps_input_order_across_uneven_and_empty_inputs() {
+        let a = Relation::from_ints(&["k", "v"], &[vec![1, 10], vec![2, 20], vec![3, 30]]);
+        let empty = Relation::from_ints(&["k", "v"], &[]);
+        let c = Relation::from_ints(&["k", "v"], &[vec![4, 40]]);
+        let out = execute(&Operator::Concat, &[&a, &empty, &c]).unwrap();
+        assert_eq!(out.schema, a.schema);
+        assert_eq!(out.rows, [a.rows.clone(), c.rows.clone()].concat());
+        let narrow = Relation::from_ints(&["k"], &[vec![5]]);
+        assert!(matches!(
+            execute(&Operator::Concat, &[&a, &narrow]),
+            Err(EngineError::Eval(_))
+        ));
+    }
+
+    #[test]
+    fn a_row_range_runs_the_same_kernels_as_the_whole_relation() {
+        let r = sales();
+        let op = Operator::Aggregate {
+            group_by: vec!["companyID".into()],
+            func: AggFunc::Sum,
+            over: Some("price".into()),
+            out: "rev".into(),
+        };
+        let tail = execute_rows(&op, &r.schema, &r.rows[2..]).unwrap();
+        assert_eq!(
+            tail,
+            Relation::from_ints(
+                &["companyID", "rev"],
+                &[vec![1, 20], vec![3, 7], vec![2, 5]]
+            )
+        );
+        assert_eq!(
+            execute_rows(&op, &r.schema, &r.rows).unwrap(),
+            execute(&op, &[&r]).unwrap()
+        );
+        // Operators that need the whole input, or two inputs, have no range form.
+        assert!(matches!(
+            execute_rows(&Operator::Limit { n: 1 }, &r.schema, &r.rows),
+            Err(EngineError::Unsupported(_))
+        ));
     }
 
     #[test]

@@ -42,7 +42,7 @@ pub mod vexec;
 pub use columnar::{Column, ColumnData, ColumnarRelation};
 pub use cost::SequentialCostModel;
 pub use error::{EngineError, EngineResult};
-pub use exec::execute;
+pub use exec::{execute, execute_rows, key_indices};
 pub use executor::{sequential_executor, ColumnarExecutor, Executor, RowExecutor};
 pub use relation::Relation;
 pub use table::{ConversionCounts, Table};

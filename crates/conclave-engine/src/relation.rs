@@ -3,6 +3,7 @@
 use crate::error::{EngineError, EngineResult};
 use conclave_ir::schema::Schema;
 use conclave_ir::types::Value;
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -119,57 +120,29 @@ impl Relation {
     /// Groups row indices by the values of the given key columns, preserving
     /// first-seen key order.
     pub fn group_indices(&self, key_cols: &[usize]) -> Vec<(Vec<Value>, Vec<usize>)> {
-        let mut order: Vec<Vec<Value>> = Vec::new();
-        let mut map: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
-        for (i, row) in self.rows.iter().enumerate() {
-            let key: Vec<Value> = key_cols.iter().map(|&c| row[c].clone()).collect();
-            if !map.contains_key(&key) {
-                order.push(key.clone());
-            }
-            map.entry(key).or_default().push(i);
-        }
-        order
-            .into_iter()
-            .map(|k| {
-                let idxs = map.remove(&k).expect("key recorded");
-                (k, idxs)
-            })
-            .collect()
+        group_indices(&self.rows, key_cols)
     }
 
-    /// Splits the relation into `n` horizontal partitions of near-equal size
-    /// (round-robin by block), preserving row order within partitions.
-    pub fn split(&self, n: usize) -> Vec<Relation> {
-        let n = n.max(1);
-        let chunk = self.num_rows().div_ceil(n).max(1);
-        let mut parts = Vec::with_capacity(n);
-        for i in 0..n {
-            let start = (i * chunk).min(self.num_rows());
-            let end = ((i + 1) * chunk).min(self.num_rows());
-            parts.push(Relation {
-                schema: self.schema.clone(),
-                rows: self.rows[start..end].to_vec(),
-            });
-        }
-        parts
-    }
-
-    /// Concatenates relations with identical arity into one (union all).
-    pub fn concat(parts: &[Relation]) -> EngineResult<Relation> {
-        let Some(first) = parts.first() else {
-            return Err(EngineError::Eval("concat of zero relations".to_string()));
-        };
-        let mut rows = Vec::new();
+    /// Concatenates borrowed relations with identical arity into one (union
+    /// all), copying every row once. The result takes the first schema.
+    pub fn concat<R: Borrow<Relation>>(parts: &[R]) -> EngineResult<Relation> {
+        let schema = concat_schema(parts.iter().map(Borrow::borrow))?;
+        let mut rows = Vec::with_capacity(parts.iter().map(|p| p.borrow().num_rows()).sum());
         for p in parts {
-            if p.num_cols() != first.num_cols() {
-                return Err(EngineError::Eval("concat arity mismatch".to_string()));
-            }
-            rows.extend(p.rows.iter().cloned());
+            rows.extend_from_slice(&p.borrow().rows);
         }
-        Ok(Relation {
-            schema: first.schema.clone(),
-            rows,
-        })
+        Ok(Relation { schema, rows })
+    }
+
+    /// [`Relation::concat`] for parts the caller is done with: their rows are
+    /// moved into the result, not copied.
+    pub fn concat_owned(parts: Vec<Relation>) -> EngineResult<Relation> {
+        let schema = concat_schema(parts.iter())?;
+        let mut rows = Vec::with_capacity(parts.iter().map(Relation::num_rows).sum());
+        for mut p in parts {
+            rows.append(&mut p.rows);
+        }
+        Ok(Relation { schema, rows })
     }
 
     /// Compares contents ignoring row order (used by tests that check MPC and
@@ -184,6 +157,43 @@ impl Relation {
         b.sort();
         a == b
     }
+}
+
+/// The schema a concatenation of `parts` takes (the first one's), after
+/// checking that there is a first part and that every part has its arity.
+fn concat_schema<'a>(mut parts: impl Iterator<Item = &'a Relation>) -> EngineResult<Schema> {
+    let Some(first) = parts.next() else {
+        return Err(EngineError::Eval("concat of zero relations".to_string()));
+    };
+    if parts.any(|p| p.num_cols() != first.num_cols()) {
+        return Err(EngineError::Eval("concat arity mismatch".to_string()));
+    }
+    Ok(first.schema.clone())
+}
+
+/// Groups the indices of `rows` by the values of the given key columns,
+/// preserving first-seen key order. `rows` may be any run of a relation's
+/// rows; the indices are relative to it.
+pub(crate) fn group_indices(
+    rows: &[Vec<Value>],
+    key_cols: &[usize],
+) -> Vec<(Vec<Value>, Vec<usize>)> {
+    let mut order: Vec<Vec<Value>> = Vec::new();
+    let mut map: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
+    for (i, row) in rows.iter().enumerate() {
+        let key: Vec<Value> = key_cols.iter().map(|&c| row[c].clone()).collect();
+        if !map.contains_key(&key) {
+            order.push(key.clone());
+        }
+        map.entry(key).or_default().push(i);
+    }
+    order
+        .into_iter()
+        .map(|k| {
+            let idxs = map.remove(&k).expect("key recorded");
+            (k, idxs)
+        })
+        .collect()
 }
 
 impl fmt::Display for Relation {
@@ -267,25 +277,29 @@ mod tests {
     }
 
     #[test]
-    fn split_and_concat_round_trip() {
+    fn concat_round_trip_borrowed_and_owned() {
         let r = Relation::from_ints(&["a"], &(0..10).map(|i| vec![i]).collect::<Vec<_>>());
-        let parts = r.split(3);
-        assert_eq!(parts.len(), 3);
-        assert_eq!(parts.iter().map(|p| p.num_rows()).sum::<usize>(), 10);
-        let back = Relation::concat(&parts).unwrap();
-        assert!(back.same_rows_unordered(&r));
-        // Degenerate splits.
-        assert_eq!(r.split(0).len(), 1);
-        let tiny = Relation::from_ints(&["a"], &[vec![1]]);
-        assert_eq!(tiny.split(4).iter().map(|p| p.num_rows()).sum::<usize>(), 1);
+        let parts: Vec<Relation> = [0..4, 4..4, 4..10]
+            .into_iter()
+            .map(|range| Relation {
+                schema: r.schema.clone(),
+                rows: r.rows[range].to_vec(),
+            })
+            .collect();
+        assert_eq!(Relation::concat(&parts).unwrap(), r);
+        let refs: Vec<&Relation> = parts.iter().collect();
+        assert_eq!(Relation::concat(&refs).unwrap(), r);
+        assert_eq!(Relation::concat_owned(parts).unwrap(), r);
     }
 
     #[test]
     fn concat_errors() {
-        assert!(Relation::concat(&[]).is_err());
+        assert!(Relation::concat::<Relation>(&[]).is_err());
+        assert!(Relation::concat_owned(vec![]).is_err());
         let a = Relation::from_ints(&["a"], &[vec![1]]);
         let b = Relation::from_ints(&["a", "b"], &[vec![1, 2]]);
-        assert!(Relation::concat(&[a, b]).is_err());
+        assert!(Relation::concat(&[&a, &b]).is_err());
+        assert!(Relation::concat_owned(vec![a, b]).is_err());
     }
 
     #[test]

@@ -1,37 +1,75 @@
-//! Partitioned relations: the unit of parallelism.
+//! Partitions: the unit of parallelism.
 //!
-//! Two flavors are provided: [`PartitionedRelation`] partitions row-major
-//! relations (vectors of row vectors), while [`ColumnarPartitionedRelation`]
-//! partitions columnar relations by slicing every typed column — the shuffle
-//! then moves contiguous column chunks instead of individual boxed rows.
+//! A partition of a relation is a *range of its rows*. [`row_ranges`] cuts
+//! `0..num_rows` into near-equal, non-empty ranges; a row task reads
+//! `&input.rows[range]` under the input's schema — nothing is copied to make
+//! it — and a columnar task reads a slice of every typed column (a `memcpy`
+//! of primitives). Owned partitions exist only where rows really have to
+//! move: [`PartitionedRelation`] and [`ColumnarPartitionedRelation`] are the
+//! buckets of a join's co-partitioning shuffle. Aggregations and `Distinct`
+//! never shuffle: they combine per range first (see [`crate::exec`]).
 
 use conclave_engine::{ColumnarRelation, Relation};
-use conclave_ir::schema::Schema;
 use conclave_ir::types::Value;
+use std::borrow::Borrow;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
+use std::ops::Range;
 
-/// A relation split into horizontal partitions, each processed by one task.
+/// Cuts `0..num_rows` into at most `n` contiguous ranges of near-equal size,
+/// in order. Every range is non-empty, so fewer rows than `n` give fewer
+/// ranges and no rows give none: a task never sees an empty partition (whose
+/// scalar `MIN` would be a `NULL` that poisons the combined result).
+pub fn row_ranges(num_rows: usize, n: usize) -> Vec<Range<usize>> {
+    let chunk = num_rows.div_ceil(n.max(1)).max(1);
+    (0..num_rows)
+        .step_by(chunk)
+        .map(|start| start..(start + chunk).min(num_rows))
+        .collect()
+}
+
+/// The bucket a row's key lands in. Both layouts hash `Value`s into a copy of
+/// one seed state, so they agree on every row's bucket.
+fn bucket_of<V: Borrow<Value>>(
+    seed: &DefaultHasher,
+    key: impl Iterator<Item = V>,
+    buckets: usize,
+) -> usize {
+    let mut hasher = seed.clone();
+    for v in key {
+        v.borrow().hash(&mut hasher);
+    }
+    (hasher.finish() % buckets as u64) as usize
+}
+
+/// A row relation hash-partitioned by key: the output of a shuffle.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PartitionedRelation {
-    /// Shared schema of every partition.
-    pub schema: Schema,
-    /// The partitions.
+    /// The partitions; each carries the input's schema.
     pub partitions: Vec<Relation>,
 }
 
 impl PartitionedRelation {
-    /// Splits a relation into `n` near-equal partitions.
-    pub fn from_relation(rel: &Relation, n: usize) -> Self {
-        PartitionedRelation {
-            schema: rel.schema.clone(),
-            partitions: rel.split(n),
+    /// Partitions `rel` by hashing the given key columns, so that all rows
+    /// with equal keys land in the same partition, in their input order (the
+    /// shuffle before a join). This is the one place a row is copied to be
+    /// partitioned.
+    pub fn shuffle_by_key(rel: &Relation, key_cols: &[usize], num_partitions: usize) -> Self {
+        let num_partitions = num_partitions.max(1);
+        let seed = DefaultHasher::new();
+        let mut buckets: Vec<Vec<Vec<Value>>> = vec![Vec::new(); num_partitions];
+        for row in &rel.rows {
+            let bucket = bucket_of(&seed, key_cols.iter().map(|&c| &row[c]), num_partitions);
+            buckets[bucket].push(row.clone());
         }
-    }
-
-    /// Wraps existing partitions (they must share the given schema's arity).
-    pub fn from_parts(schema: Schema, partitions: Vec<Relation>) -> Self {
-        PartitionedRelation { schema, partitions }
+        let partitions = buckets
+            .into_iter()
+            .map(|rows| Relation {
+                schema: rel.schema.clone(),
+                rows,
+            })
+            .collect();
+        PartitionedRelation { partitions }
     }
 
     /// Number of partitions.
@@ -45,66 +83,38 @@ impl PartitionedRelation {
     }
 
     /// Collects all partitions back into one relation (Spark's `collect`).
-    pub fn collect(&self) -> Relation {
-        if self.partitions.is_empty() {
-            return Relation::empty(self.schema.clone());
-        }
-        Relation::concat(&self.partitions).expect("partitions share a schema")
-    }
-
-    /// Re-partitions by hashing the given key columns, so that all rows with
-    /// equal keys land in the same partition (the shuffle before a wide
-    /// operator).
-    pub fn shuffle_by_key(&self, key_cols: &[usize], num_partitions: usize) -> PartitionedRelation {
-        let num_partitions = num_partitions.max(1);
-        let mut buckets: Vec<Vec<Vec<Value>>> = vec![Vec::new(); num_partitions];
-        for part in &self.partitions {
-            for row in &part.rows {
-                let mut hasher = DefaultHasher::new();
-                for &c in key_cols {
-                    row[c].hash(&mut hasher);
-                }
-                let bucket = (hasher.finish() % num_partitions as u64) as usize;
-                buckets[bucket].push(row.clone());
-            }
-        }
-        let partitions = buckets
-            .into_iter()
-            .map(|rows| Relation {
-                schema: self.schema.clone(),
-                rows,
-            })
-            .collect();
-        PartitionedRelation {
-            schema: self.schema.clone(),
-            partitions,
-        }
-    }
-
-    /// Total bytes the shuffle of this relation would move.
-    pub fn shuffle_bytes(&self) -> u64 {
-        (self.num_rows() * self.schema.row_byte_size()) as u64
+    pub fn collect(self) -> Relation {
+        Relation::concat_owned(self.partitions).expect("a shuffle yields at least one partition")
     }
 }
 
-/// A columnar relation split into horizontal partitions: each partition keeps
-/// the typed column vectors of its row range, so per-partition tasks run the
+/// A columnar relation hash-partitioned by key: each partition keeps the
+/// typed column vectors of its rows, so per-partition join tasks run the
 /// vectorized engine directly with no row materialization.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ColumnarPartitionedRelation {
-    /// Shared schema of every partition.
-    pub schema: Schema,
-    /// The partitions.
+    /// The partitions; each carries the input's schema.
     pub partitions: Vec<ColumnarRelation>,
 }
 
 impl ColumnarPartitionedRelation {
-    /// Splits a columnar relation into `n` near-equal partitions by slicing
-    /// every column.
-    pub fn from_relation(rel: &ColumnarRelation, n: usize) -> Self {
+    /// Partitions `rel` by hashing the given key columns, into the same
+    /// buckets as [`PartitionedRelation::shuffle_by_key`]: one gather index
+    /// list per bucket, then every column is gathered once.
+    pub fn shuffle_by_key(
+        rel: &ColumnarRelation,
+        key_cols: &[usize],
+        num_partitions: usize,
+    ) -> Self {
+        let num_partitions = num_partitions.max(1);
+        let seed = DefaultHasher::new();
+        let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); num_partitions];
+        for i in 0..rel.num_rows() {
+            let key = key_cols.iter().map(|&c| rel.value(i, c));
+            buckets[bucket_of(&seed, key, num_partitions)].push(i);
+        }
         ColumnarPartitionedRelation {
-            schema: rel.schema.clone(),
-            partitions: rel.split(n),
+            partitions: buckets.iter().map(|idx| rel.gather(idx)).collect(),
         }
     }
 
@@ -120,66 +130,7 @@ impl ColumnarPartitionedRelation {
 
     /// Collects all partitions back into one columnar relation.
     pub fn collect(&self) -> ColumnarRelation {
-        if self.partitions.is_empty() {
-            return ColumnarRelation::empty(self.schema.clone());
-        }
-        ColumnarRelation::concat(&self.partitions).expect("partitions share a schema")
-    }
-
-    /// Re-partitions by hashing the given key columns, so that all rows with
-    /// equal keys land in the same partition. Buckets are materialized as
-    /// per-partition gather index lists, then every column is gathered once.
-    pub fn shuffle_by_key(
-        &self,
-        key_cols: &[usize],
-        num_partitions: usize,
-    ) -> ColumnarPartitionedRelation {
-        let num_partitions = num_partitions.max(1);
-        let partitions = self
-            .partitions
-            .iter()
-            .flat_map(|part| {
-                // Bucket indices within this partition.
-                let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); num_partitions];
-                for i in 0..part.num_rows() {
-                    let mut hasher = DefaultHasher::new();
-                    for &c in key_cols {
-                        part.value(i, c).hash(&mut hasher);
-                    }
-                    let bucket = (hasher.finish() % num_partitions as u64) as usize;
-                    buckets[bucket].push(i);
-                }
-                buckets
-                    .into_iter()
-                    .map(|idx| part.gather(&idx))
-                    .collect::<Vec<_>>()
-            })
-            .collect::<Vec<_>>();
-        // Merge the per-source-partition buckets bucket-wise.
-        let merged = (0..num_partitions)
-            .map(|b| {
-                let parts: Vec<ColumnarRelation> = partitions
-                    .iter()
-                    .skip(b)
-                    .step_by(num_partitions)
-                    .cloned()
-                    .collect();
-                if parts.is_empty() {
-                    ColumnarRelation::empty(self.schema.clone())
-                } else {
-                    ColumnarRelation::concat(&parts).expect("buckets share a schema")
-                }
-            })
-            .collect();
-        ColumnarPartitionedRelation {
-            schema: self.schema.clone(),
-            partitions: merged,
-        }
-    }
-
-    /// Total bytes the shuffle of this relation would move.
-    pub fn shuffle_bytes(&self) -> u64 {
-        (self.num_rows() * self.schema.row_byte_size()) as u64
+        ColumnarRelation::concat(&self.partitions).expect("a shuffle yields at least one partition")
     }
 }
 
@@ -195,27 +146,30 @@ mod tests {
     }
 
     #[test]
-    fn split_and_collect_round_trip() {
-        let r = rel(100);
-        let p = PartitionedRelation::from_relation(&r, 8);
-        assert_eq!(p.num_partitions(), 8);
-        assert_eq!(p.num_rows(), 100);
-        assert!(p.collect().same_rows_unordered(&r));
-        assert!(p.shuffle_bytes() > 0);
-    }
-
-    #[test]
-    fn empty_partitioned_relation_collects_to_empty() {
-        let p = PartitionedRelation::from_parts(Schema::ints(&["a"]), vec![]);
-        assert_eq!(p.collect().num_rows(), 0);
-        assert_eq!(p.num_rows(), 0);
+    fn row_ranges_cover_every_row_once_in_order_and_are_never_empty() {
+        for (rows, n) in [
+            (100, 8),
+            (100, 12),
+            (12, 12),
+            (5, 12),
+            (1, 4),
+            (0, 4),
+            (7, 0),
+        ] {
+            let ranges = row_ranges(rows, n);
+            assert!(ranges.len() <= n.max(1), "{rows} rows / {n}");
+            assert!(ranges.iter().all(|r| !r.is_empty()), "{rows} rows / {n}");
+            let covered: Vec<usize> = ranges.iter().flat_map(|r| r.clone()).collect();
+            assert_eq!(covered, (0..rows).collect::<Vec<_>>(), "{rows} rows / {n}");
+        }
+        assert_eq!(row_ranges(100, 8).len(), 8);
+        assert_eq!(row_ranges(5, 12).len(), 5);
     }
 
     #[test]
     fn shuffle_by_key_groups_equal_keys_together() {
         let r = rel(200);
-        let p = PartitionedRelation::from_relation(&r, 4);
-        let shuffled = p.shuffle_by_key(&[0], 5);
+        let shuffled = PartitionedRelation::shuffle_by_key(&r, &[0], 5);
         assert_eq!(shuffled.num_rows(), 200);
         assert_eq!(shuffled.num_partitions(), 5);
         // Every distinct key must appear in exactly one partition.
@@ -233,35 +187,17 @@ mod tests {
 
     #[test]
     fn shuffle_with_zero_partitions_is_clamped() {
-        let r = rel(10);
-        let p = PartitionedRelation::from_relation(&r, 2);
-        let shuffled = p.shuffle_by_key(&[0], 0);
+        let shuffled = PartitionedRelation::shuffle_by_key(&rel(10), &[0], 0);
         assert_eq!(shuffled.num_partitions(), 1);
-    }
-
-    #[test]
-    fn columnar_split_and_collect_round_trip() {
-        let r = rel(100);
-        let c = ColumnarRelation::from_rows(&r);
-        let p = ColumnarPartitionedRelation::from_relation(&c, 8);
-        assert_eq!(p.num_partitions(), 8);
-        assert_eq!(p.num_rows(), 100);
-        assert!(p.collect().to_rows().same_rows_unordered(&r));
-        assert!(p.shuffle_bytes() > 0);
-        let empty = ColumnarPartitionedRelation {
-            schema: Schema::ints(&["a"]),
-            partitions: vec![],
-        };
-        assert_eq!(empty.collect().num_rows(), 0);
+        assert_eq!(shuffled.collect(), rel(10));
     }
 
     #[test]
     fn columnar_shuffle_matches_row_shuffle_semantics() {
         let r = rel(200);
-        let row_part = PartitionedRelation::from_relation(&r, 4).shuffle_by_key(&[0], 5);
-        let col_part =
-            ColumnarPartitionedRelation::from_relation(&ColumnarRelation::from_rows(&r), 4)
-                .shuffle_by_key(&[0], 5);
+        let row_part = PartitionedRelation::shuffle_by_key(&r, &[0], 5);
+        let columnar = ColumnarRelation::from_rows(&r);
+        let col_part = ColumnarPartitionedRelation::shuffle_by_key(&columnar, &[0], 5);
         assert_eq!(col_part.num_partitions(), 5);
         assert_eq!(col_part.num_rows(), 200);
         // Same bucketing (both hash `Value`s with the same hasher), and every
@@ -277,10 +213,9 @@ mod tests {
                 .count();
             assert_eq!(holders, 1, "key {key} appears in {holders} partitions");
         }
+        assert!(col_part.collect().to_rows().same_rows_unordered(&r));
         // Zero-partition shuffles clamp.
-        let clamped =
-            ColumnarPartitionedRelation::from_relation(&ColumnarRelation::from_rows(&r), 2)
-                .shuffle_by_key(&[0], 0);
+        let clamped = ColumnarPartitionedRelation::shuffle_by_key(&columnar, &[0], 0);
         assert_eq!(clamped.num_partitions(), 1);
     }
 }

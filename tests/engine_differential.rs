@@ -1,4 +1,4 @@
-//! Property-based differential tests between the two cleartext engines.
+//! Property-based differential tests between the cleartext engines.
 //!
 //! Every test generates random relations (including null cells, mixed-type
 //! columns, duplicate keys, empty and single-row inputs) and random operator
@@ -7,16 +7,24 @@
 //! (`conclave_engine::execute_vectorized`), and requires *identical* results:
 //! same schema, same rows in the same order — or the same error disposition.
 //! Each operator class runs at least 64 generated cases.
+//!
+//! The `differential_parallel_*` cases hold `conclave_parallel`'s engine to
+//! the sequential row engine the same way, on a two-partition cluster and on
+//! the paper's twelve-partition one (so most generated inputs have fewer rows
+//! than partitions): row tasks must reproduce the sequential result *row
+//! order included* — partials combine in range order — while columnar tasks
+//! and the join's hash shuffle are held to the same rows in any order.
 
 // Demo/test target: panicking on bad setup is the desired behavior here
 // (the workspace-level clippy::unwrap_used lint targets library code).
 #![allow(clippy::unwrap_used)]
 
-use conclave_engine::{execute, execute_vectorized, Relation};
+use conclave_engine::{execute, execute_vectorized, EngineMode, Relation};
 use conclave_ir::expr::Expr;
 use conclave_ir::ops::{AggFunc, JoinKind, Operand, Operator};
 use conclave_ir::schema::{ColumnDef, Schema};
 use conclave_ir::types::{DataType, Value};
+use conclave_parallel::{ClusterSpec, ParallelEngine};
 use proptest::prelude::*;
 
 /// Raw generated cell material: `(int value, type selector)`.
@@ -81,6 +89,36 @@ fn assert_engines_identical(op: &Operator, inputs: &[&Relation]) {
         }
         (Err(_), Err(_)) => {}
         (r, v) => panic!("{op}: engines disagree on success: row={r:?} columnar={v:?}"),
+    }
+}
+
+/// Executes `op` on the parallel engine — row and columnar tasks, two and
+/// twelve partitions — and holds every outcome to the sequential row engine's.
+fn assert_parallel_matches_sequential(op: &Operator, inputs: &[&Relation]) {
+    let sequential = execute(op, inputs);
+    for cluster in [ClusterSpec::new(1, 1), ClusterSpec::paper_party_cluster()] {
+        let engine = ParallelEngine::new(cluster);
+        for mode in [EngineMode::Row, EngineMode::Columnar] {
+            let parallel = engine.execute_op_mode(op, inputs, mode).map(|(rel, _)| rel);
+            let what = format!("{op} on {} {mode} partitions", cluster.default_partitions());
+            match (&sequential, parallel) {
+                (Ok(s), Ok(p))
+                    if mode == EngineMode::Row && !matches!(op, Operator::Join { .. }) =>
+                {
+                    assert_eq!(&p, s, "{what}: result or order divergence");
+                }
+                (Ok(s), Ok(p)) => {
+                    assert_eq!(
+                        p.schema.names(),
+                        s.schema.names(),
+                        "{what}: schema divergence"
+                    );
+                    assert!(p.same_rows_unordered(s), "{what}: {p:?} vs {s:?}");
+                }
+                (Err(_), Err(_)) => {}
+                (s, p) => panic!("{what}: disagree on success: sequential={s:?} parallel={p:?}"),
+            }
+        }
     }
 }
 
@@ -278,6 +316,57 @@ proptest! {
             };
         }
     }
+
+    #[test]
+    fn differential_parallel_unary(rows in rows_strategy(40), seed in 0i64..10_000, lit in -5i64..6) {
+        // Mixed-typed cells, or all integers (the typed fast paths).
+        let rel = if seed % 4 < 2 { to_relation(&rows) } else { to_int_relation(&rows, ["a", "b", "c"]) };
+        let column = ["a", "b", "c"][seed.rem_euclid(3) as usize];
+        let mut ops = vec![
+            Operator::Project { columns: vec![column.into(), "a".into()] },
+            Operator::Filter { predicate: predicate_from_seed(seed, lit) },
+            Operator::Multiply {
+                // Replaces `b` or appends `prod`.
+                out: if seed % 2 == 0 { "b".into() } else { "prod".into() },
+                operands: vec![Operand::col(column), Operand::lit(lit)],
+            },
+            Operator::Divide {
+                out: "ratio".into(),
+                num: Operand::col(column),
+                den: Operand::col("c"), // includes division by zero
+            },
+            Operator::Distinct { columns: vec![column.into()] },
+            Operator::Distinct { columns: vec!["b".into(), "a".into()] },
+        ];
+        for func in [AggFunc::Sum, AggFunc::Count, AggFunc::Min, AggFunc::Max] {
+            for group_by in [vec![], vec!["a".to_string()], vec!["b".to_string(), "a".to_string()]] {
+                let over = (func != AggFunc::Count).then(|| column.to_string());
+                ops.push(Operator::Aggregate { group_by, func, over, out: "agg".into() });
+            }
+        }
+        for op in &ops {
+            assert_parallel_matches_sequential(op, &[&rel]);
+        }
+    }
+
+    #[test]
+    fn differential_parallel_join(left in rows_strategy(30), right in rows_strategy(30), mixed in 0u8..2) {
+        let (l, r) = if mixed == 0 {
+            (to_int_relation(&left, ["k", "x", "y"]), to_int_relation(&right, ["k", "u", "v"]))
+        } else {
+            let mut l = to_relation(&left);
+            let mut r = to_relation(&right);
+            l.schema.columns[1].name = "k".into();
+            r.schema.columns[1].name = "k".into();
+            (l, r)
+        };
+        let op = Operator::Join {
+            left_keys: vec!["k".into()],
+            right_keys: vec!["k".into()],
+            kind: JoinKind::Inner,
+        };
+        assert_parallel_matches_sequential(&op, &[&l, &r]);
+    }
 }
 
 #[test]
@@ -325,6 +414,7 @@ fn differential_edge_shapes() {
             },
         ] {
             assert_engines_identical(&op, &[rel]);
+            assert_parallel_matches_sequential(&op, &[rel]);
         }
         let join = Operator::Join {
             left_keys: vec!["a".into()],
@@ -332,5 +422,6 @@ fn differential_edge_shapes() {
             kind: JoinKind::Inner,
         };
         assert_engines_identical(&join, &[rel, &dup_rel]);
+        assert_parallel_matches_sequential(&join, &[rel, &dup_rel]);
     }
 }

@@ -11,8 +11,10 @@
 //!
 //! Non-linear work is issued in batches (one `eq_batch_groups` for all key
 //! columns of a join or aggregation, one `mul_batch` per extra factor of a
-//! multiply, one `mux_batch` per compare-exchange), so an engine that
-//! communicates pays rounds per *batch*, never per row.
+//! multiply, one `lt_batch` + one `mux_batch` per batch of ≤ `LAYER_CHUNK`
+//! disjoint comparators of a sorting-network layer), so an engine that
+//! communicates pays rounds per *batch* — except in the grouped aggregate's
+//! scan, which is still one row per batch (ROADMAP item 1, Stage C).
 
 use crate::cost::PrimitiveCounts;
 use crate::engine::{Engine, EngineResult, OpError};
@@ -53,61 +55,96 @@ pub fn shuffle<E: Engine>(eng: &mut E, rel: &Rel<E::Share>) -> Rel<E::Share> {
     rel.permute(&perm)
 }
 
-/// One oblivious compare-exchange across all columns: afterwards the key at
-/// row `i` precedes the key at row `j` in the requested order. One
-/// comparison batch plus one multiplexer batch.
+/// A compare-exchange between two row positions: afterwards the key at the
+/// first precedes the key at the second in the requested order.
+type Comparator = (usize, usize);
+
+/// One depth level of a comparator network: comparators over pairwise
+/// distinct positions, so they commute and can share their round trips.
+type Layer = Vec<Comparator>;
+
+/// How many comparators of a layer share one `lt_batch` + `mux_batch`.
+///
+/// Staging debt of ROADMAP item 1, not a tuning knob: a whole layer is one
+/// vector operation (Stage B), and this constant exists only so that the step
+/// from one comparator per batch lands in a size the benchmark gate can
+/// resolve. Stage B deletes it and issues `layer` where Stage A issues
+/// `layer.chunks(LAYER_CHUNK)`.
+const LAYER_CHUNK: usize = 3;
+
+/// Oblivious compare-exchanges of pairwise-disjoint comparators, across all
+/// columns and in place: one comparison batch over the key pairs, then one
+/// multiplexer batch over every (comparator × column × 2) selector.
 fn compare_exchange<E: Engine>(
     eng: &mut E,
     rows: &mut [Vec<E::Share>],
-    (i, j): (usize, usize),
+    batch: &[Comparator],
     key: usize,
     ascending: bool,
 ) -> EngineResult<E, ()> {
-    let (a, b) = (rows[i][key], rows[j][key]);
     // swap = 1 iff the pair is out of order.
-    let swap = only(eng.lt_batch(&[if ascending { (b, a) } else { (a, b) }])?);
-    let selectors: Vec<_> = rows[i]
+    let keys: Vec<_> = batch
         .iter()
-        .zip(&rows[j])
-        .flat_map(|(&x, &y)| [(swap, y, x), (swap, x, y)]) // new row i, new row j
+        .map(|&(i, j)| {
+            let (lt, than) = if ascending { (j, i) } else { (i, j) };
+            (rows[lt][key], rows[than][key])
+        })
+        .collect();
+    let swaps = eng.lt_batch(&keys)?;
+    let selectors: Vec<_> = batch
+        .iter()
+        .zip(swaps)
+        .flat_map(|(&(i, j), swap)| {
+            rows[i]
+                .iter()
+                .zip(&rows[j])
+                .flat_map(move |(&x, &y)| [(swap, y, x), (swap, x, y)]) // new row i, new row j
+        })
         .collect();
     let mut muxed = eng.mux_batch(&selectors)?.into_iter();
-    for c in 0..rows[i].len() {
-        rows[i][c] = muxed.next().expect("two results per column");
-        rows[j][c] = muxed.next().expect("two results per column");
+    for &(i, j) in batch {
+        for c in 0..rows[i].len() {
+            rows[i][c] = muxed.next().expect("two results per column");
+            rows[j][c] = muxed.next().expect("two results per column");
+        }
     }
     Ok(())
 }
 
-/// Generates the compare-exchange pairs of a Batcher odd-even merge sort for
-/// `n` elements (indices `>= n` are skipped, which is the standard way to
-/// handle non-power-of-two sizes).
-fn batcher_pairs(n: usize) -> Vec<(usize, usize)> {
-    let mut pairs = Vec::new();
+/// Generates the layers of a Batcher odd-even merge sort for `n` elements,
+/// one per `(p, k)` step (indices `>= n` are skipped, which is the standard
+/// way to handle non-power-of-two sizes, and so is a step they leave empty).
+fn batcher_layers(n: usize) -> Vec<Layer> {
+    let mut layers = Vec::new();
     let mut p = 1;
     while p < n {
         let mut k = p;
         while k >= 1 {
+            let mut layer = Layer::new();
             let mut j = k % p;
             while j + k < n {
                 for i in 0..k {
                     let a = i + j;
                     let b = i + j + k;
                     if b < n && (a / (p * 2)) == (b / (p * 2)) {
-                        pairs.push((a, b));
+                        layer.push((a, b));
                     }
                 }
                 j += k * 2;
+            }
+            if !layer.is_empty() {
+                layers.push(layer);
             }
             k /= 2;
         }
         p *= 2;
     }
-    pairs
+    layers
 }
 
 /// Obliviously sorts the relation by the named column using a Batcher
-/// odd-even merge sorting network (`𝒪(n·log²n)` compare-exchanges).
+/// odd-even merge sorting network (`𝒪(n·log²n)` compare-exchanges in
+/// `𝒪(log²n)` layers).
 pub fn sort_by<E: Engine>(
     eng: &mut E,
     rel: &Rel<E::Share>,
@@ -116,8 +153,10 @@ pub fn sort_by<E: Engine>(
 ) -> EngineResult<E, Rel<E::Share>> {
     let key = rel.require(column)?;
     let mut rows = rel.rows.clone();
-    for pair in batcher_pairs(rows.len()) {
-        compare_exchange(eng, &mut rows, pair, key, ascending)?;
+    for layer in batcher_layers(rows.len()) {
+        for batch in layer.chunks(LAYER_CHUNK) {
+            compare_exchange(eng, &mut rows, batch, key, ascending)?;
+        }
     }
     Ok(Rel {
         schema: rel.schema.clone(),
@@ -125,46 +164,61 @@ pub fn sort_by<E: Engine>(
     })
 }
 
+/// Lays the network `other` beside `layers`: the two touch disjoint
+/// positions, so layer `i` of one runs with layer `i` of the other.
+fn lay_beside(layers: &mut Vec<Layer>, other: Vec<Layer>) {
+    if layers.len() < other.len() {
+        layers.resize_with(other.len(), Layer::new);
+    }
+    for (layer, more) in layers.iter_mut().zip(other) {
+        layer.extend(more);
+    }
+}
+
 /// Batcher's odd-even merge of two sorted runs of *any* lengths, given as
-/// the row positions holding each run in order. Appends the comparators to
-/// `pairs` and returns the positions that hold the merged run in order: the
-/// network leaves the result at a public permutation of the positions, which
-/// the caller undoes for free.
-fn merge_network(a: Vec<usize>, b: Vec<usize>, pairs: &mut Vec<(usize, usize)>) -> Vec<usize> {
+/// the row positions holding each run in order. Returns the positions that
+/// hold the merged run in order — the network leaves the result at a public
+/// permutation of the positions, which the caller undoes for free — and the
+/// network's layers.
+fn merge_layers(a: Vec<usize>, b: Vec<usize>) -> (Vec<usize>, Vec<Layer>) {
     if a.is_empty() {
-        return b;
+        return (b, Vec::new());
     }
     if b.is_empty() {
-        return a;
+        return (a, Vec::new());
     }
     if a.len() == 1 && b.len() == 1 {
-        pairs.push((a[0], b[0]));
-        return vec![a[0], b[0]];
+        return (vec![a[0], b[0]], vec![vec![(a[0], b[0])]]);
     }
     let half = |run: &[usize], skip: usize| -> Vec<usize> {
         run.iter().skip(skip).step_by(2).copied().collect()
     };
-    // Merge the 1st, 3rd, … and the 2nd, 4th, … elements of both runs, then
-    // fix up neighbours: v₁, (w₁,v₂), (w₂,v₃), …
-    let v: Vec<usize> = merge_network(half(&a, 0), half(&b, 0), pairs);
-    let w: Vec<usize> = merge_network(half(&a, 1), half(&b, 1), pairs);
+    // Merge the 1st, 3rd, … and the 2nd, 4th, … elements of both runs — on
+    // disjoint positions, so side by side — then fix up neighbours in one
+    // last layer: v₁, (w₁,v₂), (w₂,v₃), …
+    let (v, mut layers) = merge_layers(half(&a, 0), half(&b, 0));
+    let (w, beside) = merge_layers(half(&a, 1), half(&b, 1));
+    lay_beside(&mut layers, beside);
+    let mut fix_up = Layer::new();
     let mut merged = vec![v[0]];
     for i in 0..w.len().max(v.len() - 1) {
         match (w.get(i), v.get(i + 1)) {
             (Some(&lo), Some(&hi)) => {
-                pairs.push((lo, hi));
+                fix_up.push((lo, hi));
                 merged.extend([lo, hi]);
             }
             (Some(&last), None) | (None, Some(&last)) => merged.push(last),
             (None, None) => unreachable!("loop bound covers both tails"),
         }
     }
-    merged
+    layers.push(fix_up);
+    (merged, layers)
 }
 
 /// Obliviously merges relations that are each sorted by `column`. A full
 /// sorting network is not needed: runs are merged pairwise with odd-even
-/// merge networks, `𝒪(n·log n)` compare-exchanges per level.
+/// merge networks, `𝒪(n·log n)` compare-exchanges per level, the independent
+/// merges of a level side by side.
 pub fn merge_sorted<E: Engine>(
     eng: &mut E,
     parts: &[&Rel<E::Share>],
@@ -181,18 +235,24 @@ pub fn merge_sorted<E: Engine>(
             (start - p.num_rows()..start).collect()
         })
         .collect();
-    let mut pairs = Vec::new();
+    let mut layers = Vec::new();
     while runs.len() > 1 {
         let mut level = Vec::with_capacity(runs.len().div_ceil(2));
+        let mut level_layers = Vec::new();
         let mut it = runs.into_iter();
         while let Some(a) = it.next() {
-            level.push(merge_network(a, it.next().unwrap_or_default(), &mut pairs));
+            let (merged, beside) = merge_layers(a, it.next().unwrap_or_default());
+            level.push(merged);
+            lay_beside(&mut level_layers, beside);
         }
         runs = level;
+        layers.extend(level_layers);
     }
     let mut rows = cat.rows;
-    for pair in pairs {
-        compare_exchange(eng, &mut rows, pair, key, ascending)?;
+    for layer in layers {
+        for batch in layer.chunks(LAYER_CHUNK) {
+            compare_exchange(eng, &mut rows, batch, key, ascending)?;
+        }
     }
     // `order` is a permutation of the positions, so each row moves once.
     let order = runs.pop().unwrap_or_default();
@@ -695,9 +755,17 @@ pub fn execute_op<E: Engine>(
             oblivious_select(eng, inputs[0], inputs[1], index_column)
         }
         Operator::Distinct { columns } => {
-            let key = columns
-                .first()
-                .ok_or_else(|| OpError::Invalid("distinct needs columns".into()))?;
+            // Sorting by one key only makes rows equal in *that* key
+            // adjacent, so `distinct_sorted` would keep duplicates.
+            let key = match columns.as_slice() {
+                [key] => key,
+                [] => return Err(OpError::Invalid("distinct needs columns".into()).into()),
+                _ => {
+                    return Err(
+                        OpError::Unsupported("multi-column distinct under MPC".into()).into(),
+                    )
+                }
+            };
             let sorted = sort_by(eng, &inputs[0].project(columns)?, key, true)?;
             distinct_sorted(eng, &sorted)
         }
@@ -758,48 +826,106 @@ mod tests {
         assert_eq!(p.counts().shuffled_elems, 40);
     }
 
-    #[test]
-    fn batcher_pairs_sort_correctly_for_various_sizes() {
-        for n in [1usize, 2, 3, 5, 8, 13, 16, 31] {
-            let mut vals: Vec<i64> = (0..n as i64).rev().collect();
-            // Apply the network on cleartext values to validate the pair set.
-            for (i, j) in batcher_pairs(n) {
+    /// Runs a comparator network over cleartext values, taking each layer's
+    /// comparators front to back or back to front: layers are disjoint, so
+    /// the order inside one must not matter.
+    fn apply<T: Ord>(vals: &mut [T], layers: &[Layer], reversed: bool) {
+        for layer in layers {
+            let mut layer = layer.clone();
+            if reversed {
+                layer.reverse();
+            }
+            for (i, j) in layer {
                 if vals[i] > vals[j] {
                     vals.swap(i, j);
                 }
             }
-            assert_eq!(vals, (0..n as i64).collect::<Vec<_>>(), "n={n}");
         }
+    }
+
+    /// No comparator of a layer touches a position another one does.
+    fn assert_disjoint(layers: &[Layer], n: usize, what: &str) {
+        for layer in layers {
+            assert!(!layer.is_empty(), "{what}: no empty layers");
+            let mut seen = vec![false; n];
+            for &(i, j) in layer {
+                assert!(i != j && i < n && j < n, "{what}: ({i}, {j})");
+                assert!(!seen[i] && !seen[j], "{what}: ({i}, {j}) shares a row");
+                (seen[i], seen[j]) = (true, true);
+            }
+        }
+    }
+
+    /// (comparators, layers, round-trip batches at the current `LAYER_CHUNK`).
+    fn shape(layers: &[Layer]) -> (usize, usize, usize) {
+        (
+            layers.iter().map(Vec::len).sum(),
+            layers.len(),
+            layers.iter().map(|l| l.len().div_ceil(LAYER_CHUNK)).sum(),
+        )
+    }
+
+    #[test]
+    fn batcher_layers_sort_correctly_for_various_sizes() {
+        for n in [1usize, 2, 3, 5, 8, 13, 16, 31, 100, 120, 128, 1000] {
+            let layers = batcher_layers(n);
+            assert_disjoint(&layers, n, &format!("n={n}"));
+            // Apply the network on cleartext values to validate the pair set.
+            for reversed in [false, true] {
+                let mut vals: Vec<i64> = (0..n as i64).rev().collect();
+                apply(&mut vals, &layers, reversed);
+                assert_eq!(vals, (0..n as i64).collect::<Vec<_>>(), "n={n}");
+            }
+        }
+    }
+
+    /// The network is the one-comparator-per-batch network of before, cut
+    /// into layers: comparator and layer counts are pinned, and so is the
+    /// number of batches (10 rounds each on a mesh) as a function of
+    /// `LAYER_CHUNK`. Stage B's batch count is the layer count.
+    #[test]
+    fn network_shapes_are_pinned() {
+        let sort = |n| shape(&batcher_layers(n));
+        assert_eq!(sort(16), (63, 10, 25));
+        assert_eq!(sort(120), (1372, 28, 466));
+        assert_eq!(sort(128), (1471, 28, 499));
+        assert_eq!(sort(1000), (23521, 55, 7862));
+        let merge = |m: usize, n: usize| {
+            let layers = merge_layers((0..m).collect(), (m..m + n).collect()).1;
+            assert_disjoint(&layers, m + n, &format!("m={m} n={n}"));
+            shape(&layers)
+        };
+        assert_eq!(merge(8, 8), (25, 4, 10));
+        assert_eq!(merge(50, 70), (373, 8, 127));
     }
 
     /// The 0–1 principle: a comparator network that merges every pair of
     /// sorted 0/1 runs merges every pair of sorted runs.
     #[test]
-    fn merge_network_merges_every_pair_of_zero_one_runs() {
+    fn merge_layers_merge_every_pair_of_zero_one_runs() {
         for m in 0..=9usize {
             for n in 0..=9usize {
-                let mut pairs = Vec::new();
-                let order = merge_network((0..m).collect(), (m..m + n).collect(), &mut pairs);
+                let (order, layers) = merge_layers((0..m).collect(), (m..m + n).collect());
+                assert_disjoint(&layers, m + n, &format!("m={m} n={n}"));
                 let mut positions = order.clone();
                 positions.sort_unstable();
                 assert_eq!(positions, (0..m + n).collect::<Vec<_>>(), "a permutation");
                 for zeros_a in 0..=m {
                     for zeros_b in 0..=n {
-                        let mut vals: Vec<u8> = (0..m)
-                            .map(|i| u8::from(i >= zeros_a))
-                            .chain((0..n).map(|i| u8::from(i >= zeros_b)))
-                            .collect();
-                        for &(i, j) in &pairs {
-                            if vals[i] > vals[j] {
-                                vals.swap(i, j);
-                            }
+                        for reversed in [false, true] {
+                            let mut vals: Vec<u8> = (0..m)
+                                .map(|i| u8::from(i >= zeros_a))
+                                .chain((0..n).map(|i| u8::from(i >= zeros_b)))
+                                .collect();
+                            apply(&mut vals, &layers, reversed);
+                            let merged: Vec<u8> = order.iter().map(|&i| vals[i]).collect();
+                            assert!(merged.windows(2).all(|w| w[0] <= w[1]), "m={m} n={n}");
                         }
-                        let merged: Vec<u8> = order.iter().map(|&i| vals[i]).collect();
-                        assert!(merged.windows(2).all(|w| w[0] <= w[1]), "m={m} n={n}");
                     }
                 }
                 if m == n && m >= 4 {
-                    assert!(pairs.len() < batcher_pairs(m + n).len(), "merge beats sort");
+                    let sort = batcher_layers(m + n);
+                    assert!(shape(&layers).0 < shape(&sort).0, "merge beats sort");
                 }
             }
         }
@@ -1015,6 +1141,39 @@ mod tests {
             agg.reconstruct(&mut p).rows,
             vec![vec![Value::Int(7), Value::Int(6)]]
         );
+    }
+
+    /// A sort by the first column leaves `(2,5) (2,3) (2,5)` as it found
+    /// them, and dropping adjacent duplicates then keeps both `(2,5)`s: the
+    /// dispatcher refuses rather than answer wrong.
+    #[test]
+    fn multi_column_distinct_is_refused_and_single_column_distinct_is_right() {
+        let mut p = Protocol::new(3, 24);
+        let rows = [
+            [2, 5],
+            [1, 9],
+            [2, 3],
+            [2, 5],
+            [1, 3],
+            [2, 3],
+            [1, 9],
+            [2, 5],
+        ];
+        let rel = Relation::from_ints(&["k", "a"], &rows.map(Vec::from));
+        let shared = share(&rel, &mut p);
+        let both = Operator::Distinct {
+            columns: names(&["k", "a"]),
+        };
+        assert_eq!(
+            execute_op(&mut p, &both, &[&shared], false).unwrap_err(),
+            OpError::Unsupported("multi-column distinct under MPC".into())
+        );
+        let one = Operator::Distinct {
+            columns: names(&["k"]),
+        };
+        let out = execute_op(&mut p, &one, &[&shared], false).unwrap();
+        let expected = execute(&one, &[&rel]).unwrap();
+        assert!(out.reconstruct(&mut p).same_rows_unordered(&expected));
     }
 
     #[test]

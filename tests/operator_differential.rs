@@ -296,9 +296,13 @@ fn mesh_merge_takes_fewer_rounds_than_sort() {
         merge_rounds < sort_rounds,
         "merge {merge_rounds} vs sort {sort_rounds} rounds"
     );
-    // 16 rows: a (8, 8) odd-even merge is 25 comparators, the Batcher sort
-    // 63; each is a 9-round comparison plus a 1-round multiplexer, and the
-    // step pays 1 reveal and 2 MAC-check rounds.
-    assert_eq!(merge_rounds, 25 * 10 + 3);
-    assert_eq!(sort_rounds, 63 * 10 + 3);
+    // 16 rows: a (8, 8) odd-even merge is 25 comparators in 4 layers, the
+    // Batcher sort 63 in 10, issued as 10 and 25 batches of at most
+    // `LAYER_CHUNK` = 3 comparators of one layer; each batch is a 9-round
+    // comparison plus a 1-round multiplexer, and the step pays 1 reveal and
+    // 2 MAC-check rounds. (One comparator per batch was 253 and 633; a whole
+    // layer per batch — ROADMAP item 1, Stage B — is 4·10 + 3 = 43 and
+    // 10·10 + 3 = 103.)
+    assert_eq!(merge_rounds, 10 * 10 + 3);
+    assert_eq!(sort_rounds, 25 * 10 + 3);
 }

@@ -233,12 +233,15 @@ proptest! {
         assert_engines_match_cleartext(&op, &[&rel], seed, Order::Any);
     }
 
-    /// Random sort workloads produce identically-ordered reveals.
+    /// Random sort workloads produce identically-ordered reveals. Besides
+    /// the small sizes, 5, 7 and 13 rows have sorting-network layers that do
+    /// not divide into whole comparator batches.
     #[test]
-    fn sort_matches_the_oracle(rows in prop::collection::vec((any::<i64>(), any::<i64>()), 0..10),
+    fn sort_matches_the_oracle(rows in prop::collection::vec((any::<i64>(), any::<i64>()), 13..14),
+                               n in prop_oneof![0usize..10, Just(5usize), Just(7usize), Just(13usize)],
                                ascending in any::<bool>(),
                                seed in any::<u64>()) {
-        let rel = keyed_relation(&rows);
+        let rel = keyed_relation(&rows[..n]);
         let op = Operator::SortBy { column: "v".into(), ascending };
         assert_engines_match_cleartext(&op, &[&rel], seed, Order::SortedBy("v", ascending));
     }

@@ -165,7 +165,7 @@ fn main() {
         )
         .expect("file-mode query runs");
     let e2e_ms = start.elapsed().as_secs_f64() * 1e3;
-    assert!(report.net_measured, "distributed runtime must measure");
+    assert!(report.net.rounds > 0, "distributed runtime must measure");
     println!(
         "  \"file_mode_query\": {{ \"rounds\": {}, \"wire_bytes\": {}, \
          \"mac_checks\": {}, \"wall_ms\": {e2e_ms:.1} }}",

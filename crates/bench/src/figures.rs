@@ -159,7 +159,11 @@ pub fn fig4() -> Vec<DataPoint> {
         if e.failed() {
             points.push(DataPoint::failed("Sharemind only", n));
         } else {
-            points.push(cap("Sharemind only", n, e.total_time().as_secs_f64()));
+            points.push(cap(
+                "Sharemind only",
+                n,
+                e.modeled.total_time().as_secs_f64(),
+            ));
         }
 
         // Insecure Spark over the combined data on the joint 9-node cluster.
@@ -196,7 +200,7 @@ pub fn fig4() -> Vec<DataPoint> {
         let e = conclave_est
             .estimate(&conclave_plan, &inputs)
             .expect("estimate");
-        points.push(cap("Conclave", n, e.total_time().as_secs_f64()));
+        points.push(cap("Conclave", n, e.modeled.total_time().as_secs_f64()));
     }
     points
 }
@@ -246,7 +250,7 @@ pub fn fig5a() -> Vec<DataPoint> {
             if e.failed() {
                 points.push(DataPoint::failed(name, n));
             } else {
-                points.push(cap(name, n, e.total_time().as_secs_f64()));
+                points.push(cap(name, n, e.modeled.total_time().as_secs_f64()));
             }
         }
     }
@@ -286,7 +290,7 @@ pub fn fig5b() -> Vec<DataPoint> {
             ]
             .into();
             let e = est.estimate(&plan, &inputs).expect("estimate");
-            points.push(cap(name, n, e.total_time().as_secs_f64()));
+            points.push(cap(name, n, e.modeled.total_time().as_secs_f64()));
         }
     }
     points
@@ -324,12 +328,16 @@ pub fn fig6() -> Vec<DataPoint> {
         if b.failed() {
             points.push(DataPoint::failed("Sharemind only", n));
         } else {
-            points.push(cap("Sharemind only", n, b.total_time().as_secs_f64()));
+            points.push(cap(
+                "Sharemind only",
+                n,
+                b.modeled.total_time().as_secs_f64(),
+            ));
         }
         let c = conclave_est
             .estimate(&conclave_plan, &inputs)
             .expect("estimate");
-        points.push(cap("Conclave", n, c.total_time().as_secs_f64()));
+        points.push(cap("Conclave", n, c.modeled.total_time().as_secs_f64()));
     }
     points
 }
@@ -369,7 +377,7 @@ pub fn fig7a() -> Vec<DataPoint> {
         ]
         .into();
         let e = est.estimate(&plan, &inputs).expect("estimate");
-        points.push(cap("Conclave", total, e.total_time().as_secs_f64()));
+        points.push(cap("Conclave", total, e.modeled.total_time().as_secs_f64()));
     }
     points
 }
@@ -401,7 +409,7 @@ pub fn fig7b() -> Vec<DataPoint> {
         ]
         .into();
         let e = est.estimate(&plan, &inputs).expect("estimate");
-        points.push(cap("Conclave", total, e.total_time().as_secs_f64()));
+        points.push(cap("Conclave", total, e.modeled.total_time().as_secs_f64()));
     }
     points
 }
@@ -447,7 +455,7 @@ pub fn ablations(total_records: u64) -> Vec<DataPoint> {
         points.push(DataPoint::ok(
             name,
             total_records,
-            e.total_time().as_secs_f64(),
+            e.modeled.total_time().as_secs_f64(),
         ));
     }
     points

@@ -5,19 +5,22 @@
 //! harness uses this module instead: it propagates estimated row counts
 //! through the *compiled* plan (so every rewrite — push-down, hybrid
 //! operators, sort elimination — changes the estimate exactly as it changes
-//! real execution) and converts per-node work into simulated time using the
-//! same cost models the driver charges.
+//! real execution) and converts per-node work into modeled time. Every MPC
+//! figure comes from the one price list, `MpcEngine::estimate_op_presorted`;
+//! this module only walks the plan and adds the cleartext models for local
+//! and STP steps. The result is a [`Modeled`], the struct a
+//! [`crate::report::RunReport`] carries for an executed run.
 
 use crate::config::{ConclaveConfig, LocalBackend};
 use crate::plan::PhysicalPlan;
+use crate::report::Modeled;
 use conclave_engine::SequentialCostModel;
 use conclave_ir::dag::NodeId;
-use conclave_ir::error::IrResult;
-use conclave_ir::ops::{ExecSite, Operator};
-use conclave_ir::party::PartyId;
-use conclave_mpc::backend::{MpcEngine, MpcError, MpcResult};
+use conclave_ir::error::{IrError, IrResult};
+use conclave_ir::ops::{ExecSite, JoinKind, Operator};
+use conclave_mpc::backend::MpcEngine;
 use conclave_parallel::ClusterCostModel;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::time::Duration;
 
 /// Statistical knobs describing the workload, used to estimate intermediate
@@ -60,12 +63,8 @@ impl WorkloadStats {
 /// An analytic end-to-end runtime estimate for one plan and input size.
 #[derive(Debug, Clone, Default)]
 pub struct RuntimeEstimate {
-    /// Simulated local processing time per party.
-    pub local_time: BTreeMap<PartyId, Duration>,
-    /// Simulated MPC time (includes moving data in and out of the MPC).
-    pub mpc_time: Duration,
-    /// Simulated cleartext time at the STP / helper inside hybrid protocols.
-    pub stp_time: Duration,
+    /// What the cost model charges for the estimated cardinalities.
+    pub modeled: Modeled,
     /// Estimated rows per node.
     pub rows: HashMap<NodeId, u64>,
     /// Whether the MPC backend would fail (garbled-circuit out-of-memory),
@@ -74,13 +73,6 @@ pub struct RuntimeEstimate {
 }
 
 impl RuntimeEstimate {
-    /// Total simulated runtime (slowest party's local work, then MPC and STP
-    /// phases).
-    pub fn total_time(&self) -> Duration {
-        let local = self.local_time.values().copied().max().unwrap_or_default();
-        local + self.mpc_time + self.stp_time
-    }
-
     /// Returns `true` if the estimated execution would not complete (backend
     /// failure such as out-of-memory).
     pub fn failed(&self) -> bool {
@@ -136,7 +128,8 @@ impl CardinalityEstimator {
     }
 
     /// Estimates the end-to-end runtime of a plan given per-input row counts
-    /// (keyed by the input relation names of the query).
+    /// (keyed by the input relation names of the query). An input the map
+    /// does not name is an error, not zero rows.
     pub fn estimate(
         &self,
         plan: &PhysicalPlan,
@@ -144,7 +137,7 @@ impl CardinalityEstimator {
     ) -> IrResult<RuntimeEstimate> {
         let mut est = RuntimeEstimate::default();
         let order = plan.dag.topo_order()?;
-        let mut mpc_jobs = 0u32;
+        let mut has_mpc_job = false;
         for id in order {
             let node = plan.dag.node(id)?;
             let in_rows: Vec<u64> = node
@@ -159,75 +152,61 @@ impl CardinalityEstimator {
                 .map(|n| n.schema.len() as u64)
                 .collect();
             let out_rows = match &node.op {
-                Operator::Input { name, .. } => input_rows.get(name).copied().unwrap_or(0),
+                Operator::Input { name, .. } => *input_rows
+                    .get(name)
+                    .ok_or_else(|| IrError::UnboundInput(name.clone()))?,
                 op => self.output_rows(op, &in_rows),
             };
             est.rows.insert(id, out_rows);
             if est.failure.is_some() {
                 continue;
             }
+            let n_in: u64 = in_rows.iter().sum();
 
             match node.site {
                 ExecSite::Local(party) | ExecSite::Stp(party) => {
                     let row_bytes = node.schema.row_byte_size() as u64;
-                    let t = self.local_time(&node.op, in_rows.iter().sum(), out_rows, row_bytes);
-                    *est.local_time.entry(party).or_default() += t;
+                    let t = self.local_time(&node.op, n_in, out_rows, row_bytes);
+                    *est.modeled.local_time.entry(party).or_default() += t;
                 }
                 ExecSite::Mpc => {
-                    mpc_jobs = 1;
-                    match self.mpc_time(plan, id, &node.op, &in_rows, &in_cols, out_rows) {
-                        Ok((mpc, stp)) => {
-                            est.mpc_time += mpc;
-                            est.stp_time += stp;
+                    has_mpc_job = true;
+                    let presorted = plan.aggregate_is_presorted(id);
+                    match self
+                        .mpc
+                        .estimate_op_presorted(&node.op, &in_rows, &in_cols, out_rows, presorted)
+                    {
+                        Ok(stats) => {
+                            est.modeled.charge_mpc(&stats);
+                            est.modeled.stp_time += self.stp_time(&node.op, n_in, out_rows);
                         }
-                        Err(MpcError::OutOfMemory { needed, limit }) => {
-                            est.failure = Some((
-                                id,
-                                format!(
-                                    "out of memory: needs {:.1} GB, limit {:.1} GB",
-                                    needed / 1e9,
-                                    limit / 1e9
-                                ),
-                            ));
-                        }
-                        Err(e) => {
-                            est.failure = Some((id, e.to_string()));
-                        }
+                        // E.g. the garbled-circuit out-of-memory cliff.
+                        Err(e) => est.failure = Some((id, e.to_string())),
                     }
                 }
                 ExecSite::Undecided => {}
             }
 
             // Data crossing the MPC frontier pays sharing / opening costs.
-            if node.site.is_mpc() {
-                for (idx, &input) in node.inputs.iter().enumerate() {
-                    let parent = plan.dag.node(input)?;
-                    if parent.site.is_cleartext() {
-                        let stats = self
-                            .mpc
-                            .estimate_input(in_rows[idx], parent.schema.len() as u64);
-                        est.mpc_time += stats.simulated_time;
-                    }
-                }
-            } else if node.site.is_cleartext() {
-                for (idx, &input) in node.inputs.iter().enumerate() {
-                    let parent = plan.dag.node(input)?;
-                    if parent.site.is_mpc() {
-                        let stats = self
-                            .mpc
-                            .estimate_open(in_rows[idx], parent.schema.len() as u64);
-                        est.mpc_time += stats.simulated_time;
-                    }
+            for (idx, &input) in node.inputs.iter().enumerate() {
+                let parent = plan.dag.node(input)?;
+                let cols = parent.schema.len() as u64;
+                if node.site.is_mpc() && parent.site.is_cleartext() {
+                    let stats = self.mpc.estimate_input(in_rows[idx], cols);
+                    est.modeled.charge_mpc(&stats);
+                } else if node.site.is_cleartext() && parent.site.is_mpc() {
+                    let stats = self.mpc.estimate_open(in_rows[idx], cols);
+                    est.modeled.charge_mpc(&stats);
                 }
             }
         }
         // Fixed per-job overheads: one MPC session plus (for the parallel
         // backend) one cluster job per party that does local work.
-        if mpc_jobs > 0 {
-            est.mpc_time += Duration::from_secs_f64(self.config.mpc.ss_cost.job_overhead);
+        if has_mpc_job {
+            est.modeled.mpc_time += Duration::from_secs_f64(self.config.mpc.ss_cost.job_overhead);
         }
         if self.config.local_backend == LocalBackend::Parallel {
-            for t in est.local_time.values_mut() {
+            for t in est.modeled.local_time.values_mut() {
                 *t += Duration::from_secs_f64(self.cluster_cost.job_overhead);
             }
         }
@@ -244,115 +223,30 @@ impl CardinalityEstimator {
         }
     }
 
-    fn mpc_time(
-        &self,
-        plan: &PhysicalPlan,
-        id: NodeId,
-        op: &Operator,
-        in_rows: &[u64],
-        in_cols: &[u64],
-        out_rows: u64,
-    ) -> MpcResult<(Duration, Duration)> {
-        let cols = in_cols.iter().copied().max().unwrap_or(1);
+    /// The cleartext step a hybrid protocol hands to its STP / helper.
+    fn stp_time(&self, op: &Operator, in_rows: u64, out_rows: u64) -> Duration {
+        let join_on_key = || Operator::Join {
+            left_keys: vec!["k".into()],
+            right_keys: vec!["k".into()],
+            kind: JoinKind::Inner,
+        };
         match op {
+            // The STP joins the revealed key columns in the clear.
             Operator::HybridJoin { .. } => {
-                let stats = self.mpc.estimate_hybrid_join(
-                    in_rows.first().copied().unwrap_or(0),
-                    in_rows.get(1).copied().unwrap_or(0),
-                    out_rows,
-                    cols,
-                );
-                // STP cleartext join over the revealed key columns.
-                let stp = self.sequential_cost.estimate(
-                    &Operator::Join {
-                        left_keys: vec!["k".into()],
-                        right_keys: vec!["k".into()],
-                        kind: conclave_ir::ops::JoinKind::Inner,
-                    },
-                    in_rows.iter().sum(),
-                    out_rows,
-                );
-                Ok((stats.simulated_time, stp))
+                self.sequential_cost
+                    .estimate(&join_on_key(), in_rows, out_rows)
             }
-            Operator::PublicJoin { .. } => {
-                let stats = self
-                    .mpc
-                    .estimate_public_join(in_rows.iter().sum(), out_rows);
-                let stp = self.local_time(
-                    &Operator::Join {
-                        left_keys: vec!["k".into()],
-                        right_keys: vec!["k".into()],
-                        kind: conclave_ir::ops::JoinKind::Inner,
-                    },
-                    in_rows.iter().sum(),
-                    out_rows,
-                    16,
-                );
-                Ok((stats.simulated_time, stp))
-            }
+            // The helper joins the exchanged key columns on its own backend.
+            Operator::PublicJoin { .. } => self.local_time(&join_on_key(), in_rows, out_rows, 16),
+            // The STP sorts the revealed group-by column in the clear.
             Operator::HybridAggregate { .. } => {
-                let n = in_rows.iter().sum();
-                let stats = self.mpc.estimate_hybrid_aggregate(n, out_rows, cols);
-                let stp = self.sequential_cost.estimate(
-                    &Operator::SortBy {
-                        column: "k".into(),
-                        ascending: true,
-                    },
-                    n,
-                    n,
-                );
-                Ok((stats.simulated_time, stp))
-            }
-            // Sort-elimination pay-off: a pre-sorted MPC aggregation skips the
-            // oblivious sort and costs only the linear accumulation scan.
-            Operator::Aggregate { group_by, .. }
-                if self.config.use_sort_elimination
-                    && !group_by.is_empty()
-                    && plan
-                        .dag
-                        .node(id)
-                        .ok()
-                        .and_then(|n| n.inputs.first().copied())
-                        .and_then(|i| plan.dag.node(i).ok())
-                        .map(|n| n.sorted_by.as_deref() == group_by.first().map(|s| s.as_str()))
-                        .unwrap_or(false) =>
-            {
-                let n: u64 = in_rows.iter().sum();
-                let counts = conclave_mpc::cost::PrimitiveCounts {
-                    equalities: n,
-                    mults: 2 * n,
-                    shuffled_elems: n * (cols + 1),
-                    opened_elems: n,
-                    ..Default::default()
+                let sort = Operator::SortBy {
+                    column: "k".into(),
+                    ascending: true,
                 };
-                let t = self
-                    .config
-                    .mpc
-                    .ss_cost
-                    .time_no_overhead(&counts, &self.config.mpc.network);
-                Ok((t, Duration::ZERO))
+                self.sequential_cost.estimate(&sort, in_rows, in_rows)
             }
-            // Division under the secret-sharing backend: charged as an
-            // oblivious fixed-point division (≈30 comparison-equivalents per
-            // row), mirroring the driver's treatment.
-            Operator::Divide { .. } if self.config.mpc.kind.is_secret_sharing() => {
-                let n: u64 = in_rows.iter().sum();
-                let counts = conclave_mpc::cost::PrimitiveCounts {
-                    comparisons: 30 * n,
-                    ..Default::default()
-                };
-                Ok((
-                    self.config
-                        .mpc
-                        .ss_cost
-                        .time_no_overhead(&counts, &self.config.mpc.network),
-                    Duration::ZERO,
-                ))
-            }
-            _ => {
-                let stats = self.mpc.estimate_op(op, in_rows, in_cols, out_rows)?;
-                Ok((stats.simulated_time, Duration::ZERO))
-            }
+            _ => Duration::ZERO,
         }
     }
 }
@@ -414,26 +308,26 @@ mod tests {
             .unwrap();
         assert!(!c_100m.failed());
         assert!(
-            c_100m.total_time().as_secs_f64() < 1_800.0,
+            c_100m.modeled.total_time().as_secs_f64() < 1_800.0,
             "Conclave at 100 M rows should stay under 30 min, got {:.0} s",
-            c_100m.total_time().as_secs_f64()
+            c_100m.modeled.total_time().as_secs_f64()
         );
 
         let m_100k = mpc_only.estimate(&mpc_plan, &inputs(100_000)).unwrap();
         assert!(
-            m_100k.total_time().as_secs_f64() > 900.0,
+            m_100k.modeled.total_time().as_secs_f64() > 900.0,
             "MPC-only at 100 k rows should be far beyond Figure 4's plotted range, got {:.0} s",
-            m_100k.total_time().as_secs_f64()
+            m_100k.modeled.total_time().as_secs_f64()
         );
         let m_1m = mpc_only.estimate(&mpc_plan, &inputs(1_000_000)).unwrap();
         assert!(
-            m_1m.total_time().as_secs_f64() > 2.0 * 3_600.0,
+            m_1m.modeled.total_time().as_secs_f64() > 2.0 * 3_600.0,
             "MPC-only at 1 M rows should exceed the two-hour cutoff, got {:.0} s",
-            m_1m.total_time().as_secs_f64()
+            m_1m.modeled.total_time().as_secs_f64()
         );
         // And the gap at the same size is enormous.
         let c_100k = conclave.estimate(&conclave_plan, &inputs(100_000)).unwrap();
-        assert!(m_100k.total_time() > c_100k.total_time() * 10);
+        assert!(m_100k.modeled.total_time() > c_100k.modeled.total_time() * 10);
     }
 
     #[test]
@@ -444,8 +338,11 @@ mod tests {
         let mut last = Duration::ZERO;
         for n in [1_000u64, 100_000, 10_000_000, 1_000_000_000] {
             let e = est.estimate(&plan, &inputs(n)).unwrap();
-            assert!(e.total_time() >= last, "estimate should grow with n");
-            last = e.total_time();
+            assert!(
+                e.modeled.total_time() >= last,
+                "estimate should grow with n"
+            );
+            last = e.modeled.total_time();
         }
         // Even at 1 B rows the Conclave plan finishes within ~20 minutes
         // (Figure 4's headline result).
@@ -497,10 +394,10 @@ mod tests {
             .estimate(&mpc_plan, &rows)
             .unwrap();
         assert!(
-            hybrid.total_time() * 5 < full.total_time(),
+            hybrid.modeled.total_time() * 5 < full.modeled.total_time(),
             "hybrid {:.0} s vs full MPC {:.0} s",
-            hybrid.total_time().as_secs_f64(),
-            full.total_time().as_secs_f64()
+            hybrid.modeled.total_time().as_secs_f64(),
+            full.modeled.total_time().as_secs_f64()
         );
     }
 
@@ -514,6 +411,70 @@ mod tests {
         let e = est.estimate(&plan, &inputs(10_000_000)).unwrap();
         assert!(e.failed(), "10 M rows should exceed the GC memory limit");
         assert!(e.failure.as_ref().unwrap().1.contains("memory"));
+    }
+
+    #[test]
+    fn an_input_without_a_row_count_is_an_error_not_zero_rows() {
+        let query = market_query();
+        let plan = compile(&query, &ConclaveConfig::standard()).unwrap();
+        let est = CardinalityEstimator::new(ConclaveConfig::standard(), stats());
+        assert!(est.estimate(&plan, &inputs(3_000)).is_ok());
+        let mut misspelt = inputs(3_000);
+        let rows = misspelt.remove("inputB").unwrap();
+        misspelt.insert("inputb".to_string(), rows);
+        assert_eq!(
+            est.estimate(&plan, &misspelt).unwrap_err(),
+            IrError::UnboundInput("inputB".into())
+        );
+    }
+
+    #[test]
+    fn presorted_aggregation_is_priced_without_its_sort() {
+        // sort → filter → aggregate on the sort key, all under MPC: the
+        // compiler marks the aggregation's input sorted, and the estimate
+        // drops exactly what `estimate_op` charges for the sort.
+        let (pa, pb) = (Party::new(1, "a"), Party::new(2, "b"));
+        let schema = Schema::ints(&["k", "v"]);
+        let mut q = QueryBuilder::new();
+        let a = q.input("ta", schema.clone(), pa.clone());
+        let b = q.input("tb", schema, pb);
+        let both = q.concat(&[a, b]);
+        let sorted = q.sort_by(both, "k", true);
+        let agg = q.aggregate(sorted, "s", AggFunc::Sum, &["k"], "v");
+        q.collect(agg, &[pa]);
+        let query = q.build().unwrap();
+        let mut config = ConclaveConfig::mpc_only();
+        let unsorted_plan = compile(&query, &config).unwrap();
+        config.use_sort_elimination = true;
+        let plan = compile(&query, &config).unwrap();
+        let agg_id = |p: &PhysicalPlan| {
+            p.dag
+                .iter()
+                .find(|n| matches!(n.op, Operator::Aggregate { .. }))
+                .unwrap()
+                .id
+        };
+        assert!(plan.aggregate_is_presorted(agg_id(&plan)));
+        assert!(!unsorted_plan.aggregate_is_presorted(agg_id(&unsorted_plan)));
+
+        let rows: HashMap<String, u64> = [("ta".to_string(), 600), ("tb".to_string(), 400)].into();
+        let est = CardinalityEstimator::new(config, stats());
+        let with = est.estimate(&plan, &rows).unwrap().modeled;
+        let without = est.estimate(&unsorted_plan, &rows).unwrap().modeled;
+        let op = plan.dag.node(agg_id(&plan)).unwrap().op.clone();
+        let price = |presorted| {
+            est.mpc
+                .estimate_op_presorted(&op, &[1_000], &[2], 12, presorted)
+                .unwrap()
+        };
+        assert_eq!(
+            without.mpc_time - with.mpc_time,
+            price(false).simulated_time - price(true).simulated_time
+        );
+        assert_eq!(
+            without.bytes - with.bytes,
+            price(false).counts.bytes() - price(true).counts.bytes()
+        );
     }
 
     #[test]

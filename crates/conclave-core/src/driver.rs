@@ -12,10 +12,12 @@
 //! in their native representation, and row↔columnar conversion happens only
 //! where data genuinely changes domain (input binding, secret-share reveals,
 //! result collection). The per-run conversion tally lands in
-//! [`RunReport::conversions`]. Along the way the driver accumulates simulated
-//! per-party runtimes, MPC statistics, network traffic, and a *leakage audit*
-//! that checks every cleartext reveal against the authorization the trust
-//! analysis derived.
+//! [`RunReport::conversions`]. Along the way the driver accumulates the
+//! modeled account of the run ([`crate::report::Modeled`]: per-party
+//! runtimes, MPC and STP time, modeled bytes), MPC statistics, the traffic a
+//! party mesh measured ([`RunReport::net`], kept apart from the modeled
+//! bytes), and a *leakage audit* that checks every cleartext reveal against
+//! the authorization the trust analysis derived.
 
 use crate::analysis;
 use crate::config::{ConclaveConfig, LocalBackend};
@@ -31,6 +33,7 @@ use conclave_ir::error::IrError;
 use conclave_ir::ops::{ExecSite, Operator};
 use conclave_ir::party::PartyId;
 use conclave_mpc::backend::{MpcEngine, MpcError};
+use conclave_mpc::cost::DIVIDE_COMPARISONS_PER_ROW;
 use conclave_parallel::ParallelEngine;
 use std::collections::HashMap;
 use std::fmt;
@@ -274,7 +277,7 @@ impl Driver {
                         ),
                     })
                     .collect();
-                let presorted = self.aggregate_is_presorted(plan, id, &node.op)?;
+                let presorted = plan.aggregate_is_presorted(id);
                 let step = rt.enqueue(&node.op, step_inputs, presorted, reveal)?;
                 mpc_steps.insert(id, step);
                 step_nodes.insert(step, report.per_node.len());
@@ -384,10 +387,10 @@ impl Driver {
                     // In distributed mode only the operators the party
                     // drivers cannot run (the simulated `Divide` path) reach
                     // here; everything else was enqueued on the mesh above.
-                    let (table, stats) = self.run_mpc_op(plan, id, op, &input_tables)?;
-                    report.mpc_time += stats.simulated_time;
+                    let presorted = plan.aggregate_is_presorted(id);
+                    let (table, stats) = self.run_mpc_op(op, &input_tables, presorted)?;
+                    report.modeled.charge_mpc(&stats);
                     report.mpc_stats.merge(&stats);
-                    report.network_bytes += stats.counts.bytes();
                     (table, stats.simulated_time)
                 }
                 (op, ExecSite::Local(party)) | (op, ExecSite::Stp(party)) => {
@@ -424,7 +427,7 @@ impl Driver {
                         }
                     }
                     let (table, time) = self.run_local_op(op, &input_tables)?;
-                    *report.local_time.entry(party).or_default() += time;
+                    *report.modeled.local_time.entry(party).or_default() += time;
                     (table, time)
                 }
                 (op, ExecSite::Undecided) => {
@@ -439,8 +442,9 @@ impl Driver {
             results.insert(id, result);
         }
         // End the query on the party mesh: flush in-flight opens, collect
-        // every step's primitive counts (patching the per-node duration
-        // placeholders), and account the observed wire traffic exactly once.
+        // every step's primitive counts (pricing them into the modeled time
+        // and patching the per-node duration placeholders), and record the
+        // observed wire traffic — in `net`, never in `modeled.bytes`.
         // A plan that never touched the mesh puts it back as it found it.
         if let Some(mut rt) = mesh_rt {
             if !mpc_steps.is_empty() {
@@ -451,15 +455,13 @@ impl Driver {
                         outcome.input_rows,
                         outcome.output_rows,
                     );
-                    report.mpc_time += stats.simulated_time;
+                    report.modeled.mpc_time += stats.simulated_time;
                     report.mpc_stats.merge(&stats);
                     if let Some(&idx) = step_nodes.get(&outcome.step) {
                         report.per_node[idx].2 = stats.simulated_time;
                     }
                 }
                 report.net.merge(&summary.net);
-                report.network_bytes += summary.net.total_bytes();
-                report.net_measured = true;
                 report.dealer_net = summary.dealer_net;
             }
             self.mesh = Some(rt);
@@ -485,9 +487,8 @@ impl Driver {
         id: NodeId,
         outcome: &hybrid_exec::HybridOutcome,
     ) {
-        report.mpc_time += outcome.mpc_stats.simulated_time;
-        report.stp_time += outcome.stp_time;
-        report.network_bytes += outcome.mpc_stats.counts.bytes();
+        report.modeled.charge_mpc(&outcome.mpc_stats);
+        report.modeled.stp_time += outcome.stp_time;
         report.mpc_stats.merge(&outcome.mpc_stats);
         // Conversions on the protocol's internal tables (revealed keys,
         // enumerations, index relations) never enter the result store, so
@@ -539,46 +540,23 @@ impl Driver {
         Ok((table, time))
     }
 
-    /// Whether this MPC aggregation's input is already sorted by its group-by
-    /// key, so the oblivious sort can be skipped (§5.4 sort elimination).
-    fn aggregate_is_presorted(
-        &self,
-        plan: &PhysicalPlan,
-        id: NodeId,
-        op: &Operator,
-    ) -> Result<bool, DriverError> {
-        if let Operator::Aggregate { group_by, .. } = op {
-            if self.config.use_sort_elimination && self.mpc.config().kind.is_secret_sharing() {
-                if let Some(key) = group_by.first() {
-                    let input_node = plan.dag.node(id)?.inputs[0];
-                    return Ok(
-                        plan.dag.node(input_node)?.sorted_by.as_deref() == Some(key.as_str())
-                    );
-                }
-            }
-        }
-        Ok(false)
-    }
-
     fn run_mpc_op(
         &mut self,
-        plan: &PhysicalPlan,
-        id: NodeId,
         op: &Operator,
         inputs: &[&Table],
+        presorted: bool,
     ) -> Result<(Table, conclave_mpc::backend::MpcStepStats), DriverError> {
         // Division under MPC: Sharemind supports fixed-point division, but our
         // secret-sharing layer stays integer-only. The result is computed by
-        // the simulator while the cost of an oblivious division protocol
-        // (roughly thirty comparison-equivalents per row) is charged, so the
-        // "whole query under MPC" baselines of Figures 4 and 6 remain runnable.
-        // This holds in every party-runtime mode.
+        // the simulator while the cost of an oblivious division protocol is
+        // charged, so the "whole query under MPC" baselines of Figures 4 and 6
+        // remain runnable. This holds in every party-runtime mode.
         if matches!(op, Operator::Divide { .. }) && self.mpc.config().kind.is_secret_sharing() {
             let rows: Vec<&Relation> = inputs.iter().map(|t| t.as_rows()).collect();
             let rel = execute(op, &rows).map_err(DriverError::Engine)?;
             let n: u64 = inputs.iter().map(|t| t.num_rows() as u64).sum();
             let counts = conclave_mpc::cost::PrimitiveCounts {
-                comparisons: 30 * n,
+                comparisons: DIVIDE_COMPARISONS_PER_ROW * n,
                 input_elems: n,
                 opened_elems: rel.num_rows() as u64,
                 ..Default::default()
@@ -586,7 +564,6 @@ impl Driver {
             let stats = self.mpc.stats_from_counts(counts, n, rel.num_rows() as u64);
             return Ok((Table::from_rows(rel), stats));
         }
-        let presorted = self.aggregate_is_presorted(plan, id, op)?;
         // Sort-elimination pay-off: an MPC aggregation whose input is already
         // sorted by its group-by key skips the oblivious sort (§5.4).
         self.mpc
@@ -669,7 +646,7 @@ mod tests {
                 out.same_rows_unordered(&expected_market_result()),
                 "wrong result:\n{out}"
             );
-            assert!(report.total_time() > Duration::ZERO);
+            assert!(report.modeled.total_time() > Duration::ZERO);
         }
     }
 
@@ -683,10 +660,10 @@ mod tests {
         let optimized = d1.run_tables(&optimized_plan, &market_inputs()).unwrap();
         let baseline = d2.run_tables(&baseline_plan, &market_inputs()).unwrap();
         assert!(
-            optimized.mpc_time < baseline.mpc_time,
+            optimized.modeled.mpc_time < baseline.modeled.mpc_time,
             "optimized MPC time {:?} should be below baseline {:?}",
-            optimized.mpc_time,
-            baseline.mpc_time
+            optimized.modeled.mpc_time,
+            baseline.modeled.mpc_time
         );
     }
 
@@ -765,7 +742,7 @@ mod tests {
             .leakage
             .iter()
             .any(|e| e.justification.contains("STP")));
-        assert!(report.stp_time > Duration::ZERO);
+        assert!(report.modeled.stp_time > Duration::ZERO);
     }
 
     #[test]
@@ -840,8 +817,10 @@ mod tests {
         let plan = compile(&query, &ConclaveConfig::mpc_only()).unwrap();
         let mut oracle = Driver::new(ConclaveConfig::mpc_only().with_sequential_local());
         let expected = oracle.run_tables(&plan, &inputs).unwrap();
-        assert!(!expected.net_measured);
+        // The oracle saw no wire: everything it reports is modeled.
         assert_eq!(expected.net.total_bytes(), 0);
+        assert!(expected.modeled.bytes > 0);
+        assert!(!expected.to_string().contains("measured"));
         for runtime in [PartyRuntime::Channel, PartyRuntime::Tcp] {
             let config = ConclaveConfig::mpc_only()
                 .with_sequential_local()
@@ -854,12 +833,14 @@ mod tests {
                 out.same_rows_unordered(expected.output_for(1).unwrap()),
                 "{runtime:?} runtime diverged from the oracle:\n{out}"
             );
-            assert!(report.net_measured, "{runtime:?} must measure traffic");
             assert!(report.net.total_bytes() > 0);
             assert!(report.net.rounds > 0);
-            assert_eq!(report.network_bytes, report.net.total_bytes());
+            // Every MPC step ran on the mesh: nothing is modeled as bytes,
+            // and the modeled time prices the counts the mesh reported.
+            assert_eq!(report.modeled.bytes, 0);
+            assert!(report.modeled.mpc_time > Duration::ZERO);
             let shown = report.to_string();
-            assert!(shown.contains("measured"));
+            assert!(shown.contains("measured (party transports)"));
             assert!(shown.contains("link P0 -> P1"));
         }
     }
@@ -894,6 +875,6 @@ mod tests {
             vec![Value::Int(1), Value::Int(5)]
         );
         let shown = report.to_string();
-        assert!(shown.contains("total simulated time"));
+        assert!(shown.contains("modeled (cost model × primitive counts)"));
     }
 }

@@ -8,7 +8,7 @@ use crate::passes::leakage::{LeakageReport, LeakageViolation};
 use conclave_ir::builder::Query;
 use conclave_ir::dag::{NodeId, OpDag};
 use conclave_ir::error::IrError;
-use conclave_ir::ops::ExecSite;
+use conclave_ir::ops::{ExecSite, Operator};
 use conclave_ir::party::PartySet;
 use std::fmt;
 
@@ -104,6 +104,23 @@ impl PhysicalPlan {
         self.dag.iter().filter(|n| n.op.is_hybrid()).count()
     }
 
+    /// Whether node `id` is a grouped aggregation whose input is already
+    /// sorted by its group-by key, so under MPC the oblivious sort can be
+    /// skipped (§5.4): the driver executes by this answer and the estimator
+    /// prices by it. Only the sort-elimination pass writes `sorted_by`, so a
+    /// plan compiled without it answers `false` everywhere.
+    pub fn aggregate_is_presorted(&self, id: NodeId) -> bool {
+        let presorted = || {
+            let node = self.dag.node(id).ok()?;
+            let Operator::Aggregate { group_by, .. } = &node.op else {
+                return None;
+            };
+            let input = self.dag.node(*node.inputs.first()?).ok()?;
+            Some(input.sorted_by.as_deref()? == group_by.first()?.as_str())
+        };
+        presorted().unwrap_or(false)
+    }
+
     /// Renders the plan as text (one node per line, grouped implicitly by the
     /// site annotations), matching the format of Figure 2's discussion.
     pub fn render(&self) -> String {
@@ -173,7 +190,7 @@ pub fn compile(query: &Query, config: &ConclaveConfig) -> CompileResult<Physical
 mod tests {
     use super::*;
     use conclave_ir::builder::QueryBuilder;
-    use conclave_ir::ops::{AggFunc, Operator};
+    use conclave_ir::ops::AggFunc;
     use conclave_ir::party::Party;
     use conclave_ir::schema::{ColumnDef, Schema};
     use conclave_ir::trust::TrustSet;

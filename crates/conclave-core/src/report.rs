@@ -1,4 +1,11 @@
-//! Execution reports: results, simulated runtime breakdown and leakage audit.
+//! Execution reports: results, the two accountings of a run, and the leakage
+//! audit.
+//!
+//! A run is accounted twice and the two are never added together: [`Modeled`]
+//! is what the cost models say (the struct an analytic
+//! [`crate::cardinality::RuntimeEstimate`] fills too, so a run and its
+//! estimate compare field by field); [`RunReport::net`] and
+//! [`RunReport::dealer_net`] are what the party transports observed.
 
 use crate::passes::leakage::LeakageReport;
 use conclave_engine::{ConversionCounts, Relation};
@@ -25,34 +32,50 @@ pub struct LeakageEvent {
     pub justification: String,
 }
 
+/// The cost models' account of a run or an estimate: constants × primitive
+/// counts (executed or predicted) — never a wall clock or a byte on a wire.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Modeled {
+    /// Local (cleartext) processing time per party; parties work in
+    /// parallel, so the critical path takes the maximum.
+    pub local_time: BTreeMap<PartyId, Duration>,
+    /// Time spent in MPC steps (sequential across all parties), including
+    /// moving data in and out of the MPC.
+    pub mpc_time: Duration,
+    /// Time spent in the STP's / helper's cleartext steps of hybrid protocols.
+    pub stp_time: Duration,
+    /// [`conclave_mpc::PrimitiveCounts::bytes`] of the MPC steps priced here.
+    /// Steps a party mesh executed are not among them: their traffic was
+    /// observed and is [`RunReport::net`].
+    pub bytes: u64,
+}
+
+impl Modeled {
+    /// End-to-end modeled runtime: the slowest party's local work, then the
+    /// (sequential) MPC and STP phases.
+    pub fn total_time(&self) -> Duration {
+        let local_max = self.local_time.values().copied().max().unwrap_or_default();
+        local_max + self.mpc_time + self.stp_time
+    }
+
+    /// Charges one modeled MPC step: its time and the bytes its counts imply.
+    pub fn charge_mpc(&mut self, stats: &MpcStepStats) {
+        self.mpc_time += stats.simulated_time;
+        self.bytes += stats.counts.bytes();
+    }
+}
+
 /// Report of one end-to-end query execution.
 #[derive(Debug, Clone, Default)]
 pub struct RunReport {
     /// The query output, per recipient party.
     pub outputs: BTreeMap<PartyId, Relation>,
-    /// Simulated local (cleartext) processing time per party; parties work in
-    /// parallel, so the critical path takes the maximum.
-    pub local_time: BTreeMap<PartyId, Duration>,
-    /// Simulated time spent in MPC steps (sequential across all parties).
-    pub mpc_time: Duration,
-    /// Simulated time spent in STP cleartext steps of hybrid protocols.
-    pub stp_time: Duration,
-    /// Total data moved between parties, in bytes. Modeled from primitive
-    /// counts in simulated mode. When the distributed party runtime executed
-    /// the MPC steps, their contribution is the *observed* wire-byte total
-    /// instead — but driver-orchestrated hybrid protocols and the simulated
-    /// division path still contribute modeled bytes, so on plans containing
-    /// those this total mixes both accountings (the purely-measured portion
-    /// is always available as [`RunReport::net`]`.total_bytes()`).
-    pub network_bytes: u64,
-    /// Per-link traffic of the distributed MPC steps. Empty in simulated
-    /// mode; when [`RunReport::net_measured`] is set, these are **measured**
-    /// per-link byte/message counts and synchronous round totals observed on
-    /// the party transports — not cost-model output.
+    /// What the cost model charges for the run.
+    pub modeled: Modeled,
+    /// Per-link traffic of the MPC steps the party mesh executed: **measured**
+    /// byte/message counts and synchronous round totals observed on the party
+    /// transports — not cost-model output. Empty when no mesh ran.
     pub net: NetStats,
-    /// True when [`RunReport::net`] holds measured transport statistics
-    /// (i.e. MPC steps ran on the distributed party runtime).
-    pub net_measured: bool,
     /// Traffic on the dedicated per-party dealer links (the offline phase),
     /// present only when the run streamed its material from a dealer. Link
     /// keys use [`crate::party_exec::DEALER_ID`] for the dealer endpoint;
@@ -68,7 +91,7 @@ pub struct RunReport {
     /// must be covered by a disclosure in here — the differential tests
     /// assert exactly that.
     pub static_leakage: Option<LeakageReport>,
-    /// Per-node simulated runtimes, for detailed breakdowns.
+    /// Per-node modeled runtimes, for detailed breakdowns.
     pub per_node: Vec<(usize, ExecSite, Duration)>,
     /// Row↔columnar conversions the run's data plane performed. With the
     /// unified `Table` representation, a columnar-mode driven query should
@@ -78,21 +101,13 @@ pub struct RunReport {
 }
 
 impl RunReport {
-    /// End-to-end simulated runtime: the slowest party's local work plus the
-    /// (sequential) MPC and STP phases.
-    pub fn total_time(&self) -> Duration {
-        let local_max = self.local_time.values().copied().max().unwrap_or_default();
-        local_max + self.mpc_time + self.stp_time
-    }
-
     /// The output delivered to a given party, if it is a recipient.
     pub fn output_for(&self, party: PartyId) -> Option<&Relation> {
         self.outputs.get(&party)
     }
 
     /// Synchronous protocol rounds the whole query paid on the wire —
-    /// the paper's dominant MPC cost. Zero unless
-    /// [`RunReport::net_measured`] is set.
+    /// the paper's dominant MPC cost. Zero when no mesh ran.
     pub fn rounds_per_query(&self) -> u64 {
         self.net.rounds
     }
@@ -124,22 +139,24 @@ impl RunReport {
 impl fmt::Display for RunReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "=== Conclave run report ===")?;
+        let modeled = &self.modeled;
+        writeln!(f, "modeled (cost model × primitive counts):")?;
         writeln!(
             f,
-            "total simulated time: {:.2} s",
-            self.total_time().as_secs_f64()
+            "  total time: {:.2} s",
+            modeled.total_time().as_secs_f64()
         )?;
-        for (party, t) in &self.local_time {
+        for (party, t) in &modeled.local_time {
             writeln!(f, "  local @ P{party}: {:.2} s", t.as_secs_f64())?;
         }
-        writeln!(f, "  MPC: {:.2} s", self.mpc_time.as_secs_f64())?;
-        writeln!(f, "  STP: {:.2} s", self.stp_time.as_secs_f64())?;
-        writeln!(f, "network bytes: {}", self.network_bytes)?;
-        if self.net_measured {
+        writeln!(f, "  MPC: {:.2} s", modeled.mpc_time.as_secs_f64())?;
+        writeln!(f, "  STP: {:.2} s", modeled.stp_time.as_secs_f64())?;
+        writeln!(f, "  bytes: {}", modeled.bytes)?;
+        if !self.net.links.is_empty() {
+            writeln!(f, "measured (party transports):")?;
             writeln!(
                 f,
-                "measured MPC traffic: {} B over {} messages in {} rounds \
-                 ({} mesh build(s))",
+                "  MPC traffic: {} B over {} messages in {} rounds ({} mesh build(s))",
                 self.net.total_bytes(),
                 self.net.total_messages(),
                 self.net.rounds,
@@ -154,7 +171,7 @@ impl fmt::Display for RunReport {
             }
             writeln!(
                 f,
-                "integrity: {} deferred MAC check(s) at reveal boundaries",
+                "  integrity: {} deferred MAC check(s) at reveal boundaries",
                 self.mpc_stats.counts.mac_checks
             )?;
         }
@@ -218,18 +235,35 @@ mod tests {
 
     #[test]
     fn total_time_is_critical_path() {
-        let mut r = RunReport::default();
-        r.local_time.insert(1, Duration::from_secs(5));
-        r.local_time.insert(2, Duration::from_secs(9));
-        r.mpc_time = Duration::from_secs(3);
-        r.stp_time = Duration::from_secs(1);
-        assert_eq!(r.total_time(), Duration::from_secs(13));
+        let mut m = Modeled::default();
+        m.local_time.insert(1, Duration::from_secs(5));
+        m.local_time.insert(2, Duration::from_secs(9));
+        m.mpc_time = Duration::from_secs(3);
+        m.stp_time = Duration::from_secs(1);
+        assert_eq!(m.total_time(), Duration::from_secs(13));
         // With no local work at all, only MPC+STP count.
-        let r2 = RunReport {
+        let m2 = Modeled {
             mpc_time: Duration::from_secs(2),
             ..Default::default()
         };
-        assert_eq!(r2.total_time(), Duration::from_secs(2));
+        assert_eq!(m2.total_time(), Duration::from_secs(2));
+    }
+
+    #[test]
+    fn display_keeps_modeled_and_measured_apart() {
+        let mut r = RunReport::default();
+        r.modeled.bytes = 640;
+        let text = r.to_string();
+        assert!(text.contains("modeled (cost model × primitive counts):"));
+        assert!(text.contains("  bytes: 640"));
+        assert!(!text.contains("measured"), "no mesh ran:\n{text}");
+        // A mesh run adds its own block; the modeled bytes are not touched.
+        r.net
+            .record(0, 1, 100, conclave_net::MessageKind::SecretShare);
+        let text = r.to_string();
+        assert!(text.contains("measured (party transports):"));
+        assert!(text.contains("MPC traffic: 100 B over 1 messages"));
+        assert!(text.contains("  bytes: 640"));
     }
 
     #[test]

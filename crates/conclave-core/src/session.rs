@@ -632,7 +632,10 @@ mod tests {
                 report.output_for(1).unwrap().same_rows_unordered(&expected),
                 "run {run}"
             );
-            assert!(report.net_measured, "run {run} went over the channel mesh");
+            assert!(
+                report.net.rounds > 0,
+                "run {run} went over the channel mesh"
+            );
             total_builds += report.mesh_builds();
         }
         assert_eq!(total_builds, 1, "one mesh serves all three queries");

@@ -32,6 +32,9 @@ pub enum IrError {
     TypeError(String),
     /// The query has no output (`collect`) node.
     NoOutput,
+    /// An `input` relation was given no binding under its name (e.g. no row
+    /// count when estimating a plan).
+    UnboundInput(String),
 }
 
 impl fmt::Display for IrError {
@@ -48,6 +51,7 @@ impl fmt::Display for IrError {
             IrError::MalformedDag(detail) => write!(f, "malformed DAG: {detail}"),
             IrError::TypeError(detail) => write!(f, "type error: {detail}"),
             IrError::NoOutput => write!(f, "query has no output (collect) node"),
+            IrError::UnboundInput(name) => write!(f, "input relation `{name}` is not bound"),
         }
     }
 }
@@ -78,6 +82,9 @@ mod tests {
             .to_string()
             .contains("cycle"));
         assert!(IrError::TypeError("bad".into()).to_string().contains("bad"));
+        assert!(IrError::UnboundInput("t".into())
+            .to_string()
+            .contains("`t`"));
         assert!(IrError::SchemaMismatch {
             detail: "arity".into()
         }

@@ -9,7 +9,10 @@
 //! reproduce the paper's figures at scales that cannot be executed in-process
 //! (up to 10⁹ records).
 
-use crate::cost::{gates, CircuitStats, GarbledCostModel, PrimitiveCounts, SecretShareCostModel};
+use crate::cost::{
+    gates, CircuitStats, GarbledCostModel, PrimitiveCounts, SecretShareCostModel,
+    DIVIDE_COMPARISONS_PER_ROW,
+};
 use crate::engine::OpError;
 use crate::operators;
 use crate::protocol::Protocol;
@@ -411,7 +414,9 @@ impl MpcEngine {
         self.stats_from_counts(counts, rows, rows)
     }
 
-    /// Estimates the cost of one operator from cardinalities alone.
+    /// Estimates the cost of one operator from cardinalities alone — the
+    /// one place a modeled MPC cost is written: the estimator, the SMCQL
+    /// baseline and the figures all price from here.
     ///
     /// `input_rows`/`input_cols` describe each input; `output_rows` is the
     /// (estimated) result cardinality. The same primitive-count formulas as
@@ -425,151 +430,139 @@ impl MpcEngine {
         input_cols: &[u64],
         output_rows: u64,
     ) -> MpcResult<MpcStepStats> {
+        self.estimate_op_presorted(op, input_rows, input_cols, output_rows, false)
+    }
+
+    /// [`MpcEngine::estimate_op`] with the dispatcher's `presorted` argument,
+    /// as [`MpcEngine::execute_op_presorted`] sits beside `execute_op`: a
+    /// grouped aggregation over an input already sorted by its key skips the
+    /// oblivious sort (§5.4) and pays only the linear scan.
+    pub fn estimate_op_presorted(
+        &self,
+        op: &Operator,
+        input_rows: &[u64],
+        input_cols: &[u64],
+        output_rows: u64,
+        presorted: bool,
+    ) -> MpcResult<MpcStepStats> {
         let n: u64 = input_rows.iter().sum();
         let cols: u64 = input_cols.iter().copied().max().unwrap_or(1);
-        match self.config.kind {
-            BackendKind::SharemindLike => {
-                let counts = match op {
-                    Operator::Join { left_keys, .. } => PrimitiveCounts {
-                        equalities: input_rows.first().copied().unwrap_or(0)
-                            * input_rows.get(1).copied().unwrap_or(0)
-                            * left_keys.len() as u64,
-                        ..Default::default()
-                    },
-                    Operator::Aggregate { group_by, .. } => {
-                        let mut c = sort_counts(n, cols);
-                        if group_by.is_empty() {
-                            c = PrimitiveCounts::default();
-                        }
-                        c.merge(&PrimitiveCounts {
-                            equalities: n,
-                            mults: 2 * n,
-                            shuffled_elems: n * (cols + 1),
-                            opened_elems: n,
-                            ..Default::default()
-                        });
-                        c
-                    }
-                    Operator::SortBy { .. }
-                    | Operator::Distinct { .. }
-                    | Operator::DistinctCount { .. } => {
-                        let mut c = sort_counts(n, cols);
-                        c.merge(&PrimitiveCounts {
-                            equalities: n,
-                            opened_elems: n,
-                            ..Default::default()
-                        });
-                        c
-                    }
-                    Operator::Merge { .. } => PrimitiveCounts {
-                        comparisons: n * log2(n),
-                        mults: 2 * n * log2(n) * cols,
-                        ..Default::default()
-                    },
-                    Operator::Filter { predicate } => PrimitiveCounts {
-                        comparisons: n * predicate.op_count() as u64,
-                        shuffled_elems: n * cols,
-                        opened_elems: n,
-                        ..Default::default()
-                    },
-                    Operator::Multiply { operands, .. } => PrimitiveCounts {
-                        mults: n * operands.len().saturating_sub(1) as u64,
-                        ..Default::default()
-                    },
-                    Operator::Shuffle => PrimitiveCounts {
-                        shuffled_elems: n * cols,
-                        ..Default::default()
-                    },
-                    Operator::ObliviousSelect { .. } => PrimitiveCounts {
-                        mults: (n + output_rows) * log2(n + output_rows) * cols,
-                        ..Default::default()
-                    },
-                    Operator::Project { .. }
-                    | Operator::Concat
-                    | Operator::Limit { .. }
-                    | Operator::Enumerate { .. }
-                    | Operator::RevealTo { .. }
-                    | Operator::CloseTo
-                    | Operator::Open { .. }
-                    | Operator::Collect { .. } => PrimitiveCounts::default(),
-                    Operator::HybridJoin { .. } => {
-                        return Ok(self.estimate_hybrid_join(
-                            input_rows.first().copied().unwrap_or(0),
-                            input_rows.get(1).copied().unwrap_or(0),
-                            output_rows,
-                            cols,
-                        ))
-                    }
-                    Operator::HybridAggregate { .. } => {
-                        return Ok(self.estimate_hybrid_aggregate(n, output_rows, cols))
-                    }
-                    Operator::PublicJoin { .. } => {
-                        return Ok(self.estimate_public_join(n, output_rows))
-                    }
-                    other => {
-                        return Err(MpcError::Unsupported(format!(
-                            "no secret-sharing estimate for {}",
-                            other.name()
-                        )))
-                    }
-                };
-                Ok(self.stats_from_counts(counts, n, output_rows))
+        let left = input_rows.first().copied().unwrap_or(0);
+        let right = input_rows.get(1).copied().unwrap_or(0);
+        let counts = match op {
+            // The §5.3 hybrid protocols first: their MPC half is
+            // secret-shared whatever the configured kind.
+            //
+            // Hybrid join (Figure 3): oblivious shuffles of both inputs, the
+            // key columns revealed to the STP, the index relations shared
+            // back in, two oblivious selects, a final shuffle of the result.
+            Operator::HybridJoin { .. } => {
+                let total = (n + output_rows).max(2);
+                PrimitiveCounts {
+                    shuffled_elems: n * cols + output_rows * 2 * cols,
+                    opened_elems: n,
+                    input_elems: 2 * output_rows,
+                    mults: total * log2(total) * cols,
+                    ..Default::default()
+                }
             }
-            BackendKind::Garbled => self.garbled_stats(op, input_rows, input_cols, output_rows),
-        }
-    }
-
-    /// Estimates the MPC-side cost of the hybrid join protocol of §5.3
-    /// (Figure 3): oblivious shuffles of both inputs, revealing the key
-    /// columns to the STP, secret-sharing the index relations back, two
-    /// oblivious-select invocations, and a final shuffle of the result.
-    pub fn estimate_hybrid_join(
-        &self,
-        n_left: u64,
-        n_right: u64,
-        output_rows: u64,
-        cols: u64,
-    ) -> MpcStepStats {
-        let n = n_left + n_right;
-        let total = (n + output_rows).max(2);
-        let counts = PrimitiveCounts {
-            shuffled_elems: n * cols + output_rows * 2 * cols,
-            opened_elems: n,                   // key columns revealed to the STP
-            input_elems: 2 * output_rows,      // index relations shared back in
-            mults: total * log2(total) * cols, // oblivious indexing
-            ..Default::default()
+            // Hybrid aggregation: a shuffle, the group-by column revealed,
+            // the STP's equality flags shared back, a linear accumulation
+            // scan of muxes, a final shuffle-and-reveal of the flags.
+            Operator::HybridAggregate { .. } => PrimitiveCounts {
+                shuffled_elems: 2 * n * cols,
+                opened_elems: 2 * n,
+                input_elems: n,
+                mults: 2 * n,
+                ..Default::default()
+            },
+            // Public join: no MPC at all. The parties exchange key columns
+            // in the clear and the helper joins locally, so the only cost
+            // charged here is that data movement.
+            Operator::PublicJoin { .. } => {
+                return Ok(MpcStepStats {
+                    simulated_time: self.config.network.transfer_time((n + output_rows) * 8),
+                    input_rows: n,
+                    output_rows,
+                    ..Default::default()
+                })
+            }
+            _ if !self.config.kind.is_secret_sharing() => {
+                return self.garbled_stats(op, input_rows, input_cols, output_rows)
+            }
+            Operator::Join { left_keys, .. } => PrimitiveCounts {
+                equalities: left * right * left_keys.len() as u64,
+                ..Default::default()
+            },
+            Operator::Aggregate { group_by, .. } => {
+                let mut c = if group_by.is_empty() || presorted {
+                    PrimitiveCounts::default()
+                } else {
+                    sort_counts(n, cols)
+                };
+                c.merge(&PrimitiveCounts {
+                    equalities: n,
+                    mults: 2 * n,
+                    shuffled_elems: n * (cols + 1),
+                    opened_elems: n,
+                    ..Default::default()
+                });
+                c
+            }
+            Operator::SortBy { .. }
+            | Operator::Distinct { .. }
+            | Operator::DistinctCount { .. } => {
+                let mut c = sort_counts(n, cols);
+                c.merge(&PrimitiveCounts {
+                    equalities: n,
+                    opened_elems: n,
+                    ..Default::default()
+                });
+                c
+            }
+            Operator::Merge { .. } => PrimitiveCounts {
+                comparisons: n * log2(n),
+                mults: 2 * n * log2(n) * cols,
+                ..Default::default()
+            },
+            Operator::Filter { predicate } => PrimitiveCounts {
+                comparisons: n * predicate.op_count() as u64,
+                shuffled_elems: n * cols,
+                opened_elems: n,
+                ..Default::default()
+            },
+            Operator::Multiply { operands, .. } => PrimitiveCounts {
+                mults: n * operands.len().saturating_sub(1) as u64,
+                ..Default::default()
+            },
+            Operator::Divide { .. } => PrimitiveCounts {
+                comparisons: DIVIDE_COMPARISONS_PER_ROW * n,
+                ..Default::default()
+            },
+            Operator::Shuffle => PrimitiveCounts {
+                shuffled_elems: n * cols,
+                ..Default::default()
+            },
+            Operator::ObliviousSelect { .. } => PrimitiveCounts {
+                mults: (n + output_rows) * log2(n + output_rows) * cols,
+                ..Default::default()
+            },
+            Operator::Project { .. }
+            | Operator::Concat
+            | Operator::Limit { .. }
+            | Operator::Enumerate { .. }
+            | Operator::RevealTo { .. }
+            | Operator::CloseTo
+            | Operator::Open { .. }
+            | Operator::Collect { .. } => PrimitiveCounts::default(),
+            other => {
+                return Err(MpcError::Unsupported(format!(
+                    "no secret-sharing estimate for {}",
+                    other.name()
+                )))
+            }
         };
-        self.stats_from_counts(counts, n, output_rows)
-    }
-
-    /// Estimates the MPC-side cost of the hybrid aggregation protocol of
-    /// §5.3: an oblivious shuffle, revealing the group-by column, re-sharing
-    /// the equality flags, a linear oblivious accumulation scan, and a final
-    /// shuffle-and-reveal of the flags.
-    pub fn estimate_hybrid_aggregate(&self, n: u64, output_rows: u64, cols: u64) -> MpcStepStats {
-        let counts = PrimitiveCounts {
-            shuffled_elems: 2 * n * cols,
-            opened_elems: 2 * n, // group-by column + final flags
-            input_elems: n,      // equality flags shared by the STP
-            mults: 2 * n,        // conditional accumulation muxes
-            ..Default::default()
-        };
-        self.stats_from_counts(counts, n, output_rows)
-    }
-
-    /// Estimates the cost of the public join of §5.3: the MPC is avoided
-    /// entirely; parties exchange key columns in the clear and the helper
-    /// joins locally, so the only cost charged here is data movement.
-    pub fn estimate_public_join(&self, n: u64, output_rows: u64) -> MpcStepStats {
-        let bytes = (n + output_rows) * 8;
-        MpcStepStats {
-            simulated_time: self.config.network.transfer_time(bytes),
-            counts: PrimitiveCounts::default(),
-            circuit: CircuitStats::default(),
-            memory_bytes: 0.0,
-            input_rows: n,
-            output_rows,
-        }
+        Ok(self.stats_from_counts(counts, n, output_rows))
     }
 
     /// Builds step statistics from primitive counts. Also the entry point
@@ -947,26 +940,109 @@ mod tests {
         assert!((t2 / t1 - 4.0).abs() < 0.5, "MPC join should be quadratic");
 
         // Hybrid join is asymptotically better than the MPC join at scale.
-        let hybrid = eng.estimate_hybrid_join(100_000, 100_000, 100_000, 2);
-        let full = eng
-            .estimate_op(&join, &[100_000, 100_000], &[2, 2], 100_000)
-            .unwrap();
-        assert!(hybrid.simulated_time < full.simulated_time / 10);
+        let time = |op: &Operator, rows: &[u64], out| {
+            let cols = vec![2; rows.len()];
+            eng.estimate_op(op, rows, &cols, out)
+                .unwrap()
+                .simulated_time
+        };
+        let (keys, agg_keys) = (vec!["k".to_string()], vec!["k".to_string()]);
+        let hybrid_join = Operator::HybridJoin {
+            left_keys: keys.clone(),
+            right_keys: keys.clone(),
+            stp: 1,
+        };
+        let hybrid = time(&hybrid_join, &[100_000, 100_000], 100_000);
+        assert!(hybrid < time(&join, &[100_000, 100_000], 100_000) / 10);
 
         // Public join is cheaper still.
-        let public = eng.estimate_public_join(200_000, 100_000);
-        assert!(public.simulated_time < hybrid.simulated_time);
+        let public_join = Operator::PublicJoin {
+            left_keys: keys.clone(),
+            right_keys: keys,
+            helper: 1,
+        };
+        assert!(time(&public_join, &[100_000, 100_000], 100_000) < hybrid);
 
         // Hybrid aggregation beats the sort-based MPC aggregation.
         let agg = Operator::Aggregate {
-            group_by: vec!["k".into()],
+            group_by: agg_keys.clone(),
             func: AggFunc::Sum,
             over: Some("v".into()),
             out: "s".into(),
         };
-        let hybrid_agg = eng.estimate_hybrid_aggregate(100_000, 10_000, 2);
-        let full_agg = eng.estimate_op(&agg, &[100_000], &[2], 10_000).unwrap();
-        assert!(hybrid_agg.simulated_time < full_agg.simulated_time);
+        let hybrid_agg = Operator::HybridAggregate {
+            group_by: agg_keys,
+            func: AggFunc::Sum,
+            over: Some("v".into()),
+            out: "s".into(),
+            stp: 1,
+        };
+        assert!(time(&hybrid_agg, &[100_000], 10_000) < time(&agg, &[100_000], 10_000));
+
+        // The hybrids are priced the same under a garbled configuration:
+        // their MPC half is secret-shared whatever the configured kind.
+        let gc = MpcEngine::new(MpcBackendConfig::obliv_c());
+        for op in [&hybrid_join, &public_join] {
+            assert_eq!(
+                gc.estimate_op(op, &[1_000, 1_000], &[2, 2], 1_000).unwrap(),
+                eng.estimate_op(op, &[1_000, 1_000], &[2, 2], 1_000)
+                    .unwrap()
+            );
+        }
+    }
+
+    #[test]
+    fn presorted_estimate_drops_exactly_the_sort() {
+        let eng = sharemind();
+        let agg = |group_by: &[&str]| Operator::Aggregate {
+            group_by: group_by.iter().map(|s| s.to_string()).collect(),
+            func: AggFunc::Sum,
+            over: Some("v".into()),
+            out: "s".into(),
+        };
+        let (n, cols) = (10_000, 3);
+        let counts = |op: &Operator, presorted| {
+            eng.estimate_op_presorted(op, &[n], &[cols], n / 10, presorted)
+                .unwrap()
+                .counts
+        };
+        let grouped = agg(&["k"]);
+        assert_eq!(
+            counts(&grouped, false).since(&counts(&grouped, true)),
+            sort_counts(n, cols)
+        );
+        assert_eq!(
+            eng.estimate_op(&grouped, &[n], &[cols], n / 10).unwrap(),
+            eng.estimate_op_presorted(&grouped, &[n], &[cols], n / 10, false)
+                .unwrap()
+        );
+        // A scalar aggregation never sorts, so the flag changes nothing.
+        assert_eq!(counts(&agg(&[]), true), counts(&agg(&[]), false));
+        assert_eq!(counts(&agg(&[]), false), counts(&grouped, true));
+    }
+
+    #[test]
+    fn secret_shared_divide_charges_thirty_comparisons_per_row() {
+        let divide = Operator::Divide {
+            out: "x".into(),
+            num: Operand::col("a"),
+            den: Operand::col("b"),
+        };
+        let stats = sharemind()
+            .estimate_op(&divide, &[1_000], &[2], 1_000)
+            .unwrap();
+        assert_eq!(
+            stats.counts,
+            PrimitiveCounts {
+                comparisons: 30_000,
+                ..Default::default()
+            }
+        );
+        // Under garbled circuits it stays a per-bit rewiring like a project.
+        let gc = MpcEngine::new(MpcBackendConfig::obliv_c())
+            .estimate_op(&divide, &[1_000], &[2], 1_000)
+            .unwrap();
+        assert_eq!(gc.circuit.and_gates, gates::project(1_000, 2));
     }
 
     #[test]

@@ -119,6 +119,11 @@ impl PrimitiveCounts {
     }
 }
 
+/// Comparison-equivalents charged per row of a secret-shared `Divide` (an
+/// oblivious fixed-point division; the integer-only share arithmetic does not
+/// run one). Read by `MpcEngine::estimate_op` and by the driver's substitute.
+pub const DIVIDE_COMPARISONS_PER_ROW: u64 = 30;
+
 /// Cost model for the secret-sharing backend (Sharemind-like, 3 parties).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SecretShareCostModel {
@@ -273,8 +278,8 @@ impl CircuitStats {
 /// integers, from the textbook constructions (one AND per bit for an adder,
 /// comparator, equality test or multiplexer): what [`GarbledCostModel`]
 /// prices to reproduce the runtime curves and out-of-memory cliffs of
-/// Figure 1.
-pub mod gates {
+/// Figure 1. Crate-private: other crates price through `MpcEngine::estimate_op`.
+pub(crate) mod gates {
     /// Width in bits of the integers the relational circuits operate on.
     const WORD_BITS: u64 = 64;
 

@@ -30,7 +30,7 @@
 //!   wall-clock time, calibrated against the datapoints the paper reports.
 //!   The garbled-circuit "backend" ([`BackendKind::Garbled`], calibrated to
 //!   Obliv-C or ObliVM by its [`GarbledCostModel`]) is one of them and
-//!   nothing more: analytic gate counts ([`cost::gates`]) priced by a time
+//!   nothing more: analytic gate counts (`cost::gates`) priced by a time
 //!   and memory model that reproduces the out-of-memory cliffs in Figure 1
 //!   — one table for executed and estimated steps. No circuit is built or
 //!   garbled.

@@ -28,7 +28,7 @@
 //! The payload is read with one `read_exact` per 8-byte word on the
 //! unbuffered socket, and that loop — not the round structure — is what
 //! makes a TCP mesh ten times slower than a channel mesh on big frames
-//! (ROADMAP, rounds item, has the measurement and the replacement).
+//! (ROADMAP open item 2 has the measurement and the replacement).
 //!
 //! # Logical streams
 //!

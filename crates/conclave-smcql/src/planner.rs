@@ -9,8 +9,8 @@
 //! secret-sharing backend, no sort elimination) is exactly what Figure 7
 //! measures.
 
+use conclave_ir::ops::{AggFunc, JoinKind, Operator};
 use conclave_mpc::backend::{MpcBackendConfig, MpcEngine, MpcResult, MpcStepStats};
-use conclave_mpc::cost::gates;
 use std::time::Duration;
 
 /// Configuration of the SMCQL baseline.
@@ -93,37 +93,30 @@ impl SmcqlPlanner {
     /// Simulated time for a secure (garbled-circuit) join over `n × m` rows.
     /// SMCQL's per-slice joins are quadratic in the slice size.
     pub fn secure_join_time(&self, n: u64, m: u64, payload_cols: u64) -> MpcResult<Duration> {
-        let and_gates = gates::join(n, m, 1, payload_cols);
-        let memory = (n + m) as f64 * self.config.backend.gc_cost.state_bytes_per_record * 10.0;
-        if self.config.backend.gc_cost.exceeds_memory(memory) {
-            return Err(conclave_mpc::backend::MpcError::OutOfMemory {
-                needed: memory,
-                limit: self.config.backend.gc_cost.memory_limit_bytes,
-            });
-        }
-        Ok(self
-            .config
-            .backend
-            .gc_cost
-            .time(and_gates, &self.config.backend.network))
+        let join = Operator::Join {
+            left_keys: vec!["k".into()],
+            right_keys: vec!["k".into()],
+            kind: JoinKind::Inner,
+        };
+        let stats = self
+            .engine
+            .estimate_op(&join, &[n, m], &[payload_cols, payload_cols], 0)?;
+        Ok(stats.simulated_time)
     }
 
     /// Simulated time for a secure aggregation (bitonic sort + scan) over `n`
     /// rows.
     pub fn secure_aggregation_time(&self, n: u64) -> MpcResult<Duration> {
-        let and_gates = gates::aggregate(n, 1);
-        let memory = n as f64 * self.config.backend.gc_cost.state_bytes_per_record * 3.0;
-        if self.config.backend.gc_cost.exceeds_memory(memory) {
-            return Err(conclave_mpc::backend::MpcError::OutOfMemory {
-                needed: memory,
-                limit: self.config.backend.gc_cost.memory_limit_bytes,
-            });
-        }
+        let aggregate = Operator::Aggregate {
+            group_by: vec!["k".into()],
+            func: AggFunc::Sum,
+            over: Some("v".into()),
+            out: "s".into(),
+        };
         Ok(self
-            .config
-            .backend
-            .gc_cost
-            .time(and_gates, &self.config.backend.network))
+            .engine
+            .estimate_op(&aggregate, &[n], &[2], 0)?
+            .simulated_time)
     }
 
     /// Simulated time for a secure distinct / order-by over `n` rows.
@@ -135,7 +128,7 @@ impl SmcqlPlanner {
     /// by correctness tests at small scale).
     pub fn execute_secure(
         &mut self,
-        op: &conclave_ir::ops::Operator,
+        op: &Operator,
         inputs: &[&conclave_engine::Relation],
     ) -> MpcResult<(conclave_engine::Relation, MpcStepStats)> {
         self.engine.execute_op(op, inputs)
@@ -145,7 +138,7 @@ impl SmcqlPlanner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use conclave_mpc::backend::BackendKind;
+    use conclave_mpc::backend::{BackendKind, MpcError};
     use conclave_mpc::cost::GarbledCostModel;
 
     #[test]
@@ -171,13 +164,24 @@ mod tests {
 
     #[test]
     fn secure_join_is_quadratic_and_eventually_ooms() {
-        let p = SmcqlPlanner::default_paper_setup();
+        let mut p = SmcqlPlanner::default_paper_setup();
         let t1 = p.secure_join_time(1_000, 1_000, 1).unwrap();
         let t2 = p.secure_join_time(2_000, 2_000, 1).unwrap();
         let ratio = t2.as_secs_f64() / t1.as_secs_f64();
         assert!(ratio > 3.0, "quadratic growth, got ratio {ratio}");
-        // ObliVM's 32 GB VMs push the OOM point out, but it still exists.
-        assert!(p.secure_join_time(1_000_000, 1_000_000, 1).is_err());
+        // ObliVM's 32 GB VMs push the OOM point out, but it still exists —
+        // and it is `estimate_op`'s cliff, not a second check kept here.
+        let join = Operator::Join {
+            left_keys: vec!["k".into()],
+            right_keys: vec!["k".into()],
+            kind: JoinKind::Inner,
+        };
+        let oom = p
+            .engine()
+            .estimate_op(&join, &[1_000_000, 1_000_000], &[1, 1], 0)
+            .unwrap_err();
+        assert!(matches!(oom, MpcError::OutOfMemory { needed, limit } if needed > limit));
+        assert_eq!(p.secure_join_time(1_000_000, 1_000_000, 1), Err(oom));
     }
 
     #[test]

@@ -132,7 +132,7 @@ fn main() {
 
     println!("cleartext reference count : {reference}");
     println!("Conclave                  : {conclave_count} patients, {:.1} s simulated, {} MPC operators",
-        report.total_time().as_secs_f64(), plan.mpc_node_count());
+        report.modeled.total_time().as_secs_f64(), plan.mpc_node_count());
     println!(
         "SMCQL                     : {} patients, {:.1} s simulated",
         smcql_run.result,
@@ -141,7 +141,7 @@ fn main() {
     assert_eq!(conclave_count, reference);
     assert_eq!(smcql_run.result, reference);
     assert!(
-        report.total_time() < smcql_run.total_time(),
+        report.modeled.total_time() < smcql_run.total_time(),
         "Conclave should outperform SMCQL on this query (Figure 7a)"
     );
 }

@@ -114,7 +114,7 @@ fn main() {
     println!("\ntop-10 diagnosis counts  : {reference_counts:?}");
     println!(
         "Conclave (Sharemind-like): {:.1} s simulated",
-        report.total_time().as_secs_f64()
+        report.modeled.total_time().as_secs_f64()
     );
     println!(
         "SMCQL (ObliVM-like)      : {:.1} s simulated",

@@ -102,7 +102,7 @@ fn main() {
         println!("  operators under MPC   : {}", plan.mpc_node_count());
         println!(
             "  simulated runtime     : {:.1} s",
-            report.total_time().as_secs_f64()
+            report.modeled.total_time().as_secs_f64()
         );
         println!("  ZIP averages verified : {checked}");
         println!("  leakage audit entries : {}", report.leakage.len());

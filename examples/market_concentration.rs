@@ -81,7 +81,7 @@ fn main() {
         println!("  operators under MPC : {}", plan.mpc_node_count());
         println!(
             "  simulated runtime   : {:.1} s",
-            report.total_time().as_secs_f64()
+            report.modeled.total_time().as_secs_f64()
         );
         println!("  HHI                 : {hhi:.4} (cleartext reference {reference_hhi:.4})");
         assert!(
@@ -105,7 +105,7 @@ fn main() {
     let estimate = estimator.estimate(&plan, &big).expect("estimate");
     println!(
         "\nAt 1.3 billion trips, the compiled Conclave plan is estimated to take {:.0} s (~{:.0} min).",
-        estimate.total_time().as_secs_f64(),
-        estimate.total_time().as_secs_f64() / 60.0
+        estimate.modeled.total_time().as_secs_f64(),
+        estimate.modeled.total_time().as_secs_f64() / 60.0
     );
 }

@@ -89,15 +89,25 @@ fn hybrid_protocol_estimates_beat_full_mpc_at_scale_for_all_sizes() {
         right_keys: vec!["key".into()],
         kind: JoinKind::Inner,
     };
+    let keys = vec!["key".to_string()];
+    let hybrid_join = Operator::HybridJoin {
+        left_keys: keys.clone(),
+        right_keys: keys.clone(),
+        stp: 1,
+    };
+    let public_join = Operator::PublicJoin {
+        left_keys: keys.clone(),
+        right_keys: keys,
+        helper: 1,
+    };
     for n in [10_000u64, 100_000, 1_000_000] {
-        let full = engine
-            .estimate_op(&join, &[n / 2, n / 2], &[2, 2], n / 2)
-            .unwrap()
-            .simulated_time;
-        let hybrid = engine
-            .estimate_hybrid_join(n / 2, n / 2, n / 2, 2)
-            .simulated_time;
-        let public = engine.estimate_public_join(n, n / 2).simulated_time;
+        let time = |op: &Operator| {
+            engine
+                .estimate_op(op, &[n / 2, n / 2], &[2, 2], n / 2)
+                .unwrap()
+                .simulated_time
+        };
+        let (full, hybrid, public) = (time(&join), time(&hybrid_join), time(&public_join));
         assert!(hybrid < full, "n={n}");
         assert!(public < hybrid, "n={n}");
     }

@@ -1,9 +1,9 @@
 //! Annotation propagation (§5.1): relation ownership and column trust sets.
 
-use conclave_ir::dag::{NodeId, OpDag};
+use conclave_ir::dag::OpDag;
 use conclave_ir::error::IrResult;
 use conclave_ir::ops::Operator;
-use conclave_ir::party::{PartyId, PartySet};
+use conclave_ir::party::PartyId;
 use conclave_ir::schema::Schema;
 use conclave_ir::trust::TrustSet;
 use std::collections::HashMap;
@@ -85,45 +85,6 @@ pub fn propagate_trust(dag: &mut OpDag) -> IrResult<()> {
         dag.node_mut(id)?.schema = new_schema;
     }
     Ok(())
-}
-
-/// Returns the parties trusted with *all* of the named columns of a node's
-/// output relation, restricted to the given party universe.
-pub fn trusted_parties_for_columns(
-    dag: &OpDag,
-    node: NodeId,
-    columns: &[String],
-    universe: &PartySet,
-) -> IrResult<PartySet> {
-    let schema = &dag.node(node)?.schema;
-    let mut trusted = universe.clone();
-    for c in columns {
-        let idx = schema.require(c, "trust lookup")?;
-        trusted = schema.columns[idx]
-            .trust
-            .trusted_within(universe)
-            .intersection(&trusted);
-    }
-    Ok(trusted)
-}
-
-/// Collects, for every node, the set of parties that the trust analysis
-/// authorizes to see the node's full output in cleartext. Used by the
-/// driver's leakage audit.
-pub fn authorized_viewers(dag: &OpDag, universe: &PartySet) -> IrResult<HashMap<NodeId, PartySet>> {
-    let mut out = HashMap::new();
-    for node in dag.iter() {
-        let mut trusted = universe.clone();
-        for col in &node.schema.columns {
-            trusted = trusted.intersection(&col.trust.trusted_within(universe));
-        }
-        // The owner can always see its own relation.
-        if let Some(owner) = node.owner {
-            trusted.insert(owner);
-        }
-        out.insert(node.id, trusted);
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -239,40 +200,6 @@ mod tests {
             .unwrap();
         let total_trust = &agg.schema.column("total").unwrap().trust;
         assert!(!total_trust.trusts(2));
-    }
-
-    #[test]
-    fn trusted_parties_helper_and_authorized_viewers() {
-        let query = credit_query();
-        let mut dag = query.dag.clone();
-        propagate_ownership(&mut dag).unwrap();
-        propagate_trust(&mut dag).unwrap();
-        let universe = query.party_set();
-        let concat = dag
-            .iter()
-            .find(|n| matches!(n.op, Operator::Concat))
-            .unwrap()
-            .id;
-        let trusted =
-            trusted_parties_for_columns(&dag, concat, &["ssn".to_string()], &universe).unwrap();
-        assert_eq!(trusted.iter().collect::<Vec<_>>(), vec![1]);
-        assert!(
-            trusted_parties_for_columns(&dag, concat, &["zzz".to_string()], &universe).is_err()
-        );
-
-        let viewers = authorized_viewers(&dag, &universe).unwrap();
-        // Every input node's owner may view it.
-        for root in dag.roots() {
-            let owner = dag.node(root).unwrap().owner.unwrap();
-            assert!(viewers[&root].contains(owner));
-        }
-        // Nobody is authorized to view the joined relation in full.
-        let join = dag
-            .iter()
-            .find(|n| matches!(n.op, Operator::Join { .. }))
-            .unwrap()
-            .id;
-        assert!(viewers[&join].is_empty());
     }
 
     #[test]

@@ -16,13 +16,16 @@
 //! modeled account of the run ([`crate::report::Modeled`]: per-party
 //! runtimes, MPC and STP time, modeled bytes), MPC statistics, the traffic a
 //! party mesh measured ([`RunReport::net`], kept apart from the modeled
-//! bytes), and a *leakage audit* that checks every cleartext reveal against
-//! the authorization the trust analysis derived.
+//! bytes), and the *leakage log*: before handing cleartext to a party the
+//! driver looks the reveal up in the plan's [`LeakageReport`] (the linter's
+//! certificate, re-derived at the top of every run), refuses it if absent and
+//! logs the matched [`Disclosure`] — so [`RunReport::leakage`] is a subset of
+//! [`RunReport::static_leakage`] by construction.
 
-use crate::analysis;
 use crate::config::{ConclaveConfig, LocalBackend};
 use crate::hybrid_exec;
 use crate::party_exec;
+use crate::passes::leakage::{Disclosure, LeakageReport};
 use crate::plan::PhysicalPlan;
 use crate::report::RunReport;
 use conclave_engine::{
@@ -56,8 +59,8 @@ pub enum DriverError {
     /// A transport failure in the distributed party runtime (timeout,
     /// disconnect, socket I/O).
     Transport(conclave_net::TransportError),
-    /// The plan would reveal data to a party that the trust analysis does not
-    /// authorize — the driver refuses to execute it.
+    /// The plan would reveal data to a party that the leakage linter does not
+    /// certify — the driver refuses to execute it.
     UnauthorizedReveal {
         /// Offending node.
         node: NodeId,
@@ -194,9 +197,9 @@ impl Driver {
     ) -> Result<RunReport, DriverError> {
         // Re-verify the plan before executing a single node: even a plan
         // tampered with after compilation (or built by hand) must pass the
-        // static leakage linter, and its certified report rides on the run
-        // report for the differential wire checks.
-        let static_leakage =
+        // static leakage linter. Its report is this run's certificate: the
+        // only authority `reveal` consults below.
+        let certificate =
             crate::passes::leakage::run(&plan.dag, &plan.parties).map_err(|e| match e {
                 crate::plan::CompileError::Leakage(v) => DriverError::UnauthorizedReveal {
                     node: v.node,
@@ -205,17 +208,13 @@ impl Driver {
                 },
                 other => DriverError::Compile(other),
             })?;
-        let mut report = RunReport {
-            static_leakage: Some(static_leakage),
-            ..RunReport::default()
-        };
+        let mut report = RunReport::default();
         let mut results: HashMap<NodeId, Table> = HashMap::new();
         // Every table that enters the result store, with its conversion
         // counter at insertion time: the per-run conversion tally is the sum
         // of the deltas (tables bound by the caller may carry pre-run
         // conversions that must not be charged to this run).
         let mut tracked: Vec<(Table, ConversionCounts)> = Vec::new();
-        let viewers = analysis::authorized_viewers(&plan.dag, &plan.parties)?;
         let order = plan.dag.topo_order()?;
 
         // Distributed party runtime: one mesh and one set of party workers,
@@ -284,9 +283,23 @@ impl Driver {
                 report.per_node.push((id, node.site, Duration::ZERO));
                 continue;
             }
+            // A cleartext step consuming an MPC-produced relation has that
+            // relation revealed to its executing party: certify it before
+            // anything is opened.
+            if let ExecSite::Local(party) | ExecSite::Stp(party) = node.site {
+                for &input in &node.inputs {
+                    let parent = plan.dag.node(input)?;
+                    if parent.site.is_mpc() && !parent.op.is_output() {
+                        reveal(&certificate, &mut report.leakage, input, id, party)?;
+                    }
+                }
+            }
             // This node runs outside the party pipeline: any MPC-resident
             // input it consumes crosses a reveal boundary here, so block
             // until the opened (and cross-party-checked) relation arrives.
+            // (An MPC-site consumer gets here too — the cleartext `Divide`
+            // substitute of `run_mpc_op` — and the certificate does not cover
+            // that open: docs/SECURITY.md, "Fidelity substitutions".)
             for &i in &node.inputs {
                 if let Some(&s) = mpc_steps.get(&i) {
                     if let std::collections::hash_map::Entry::Vacant(e) = results.entry(i) {
@@ -313,7 +326,7 @@ impl Driver {
                 (Operator::Collect { recipients }, _) => {
                     let table = input_tables[0].clone();
                     for r in recipients.iter() {
-                        report.record_leakage(id, r, "query result", "output recipient");
+                        reveal(&certificate, &mut report.leakage, id, id, r)?;
                         report.outputs.insert(r, table.as_rows().clone());
                     }
                     (table, Duration::ZERO)
@@ -326,8 +339,7 @@ impl Driver {
                     },
                     _,
                 ) => {
-                    self.check_reveal_authorized(plan, node.inputs[0], left_keys, *stp, id)?;
-                    self.check_reveal_authorized(plan, node.inputs[1], right_keys, *stp, id)?;
+                    reveal(&certificate, &mut report.leakage, id, id, *stp)?;
                     let outcome = hybrid_exec::hybrid_join(
                         &mut self.mpc,
                         &*self.stp_exec,
@@ -337,7 +349,7 @@ impl Driver {
                         right_keys,
                         *stp,
                     )?;
-                    self.absorb_hybrid(&mut report, id, &outcome);
+                    self.absorb_hybrid(&mut report, &outcome);
                     (outcome.result, Duration::ZERO)
                 }
                 (
@@ -348,6 +360,7 @@ impl Driver {
                     },
                     _,
                 ) => {
+                    reveal(&certificate, &mut report.leakage, id, id, *helper)?;
                     let outcome = hybrid_exec::public_join(
                         &*self.stp_exec,
                         input_tables[0],
@@ -356,7 +369,7 @@ impl Driver {
                         right_keys,
                         *helper,
                     )?;
-                    self.absorb_hybrid(&mut report, id, &outcome);
+                    self.absorb_hybrid(&mut report, &outcome);
                     (outcome.result, Duration::ZERO)
                 }
                 (
@@ -369,7 +382,7 @@ impl Driver {
                     },
                     _,
                 ) => {
-                    self.check_reveal_authorized(plan, node.inputs[0], group_by, *stp, id)?;
+                    reveal(&certificate, &mut report.leakage, id, id, *stp)?;
                     let outcome = hybrid_exec::hybrid_aggregate(
                         &mut self.mpc,
                         &*self.stp_exec,
@@ -380,7 +393,7 @@ impl Driver {
                         out,
                         *stp,
                     )?;
-                    self.absorb_hybrid(&mut report, id, &outcome);
+                    self.absorb_hybrid(&mut report, &outcome);
                     (outcome.result, Duration::ZERO)
                 }
                 (op, ExecSite::Mpc) => {
@@ -394,38 +407,6 @@ impl Driver {
                     (table, stats.simulated_time)
                 }
                 (op, ExecSite::Local(party)) | (op, ExecSite::Stp(party)) => {
-                    // If this cleartext step consumes an MPC-produced
-                    // relation, that relation is being revealed to `party`;
-                    // audit it (push-up reveals are authorized because the
-                    // operator is reversible from the query output).
-                    for &input in &node.inputs {
-                        let parent = plan.dag.node(input)?;
-                        if parent.site.is_mpc() && !parent.op.is_output() {
-                            let authorized = viewers
-                                .get(&input)
-                                .map(|v| v.contains(party))
-                                .unwrap_or(false)
-                                || node.op.is_reversible()
-                                || matches!(node.op, Operator::Collect { .. });
-                            if !authorized {
-                                return Err(DriverError::UnauthorizedReveal {
-                                    node: input,
-                                    to_party: party,
-                                    what: "intermediate relation".into(),
-                                });
-                            }
-                            report.record_leakage(
-                                input,
-                                party,
-                                "MPC output opened for local post-processing",
-                                if node.op.is_reversible() {
-                                    "reversible push-up (simulatable from the query output)"
-                                } else {
-                                    "authorized by trust annotations"
-                                },
-                            );
-                        }
-                    }
                     let (table, time) = self.run_local_op(op, &input_tables)?;
                     *report.modeled.local_time.entry(party).or_default() += time;
                     (table, time)
@@ -478,15 +459,11 @@ impl Driver {
                 .conversions
                 .merge(&table.conversion_counts().since(baseline));
         }
+        report.static_leakage = Some(certificate);
         Ok(report)
     }
 
-    fn absorb_hybrid(
-        &self,
-        report: &mut RunReport,
-        id: NodeId,
-        outcome: &hybrid_exec::HybridOutcome,
-    ) {
+    fn absorb_hybrid(&self, report: &mut RunReport, outcome: &hybrid_exec::HybridOutcome) {
         report.modeled.charge_mpc(&outcome.mpc_stats);
         report.modeled.stp_time += outcome.stp_time;
         report.mpc_stats.merge(&outcome.mpc_stats);
@@ -494,35 +471,6 @@ impl Driver {
         // enumerations, index relations) never enter the result store, so
         // they are tallied here instead of by the end-of-run sweep.
         report.conversions.merge(&outcome.conversions);
-        report.record_leakage(
-            id,
-            outcome.revealed_to,
-            format!("columns {:?} (shuffled order)", outcome.revealed_columns),
-            "trust annotation designates this party as the STP / helper",
-        );
-    }
-
-    /// Checks that `stp` is authorized to learn the named columns of the
-    /// relation produced by `input_node`.
-    fn check_reveal_authorized(
-        &self,
-        plan: &PhysicalPlan,
-        input_node: NodeId,
-        columns: &[String],
-        stp: PartyId,
-        at_node: NodeId,
-    ) -> Result<(), DriverError> {
-        let trusted =
-            analysis::trusted_parties_for_columns(&plan.dag, input_node, columns, &plan.parties)?;
-        if trusted.contains(stp) {
-            Ok(())
-        } else {
-            Err(DriverError::UnauthorizedReveal {
-                node: at_node,
-                to_party: stp,
-                what: format!("columns {columns:?}"),
-            })
-        }
     }
 
     fn run_local_op(
@@ -573,9 +521,33 @@ impl Driver {
     }
 }
 
+/// The driver's one authorization: `party` may be handed the output of `node`
+/// at `at_node` only if the run's certificate holds a [`Disclosure`] saying
+/// so, which is then logged (once) as exercised. Anything else fails closed.
+fn reveal(
+    certificate: &LeakageReport,
+    log: &mut Vec<Disclosure>,
+    node: NodeId,
+    at_node: NodeId,
+    party: PartyId,
+) -> Result<(), DriverError> {
+    let disclosure = certificate
+        .disclosure(node, at_node, party)
+        .ok_or_else(|| DriverError::UnauthorizedReveal {
+            node,
+            to_party: party,
+            what: format!("an output the leakage certificate does not cover (at node #{at_node})"),
+        })?;
+    if !log.contains(disclosure) {
+        log.push(disclosure.clone());
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::passes::leakage::DisclosureKind;
     use crate::plan::compile;
     use conclave_ir::builder::QueryBuilder;
     use conclave_ir::expr::Expr;
@@ -727,22 +699,94 @@ mod tests {
 
     #[test]
     fn credit_query_with_hybrid_operators_is_correct_and_audited() {
+        use crate::config::PartyRuntime;
         let query = credit_query();
         let plan = compile(&query, &ConclaveConfig::standard()).unwrap();
         assert_eq!(plan.hybrid_node_count(), 2);
-        let mut driver = Driver::new(ConclaveConfig::standard().with_sequential_local());
-        let report = driver.run_tables(&plan, &credit_inputs()).unwrap();
-        let out = report.output_for(1).unwrap();
-        // zip 10: scores 700 + 650 + 640 = 1990; zip 20: 600.
-        let expected = Relation::from_ints(&["zip", "total"], &[vec![10, 1990], vec![20, 600]]);
-        assert!(out.same_rows_unordered(&expected), "got\n{out}");
-        // The audit shows reveals to the STP (party 1) only.
-        assert!(report.leakage.iter().all(|e| e.to_party == 1));
-        assert!(report
-            .leakage
+        for runtime in [PartyRuntime::Simulated, PartyRuntime::Channel] {
+            let config = ConclaveConfig::standard()
+                .with_sequential_local()
+                .with_party_runtime(runtime);
+            let report = Driver::new(config)
+                .run_tables(&plan, &credit_inputs())
+                .unwrap();
+            let out = report.output_for(1).unwrap();
+            // zip 10: scores 700 + 650 + 640 = 1990; zip 20: 600.
+            let expected = Relation::from_ints(&["zip", "total"], &[vec![10, 1990], vec![20, 600]]);
+            assert!(out.same_rows_unordered(&expected), "got\n{out}");
+            // The log is made of the certificate's own disclosures, and shows
+            // reveals to the STP (party 1) only: the hybrid operators' keys,
+            // the aggregate opened for the collect, and the query output.
+            let certified = &report.static_leakage.as_ref().unwrap().disclosures;
+            assert!(report.leakage.iter().all(|d| certified.contains(d)));
+            assert!(report.leakage.iter().all(|d| d.to_party == 1));
+            for kind in [
+                DisclosureKind::StpKeys,
+                DisclosureKind::CleartextOpen,
+                DisclosureKind::QueryOutput,
+            ] {
+                assert!(
+                    report.leakage.iter().any(|d| d.kind == kind),
+                    "{runtime:?}: no {kind} entry in {:?}",
+                    report.leakage
+                );
+            }
+            assert!(report.modeled.stp_time > Duration::ZERO);
+        }
+    }
+
+    #[test]
+    fn reveal_fails_closed_without_a_matching_disclosure() {
+        let mut log = Vec::new();
+        match reveal(&LeakageReport::default(), &mut log, 3, 4, 2) {
+            Err(DriverError::UnauthorizedReveal {
+                node: 3,
+                to_party: 2,
+                ..
+            }) => {}
+            other => panic!("expected UnauthorizedReveal for node 3 / P2, got {other:?}"),
+        }
+        assert!(log.is_empty());
+    }
+
+    #[test]
+    fn public_join_helper_reveal_is_certified_and_logged() {
+        let pa = Party::new(1, "a");
+        let pb = Party::new(2, "b");
+        let schema = Schema::new(vec![
+            ColumnDef::public("k", DataType::Int),
+            ColumnDef::new("v", DataType::Int),
+        ]);
+        let mut q = QueryBuilder::new();
+        let a = q.input("a", schema.clone(), pa.clone());
+        let b = q.input("b", schema, pb);
+        let joined = q.join(a, b, &["k"], &["k"]);
+        q.collect(joined, &[pa]);
+        let plan = compile(&q.build().unwrap(), &ConclaveConfig::standard()).unwrap();
+        let (join_id, helper) = plan
+            .dag
             .iter()
-            .any(|e| e.justification.contains("STP")));
-        assert!(report.modeled.stp_time > Duration::ZERO);
+            .find_map(|n| match n.op {
+                Operator::PublicJoin { helper, .. } => Some((n.id, helper)),
+                _ => None,
+            })
+            .expect("public keys compile to a public join");
+        let mut inputs = HashMap::new();
+        inputs.insert(
+            "a".to_string(),
+            Relation::from_ints(&["k", "v"], &[vec![1, 2], vec![2, 3]]).into(),
+        );
+        inputs.insert(
+            "b".to_string(),
+            Relation::from_ints(&["k", "v"], &[vec![2, 5]]).into(),
+        );
+        let mut driver = Driver::new(ConclaveConfig::standard().with_sequential_local());
+        let report = driver.run_tables(&plan, &inputs).unwrap();
+        assert_eq!(report.output_for(1).unwrap().num_rows(), 1);
+        assert!(report.leakage.iter().any(|d| d.node == join_id
+            && d.to_party == helper
+            && d.kind == DisclosureKind::StpKeys
+            && d.columns == ["k"]));
     }
 
     #[test]

@@ -28,7 +28,7 @@ pub struct HybridOutcome {
     pub mpc_stats: MpcStepStats,
     /// Simulated cleartext time spent at the STP / helper party.
     pub stp_time: Duration,
-    /// Cleartext values revealed to the STP, for the leakage audit
+    /// Columns whose (shuffled) cleartext values the STP / helper saw
     /// (column names per input).
     pub revealed_columns: Vec<String>,
     /// The party that received the revealed columns.

@@ -17,12 +17,12 @@
 //!    ([`passes::leakage`]): every cleartext placement and reveal is proven
 //!    to honor the trust annotations, or compilation fails,
 //! 6. partitions the DAG into local, STP and MPC stages and produces a
-//!    [`plan::PhysicalPlan`] plus per-backend job descriptions ([`codegen`]),
-//!    and
+//!    [`plan::PhysicalPlan`], and
 //! 7. executes the plan with the [`driver::Driver`], which combines the
 //!    cleartext engines (`conclave-engine`, `conclave-parallel`) with the MPC
-//!    substrates (`conclave-mpc`) and reports results, simulated runtime and
-//!    a leakage audit ([`report`]).
+//!    substrates (`conclave-mpc`), reveals cleartext only where the linter's
+//!    report certifies it, and reports results, simulated runtime and the
+//!    disclosures it exercised ([`report`]).
 //!
 //! MPC plan steps run in one of two modes, selected by
 //! [`config::ConclaveConfig::party_runtime`]: the default *simulated* mode
@@ -42,7 +42,6 @@
 
 pub mod analysis;
 pub mod cardinality;
-pub mod codegen;
 pub mod config;
 pub mod driver;
 pub mod hybrid_exec;

@@ -60,12 +60,11 @@
 //! The in-process [`conclave_mpc::Protocol`] engine remains the default; both
 //! engines run the one generic operator stack of [`conclave_mpc::operators`],
 //! so a transport-executed plan must reveal cell-identical results and
-//! charge identical primitive counts. [`execute_op_distributed`] survives as a
-//! single-step convenience wrapper over the runtime.
+//! charge identical primitive counts.
 
 use crate::config::{DealerMode, PartyRuntime};
 use crate::driver::DriverError;
-use conclave_engine::{Relation, Table};
+use conclave_engine::Relation;
 use conclave_ir::ops::Operator;
 use conclave_ir::schema::Schema;
 use conclave_mpc::cost::PrimitiveCounts;
@@ -750,50 +749,6 @@ fn flush_opens(
     }
 }
 
-/// Outcome of one distributed MPC step: the opened result, the primitive
-/// counts every party tallied, and the merged *measured* traffic.
-#[derive(Debug, Clone)]
-pub struct DistributedOutcome {
-    /// The opened (revealed) result relation.
-    pub relation: Relation,
-    /// Primitive counts of the step (identical on every party).
-    pub counts: PrimitiveCounts,
-    /// Observed per-link bytes/messages and synchronous rounds.
-    pub net: NetStats,
-}
-
-/// Executes one relational operator as a real multi-party protocol — a
-/// single-step convenience wrapper over [`PartyMeshRuntime`] (the driver
-/// feeds whole plans through one runtime instead).
-///
-/// `parties` is the computing-party count of the configured backend, `seed`
-/// drives the mesh's common randomness, and `presorted_aggregate` mirrors
-/// the driver's §5.4 sort-elimination shortcut.
-pub fn execute_op_distributed(
-    op: &Operator,
-    inputs: &[&Table],
-    parties: u32,
-    seed: u64,
-    runtime: PartyRuntime,
-    presorted_aggregate: bool,
-) -> Result<DistributedOutcome, DriverError> {
-    let mut rt = PartyMeshRuntime::with_dealer(parties, seed, runtime, &DealerMode::Seeded)?;
-    rt.begin_query()?;
-    let step_inputs: Vec<StepInput> = inputs
-        .iter()
-        .map(|t| StepInput::Table(t.as_rows().clone()))
-        .collect();
-    let step = rt.enqueue(op, step_inputs, presorted_aggregate, true)?;
-    let relation = rt.wait_opened(step)?;
-    let summary = rt.finish()?;
-    let counts = summary.steps[0].counts;
-    Ok(DistributedOutcome {
-        relation,
-        counts,
-        net: summary.net,
-    })
-}
-
 fn party_to_driver_error(e: PartyError) -> DriverError {
     match e {
         PartyError::Net(t) => DriverError::Transport(t),
@@ -808,6 +763,7 @@ fn party_to_driver_error(e: PartyError) -> DriverError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use conclave_engine::Table;
     use conclave_ir::ops::AggFunc;
     use conclave_mpc::backend::{MpcBackendConfig, MpcEngine};
 
@@ -818,110 +774,111 @@ mod tests {
         ))
     }
 
-    #[test]
-    fn channel_step_matches_the_inprocess_oracle() {
-        let table = sales_table();
-        let op = Operator::Aggregate {
+    fn revenue_by_company() -> Operator {
+        Operator::Aggregate {
             group_by: vec!["companyID".into()],
             func: AggFunc::Sum,
             over: Some("price".into()),
             out: "rev".into(),
-        };
+        }
+    }
+
+    fn sort_by_price() -> Operator {
+        Operator::SortBy {
+            column: "price".into(),
+            ascending: true,
+        }
+    }
+
+    /// One revealed step over `sales_table` on a fresh three-party mesh: the
+    /// opened relation and the summary of the query it was.
+    fn run_step(
+        op: &Operator,
+        seed: u64,
+        runtime: PartyRuntime,
+        dealer: &DealerMode,
+    ) -> Result<(Relation, MeshSummary), DriverError> {
+        let mut rt = PartyMeshRuntime::with_dealer(3, seed, runtime, dealer)?;
+        rt.begin_query()?;
+        let input = StepInput::Table(sales_table().as_rows().clone());
+        let step = rt.enqueue(op, vec![input], false, true)?;
+        let opened = rt.wait_opened(step)?;
+        Ok((opened, rt.finish()?))
+    }
+
+    fn run_with_dealer(dealer: &DealerMode) -> (Relation, MeshSummary) {
+        run_step(&revenue_by_company(), 42, PartyRuntime::Channel, dealer).unwrap()
+    }
+
+    #[test]
+    fn channel_step_matches_the_inprocess_oracle() {
+        let op = revenue_by_company();
         let mut oracle = MpcEngine::new(MpcBackendConfig::sharemind());
-        let (expected, _) = oracle.execute_op(&op, &[table.as_rows()]).unwrap();
-        let outcome =
-            execute_op_distributed(&op, &[&table], 3, 42, PartyRuntime::Channel, false).unwrap();
-        assert!(outcome.relation.same_rows_unordered(&expected));
-        assert!(outcome.net.total_bytes() > 0, "bytes must be measured");
-        assert!(outcome.net.rounds > 0, "rounds must be measured");
-        assert_eq!(outcome.net.mesh_builds, 1);
-        assert!(outcome.counts.nonlinear_ops() > 0);
+        let (expected, _) = oracle.execute_op(&op, &[sales_table().as_rows()]).unwrap();
+        let (opened, summary) = run_with_dealer(&DealerMode::Seeded);
+        assert!(opened.same_rows_unordered(&expected));
+        assert!(summary.net.total_bytes() > 0, "bytes must be measured");
+        assert!(summary.net.rounds > 0, "rounds must be measured");
+        assert_eq!(summary.net.mesh_builds, 1);
+        assert!(summary.steps[0].counts.nonlinear_ops() > 0);
     }
 
     #[test]
     fn tcp_step_matches_the_channel_step() {
-        let table = sales_table();
-        let op = Operator::SortBy {
-            column: "price".into(),
-            ascending: true,
-        };
-        let chan =
-            execute_op_distributed(&op, &[&table], 3, 7, PartyRuntime::Channel, false).unwrap();
-        let tcp = execute_op_distributed(&op, &[&table], 3, 7, PartyRuntime::Tcp, false).unwrap();
-        assert_eq!(chan.relation.rows, tcp.relation.rows);
+        let op = sort_by_price();
+        let (chan, chan_summary) =
+            run_step(&op, 7, PartyRuntime::Channel, &DealerMode::Seeded).unwrap();
+        let (tcp, tcp_summary) = run_step(&op, 7, PartyRuntime::Tcp, &DealerMode::Seeded).unwrap();
+        assert_eq!(chan.rows, tcp.rows);
         // Equal payload flow, different framing is allowed; both measured.
-        assert!(tcp.net.total_bytes() > 0);
-        assert_eq!(chan.net.rounds, tcp.net.rounds);
+        assert!(tcp_summary.net.total_bytes() > 0);
+        assert_eq!(chan_summary.net.rounds, tcp_summary.net.rounds);
     }
 
     #[test]
     fn comparison_steps_report_circuit_gate_counts() {
-        let table = sales_table();
-        let op = Operator::SortBy {
-            column: "price".into(),
-            ascending: true,
-        };
-        let outcome =
-            execute_op_distributed(&op, &[&table], 3, 7, PartyRuntime::Channel, false).unwrap();
+        let (_, summary) = run_step(
+            &sort_by_price(),
+            7,
+            PartyRuntime::Channel,
+            &DealerMode::Seeded,
+        )
+        .unwrap();
+        let counts = summary.steps[0].counts;
         // Sorting drives bit-decomposed less-than circuits: the step's counts
         // must carry the measured AND gates and gate-level rounds, not just
         // the flat comparison tally. (Cross-party equality of these counts is
         // enforced by `collect_step` for every run, this test included.)
-        assert!(outcome.counts.comparisons > 0);
+        assert!(counts.comparisons > 0);
         assert!(
-            outcome.counts.bit_ands > 0,
+            counts.bit_ands > 0,
             "circuit comparisons must tally binary AND gates"
         );
         assert!(
-            outcome.counts.circuit_rounds > 0,
+            counts.circuit_rounds > 0,
             "circuit comparisons must tally gate-level rounds"
         );
     }
 
     #[test]
     fn simulated_mode_is_rejected_here() {
-        let table = sales_table();
-        let op = Operator::Shuffle;
         assert!(matches!(
-            execute_op_distributed(&op, &[&table], 3, 1, PartyRuntime::Simulated, false),
+            PartyMeshRuntime::with_dealer(3, 1, PartyRuntime::Simulated, &DealerMode::Seeded),
             Err(DriverError::Mpc(MpcError::Exec(_)))
         ));
     }
 
     #[test]
     fn unsupported_operators_surface_as_mpc_unsupported() {
-        let table = sales_table();
         let op = Operator::Divide {
             out: "x".into(),
             num: conclave_ir::ops::Operand::col("price"),
             den: conclave_ir::ops::Operand::lit(2),
         };
         assert!(matches!(
-            execute_op_distributed(&op, &[&table], 3, 1, PartyRuntime::Channel, false),
+            run_step(&op, 1, PartyRuntime::Channel, &DealerMode::Seeded),
             Err(DriverError::Mpc(MpcError::Unsupported(_)))
         ));
-    }
-
-    fn run_with_dealer(dealer: &DealerMode) -> (Relation, MeshSummary) {
-        let table = sales_table();
-        let op = Operator::Aggregate {
-            group_by: vec!["companyID".into()],
-            func: AggFunc::Sum,
-            over: Some("price".into()),
-            out: "rev".into(),
-        };
-        let mut rt = PartyMeshRuntime::with_dealer(3, 42, PartyRuntime::Channel, dealer).unwrap();
-        let step = rt
-            .enqueue(
-                &op,
-                vec![StepInput::Table(table.as_rows().clone())],
-                false,
-                true,
-            )
-            .unwrap();
-        let opened = rt.wait_opened(step).unwrap();
-        let summary = rt.finish().unwrap();
-        (opened, summary)
     }
 
     #[test]

@@ -9,8 +9,7 @@
 //! * `RevealTo` / mid-plan `Open` — every recipient must be within the trust
 //!   set of every revealed column;
 //! * hybrid operators (`HybridJoin`, `HybridAggregate`, `PublicJoin`) — the
-//!   STP/helper must be trusted with the join/group key columns it learns
-//!   (the static twin of the driver's `check_reveal_authorized`);
+//!   STP/helper must be trusted with the join/group key columns it learns;
 //! * cleartext placements (`ExecSite::Local` / `ExecSite::Stp`) consuming an
 //!   MPC-produced relation — the executing party must be an authorized
 //!   viewer of that relation, unless the consuming operator is reversible
@@ -24,9 +23,12 @@
 //!
 //! On success the pass returns a [`LeakageReport`]: the machine-readable
 //! per-party account of what each party learns, surfaced by
-//! `Session::explain_leakage`, SQL `EXPLAIN LEAKAGE`, and `RunReport`. On
-//! failure compilation aborts with [`crate::plan::CompileError::Leakage`]
-//! carrying the offending node, column, party and derivation chain.
+//! `Session::explain_leakage`, SQL `EXPLAIN LEAKAGE`, and `RunReport` — and
+//! the only authorization the driver consults: at each reveal it looks the
+//! `(node, at_node, party)` up with [`LeakageReport::disclosure`] and refuses
+//! to hand over cleartext the report does not contain. On failure
+//! compilation aborts with [`crate::plan::CompileError::Leakage`] carrying
+//! the offending node, column, party and derivation chain.
 
 use crate::plan::{CompileError, CompileResult};
 use conclave_ir::dag::{NodeId, OpDag};
@@ -67,9 +69,7 @@ impl fmt::Display for DisclosureKind {
 /// static analysis.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Disclosure {
-    /// Node whose output relation is (partly) disclosed — the same id the
-    /// driver's dynamic leakage audit records, so runtime events can be
-    /// checked against this report.
+    /// Node whose output relation is (partly) disclosed.
     pub node: NodeId,
     /// Node at which the disclosure happens (the consumer / reveal point).
     pub at_node: NodeId,
@@ -105,12 +105,20 @@ impl LeakageReport {
     }
 
     /// Returns `true` if the report claims `party` learns (part of) the
-    /// output of `node` — the containment check the differential tests run
-    /// against the driver's dynamic leakage events.
+    /// output of `node`, at whichever node that happens.
     pub fn covers(&self, node: NodeId, party: PartyId) -> bool {
         self.disclosures
             .iter()
             .any(|d| d.node == node && d.to_party == party)
+    }
+
+    /// The disclosure certifying that `party` learns (part of) the output of
+    /// `node` at `at_node`, if the plan has one. This is the driver's only
+    /// authorization: a reveal without a match here does not happen.
+    pub fn disclosure(&self, node: NodeId, at_node: NodeId, party: PartyId) -> Option<&Disclosure> {
+        self.disclosures
+            .iter()
+            .find(|d| d.node == node && d.at_node == at_node && d.to_party == party)
     }
 
     /// Renders the report as stable, diffable text (used by the golden-file
@@ -325,9 +333,9 @@ pub fn run(dag: &OpDag, universe: &PartySet) -> CompileResult<LeakageReport> {
         }
 
         // Cleartext placements: a Local/Stp node consuming an MPC-produced
-        // relation opens that relation to its executing party. Mirrors the
-        // driver's dynamic audit exactly (including the reversible push-up
-        // and Collect exemptions).
+        // relation opens that relation to its executing party. A reversible
+        // operator (push-up) or the declared `Collect` is exempt from the
+        // trust check: what it opens is simulatable from the query output.
         if let ExecSite::Local(party) | ExecSite::Stp(party) = node.site {
             let mut seen: BTreeSet<NodeId> = BTreeSet::new();
             for &input in &node.inputs {

@@ -1,5 +1,5 @@
 //! Execution reports: results, the two accountings of a run, and the leakage
-//! audit.
+//! log.
 //!
 //! A run is accounted twice and the two are never added together: [`Modeled`]
 //! is what the cost models say (the struct an analytic
@@ -7,7 +7,7 @@
 //! estimate compare field by field); [`RunReport::net`] and
 //! [`RunReport::dealer_net`] are what the party transports observed.
 
-use crate::passes::leakage::LeakageReport;
+use crate::passes::leakage::{Disclosure, LeakageReport};
 use conclave_engine::{ConversionCounts, Relation};
 use conclave_ir::ops::ExecSite;
 use conclave_ir::party::PartyId;
@@ -16,21 +16,6 @@ use conclave_net::NetStats;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::time::Duration;
-
-/// One entry of the leakage audit: a place where data left the MPC boundary
-/// in cleartext, with the justification the compiler derived.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LeakageEvent {
-    /// Node at whose execution the reveal happened.
-    pub node: usize,
-    /// Party that received cleartext data.
-    pub to_party: PartyId,
-    /// What was revealed (column names or "result").
-    pub what: String,
-    /// Why the reveal is authorized (trust annotation, output recipient,
-    /// reversible push-up, or cardinality-only).
-    pub justification: String,
-}
 
 /// The cost models' account of a run or an estimate: constants × primitive
 /// counts (executed or predicted) — never a wall clock or a byte on a wire.
@@ -84,12 +69,14 @@ pub struct RunReport {
     pub dealer_net: Option<NetStats>,
     /// Aggregated MPC statistics (primitive counts, gates, memory).
     pub mpc_stats: MpcStepStats,
-    /// Leakage audit log (dynamic: recorded as reveals actually happen).
-    pub leakage: Vec<LeakageEvent>,
-    /// The plan's statically certified leakage report, attached by the
-    /// driver before execution. Every dynamic [`RunReport::leakage`] event
-    /// must be covered by a disclosure in here — the differential tests
-    /// assert exactly that.
+    /// The disclosures of [`RunReport::static_leakage`] this run exercised,
+    /// in the order the driver handed the cleartext over. The driver reveals
+    /// nothing it cannot find in the certificate, so this is a subset of it
+    /// by construction.
+    pub leakage: Vec<Disclosure>,
+    /// The plan's statically certified leakage report: the linter's output
+    /// for the plan as it was run, and the only authorization the driver
+    /// consulted.
     pub static_leakage: Option<LeakageReport>,
     /// Per-node modeled runtimes, for detailed breakdowns.
     pub per_node: Vec<(usize, ExecSite, Duration)>,
@@ -117,22 +104,6 @@ impl RunReport {
     /// per-step meshes.
     pub fn mesh_builds(&self) -> u64 {
         self.net.mesh_builds
-    }
-
-    /// Records a leakage event.
-    pub fn record_leakage(
-        &mut self,
-        node: usize,
-        to_party: PartyId,
-        what: impl Into<String>,
-        justification: impl Into<String>,
-    ) {
-        self.leakage.push(LeakageEvent {
-            node,
-            to_party,
-            what: what.into(),
-            justification: justification.into(),
-        });
     }
 }
 
@@ -212,11 +183,15 @@ impl fmt::Display for RunReport {
             self.mpc_stats.circuit.and_gates
         )?;
         writeln!(f, "leakage events: {}", self.leakage.len())?;
-        for e in &self.leakage {
+        for d in &self.leakage {
             writeln!(
                 f,
-                "  node #{} -> P{}: {} ({})",
-                e.node, e.to_party, e.what, e.justification
+                "  node #{} -> P{}: [{}] columns [{}] ({})",
+                d.node,
+                d.to_party,
+                d.kind,
+                d.columns.join(", "),
+                d.justification
             )?;
         }
         for (party, rel) in &self.outputs {
@@ -269,13 +244,20 @@ mod tests {
     #[test]
     fn leakage_and_outputs_render() {
         let mut r = RunReport::default();
-        r.record_leakage(3, 1, "ssn column", "trust annotation names P1 as STP");
+        r.leakage.push(Disclosure {
+            node: 3,
+            at_node: 3,
+            to_party: 1,
+            columns: vec!["ssn".into()],
+            kind: crate::passes::leakage::DisclosureKind::StpKeys,
+            justification: "trust annotation names P1 as STP".into(),
+        });
         r.outputs.insert(1, Relation::from_ints(&["x"], &[vec![1]]));
         assert!(r.output_for(1).is_some());
         assert!(r.output_for(2).is_none());
         let text = r.to_string();
         assert!(text.contains("leakage events: 1"));
-        assert!(text.contains("ssn column"));
+        assert!(text.contains("node #3 -> P1: [stp-keys] columns [ssn]"));
         assert!(text.contains("output for P1: 1 rows"));
     }
 }

@@ -1,5 +1,5 @@
-//! Typed errors shared by the cleartext engines (row and columnar), the
-//! relation constructors and the CSV I/O layer.
+//! Typed errors shared by the cleartext engines (row and columnar) and the
+//! relation constructors.
 
 use std::fmt;
 
@@ -30,15 +30,6 @@ pub enum EngineError {
     Unsupported(String),
     /// Expression evaluation failed.
     Eval(String),
-    /// CSV text could not be parsed.
-    Csv {
-        /// 1-based line number in the CSV input.
-        line: usize,
-        /// What went wrong.
-        message: String,
-    },
-    /// A file could not be read.
-    Io(String),
 }
 
 impl fmt::Display for EngineError {
@@ -56,8 +47,6 @@ impl fmt::Display for EngineError {
             EngineError::UnknownColumn(c) => write!(f, "unknown column `{c}`"),
             EngineError::Unsupported(op) => write!(f, "operator {op} is not a cleartext operator"),
             EngineError::Eval(e) => write!(f, "expression evaluation failed: {e}"),
-            EngineError::Csv { line, message } => write!(f, "CSV line {line}: {message}"),
-            EngineError::Io(e) => write!(f, "I/O error: {e}"),
         }
     }
 }
@@ -79,14 +68,8 @@ mod tests {
             expected: 2,
         };
         assert_eq!(e.to_string(), "row 3 has 1 values, schema has 2 columns");
-        assert!(EngineError::Csv {
-            line: 4,
-            message: "bad cell".into()
-        }
-        .to_string()
-        .contains("line 4"));
-        assert!(EngineError::Io("missing".into())
+        assert!(EngineError::UnknownColumn("zip".into())
             .to_string()
-            .contains("missing"));
+            .contains("`zip`"));
     }
 }

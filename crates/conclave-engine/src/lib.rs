@@ -31,7 +31,6 @@
 
 pub mod columnar;
 pub mod cost;
-pub mod csvio;
 pub mod error;
 pub mod exec;
 pub mod executor;

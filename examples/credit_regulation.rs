@@ -108,8 +108,11 @@ fn main() {
         println!("  leakage audit entries : {}", report.leakage.len());
         for event in report.leakage.iter().take(3) {
             println!(
-                "    - to P{}: {} ({})",
-                event.to_party, event.what, event.justification
+                "    - to P{}: [{}] columns [{}] ({})",
+                event.to_party,
+                event.kind,
+                event.columns.join(", "),
+                event.justification
             );
         }
         println!();

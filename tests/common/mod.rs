@@ -3,7 +3,7 @@
 //! [`assert_engines_match_cleartext`] runs one relational operator on every
 //! engine — the in-process `Protocol` (through `MpcEngine::execute_op`) and
 //! the per-party `StepCtx` runtime over the channel *and* localhost-TCP
-//! meshes (through `execute_op_distributed`) — and checks all three against
+//! meshes (through [`run_on_mesh`]) — and checks all three against
 //! the independent cleartext reference `conclave_engine::execute`. Because
 //! both engines run the same generic operator bodies, it also requires their
 //! engine-independent primitive counts to be equal.
@@ -15,7 +15,7 @@
 #![allow(dead_code)]
 
 use conclave::core::config::PartyRuntime;
-use conclave::core::party_exec::execute_op_distributed;
+use conclave::core::party_exec::{MeshSummary, PartyMeshRuntime, StepInput};
 use conclave::mpc::backend::{MpcBackendConfig, MpcEngine, MpcStepStats};
 use conclave::mpc::PrimitiveCounts;
 use conclave::net::{
@@ -65,6 +65,28 @@ fn assert_matches(engine: &str, op: &Operator, got: &Relation, expected: &Relati
     );
 }
 
+/// Runs `op` as the one revealed step of one query on a fresh three-party
+/// mesh with a seeded dealer: the opened relation and the query's summary.
+pub fn run_on_mesh(
+    op: &Operator,
+    inputs: &[&Relation],
+    seed: u64,
+    runtime: PartyRuntime,
+) -> (Relation, MeshSummary) {
+    let mut rt =
+        PartyMeshRuntime::with_dealer(3, seed, runtime, &DealerMode::Seeded).expect("mesh builds");
+    rt.begin_query().expect("query begins");
+    let step_inputs = inputs
+        .iter()
+        .map(|r| StepInput::Table((*r).clone()))
+        .collect();
+    let step = rt
+        .enqueue(op, step_inputs, false, true)
+        .expect("step enqueues");
+    let opened = rt.wait_opened(step).expect("StepCtx engine executes");
+    (opened, rt.finish().expect("mesh finishes"))
+}
+
 /// Executes `op` over `inputs` on {`Protocol`, `StepCtx`/channel,
 /// `StepCtx`/TCP}, checks every result against `conclave_engine::execute`,
 /// and checks that the engines charged the same engine-independent counts
@@ -86,28 +108,22 @@ pub fn assert_engines_match_cleartext(
         .expect("Protocol engine executes");
     assert_matches("Protocol", op, &out, &expected, order);
 
-    let tables: Vec<Table> = inputs
-        .iter()
-        .map(|r| Table::from_rows((*r).clone()))
-        .collect();
-    let tables: Vec<&Table> = tables.iter().collect();
     for runtime in [PartyRuntime::Channel, PartyRuntime::Tcp] {
-        let outcome = execute_op_distributed(op, &tables, 3, seed, runtime, false)
-            .expect("StepCtx engine executes");
+        let (opened, summary) = run_on_mesh(op, inputs, seed, runtime);
         let engine = format!("StepCtx/{runtime:?}");
-        assert_matches(&engine, op, &outcome.relation, &expected, order);
+        assert_matches(&engine, op, &opened, &expected, order);
         if !matches!(order, Order::Any) {
             // Sorting and merge networks are deterministic: same comparators,
             // same row order, whichever engine evaluates them.
-            assert_eq!(outcome.relation.rows, out.rows, "{engine} vs Protocol");
+            assert_eq!(opened.rows, out.rows, "{engine} vs Protocol");
         }
         assert_eq!(
-            engine_independent(outcome.counts),
+            engine_independent(summary.steps[0].counts),
             engine_independent(stats.counts),
             "{engine} and Protocol charged different primitives for {}",
             op.name()
         );
-        assert!(outcome.net.total_bytes() > 0, "traffic must be observed");
+        assert!(summary.net.total_bytes() > 0, "traffic must be observed");
     }
     stats
 }

@@ -4,12 +4,15 @@
 //!
 //! Two directions are pinned here:
 //!
-//! * For randomly generated annotated queries, every dynamic leakage event
-//!   the driver records while running over the real channel-mesh party
-//!   runtime (the same per-party transports `tests/wire_privacy.rs` sniffs —
-//!   reveals are the only point where cleartext crosses the MPC boundary)
-//!   must be covered by a disclosure in the static report. The linter may
-//!   over-approximate; it must never under-approximate.
+//! * For randomly generated annotated queries run over the real channel-mesh
+//!   party runtime (the same per-party transports `tests/wire_privacy.rs`
+//!   sniffs — reveals are the only point where cleartext crosses the MPC
+//!   boundary), every reveal the driver makes must be covered by a disclosure
+//!   in the static report. The driver enforces that itself — it looks each
+//!   reveal up in the report and refuses the run otherwise — so a linter
+//!   that under-approximates shows here as a query failing with
+//!   `UnauthorizedReveal`. The linter may over-approximate; it must never
+//!   under-approximate.
 //! * Deliberately leaky plans — a mid-plan reveal to an untrusted party, and
 //!   the operand-opening shape of the pre-circuit comparison bug — are
 //!   rejected at compile time with a diagnostic naming the node, column,
@@ -101,11 +104,12 @@ proptest! {
         for event in &report.leakage {
             prop_assert!(
                 static_report.covers(event.node, event.to_party),
-                "dynamic reveal of node #{} to P{} ({}) is not claimed by the \
+                "dynamic reveal of node #{} to P{} ({} [{}]) is not claimed by the \
                  static report\nquery: {sql}\nreport:\n{static_report}",
                 event.node,
                 event.to_party,
-                event.what,
+                event.kind,
+                event.columns.join(", "),
             );
         }
     }
@@ -200,4 +204,56 @@ fn untampered_plan_passes_and_reports_the_declared_output() {
         out.iter().any(|d| d.kind == DisclosureKind::QueryOutput),
         "P1's declared output is in the report"
     );
+}
+
+/// Pins a known gap, the way `malicious_integrity` pins the Δ = 2^63 forgery:
+/// secret sharing here is integer-only, so `op_is_party_capable` keeps
+/// `Divide` off the mesh and the driver opens the `Divide` node's *input* to
+/// every computing party's worker, then divides in the clear
+/// (docs/SECURITY.md, "Fidelity substitutions"). Neither the certificate nor
+/// the run-time log mentions that open. When `Divide` runs on shares (ROADMAP
+/// "Parked: `Divide` on the mesh") this test must be FLIPPED — the input is
+/// then never opened and the two assertions on it hold for the right reason —
+/// not deleted.
+#[test]
+fn divide_on_a_mesh_opens_its_input_outside_the_certificate() {
+    use conclave::core::party_exec::op_is_party_capable;
+    use conclave::ir::ops::Operand;
+    let pa = Party::new(1, "a");
+    let pb = Party::new(2, "b");
+    let mut q = QueryBuilder::new();
+    let a = q.input("ta", Schema::ints(&["k", "v"]), pa.clone());
+    let b = q.input("tb", Schema::ints(&["k", "v"]), pb);
+    let both = q.concat(&[a, b]);
+    let total = q.aggregate(both, "total", AggFunc::Sum, &["k"], "v");
+    let half = q.divide(total, "half", Operand::col("total"), Operand::lit(2));
+    q.collect(half, &[pa]);
+    let config = ConclaveConfig::mpc_only()
+        .with_sequential_local()
+        .with_channel_runtime();
+    let plan = compile(&q.build().unwrap(), &config).unwrap();
+    let divide = plan
+        .dag
+        .iter()
+        .find(|n| matches!(n.op, Operator::Divide { .. }))
+        .unwrap();
+    assert!(divide.site.is_mpc() && !op_is_party_capable(&divide.op));
+    let opened = divide.inputs[0];
+    assert!(plan.dag.node(opened).unwrap().site.is_mpc());
+
+    let report = Session::new(config)
+        .bind(
+            "ta",
+            Relation::from_ints(&["k", "v"], &[vec![1, 2], vec![2, 8]]),
+        )
+        .bind("tb", Relation::from_ints(&["k", "v"], &[vec![1, 4]]))
+        .run_plan(&plan)
+        .unwrap();
+    let expected = Relation::from_ints(&["k", "total", "half"], &[vec![1, 6, 3], vec![2, 8, 4]]);
+    assert!(report.output_for(1).unwrap().same_rows_unordered(&expected));
+    assert!(report.net.rounds > 0, "the aggregation ran on the mesh");
+    // The per-key totals were opened to both workers, and nobody says so.
+    assert!(report.leakage.iter().all(|d| d.node != opened));
+    let certificate = report.static_leakage.as_ref().unwrap();
+    assert!(certificate.disclosures.iter().all(|d| d.node != opened));
 }

@@ -13,9 +13,9 @@
 
 mod common;
 
-use common::{assert_engines_match_cleartext, Order};
+use common::{assert_engines_match_cleartext, run_on_mesh, Order};
 use conclave::core::config::PartyRuntime;
-use conclave::core::party_exec::{execute_op_distributed, op_is_party_capable};
+use conclave::core::party_exec::op_is_party_capable;
 use conclave::prelude::*;
 use conclave_ir::expr::Expr;
 use conclave_ir::ops::{JoinKind, Operand, Operator};
@@ -268,13 +268,8 @@ fn mesh_merge_takes_fewer_rounds_than_sort() {
     ];
     let cat = conclave_engine::execute(&Operator::Concat, &[&runs[0], &runs[1]]).unwrap();
     let rounds = |op: &Operator, inputs: &[&Relation]| {
-        let tables: Vec<Table> = inputs
-            .iter()
-            .map(|r| Table::from_rows((*r).clone()))
-            .collect();
-        let tables: Vec<&Table> = tables.iter().collect();
-        execute_op_distributed(op, &tables, 3, 21, PartyRuntime::Channel, false)
-            .unwrap()
+        run_on_mesh(op, inputs, 21, PartyRuntime::Channel)
+            .1
             .net
             .rounds
     };

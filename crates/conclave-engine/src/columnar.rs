@@ -14,6 +14,7 @@ use crate::relation::Relation;
 use conclave_ir::expr::{BatchRef, ColumnSource, ValueBatch};
 use conclave_ir::schema::Schema;
 use conclave_ir::types::{DataType, Value};
+use std::borrow::Borrow;
 use std::fmt;
 
 /// Typed storage for one column's values. Null slots in typed variants hold
@@ -288,6 +289,18 @@ impl Column {
                 .windows(2)
                 .all(|w| std::mem::discriminant(&w[0].data) == std::mem::discriminant(&w[1].data))
         }
+        /// The parts' typed vectors end to end, every element copied once.
+        fn chain<T: Clone>(
+            parts: &[&Column],
+            len: usize,
+            typed: impl Fn(&ColumnData) -> &[T],
+        ) -> Vec<T> {
+            let mut all = Vec::with_capacity(len);
+            for c in parts {
+                all.extend_from_slice(typed(&c.data));
+            }
+            all
+        }
         let Some(first) = parts.first() else {
             return Column::ints(Vec::new());
         };
@@ -295,62 +308,39 @@ impl Column {
             let values = parts.iter().flat_map(|c| c.values()).collect();
             return Column::from_values(values);
         }
+        let len = parts.iter().map(|c| c.len()).sum();
         let has_nulls = parts.iter().any(|c| c.nulls.is_some());
         let nulls = has_nulls.then(|| {
-            parts
-                .iter()
-                .flat_map(|c| match &c.nulls {
-                    Some(m) => m.clone(),
-                    None => vec![false; c.len()],
-                })
-                .collect()
+            let mut mask = Vec::with_capacity(len);
+            for c in parts {
+                match &c.nulls {
+                    Some(m) => mask.extend_from_slice(m),
+                    None => mask.resize(mask.len() + c.len(), false),
+                }
+            }
+            mask
         });
         let data = match &first.data {
-            ColumnData::Int(_) => ColumnData::Int(
-                parts
-                    .iter()
-                    .flat_map(|c| match &c.data {
-                        ColumnData::Int(v) => v.clone(),
-                        _ => unreachable!("checked same variant"),
-                    })
-                    .collect(),
-            ),
-            ColumnData::Float(_) => ColumnData::Float(
-                parts
-                    .iter()
-                    .flat_map(|c| match &c.data {
-                        ColumnData::Float(v) => v.clone(),
-                        _ => unreachable!("checked same variant"),
-                    })
-                    .collect(),
-            ),
-            ColumnData::Str(_) => ColumnData::Str(
-                parts
-                    .iter()
-                    .flat_map(|c| match &c.data {
-                        ColumnData::Str(v) => v.clone(),
-                        _ => unreachable!("checked same variant"),
-                    })
-                    .collect(),
-            ),
-            ColumnData::Bool(_) => ColumnData::Bool(
-                parts
-                    .iter()
-                    .flat_map(|c| match &c.data {
-                        ColumnData::Bool(v) => v.clone(),
-                        _ => unreachable!("checked same variant"),
-                    })
-                    .collect(),
-            ),
-            ColumnData::Mixed(_) => ColumnData::Mixed(
-                parts
-                    .iter()
-                    .flat_map(|c| match &c.data {
-                        ColumnData::Mixed(v) => v.clone(),
-                        _ => unreachable!("checked same variant"),
-                    })
-                    .collect(),
-            ),
+            ColumnData::Int(_) => ColumnData::Int(chain(parts, len, |d| match d {
+                ColumnData::Int(v) => v,
+                _ => unreachable!("checked same variant"),
+            })),
+            ColumnData::Float(_) => ColumnData::Float(chain(parts, len, |d| match d {
+                ColumnData::Float(v) => v,
+                _ => unreachable!("checked same variant"),
+            })),
+            ColumnData::Str(_) => ColumnData::Str(chain(parts, len, |d| match d {
+                ColumnData::Str(v) => v,
+                _ => unreachable!("checked same variant"),
+            })),
+            ColumnData::Bool(_) => ColumnData::Bool(chain(parts, len, |d| match d {
+                ColumnData::Bool(v) => v,
+                _ => unreachable!("checked same variant"),
+            })),
+            ColumnData::Mixed(_) => ColumnData::Mixed(chain(parts, len, |d| match d {
+                ColumnData::Mixed(v) => v,
+                _ => unreachable!("checked same variant"),
+            })),
         };
         Column { data, nulls }
     }
@@ -495,24 +485,28 @@ impl ColumnarRelation {
         ColumnarRelation::new(schema, columns)
     }
 
-    /// Concatenates columnar relations with identical arity (union all).
-    pub fn concat(parts: &[ColumnarRelation]) -> EngineResult<ColumnarRelation> {
-        let Some(first) = parts.first() else {
+    /// Concatenates borrowed columnar relations with identical arity (union
+    /// all), copying every column once. The result takes the first schema.
+    pub fn concat<R: Borrow<ColumnarRelation>>(parts: &[R]) -> EngineResult<ColumnarRelation> {
+        let Some(first) = parts.first().map(Borrow::borrow) else {
             return Err(EngineError::Eval("concat of zero relations".to_string()));
         };
-        if parts.iter().any(|p| p.num_cols() != first.num_cols()) {
+        if parts
+            .iter()
+            .any(|p| p.borrow().num_cols() != first.num_cols())
+        {
             return Err(EngineError::Eval("concat arity mismatch".to_string()));
         }
         let columns = (0..first.num_cols())
             .map(|c| {
-                let cols: Vec<&Column> = parts.iter().map(|p| &p.columns[c]).collect();
+                let cols: Vec<&Column> = parts.iter().map(|p| &p.borrow().columns[c]).collect();
                 Column::concat(&cols)
             })
             .collect();
         Ok(ColumnarRelation {
             schema: first.schema.clone(),
             columns,
-            rows: parts.iter().map(|p| p.rows).sum(),
+            rows: parts.iter().map(|p| p.borrow().rows).sum(),
         })
     }
 }
@@ -633,7 +627,8 @@ mod tests {
         let cat = ColumnarRelation::concat(&[col.clone(), col.clone()]).unwrap();
         assert_eq!(cat.num_rows(), 6);
         assert_eq!(cat.to_rows().rows[3], rel.rows[0]);
-        assert!(ColumnarRelation::concat(&[]).is_err());
+        assert_eq!(ColumnarRelation::concat(&[&col, &col]).unwrap(), cat);
+        assert!(ColumnarRelation::concat::<ColumnarRelation>(&[]).is_err());
         let other = ColumnarRelation::empty(Schema::ints(&["a"]));
         assert!(ColumnarRelation::concat(&[col, other]).is_err());
     }
@@ -647,6 +642,15 @@ mod tests {
         assert!(matches!(cat.data(), ColumnData::Mixed(_)));
         assert_eq!(cat.value(2), Value::Float(0.5));
         assert!(Column::concat(&[]).is_empty());
+        // Typed parts stay typed; a part with no null mask is all valid.
+        let holes = Column::from_values(vec![Value::Int(7), Value::Null]);
+        let cat = Column::concat(&[&ints, &holes, &ints]);
+        assert!(matches!(cat.data(), ColumnData::Int(_)));
+        let expected = [Some(1), Some(2), Some(7), None, Some(1), Some(2)];
+        assert_eq!(
+            cat.values(),
+            expected.map(|v| v.map_or(Value::Null, Value::Int))
+        );
     }
 
     #[test]

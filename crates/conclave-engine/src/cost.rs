@@ -75,22 +75,12 @@ impl SequentialCostModel {
         };
         Duration::from_secs_f64(secs + self.op_overhead)
     }
-
-    /// Estimates the runtime of an entire local pipeline expressed as a list
-    /// of `(operator, input_rows, output_rows)` steps.
-    pub fn estimate_pipeline(&self, steps: &[(Operator, u64, u64)]) -> Duration {
-        steps
-            .iter()
-            .map(|(op, i, o)| self.estimate(op, *i, *o))
-            .sum()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use conclave_ir::expr::Expr;
-    use conclave_ir::ops::AggFunc;
 
     fn model() -> SequentialCostModel {
         SequentialCostModel::default()
@@ -158,33 +148,6 @@ mod tests {
             10_000_000,
         );
         assert!(t.as_secs_f64() > 5.0 && t.as_secs_f64() < 300.0);
-    }
-
-    #[test]
-    fn pipeline_sums_steps() {
-        let m = model();
-        let steps = vec![
-            (
-                Operator::Filter {
-                    predicate: Expr::col("a").gt(Expr::lit(0)),
-                },
-                1000,
-                900,
-            ),
-            (
-                Operator::Aggregate {
-                    group_by: vec!["a".into()],
-                    func: AggFunc::Sum,
-                    over: Some("b".into()),
-                    out: "s".into(),
-                },
-                900,
-                10,
-            ),
-        ];
-        let total = m.estimate_pipeline(&steps);
-        let sum: Duration = steps.iter().map(|(op, i, o)| m.estimate(op, *i, *o)).sum();
-        assert_eq!(total, sum);
     }
 
     #[test]

@@ -81,9 +81,11 @@ pub fn execute(op: &Operator, inputs: &[&Relation]) -> EngineResult<Relation> {
         }
         Operator::Limit { n } => {
             need(op, inputs, 1)?;
-            let mut rel = inputs[0].clone();
-            rel.rows.truncate(*n);
-            Ok(rel)
+            let end = (*n).min(inputs[0].num_rows());
+            Ok(Relation {
+                schema: inputs[0].schema.clone(),
+                rows: inputs[0].rows[..end].to_vec(),
+            })
         }
         Operator::DistinctCount { column, out } => {
             need(op, inputs, 1)?;
@@ -698,6 +700,18 @@ mod tests {
         )
         .unwrap();
         assert_eq!(div.rows[0][2], Value::Float(2.5));
+    }
+
+    #[test]
+    fn limit_keeps_the_first_n_rows_like_the_vectorized_engine() {
+        let r = sales();
+        for n in [0, 2, r.num_rows(), r.num_rows() + 5] {
+            let op = Operator::Limit { n };
+            let limited = execute(&op, &[&r]).unwrap();
+            assert_eq!(limited.rows, r.rows[..n.min(r.num_rows())], "n = {n}");
+            let vectorized = crate::vexec::execute_vectorized(&op, &[&r]).unwrap();
+            assert_eq!(limited, vectorized, "n = {n}");
+        }
     }
 
     #[test]

@@ -34,8 +34,7 @@ pub fn execute_columnar(
                     got: 0,
                 });
             }
-            let parts: Vec<ColumnarRelation> = inputs.iter().map(|r| (*r).clone()).collect();
-            ColumnarRelation::concat(&parts)
+            ColumnarRelation::concat(inputs)
         }
         Operator::Project { columns } => {
             need(op, inputs, 1)?;
@@ -122,8 +121,7 @@ pub fn execute_columnar(
                     got: 0,
                 });
             }
-            let parts: Vec<ColumnarRelation> = inputs.iter().map(|r| (*r).clone()).collect();
-            let merged = ColumnarRelation::concat(&parts)?;
+            let merged = ColumnarRelation::concat(inputs)?;
             sort_by(&merged, column, *ascending)
         }
         Operator::HybridJoin { .. }

@@ -1,37 +1,45 @@
 //! Parallel execution of relational operators.
 //!
 //! [`ParallelEngine`] executes one operator at a time, the way a Spark job
-//! stage would, as *task waves that borrow*:
+//! stage would, as *task waves that borrow*. Its [`Executor::execute`] is the
+//! one statement of the policy, over [`Table`]s:
 //!
-//! * A partition is a range of the input's rows ([`crate::partition`]): a
-//!   row task reads `&input.rows[range]`, a columnar task a slice of every
-//!   typed column. Task outputs are moved, not copied, into the result.
 //! * Narrow operators (`Project`, `Filter`, `Multiply`, `Divide`) run
-//!   independently on every range.
+//!   independently on every range of the input's rows
+//!   ([`crate::partition::row_ranges`]).
 //! * Wide operators combine before they shuffle: grouped and scalar
 //!   `Aggregate` and `Distinct` compute a partial per range and one final
 //!   pass folds the partials (the final of `COUNT` is `SUM`; `SUM`, `MIN`,
 //!   `MAX` and `Distinct` are their own finals) — the paper's aggregation
 //!   split applied inside the engine. No row is hashed into a bucket, and the
 //!   output order is the sequential engine's whatever the partition count.
-//!   Only `Join` moves rows: it co-partitions both sides by key hash.
-//! * A wave is as wide as the *host's* available parallelism, not the
-//!   simulated cluster's core count; [`ClusterSpec`] sizes the partitions and
-//!   the modeled time (see `run_per_partition` for the measurement behind
-//!   that).
+//! * Only `Join` moves rows: it co-partitions both sides by key hash.
+//! * Everything else runs on the collected data.
 //!
-//! The returned simulated duration comes from the
+//! What depends on the layout a task runs in ([`EngineMode`]) is confined to
+//! four private leaves of the engine — `whole` (the operator on whole
+//! tables), `on_range` (on one range: a row task borrows `&rows[range]`, a
+//! columnar task slices every typed column), `shuffle` (a join side's
+//! buckets) and `concat` (task outputs into one table: rows are moved,
+//! columns copied once). A table a leaf reads in its own layout is never
+//! converted, and every output holds that layout only.
+//!
+//! A wave is as wide as the *host's* available parallelism, not the simulated
+//! cluster's core count; [`ClusterSpec`] sizes the partitions and the modeled
+//! time (see `run_per_partition` for the measurement behind that). The
+//! simulated duration of a step comes from the
 //! [`crate::cost::ClusterCostModel`], so experiment harnesses see
 //! cluster-like timing regardless of the host machine.
 
 use crate::cluster::ClusterSpec;
 use crate::cost::ClusterCostModel;
-use crate::partition::{row_ranges, ColumnarPartitionedRelation, PartitionedRelation};
+use crate::partition::{row_ranges, shuffle_columns, shuffle_rows};
 use conclave_engine::{
-    execute, execute_columnar, execute_rows, key_indices, ColumnarRelation, EngineError,
-    EngineMode, EngineResult, Executor, Relation, Table,
+    execute_columnar, execute_rows, key_indices, ColumnarExecutor, ColumnarRelation, EngineError,
+    EngineMode, EngineResult, Executor, Relation, RowExecutor, Table,
 };
 use conclave_ir::ops::{AggFunc, Operator};
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
@@ -53,17 +61,7 @@ impl ParallelEngine {
         }
     }
 
-    /// Creates an engine with an explicit cost model.
-    pub fn with_cost(cluster: ClusterSpec, cost: ClusterCostModel) -> Self {
-        ParallelEngine {
-            cluster,
-            cost,
-            mode: EngineMode::Row,
-        }
-    }
-
-    /// Returns a copy whose per-task engine is the given mode; this is the
-    /// mode the [`Executor`] implementation dispatches on.
+    /// Returns a copy whose tasks run in the given mode's layout.
     pub fn with_mode(mut self, mode: EngineMode) -> Self {
         self.mode = mode;
         self
@@ -79,69 +77,98 @@ impl ParallelEngine {
         &self.cluster
     }
 
-    /// The engine's cost model.
-    pub fn cost_model(&self) -> &ClusterCostModel {
-        &self.cost
-    }
-
-    /// Executes one operator, returning the result and the simulated cluster
-    /// time the stage would take. Uses the row-at-a-time engine per task; see
-    /// [`ParallelEngine::execute_op_mode`] to select the vectorized engine.
-    pub fn execute_op(
-        &self,
-        op: &Operator,
-        inputs: &[&Relation],
-    ) -> EngineResult<(Relation, Duration)> {
-        self.execute_op_mode(op, inputs, EngineMode::Row)
-    }
-
-    /// Executes one operator with the chosen per-task engine: row tasks
-    /// process `Vec<Vec<Value>>` partitions, columnar tasks slice typed
-    /// column vectors and run the vectorized engine on each slice.
-    ///
-    /// This is the row-in/row-out compatibility surface; driven execution
-    /// goes through the [`Executor`] implementation, which keeps columnar
-    /// data columnar end to end.
-    pub fn execute_op_mode(
-        &self,
-        op: &Operator,
-        inputs: &[&Relation],
-        mode: EngineMode,
-    ) -> EngineResult<(Relation, Duration)> {
-        let input_rows: u64 = inputs.iter().map(|r| r.num_rows() as u64).sum();
-        let row_bytes = inputs
-            .iter()
-            .map(|r| r.schema.row_byte_size() as u64)
-            .max()
-            .unwrap_or(16);
-        let out = match mode {
-            EngineMode::Row => self.execute_parallel(op, inputs)?,
-            EngineMode::Columnar => {
-                let columnar: Vec<ColumnarRelation> = inputs
-                    .iter()
-                    .map(|r| ColumnarRelation::from_rows(r))
-                    .collect();
-                let refs: Vec<&ColumnarRelation> = columnar.iter().collect();
-                self.execute_parallel_columnar(op, &refs)?.to_rows()
-            }
-        };
-        let time = self.cost.estimate(
-            &self.cluster,
-            op,
-            input_rows,
-            out.num_rows() as u64,
-            row_bytes,
-        );
-        Ok((out, time))
-    }
-
     /// Estimates the simulated time of a whole local job (a pipeline of
     /// operators with known cardinalities) without executing it.
     pub fn estimate_job(&self, steps: &[(Operator, u64, u64, u64)]) -> Duration {
         self.cost.estimate_job(&self.cluster, steps)
     }
 
-    fn execute_parallel(&self, op: &Operator, inputs: &[&Relation]) -> EngineResult<Relation> {
+    /// One task wave of `op` over the row ranges of its single input, the
+    /// task outputs concatenated in range order.
+    fn per_range(&self, op: &Operator, inputs: &[&Table]) -> EngineResult<Table> {
+        let [input] = inputs else {
+            return arity_error(op, "1", inputs.len());
+        };
+        let ranges = row_ranges(input.num_rows(), self.cluster.default_partitions());
+        if ranges.is_empty() {
+            // No rows, no tasks: what `op` makes of nothing (a schema, a
+            // scalar aggregate's identity row) is the sequential engine's.
+            return self.whole(op, inputs);
+        }
+        self.concat(run_per_partition(&ranges, |r| {
+            self.on_range(op, input, r.clone())
+        })?)
+    }
+
+    /// Leaf: `op` on whole tables, in the mode's sequential engine.
+    fn whole(&self, op: &Operator, inputs: &[&Table]) -> EngineResult<Table> {
+        match self.mode {
+            EngineMode::Row => RowExecutor::new().execute(op, inputs),
+            EngineMode::Columnar => ColumnarExecutor::new().execute(op, inputs),
+        }
+    }
+
+    /// Leaf: `op` on one range of `input`'s rows. A row task borrows the
+    /// range; a columnar task slices it out of every typed column.
+    fn on_range(&self, op: &Operator, input: &Table, r: Range<usize>) -> EngineResult<Table> {
+        match self.mode {
+            EngineMode::Row => {
+                let rel = input.as_rows();
+                execute_rows(op, &rel.schema, &rel.rows[r]).map(Table::from_rows)
+            }
+            EngineMode::Columnar => {
+                let slice = input.as_columns().slice(r.start, r.end);
+                execute_columnar(op, &[&slice]).map(Table::from_columns)
+            }
+        }
+    }
+
+    /// Leaf: a join side hash-partitioned by its key columns, one bucket per
+    /// partition; equal keys share a bucket whatever the layout.
+    fn shuffle(&self, input: &Table, key_cols: &[usize]) -> Vec<Table> {
+        let buckets = self.cluster.default_partitions();
+        match self.mode {
+            EngineMode::Row => shuffle_rows(input.as_rows(), key_cols, buckets)
+                .into_iter()
+                .map(Table::from_rows)
+                .collect(),
+            EngineMode::Columnar => shuffle_columns(input.as_columns(), key_cols, buckets)
+                .into_iter()
+                .map(Table::from_columns)
+                .collect(),
+        }
+    }
+
+    /// Leaf: the task outputs as one table, in task order. Rows are moved
+    /// out of their tasks' tables; columns are copied once.
+    fn concat(&self, mut parts: Vec<Table>) -> EngineResult<Table> {
+        // Every part has the operator's output schema, but an empty columnar
+        // part need not have a full one's column types: only the full parts
+        // are joined up, or, if there is none, one empty part stands for all.
+        if parts.iter().all(Table::is_empty) {
+            parts.truncate(1);
+        } else {
+            parts.retain(|part| !part.is_empty());
+        }
+        match self.mode {
+            EngineMode::Row => {
+                Relation::concat_owned(parts.into_iter().map(Table::into_rows).collect())
+                    .map(Table::from_rows)
+            }
+            EngineMode::Columnar => {
+                let columns: Vec<&ColumnarRelation> =
+                    parts.iter().map(|part| part.as_columns()).collect();
+                ColumnarRelation::concat(&columns).map(Table::from_columns)
+            }
+        }
+    }
+}
+
+impl Executor for ParallelEngine {
+    /// Executes one operator as task waves in the configured mode's layout:
+    /// the output holds that layout only, so chained stages of one mode never
+    /// convert between rows and columns.
+    fn execute(&self, op: &Operator, inputs: &[&Table]) -> Result<Table, EngineError> {
         match (op, final_pass(op)) {
             // Narrow, partition-wise operators.
             (
@@ -152,7 +179,7 @@ impl ParallelEngine {
                 _,
             ) => self.per_range(op, inputs),
             // Aggregations and distinct: a partial per range, one final pass.
-            (_, Some(fin)) => execute(&fin, &[&self.per_range(op, inputs)?]),
+            (_, Some(fin)) => self.whole(&fin, &[&self.per_range(op, inputs)?]),
             // Joins: co-partition both sides by the join key.
             (
                 Operator::Join {
@@ -162,113 +189,22 @@ impl ParallelEngine {
                 },
                 _,
             ) => {
-                let (left, right) = pair(inputs, op)?;
-                let partitions = self.cluster.default_partitions();
-                let lk = key_indices(&left.schema, left_keys)?;
-                let rk = key_indices(&right.schema, right_keys)?;
-                let left = PartitionedRelation::shuffle_by_key(left, &lk, partitions);
-                let right = PartitionedRelation::shuffle_by_key(right, &rk, partitions);
-                let pairs: Vec<(&Relation, &Relation)> =
-                    left.partitions.iter().zip(&right.partitions).collect();
-                let results = run_per_partition(&pairs, |(l, r)| execute(op, &[l, r]))?;
-                merge_results(results, op, inputs)
+                let [left, right] = inputs else {
+                    return arity_error(op, "2", inputs.len());
+                };
+                let left_cols = key_indices(left.schema(), left_keys)?;
+                let right_cols = key_indices(right.schema(), right_keys)?;
+                let pairs: Vec<(Table, Table)> = self
+                    .shuffle(left, &left_cols)
+                    .into_iter()
+                    .zip(self.shuffle(right, &right_cols))
+                    .collect();
+                self.concat(run_per_partition(&pairs, |(l, r)| self.whole(op, &[l, r]))?)
             }
             // Everything else is executed on the collected data (sorts,
             // limits, scalar steps, compiler-inserted physical operators);
             // these are either cheap or already tiny after local reduction.
-            _ => execute(op, inputs),
-        }
-    }
-
-    /// One task wave of `op` over the row ranges of its single input: every
-    /// task borrows its range of the input's rows, and the outputs are moved
-    /// into one relation in range order.
-    fn per_range(&self, op: &Operator, inputs: &[&Relation]) -> EngineResult<Relation> {
-        let input = single(inputs, op)?;
-        let ranges = row_ranges(input.num_rows(), self.cluster.default_partitions());
-        let results = run_per_partition(&ranges, |r| {
-            execute_rows(op, &input.schema, &input.rows[r.clone()])
-        })?;
-        merge_results(results, op, inputs)
-    }
-
-    /// The columnar twin of [`ParallelEngine::execute_parallel`]: a task
-    /// slices its range out of every typed column and runs the vectorized
-    /// engine on the slice. Consumes and produces columnar relations directly,
-    /// so driven columnar plans never round-trip through rows between
-    /// operators.
-    fn execute_parallel_columnar(
-        &self,
-        op: &Operator,
-        inputs: &[&ColumnarRelation],
-    ) -> EngineResult<ColumnarRelation> {
-        match (op, final_pass(op)) {
-            // Narrow, partition-wise operators.
-            (
-                Operator::Project { .. }
-                | Operator::Filter { .. }
-                | Operator::Multiply { .. }
-                | Operator::Divide { .. },
-                _,
-            ) => self.per_range_columnar(op, inputs),
-            // Aggregations and distinct: a partial per range, one final pass.
-            (_, Some(fin)) => execute_columnar(&fin, &[&self.per_range_columnar(op, inputs)?]),
-            // Joins: co-partition both sides by the join key.
-            (
-                Operator::Join {
-                    left_keys,
-                    right_keys,
-                    ..
-                },
-                _,
-            ) => {
-                let (left, right) = pair(inputs, op)?;
-                let partitions = self.cluster.default_partitions();
-                let lk = key_indices(&left.schema, left_keys)?;
-                let rk = key_indices(&right.schema, right_keys)?;
-                let left = ColumnarPartitionedRelation::shuffle_by_key(left, &lk, partitions);
-                let right = ColumnarPartitionedRelation::shuffle_by_key(right, &rk, partitions);
-                let pairs: Vec<(&ColumnarRelation, &ColumnarRelation)> =
-                    left.partitions.iter().zip(&right.partitions).collect();
-                let results = run_per_partition(&pairs, |(l, r)| execute_columnar(op, &[l, r]))?;
-                merge_columnar(results, op, inputs)
-            }
-            // Everything else runs on the collected data.
-            _ => execute_columnar(op, inputs),
-        }
-    }
-
-    /// The columnar twin of [`ParallelEngine::per_range`].
-    fn per_range_columnar(
-        &self,
-        op: &Operator,
-        inputs: &[&ColumnarRelation],
-    ) -> EngineResult<ColumnarRelation> {
-        let input = single(inputs, op)?;
-        let ranges = row_ranges(input.num_rows(), self.cluster.default_partitions());
-        let results = run_per_partition(&ranges, |r| {
-            execute_columnar(op, &[&input.slice(r.start, r.end)])
-        })?;
-        merge_columnar(results, op, inputs)
-    }
-}
-
-impl Executor for ParallelEngine {
-    /// Executes one operator over [`Table`]s with the configured per-task
-    /// engine mode. Row mode partitions the row representation; columnar mode
-    /// slices typed columns and returns a column-backed table, so chained
-    /// columnar stages never round-trip through rows.
-    fn execute(&self, op: &Operator, inputs: &[&Table]) -> Result<Table, EngineError> {
-        match self.mode {
-            EngineMode::Row => {
-                let rows: Vec<&Relation> = inputs.iter().map(|t| t.as_rows()).collect();
-                self.execute_parallel(op, &rows).map(Table::from_rows)
-            }
-            EngineMode::Columnar => {
-                let cols: Vec<&ColumnarRelation> = inputs.iter().map(|t| t.as_columns()).collect();
-                self.execute_parallel_columnar(op, &cols)
-                    .map(Table::from_columns)
-            }
+            _ => self.whole(op, inputs),
         }
     }
 
@@ -325,20 +261,6 @@ fn arity_error<T>(op: &Operator, expected: &str, got: usize) -> EngineResult<T> 
         expected: expected.into(),
         got,
     })
-}
-
-fn single<'a, T>(inputs: &[&'a T], op: &Operator) -> EngineResult<&'a T> {
-    match inputs {
-        [one] => Ok(one),
-        _ => arity_error(op, "1", inputs.len()),
-    }
-}
-
-fn pair<'a, T>(inputs: &[&'a T], op: &Operator) -> EngineResult<(&'a T, &'a T)> {
-    match inputs {
-        [left, right] => Ok((left, right)),
-        _ => arity_error(op, "2", inputs.len()),
-    }
 }
 
 /// Runs `f` over every item as one task wave and returns the results in item
@@ -398,47 +320,10 @@ fn run_wave<T: Sync, R: Send>(
     done.into_iter().map(|(_, result)| result).collect()
 }
 
-/// Moves the per-task outputs into one relation, in task order.
-fn merge_results(
-    results: Vec<Relation>,
-    op: &Operator,
-    inputs: &[&Relation],
-) -> EngineResult<Relation> {
-    let non_empty: Vec<Relation> = results.into_iter().filter(|r| !r.is_empty()).collect();
-    if non_empty.is_empty() {
-        // Derive the output schema from a direct (empty) execution.
-        let empty_inputs: Vec<Relation> = inputs
-            .iter()
-            .map(|r| Relation::empty(r.schema.clone()))
-            .collect();
-        let refs: Vec<&Relation> = empty_inputs.iter().collect();
-        return execute(op, &refs);
-    }
-    Relation::concat_owned(non_empty)
-}
-
-fn merge_columnar(
-    results: Vec<ColumnarRelation>,
-    op: &Operator,
-    inputs: &[&ColumnarRelation],
-) -> EngineResult<ColumnarRelation> {
-    let non_empty: Vec<ColumnarRelation> =
-        results.into_iter().filter(|r| r.num_rows() > 0).collect();
-    if non_empty.is_empty() {
-        // Derive the output schema from a direct (empty) execution.
-        let empty_inputs: Vec<ColumnarRelation> = inputs
-            .iter()
-            .map(|r| ColumnarRelation::empty(r.schema.clone()))
-            .collect();
-        let refs: Vec<&ColumnarRelation> = empty_inputs.iter().collect();
-        return execute_columnar(op, &refs);
-    }
-    ColumnarRelation::concat(&non_empty)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use conclave_engine::execute;
     use conclave_ir::expr::Expr;
     use conclave_ir::ops::{JoinKind, Operand};
     use conclave_ir::types::Value;
@@ -447,6 +332,14 @@ mod tests {
 
     fn engine() -> ParallelEngine {
         ParallelEngine::new(ClusterSpec::paper_party_cluster())
+    }
+
+    /// `op` through the [`Executor`] of a `mode` engine, rows in and rows out.
+    fn run(mode: EngineMode, op: &Operator, inputs: &[&Relation]) -> EngineResult<Relation> {
+        let tables: Vec<Table> = inputs.iter().map(|&r| r.clone().into()).collect();
+        let refs: Vec<&Table> = tables.iter().collect();
+        let out = engine().with_mode(mode).execute(op, &refs)?;
+        Ok(out.into_rows())
     }
 
     fn random_sales(n: usize, seed: u64) -> Relation {
@@ -461,7 +354,6 @@ mod tests {
 
     #[test]
     fn narrow_ops_match_sequential_execution() {
-        let eng = engine();
         let rel = random_sales(5_000, 1);
         for op in [
             Operator::Project {
@@ -480,16 +372,14 @@ mod tests {
                 den: Operand::lit(10),
             },
         ] {
-            let (parallel, time) = eng.execute_op(&op, &[&rel]).unwrap();
+            let parallel = run(EngineMode::Row, &op, &[&rel]).unwrap();
             let sequential = execute(&op, &[&rel]).unwrap();
             assert_eq!(parallel, sequential, "{op} mismatch");
-            assert!(time > Duration::ZERO);
         }
     }
 
     #[test]
     fn grouped_aggregation_matches_sequential() {
-        let eng = engine();
         let rel = random_sales(10_000, 2);
         let op = Operator::Aggregate {
             group_by: vec!["companyID".into()],
@@ -497,7 +387,7 @@ mod tests {
             over: Some("price".into()),
             out: "rev".into(),
         };
-        let (parallel, _) = eng.execute_op(&op, &[&rel]).unwrap();
+        let parallel = run(EngineMode::Row, &op, &[&rel]).unwrap();
         // Partials combine in range order and grouping is first-seen ordered:
         // the groups come out in the sequential engine's order.
         assert_eq!(parallel, execute(&op, &[&rel]).unwrap());
@@ -505,8 +395,7 @@ mod tests {
 
     #[test]
     fn count_of_partials_is_summed() {
-        let eng = engine();
-        assert_eq!(eng.cluster().default_partitions(), 12);
+        assert_eq!(engine().cluster().default_partitions(), 12);
         let rel = random_sales(100, 8);
         let agg = |group_by: &[&str], func, over: Option<&str>| Operator::Aggregate {
             group_by: group_by.iter().map(|c| c.to_string()).collect(),
@@ -515,11 +404,11 @@ mod tests {
             out: "n".into(),
         };
         let scalar = agg(&[], AggFunc::Count, None);
-        let (out, _) = eng.execute_op(&scalar, &[&rel]).unwrap();
+        let out = run(EngineMode::Row, &scalar, &[&rel]).unwrap();
         assert_eq!(out.rows, vec![vec![Value::Int(100)]]);
         assert_eq!(out, execute(&scalar, &[&rel]).unwrap());
         let grouped = agg(&["companyID"], AggFunc::Count, None);
-        let (out, _) = eng.execute_op(&grouped, &[&rel]).unwrap();
+        let out = run(EngineMode::Row, &grouped, &[&rel]).unwrap();
         assert_eq!(out, execute(&grouped, &[&rel]).unwrap());
         let total: i64 = out.rows.iter().map(|r| r[1].as_int().unwrap()).sum();
         assert_eq!(total, 100);
@@ -527,7 +416,7 @@ mod tests {
         let none = Relation::from_ints(&["companyID", "price"], &[]);
         for op in [scalar, agg(&[], AggFunc::Sum, Some("price"))] {
             for mode in [EngineMode::Row, EngineMode::Columnar] {
-                let (out, _) = eng.execute_op_mode(&op, &[&none], mode).unwrap();
+                let out = run(mode, &op, &[&none]).unwrap();
                 assert_eq!(out.rows, vec![vec![Value::Int(0)]], "{op} {mode}");
             }
         }
@@ -535,7 +424,7 @@ mod tests {
         let few = random_sales(5, 9);
         let min = agg(&[], AggFunc::Min, Some("price"));
         for mode in [EngineMode::Row, EngineMode::Columnar] {
-            let (out, _) = eng.execute_op_mode(&min, &[&few], mode).unwrap();
+            let out = run(mode, &min, &[&few]).unwrap();
             assert_eq!(out, execute(&min, &[&few]).unwrap(), "{mode}");
         }
     }
@@ -550,7 +439,7 @@ mod tests {
         };
         assert!(final_pass(&op).is_none());
         let rel = random_sales(200, 10);
-        let (out, _) = engine().execute_op(&op, &[&rel]).unwrap();
+        let out = run(EngineMode::Row, &op, &[&rel]).unwrap();
         assert_eq!(out, execute(&op, &[&rel]).unwrap());
     }
 
@@ -573,7 +462,6 @@ mod tests {
 
     #[test]
     fn scalar_aggregation_and_sort_fall_back_correctly() {
-        let eng = engine();
         let rel = random_sales(1_000, 3);
         let sum = Operator::Aggregate {
             group_by: vec![],
@@ -581,31 +469,29 @@ mod tests {
             over: Some("price".into()),
             out: "total".into(),
         };
-        let (out, _) = eng.execute_op(&sum, &[&rel]).unwrap();
+        let out = run(EngineMode::Row, &sum, &[&rel]).unwrap();
         assert_eq!(out.rows, execute(&sum, &[&rel]).unwrap().rows);
 
         let sort = Operator::SortBy {
             column: "price".into(),
             ascending: true,
         };
-        let (out, _) = eng.execute_op(&sort, &[&rel]).unwrap();
+        let out = run(EngineMode::Row, &sort, &[&rel]).unwrap();
         assert!(out.is_sorted_by("price", true));
     }
 
     #[test]
     fn distinct_matches_sequential() {
-        let eng = engine();
         let rel = random_sales(3_000, 4);
         let op = Operator::Distinct {
             columns: vec!["companyID".into()],
         };
-        let (parallel, _) = eng.execute_op(&op, &[&rel]).unwrap();
+        let parallel = run(EngineMode::Row, &op, &[&rel]).unwrap();
         assert_eq!(parallel, execute(&op, &[&rel]).unwrap());
     }
 
     #[test]
     fn parallel_join_matches_sequential() {
-        let eng = engine();
         let left = random_sales(2_000, 5);
         let mut right = random_sales(2_000, 6);
         right.schema = conclave_ir::schema::Schema::ints(&["companyID", "weight"]);
@@ -614,7 +500,7 @@ mod tests {
             right_keys: vec!["companyID".into()],
             kind: JoinKind::Inner,
         };
-        let (parallel, _) = eng.execute_op(&op, &[&left, &right]).unwrap();
+        let parallel = run(EngineMode::Row, &op, &[&left, &right]).unwrap();
         let sequential = execute(&op, &[&left, &right]).unwrap();
         assert!(parallel.same_rows_unordered(&sequential));
         assert_eq!(parallel.schema.names(), sequential.schema.names());
@@ -622,26 +508,24 @@ mod tests {
 
     #[test]
     fn join_arity_and_unknown_columns_error() {
-        let eng = engine();
         let rel = random_sales(10, 7);
         let op = Operator::Join {
             left_keys: vec!["companyID".into()],
             right_keys: vec!["companyID".into()],
             kind: JoinKind::Inner,
         };
-        assert!(eng.execute_op(&op, &[&rel]).is_err());
+        assert!(run(EngineMode::Row, &op, &[&rel]).is_err());
         let bad = Operator::Aggregate {
             group_by: vec!["zzz".into()],
             func: AggFunc::Count,
             over: None,
             out: "n".into(),
         };
-        assert!(eng.execute_op(&bad, &[&rel]).is_err());
+        assert!(run(EngineMode::Row, &bad, &[&rel]).is_err());
     }
 
     #[test]
     fn empty_input_produces_empty_output_with_right_schema() {
-        let eng = engine();
         let rel = Relation::from_ints(&["companyID", "price"], &[]);
         let op = Operator::Aggregate {
             group_by: vec!["companyID".into()],
@@ -649,14 +533,13 @@ mod tests {
             over: Some("price".into()),
             out: "rev".into(),
         };
-        let (out, _) = eng.execute_op(&op, &[&rel]).unwrap();
+        let out = run(EngineMode::Row, &op, &[&rel]).unwrap();
         assert_eq!(out.num_rows(), 0);
         assert_eq!(out.schema.names(), vec!["companyID", "rev"]);
     }
 
     #[test]
     fn columnar_mode_matches_row_mode_across_operators() {
-        let eng = engine();
         let rel = random_sales(4_000, 11);
         let mut right = random_sales(2_000, 12);
         right.schema = conclave_ir::schema::Schema::ints(&["companyID", "weight"]);
@@ -697,39 +580,30 @@ mod tests {
             },
         ];
         for op in unary {
-            let (row, _) = eng.execute_op_mode(&op, &[&rel], EngineMode::Row).unwrap();
-            let (col, t) = eng
-                .execute_op_mode(&op, &[&rel], EngineMode::Columnar)
-                .unwrap();
-            assert!(col.same_rows_unordered(&row), "{op} mismatch");
-            assert_eq!(col.schema.names(), row.schema.names());
-            assert!(t > Duration::ZERO);
+            // Ranges are cut and partials folded alike in both layouts: the
+            // same rows in the same order.
+            let row = run(EngineMode::Row, &op, &[&rel]).unwrap();
+            let col = run(EngineMode::Columnar, &op, &[&rel]).unwrap();
+            assert_eq!(col, row, "{op} mismatch");
         }
         let join = Operator::Join {
             left_keys: vec!["companyID".into()],
             right_keys: vec!["companyID".into()],
             kind: JoinKind::Inner,
         };
-        let (row, _) = eng
-            .execute_op_mode(&join, &[&rel, &right], EngineMode::Row)
-            .unwrap();
-        let (col, _) = eng
-            .execute_op_mode(&join, &[&rel, &right], EngineMode::Columnar)
-            .unwrap();
+        let row = run(EngineMode::Row, &join, &[&rel, &right]).unwrap();
+        let col = run(EngineMode::Columnar, &join, &[&rel, &right]).unwrap();
         assert!(col.same_rows_unordered(&row));
+        assert_eq!(col.schema.names(), row.schema.names());
         // Errors surface in columnar mode too.
-        assert!(eng
-            .execute_op_mode(&join, &[&rel], EngineMode::Columnar)
-            .is_err());
+        assert!(run(EngineMode::Columnar, &join, &[&rel]).is_err());
         let bad = Operator::Aggregate {
             group_by: vec!["zzz".into()],
             func: AggFunc::Count,
             over: None,
             out: "n".into(),
         };
-        assert!(eng
-            .execute_op_mode(&bad, &[&rel], EngineMode::Columnar)
-            .is_err());
+        assert!(run(EngineMode::Columnar, &bad, &[&rel]).is_err());
     }
 
     #[test]
@@ -739,28 +613,70 @@ mod tests {
         assert_eq!(Executor::name(&row_exec), "parallel-row");
         assert_eq!(Executor::name(&col_exec), "parallel-columnar");
         let rel = random_sales(3_000, 21);
-        let table = Table::from_columns(ColumnarRelation::from_rows(&rel));
-        let op = Operator::Aggregate {
+        let mut right = random_sales(500, 22);
+        right.schema = conclave_ir::schema::Schema::ints(&["companyID", "weight"]);
+        let aggregate = Operator::Aggregate {
             group_by: vec!["companyID".into()],
             func: AggFunc::Sum,
             over: Some("price".into()),
             out: "rev".into(),
         };
-        let col_out = col_exec.execute(&op, &[&table]).unwrap();
-        assert!(col_out.has_columns() && !col_out.has_rows());
-        // Columnar-in, columnar-out: the input table never converted.
-        assert_eq!(table.conversion_counts().total(), 0);
-        let row_table = Table::from_rows(rel.clone());
-        let row_out = Executor::execute(&row_exec, &op, &[&row_table]).unwrap();
-        assert!(row_out.has_rows() && !row_out.has_columns());
-        assert!(row_out.as_rows().same_rows_unordered(col_out.as_rows()));
+        // One operator per arm of the policy: narrow, combining (twice),
+        // co-partitioned, collected.
+        let ops = [
+            Operator::Filter {
+                predicate: Expr::col("price").gt(Expr::lit(500)),
+            },
+            aggregate.clone(),
+            Operator::Distinct {
+                columns: vec!["companyID".into()],
+            },
+            Operator::Join {
+                left_keys: vec!["companyID".into()],
+                right_keys: vec!["companyID".into()],
+                kind: JoinKind::Inner,
+            },
+            Operator::SortBy {
+                column: "price".into(),
+                ascending: true,
+            },
+        ];
+        for op in ops {
+            let binary = matches!(op, Operator::Join { .. });
+            // Columnar in, columnar out: no input converts, no output holds rows.
+            let cols = [&rel, &right].map(|r| Table::from_columns(ColumnarRelation::from_rows(r)));
+            let inputs: &[&Table] = if binary {
+                &[&cols[0], &cols[1]]
+            } else {
+                &[&cols[0]]
+            };
+            let col_out = col_exec.execute(&op, inputs).unwrap();
+            assert!(col_out.has_columns() && !col_out.has_rows(), "{op}");
+            // Rows in, rows out, likewise.
+            let rows = [&rel, &right].map(|r| Table::from_rows(r.clone()));
+            let inputs: &[&Table] = if binary {
+                &[&rows[0], &rows[1]]
+            } else {
+                &[&rows[0]]
+            };
+            let row_out = row_exec.execute(&op, inputs).unwrap();
+            assert!(row_out.has_rows() && !row_out.has_columns(), "{op}");
+            for input in cols.iter().chain(&rows) {
+                assert_eq!(input.conversion_counts().total(), 0, "{op}");
+            }
+            assert!(
+                row_out.as_rows().same_rows_unordered(col_out.as_rows()),
+                "{op}"
+            );
+        }
         // Cost estimates flow through the trait.
-        assert!(Executor::estimate(&row_exec, &op, 3_000, 50, 16) > Duration::ZERO);
+        assert!(Executor::estimate(&row_exec, &aggregate, 3_000, 50, 16) > Duration::ZERO);
+        let table = Table::from_rows(rel);
+        assert!(row_exec.estimate_tables(&aggregate, &[&table], 50) > Duration::ZERO);
     }
 
     #[test]
     fn columnar_mode_empty_input_keeps_schema() {
-        let eng = engine();
         let rel = Relation::from_ints(&["companyID", "price"], &[]);
         let op = Operator::Aggregate {
             group_by: vec!["companyID".into()],
@@ -768,16 +684,15 @@ mod tests {
             over: Some("price".into()),
             out: "rev".into(),
         };
-        let (out, _) = eng
-            .execute_op_mode(&op, &[&rel], EngineMode::Columnar)
-            .unwrap();
+        let out = run(EngineMode::Columnar, &op, &[&rel]).unwrap();
         assert_eq!(out.num_rows(), 0);
         assert_eq!(out.schema.names(), vec!["companyID", "rev"]);
     }
 
     #[test]
     fn accessors_and_estimate_job() {
-        let eng = ParallelEngine::with_cost(ClusterSpec::new(2, 2), ClusterCostModel::default());
+        let eng = ParallelEngine::new(ClusterSpec::new(2, 2)).with_mode(EngineMode::Columnar);
+        assert_eq!(eng.mode(), EngineMode::Columnar);
         assert_eq!(eng.cluster().total_cores(), 4);
         let t = eng.estimate_job(&[(
             Operator::Project {
@@ -787,6 +702,6 @@ mod tests {
             1_000_000,
             16,
         )]);
-        assert!(t > Duration::from_secs_f64(eng.cost_model().job_overhead - 0.1));
+        assert!(t > Duration::from_secs_f64(ClusterCostModel::default().job_overhead - 0.1));
     }
 }

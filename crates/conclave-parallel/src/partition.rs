@@ -5,9 +5,10 @@
 //! `&input.rows[range]` under the input's schema — nothing is copied to make
 //! it — and a columnar task reads a slice of every typed column (a `memcpy`
 //! of primitives). Owned partitions exist only where rows really have to
-//! move: [`PartitionedRelation`] and [`ColumnarPartitionedRelation`] are the
-//! buckets of a join's co-partitioning shuffle. Aggregations and `Distinct`
-//! never shuffle: they combine per range first (see [`crate::exec`]).
+//! move: `shuffle_rows` and `shuffle_columns` fill the buckets of a join's
+//! co-partitioning shuffle, one per layout and the same buckets in both.
+//! Aggregations and `Distinct` never shuffle: they combine per range first
+//! (see [`crate::exec`]).
 
 use conclave_engine::{ColumnarRelation, Relation};
 use conclave_ir::types::Value;
@@ -42,96 +43,41 @@ fn bucket_of<V: Borrow<Value>>(
     (hasher.finish() % buckets as u64) as usize
 }
 
-/// A row relation hash-partitioned by key: the output of a shuffle.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PartitionedRelation {
-    /// The partitions; each carries the input's schema.
-    pub partitions: Vec<Relation>,
+/// Hash-partitions `rel` by the given key columns, so that all rows with
+/// equal keys land in the same bucket, in their input order (the shuffle
+/// before a join). This is the one place a row is copied to be partitioned.
+pub(crate) fn shuffle_rows(rel: &Relation, key_cols: &[usize], buckets: usize) -> Vec<Relation> {
+    let buckets = buckets.max(1);
+    let seed = DefaultHasher::new();
+    let mut rows: Vec<Vec<Vec<Value>>> = vec![Vec::new(); buckets];
+    for row in &rel.rows {
+        let bucket = bucket_of(&seed, key_cols.iter().map(|&c| &row[c]), buckets);
+        rows[bucket].push(row.clone());
+    }
+    rows.into_iter()
+        .map(|rows| Relation {
+            schema: rel.schema.clone(),
+            rows,
+        })
+        .collect()
 }
 
-impl PartitionedRelation {
-    /// Partitions `rel` by hashing the given key columns, so that all rows
-    /// with equal keys land in the same partition, in their input order (the
-    /// shuffle before a join). This is the one place a row is copied to be
-    /// partitioned.
-    pub fn shuffle_by_key(rel: &Relation, key_cols: &[usize], num_partitions: usize) -> Self {
-        let num_partitions = num_partitions.max(1);
-        let seed = DefaultHasher::new();
-        let mut buckets: Vec<Vec<Vec<Value>>> = vec![Vec::new(); num_partitions];
-        for row in &rel.rows {
-            let bucket = bucket_of(&seed, key_cols.iter().map(|&c| &row[c]), num_partitions);
-            buckets[bucket].push(row.clone());
-        }
-        let partitions = buckets
-            .into_iter()
-            .map(|rows| Relation {
-                schema: rel.schema.clone(),
-                rows,
-            })
-            .collect();
-        PartitionedRelation { partitions }
+/// [`shuffle_rows`] over typed columns, into the same buckets: one gather
+/// index list per bucket, then every column is gathered once, so a join task
+/// runs the vectorized engine with no row materialized.
+pub(crate) fn shuffle_columns(
+    rel: &ColumnarRelation,
+    key_cols: &[usize],
+    buckets: usize,
+) -> Vec<ColumnarRelation> {
+    let buckets = buckets.max(1);
+    let seed = DefaultHasher::new();
+    let mut indices: Vec<Vec<usize>> = vec![Vec::new(); buckets];
+    for i in 0..rel.num_rows() {
+        let key = key_cols.iter().map(|&c| rel.value(i, c));
+        indices[bucket_of(&seed, key, buckets)].push(i);
     }
-
-    /// Number of partitions.
-    pub fn num_partitions(&self) -> usize {
-        self.partitions.len()
-    }
-
-    /// Total number of rows across all partitions.
-    pub fn num_rows(&self) -> usize {
-        self.partitions.iter().map(|p| p.num_rows()).sum()
-    }
-
-    /// Collects all partitions back into one relation (Spark's `collect`).
-    pub fn collect(self) -> Relation {
-        Relation::concat_owned(self.partitions).expect("a shuffle yields at least one partition")
-    }
-}
-
-/// A columnar relation hash-partitioned by key: each partition keeps the
-/// typed column vectors of its rows, so per-partition join tasks run the
-/// vectorized engine directly with no row materialization.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ColumnarPartitionedRelation {
-    /// The partitions; each carries the input's schema.
-    pub partitions: Vec<ColumnarRelation>,
-}
-
-impl ColumnarPartitionedRelation {
-    /// Partitions `rel` by hashing the given key columns, into the same
-    /// buckets as [`PartitionedRelation::shuffle_by_key`]: one gather index
-    /// list per bucket, then every column is gathered once.
-    pub fn shuffle_by_key(
-        rel: &ColumnarRelation,
-        key_cols: &[usize],
-        num_partitions: usize,
-    ) -> Self {
-        let num_partitions = num_partitions.max(1);
-        let seed = DefaultHasher::new();
-        let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); num_partitions];
-        for i in 0..rel.num_rows() {
-            let key = key_cols.iter().map(|&c| rel.value(i, c));
-            buckets[bucket_of(&seed, key, num_partitions)].push(i);
-        }
-        ColumnarPartitionedRelation {
-            partitions: buckets.iter().map(|idx| rel.gather(idx)).collect(),
-        }
-    }
-
-    /// Number of partitions.
-    pub fn num_partitions(&self) -> usize {
-        self.partitions.len()
-    }
-
-    /// Total number of rows across all partitions.
-    pub fn num_rows(&self) -> usize {
-        self.partitions.iter().map(|p| p.num_rows()).sum()
-    }
-
-    /// Collects all partitions back into one columnar relation.
-    pub fn collect(&self) -> ColumnarRelation {
-        ColumnarRelation::concat(&self.partitions).expect("a shuffle yields at least one partition")
-    }
+    indices.iter().map(|idx| rel.gather(idx)).collect()
 }
 
 #[cfg(test)]
@@ -169,53 +115,51 @@ mod tests {
     #[test]
     fn shuffle_by_key_groups_equal_keys_together() {
         let r = rel(200);
-        let shuffled = PartitionedRelation::shuffle_by_key(&r, &[0], 5);
-        assert_eq!(shuffled.num_rows(), 200);
-        assert_eq!(shuffled.num_partitions(), 5);
+        let shuffled = shuffle_rows(&r, &[0], 5);
+        assert_eq!(shuffled.iter().map(Relation::num_rows).sum::<usize>(), 200);
+        assert_eq!(shuffled.len(), 5);
         // Every distinct key must appear in exactly one partition.
         for key in 0..7i64 {
             let holders = shuffled
-                .partitions
                 .iter()
                 .filter(|part| part.rows.iter().any(|row| row[0] == Value::Int(key)))
                 .count();
             assert_eq!(holders, 1, "key {key} appears in {holders} partitions");
         }
         // All rows survive the shuffle.
-        assert!(shuffled.collect().same_rows_unordered(&r));
+        let collected = Relation::concat_owned(shuffled).unwrap();
+        assert!(collected.same_rows_unordered(&r));
     }
 
     #[test]
     fn shuffle_with_zero_partitions_is_clamped() {
-        let shuffled = PartitionedRelation::shuffle_by_key(&rel(10), &[0], 0);
-        assert_eq!(shuffled.num_partitions(), 1);
-        assert_eq!(shuffled.collect(), rel(10));
+        let shuffled = shuffle_rows(&rel(10), &[0], 0);
+        assert_eq!(shuffled, [rel(10)]);
     }
 
     #[test]
     fn columnar_shuffle_matches_row_shuffle_semantics() {
         let r = rel(200);
-        let row_part = PartitionedRelation::shuffle_by_key(&r, &[0], 5);
+        let row_part = shuffle_rows(&r, &[0], 5);
         let columnar = ColumnarRelation::from_rows(&r);
-        let col_part = ColumnarPartitionedRelation::shuffle_by_key(&columnar, &[0], 5);
-        assert_eq!(col_part.num_partitions(), 5);
-        assert_eq!(col_part.num_rows(), 200);
+        let col_part = shuffle_columns(&columnar, &[0], 5);
+        assert_eq!(col_part.len(), 5);
+        assert_eq!(col_part.iter().map(|p| p.num_rows()).sum::<usize>(), 200);
         // Same bucketing (both hash `Value`s with the same hasher), and every
         // key lands in exactly one partition.
-        for (rp, cp) in row_part.partitions.iter().zip(&col_part.partitions) {
+        for (rp, cp) in row_part.iter().zip(&col_part) {
             assert_eq!(cp.to_rows().rows, rp.rows);
         }
         for key in 0..7i64 {
             let holders = col_part
-                .partitions
                 .iter()
                 .filter(|part| (0..part.num_rows()).any(|i| part.value(i, 0) == Value::Int(key)))
                 .count();
             assert_eq!(holders, 1, "key {key} appears in {holders} partitions");
         }
-        assert!(col_part.collect().to_rows().same_rows_unordered(&r));
+        let collected = ColumnarRelation::concat(&col_part).unwrap();
+        assert!(collected.to_rows().same_rows_unordered(&r));
         // Zero-partition shuffles clamp.
-        let clamped = ColumnarPartitionedRelation::shuffle_by_key(&columnar, &[0], 0);
-        assert_eq!(clamped.num_partitions(), 1);
+        assert_eq!(shuffle_columns(&columnar, &[0], 0).len(), 1);
     }
 }

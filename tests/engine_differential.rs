@@ -11,15 +11,18 @@
 //! The `differential_parallel_*` cases hold `conclave_parallel`'s engine to
 //! the sequential row engine the same way, on a two-partition cluster and on
 //! the paper's twelve-partition one (so most generated inputs have fewer rows
-//! than partitions): row tasks must reproduce the sequential result *row
-//! order included* — partials combine in range order — while columnar tasks
-//! and the join's hash shuffle are held to the same rows in any order.
+//! than partitions): row and columnar tasks alike must reproduce the
+//! sequential result *row order included* — ranges are cut and partials
+//! combined in order — and only the join's hash shuffle is held to the same
+//! rows in any order.
 
 // Demo/test target: panicking on bad setup is the desired behavior here
 // (the workspace-level clippy::unwrap_used lint targets library code).
 #![allow(clippy::unwrap_used)]
 
-use conclave_engine::{execute, execute_vectorized, EngineMode, Relation};
+use conclave_engine::{
+    execute, execute_vectorized, EngineMode, EngineResult, Executor, Relation, Table,
+};
 use conclave_ir::expr::Expr;
 use conclave_ir::ops::{AggFunc, JoinKind, Operand, Operator};
 use conclave_ir::schema::{ColumnDef, Schema};
@@ -92,19 +95,28 @@ fn assert_engines_identical(op: &Operator, inputs: &[&Relation]) {
     }
 }
 
+/// `op` through the parallel engine's [`Executor`], rows in and rows out.
+fn run_parallel(
+    engine: &ParallelEngine,
+    op: &Operator,
+    inputs: &[&Relation],
+) -> EngineResult<Relation> {
+    let tables: Vec<Table> = inputs.iter().map(|&r| r.clone().into()).collect();
+    let refs: Vec<&Table> = tables.iter().collect();
+    Ok(engine.execute(op, &refs)?.into_rows())
+}
+
 /// Executes `op` on the parallel engine — row and columnar tasks, two and
 /// twelve partitions — and holds every outcome to the sequential row engine's.
 fn assert_parallel_matches_sequential(op: &Operator, inputs: &[&Relation]) {
     let sequential = execute(op, inputs);
     for cluster in [ClusterSpec::new(1, 1), ClusterSpec::paper_party_cluster()] {
-        let engine = ParallelEngine::new(cluster);
         for mode in [EngineMode::Row, EngineMode::Columnar] {
-            let parallel = engine.execute_op_mode(op, inputs, mode).map(|(rel, _)| rel);
+            let engine = ParallelEngine::new(cluster).with_mode(mode);
+            let parallel = run_parallel(&engine, op, inputs);
             let what = format!("{op} on {} {mode} partitions", cluster.default_partitions());
             match (&sequential, parallel) {
-                (Ok(s), Ok(p))
-                    if mode == EngineMode::Row && !matches!(op, Operator::Join { .. }) =>
-                {
+                (Ok(s), Ok(p)) if !matches!(op, Operator::Join { .. }) => {
                     assert_eq!(&p, s, "{what}: result or order divergence");
                 }
                 (Ok(s), Ok(p)) => {

@@ -18,17 +18,31 @@
 //! A TCP frame is a fixed [`FRAME_HEADER_BYTES`]-byte header — sender, kind,
 //! stream tag, label length, payload length — followed by the label and the
 //! payload words. `encode_frame_into` builds it in the link's reusable write
-//! buffer and sends it with one write; `decode_frame` takes the header in one
-//! read and validates every length in it before anything is allocated. A
-//! length the header cannot carry is refused by the sender before a byte is
-//! written; a timeout with no byte of a frame read is an idle, retryable
-//! [`TransportError::Timeout`], while a timeout or EOF once a frame has begun
-//! is not retryable — the link has lost its framing.
+//! buffer; `decode_frame` takes the header in one read and validates every
+//! length in it before anything is allocated, then reads the label, then the
+//! payload `RECV_CHUNK_WORDS` words per read. A length the header cannot
+//! carry is refused by the sender before a byte is written; a timeout with no
+//! byte of a frame read is an idle, retryable [`TransportError::Timeout`],
+//! while a timeout or EOF once a frame has begun is not retryable — the link
+//! has lost its framing.
 //!
-//! The payload is read with one `read_exact` per 8-byte word on the
-//! unbuffered socket, and that loop — not the round structure — is what
-//! makes a TCP mesh ten times slower than a channel mesh on big frames
-//! (ROADMAP open item 2 has the measurement and the replacement).
+//! Sends are full-duplex on the party's own thread. Each link is a receive
+//! half (the socket plus an inbox of bytes read ahead of their frame) and a
+//! send half (a clone of the socket plus the write buffer, with a
+//! `SEND_SLICE` write timeout). A frame that fits in the socket buffers goes
+//! out in one write. When a write would block, the sender first moves every
+//! byte that has already arrived on any of its links into that link's inbox
+//! without blocking, then retries, so parties that all send frames larger
+//! than the socket buffers before any of them reads drain one another instead
+//! of waiting forever; reads serve the inbox before the socket. A send that
+//! moves no byte either way for [`DEFAULT_RECV_TIMEOUT`] is a
+//! [`TransportError::Timeout`] naming the peer, and a send that fails once
+//! part of its frame went out breaks the link: every later send on it returns
+//! an error instead of writing a header into the middle of the torn frame.
+//!
+//! `RECV_CHUNK_WORDS` is staged debt, not a setting: the per-read cost of the
+//! payload is what still keeps a TCP mesh slower than a channel mesh on big
+//! frames, and ROADMAP open item 2 raises the constant and then deletes it.
 //!
 //! # Logical streams
 //!
@@ -69,6 +83,14 @@ pub const DEFAULT_RECV_TIMEOUT: Duration = Duration::from_secs(10);
 /// treated as a corrupt/desynchronized stream rather than an allocation
 /// request.
 pub const MAX_FRAME_WORDS: usize = 1 << 24;
+
+/// Payload words `decode_frame` takes per read. Staged (ROADMAP open item 2):
+/// raised, then deleted for a whole-body read; never a setting.
+const RECV_CHUNK_WORDS: usize = 3;
+
+/// How long one blocking TCP `write` may wait on a full socket (its
+/// `SO_SNDTIMEO`) before the sender drains its inbound links and retries.
+const SEND_SLICE: Duration = Duration::from_millis(1);
 
 /// Identifies the logical stream a frame belongs to when several protocol
 /// steps multiplex one long-lived connection: the plan-level MPC step that
@@ -419,34 +441,97 @@ impl Transport for ChannelTransport {
 // TCP transport.
 // ---------------------------------------------------------------------------
 
-/// One directed TCP link plus its reusable frame write buffer: frames are
-/// encoded into `wbuf` in place, so steady-state sends allocate nothing.
-struct TcpLink {
+/// The receive half of one TCP link: the socket, plus the bytes a blocked
+/// send drained off it ahead of their frame. Reads serve the inbox first.
+struct RecvHalf {
+    stream: TcpStream,
+    inbox: VecDeque<u8>,
+}
+
+impl RecvHalf {
+    /// Moves every byte that has already arrived into the inbox without
+    /// blocking, and reports whether any did.
+    fn drain(&mut self) -> std::io::Result<bool> {
+        let mut chunk = [0u8; 1 << 16];
+        let mut moved = false;
+        self.stream.set_nonblocking(true)?;
+        loop {
+            match self.stream.read(&mut chunk) {
+                Ok(0) => break,
+                Ok(n) => {
+                    self.inbox.extend(&chunk[..n]);
+                    moved = true;
+                }
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                // Would block, or a failure this link's own receive meets
+                // again (or the EOF it leaves behind).
+                Err(_) => break,
+            }
+        }
+        self.stream.set_nonblocking(false)?;
+        Ok(moved)
+    }
+}
+
+impl Read for RecvHalf {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        if self.inbox.is_empty() {
+            self.stream.read(buf)
+        } else {
+            self.inbox.read(buf)
+        }
+    }
+}
+
+/// The send half of one TCP link: a clone of the socket and its reusable
+/// frame buffer (frames are encoded into `wbuf` in place, so steady-state
+/// sends allocate nothing). `torn` holds why a frame was cut off mid-write;
+/// the link then carries no further frame.
+struct SendHalf {
     stream: TcpStream,
     wbuf: Vec<u8>,
+    torn: Option<String>,
+}
+
+/// One TCP link, locked per direction so a blocked send can drain it.
+struct TcpLink {
+    rx: Mutex<RecvHalf>,
+    tx: Mutex<SendHalf>,
 }
 
 impl TcpLink {
-    fn new(stream: TcpStream) -> Mutex<TcpLink> {
-        Mutex::new(TcpLink {
-            stream,
-            wbuf: Vec::new(),
+    fn new(stream: TcpStream) -> std::io::Result<TcpLink> {
+        stream.set_nodelay(true)?;
+        stream.set_read_timeout(Some(DEFAULT_RECV_TIMEOUT))?;
+        stream.set_write_timeout(Some(SEND_SLICE))?;
+        Ok(TcpLink {
+            tx: Mutex::new(SendHalf {
+                stream: stream.try_clone()?,
+                wbuf: Vec::new(),
+                torn: None,
+            }),
+            rx: Mutex::new(RecvHalf {
+                stream,
+                inbox: VecDeque::new(),
+            }),
         })
     }
 }
 
 /// TCP transport: one dedicated socket per party pair (`TCP_NODELAY`, reused
-/// per-link write buffers), length-prefixed binary framing, blocking reads
-/// bounded by a timeout. Suitable for genuine multi-process deployments;
-/// [`TcpTransport::localhost_mesh`] builds an ephemeral-port mesh for
-/// single-machine runs and tests.
+/// per-link write buffers), length-prefixed binary framing, full-duplex sends
+/// and blocking reads, both bounded by a timeout. Suitable for genuine
+/// multi-process deployments; [`TcpTransport::localhost_mesh`] builds an
+/// ephemeral-port mesh for single-machine runs and tests.
 pub struct TcpTransport {
     party: u32,
     parties: u32,
-    links: Vec<Option<Mutex<TcpLink>>>,
+    links: Vec<Option<TcpLink>>,
     /// Per-link buffers of frames received ahead of their stream's turn.
     pending: Vec<Mutex<VecDeque<Envelope>>>,
     stats: Mutex<NetStats>,
+    /// How long a send may move no byte in either direction.
+    send_timeout: Duration,
 }
 
 impl TcpTransport {
@@ -467,55 +552,29 @@ impl TcpTransport {
         if party >= n || n < 2 {
             return Err(TransportError::InvalidPeer { party });
         }
-        let mut streams: Vec<Option<Mutex<TcpLink>>> = (0..n).map(|_| None).collect();
+        let mut links: Vec<Option<TcpLink>> = (0..n).map(|_| None).collect();
         // Dial every lower-numbered party (their listeners are already bound).
         for peer in 0..party {
             let mut stream =
                 TcpStream::connect_timeout(&addrs[peer as usize], DEFAULT_RECV_TIMEOUT)?;
-            stream.set_nodelay(true)?;
             stream.write_all(&party.to_le_bytes())?;
-            stream.set_read_timeout(Some(DEFAULT_RECV_TIMEOUT))?;
-            streams[peer as usize] = Some(TcpLink::new(stream));
+            links[peer as usize] = Some(TcpLink::new(stream)?);
         }
-        // Accept one connection from every higher-numbered party, polling a
-        // non-blocking listener so a peer that never dials in produces a
-        // Timeout error rather than an indefinite accept().
-        listener.set_nonblocking(true)?;
-        let deadline = std::time::Instant::now() + DEFAULT_RECV_TIMEOUT;
-        for _ in party + 1..n {
-            let mut stream = loop {
-                match listener.accept() {
-                    Ok((stream, _)) => break stream,
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        if std::time::Instant::now() >= deadline {
-                            return Err(TransportError::Timeout { from: u32::MAX });
-                        }
-                        std::thread::sleep(Duration::from_millis(1));
-                    }
-                    Err(e) => return Err(e.into()),
-                }
-            };
-            stream.set_nonblocking(false)?;
-            stream.set_nodelay(true)?;
-            stream.set_read_timeout(Some(DEFAULT_RECV_TIMEOUT))?;
-            let mut id = [0u8; 4];
-            stream.read_exact(&mut id)?;
-            let peer = u32::from_le_bytes(id);
-            if peer <= party || peer >= n || streams[peer as usize].is_some() {
-                return Err(TransportError::Io(format!(
-                    "unexpected handshake from party {peer}"
-                )));
-            }
-            streams[peer as usize] = Some(TcpLink::new(stream));
-        }
+        accept_peers(
+            &listener,
+            party,
+            &mut links,
+            Instant::now() + DEFAULT_RECV_TIMEOUT,
+        )?;
         let mut stats = NetStats::new();
         stats.record_mesh_build();
         Ok(TcpTransport {
             party,
             parties: n,
-            links: streams,
+            links,
             pending: (0..n).map(|_| Mutex::new(VecDeque::new())).collect(),
             stats: Mutex::new(stats),
+            send_timeout: DEFAULT_RECV_TIMEOUT,
         })
     }
 
@@ -550,12 +609,55 @@ impl TcpTransport {
         Ok(endpoints.into_iter().map(|e| e.expect("filled")).collect())
     }
 
-    fn link(&self, peer: u32) -> Result<&Mutex<TcpLink>, TransportError> {
+    fn link(&self, peer: u32) -> Result<&TcpLink, TransportError> {
         self.links
             .get(peer as usize)
             .and_then(|s| s.as_ref())
             .ok_or(TransportError::InvalidPeer { party: peer })
     }
+}
+
+/// Accepts one connection from every party above `party` (of
+/// `links.len()`), polling a non-blocking listener until `deadline` so that a
+/// peer that never dials in is a [`TransportError::Timeout`] naming the first
+/// such party, not an indefinite `accept()`.
+fn accept_peers(
+    listener: &TcpListener,
+    party: u32,
+    links: &mut [Option<TcpLink>],
+    deadline: Instant,
+) -> Result<(), TransportError> {
+    let n = links.len() as u32;
+    listener.set_nonblocking(true)?;
+    for _ in party + 1..n {
+        let mut stream = loop {
+            match listener.accept() {
+                Ok((stream, _)) => break stream,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                    if Instant::now() >= deadline {
+                        let silent = (party + 1..n)
+                            .find(|&p| links[p as usize].is_none())
+                            .expect("a party is still to accept");
+                        return Err(TransportError::Timeout { from: silent });
+                    }
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                Err(e) => return Err(e.into()),
+            }
+        };
+        stream.set_nonblocking(false)?;
+        stream.set_read_timeout(Some(DEFAULT_RECV_TIMEOUT))?;
+        let mut id = [0u8; 4];
+        stream.read_exact(&mut id)?;
+        let peer = u32::from_le_bytes(id);
+        if peer <= party || peer >= n || links[peer as usize].is_some() {
+            return Err(TransportError::Io(format!(
+                "unexpected handshake from party {peer}"
+            )));
+        }
+        links[peer as usize] = Some(TcpLink::new(stream)?);
+    }
+    Ok(())
 }
 
 /// Encodes one frame into `buf` (cleared first, so a per-link buffer can be
@@ -597,9 +699,9 @@ fn encode_frame_into(
 }
 
 /// Reads one envelope frame: the fixed header in one read, every length in
-/// it checked before anything is allocated, then the label and the payload
-/// words. The peer id of the returned errors is a placeholder the caller,
-/// which knows the link, substitutes.
+/// it checked before anything is allocated, then the label in one read and
+/// the payload `RECV_CHUNK_WORDS` words per read. The peer id of the returned
+/// errors is a placeholder the caller, which knows the link, substitutes.
 ///
 /// A timeout before the first byte of a frame means the link is idle and is
 /// the retryable [`TransportError::Timeout`]. Once a frame has begun, a
@@ -643,10 +745,15 @@ fn decode_frame(stream: &mut impl Read) -> Result<Envelope, TransportError> {
     let label =
         String::from_utf8(label).map_err(|_| TransportError::Io("non-UTF-8 label".into()))?;
     let mut payload = Vec::with_capacity(len);
-    let mut word = [0u8; 8];
-    for _ in 0..len {
-        stream.read_exact(&mut word).map_err(body_err)?;
-        payload.push(u64::from_le_bytes(word));
+    let mut chunk = [0u8; 8 * RECV_CHUNK_WORDS];
+    while payload.len() < len {
+        let bytes = &mut chunk[..8 * (len - payload.len()).min(RECV_CHUNK_WORDS)];
+        stream.read_exact(bytes).map_err(body_err)?;
+        payload.extend(
+            bytes
+                .chunks_exact(8)
+                .map(|w| u64::from_le_bytes(w.try_into().expect("an 8-byte chunk"))),
+        );
     }
     Ok(Envelope {
         from,
@@ -693,11 +800,21 @@ impl Transport for TcpTransport {
     ) -> Result<(), TransportError> {
         let bytes;
         {
-            let mut link = self.link(to)?.lock();
-            let TcpLink { stream, wbuf } = &mut *link;
+            let mut tx = self.link(to)?.tx.lock();
+            let SendHalf { stream, wbuf, torn } = &mut *tx;
+            if let Some(why) = torn {
+                return Err(TransportError::Io(format!(
+                    "the link to P{to} is broken: an earlier frame was cut off mid-write ({why})"
+                )));
+            }
             bytes = encode_frame_into(wbuf, self.party, tag, kind, label, payload)?;
-            stream.write_all(wbuf)?;
-            stream.flush()?;
+            let mut written = 0;
+            if let Err(e) = self.write_frame(to, stream, wbuf, &mut written) {
+                if written > 0 {
+                    *torn = Some(e.to_string());
+                }
+                return Err(e);
+            }
         }
         self.stats.lock().record(self.party, to, bytes, kind);
         Ok(())
@@ -738,10 +855,57 @@ impl Transport for TcpTransport {
 }
 
 impl TcpTransport {
+    /// Writes all of `frame` to `to`, counting in `written` what went out.
+    /// Whenever the socket stays full for a whole [`SEND_SLICE`], every
+    /// link's arrived bytes are drained into its inbox first, so a peer that
+    /// is itself blocked sending to this party gets room to finish. A send
+    /// that moves no byte in either direction for `send_timeout` is a
+    /// [`TransportError::Timeout`] naming `to`.
+    fn write_frame(
+        &self,
+        to: u32,
+        stream: &mut TcpStream,
+        frame: &[u8],
+        written: &mut usize,
+    ) -> Result<(), TransportError> {
+        let mut last_progress = Instant::now();
+        while *written < frame.len() {
+            match stream.write(&frame[*written..]) {
+                Ok(0) => return Err(std::io::Error::from(ErrorKind::WriteZero).into()),
+                Ok(n) => {
+                    *written += n;
+                    last_progress = Instant::now();
+                }
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) if is_timeout(&e) => {
+                    if self.drain_inboxes()? {
+                        last_progress = Instant::now();
+                    } else if last_progress.elapsed() >= self.send_timeout {
+                        return Err(TransportError::Timeout { from: to });
+                    }
+                }
+                Err(e) => return Err(e.into()),
+            }
+        }
+        Ok(())
+    }
+
+    /// Drains every link's arrived bytes into its inbox without blocking;
+    /// reports whether any moved. An endpoint is driven by its party's own
+    /// thread, so these locks are free; a receive on another thread would
+    /// hold one for at most one read timeout, never while it sends.
+    fn drain_inboxes(&self) -> std::io::Result<bool> {
+        let mut moved = false;
+        for link in self.links.iter().flatten() {
+            moved |= link.rx.lock().drain()?;
+        }
+        Ok(moved)
+    }
+
     /// Reads the next raw frame off the `from` link, normalizing I/O errors.
     fn recv_frame(&self, from: u32) -> Result<Envelope, TransportError> {
-        let mut link = self.link(from)?.lock();
-        let env = decode_frame(&mut link.stream).map_err(|e| match e {
+        let mut rx = self.link(from)?.rx.lock();
+        let env = decode_frame(&mut *rx).map_err(|e| match e {
             TransportError::Timeout { .. } => TransportError::Timeout { from },
             TransportError::Disconnected { .. } => TransportError::Disconnected { party: from },
             other => other,
@@ -976,12 +1140,28 @@ mod tests {
         );
     }
 
+    /// Serves `rest` at most `max` bytes per read, counting the reads.
+    struct Pinched<'a> {
+        rest: &'a [u8],
+        max: usize,
+        reads: usize,
+    }
+
+    impl Read for Pinched<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.reads += 1;
+            let n = buf.len().min(self.max);
+            self.rest.read(&mut buf[..n])
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// `decode(encode(x)) == x`, and the bytes written are the bytes the
         /// statistics charge — for any tag, kind, label and payload, the
-        /// empty label and the empty payload included.
+        /// empty label and the empty payload included — also when every
+        /// read returns only 1–7 bytes, so chunk boundaries split words.
         #[test]
         fn codec_round_trips(
             from in any::<u32>(),
@@ -990,6 +1170,7 @@ mod tests {
             code in 0u8..10,
             label in prop::collection::vec(32u8..127, 0..40),
             payload in prop::collection::vec(any::<u64>(), 0..300),
+            max_read in 1usize..8,
         ) {
             let kind = MessageKind::from_code(code).unwrap();
             let label = String::from_utf8(label).unwrap();
@@ -1001,8 +1182,37 @@ mod tests {
             prop_assert_eq!(written, env.wire_bytes());
             prop_assert_eq!(wire.len() as u64, env.wire_bytes());
             let mut rest = &wire[..];
-            prop_assert_eq!(decode_frame(&mut rest).unwrap(), env);
+            prop_assert_eq!(decode_frame(&mut rest).unwrap(), env.clone());
             prop_assert!(rest.is_empty());
+            let mut pinched = Pinched { rest: &wire, max: max_read, reads: 0 };
+            prop_assert_eq!(decode_frame(&mut pinched).unwrap(), env);
+            prop_assert!(pinched.rest.is_empty());
+        }
+    }
+
+    /// Pins `RECV_CHUNK_WORDS = 3`: an `n`-word frame with a label takes one
+    /// read for the header, one for the label and ⌈n / 3⌉ for the payload.
+    #[test]
+    fn the_payload_is_read_three_words_at_a_time() {
+        for (n, reads) in [(0, 2), (1, 3), (2, 3), (3, 3), (4, 4), (7, 5), (300, 102)] {
+            let payload: Vec<u64> = (0..n).collect();
+            let mut wire = Vec::new();
+            encode_frame_into(
+                &mut wire,
+                0,
+                StreamTag::default(),
+                MessageKind::SecretShare,
+                "w",
+                &payload,
+            )
+            .unwrap();
+            let mut reader = Pinched {
+                rest: &wire,
+                max: usize::MAX,
+                reads: 0,
+            };
+            assert_eq!(decode_frame(&mut reader).unwrap().payload, payload);
+            assert_eq!(reader.reads, reads, "a {n}-word frame");
         }
     }
 
@@ -1060,6 +1270,137 @@ mod tests {
             decode_frame(&mut reader),
             Err(TransportError::Disconnected { party: u32::MAX })
         );
+    }
+
+    /// A frame begun in the inbox is as begun as one begun on the socket:
+    /// only an empty inbox over an idle socket is a retryable timeout, and
+    /// bytes a blocked send drained decode before anything on the socket.
+    #[test]
+    fn a_frame_begun_in_the_inbox_is_not_an_idle_poll() {
+        let mut wire = Vec::new();
+        encode_frame_into(
+            &mut wire,
+            0,
+            StreamTag::default(),
+            MessageKind::Control,
+            "x",
+            &[7],
+        )
+        .unwrap();
+        let (mut writer, reader) = loopback_pair();
+        let mut rx = RecvHalf {
+            stream: reader,
+            inbox: VecDeque::new(),
+        };
+        assert_eq!(
+            decode_frame(&mut rx),
+            Err(TransportError::Timeout { from: u32::MAX })
+        );
+        for part in [&wire[..9], &wire[..wire.len() - 3]] {
+            rx.inbox.extend(part);
+            let err = decode_frame(&mut rx).unwrap_err();
+            assert!(
+                matches!(&err, TransportError::Io(m) if m.contains("truncated frame")),
+                "{err}"
+            );
+        }
+        // Two frames arrive; a drain takes them off the socket, and they
+        // decode from the inbox in order.
+        writer.write_all(&wire).unwrap();
+        writer.write_all(&wire).unwrap();
+        let start = Instant::now();
+        while rx.inbox.len() < 2 * wire.len() {
+            rx.drain().unwrap();
+            assert!(start.elapsed() < Duration::from_secs(5), "nothing arrived");
+        }
+        for _ in 0..2 {
+            assert_eq!(decode_frame(&mut rx).unwrap().payload, vec![7]);
+        }
+        assert!(rx.inbox.is_empty());
+    }
+
+    /// Every party sends one frame larger than loopback socket buffers take
+    /// (with Linux's usual caps, a 4 MiB send buffer plus a 32 MiB receive
+    /// buffer) before any party reads — the shape of every `Round` — and the
+    /// round completes. Parties run on detached threads joined through a
+    /// deadline, so a deadlock fails the test instead of hanging it.
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "40 MB frames; run with --release")]
+    fn a_round_of_frames_larger_than_the_socket_buffers_completes() {
+        const WORDS: u64 = 5 << 20;
+        let (done, finished) = std::sync::mpsc::channel();
+        let parties: Vec<_> = TcpTransport::localhost_mesh(2)
+            .unwrap()
+            .into_iter()
+            .map(|net| {
+                let done = done.clone();
+                std::thread::spawn(move || {
+                    let tag = StreamTag::new(1, 0);
+                    let mine = u64::from(net.party());
+                    let frame: Vec<u64> = (0..WORDS).map(|w| w ^ mine).collect();
+                    net.send_all_tagged(tag, MessageKind::SecretShare, "big", &frame)
+                        .unwrap();
+                    let env = net.recv_tagged(1 - net.party(), tag).unwrap();
+                    let theirs = u64::from(env.from);
+                    assert_eq!(env.payload.len() as u64, WORDS);
+                    assert!(env.payload.iter().zip(0..).all(|(&w, i)| w == i ^ theirs));
+                    done.send(()).unwrap();
+                })
+            })
+            .collect();
+        drop(done);
+        for _ in &parties {
+            finished
+                .recv_timeout(Duration::from_secs(30))
+                .expect("round did not complete");
+        }
+        for party in parties {
+            party.join().unwrap();
+        }
+    }
+
+    /// A peer that never reads: once the buffers are full the send moves no
+    /// byte either way, so it fails within the bound, naming the peer — and
+    /// with part of its frame out, every later send on that link is refused
+    /// rather than framed into the middle of the torn one.
+    #[test]
+    fn a_send_to_a_peer_that_never_reads_times_out_and_breaks_the_link() {
+        let mut mesh = TcpTransport::localhost_mesh(2).unwrap();
+        let bound = Duration::from_millis(100);
+        mesh[0].send_timeout = bound;
+        let big = vec![7u64; 2 << 20];
+        let start = Instant::now();
+        assert_eq!(
+            mesh[0].send_to(1, MessageKind::SecretShare, "big", &big),
+            Err(TransportError::Timeout { from: 1 })
+        );
+        let waited = start.elapsed();
+        assert!(
+            waited >= bound && waited < Duration::from_secs(2),
+            "{waited:?}"
+        );
+        let err = mesh[0]
+            .send_to(1, MessageKind::Control, "next", &[1])
+            .unwrap_err();
+        assert!(
+            matches!(&err, TransportError::Io(m) if m.contains("cut off mid-write")),
+            "{err}"
+        );
+        assert_eq!(mesh[0].stats().total_messages(), 0);
+    }
+
+    #[test]
+    fn the_first_party_that_never_dials_in_is_named() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        // Of three parties, P2 dials P0 in; P1 never does.
+        let mut p2 = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        p2.write_all(&2u32.to_le_bytes()).unwrap();
+        let mut links: Vec<Option<TcpLink>> = (0..3).map(|_| None).collect();
+        let deadline = Instant::now() + Duration::from_millis(50);
+        let err = accept_peers(&listener, 0, &mut links, deadline).unwrap_err();
+        assert_eq!(err, TransportError::Timeout { from: 1 });
+        assert_eq!(err.to_string(), "timed out waiting for a message from P1");
+        assert!(links[2].is_some());
     }
 
     #[test]

@@ -478,6 +478,32 @@ mod tests {
     }
 
     #[test]
+    fn an_aggregation_over_several_keys_is_never_presorted() {
+        // Sorted by its first group-by key only, the input is not grouped by
+        // (k, j): the aggregation keeps its lexicographic sort.
+        let (pa, pb) = (Party::new(1, "a"), Party::new(2, "b"));
+        let schema = Schema::ints(&["k", "j", "v"]);
+        let mut q = QueryBuilder::new();
+        let a = q.input("ta", schema.clone(), pa.clone());
+        let b = q.input("tb", schema, pb);
+        let both = q.concat(&[a, b]);
+        let sorted = q.sort_by(both, "k", true);
+        let agg = q.aggregate(sorted, "s", AggFunc::Sum, &["k", "j"], "v");
+        q.collect(agg, &[pa]);
+        let mut config = ConclaveConfig::mpc_only();
+        config.use_sort_elimination = true;
+        let plan = compile(&q.build().unwrap(), &config).unwrap();
+        let agg = plan
+            .dag
+            .iter()
+            .find(|n| matches!(n.op, Operator::Aggregate { .. }))
+            .unwrap();
+        let input = plan.dag.node(agg.inputs[0]).unwrap();
+        assert_eq!(input.sorted_by.as_deref(), Some("k"));
+        assert!(!plan.aggregate_is_presorted(agg.id));
+    }
+
+    #[test]
     fn workload_stats_group_cap() {
         let s = WorkloadStats {
             distinct_key_ratio: 0.5,

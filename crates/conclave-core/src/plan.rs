@@ -108,15 +108,20 @@ impl PhysicalPlan {
     /// sorted by its group-by key, so under MPC the oblivious sort can be
     /// skipped (§5.4): the driver executes by this answer and the estimator
     /// prices by it. Only the sort-elimination pass writes `sorted_by`, so a
-    /// plan compiled without it answers `false` everywhere.
+    /// plan compiled without it answers `false` everywhere. `sorted_by` names
+    /// one column, so an aggregation grouped by several keys is never
+    /// presorted: an input sorted by its first key alone is not grouped.
     pub fn aggregate_is_presorted(&self, id: NodeId) -> bool {
         let presorted = || {
             let node = self.dag.node(id).ok()?;
             let Operator::Aggregate { group_by, .. } = &node.op else {
                 return None;
             };
+            let [key] = group_by.as_slice() else {
+                return None;
+            };
             let input = self.dag.node(*node.inputs.first()?).ok()?;
-            Some(input.sorted_by.as_deref()? == group_by.first()?.as_str())
+            Some(input.sorted_by.as_deref()? == key.as_str())
         };
         presorted().unwrap_or(false)
     }

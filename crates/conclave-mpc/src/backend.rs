@@ -498,7 +498,7 @@ impl MpcEngine {
                 let mut c = if group_by.is_empty() || presorted {
                     PrimitiveCounts::default()
                 } else {
-                    sort_counts(n, cols)
+                    sort_counts(n, cols, group_by.len() as u64)
                 };
                 c.merge(&PrimitiveCounts {
                     equalities: n,
@@ -512,7 +512,11 @@ impl MpcEngine {
             Operator::SortBy { .. }
             | Operator::Distinct { .. }
             | Operator::DistinctCount { .. } => {
-                let mut c = sort_counts(n, cols);
+                let keys = match op {
+                    Operator::Distinct { columns } => columns.len() as u64,
+                    _ => 1,
+                };
+                let mut c = sort_counts(n, cols, keys);
                 c.merge(&PrimitiveCounts {
                     equalities: n,
                     opened_elems: n,
@@ -589,14 +593,19 @@ impl MpcEngine {
     }
 }
 
-/// Primitive counts of a Batcher sort of `n` rows of `cols` columns.
-fn sort_counts(n: u64, cols: u64) -> PrimitiveCounts {
+/// Primitive counts of a Batcher sort of `n` rows of `cols` columns, ordered
+/// lexicographically by `keys` columns: each compare-exchange compares every
+/// key, tests the first `keys − 1` for equality and folds them with as many
+/// multiplications, then multiplexes every column both ways.
+fn sort_counts(n: u64, cols: u64, keys: u64) -> PrimitiveCounts {
     let n = n.max(2);
     let log = log2(n);
     let compare_exchanges = n * log * log / 4;
+    let tie_breaks = compare_exchanges * keys.saturating_sub(1);
     PrimitiveCounts {
-        comparisons: compare_exchanges,
-        mults: 2 * compare_exchanges * cols,
+        comparisons: compare_exchanges * keys,
+        equalities: tie_breaks,
+        mults: 2 * compare_exchanges * cols + tie_breaks,
         ..Default::default()
     }
 }
@@ -772,18 +781,22 @@ mod tests {
                 &[&rel, &rel]
             )
             .is_err());
-        // Multi-column group-by is not supported under MPC.
-        assert!(eng
-            .execute_op(
-                &Operator::Aggregate {
-                    group_by: vec!["companyID".into(), "price".into()],
-                    func: AggFunc::Count,
-                    over: None,
-                    out: "n".into()
-                },
-                &[&rel]
-            )
-            .is_err());
+    }
+
+    #[test]
+    fn multi_column_group_by_matches_cleartext() {
+        let mut eng = sharemind();
+        let rel = sales();
+        let op = Operator::Aggregate {
+            group_by: vec!["companyID".into(), "price".into()],
+            func: AggFunc::Count,
+            over: None,
+            out: "n".into(),
+        };
+        let (out, _) = eng.execute_op(&op, &[&rel]).unwrap();
+        let expected = execute(&op, &[&rel]).unwrap();
+        assert_eq!(expected.num_rows(), 4, "(2, 5) appears twice");
+        assert!(out.same_rows_unordered(&expected));
     }
 
     #[test]
@@ -1009,7 +1022,21 @@ mod tests {
         let grouped = agg(&["k"]);
         assert_eq!(
             counts(&grouped, false).since(&counts(&grouped, true)),
-            sort_counts(n, cols)
+            sort_counts(n, cols, 1)
+        );
+        // Each extra group-by key adds, per compare-exchange, one comparison,
+        // one equality and one multiplication.
+        let two_keys = agg(&["k", "j"]);
+        assert_eq!(counts(&two_keys, true), counts(&grouped, true));
+        let compare_exchanges = sort_counts(n, cols, 1).comparisons;
+        assert_eq!(
+            counts(&two_keys, false).since(&counts(&grouped, false)),
+            PrimitiveCounts {
+                comparisons: compare_exchanges,
+                equalities: compare_exchanges,
+                mults: compare_exchanges,
+                ..Default::default()
+            }
         );
         assert_eq!(
             eng.estimate_op(&grouped, &[n], &[cols], n / 10).unwrap(),

@@ -11,10 +11,12 @@
 //!
 //! Non-linear work is issued in batches (one `eq_batch_groups` for all key
 //! columns of a join or aggregation, one `mul_batch` per extra factor of a
-//! multiply, one `lt_batch` + one `mux_batch` per batch of ≤ `LAYER_CHUNK`
-//! disjoint comparators of a sorting-network layer), so an engine that
-//! communicates pays rounds per *batch* — except in the grouped aggregate's
-//! scan, which is still one row per batch (ROADMAP item 1, Stage C).
+//! multiply; per batch of ≤ `LAYER_CHUNK` = 32 disjoint comparators of a
+//! sorting-network layer, one `lt_batch` + one `mux_batch`, and for a
+//! lexicographic order over m keys one `eq_batch_groups` and m − 1 `mul_batch`
+//! folds between them), so an engine that communicates pays rounds per
+//! *batch* — except in the grouped aggregate's scan, which is still one row
+//! per batch (ROADMAP item 1, Stage C).
 
 use crate::cost::PrimitiveCounts;
 use crate::engine::{Engine, EngineResult, OpError};
@@ -63,34 +65,55 @@ type Comparator = (usize, usize);
 /// distinct positions, so they commute and can share their round trips.
 type Layer = Vec<Comparator>;
 
-/// How many comparators of a layer share one `lt_batch` + `mux_batch`.
+/// How many comparators of a layer share one round-trip batch.
 ///
 /// Staging debt of ROADMAP item 1, not a tuning knob: a whole layer is one
-/// vector operation (Stage B), and this constant exists only so that the step
-/// from one comparator per batch lands in a size the benchmark gate can
-/// resolve. Stage B deletes it and issues `layer` where Stage A issues
-/// `layer.chunks(LAYER_CHUNK)`.
-const LAYER_CHUNK: usize = 3;
+/// vector operation, and this constant exists only so that each step from
+/// one comparator per batch lands in a size the benchmark gate can resolve
+/// (3 at Stage A, 32 now — staged). The next step deletes it and issues
+/// `layer` where this one issues `layer.chunks(LAYER_CHUNK)`.
+const LAYER_CHUNK: usize = 32;
 
 /// Oblivious compare-exchanges of pairwise-disjoint comparators, across all
-/// columns and in place: one comparison batch over the key pairs, then one
+/// columns and in place, ordering rows lexicographically by `keys`: one
+/// comparison batch over keys × comparators; for m > 1 keys one equality
+/// batch over the first m − 1 keys and m − 1 multiplication folds; then one
 /// multiplexer batch over every (comparator × column × 2) selector.
 fn compare_exchange<E: Engine>(
     eng: &mut E,
     rows: &mut [Vec<E::Share>],
     batch: &[Comparator],
-    key: usize,
+    keys: &[usize],
     ascending: bool,
 ) -> EngineResult<E, ()> {
-    // swap = 1 iff the pair is out of order.
-    let keys: Vec<_> = batch
+    // swap = 1 iff row `lt` precedes row `than`, i.e. the pair is out of
+    // order: lt₀ + eq₀·(lt₁ + eq₁·(…)) over the keys.
+    let sides: Vec<_> = batch
         .iter()
-        .map(|&(i, j)| {
-            let (lt, than) = if ascending { (j, i) } else { (i, j) };
-            (rows[lt][key], rows[than][key])
-        })
+        .map(|&(i, j)| if ascending { (j, i) } else { (i, j) })
         .collect();
-    let swaps = eng.lt_batch(&keys)?;
+    let key_pairs = |k: usize| -> Vec<_> {
+        sides
+            .iter()
+            .map(|&(lt, than)| (rows[lt][k], rows[than][k]))
+            .collect()
+    };
+    let lts = eng.lt_batch(&keys.iter().flat_map(|&k| key_pairs(k)).collect::<Vec<_>>())?;
+    let leading = &keys[..keys.len().saturating_sub(1)];
+    let eqs = if leading.is_empty() {
+        Vec::new()
+    } else {
+        let groups: Vec<_> = leading.iter().map(|&k| key_pairs(k)).collect();
+        eng.eq_batch_groups(&groups)?
+    };
+    // Fold from the last key outwards.
+    let mut per_key = lts.chunks(batch.len()).rev();
+    let mut swaps = per_key.next().expect("at least one sort key").to_vec();
+    for (lt, eq) in per_key.zip(eqs.into_iter().rev()) {
+        let tied: Vec<_> = eq.into_iter().zip(swaps).collect();
+        let later = eng.mul_batch(&tied)?;
+        swaps = lt.iter().zip(later).map(|(&l, t)| eng.add(l, t)).collect();
+    }
     let selectors: Vec<_> = batch
         .iter()
         .zip(swaps)
@@ -142,6 +165,24 @@ fn batcher_layers(n: usize) -> Vec<Layer> {
     layers
 }
 
+/// Runs a comparator network over `rows` in place, ordering by `keys`
+/// lexicographically: each layer in batches of at most `LAYER_CHUNK`
+/// comparators.
+fn run_network<E: Engine>(
+    eng: &mut E,
+    rows: &mut [Vec<E::Share>],
+    layers: Vec<Layer>,
+    keys: &[usize],
+    ascending: bool,
+) -> EngineResult<E, ()> {
+    for layer in layers {
+        for batch in layer.chunks(LAYER_CHUNK) {
+            compare_exchange(eng, rows, batch, keys, ascending)?;
+        }
+    }
+    Ok(())
+}
+
 /// Obliviously sorts the relation by the named column using a Batcher
 /// odd-even merge sorting network (`𝒪(n·log²n)` compare-exchanges in
 /// `𝒪(log²n)` layers).
@@ -152,12 +193,20 @@ pub fn sort_by<E: Engine>(
     ascending: bool,
 ) -> EngineResult<E, Rel<E::Share>> {
     let key = rel.require(column)?;
+    sort_by_keys(eng, rel, &[key], ascending)
+}
+
+/// [`sort_by`] over the column positions `keys`, lexicographically (at least
+/// one key).
+fn sort_by_keys<E: Engine>(
+    eng: &mut E,
+    rel: &Rel<E::Share>,
+    keys: &[usize],
+    ascending: bool,
+) -> EngineResult<E, Rel<E::Share>> {
     let mut rows = rel.rows.clone();
-    for layer in batcher_layers(rows.len()) {
-        for batch in layer.chunks(LAYER_CHUNK) {
-            compare_exchange(eng, &mut rows, batch, key, ascending)?;
-        }
-    }
+    let layers = batcher_layers(rows.len());
+    run_network(eng, &mut rows, layers, keys, ascending)?;
     Ok(Rel {
         schema: rel.schema.clone(),
         rows,
@@ -249,11 +298,7 @@ pub fn merge_sorted<E: Engine>(
         layers.extend(level_layers);
     }
     let mut rows = cat.rows;
-    for layer in layers {
-        for batch in layer.chunks(LAYER_CHUNK) {
-            compare_exchange(eng, &mut rows, batch, key, ascending)?;
-        }
-    }
+    run_network(eng, &mut rows, layers, &[key], ascending)?;
     // `order` is a permutation of the positions, so each row moves once.
     let order = runs.pop().unwrap_or_default();
     Ok(Rel {
@@ -676,7 +721,7 @@ fn distinct_sorted<E: Engine>(eng: &mut E, rel: &Rel<E::Share>) -> EngineResult<
 /// Executes one relational operator over already-shared relations — the one
 /// execution dispatcher of the crate, whichever engine runs it. `presorted`
 /// skips the oblivious sort in front of a grouped aggregation whose input is
-/// already sorted by its key (the §5.4 sort-elimination pay-off).
+/// already sorted by its group-by keys (the §5.4 sort-elimination pay-off).
 pub fn execute_op<E: Engine>(
     eng: &mut E,
     op: &Operator,
@@ -719,18 +764,11 @@ pub fn execute_op<E: Engine>(
             out,
         } => {
             let sorted;
-            let input = match group_by.as_slice() {
-                [] => inputs[0],
-                [_] if presorted => inputs[0],
-                [key] => {
-                    sorted = sort_by(eng, inputs[0], key, true)?;
-                    &sorted
-                }
-                _ => {
-                    return Err(
-                        OpError::Unsupported("multi-column group-by under MPC".into()).into(),
-                    )
-                }
+            let input = if group_by.is_empty() || presorted {
+                inputs[0]
+            } else {
+                sorted = sort_by_keys(eng, inputs[0], &inputs[0].require_all(group_by)?, true)?;
+                &sorted
             };
             aggregate_sorted(eng, input, group_by, *func, over.as_deref(), out)
         }
@@ -755,18 +793,13 @@ pub fn execute_op<E: Engine>(
             oblivious_select(eng, inputs[0], inputs[1], index_column)
         }
         Operator::Distinct { columns } => {
-            // Sorting by one key only makes rows equal in *that* key
-            // adjacent, so `distinct_sorted` would keep duplicates.
-            let key = match columns.as_slice() {
-                [key] => key,
-                [] => return Err(OpError::Invalid("distinct needs columns".into()).into()),
-                _ => {
-                    return Err(
-                        OpError::Unsupported("multi-column distinct under MPC".into()).into(),
-                    )
-                }
-            };
-            let sorted = sort_by(eng, &inputs[0].project(columns)?, key, true)?;
+            if columns.is_empty() {
+                return Err(OpError::Invalid("distinct needs columns".into()).into());
+            }
+            // Sorting by every column makes equal rows adjacent.
+            let proj = inputs[0].project(columns)?;
+            let all: Vec<usize> = (0..proj.num_cols()).collect();
+            let sorted = sort_by_keys(eng, &proj, &all, true)?;
             distinct_sorted(eng, &sorted)
         }
         Operator::DistinctCount { column, out } => {
@@ -881,22 +914,34 @@ mod tests {
 
     /// The network is the one-comparator-per-batch network of before, cut
     /// into layers: comparator and layer counts are pinned, and so is the
-    /// number of batches (10 rounds each on a mesh) as a function of
-    /// `LAYER_CHUNK`. Stage B's batch count is the layer count.
+    /// number of batches (10 rounds each on a mesh for one key) as a
+    /// function of `LAYER_CHUNK`. Once the constant is deleted the batch
+    /// count is the layer count.
     #[test]
     fn network_shapes_are_pinned() {
         let sort = |n| shape(&batcher_layers(n));
-        assert_eq!(sort(16), (63, 10, 25));
-        assert_eq!(sort(120), (1372, 28, 466));
-        assert_eq!(sort(128), (1471, 28, 499));
-        assert_eq!(sort(1000), (23521, 55, 7862));
+        assert_eq!(sort(16), (63, 10, 10));
+        assert_eq!(sort(80), (849, 28, 40));
+        assert_eq!(sort(120), (1372, 28, 50));
+        assert_eq!(sort(128), (1471, 28, 50));
+        assert_eq!(sort(1000), (23521, 55, 756));
         let merge = |m: usize, n: usize| {
             let layers = merge_layers((0..m).collect(), (m..m + n).collect()).1;
             assert_disjoint(&layers, m + n, &format!("m={m} n={n}"));
             shape(&layers)
         };
-        assert_eq!(merge(8, 8), (25, 4, 10));
-        assert_eq!(merge(50, 70), (373, 8, 127));
+        assert_eq!(merge(8, 8), (25, 4, 4));
+        assert_eq!(merge(40, 40), (217, 7, 11));
+        assert_eq!(merge(50, 70), (373, 8, 14));
+    }
+
+    /// Batcher's depth bound: ⌈log₂n⌉·(⌈log₂n⌉+1)/2 layers at most.
+    #[test]
+    fn batcher_depth_is_at_most_the_triangle_of_log_n() {
+        for n in 1..=1000usize {
+            let log = n.next_power_of_two().trailing_zeros() as usize;
+            assert!(batcher_layers(n).len() <= log * (log + 1) / 2, "n={n}");
+        }
     }
 
     /// The 0–1 principle: a comparator network that merges every pair of
@@ -1143,11 +1188,11 @@ mod tests {
         );
     }
 
-    /// A sort by the first column leaves `(2,5) (2,3) (2,5)` as it found
-    /// them, and dropping adjacent duplicates then keeps both `(2,5)`s: the
-    /// dispatcher refuses rather than answer wrong.
+    /// A sort by the first column alone would leave `(2,5) (2,3) (2,5)` as
+    /// it found them, and dropping adjacent duplicates would then keep both
+    /// `(2,5)`s; the lexicographic sort makes every duplicate adjacent.
     #[test]
-    fn multi_column_distinct_is_refused_and_single_column_distinct_is_right() {
+    fn multi_column_distinct_matches_cleartext() {
         let mut p = Protocol::new(3, 24);
         let rows = [
             [2, 5],
@@ -1161,19 +1206,76 @@ mod tests {
         ];
         let rel = Relation::from_ints(&["k", "a"], &rows.map(Vec::from));
         let shared = share(&rel, &mut p);
+        for columns in [names(&["k", "a"]), names(&["a", "k"]), names(&["k"])] {
+            let op = Operator::Distinct { columns };
+            let out = execute_op(&mut p, &op, &[&shared], false).unwrap();
+            let expected = execute(&op, &[&rel]).unwrap();
+            assert!(out.reconstruct(&mut p).same_rows_unordered(&expected));
+        }
         let both = Operator::Distinct {
             columns: names(&["k", "a"]),
         };
-        assert_eq!(
-            execute_op(&mut p, &both, &[&shared], false).unwrap_err(),
-            OpError::Unsupported("multi-column distinct under MPC".into())
-        );
-        let one = Operator::Distinct {
-            columns: names(&["k"]),
-        };
-        let out = execute_op(&mut p, &one, &[&shared], false).unwrap();
-        let expected = execute(&one, &[&rel]).unwrap();
-        assert!(out.reconstruct(&mut p).same_rows_unordered(&expected));
+        let out = execute_op(&mut p, &both, &[&shared], false).unwrap();
+        assert_eq!(out.num_rows(), 4);
+        let none = Operator::Distinct { columns: vec![] };
+        assert!(execute_op(&mut p, &none, &[&shared], false).is_err());
+    }
+
+    /// Rows order by their first key, ties by the next, and so on, in both
+    /// directions; rows equal in every key may land in either order.
+    #[test]
+    fn lexicographic_sort_matches_cleartext() {
+        let mut p = Protocol::new(3, 25);
+        let rows: Vec<Vec<i64>> = (0..37)
+            .map(|i| vec![(i * 7) % 3, (i * 5) % 4 - 2, (i * 11) % 5, i])
+            .collect();
+        let rel = Relation::from_ints(&["a", "b", "c", "id"], &rows);
+        let shared = share(&rel, &mut p);
+        for keys in [vec![0], vec![0, 1], vec![1, 0, 2], vec![2, 1, 0, 3]] {
+            for ascending in [true, false] {
+                let back = sort_by_keys(&mut p, &shared, &keys, ascending)
+                    .unwrap()
+                    .reconstruct(&mut p);
+                assert!(back.same_rows_unordered(&rel));
+                let key_of = |row: &Vec<Value>| -> Vec<i64> {
+                    keys.iter().map(|&k| row[k].as_int().unwrap()).collect()
+                };
+                assert!(
+                    back.rows.windows(2).all(|w| {
+                        let order = key_of(&w[0]).cmp(&key_of(&w[1]));
+                        order.is_eq() || order.is_lt() == ascending
+                    }),
+                    "keys {keys:?} ascending={ascending}:\n{back}"
+                );
+            }
+        }
+    }
+
+    /// Per comparator, m keys cost m comparisons, m − 1 equalities and
+    /// m − 1 multiplications on top of the multiplexers; one key costs
+    /// exactly the comparison and the multiplexers.
+    #[test]
+    fn lexicographic_comparator_counts_scale_with_the_keys() {
+        let mut p = Protocol::new(3, 26);
+        let rows: Vec<Vec<i64>> = (0..40).map(|i| vec![i % 3, i % 7, -i]).collect();
+        let shared = share(&Relation::from_ints(&["a", "b", "c"], &rows), &mut p);
+        let comparators = shape(&batcher_layers(40)).0 as u64;
+        let muxes = 2 * 3 * comparators;
+        for m in 1..=3u64 {
+            p.reset_counts();
+            let keys: Vec<usize> = (0..m as usize).collect();
+            sort_by_keys(&mut p, &shared, &keys, true).unwrap();
+            let c = p.counts();
+            assert_eq!(
+                (c.comparisons, c.equalities, c.mults),
+                (
+                    m * comparators,
+                    (m - 1) * comparators,
+                    muxes + (m - 1) * comparators
+                ),
+                "m={m}"
+            );
+        }
     }
 
     #[test]

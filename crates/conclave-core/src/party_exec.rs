@@ -48,7 +48,11 @@
 //! An error from any of these calls leaves the work queues in an unknown
 //! state, so the mesh is not reusable after one: the [`crate::driver::Driver`]
 //! holds its mesh by value while a plan runs and drops it with the failed
-//! run, and the next run builds a fresh one.
+//! run, and the next run builds a fresh one. A worker whose step fails
+//! aborts its peers ([`PartySession::abort`]) and stays poisoned, so the
+//! others fail within one hop instead of after the receive timeout, and the
+//! call reports the failed party's own error rather than a peer's relayed
+//! [`TransportError::Aborted`].
 //!
 //! Comparison-bearing steps (sorts, joins, filters) run the bit-decomposed
 //! circuits of [`conclave_mpc::circuits`], so their [`StepOutcome::counts`]
@@ -76,7 +80,7 @@ use conclave_mpc::runtime::{
     PartyRelation, PartyResult, PartySession, PendingOpen,
 };
 use conclave_mpc::MpcError;
-use conclave_net::{merge_mesh_stats, ChannelTransport, Mesh, NetStats, Transport};
+use conclave_net::{merge_mesh_stats, ChannelTransport, Mesh, NetStats, Transport, TransportError};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::mpsc::{Receiver, Sender, TryRecvError};
 use std::thread::JoinHandle;
@@ -215,7 +219,7 @@ pub struct PartyMeshRuntime {
     dealer_servers: Vec<JoinHandle<PartyResult<()>>>,
     next_step: u32,
     /// Replies received out of order, per worker, keyed by step.
-    buffered: Vec<HashMap<u32, StepOutcome>>,
+    buffered: Vec<HashMap<u32, PartyResult<StepOutcome>>>,
     /// Cross-party-checked outcomes, keyed by step.
     completed: BTreeMap<u32, StepOutcome>,
     /// The shared pool backing [`DealerMode::Pooled`]: each
@@ -460,9 +464,12 @@ impl PartyMeshRuntime {
     /// Ends and joins every thread of the mesh. Dropping the work senders
     /// ends each worker's loop once its queue is drained: all workers
     /// received identical queues, so their remaining collective steps stay
-    /// aligned and terminate, and transport timeouts bound the wait if a
-    /// peer died. The dealer servers return once their party's worker (the
-    /// link owner) is gone; the first one that failed to serve is reported.
+    /// aligned and terminate. A worker that failed has told its peers
+    /// ([`PartySession::abort`]), so they fail within one hop and skip the
+    /// rest of their queue; only a peer that is alive but silent holds the
+    /// others until their receive timeout. The dealer servers return once
+    /// their party's worker (the link owner) is gone; the first one that
+    /// failed to serve is reported.
     fn teardown(&mut self) -> Result<(), DriverError> {
         let joins: Vec<JoinHandle<()>> = self.workers.drain(..).map(|w| w.join).collect();
         for join in joins {
@@ -480,12 +487,22 @@ impl PartyMeshRuntime {
 
     /// Ensures step `step`'s outcome has been received from every worker and
     /// cross-checked (opened relations and primitive counts must be
-    /// identical on all parties).
+    /// identical on all parties). If the step failed, a party's own error is
+    /// reported: a party that fails aborts its peers, and their
+    /// [`TransportError::Aborted`] only relays its error.
     fn collect_step(&mut self, step: u32) -> Result<&StepOutcome, DriverError> {
         if !self.completed.contains_key(&step) {
+            let replies = (0..self.workers.len())
+                .map(|w| self.take_reply(w, step))
+                .collect::<Result<Vec<_>, _>>()?;
+            let relayed = |r: &&PartyResult<StepOutcome>| {
+                matches!(r, Err(PartyError::Net(TransportError::Aborted { .. })))
+            };
+            if let Some(Err(e)) = replies.iter().filter(|r| r.is_err()).min_by_key(relayed) {
+                return Err(party_to_driver_error(e.clone()));
+            }
             let mut agreed: Option<StepOutcome> = None;
-            for w in 0..self.workers.len() {
-                let outcome = self.take_reply(w, step)?;
+            for outcome in replies.into_iter().flatten() {
                 match &agreed {
                     None => agreed = Some(outcome),
                     Some(first) => {
@@ -509,9 +526,9 @@ impl PartyMeshRuntime {
     /// Receives worker `w`'s reply for `step`, buffering replies for other
     /// steps (reveal-boundary outcomes are flushed lazily, so replies can
     /// arrive out of step order).
-    fn take_reply(&mut self, w: usize, step: u32) -> Result<StepOutcome, DriverError> {
-        if let Some(outcome) = self.buffered[w].remove(&step) {
-            return Ok(outcome);
+    fn take_reply(&mut self, w: usize, step: u32) -> Result<PartyResult<StepOutcome>, DriverError> {
+        if let Some(reply) = self.buffered[w].remove(&step) {
+            return Ok(reply);
         }
         loop {
             let reply = self.workers[w].replies.recv().map_err(|_| {
@@ -527,11 +544,10 @@ impl PartyMeshRuntime {
                     ))))
                 }
             };
-            let outcome = result.map_err(party_to_driver_error)?;
             if s == step {
-                return Ok(outcome);
+                return Ok(result);
             }
-            self.buffered[w].insert(s, outcome);
+            self.buffered[w].insert(s, result);
         }
     }
 }
@@ -580,16 +596,17 @@ fn worker_main(
     replies: Sender<WorkerReply>,
 ) {
     // The one poison state. A failed offline phase (unreadable file, dead
-    // dealer) or a failed refill (wrong mesh, foreign MAC key) leaves the
-    // worker answering messages but unable to run what the driver expects:
-    // every subsequent step fails with the stored reason until the mesh is
-    // torn down. The seeded session standing in after a failed offline phase
-    // never executes a step; it is there so the loop below is the only one.
-    let mut poisoned: Option<String> = None;
+    // dealer), a failed refill (wrong mesh, foreign MAC key) or a failed step
+    // leaves the worker answering messages but unable to run what the driver
+    // expects: every subsequent step fails with the stored error until the
+    // mesh is torn down. The seeded session standing in after a failed
+    // offline phase never executes a step; it is there so the loop below is
+    // the only one.
+    let mut poisoned: Option<PartyError> = None;
     let mut sess = dealer()
         .and_then(|source| PartySession::with_dealer(&*net, seed, source))
         .unwrap_or_else(|e| {
-            poisoned = Some(format!("offline phase failed: {e}"));
+            poisoned = Some(PartyError::Proto(format!("offline phase failed: {e}")));
             PartySession::new(&*net, seed)
         });
     let mut resident: HashMap<u32, PartyRelation> = HashMap::new();
@@ -600,7 +617,7 @@ fn worker_main(
         let msg = match work.try_recv() {
             Ok(m) => m,
             Err(TryRecvError::Empty) => {
-                flush_opens(&mut sess, &mut deferred, &replies);
+                flush_opens(&mut sess, &mut deferred, &replies, &mut poisoned);
                 match work.recv() {
                     Ok(m) => m,
                     Err(_) => break,
@@ -610,7 +627,7 @@ fn worker_main(
         };
         match msg {
             WorkMsg::EndQuery => {
-                flush_opens(&mut sess, &mut deferred, &replies);
+                flush_opens(&mut sess, &mut deferred, &replies, &mut poisoned);
                 resident.clear();
                 let _ = replies.send(WorkerReply::QueryEnd {
                     net: net.stats(),
@@ -619,18 +636,17 @@ fn worker_main(
             }
             WorkMsg::Refill(blocks) => {
                 if let Err(e) = sess.refill(*blocks) {
-                    poisoned.get_or_insert(format!("dealer refill failed: {e}"));
+                    poisoned.get_or_insert(PartyError::Proto(format!("dealer refill failed: {e}")));
                 }
             }
             WorkMsg::Step(spec) => {
                 let step = spec.step;
-                if let Some(msg) = &poisoned {
-                    let _ =
-                        replies.send(WorkerReply::Step(step, Err(PartyError::Proto(msg.clone()))));
-                    continue;
-                }
                 let before = sess.counts();
-                match run_step(&mut sess, &resident, &spec) {
+                let ran = match &poisoned {
+                    Some(e) => Err(e.clone()),
+                    None => run_step(&mut sess, &resident, &spec),
+                };
+                match ran {
                     Ok((input_rows, result, pending)) => {
                         let outcome = StepOutcome {
                             step,
@@ -648,16 +664,20 @@ fn worker_main(
                         }
                     }
                     Err(e) => {
-                        // Step failures are deterministic (validation happens
-                        // before any communication), so every party fails the
-                        // same step identically and the mesh stays aligned.
+                        // Not every failure is shared: a timeout, a short
+                        // frame or a failed MAC check can hit this party
+                        // alone and leave its peers waiting on it. So it
+                        // tells them now, and its opens still in flight fail
+                        // with the same error.
+                        fail(&mut sess, &mut poisoned, &e);
+                        flush_opens(&mut sess, &mut deferred, &replies, &mut poisoned);
                         let _ = replies.send(WorkerReply::Step(step, Err(e)));
                     }
                 }
             }
         }
     }
-    flush_opens(&mut sess, &mut deferred, &replies);
+    flush_opens(&mut sess, &mut deferred, &replies, &mut poisoned);
 }
 
 /// Shares fresh inputs, resolves resident ones, executes the operator, and —
@@ -723,17 +743,23 @@ fn run_step(
 /// outcomes. Every reveal boundary passes through
 /// [`PartySession::check_integrity`] — a tampered or mis-MAC'd open turns
 /// into [`PartyError::Integrity`] here instead of leaking a wrong value.
+/// Once the worker is poisoned, the remaining opens fail with its error
+/// without touching the mesh.
 fn flush_opens(
     sess: &mut PartySession,
     deferred: &mut Vec<DeferredOpen>,
     replies: &Sender<WorkerReply>,
+    poisoned: &mut Option<PartyError>,
 ) {
     for d in deferred.drain(..) {
         let step = d.outcome.step;
         let before = sess.counts();
-        let reply = match finish_open_relation(sess, d.pending)
-            .and_then(|rel| sess.check_integrity().map(|()| rel))
-        {
+        let opened = match poisoned {
+            Some(e) => Err(e.clone()),
+            None => finish_open_relation(sess, d.pending)
+                .and_then(|rel| sess.check_integrity().map(|()| rel)),
+        };
+        let reply = match opened {
             Ok(rel) => {
                 let mut outcome = d.outcome;
                 outcome.opened = Some(rel);
@@ -743,10 +769,21 @@ fn flush_opens(
                 outcome.counts.merge(&sess.counts().since(&before));
                 Ok(outcome)
             }
-            Err(e) => Err(e),
+            Err(e) => {
+                fail(sess, poisoned, &e);
+                Err(e)
+            }
         };
         let _ = replies.send(WorkerReply::Step(step, reply));
     }
+}
+
+/// A step failed on this worker: its peers are told in one hop
+/// ([`PartySession::abort`], which sends only the first time), and the
+/// worker stays poisoned with its first error for the rest of the mesh.
+fn fail(sess: &mut PartySession, poisoned: &mut Option<PartyError>, e: &PartyError) {
+    sess.abort();
+    poisoned.get_or_insert_with(|| e.clone());
 }
 
 fn party_to_driver_error(e: PartyError) -> DriverError {
@@ -965,6 +1002,41 @@ mod tests {
             assert!(
                 format!("{err:?}").contains("offline phase failed"),
                 "got {err:?}"
+            );
+        }
+    }
+
+    /// One party's dealer file is missing: that party fails its first step
+    /// and aborts, so its peers stop waiting on it at once (not after the
+    /// receive timeout), and the caller gets the failed party's own error,
+    /// not a peer's relayed abort.
+    #[test]
+    fn one_missing_dealer_file_fails_the_step_at_once_with_its_own_error() {
+        for runtime in [PartyRuntime::Channel, PartyRuntime::Tcp] {
+            let dir = std::env::temp_dir().join(format!(
+                "conclave-one-missing-dealer-file-{}-{runtime:?}",
+                std::process::id()
+            ));
+            std::fs::create_dir_all(&dir).unwrap();
+            conclave_mpc::dealer::write_party_files(&dir, 42, 3, Default::default()).unwrap();
+            std::fs::remove_file(party_file(&dir, 1)).unwrap();
+            let started = std::time::Instant::now();
+            let err = run_step(
+                &revenue_by_company(),
+                42,
+                runtime,
+                &DealerMode::File(dir.clone()),
+            )
+            .unwrap_err();
+            let waited = started.elapsed();
+            std::fs::remove_dir_all(&dir).ok();
+            assert!(
+                format!("{err:?}").contains("offline phase failed"),
+                "{runtime:?}: got {err:?}"
+            );
+            assert!(
+                waited < std::time::Duration::from_secs(1),
+                "{runtime:?}: {waited:?}"
             );
         }
     }

@@ -777,6 +777,51 @@ mod tests {
         assert!(report.output_for(1).unwrap().same_rows_unordered(&expected));
     }
 
+    /// One party's dealer file is missing: the run fails at once with that
+    /// party's error (its peers are aborted, not timed out), and once the
+    /// file is back the same session runs on a rebuilt mesh.
+    #[test]
+    fn lifecycle_one_missing_dealer_file_fails_fast_and_the_next_run_rebuilds() {
+        use crate::config::PartyRuntime;
+        use conclave_mpc::dealer::{party_file, write_party_files};
+        for runtime in [PartyRuntime::Channel, PartyRuntime::Tcp] {
+            let dir = std::env::temp_dir().join(format!(
+                "conclave-lifecycle-one-missing-{}-{runtime:?}",
+                std::process::id()
+            ));
+            let config = ConclaveConfig::standard()
+                .with_sequential_local()
+                .with_party_runtime(runtime)
+                .with_dealer_files(&dir);
+            let seed = config.mpc.seed;
+            std::fs::create_dir_all(&dir).unwrap();
+            write_party_files(&dir, seed, 3, Default::default()).unwrap();
+            std::fs::remove_file(party_file(&dir, 1)).unwrap();
+            let (_, mut kept) = lifecycle_sessions(|| config.clone());
+            let query = two_party_sum_query();
+            let started = std::time::Instant::now();
+            let err = kept.run(&query).unwrap_err();
+            let waited = started.elapsed();
+            assert!(
+                err.to_string().contains("offline phase failed"),
+                "{runtime:?}: {err}"
+            );
+            assert!(
+                waited < std::time::Duration::from_secs(1),
+                "{runtime:?}: {waited:?}"
+            );
+            assert!(!kept.has_live_mesh());
+            write_party_files(&dir, seed, 3, Default::default()).unwrap();
+            let report = kept.run(&query);
+            std::fs::remove_dir_all(&dir).ok();
+            let report = report.unwrap();
+            assert_eq!(report.mesh_builds(), 1, "{runtime:?}: rebuilt, not reused");
+            let expected =
+                Relation::from_ints(&["k", "total"], &[vec![1, 9], vec![2, 5], vec![3, 9]]);
+            assert!(report.output_for(1).unwrap().same_rows_unordered(&expected));
+        }
+    }
+
     #[test]
     fn missing_binding_surfaces_as_driver_error_with_source() {
         let query = two_party_sum_query();

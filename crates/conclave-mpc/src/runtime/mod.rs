@@ -130,7 +130,9 @@ use std::fmt;
 /// Errors raised by the party runtime.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PartyError {
-    /// A transport failure (timeout, disconnect, I/O).
+    /// A transport failure (timeout, disconnect, I/O), or a peer's abort
+    /// ([`TransportError::Aborted`]): that peer failed first, and its own
+    /// error is the one that explains the failure.
     Net(TransportError),
     /// A protocol-level failure (bad column, arity, malformed peer data).
     Proto(String),

@@ -111,6 +111,8 @@ pub struct PartySession<'n> {
     /// `u32::MAX`, so they never collide with plan-step tags).
     check_seq: u32,
     pub(super) counts: PrimitiveCounts,
+    /// Whether [`PartySession::abort`] has told the peers.
+    aborted: bool,
 }
 
 /// A preloaded block must be this endpoint's own: dealt for this party of
@@ -184,6 +186,7 @@ impl<'n> PartySession<'n> {
             xor_opened: 0,
             check_seq: 0,
             counts: PrimitiveCounts::default(),
+            aborted: false,
         })
     }
 
@@ -269,6 +272,17 @@ impl<'n> PartySession<'n> {
                 Some(stats)
             }
             _ => None,
+        }
+    }
+
+    /// Tells every peer that this party has failed and takes no further part
+    /// in the mesh: each peer's receives from this party return
+    /// [`conclave_net::TransportError::Aborted`] at once instead of waiting
+    /// out their timeout. Only the first call sends; the reason stays local.
+    pub fn abort(&mut self) {
+        if !self.aborted {
+            self.aborted = true;
+            self.net.send_abort();
         }
     }
 

@@ -44,6 +44,14 @@ pub enum MessageKind {
     /// compile failure, runtime abort) for a [`MessageKind::SubmitSql`]
     /// request.
     QueryError,
+    /// A party has failed and leaves the mesh: sent once to every peer
+    /// ([`Transport::send_abort`]) with an empty payload and a fixed label, so
+    /// each peer's receives on that link fail at once instead of waiting out
+    /// the timeout. It carries no reason — the failure stays with the party
+    /// that had it.
+    ///
+    /// [`Transport::send_abort`]: crate::Transport::send_abort
+    Abort,
 }
 
 impl MessageKind {
@@ -60,6 +68,7 @@ impl MessageKind {
             MessageKind::SubmitSql => 7,
             MessageKind::QueryResult => 8,
             MessageKind::QueryError => 9,
+            MessageKind::Abort => 10,
         }
     }
 
@@ -76,6 +85,7 @@ impl MessageKind {
             7 => Some(MessageKind::SubmitSql),
             8 => Some(MessageKind::QueryResult),
             9 => Some(MessageKind::QueryError),
+            10 => Some(MessageKind::Abort),
             _ => None,
         }
     }
@@ -94,6 +104,7 @@ impl fmt::Display for MessageKind {
             MessageKind::SubmitSql => "submit-sql",
             MessageKind::QueryResult => "query-result",
             MessageKind::QueryError => "query-error",
+            MessageKind::Abort => "abort",
         };
         f.write_str(s)
     }
@@ -111,6 +122,7 @@ mod tests {
         assert_eq!(MessageKind::MaskedOpen.to_string(), "masked-open");
         assert_eq!(MessageKind::Dealer.to_string(), "dealer");
         assert_eq!(MessageKind::MacCheck.to_string(), "mac-check");
+        assert_eq!(MessageKind::Abort.to_string(), "abort");
     }
 
     #[test]
@@ -126,6 +138,7 @@ mod tests {
             MessageKind::SubmitSql,
             MessageKind::QueryResult,
             MessageKind::QueryError,
+            MessageKind::Abort,
         ] {
             assert_eq!(MessageKind::from_code(kind.code()), Some(kind));
         }

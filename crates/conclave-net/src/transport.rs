@@ -40,9 +40,21 @@
 //! part of its frame went out breaks the link: every later send on it returns
 //! an error instead of writing a header into the middle of the torn frame.
 //!
-//! `RECV_CHUNK_WORDS` is staged debt, not a setting: the per-read cost of the
-//! payload is what still keeps a TCP mesh slower than a channel mesh on big
-//! frames, and ROADMAP open item 2 raises the constant and then deletes it.
+//! `RECV_CHUNK_WORDS` (ten words per read) is staged debt, not a setting: the
+//! per-read cost of the payload is what still keeps a TCP mesh slower than a
+//! channel mesh on big frames, and ROADMAP open item 2 deletes it for a
+//! whole-frame read.
+//!
+//! # Aborts
+//!
+//! A party that fails tells its peers with [`Transport::send_abort`]: one
+//! empty [`MessageKind::Abort`] frame per link. Both transports recognise it
+//! whatever stream a receive asked for and return [`TransportError::Aborted`]
+//! naming the sender; from then on every receive on that link returns the
+//! same error at once, frames still buffered for other streams included. So
+//! a failure reaches each peer in one hop instead of after the receive
+//! timeout. A receive is bounded by one deadline, however many frames for
+//! other streams arrive meanwhile.
 //!
 //! # Logical streams
 //!
@@ -85,8 +97,11 @@ pub const DEFAULT_RECV_TIMEOUT: Duration = Duration::from_secs(10);
 pub const MAX_FRAME_WORDS: usize = 1 << 24;
 
 /// Payload words `decode_frame` takes per read. Staged (ROADMAP open item 2):
-/// raised, then deleted for a whole-body read; never a setting.
-const RECV_CHUNK_WORDS: usize = 3;
+/// deleted next for a whole-body read; never a setting.
+const RECV_CHUNK_WORDS: usize = 10;
+
+/// The label of every [`MessageKind::Abort`] frame.
+const ABORT_LABEL: &str = "abort";
 
 /// How long one blocking TCP `write` may wait on a full socket (its
 /// `SO_SNDTIMEO`) before the sender drains its inbound links and retries.
@@ -185,6 +200,13 @@ pub enum TransportError {
     },
     /// An I/O or framing failure (TCP transport).
     Io(String),
+    /// Party `by` sent an abort frame ([`Transport::send_abort`]): it failed
+    /// and will send nothing more. Sticky — every later receive from `by`
+    /// returns it too. Why `by` failed is not on the wire.
+    Aborted {
+        /// The party that aborted.
+        by: u32,
+    },
 }
 
 impl fmt::Display for TransportError {
@@ -200,6 +222,7 @@ impl fmt::Display for TransportError {
                 write!(f, "link to P{party} is disconnected")
             }
             TransportError::Io(e) => write!(f, "transport I/O error: {e}"),
+            TransportError::Aborted { by } => write!(f, "P{by} aborted the computation"),
         }
     }
 }
@@ -238,7 +261,8 @@ pub trait Transport: Send {
 
     /// Receives the next message from one peer, whatever its stream
     /// (blocking, bounded by the transport's receive timeout). Messages on
-    /// one link arrive in order.
+    /// one link arrive in order. Once the peer has aborted, this and
+    /// [`Transport::recv_tagged`] return [`TransportError::Aborted`].
     fn recv_from(&self, from: u32) -> Result<Envelope, TransportError>;
 
     /// Receives the next message from `from` on the given logical stream,
@@ -287,6 +311,64 @@ pub trait Transport: Send {
     ) -> Result<(), TransportError> {
         self.send_all_tagged(StreamTag::default(), kind, label, payload)
     }
+
+    /// Tells every peer this party has failed: one empty
+    /// [`MessageKind::Abort`] frame each, after everything already sent.
+    /// Best effort — a peer that cannot be reached is skipped. Each peer's
+    /// receives from this party then fail with [`TransportError::Aborted`].
+    fn send_abort(&self) {
+        for p in (0..self.parties()).filter(|&p| p != self.party()) {
+            let _ = self.send_to(p, MessageKind::Abort, ABORT_LABEL, &[]);
+        }
+    }
+}
+
+/// What one link has delivered ahead of its receiver: frames for streams
+/// not yet asked for, and whether the peer has aborted. An abort frame is
+/// never buffered; once one has arrived, every receive on the link fails.
+#[derive(Default)]
+struct Inbound {
+    pending: VecDeque<Envelope>,
+    aborted: bool,
+}
+
+impl Inbound {
+    /// Serves a receive from `from` without touching the link: the sticky
+    /// abort, else the oldest buffered frame on `tag` (on any stream for
+    /// `None`), else nothing.
+    fn take(
+        &mut self,
+        from: u32,
+        tag: Option<StreamTag>,
+    ) -> Option<Result<Envelope, TransportError>> {
+        if self.aborted {
+            return Some(Err(TransportError::Aborted { by: from }));
+        }
+        let pos = match tag {
+            Some(tag) => self.pending.iter().position(|e| e.tag == tag)?,
+            None => 0,
+        };
+        self.pending.remove(pos).map(Ok)
+    }
+
+    /// Files a frame just read off the link: hands it back if it is on
+    /// `tag` (or `tag` is `None`), turns an abort into the sticky error, and
+    /// buffers anything else.
+    fn file(
+        &mut self,
+        env: Envelope,
+        tag: Option<StreamTag>,
+    ) -> Result<Option<Envelope>, TransportError> {
+        if env.kind == MessageKind::Abort {
+            self.aborted = true;
+            return Err(TransportError::Aborted { by: env.from });
+        }
+        if tag.is_none_or(|tag| env.tag == tag) {
+            return Ok(Some(env));
+        }
+        self.pending.push_back(env);
+        Ok(None)
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -303,8 +385,8 @@ pub struct ChannelTransport {
     parties: u32,
     senders: Vec<Option<Sender<Envelope>>>,
     receivers: Vec<Option<Receiver<Envelope>>>,
-    /// Per-link buffers of frames received ahead of their stream's turn.
-    pending: Vec<Mutex<VecDeque<Envelope>>>,
+    /// Per-link frames received ahead of their stream's turn, and aborts.
+    inbound: Vec<Mutex<Inbound>>,
     stats: Mutex<NetStats>,
     timeout: Duration,
 }
@@ -338,7 +420,7 @@ impl ChannelTransport {
                     parties: n,
                     senders,
                     receivers,
-                    pending: (0..n).map(|_| Mutex::new(VecDeque::new())).collect(),
+                    inbound: (0..n).map(|_| Mutex::default()).collect(),
                     stats: Mutex::new(stats),
                     timeout: DEFAULT_RECV_TIMEOUT,
                 }
@@ -350,6 +432,35 @@ impl ChannelTransport {
     pub fn with_timeout(mut self, timeout: Duration) -> Self {
         self.timeout = timeout;
         self
+    }
+
+    /// The next frame from `from` on `tag` (on any stream for `None`),
+    /// buffering frames for other streams; the whole wait is bounded by one
+    /// timeout.
+    fn recv(&self, from: u32, tag: Option<StreamTag>) -> Result<Envelope, TransportError> {
+        let receiver = self
+            .receivers
+            .get(from as usize)
+            .and_then(|r| r.as_ref())
+            .ok_or(TransportError::InvalidPeer { party: from })?;
+        let inbound = &self.inbound[from as usize];
+        if let Some(buffered) = inbound.lock().take(from, tag) {
+            return buffered;
+        }
+        let deadline = Instant::now() + self.timeout;
+        loop {
+            let remaining = deadline.saturating_duration_since(Instant::now());
+            if remaining.is_zero() {
+                return Err(TransportError::Timeout { from });
+            }
+            let env = receiver.recv_timeout(remaining).map_err(|e| match e {
+                RecvTimeoutError::Timeout => TransportError::Timeout { from },
+                RecvTimeoutError::Disconnected => TransportError::Disconnected { party: from },
+            })?;
+            if let Some(env) = inbound.lock().file(env, tag)? {
+                return Ok(env);
+            }
+        }
     }
 }
 
@@ -385,47 +496,11 @@ impl Transport for ChannelTransport {
     }
 
     fn recv_from(&self, from: u32) -> Result<Envelope, TransportError> {
-        let receiver = self
-            .receivers
-            .get(from as usize)
-            .and_then(|r| r.as_ref())
-            .ok_or(TransportError::InvalidPeer { party: from })?;
-        if let Some(env) = self.pending[from as usize].lock().pop_front() {
-            return Ok(env);
-        }
-        receiver.recv_timeout(self.timeout).map_err(|e| match e {
-            RecvTimeoutError::Timeout => TransportError::Timeout { from },
-            RecvTimeoutError::Disconnected => TransportError::Disconnected { party: from },
-        })
+        self.recv(from, None)
     }
 
     fn recv_tagged(&self, from: u32, tag: StreamTag) -> Result<Envelope, TransportError> {
-        let receiver = self
-            .receivers
-            .get(from as usize)
-            .and_then(|r| r.as_ref())
-            .ok_or(TransportError::InvalidPeer { party: from })?;
-        {
-            let mut pending = self.pending[from as usize].lock();
-            if let Some(pos) = pending.iter().position(|e| e.tag == tag) {
-                return Ok(pending.remove(pos).expect("position just found"));
-            }
-        }
-        let deadline = Instant::now() + self.timeout;
-        loop {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return Err(TransportError::Timeout { from });
-            }
-            match receiver.recv_timeout(remaining) {
-                Ok(env) if env.tag == tag => return Ok(env),
-                Ok(env) => self.pending[from as usize].lock().push_back(env),
-                Err(RecvTimeoutError::Timeout) => return Err(TransportError::Timeout { from }),
-                Err(RecvTimeoutError::Disconnected) => {
-                    return Err(TransportError::Disconnected { party: from })
-                }
-            }
-        }
+        self.recv(from, Some(tag))
     }
 
     fn record_round(&self) {
@@ -527,11 +602,13 @@ pub struct TcpTransport {
     party: u32,
     parties: u32,
     links: Vec<Option<TcpLink>>,
-    /// Per-link buffers of frames received ahead of their stream's turn.
-    pending: Vec<Mutex<VecDeque<Envelope>>>,
+    /// Per-link frames received ahead of their stream's turn, and aborts.
+    inbound: Vec<Mutex<Inbound>>,
     stats: Mutex<NetStats>,
     /// How long a send may move no byte in either direction.
     send_timeout: Duration,
+    /// How long a receive may go on buffering frames for other streams.
+    recv_timeout: Duration,
 }
 
 impl TcpTransport {
@@ -572,9 +649,10 @@ impl TcpTransport {
             party,
             parties: n,
             links,
-            pending: (0..n).map(|_| Mutex::new(VecDeque::new())).collect(),
+            inbound: (0..n).map(|_| Mutex::default()).collect(),
             stats: Mutex::new(stats),
             send_timeout: DEFAULT_RECV_TIMEOUT,
+            recv_timeout: DEFAULT_RECV_TIMEOUT,
         })
     }
 
@@ -821,28 +899,11 @@ impl Transport for TcpTransport {
     }
 
     fn recv_from(&self, from: u32) -> Result<Envelope, TransportError> {
-        self.link(from)?;
-        if let Some(env) = self.pending[from as usize].lock().pop_front() {
-            return Ok(env);
-        }
-        self.recv_frame(from)
+        self.recv(from, None)
     }
 
     fn recv_tagged(&self, from: u32, tag: StreamTag) -> Result<Envelope, TransportError> {
-        self.link(from)?;
-        {
-            let mut pending = self.pending[from as usize].lock();
-            if let Some(pos) = pending.iter().position(|e| e.tag == tag) {
-                return Ok(pending.remove(pos).expect("position just found"));
-            }
-        }
-        loop {
-            let env = self.recv_frame(from)?;
-            if env.tag == tag {
-                return Ok(env);
-            }
-            self.pending[from as usize].lock().push_back(env);
-        }
+        self.recv(from, Some(tag))
     }
 
     fn record_round(&self) {
@@ -900,6 +961,29 @@ impl TcpTransport {
             moved |= link.rx.lock().drain()?;
         }
         Ok(moved)
+    }
+
+    /// The next frame from `from` on `tag` (on any stream for `None`),
+    /// buffering frames for other streams. Each read is bounded by the
+    /// socket's timeout, and once `recv_timeout` has passed a frame for
+    /// another stream ends the wait with a [`TransportError::Timeout`], so a
+    /// peer that keeps sending on other streams cannot hold it forever.
+    fn recv(&self, from: u32, tag: Option<StreamTag>) -> Result<Envelope, TransportError> {
+        self.link(from)?;
+        let inbound = &self.inbound[from as usize];
+        if let Some(buffered) = inbound.lock().take(from, tag) {
+            return buffered;
+        }
+        let deadline = Instant::now() + self.recv_timeout;
+        loop {
+            let env = self.recv_frame(from)?;
+            if let Some(env) = inbound.lock().file(env, tag)? {
+                return Ok(env);
+            }
+            if Instant::now() >= deadline {
+                return Err(TransportError::Timeout { from });
+            }
+        }
     }
 
     /// Reads the next raw frame off the `from` link, normalizing I/O errors.
@@ -1094,6 +1178,68 @@ mod tests {
         exercise_stream_demux(&mesh[0], &mesh[1]);
     }
 
+    /// An abort reaches every peer after what was sent before it, whatever
+    /// stream the peer waits on, and sticks: later receives fail at once,
+    /// frames still buffered for other streams included.
+    fn exercise_abort<T: Transport>(mesh: &[T]) {
+        let (early, waited) = (StreamTag::new(2, 0), StreamTag::new(1, 0));
+        mesh[0]
+            .send_tagged(1, early, MessageKind::SecretShare, "d_e", &[7])
+            .unwrap();
+        mesh[0].send_abort();
+        let aborted = Err(TransportError::Aborted { by: 0 });
+        assert_eq!(mesh[1].recv_tagged(0, waited), aborted);
+        assert_eq!(mesh[1].recv_tagged(0, early), aborted);
+        assert_eq!(mesh[1].recv_from(0), aborted);
+        assert_eq!(mesh[2].recv_from(0), aborted);
+        // Only the aborting party's links are dead.
+        mesh[2].send_to(1, MessageKind::Control, "", &[5]).unwrap();
+        assert_eq!(mesh[1].recv_from(2).unwrap().payload, vec![5]);
+        assert_eq!(mesh[0].stats().bytes_of_kind(MessageKind::Abort), 2 * 24);
+    }
+
+    #[test]
+    fn channel_abort_reaches_every_peer_and_sticks() {
+        exercise_abort(&ChannelTransport::mesh(3));
+    }
+
+    #[test]
+    fn tcp_abort_reaches_every_peer_and_sticks() {
+        exercise_abort(&TcpTransport::localhost_mesh(3).unwrap());
+    }
+
+    /// A peer that keeps sending frames for another stream must not hold a
+    /// receive past its bound: the deadline covers the whole wait, not each
+    /// frame.
+    #[test]
+    fn a_tcp_receive_ends_at_its_deadline_while_a_peer_floods_other_streams() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let mut mesh = TcpTransport::localhost_mesh(2).unwrap();
+        let bound = Duration::from_millis(200);
+        mesh[1].recv_timeout = bound;
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let other = StreamTag::new(9, 0);
+                while !stop.load(Ordering::Relaxed) {
+                    mesh[0]
+                        .send_tagged(1, other, MessageKind::Control, "noise", &[1])
+                        .unwrap();
+                    std::thread::sleep(Duration::from_millis(3));
+                }
+            });
+            let start = Instant::now();
+            let got = mesh[1].recv_tagged(0, StreamTag::new(1, 0));
+            let waited = start.elapsed();
+            stop.store(true, Ordering::Relaxed);
+            assert_eq!(got, Err(TransportError::Timeout { from: 0 }));
+            assert!(
+                waited >= bound && waited < bound + Duration::from_secs(1),
+                "{waited:?}"
+            );
+        });
+    }
+
     #[test]
     fn untagged_recv_still_drains_buffered_frames() {
         let mesh = ChannelTransport::mesh(2);
@@ -1167,7 +1313,7 @@ mod tests {
             from in any::<u32>(),
             step in any::<u32>(),
             stream in any::<u32>(),
-            code in 0u8..10,
+            code in 0u8..11,
             label in prop::collection::vec(32u8..127, 0..40),
             payload in prop::collection::vec(any::<u64>(), 0..300),
             max_read in 1usize..8,
@@ -1190,11 +1336,11 @@ mod tests {
         }
     }
 
-    /// Pins `RECV_CHUNK_WORDS = 3`: an `n`-word frame with a label takes one
-    /// read for the header, one for the label and ⌈n / 3⌉ for the payload.
+    /// Pins `RECV_CHUNK_WORDS = 10`: an `n`-word frame with a label takes one
+    /// read for the header, one for the label and ⌈n / 10⌉ for the payload.
     #[test]
-    fn the_payload_is_read_three_words_at_a_time() {
-        for (n, reads) in [(0, 2), (1, 3), (2, 3), (3, 3), (4, 4), (7, 5), (300, 102)] {
+    fn the_payload_is_read_ten_words_at_a_time() {
+        for (n, reads) in [(0, 2), (1, 3), (10, 3), (11, 4), (300, 32)] {
             let payload: Vec<u64> = (0..n).collect();
             let mut wire = Vec::new();
             encode_frame_into(
@@ -1453,5 +1599,8 @@ mod tests {
         assert!(TransportError::Io("boom".into())
             .to_string()
             .contains("boom"));
+        assert!(TransportError::Aborted { by: 4 }
+            .to_string()
+            .contains("P4 aborted"));
     }
 }

@@ -20,7 +20,10 @@
 //! * a pinned trio documents the *known* soundness gap of MACs over the ring
 //!   Z_2^64: a consistent Δ = 2^63 lie escapes the check whenever
 //!   `α · Σρ` is even (≈ 3/4 of seeds), while any low-bit Δ is always
-//!   caught. See the "high-bit soundness gap" section below.
+//!   caught. See the "high-bit soundness gap" section below;
+//! * a kill-a-party case drops one frame so that one party times out, and
+//!   pins that its abort frame fails the other two at once, naming it,
+//!   instead of leaving them to their own receive timeouts.
 
 // Demo/test target: panicking on bad setup is the desired behavior here
 // (the workspace-level clippy::unwrap_used lint targets library code).
@@ -28,9 +31,12 @@
 
 use conclave::mpc::runtime::{PartyError, PartyResult, PartySession};
 use conclave::mpc::AuthShare;
-use conclave::net::{ChannelTransport, Fault, FaultSpec, MessageKind, TamperingTransport};
+use conclave::net::{
+    ChannelTransport, Fault, FaultSpec, MessageKind, TamperingTransport, TransportError,
+};
 use proptest::prelude::*;
 use std::sync::atomic::Ordering;
+use std::time::{Duration, Instant};
 
 /// Input sentinels: the adversary wins if a forged opening of these is
 /// accepted.
@@ -298,5 +304,65 @@ fn low_bit_delta_is_still_caught_at_the_escaping_seed() {
             matches!(r, Err(PartyError::Integrity(_))),
             "P{p} must abort with an integrity violation, got {r:?}"
         );
+    }
+}
+
+// ---------------------------------------------------------------------------
+// A failed party aborts its peers.
+// ---------------------------------------------------------------------------
+
+/// Kill-a-party: P0 loses P2's first frame to it (`Fault::Drop`), so P0's
+/// Beaver round waits out its 200 ms bound and fails with `Timeout` naming
+/// P2. P0 then aborts, as a party worker does on its first failure. P1 and
+/// P2, which wait on P0 in the next round with 2 s bounds of their own, fail
+/// at once with `Aborted` naming P0 instead of timing out. Each thread hands
+/// its endpoint back, so no link closes before every party has returned.
+#[test]
+fn a_party_that_fails_aborts_its_peers_in_one_hop() {
+    let bounds = [200, 2_000, 2_000].map(Duration::from_millis);
+    let mesh = ChannelTransport::mesh(3)
+        .into_iter()
+        .zip(bounds)
+        .map(|(t, bound)| t.with_timeout(bound))
+        .collect();
+    let mesh = TamperingTransport::wrap_mesh(mesh, |p| {
+        (p == 0).then(|| FaultSpec::new(Fault::Drop).from(2))
+    });
+    let started = Instant::now();
+    let outcomes = std::thread::scope(|s| {
+        let handles: Vec<_> = mesh
+            .into_iter()
+            .map(|t| {
+                s.spawn(move || {
+                    let out = {
+                        let mut sess = PartySession::new(&t, 555);
+                        let out = party_program(&mut sess);
+                        if out.is_err() {
+                            sess.abort();
+                        }
+                        out
+                    };
+                    (out, started.elapsed(), t)
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("party thread panicked"))
+            .collect::<Vec<_>>()
+    });
+    let (p0, _, t0) = &outcomes[0];
+    assert!(t0.fired(), "the frame must have been dropped");
+    assert_eq!(
+        p0,
+        &Err(PartyError::Net(TransportError::Timeout { from: 2 }))
+    );
+    for (p, (out, waited, _)) in outcomes.iter().enumerate().skip(1) {
+        assert_eq!(
+            out,
+            &Err(PartyError::Net(TransportError::Aborted { by: 0 })),
+            "P{p}"
+        );
+        assert!(*waited < Duration::from_secs(1), "P{p} waited {waited:?}");
     }
 }

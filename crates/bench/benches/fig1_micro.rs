@@ -4,13 +4,13 @@
 //! * `fig1_series`: generating the full simulated series for each operator
 //!   (this is what the `reproduce` binary prints), and
 //! * `fig1_real_ops`: real execution of each operator at small scale on the
-//!   cleartext engine and the Sharemind-like MPC engine, grounding the
-//!   simulated numbers in actually-executed protocols.
+//!   cleartext engine and, as one-step queries, on the in-process
+//!   secret-sharing runtime, grounding the simulated numbers in executed
+//!   operators.
 
 use bench::figures::{fig1, MicroOp};
 use conclave_data::SyntheticGenerator;
 use conclave_ir::ops::{AggFunc, JoinKind, Operator};
-use conclave_mpc::backend::{MpcBackendConfig, MpcEngine};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 fn series(c: &mut Criterion) {
@@ -58,17 +58,11 @@ fn real_ops(c: &mut Criterion) {
     });
     group.bench_function("mpc_project_200", |b| {
         let small = gen.uniform(&["key", "value"], 200, 50);
-        b.iter(|| {
-            let mut engine = MpcEngine::new(MpcBackendConfig::sharemind());
-            engine.execute_op(&project, &[&small]).unwrap()
-        })
+        b.iter(|| bench::mpc_step(&project, &[&small]))
     });
     group.bench_function("mpc_aggregate_64", |b| {
         let small = gen.uniform(&["key", "value"], 64, 8);
-        b.iter(|| {
-            let mut engine = MpcEngine::new(MpcBackendConfig::sharemind());
-            engine.execute_op(&agg, &[&small]).unwrap()
-        })
+        b.iter(|| bench::mpc_step(&agg, &[&small]))
     });
     group.finish();
 }

@@ -68,10 +68,7 @@ fn real_protocols(c: &mut Criterion) {
             right_keys: vec!["key".into()],
             kind: JoinKind::Inner,
         };
-        b.iter(|| {
-            let mut engine = MpcEngine::new(MpcBackendConfig::sharemind());
-            engine.execute_op(&op, &[&left, &right]).unwrap()
-        })
+        b.iter(|| bench::mpc_step(&op, &[&left, &right]))
     });
     group.bench_function("hybrid_aggregation_200", |b| {
         b.iter(|| {
@@ -96,10 +93,7 @@ fn real_protocols(c: &mut Criterion) {
             over: Some("value".into()),
             out: "total".into(),
         };
-        b.iter(|| {
-            let mut engine = MpcEngine::new(MpcBackendConfig::sharemind());
-            engine.execute_op(&op, &[&keyed]).unwrap()
-        })
+        b.iter(|| bench::mpc_step(&op, &[&keyed]))
     });
     group.finish();
 }

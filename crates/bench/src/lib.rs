@@ -68,6 +68,25 @@ pub fn render_table(title: &str, points: &[DataPoint]) -> String {
     out
 }
 
+/// Runs one secret-sharing operator for real at small scale: a one-step
+/// query on the in-process party runtime (`PartyRuntime::Simulated`), its
+/// inputs shared and its result opened.
+pub fn mpc_step(
+    op: &conclave_ir::ops::Operator,
+    inputs: &[&conclave_engine::Relation],
+) -> conclave_core::party_exec::MeshSummary {
+    use conclave_core::config::{DealerMode, PartyRuntime};
+    use conclave_core::party_exec::{PartyMeshRuntime, StepInput};
+    let mut rt = PartyMeshRuntime::with_dealer(3, 1, PartyRuntime::Simulated, &DealerMode::Seeded)
+        .expect("the in-process runtime builds");
+    let inputs = inputs
+        .iter()
+        .map(|r| StepInput::Table((*r).clone().into()))
+        .collect();
+    rt.enqueue(op, inputs, false, true).expect("the step runs");
+    rt.finish().expect("the query ends")
+}
+
 /// The two-hour experiment cut-off the paper uses (e.g. §7.3: "at 30 k, the
 /// query does not complete within two hours").
 pub const CUTOFF_SECS: f64 = 2.0 * 3600.0;

@@ -15,19 +15,19 @@ pub enum LocalBackend {
     Parallel,
 }
 
-/// How the MPC steps of a plan are executed.
-///
-/// The default [`PartyRuntime::Simulated`] mode is a single-process **cost
-/// simulator**: it computes every operator in the clear and charges the
-/// primitive counts of the real protocol (modeled time and bytes, no secrecy
-/// between parties). The distributed modes run the *same* generic operators
-/// on one protocol endpoint **per computing party**, each holding only its
-/// own MACed shares and exchanging real messages over a
-/// [`conclave_net::Transport`]; [`crate::report::RunReport::net`] then
-/// carries *measured* per-link bytes and rounds.
+/// Which engine runs the one step pipeline of a plan's secret-sharing MPC
+/// steps ([`crate::party_exec::PartyMeshRuntime`]: inputs shared where they
+/// enter the MPC, results opened only at reveal boundaries). The default
+/// [`PartyRuntime::Simulated`] is one in-process **cost simulator** that
+/// computes each operator in the clear and charges the primitive counts of
+/// the real protocol (modeled time and bytes, no secrecy between parties).
+/// The distributed runtimes run the *same* operators on one endpoint **per
+/// computing party**, each holding only its own MACed shares and exchanging
+/// real messages over a [`conclave_net::Transport`];
+/// [`crate::report::RunReport::net`] then carries *measured* bytes and rounds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PartyRuntime {
-    /// Single-process counting simulator, modeled network costs (default).
+    /// In-process counting simulator, modeled network costs (default).
     #[default]
     Simulated,
     /// One thread per party over an in-process channel mesh.

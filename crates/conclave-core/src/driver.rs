@@ -4,8 +4,9 @@
 //! walks the compiled DAG in topological order and dispatches every node to
 //! the engine its execution site calls for — a cleartext [`Executor`]
 //! (sequential or data-parallel, row or columnar) for local and STP steps,
-//! the MPC engine for operators inside the MPC frontier, and the dedicated
-//! hybrid-protocol implementations for the operators §5.3 introduces.
+//! the party runtime of [`party_exec`] for secret-sharing operators inside
+//! the MPC frontier, and the dedicated hybrid-protocol implementations for
+//! the operators §5.3 introduces.
 //!
 //! All intermediate results move through the unified [`Table`] data plane:
 //! the result store is a `HashMap<NodeId, Table>`, executors produce tables
@@ -125,15 +126,15 @@ impl From<IrError> for DriverError {
 
 /// Executes compiled plans over bound input data.
 ///
-/// In a distributed [`crate::config::PartyRuntime`] mode the driver **keeps
-/// its party mesh between runs**: the first MPC-bearing plan builds it, and
-/// every such plan — first included — is one
+/// The driver **keeps its party runtime between runs** (under `Simulated`,
+/// one in-process engine): the first MPC-bearing plan builds it, and every
+/// such plan — first included — is one
 /// [`begin_query`](party_exec::PartyMeshRuntime::begin_query) …
 /// [`end_query`](party_exec::PartyMeshRuntime::end_query) on it, so a driver
-/// run twice reuses one set of workers, sessions and MAC key
+/// run twice on a mesh reuses one set of workers, sessions and MAC key
 /// ([`RunReport::mesh_builds`] 1, then 0; a [`crate::config::DealerMode::File`]
 /// stock is not reloaded, so it must cover every run) and each report carries
-/// only its own run's traffic. The mesh lives exactly as long as its owner:
+/// only its own run's traffic. The runtime lives exactly as long as its owner:
 /// per-run isolation is [`crate::session::Session`], which builds a driver
 /// per run and drops it; [`crate::session::PersistentSession`] keeps its
 /// driver. A failed run drops the mesh, so a failed query can never leave
@@ -146,7 +147,7 @@ pub struct Driver {
     /// Executor for STP/helper steps of hybrid protocols (always sequential:
     /// the trusted party runs them single-site).
     stp_exec: Box<dyn Executor + Send + Sync>,
-    /// The party mesh, once a run has needed one. [`Driver::run_tables`]
+    /// The party runtime, once a run has needed one. [`Driver::run_tables`]
     /// takes it out while a plan runs and puts it back on success.
     mesh: Option<party_exec::PartyMeshRuntime>,
 }
@@ -171,13 +172,13 @@ impl Driver {
         }
     }
 
-    /// Drops the party mesh (if any), joining its workers. The next run
+    /// Drops the party runtime (if any), joining its workers. The next run
     /// builds a fresh one.
     pub fn reset_mesh(&mut self) {
         self.mesh = None;
     }
 
-    /// Whether a party mesh is currently alive from an earlier run.
+    /// Whether a party runtime is currently alive from an earlier run.
     pub fn has_live_mesh(&self) -> bool {
         self.mesh.is_some()
     }
@@ -217,16 +218,15 @@ impl Driver {
         let mut tracked: Vec<(Table, ConversionCounts)> = Vec::new();
         let order = plan.dag.topo_order()?;
 
-        // Distributed party runtime: one mesh and one set of party workers,
-        // created lazily at the first MPC step of the first plan that has
-        // one. Steps are enqueued without waiting; their intermediate results
-        // stay resident on the workers as shares and are opened only at
-        // reveal boundaries.
-        let distributed = self.config.party_runtime.is_distributed()
-            && self.mpc.config().kind.is_secret_sharing();
-        // The mesh is taken (not borrowed): if this run errors out anywhere
-        // below, the mesh is dropped with it and the driver is back in a
-        // defined, mesh-less state.
+        // The party runtime — a mesh and one worker per party, or the
+        // in-process engine — is created lazily at the first MPC step of the
+        // first plan that has one. Every secret-sharing MPC step it can run
+        // is enqueued on it; intermediate results stay resident as shares and
+        // are opened only at reveal boundaries.
+        let secret_sharing = self.mpc.config().kind.is_secret_sharing();
+        // The runtime is taken (not borrowed): if this run errors out
+        // anywhere below, it is dropped with the run and the driver is back
+        // in a defined, runtime-less state.
         let mut mesh_rt: Option<party_exec::PartyMeshRuntime> = self.mesh.take();
         // Node → enqueued step id, for wiring resident inputs and reveals.
         // Non-empty iff this plan opened a query on the mesh.
@@ -235,7 +235,7 @@ impl Driver {
         // once the step's primitive counts arrive at finish.
         let mut step_nodes: HashMap<u32, usize> = HashMap::new();
         let pipelined = |node: &conclave_ir::dag::DagNode| {
-            distributed && node.site.is_mpc() && party_exec::op_is_party_capable(&node.op)
+            secret_sharing && node.site.is_mpc() && party_exec::op_is_party_capable(&node.op)
         };
         // Which nodes consume each node's output: a step must be revealed iff
         // some consumer runs outside the party pipeline (or nothing consumes
@@ -272,7 +272,7 @@ impl Driver {
                     .map(|i| match mpc_steps.get(i) {
                         Some(&s) => party_exec::StepInput::Resident(s),
                         None => party_exec::StepInput::Table(
-                            results.get(i).expect("topological order").as_rows().clone(),
+                            results.get(i).expect("topological order").clone(),
                         ),
                     })
                     .collect();
@@ -297,9 +297,9 @@ impl Driver {
             // This node runs outside the party pipeline: any MPC-resident
             // input it consumes crosses a reveal boundary here, so block
             // until the opened (and cross-party-checked) relation arrives.
-            // (An MPC-site consumer gets here too — the cleartext `Divide`
-            // substitute of `run_mpc_op` — and the certificate does not cover
-            // that open: docs/SECURITY.md, "Fidelity substitutions".)
+            // (So do MPC-site consumers — hybrids, and the `Divide` substitute
+            // of `run_mpc_op`, whose open the certificate does not cover:
+            // docs/SECURITY.md, "Fidelity substitutions".)
             for &i in &node.inputs {
                 if let Some(&s) = mpc_steps.get(&i) {
                     if let std::collections::hash_map::Entry::Vacant(e) = results.entry(i) {
@@ -361,7 +361,7 @@ impl Driver {
                     _,
                 ) => {
                     reveal(&certificate, &mut report.leakage, id, id, *helper)?;
-                    let outcome = hybrid_exec::public_join(
+                    let mut outcome = hybrid_exec::public_join(
                         &*self.stp_exec,
                         input_tables[0],
                         input_tables[1],
@@ -369,6 +369,13 @@ impl Driver {
                         right_keys,
                         *helper,
                     )?;
+                    // No MPC runs: the key exchange is priced by the one price list.
+                    let (rows, cols): (Vec<u64>, Vec<u64>) = input_tables
+                        .iter()
+                        .map(|t| (t.num_rows() as u64, t.schema().len() as u64))
+                        .unzip();
+                    let out_rows = outcome.result.num_rows() as u64;
+                    outcome.mpc_stats = self.mpc.estimate_op(&node.op, &rows, &cols, out_rows)?;
                     self.absorb_hybrid(&mut report, &outcome);
                     (outcome.result, Duration::ZERO)
                 }
@@ -397,11 +404,10 @@ impl Driver {
                     (outcome.result, Duration::ZERO)
                 }
                 (op, ExecSite::Mpc) => {
-                    // In distributed mode only the operators the party
-                    // drivers cannot run (the simulated `Divide` path) reach
-                    // here; everything else was enqueued on the mesh above.
-                    let presorted = plan.aggregate_is_presorted(id);
-                    let (table, stats) = self.run_mpc_op(op, &input_tables, presorted)?;
+                    // Only what the party runtime cannot run reaches here:
+                    // a secret-sharing `Divide` and every garbled-circuit
+                    // step. The rest was enqueued above.
+                    let (table, stats) = self.run_mpc_op(op, &input_tables)?;
                     report.modeled.charge_mpc(&stats);
                     report.mpc_stats.merge(&stats);
                     (table, stats.simulated_time)
@@ -422,11 +428,12 @@ impl Driver {
             tracked.push((result.clone(), result.conversion_counts()));
             results.insert(id, result);
         }
-        // End the query on the party mesh: flush in-flight opens, collect
+        // End the query on the party runtime: flush in-flight opens, collect
         // every step's primitive counts (pricing them into the modeled time
         // and patching the per-node duration placeholders), and record the
-        // observed wire traffic — in `net`, never in `modeled.bytes`.
-        // A plan that never touched the mesh puts it back as it found it.
+        // observed wire traffic in `net`; only unobserved (in-process) steps
+        // are modeled as bytes. A plan that never touched the runtime puts
+        // it back as it found it.
         if let Some(mut rt) = mesh_rt {
             if !mpc_steps.is_empty() {
                 let summary = rt.end_query()?;
@@ -437,6 +444,9 @@ impl Driver {
                         outcome.output_rows,
                     );
                     report.modeled.mpc_time += stats.simulated_time;
+                    if summary.net == conclave_net::NetStats::default() {
+                        report.modeled.bytes += stats.counts.bytes();
+                    }
                     report.mpc_stats.merge(&stats);
                     if let Some(&idx) = step_nodes.get(&outcome.step) {
                         report.per_node[idx].2 = stats.simulated_time;
@@ -446,6 +456,11 @@ impl Driver {
                 report.dealer_net = summary.dealer_net;
             }
             self.mesh = Some(rt);
+        }
+        // One MPC job per plan, however many steps, as the estimator prices.
+        if plan.dag.iter().any(|n| n.site.is_mpc()) {
+            report.modeled.mpc_time +=
+                Duration::from_secs_f64(self.mpc.config().ss_cost.job_overhead);
         }
         // Tally per-run conversions. Clones share one counter, so count each
         // distinct cache once, from its earliest baseline.
@@ -492,13 +507,12 @@ impl Driver {
         &mut self,
         op: &Operator,
         inputs: &[&Table],
-        presorted: bool,
     ) -> Result<(Table, conclave_mpc::backend::MpcStepStats), DriverError> {
         // Division under MPC: Sharemind supports fixed-point division, but our
         // secret-sharing layer stays integer-only. The result is computed by
         // the simulator while the cost of an oblivious division protocol is
         // charged, so the "whole query under MPC" baselines of Figures 4 and 6
-        // remain runnable. This holds in every party-runtime mode.
+        // remain runnable. This holds under every party runtime.
         if matches!(op, Operator::Divide { .. }) && self.mpc.config().kind.is_secret_sharing() {
             let rows: Vec<&Relation> = inputs.iter().map(|t| t.as_rows()).collect();
             let rel = execute(op, &rows).map_err(DriverError::Engine)?;
@@ -512,12 +526,8 @@ impl Driver {
             let stats = self.mpc.stats_from_counts(counts, n, rel.num_rows() as u64);
             return Ok((Table::from_rows(rel), stats));
         }
-        // Sort-elimination pay-off: an MPC aggregation whose input is already
-        // sorted by its group-by key skips the oblivious sort (§5.4).
-        self.mpc
-            .execute_op_presorted(op, inputs, presorted)
-            .map(|(rel, stats)| (Table::from_rows(rel), stats))
-            .map_err(DriverError::from)
+        let (rel, stats) = self.mpc.execute_op_tables(op, inputs)?;
+        Ok((Table::from_rows(rel), stats))
     }
 }
 
@@ -551,11 +561,13 @@ mod tests {
     use crate::plan::compile;
     use conclave_ir::builder::QueryBuilder;
     use conclave_ir::expr::Expr;
-    use conclave_ir::ops::AggFunc;
+    use conclave_ir::ops::{AggFunc, Operand};
     use conclave_ir::party::Party;
     use conclave_ir::schema::{ColumnDef, Schema};
     use conclave_ir::trust::TrustSet;
     use conclave_ir::types::{DataType, Value};
+    use conclave_mpc::PrimitiveCounts;
+    use conclave_net::NetStats;
 
     fn market_inputs() -> HashMap<String, Table> {
         let mut m = HashMap::new();
@@ -780,13 +792,19 @@ mod tests {
             "b".to_string(),
             Relation::from_ints(&["k", "v"], &[vec![2, 5]]).into(),
         );
-        let mut driver = Driver::new(ConclaveConfig::standard().with_sequential_local());
+        let config = ConclaveConfig::standard().with_sequential_local();
+        let mut driver = Driver::new(config.clone());
         let report = driver.run_tables(&plan, &inputs).unwrap();
         assert_eq!(report.output_for(1).unwrap().num_rows(), 1);
         assert!(report.leakage.iter().any(|d| d.node == join_id
             && d.to_party == helper
             && d.kind == DisclosureKind::StpKeys
             && d.columns == ["k"]));
+        // The executed public join is priced like the estimator prices it:
+        // (n + out) words moved, plus the run's one MPC job.
+        let moved = config.mpc.network.transfer_time((3 + 1) * 8);
+        let job = Duration::from_secs_f64(config.mpc.ss_cost.job_overhead);
+        assert_eq!(report.modeled.mpc_time, moved + job);
     }
 
     #[test]
@@ -852,40 +870,113 @@ mod tests {
         }
     }
 
+    /// The credit query with its per-zip average: a `Divide` over the join
+    /// of two aggregations.
+    fn credit_average_query() -> conclave_ir::builder::Query {
+        let regulator = Party::new(1, "gov");
+        let demo = Schema::new(vec![
+            ColumnDef::new("ssn", DataType::Int),
+            ColumnDef::with_trust("zip", DataType::Int, TrustSet::of([1])),
+        ]);
+        let bank = Schema::ints(&["ssn", "score"]);
+        let mut q = QueryBuilder::new();
+        let demographics = q.input("demographics", demo, regulator.clone());
+        let s1 = q.input("scores1", bank.clone(), Party::new(2, "a"));
+        let s2 = q.input("scores2", bank, Party::new(3, "b"));
+        let scores = q.concat(&[s1, s2]);
+        let joined = q.join(demographics, scores, &["ssn"], &["ssn"]);
+        let count = q.count(joined, "count", &["zip"]);
+        let total = q.aggregate(joined, "total", AggFunc::Sum, &["zip"], "score");
+        let both = q.join(total, count, &["zip"], &["zip"]);
+        let avg = q.divide(both, "avg", Operand::col("total"), Operand::col("count"));
+        q.collect(avg, &[regulator]);
+        q.build().unwrap()
+    }
+
     #[test]
     fn distributed_party_runtime_matches_the_simulated_oracle_end_to_end() {
         use crate::config::PartyRuntime;
-        let query = market_query();
-        let inputs = market_inputs();
-        // Oracle: the default simulated in-process path.
-        let plan = compile(&query, &ConclaveConfig::mpc_only()).unwrap();
-        let mut oracle = Driver::new(ConclaveConfig::mpc_only().with_sequential_local());
-        let expected = oracle.run_tables(&plan, &inputs).unwrap();
-        // The oracle saw no wire: everything it reports is modeled.
-        assert_eq!(expected.net.total_bytes(), 0);
-        assert!(expected.modeled.bytes > 0);
-        assert!(!expected.to_string().contains("measured"));
-        for runtime in [PartyRuntime::Channel, PartyRuntime::Tcp] {
-            let config = ConclaveConfig::mpc_only()
-                .with_sequential_local()
-                .with_party_runtime(runtime);
+        // The counts every runtime must agree on: all but the circuit-level
+        // tallies and MAC checks only a mesh has.
+        let engine_independent = |c: PrimitiveCounts| PrimitiveCounts {
+            bit_ands: 0,
+            circuit_rounds: 0,
+            mac_checks: 0,
+            ..c
+        };
+        for (case, query, inputs, config, divides) in [
+            (
+                "market, mpc_only",
+                market_query(),
+                market_inputs(),
+                ConclaveConfig::mpc_only(),
+                false,
+            ),
+            (
+                "market, standard",
+                market_query(),
+                market_inputs(),
+                ConclaveConfig::standard(),
+                false,
+            ),
+            (
+                "credit with Divide, mpc_only",
+                credit_average_query(),
+                credit_inputs(),
+                ConclaveConfig::mpc_only(),
+                true,
+            ),
+        ] {
+            let config = config.with_sequential_local();
             let plan = compile(&query, &config).unwrap();
-            let mut driver = Driver::new(config);
-            let report = driver.run_tables(&plan, &inputs).unwrap();
-            let out = report.output_for(1).unwrap();
-            assert!(
-                out.same_rows_unordered(expected.output_for(1).unwrap()),
-                "{runtime:?} runtime diverged from the oracle:\n{out}"
-            );
-            assert!(report.net.total_bytes() > 0);
-            assert!(report.net.rounds > 0);
-            // Every MPC step ran on the mesh: nothing is modeled as bytes,
-            // and the modeled time prices the counts the mesh reported.
-            assert_eq!(report.modeled.bytes, 0);
-            assert!(report.modeled.mpc_time > Duration::ZERO);
-            let shown = report.to_string();
-            assert!(shown.contains("measured (party transports)"));
-            assert!(shown.contains("link P0 -> P1"));
+            let mpc_divide = |n: &conclave_ir::dag::DagNode| {
+                matches!(n.op, Operator::Divide { .. }) && n.site.is_mpc()
+            };
+            assert_eq!(plan.dag.iter().any(mpc_divide), divides, "{case}");
+            let run = |runtime| {
+                Driver::new(config.clone().with_party_runtime(runtime))
+                    .run_tables(&plan, &inputs)
+                    .unwrap()
+            };
+            // Oracle: the default in-process runtime of the same pipeline.
+            let expected = run(PartyRuntime::Simulated);
+            // The oracle saw no wire: everything it reports is modeled.
+            assert_eq!(expected.net, NetStats::default(), "{case}");
+            assert!(expected.modeled.bytes > 0, "{case}");
+            assert!(!expected.to_string().contains("measured"), "{case}");
+            if !divides {
+                // Its steps are priced as one MPC job: one job overhead.
+                let one_job = config
+                    .mpc
+                    .ss_cost
+                    .time(&expected.mpc_stats.counts, &config.mpc.network);
+                let gap = expected.modeled.mpc_time.abs_diff(one_job);
+                assert!(gap < Duration::from_micros(1), "{case}: {gap:?}");
+            }
+            for runtime in [PartyRuntime::Channel, PartyRuntime::Tcp] {
+                let report = run(runtime);
+                let out = report.output_for(1).unwrap();
+                assert!(
+                    out.same_rows_unordered(expected.output_for(1).unwrap()),
+                    "{case}: {runtime:?} runtime diverged from the oracle:\n{out}"
+                );
+                // Shared and opened where the oracle shared and opened.
+                assert_eq!(
+                    engine_independent(report.mpc_stats.counts),
+                    engine_independent(expected.mpc_stats.counts),
+                    "{case}: {runtime:?}"
+                );
+                assert!(report.net.total_bytes() > 0);
+                assert!(report.net.rounds > 0);
+                // Every step but the `Divide` substitute ran on the mesh:
+                // nothing else is modeled as bytes.
+                if !divides {
+                    assert_eq!(report.modeled.bytes, 0, "{case}: {runtime:?}");
+                }
+                let shown = report.to_string();
+                assert!(shown.contains("measured (party transports)"));
+                assert!(shown.contains("link P0 -> P1"));
+            }
         }
     }
 

@@ -205,9 +205,9 @@ pub fn public_join(
     };
     let result = run_clear(&op, &[left, right], helper_exec)?;
     let stp_time = helper_exec.estimate_tables(&op, &[left, right], result.num_rows() as u64);
-    // The only cross-party traffic is the key columns and the joined index
-    // relation; account it as opened/shared elements so the cost model can
-    // convert it to time and bytes.
+    // No MPC runs here, so nothing is counted: the only cross-party traffic
+    // is the key columns and the joined index relation, which the driver
+    // prices from `MpcEngine::estimate_op`'s public-join arm.
     let mpc_stats = MpcStepStats {
         input_rows: (left.num_rows() + right.num_rows()) as u64,
         output_rows: result.num_rows() as u64,
@@ -306,6 +306,8 @@ pub fn hybrid_aggregate(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{DealerMode, PartyRuntime};
+    use crate::party_exec::{PartyMeshRuntime, StepInput};
     use conclave_engine::{
         execute, sequential_executor, ColumnarRelation, EngineMode, Relation, RowExecutor,
     };
@@ -407,22 +409,26 @@ mod tests {
             1,
         )
         .unwrap();
-        let mut eng2 = engine();
-        let (_, full) = eng2
-            .execute_op(
-                &Operator::Join {
-                    left_keys: vec!["k".into()],
-                    right_keys: vec!["k".into()],
-                    kind: conclave_ir::ops::JoinKind::Inner,
-                },
-                &[&left, &right],
-            )
-            .unwrap();
+        // The full MPC join: one step on the in-process runtime.
+        let mut rt =
+            PartyMeshRuntime::with_dealer(3, 1, PartyRuntime::Simulated, &DealerMode::Seeded)
+                .unwrap();
+        let join = Operator::Join {
+            left_keys: vec!["k".into()],
+            right_keys: vec!["k".into()],
+            kind: conclave_ir::ops::JoinKind::Inner,
+        };
+        let inputs = vec![
+            StepInput::Table(left.into()),
+            StepInput::Table(right.into()),
+        ];
+        rt.enqueue(&join, inputs, false, true).unwrap();
+        let full = rt.finish().unwrap().steps[0].counts;
         assert!(
-            hybrid.mpc_stats.counts.nonlinear_ops() < full.counts.nonlinear_ops(),
+            hybrid.mpc_stats.counts.nonlinear_ops() < full.nonlinear_ops(),
             "hybrid {} vs full {}",
             hybrid.mpc_stats.counts.nonlinear_ops(),
-            full.counts.nonlinear_ops()
+            full.nonlinear_ops()
         );
     }
 

@@ -1,16 +1,17 @@
-//! Distributed execution of MPC plan steps: a party mesh with **one** query
+//! The one route of MPC plan steps: a party runtime with **one** query
 //! lifecycle.
 //!
-//! When [`crate::config::ConclaveConfig::party_runtime`] selects a
-//! distributed mode, the driver routes the plan's secret-sharing MPC steps
-//! into a [`PartyMeshRuntime`]. [`PartyMeshRuntime::with_dealer`] builds
-//! **one** transport mesh ([`Mesh::channel`] or a localhost
-//! [`Mesh::tcp_localhost`], per the configured [`PartyRuntime`]) and spawns
-//! one worker thread per computing party, each owning a mesh-lifetime
-//! [`PartySession`] (MAC key share, offline stock, dealer feed) that holds
-//! **only that party's shares**. Every query on the mesh — the only query of
-//! a one-shot run exactly like the hundredth of a serving tenant — then goes
-//! through the same three calls, and the mesh ends with the fourth:
+//! The driver routes every secret-sharing MPC step it can run
+//! ([`op_is_party_capable`]) into a [`PartyMeshRuntime`], whatever
+//! [`crate::config::ConclaveConfig::party_runtime`] selects. On a mesh,
+//! [`PartyMeshRuntime::with_dealer`] builds **one** transport mesh
+//! ([`Mesh::channel`] or [`Mesh::tcp_localhost`]) and spawns one worker thread
+//! per computing party, each owning a mesh-lifetime [`PartySession`] (MAC key
+//! share, offline stock, dealer feed) holding **only that party's shares**;
+//! [`PartyRuntime::Simulated`] instead runs each step as it is enqueued, on
+//! one in-process [`conclave_mpc::Protocol`], with no thread and no wire.
+//! Every query — a one-shot run's exactly like a serving tenant's hundredth —
+//! goes through the same three calls, and the runtime ends with the fourth:
 //!
 //! 1. [`PartyMeshRuntime::begin_query`] readies the sessions' offline
 //!    material: under [`DealerMode::Pooled`] it draws exactly one bundle from
@@ -61,14 +62,14 @@
 //! batch-size-dependent only, so the cross-party equality check on every
 //! step's outcome covers them too.
 //!
-//! The in-process [`conclave_mpc::Protocol`] engine remains the default; both
-//! engines run the one generic operator stack of [`conclave_mpc::operators`],
-//! so a transport-executed plan must reveal cell-identical results and
-//! charge identical primitive counts.
+//! Both engines, the default's in-process [`conclave_mpc::Protocol`] and the
+//! per-party [`conclave_mpc::StepCtx`], run the one generic operator stack of
+//! [`conclave_mpc::operators`] behind this lifecycle, so every runtime must
+//! reveal cell-identical results and charge identical primitive counts.
 
 use crate::config::{DealerMode, PartyRuntime};
 use crate::driver::DriverError;
-use conclave_engine::Relation;
+use conclave_engine::{Relation, Table};
 use conclave_ir::ops::Operator;
 use conclave_ir::schema::Schema;
 use conclave_mpc::cost::PrimitiveCounts;
@@ -79,8 +80,9 @@ use conclave_mpc::runtime::{
     begin_open_relation, execute_party_op, finish_open_relation, share_relation, PartyError,
     PartyRelation, PartyResult, PartySession, PendingOpen,
 };
-use conclave_mpc::MpcError;
+use conclave_mpc::{operators, MpcError, Protocol, SharedRelation};
 use conclave_net::{merge_mesh_stats, ChannelTransport, Mesh, NetStats, Transport, TransportError};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::mpsc::{Receiver, Sender, TryRecvError};
 use std::thread::JoinHandle;
@@ -109,9 +111,9 @@ pub fn op_is_party_capable(op: &Operator) -> bool {
 
 /// One input of a step fed to [`PartyMeshRuntime::enqueue`].
 pub enum StepInput {
-    /// A cleartext relation entering the MPC pipeline: the runtime picks an
+    /// A cleartext table entering the MPC pipeline: the runtime picks an
     /// owning party (round-robin by input position) which secret-shares it.
-    Table(Relation),
+    Table(Table),
     /// The output of an earlier enqueued step, still resident on the workers
     /// as shares; consumed by reference without re-sharing.
     Resident(u32),
@@ -206,12 +208,12 @@ struct WorkerHandle {
     join: JoinHandle<()>,
 }
 
-/// The distributed runtime: one mesh, one worker thread and one
-/// [`PartySession`] per party, a pipelined work queue of plan steps, any
-/// number of queries (see the module docs for the lifecycle). Under a
-/// non-seeded [`DealerMode`] the offline phase runs first: per-party dealer
-/// files are loaded, or a dealer server thread per party streams blocks over
-/// a dedicated link for the lifetime of the mesh.
+/// The party runtime: one mesh, one worker thread and one [`PartySession`]
+/// per party and a pipelined work queue of plan steps — or, under
+/// [`PartyRuntime::Simulated`], one in-process engine — for any number of
+/// queries (see the module docs). Under a non-seeded [`DealerMode`] a mesh's
+/// offline phase runs first: per-party dealer files are loaded, or a dealer
+/// server thread per party streams blocks over a dedicated link.
 pub struct PartyMeshRuntime {
     workers: Vec<WorkerHandle>,
     /// In-process dealer servers (streamed mode), one per party, joined at
@@ -233,11 +235,16 @@ pub struct PartyMeshRuntime {
     net_base: Vec<NetStats>,
     /// Same, for the worker-side dealer-link stats (streamed mode).
     dealer_base: Vec<NetStats>,
+    /// [`PartyRuntime::Simulated`]'s engine, on the caller's thread (there
+    /// are no workers then), and its resident relations of the query.
+    in_process: Option<Protocol>,
+    resident: HashMap<u32, SharedRelation>,
 }
 
 impl PartyMeshRuntime {
     /// Builds the mesh (once) and spawns the per-party workers (once), each
-    /// drawing offline material from `dealer`.
+    /// drawing offline material from `dealer`; [`PartyRuntime::Simulated`]
+    /// builds neither and takes no material.
     pub fn with_dealer(
         parties: u32,
         seed: u64,
@@ -245,25 +252,31 @@ impl PartyMeshRuntime {
         dealer: &DealerMode,
     ) -> Result<Self, DriverError> {
         let mesh = match runtime {
-            PartyRuntime::Simulated => {
-                return Err(DriverError::Mpc(MpcError::Exec(
-                    "PartyMeshRuntime built in simulated mode".into(),
-                )))
+            PartyRuntime::Simulated => None,
+            PartyRuntime::Channel => Some(Mesh::channel(parties)),
+            PartyRuntime::Tcp => {
+                Some(Mesh::tcp_localhost(parties).map_err(DriverError::Transport)?)
             }
-            PartyRuntime::Channel => Mesh::channel(parties),
-            PartyRuntime::Tcp => Mesh::tcp_localhost(parties).map_err(DriverError::Transport)?,
+        };
+        let in_process = mesh
+            .is_none()
+            .then(|| Protocol::new(parties as usize, seed));
+        let pool = match dealer {
+            DealerMode::Pooled(pool) if mesh.is_some() => {
+                if pool.parties() != parties as usize {
+                    return Err(DriverError::Mpc(MpcError::Exec(format!(
+                        "dealer pool deals for {} parties, but the mesh has {parties}",
+                        pool.parties()
+                    ))));
+                }
+                Some(pool.clone())
+            }
+            _ => None,
         };
         let mut dealer_servers = Vec::new();
-        if let DealerMode::Pooled(pool) = dealer {
-            if pool.parties() != parties as usize {
-                return Err(DriverError::Mpc(MpcError::Exec(format!(
-                    "dealer pool deals for {} parties, but the mesh has {parties}",
-                    pool.parties()
-                ))));
-            }
-        }
         let workers: Vec<WorkerHandle> = mesh
-            .into_endpoints()
+            .map(Mesh::into_endpoints)
+            .unwrap_or_default()
             .into_iter()
             .enumerate()
             .map(|(i, net)| {
@@ -315,26 +328,21 @@ impl PartyMeshRuntime {
             next_step: 0,
             buffered,
             completed: BTreeMap::new(),
-            pool: match dealer {
-                DealerMode::Pooled(pool) => Some(pool.clone()),
-                _ => None,
-            },
+            pool,
             query_start: 0,
             net_base,
             dealer_base,
+            in_process,
+            resident: HashMap::new(),
         })
-    }
-
-    /// Number of computing parties in the mesh.
-    pub fn parties(&self) -> u32 {
-        self.workers.len() as u32
     }
 
     /// Enqueues one plan step on every worker and returns its step id
     /// without waiting for execution: workers drain the queue at their own
     /// pace, so the driver can keep feeding steps while earlier opens are in
     /// flight. `reveal` marks a reveal boundary — the step's result is opened
-    /// and becomes retrievable via [`PartyMeshRuntime::wait_opened`].
+    /// and becomes retrievable via [`PartyMeshRuntime::wait_opened`]. In
+    /// process ([`PartyRuntime::Simulated`]) the step runs, or fails, here.
     pub fn enqueue(
         &mut self,
         op: &Operator,
@@ -343,20 +351,51 @@ impl PartyMeshRuntime {
         reveal: bool,
     ) -> Result<u32, DriverError> {
         let step = self.next_step;
+        if let Some(proto) = &mut self.in_process {
+            let before = proto.counts();
+            let shared = inputs
+                .iter()
+                .map(|input| match input {
+                    StepInput::Table(t) => SharedRelation::from_table(t, proto)
+                        .map(Cow::Owned)
+                        .map_err(MpcError::Exec),
+                    StepInput::Resident(s) => {
+                        self.resident.get(s).map(Cow::Borrowed).ok_or_else(|| {
+                            MpcError::Exec(format!("step {step} reads step {s}, not resident"))
+                        })
+                    }
+                })
+                .collect::<Result<Vec<_>, _>>()?;
+            let refs: Vec<&SharedRelation> = shared.iter().map(|r| r.as_ref()).collect();
+            let result =
+                operators::execute_op(proto, op, &refs, presorted).map_err(MpcError::from)?;
+            let opened = reveal.then(|| result.reconstruct(proto));
+            let outcome = StepOutcome {
+                step,
+                input_rows: refs.iter().map(|r| r.num_rows() as u64).sum(),
+                output_rows: result.num_rows() as u64,
+                counts: proto.counts().since(&before),
+                opened,
+            };
+            self.resident.insert(step, result);
+            self.completed.insert(step, outcome);
+            self.next_step += 1;
+            return Ok(step);
+        }
         self.next_step += 1;
-        let parties = self.parties();
+        let parties = self.workers.len() as u32;
         self.send_all(|w| {
             let spec_inputs: Vec<WorkerInput> = inputs
                 .iter()
                 .enumerate()
                 .map(|(i, input)| match input {
-                    StepInput::Table(rel) => {
+                    StepInput::Table(t) => {
                         let owner = (i as u32) % parties;
                         WorkerInput::Share {
                             owner,
-                            schema: rel.schema.clone(),
-                            num_rows: rel.num_rows(),
-                            data: (w as u32 == owner).then(|| rel.clone()),
+                            schema: t.schema().clone(),
+                            num_rows: t.num_rows(),
+                            data: (w as u32 == owner).then(|| t.as_rows().clone()),
                         }
                     }
                     StepInput::Resident(s) => WorkerInput::Resident(*s),
@@ -398,8 +437,8 @@ impl PartyMeshRuntime {
     /// query's included. In pooled-dealer mode it draws the query's one
     /// bundle from the pool (blocking until the refiller has one ready — a
     /// starved pool delays, never corrupts) and hands every worker's session
-    /// its block. A no-op under the other dealer modes — their feeds are
-    /// query-unbounded by construction.
+    /// its block. A no-op otherwise: other dealer feeds are query-unbounded
+    /// by construction, and [`PartyRuntime::Simulated`] holds no pool.
     pub fn begin_query(&mut self) -> Result<(), DriverError> {
         let Some(pool) = &self.pool else {
             return Ok(());
@@ -416,6 +455,7 @@ impl PartyMeshRuntime {
     /// sessions and the MAC key survive for the next query.
     pub fn end_query(&mut self) -> Result<MeshSummary, DriverError> {
         self.send_all(|_| WorkMsg::EndQuery)?;
+        self.resident.clear();
         for step in self.query_start..self.next_step {
             self.collect_step(step)?;
         }
@@ -800,9 +840,7 @@ fn party_to_driver_error(e: PartyError) -> DriverError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use conclave_engine::Table;
     use conclave_ir::ops::AggFunc;
-    use conclave_mpc::backend::{MpcBackendConfig, MpcEngine};
 
     fn sales_table() -> Table {
         Table::from_rows(Relation::from_ints(
@@ -837,7 +875,7 @@ mod tests {
     ) -> Result<(Relation, MeshSummary), DriverError> {
         let mut rt = PartyMeshRuntime::with_dealer(3, seed, runtime, dealer)?;
         rt.begin_query()?;
-        let input = StepInput::Table(sales_table().as_rows().clone());
+        let input = StepInput::Table(sales_table());
         let step = rt.enqueue(op, vec![input], false, true)?;
         let opened = rt.wait_opened(step)?;
         Ok((opened, rt.finish()?))
@@ -847,11 +885,16 @@ mod tests {
         run_step(&revenue_by_company(), 42, PartyRuntime::Channel, dealer).unwrap()
     }
 
+    /// The in-process runtime's opened result of one step over `sales_table`.
+    fn oracle(op: &Operator) -> Relation {
+        run_step(op, 1, PartyRuntime::Simulated, &DealerMode::Seeded)
+            .unwrap()
+            .0
+    }
+
     #[test]
     fn channel_step_matches_the_inprocess_oracle() {
-        let op = revenue_by_company();
-        let mut oracle = MpcEngine::new(MpcBackendConfig::sharemind());
-        let (expected, _) = oracle.execute_op(&op, &[sales_table().as_rows()]).unwrap();
+        let expected = oracle(&revenue_by_company());
         let (opened, summary) = run_with_dealer(&DealerMode::Seeded);
         assert!(opened.same_rows_unordered(&expected));
         assert!(summary.net.total_bytes() > 0, "bytes must be measured");
@@ -898,11 +941,28 @@ mod tests {
     }
 
     #[test]
-    fn simulated_mode_is_rejected_here() {
-        assert!(matches!(
-            PartyMeshRuntime::with_dealer(3, 1, PartyRuntime::Simulated, &DealerMode::Seeded),
-            Err(DriverError::Mpc(MpcError::Exec(_)))
-        ));
+    fn simulated_runtime_builds_no_worker_and_no_mesh_and_reports_no_traffic() {
+        // A pool for the wrong number of parties: the in-process runtime
+        // takes no offline material, so it neither checks nor draws it.
+        let pool = MaterialPool::start_paused(1, 2, Default::default(), 1);
+        let rt = PartyMeshRuntime::with_dealer(
+            3,
+            1,
+            PartyRuntime::Simulated,
+            &DealerMode::Pooled(pool.clone()),
+        )
+        .unwrap();
+        assert!(rt.workers.is_empty() && rt.dealer_servers.is_empty() && rt.pool.is_none());
+        let op = revenue_by_company();
+        let expected = conclave_engine::execute(&op, &[sales_table().as_rows()]).unwrap();
+        let (opened, summary) =
+            run_step(&op, 1, PartyRuntime::Simulated, &DealerMode::Pooled(pool)).unwrap();
+        assert!(opened.same_rows_unordered(&expected), "got\n{opened}");
+        assert_eq!(summary.net, NetStats::default(), "no wire, no mesh build");
+        assert!(summary.dealer_net.is_none());
+        let counts = summary.steps[0].counts;
+        assert_eq!(counts.input_elems, 10, "the input is shared once");
+        assert_eq!(counts.mac_checks, 0, "nothing is authenticated in process");
     }
 
     #[test]
@@ -987,12 +1047,7 @@ mod tests {
             .unwrap();
             rt.begin_query().unwrap();
             let step = rt
-                .enqueue(
-                    &op,
-                    vec![StepInput::Table(table.as_rows().clone())],
-                    false,
-                    true,
-                )
+                .enqueue(&op, vec![StepInput::Table(table.clone())], false, true)
                 .unwrap();
             let err = if via_end_query {
                 rt.end_query().unwrap_err()
@@ -1051,8 +1106,7 @@ mod tests {
             over: Some("price".into()),
             out: "rev".into(),
         };
-        let mut oracle = MpcEngine::new(MpcBackendConfig::sharemind());
-        let (expected, _) = oracle.execute_op(&op, &[table.as_rows()]).unwrap();
+        let expected = oracle(&op);
         let spec = MaterialSpec {
             triples: 256,
             bit_triples: 512,
@@ -1074,12 +1128,7 @@ mod tests {
             // one fresh bundle (same MAC key) instead of rebuilding anything.
             rt.begin_query().unwrap();
             let step = rt
-                .enqueue(
-                    &op,
-                    vec![StepInput::Table(table.as_rows().clone())],
-                    false,
-                    true,
-                )
+                .enqueue(&op, vec![StepInput::Table(table.clone())], false, true)
                 .unwrap();
             let opened = rt.wait_opened(step).unwrap();
             assert!(
@@ -1109,35 +1158,37 @@ mod tests {
             over: Some("price".into()),
             out: "rev".into(),
         };
-        // Oracle: the same two steps through the in-process engine.
-        let mut oracle = MpcEngine::new(MpcBackendConfig::sharemind());
-        let (sorted, _) = oracle.execute_op(&filter_op, &[table.as_rows()]).unwrap();
-        let (expected, _) = oracle.execute_op(&agg_op, &[&sorted]).unwrap();
-
-        let mut rt =
-            PartyMeshRuntime::with_dealer(3, 11, PartyRuntime::Channel, &DealerMode::Seeded)
+        // The same two steps on both runtimes: the in-process one is the
+        // oracle, and both keep the intermediate resident.
+        let pipeline = |runtime| {
+            let mut rt =
+                PartyMeshRuntime::with_dealer(3, 11, runtime, &DealerMode::Seeded).unwrap();
+            let s0 = rt
+                .enqueue(
+                    &filter_op,
+                    vec![StepInput::Table(table.clone())],
+                    false,
+                    false,
+                )
                 .unwrap();
-        let s0 = rt
-            .enqueue(
-                &filter_op,
-                vec![StepInput::Table(table.as_rows().clone())],
-                false,
-                false,
-            )
-            .unwrap();
-        let s1 = rt
-            .enqueue(&agg_op, vec![StepInput::Resident(s0)], false, true)
-            .unwrap();
-        let opened = rt.wait_opened(s1).unwrap();
+            let s1 = rt
+                .enqueue(&agg_op, vec![StepInput::Resident(s0)], false, true)
+                .unwrap();
+            let opened = rt.wait_opened(s1).unwrap();
+            (opened, rt.finish().unwrap())
+        };
+        let (expected, oracle) = pipeline(PartyRuntime::Simulated);
+        let (opened, summary) = pipeline(PartyRuntime::Channel);
         assert!(opened.same_rows_unordered(&expected), "got\n{opened}");
-        let summary = rt.finish().unwrap();
         assert_eq!(summary.net.mesh_builds, 1, "one mesh for the whole query");
-        assert_eq!(summary.steps.len(), 2);
-        assert!(summary.steps[0].opened.is_none(), "no open between steps");
-        // The intermediate stayed resident: step 0's result was never opened
-        // (sorting opens nothing), so every opened element belongs to the
-        // reveal boundary.
-        assert_eq!(summary.steps[0].counts.opened_elems, 0);
-        assert!(summary.steps[1].opened.is_some());
+        for summary in [&oracle, &summary] {
+            assert_eq!(summary.steps.len(), 2);
+            assert!(summary.steps[0].opened.is_none(), "no open between steps");
+            // The intermediate stayed resident: step 0's result was never
+            // opened (sorting opens nothing), so every opened element belongs
+            // to the reveal boundary.
+            assert_eq!(summary.steps[0].counts.opened_elems, 0);
+            assert!(summary.steps[1].opened.is_some());
+        }
     }
 }

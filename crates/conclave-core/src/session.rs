@@ -675,26 +675,46 @@ mod tests {
             dabits: 128,
             input_masks: 256,
         };
-        for runtime in [PartyRuntime::Channel, PartyRuntime::Tcp] {
+        for runtime in [
+            PartyRuntime::Simulated,
+            PartyRuntime::Channel,
+            PartyRuntime::Tcp,
+        ] {
+            // The in-process runtime crosses no wire and builds no mesh, on
+            // every run.
+            let (meshes, traffic) = match runtime {
+                PartyRuntime::Simulated => (0, false),
+                _ => (1, true),
+            };
             for pooled in [false, true] {
                 let (oneshot, mut kept) = lifecycle_sessions(|| {
                     let config = ConclaveConfig::standard()
                         .with_sequential_local()
                         .with_party_runtime(runtime);
-                    if pooled {
-                        config.with_pooled_dealer(MaterialPool::start(7, 3, spec, 2))
-                    } else {
-                        config
+                    match (pooled, runtime) {
+                        (false, _) => config,
+                        // The server's default, `standard()` plus a pool:
+                        // the in-process runtime takes no bundle, so a pool
+                        // whose refiller never runs cannot hold it up.
+                        (true, PartyRuntime::Simulated) => {
+                            config.with_pooled_dealer(MaterialPool::start_paused(7, 3, spec, 2))
+                        }
+                        (true, _) => config.with_pooled_dealer(MaterialPool::start(7, 3, spec, 2)),
                     }
                 });
                 let plan = oneshot.compile(&two_party_sum_query()).unwrap();
                 let base = oneshot.run_plan(&plan).unwrap();
-                assert!(base.net.total_bytes() > 0, "the plan has MPC steps");
+                assert!(
+                    base.mpc_stats.counts.input_elems > 0,
+                    "the plan has MPC steps"
+                );
+                assert_eq!(base.net.total_bytes() > 0, traffic, "{runtime:?}");
                 let first = kept.run_plan(&plan).unwrap();
                 let second = kept.run_plan(&plan).unwrap();
+                assert!(kept.has_live_mesh(), "{runtime:?}: the runtime is retained");
                 for (run, report, builds) in [
-                    ("one-shot", &base, 1),
-                    ("first retained", &first, 1),
+                    ("one-shot", &base, meshes),
+                    ("first retained", &first, meshes),
                     ("second retained", &second, 0),
                 ] {
                     let case = format!("{run} run, {runtime:?}, pooled: {pooled}");

@@ -1,20 +1,19 @@
-//! Unified MPC backend engine.
+//! The MPC backend's price list and its garbled-circuit executor.
 //!
-//! [`MpcEngine`] executes individual relational operators under a configured
-//! backend — secret sharing (Sharemind-like) or garbled circuits (Obliv-C /
-//! ObliVM-like) — over cleartext inputs, returning the result together with
-//! [`MpcStepStats`] (simulated runtime, primitive/gate counts, traffic and
-//! memory). It also provides *analytic estimators* that produce the same
-//! statistics from cardinalities alone, which the benchmark harness uses to
-//! reproduce the paper's figures at scales that cannot be executed in-process
-//! (up to 10⁹ records).
+//! [`MpcEngine`] prices relational operators under one configured backend —
+//! secret sharing (Sharemind-like) or garbled circuits (Obliv-C / ObliVM) —
+//! into [`MpcStepStats`]: from executed primitive counts
+//! ([`MpcEngine::stats_from_counts`]) or, by the *analytic estimators*, from
+//! cardinalities alone, which reproduces the paper's figures at scales that
+//! cannot run in-process (up to 10⁹ records). It executes garbled operators
+//! over cleartext inputs but no secret-sharing job: those run as steps of
+//! `conclave_core`'s party runtime. The hybrid protocols borrow its [`Protocol`].
 
 use crate::cost::{
     gates, CircuitStats, GarbledCostModel, PrimitiveCounts, SecretShareCostModel,
     DIVIDE_COMPARISONS_PER_ROW,
 };
 use crate::engine::OpError;
-use crate::operators;
 use crate::protocol::Protocol;
 use crate::relation::SharedRelation;
 use conclave_engine::Relation;
@@ -186,7 +185,8 @@ impl From<OpError> for MpcError {
 /// Result alias for MPC operations.
 pub type MpcResult<T> = Result<T, MpcError>;
 
-/// Executes relational operators under a simulated MPC backend.
+/// Prices relational operators under an MPC backend and executes garbled
+/// ones.
 #[derive(Debug)]
 pub struct MpcEngine {
     config: MpcBackendConfig,
@@ -236,98 +236,46 @@ impl MpcEngine {
         self.stats_from_counts(counts, input_rows, output_rows)
     }
 
-    /// Executes one operator on cleartext inputs: shares them, runs the
-    /// oblivious protocol, reconstructs the result, and reports statistics
-    /// (including the sharing/opening cost, as a standalone MPC job would pay).
+    /// Executes one operator under the garbled-circuit backend: priced from
+    /// its cardinalities first (past the memory limit nothing executes), then
+    /// computed by the cleartext engine — the backend is a cost model and
+    /// builds no circuit. A secret-sharing configuration gets
+    /// [`MpcError::Unsupported`]: its operators run as plan steps of the
+    /// party runtime, never as a standalone job.
     pub fn execute_op(
         &mut self,
         op: &Operator,
         inputs: &[&Relation],
     ) -> MpcResult<(Relation, MpcStepStats)> {
-        let input_rows: u64 = inputs.iter().map(|r| r.num_rows() as u64).sum();
-        if !self.config.kind.is_secret_sharing() {
-            return self.execute_garbled(op, inputs);
+        if self.config.kind.is_secret_sharing() {
+            return Err(MpcError::Unsupported(format!(
+                "{} as a standalone secret-sharing job (it runs as a plan step)",
+                op.name()
+            )));
         }
-        self.proto.reset_counts();
-        let shared_inputs = inputs
-            .iter()
-            .map(|r| self.share(r))
-            .collect::<MpcResult<_>>()?;
-        self.execute_and_open(op, shared_inputs, input_rows, false)
-    }
-
-    /// [`MpcEngine::execute_op`] over the unified [`conclave_engine::Table`]
-    /// data plane. Secret-sharing backends share each input in whatever
-    /// representation it already holds (columnar tables go column-at-a-time
-    /// with no conversion); garbled backends materialize rows, which is the
-    /// unavoidable share boundary for that substrate.
-    pub fn execute_op_tables(
-        &mut self,
-        op: &Operator,
-        inputs: &[&conclave_engine::Table],
-    ) -> MpcResult<(Relation, MpcStepStats)> {
-        self.execute_op_presorted(op, inputs, false)
-    }
-
-    /// [`MpcEngine::execute_op_tables`] with the dispatcher's `presorted`
-    /// argument: a grouped aggregation whose input is already sorted by its
-    /// key skips the oblivious sort (§5.4) and is otherwise an MPC job like
-    /// any other.
-    pub fn execute_op_presorted(
-        &mut self,
-        op: &Operator,
-        inputs: &[&conclave_engine::Table],
-        presorted: bool,
-    ) -> MpcResult<(Relation, MpcStepStats)> {
-        let input_rows: u64 = inputs.iter().map(|t| t.num_rows() as u64).sum();
-        if !self.config.kind.is_secret_sharing() {
-            let rows: Vec<&Relation> = inputs.iter().map(|t| t.as_rows()).collect();
-            return self.execute_garbled(op, &rows);
-        }
-        self.proto.reset_counts();
-        let shared_inputs = inputs
-            .iter()
-            .map(|t| self.share_table(t))
-            .collect::<MpcResult<_>>()?;
-        self.execute_and_open(op, shared_inputs, input_rows, presorted)
-    }
-
-    /// Shared tail of the secret-sharing execution paths: run the oblivious
-    /// operator over already-shared inputs on the in-process engine, open the
-    /// result and charge the standalone-job overhead.
-    fn execute_and_open(
-        &mut self,
-        op: &Operator,
-        shared_inputs: Vec<SharedRelation>,
-        input_rows: u64,
-        presorted: bool,
-    ) -> MpcResult<(Relation, MpcStepStats)> {
-        let refs: Vec<&SharedRelation> = shared_inputs.iter().collect();
-        let shared_out = operators::execute_op(&mut self.proto, op, &refs, presorted)?;
-        let out = self.reconstruct(&shared_out);
-        let mut stats = self.drain_stats(input_rows, out.num_rows() as u64);
-        stats.simulated_time += Duration::from_secs_f64(self.config.ss_cost.job_overhead);
-        Ok((out, stats))
-    }
-
-    // ------------------------------------------------------------------
-    // Garbled-circuit execution (gate counting + memory model).
-    // ------------------------------------------------------------------
-
-    fn execute_garbled(
-        &mut self,
-        op: &Operator,
-        inputs: &[&Relation],
-    ) -> MpcResult<(Relation, MpcStepStats)> {
         let rows: Vec<u64> = inputs.iter().map(|r| r.num_rows() as u64).collect();
         let cols: Vec<u64> = inputs.iter().map(|r| r.num_cols() as u64).collect();
-        // Priced first: past the memory limit nothing executes.
         let mut stats = self.garbled_stats(op, &rows, &cols, 0)?;
         let out =
             conclave_engine::execute(op, inputs).map_err(|e| MpcError::Exec(e.to_string()))?;
         stats.output_rows = out.num_rows() as u64;
         Ok((out, stats))
     }
+
+    /// [`MpcEngine::execute_op`] over [`conclave_engine::Table`]s: a garbled
+    /// step reads rows, the unavoidable share boundary for that substrate.
+    pub fn execute_op_tables(
+        &mut self,
+        op: &Operator,
+        inputs: &[&conclave_engine::Table],
+    ) -> MpcResult<(Relation, MpcStepStats)> {
+        let rows: Vec<&Relation> = inputs.iter().map(|t| t.as_rows()).collect();
+        self.execute_op(op, &rows)
+    }
+
+    // ------------------------------------------------------------------
+    // Garbled-circuit pricing (gate counting + memory model).
+    // ------------------------------------------------------------------
 
     /// AND gates and peak state of `op` under garbled circuits, from
     /// cardinalities alone — the one gate/memory table, which both the
@@ -433,9 +381,9 @@ impl MpcEngine {
         self.estimate_op_presorted(op, input_rows, input_cols, output_rows, false)
     }
 
-    /// [`MpcEngine::estimate_op`] with the dispatcher's `presorted` argument,
-    /// as [`MpcEngine::execute_op_presorted`] sits beside `execute_op`: a
-    /// grouped aggregation over an input already sorted by its key skips the
+    /// [`MpcEngine::estimate_op`] with the dispatcher's `presorted` argument
+    /// (the one [`crate::operators::execute_op`] takes): a grouped
+    /// aggregation over an input already sorted by its key skips the
     /// oblivious sort (§5.4) and pays only the linear scan.
     pub fn estimate_op_presorted(
         &self,
@@ -569,10 +517,10 @@ impl MpcEngine {
         Ok(self.stats_from_counts(counts, n, output_rows))
     }
 
-    /// Builds step statistics from primitive counts. Also the entry point
-    /// for externally-measured counts: the distributed party runtime
-    /// executes operators itself and reports its counters here so
-    /// simulated-time accounting stays uniform across both modes.
+    /// Builds step statistics from primitive counts, without the per-job
+    /// overhead (a plan is one MPC job however many steps it has). The entry
+    /// point for executed counts: every party runtime reports its steps'
+    /// counters here, so one price applies whichever engine ran them.
     pub fn stats_from_counts(
         &self,
         counts: PrimitiveCounts,
@@ -617,6 +565,7 @@ fn log2(n: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::operators;
     use conclave_engine::execute;
     use conclave_ir::expr::Expr;
     use conclave_ir::ops::{AggFunc, JoinKind, Operand};
@@ -641,9 +590,21 @@ mod tests {
         assert_eq!(BackendKind::SharemindLike.to_string(), "sharemind-like");
     }
 
+    /// One secret-shared operator on the counting engine: the inputs shared,
+    /// the operator run, its result opened, and the counts all that charged.
+    fn run_shared(op: &Operator, inputs: &[&Relation]) -> MpcResult<(Relation, PrimitiveCounts)> {
+        let mut proto = Protocol::new(3, 7);
+        let shared = inputs
+            .iter()
+            .map(|r| SharedRelation::from_relation(r, &mut proto).map_err(MpcError::Exec))
+            .collect::<MpcResult<Vec<_>>>()?;
+        let refs: Vec<&SharedRelation> = shared.iter().collect();
+        let out = operators::execute_op(&mut proto, op, &refs, false)?;
+        Ok((out.reconstruct(&mut proto), proto.counts()))
+    }
+
     #[test]
     fn sharemind_aggregate_matches_cleartext() {
-        let mut eng = sharemind();
         let rel = sales();
         let op = Operator::Aggregate {
             group_by: vec!["companyID".into()],
@@ -651,21 +612,16 @@ mod tests {
             over: Some("price".into()),
             out: "rev".into(),
         };
-        let (out, stats) = eng.execute_op(&op, &[&rel]).unwrap();
+        let (out, counts) = run_shared(&op, &[&rel]).unwrap();
         let expected = execute(&op, &[&rel]).unwrap();
         assert!(out.same_rows_unordered(&expected));
-        assert!(stats.counts.comparisons > 0);
-        assert!(
-            stats.simulated_time > Duration::from_secs(1),
-            "includes job overhead"
-        );
-        assert_eq!(stats.input_rows, 5);
-        assert_eq!(stats.output_rows, 3);
+        assert!(counts.comparisons > 0);
+        assert_eq!(counts.input_elems, 10);
+        assert_eq!(out.num_rows(), 3);
     }
 
     #[test]
     fn sharemind_join_matches_cleartext_and_counts_quadratic_equalities() {
-        let mut eng = sharemind();
         let left = Relation::from_ints(&["k", "a"], &[vec![1, 1], vec![2, 2], vec![3, 3]]);
         let right = Relation::from_ints(&["k", "b"], &[vec![2, 20], vec![3, 30], vec![4, 40]]);
         let op = Operator::Join {
@@ -673,20 +629,19 @@ mod tests {
             right_keys: vec!["k".into()],
             kind: JoinKind::Inner,
         };
-        let (out, stats) = eng.execute_op(&op, &[&left, &right]).unwrap();
+        let (out, counts) = run_shared(&op, &[&left, &right]).unwrap();
         let expected = execute(&op, &[&left, &right]).unwrap();
         assert!(out.same_rows_unordered(&expected));
-        assert_eq!(stats.counts.equalities, 9);
+        assert_eq!(counts.equalities, 9);
     }
 
     #[test]
     fn sharemind_filter_multiply_sort_limit() {
-        let mut eng = sharemind();
         let rel = sales();
         let filter = Operator::Filter {
             predicate: Expr::col("price").gt(Expr::lit(6)),
         };
-        let (out, _) = eng.execute_op(&filter, &[&rel]).unwrap();
+        let (out, _) = run_shared(&filter, &[&rel]).unwrap();
         assert!(out.same_rows_unordered(&execute(&filter, &[&rel]).unwrap()));
 
         let mul = Operator::Multiply {
@@ -697,7 +652,7 @@ mod tests {
                 Operand::lit(2),
             ],
         };
-        let (out, _) = eng.execute_op(&mul, &[&rel]).unwrap();
+        let (out, _) = run_shared(&mul, &[&rel]).unwrap();
         assert_eq!(
             out.column_values("sq").unwrap()[0],
             conclave_ir::types::Value::Int(200)
@@ -707,34 +662,32 @@ mod tests {
             column: "price".into(),
             ascending: true,
         };
-        let (out, _) = eng.execute_op(&sort, &[&rel]).unwrap();
+        let (out, _) = run_shared(&sort, &[&rel]).unwrap();
         assert!(out.is_sorted_by("price", true));
 
         let limit = Operator::Limit { n: 2 };
-        let (out, _) = eng.execute_op(&limit, &[&rel]).unwrap();
+        let (out, _) = run_shared(&limit, &[&rel]).unwrap();
         assert_eq!(out.num_rows(), 2);
     }
 
     #[test]
     fn sharemind_distinct_and_distinct_count() {
-        let mut eng = sharemind();
         let rel = sales();
         let d = Operator::Distinct {
             columns: vec!["companyID".into()],
         };
-        let (out, _) = eng.execute_op(&d, &[&rel]).unwrap();
+        let (out, _) = run_shared(&d, &[&rel]).unwrap();
         assert_eq!(out.num_rows(), 3);
         let dc = Operator::DistinctCount {
             column: "price".into(),
             out: "n".into(),
         };
-        let (out, _) = eng.execute_op(&dc, &[&rel]).unwrap();
+        let (out, _) = run_shared(&dc, &[&rel]).unwrap();
         assert_eq!(out.scalar(), Some(&conclave_ir::types::Value::Int(4)));
     }
 
     #[test]
     fn complex_predicates_under_mpc() {
-        let mut eng = sharemind();
         let rel = sales();
         let pred = Expr::col("price")
             .ge(Expr::lit(5))
@@ -743,7 +696,7 @@ mod tests {
         let op = Operator::Filter {
             predicate: pred.clone(),
         };
-        let (out, _) = eng.execute_op(&op, &[&rel]).unwrap();
+        let (out, _) = run_shared(&op, &[&rel]).unwrap();
         let expected = execute(&op, &[&rel]).unwrap();
         assert!(out.same_rows_unordered(&expected));
         // An arithmetic predicate is rejected.
@@ -751,41 +704,40 @@ mod tests {
             predicate: Expr::col("price").add(Expr::lit(1)),
         };
         assert!(matches!(
-            eng.execute_op(&bad, &[&rel]),
+            run_shared(&bad, &[&rel]),
             Err(MpcError::Unsupported(_))
         ));
     }
 
     #[test]
     fn unsupported_operators() {
-        let mut eng = sharemind();
         let rel = sales();
+        let divide = Operator::Divide {
+            out: "x".into(),
+            num: Operand::col("price"),
+            den: Operand::lit(2),
+        };
         assert!(matches!(
-            eng.execute_op(
-                &Operator::Divide {
-                    out: "x".into(),
-                    num: Operand::col("price"),
-                    den: Operand::lit(2)
-                },
-                &[&rel]
-            ),
+            run_shared(&divide, &[&rel]),
             Err(MpcError::Unsupported(_))
         ));
-        assert!(eng
-            .execute_op(
-                &Operator::HybridJoin {
-                    left_keys: vec!["companyID".into()],
-                    right_keys: vec!["companyID".into()],
-                    stp: 1
-                },
-                &[&rel, &rel]
-            )
-            .is_err());
+        let hybrid = Operator::HybridJoin {
+            left_keys: vec!["companyID".into()],
+            right_keys: vec!["companyID".into()],
+            stp: 1,
+        };
+        assert!(run_shared(&hybrid, &[&rel, &rel]).is_err());
+        // The engine runs no standalone secret-sharing job, whatever the
+        // operator: those are plan steps.
+        let limit = Operator::Limit { n: 2 };
+        assert!(matches!(
+            sharemind().execute_op(&limit, &[&rel]),
+            Err(MpcError::Unsupported(_))
+        ));
     }
 
     #[test]
     fn multi_column_group_by_matches_cleartext() {
-        let mut eng = sharemind();
         let rel = sales();
         let op = Operator::Aggregate {
             group_by: vec!["companyID".into(), "price".into()],
@@ -793,37 +745,42 @@ mod tests {
             over: None,
             out: "n".into(),
         };
-        let (out, _) = eng.execute_op(&op, &[&rel]).unwrap();
+        let (out, _) = run_shared(&op, &[&rel]).unwrap();
         let expected = execute(&op, &[&rel]).unwrap();
         assert_eq!(expected.num_rows(), 4, "(2, 5) appears twice");
         assert!(out.same_rows_unordered(&expected));
     }
 
     #[test]
-    fn execute_op_tables_matches_execute_op_and_avoids_conversions() {
+    fn share_table_goes_column_at_a_time_without_conversions() {
         let rel = sales();
+        let mut eng = sharemind();
+        let by_rows = eng.share(&rel).unwrap();
+        let row_inputs = eng.protocol().counts().input_elems;
+        // Columnar-backed table: shared column-at-a-time, zero conversions,
+        // the same cells and the same input charge as the row path.
+        let mut eng2 = sharemind();
+        let table = conclave_engine::Table::from_columns(
+            conclave_engine::ColumnarRelation::from_rows(&rel),
+        );
+        let by_columns = eng2.share_table(&table).unwrap();
+        assert_eq!(table.conversion_counts().total(), 0);
+        assert_eq!(eng2.protocol().counts().input_elems, row_inputs);
+        assert_eq!(
+            eng2.reconstruct(&by_columns).rows,
+            eng.reconstruct(&by_rows).rows
+        );
+        // Garbled backends take the row path through the table entry point.
         let op = Operator::Aggregate {
             group_by: vec!["companyID".into()],
             func: AggFunc::Sum,
             over: Some("price".into()),
             out: "rev".into(),
         };
-        let mut eng = sharemind();
-        let (expected, row_stats) = eng.execute_op(&op, &[&rel]).unwrap();
-        // Columnar-backed table: shared column-at-a-time, zero conversions.
-        let mut eng2 = sharemind();
-        let table = conclave_engine::Table::from_columns(
-            conclave_engine::ColumnarRelation::from_rows(&rel),
-        );
-        let (out, stats) = eng2.execute_op_tables(&op, &[&table]).unwrap();
-        assert!(out.same_rows_unordered(&expected));
-        assert_eq!(table.conversion_counts().total(), 0);
-        assert_eq!(stats.counts.input_elems, row_stats.counts.input_elems);
-        // Garbled backends take the row path through the same entry point.
         let mut gc = MpcEngine::new(MpcBackendConfig::obliv_c());
         let rows_table = conclave_engine::Table::from_rows(rel.clone());
         let (gc_out, gc_stats) = gc.execute_op_tables(&op, &[&rows_table]).unwrap();
-        assert!(gc_out.same_rows_unordered(&expected));
+        assert!(gc_out.same_rows_unordered(&execute(&op, &[&rel]).unwrap()));
         assert!(gc_stats.circuit.and_gates > 0);
     }
 

@@ -9,7 +9,7 @@
 //! * [`crate::protocol::Protocol`] — a counting cleartext engine: its share
 //!   is the value itself, every primitive computes in the clear in one
 //!   process and charges the counts of the real protocol (the cost
-//!   simulator behind `PartyRuntime::Simulated` and the hybrid operators);
+//!   simulator behind `PartyRuntime::Simulated`'s pipeline and the hybrids);
 //! * [`crate::runtime::StepCtx`] — one party's MAC-authenticated shares over a
 //!   [`conclave_net::Transport`], comparisons by real circuits.
 //!

@@ -34,9 +34,10 @@
 //!   and memory model that reproduces the out-of-memory cliffs in Figure 1
 //!   — one table for executed and estimated steps. No circuit is built or
 //!   garbled.
-//! * [`backend`] — a unified engine that executes IR operators under a chosen
-//!   backend over cleartext inputs, returning the result relation together
-//!   with simulated runtime and traffic statistics.
+//! * [`backend`] — [`MpcEngine`], the one price list (executed counts or
+//!   bare cardinalities in, simulated runtime out), which also executes
+//!   garbled operators; secret-sharing operators run as steps of
+//!   `conclave_core`'s party runtime, never as an `MpcEngine` job.
 //! * [`runtime`] — the **per-party engine**: a session-lifetime
 //!   [`runtime::PartySession`] (identity, stock of dealt material, MAC log)
 //!   that hands out per-plan-step [`runtime::StepCtx`] engines. Each step

@@ -1,11 +1,11 @@
 //! The in-process engine: a counting cleartext simulator.
 //!
-//! [`Protocol`] is the [`Engine`] behind `PartyRuntime::Simulated` and, under
-//! every runtime, behind the §5.3 hybrid operators. Its share of a value is
-//! the value itself ([`RingElem`]): every operator computes in the clear, in
-//! one process, and each primitive increments the [`PrimitiveCounts`] the
-//! real protocol would — the tally the cost model converts into simulated
-//! wall-clock time, and the only thing the paper's figures take from here.
+//! [`Protocol`] is the [`Engine`] of `PartyRuntime::Simulated`'s step
+//! pipeline and, under every runtime, of the §5.3 hybrid operators. Its share
+//! of a value is the value itself ([`RingElem`]): every operator computes in
+//! the clear, in one process, and each primitive increments the
+//! [`PrimitiveCounts`] the real protocol would — the tally the cost model
+//! converts into simulated wall-clock time, and all the figures take.
 //!
 //! ## Fidelity note
 //!
@@ -25,7 +25,7 @@ use crate::ring::RingElem;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// The counting cleartext engine of one (simulated) MPC job.
+/// The counting cleartext engine of one simulated MPC computation.
 #[derive(Debug)]
 pub struct Protocol {
     parties: usize,

@@ -9,6 +9,7 @@
 
 use conclave::prelude::*;
 use conclave_core::hybrid_exec;
+use conclave_core::party_exec::{PartyMeshRuntime, StepInput};
 use conclave_ir::ops::{JoinKind, Operator};
 use conclave_mpc::backend::MpcEngine;
 
@@ -31,18 +32,29 @@ fn main() {
     )
     .expect("hybrid join runs");
 
-    // Standard MPC join for comparison.
-    let mut engine2 = MpcEngine::new(MpcBackendConfig::sharemind());
-    let (mpc_result, mpc_stats) = engine2
-        .execute_op(
-            &Operator::Join {
-                left_keys: vec!["key".into()],
-                right_keys: vec!["key".into()],
-                kind: JoinKind::Inner,
-            },
-            &[&left, &right],
-        )
+    // Standard MPC join for comparison: a one-step query on the in-process
+    // party runtime, priced like the hybrid's MPC side.
+    let mut rt = PartyMeshRuntime::with_dealer(3, 1, PartyRuntime::Simulated, &DealerMode::Seeded)
+        .expect("the in-process runtime builds");
+    let join = Operator::Join {
+        left_keys: vec!["key".into()],
+        right_keys: vec!["key".into()],
+        kind: JoinKind::Inner,
+    };
+    let inputs = vec![
+        StepInput::Table(left.into()),
+        StepInput::Table(right.into()),
+    ];
+    let step = rt
+        .enqueue(&join, inputs, false, true)
         .expect("MPC join runs");
+    let mpc_result = rt.wait_opened(step).expect("MPC join opens");
+    let summary = rt.finish().expect("the query ends");
+    let mpc_stats = engine.stats_from_counts(
+        summary.steps[0].counts,
+        summary.steps[0].input_rows,
+        summary.steps[0].output_rows,
+    );
 
     assert!(outcome.result.as_rows().same_rows_unordered(&mpc_result));
     println!(

@@ -1,11 +1,11 @@
 //! The one differential helper shared by the operator suites.
 //!
-//! [`assert_engines_match_cleartext`] runs one relational operator on every
-//! engine — the in-process `Protocol` (through `MpcEngine::execute_op`) and
-//! the per-party `StepCtx` runtime over the channel *and* localhost-TCP
-//! meshes (through [`run_on_mesh`]) — and checks all three against
-//! the independent cleartext reference `conclave_engine::execute`. Because
-//! both engines run the same generic operator bodies, it also requires their
+//! [`assert_engines_match_cleartext`] runs one relational operator as a
+//! one-step query on every party runtime ([`run_on_mesh`]) — the in-process
+//! `Protocol` engine of `Simulated` and the per-party `StepCtx` engine over
+//! the channel *and* localhost-TCP meshes — and checks all three against the
+//! independent cleartext reference `conclave_engine::execute`. Because both
+//! engines run the same generic operator bodies, it also requires their
 //! engine-independent primitive counts to be equal.
 //!
 //! [`SniffTransport`] is the passive wire observer of `wire_privacy.rs`, and
@@ -16,7 +16,7 @@
 
 use conclave::core::config::PartyRuntime;
 use conclave::core::party_exec::{MeshSummary, PartyMeshRuntime, StepInput};
-use conclave::mpc::backend::{MpcBackendConfig, MpcEngine, MpcStepStats};
+use conclave::mpc::backend::{MpcEngine, MpcStepStats};
 use conclave::mpc::PrimitiveCounts;
 use conclave::net::{
     ChannelTransport, Envelope, MessageKind, NetStats, StreamTag, Transport, TransportError,
@@ -66,7 +66,8 @@ fn assert_matches(engine: &str, op: &Operator, got: &Relation, expected: &Relati
 }
 
 /// Runs `op` as the one revealed step of one query on a fresh three-party
-/// mesh with a seeded dealer: the opened relation and the query's summary.
+/// runtime (a mesh with a seeded dealer, or the in-process engine): the
+/// opened relation and the query's summary.
 pub fn run_on_mesh(
     op: &Operator,
     inputs: &[&Relation],
@@ -78,20 +79,20 @@ pub fn run_on_mesh(
     rt.begin_query().expect("query begins");
     let step_inputs = inputs
         .iter()
-        .map(|r| StepInput::Table((*r).clone()))
+        .map(|r| StepInput::Table((*r).clone().into()))
         .collect();
     let step = rt
         .enqueue(op, step_inputs, false, true)
         .expect("step enqueues");
-    let opened = rt.wait_opened(step).expect("StepCtx engine executes");
+    let opened = rt.wait_opened(step).expect("the step executes");
     (opened, rt.finish().expect("mesh finishes"))
 }
 
-/// Executes `op` over `inputs` on {`Protocol`, `StepCtx`/channel,
-/// `StepCtx`/TCP}, checks every result against `conclave_engine::execute`,
-/// and checks that the engines charged the same engine-independent counts
-/// and — where no shuffle is involved — produced the same row order.
-/// Returns the `Protocol` engine's step statistics.
+/// Executes `op` over `inputs` on {`Protocol` (`Simulated`),
+/// `StepCtx`/channel, `StepCtx`/TCP}, checks every result against
+/// `conclave_engine::execute`, and checks that the engines charged the same
+/// engine-independent counts and — where no shuffle is involved — produced
+/// the same row order. Returns the priced statistics of the `Simulated` step.
 pub fn assert_engines_match_cleartext(
     op: &Operator,
     inputs: &[&Relation],
@@ -99,14 +100,9 @@ pub fn assert_engines_match_cleartext(
     order: Order,
 ) -> MpcStepStats {
     let expected = conclave_engine::execute(op, inputs).expect("cleartext reference executes");
-    let mut protocol = MpcEngine::new(MpcBackendConfig {
-        seed,
-        ..MpcBackendConfig::sharemind()
-    });
-    let (out, stats) = protocol
-        .execute_op(op, inputs)
-        .expect("Protocol engine executes");
+    let (out, simulated) = run_on_mesh(op, inputs, seed, PartyRuntime::Simulated);
     assert_matches("Protocol", op, &out, &expected, order);
+    let step = &simulated.steps[0];
 
     for runtime in [PartyRuntime::Channel, PartyRuntime::Tcp] {
         let (opened, summary) = run_on_mesh(op, inputs, seed, runtime);
@@ -119,13 +115,17 @@ pub fn assert_engines_match_cleartext(
         }
         assert_eq!(
             engine_independent(summary.steps[0].counts),
-            engine_independent(stats.counts),
+            engine_independent(step.counts),
             "{engine} and Protocol charged different primitives for {}",
             op.name()
         );
         assert!(summary.net.total_bytes() > 0, "traffic must be observed");
     }
-    stats
+    MpcEngine::new(Default::default()).stats_from_counts(
+        step.counts,
+        step.input_rows,
+        step.output_rows,
+    )
 }
 
 /// One captured directed frame.

@@ -2,9 +2,10 @@
 //! on every engine, against the cleartext reference.
 //!
 //! One table of `(operator, inputs, expected order)` cases is pushed through
-//! [`common::assert_engines_match_cleartext`], which runs each case on the
-//! in-process `Protocol` engine and on the `StepCtx` engine over channel and
-//! TCP meshes, compares all three with `conclave_engine::execute`, and
+//! [`common::assert_engines_match_cleartext`], which runs each case as a
+//! one-step query on every party runtime — the in-process `Protocol` engine
+//! of `Simulated` and the `StepCtx` engine over channel and TCP meshes —
+//! compares all three with `conclave_engine::execute`, and
 //! requires equal engine-independent primitive counts (so an operator that
 //! opens or multiplies on one engine but not the other fails here).
 

@@ -10,7 +10,7 @@
 
 use bench::figures::{fig1, MicroOp};
 use conclave_data::SyntheticGenerator;
-use conclave_ir::ops::{AggFunc, JoinKind, Operator};
+use conclave_ir::ops::{AggFunc, Operator};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 fn series(c: &mut Criterion) {
@@ -44,7 +44,6 @@ fn real_ops(c: &mut Criterion) {
     let join = Operator::Join {
         left_keys: vec!["key".into()],
         right_keys: vec!["key".into()],
-        kind: JoinKind::Inner,
     };
     let project = Operator::Project {
         columns: vec!["value".into()],

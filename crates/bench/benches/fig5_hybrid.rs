@@ -11,7 +11,7 @@ use bench::figures::{fig5a, fig5b};
 use conclave_core::hybrid_exec;
 use conclave_data::SyntheticGenerator;
 use conclave_engine::{ColumnarExecutor, Table};
-use conclave_ir::ops::{AggFunc, JoinKind, Operator};
+use conclave_ir::ops::{AggFunc, Operator};
 use conclave_mpc::backend::{MpcBackendConfig, MpcEngine};
 use criterion::{criterion_group, criterion_main, Criterion};
 
@@ -66,7 +66,6 @@ fn real_protocols(c: &mut Criterion) {
         let op = Operator::Join {
             left_keys: vec!["key".into()],
             right_keys: vec!["key".into()],
-            kind: JoinKind::Inner,
         };
         b.iter(|| bench::mpc_step(&op, &[&left, &right]))
     });

@@ -8,7 +8,7 @@
 
 use crate::{queries, DataPoint, CUTOFF_SECS};
 use conclave_core::{compile, CardinalityEstimator, ConclaveConfig, WorkloadStats};
-use conclave_ir::ops::{AggFunc, JoinKind, Operator};
+use conclave_ir::ops::{AggFunc, Operator};
 use conclave_mpc::backend::{MpcBackendConfig, MpcEngine};
 use conclave_parallel::{ClusterCostModel, ClusterSpec};
 use conclave_smcql::queries as smcql_queries;
@@ -46,7 +46,6 @@ impl MicroOp {
             MicroOp::Join => Operator::Join {
                 left_keys: vec!["key".into()],
                 right_keys: vec!["key".into()],
-                kind: JoinKind::Inner,
             },
             MicroOp::Project => Operator::Project {
                 columns: vec!["value".into()],

@@ -17,7 +17,7 @@ use crate::report::Modeled;
 use conclave_engine::SequentialCostModel;
 use conclave_ir::dag::NodeId;
 use conclave_ir::error::{IrError, IrResult};
-use conclave_ir::ops::{ExecSite, JoinKind, Operator};
+use conclave_ir::ops::{ExecSite, Operator};
 use conclave_mpc::backend::MpcEngine;
 use conclave_parallel::ClusterCostModel;
 use std::collections::HashMap;
@@ -228,7 +228,6 @@ impl CardinalityEstimator {
         let join_on_key = || Operator::Join {
             left_keys: vec!["k".into()],
             right_keys: vec!["k".into()],
-            kind: JoinKind::Inner,
         };
         match op {
             // The STP joins the revealed key columns in the clear.
@@ -238,13 +237,13 @@ impl CardinalityEstimator {
             }
             // The helper joins the exchanged key columns on its own backend.
             Operator::PublicJoin { .. } => self.local_time(&join_on_key(), in_rows, out_rows, 16),
-            // The STP sorts the revealed group-by column in the clear.
-            Operator::HybridAggregate { .. } => {
+            // The STP sorts in the clear, once per revealed group-by column.
+            Operator::HybridAggregate { group_by, .. } => {
                 let sort = Operator::SortBy {
                     column: "k".into(),
                     ascending: true,
                 };
-                self.sequential_cost.estimate(&sort, in_rows, in_rows)
+                self.sequential_cost.estimate(&sort, in_rows, in_rows) * group_by.len() as u32
             }
             _ => Duration::ZERO,
         }

@@ -49,7 +49,7 @@ fn run_clear(op: &Operator, inputs: &[&Table], exec: &dyn Executor) -> MpcResult
 /// Sums the conversion work performed by tables created inside a hybrid
 /// protocol (their counters start at zero, so the absolute counts are the
 /// per-protocol tally).
-fn intermediate_conversions(tables: &[&Table]) -> ConversionCounts {
+fn intermediate_conversions<'a>(tables: impl IntoIterator<Item = &'a Table>) -> ConversionCounts {
     let mut total = ConversionCounts::default();
     for t in tables {
         total.merge(&t.conversion_counts());
@@ -105,7 +105,6 @@ pub fn hybrid_join(
     let join_op = Operator::Join {
         left_keys: left_keys.to_vec(),
         right_keys: right_keys.to_vec(),
-        kind: conclave_ir::ops::JoinKind::Inner,
     };
     let joined_keys = run_clear(&join_op, &[&enum_left, &enum_right], stp_exec)?;
     let left_indexes = run_clear(
@@ -167,7 +166,7 @@ pub fn hybrid_join(
     let result = Table::from_rows(engine.reconstruct(&shuffled_result));
     let input_rows = (left.num_rows() + right.num_rows()) as u64;
     let mpc_stats = engine.drain_stats(input_rows, result.num_rows() as u64);
-    let conversions = intermediate_conversions(&[
+    let conversions = intermediate_conversions([
         &left_keys_clear,
         &right_keys_clear,
         &enum_left,
@@ -201,7 +200,6 @@ pub fn public_join(
     let op = Operator::Join {
         left_keys: left_keys.to_vec(),
         right_keys: right_keys.to_vec(),
-        kind: conclave_ir::ops::JoinKind::Inner,
     };
     let result = run_clear(&op, &[left, right], helper_exec)?;
     let stp_time = helper_exec.estimate_tables(&op, &[left, right], result.num_rows() as u64);
@@ -226,9 +224,9 @@ pub fn public_join(
 }
 
 /// Executes the hybrid aggregation of §5.3: the input is obliviously
-/// shuffled, the group-by column is revealed to the STP, the STP sorts it in
-/// the clear and returns the ordering, and the parties finish with a linear
-/// oblivious accumulation scan instead of an oblivious sort.
+/// shuffled, the group-by columns are revealed to the STP, the STP sorts them
+/// in the clear and returns the ordering, and the parties finish with a
+/// linear oblivious accumulation scan instead of an oblivious sort.
 // The signature mirrors the aggregate operator's fields one-to-one; bundling
 // them into a struct would just duplicate `Operator::Aggregate`.
 #[allow(clippy::too_many_arguments)]
@@ -243,35 +241,43 @@ pub fn hybrid_aggregate(
     stp: PartyId,
 ) -> MpcResult<HybridOutcome> {
     engine.protocol().reset_counts();
-    let key = group_by
-        .first()
-        .ok_or_else(|| MpcError::Exec("hybrid aggregation needs a group-by column".into()))?;
+    if group_by.is_empty() {
+        return Err(MpcError::Exec(
+            "hybrid aggregation needs a group-by column".into(),
+        ));
+    }
 
     // 1. Share and obliviously shuffle the input.
     let shared = engine.share_table(input)?;
     let shuffled = oblivious::shuffle(&shared, engine.protocol());
 
-    // 2. Reveal the (shuffled) group-by column to the STP.
-    let keys_shared = shuffled.project(std::slice::from_ref(key))?;
+    // 2. Reveal the (shuffled) group-by columns to the STP.
+    let keys_shared = shuffled.project(group_by)?;
     let keys_clear = Table::from_rows(engine.reconstruct(&keys_shared));
 
-    // 3–4. STP: enumerate and sort by key in the clear; the resulting index
-    // order is sent back to the parties (it refers to shuffled positions, so
-    // it reveals nothing about the original order).
-    let enumerated = run_clear(
+    // 3–4. STP: enumerate and sort by the keys in the clear, one stable sort
+    // per key from the last to the first, so rows with equal key tuples end
+    // up adjacent; the resulting index order is sent back to the parties (it
+    // refers to shuffled positions, so it reveals nothing about the original
+    // order).
+    let mut stages = vec![run_clear(
         &Operator::Enumerate {
             out: "__idx".into(),
         },
         &[&keys_clear],
         stp_exec,
-    )?;
-    let sort_op = Operator::SortBy {
-        column: key.clone(),
-        ascending: true,
-    };
-    let sorted = run_clear(&sort_op, &[&enumerated], stp_exec)?;
-    let stp_time = stp_exec.estimate_tables(&sort_op, &[input], input.num_rows() as u64);
-    let order: Vec<usize> = sorted
+    )?];
+    let mut stp_time = Duration::ZERO;
+    for key in group_by.iter().rev() {
+        let sort_op = Operator::SortBy {
+            column: key.clone(),
+            ascending: true,
+        };
+        let sorted = run_clear(&sort_op, &[&stages[stages.len() - 1]], stp_exec)?;
+        stp_time += stp_exec.estimate_tables(&sort_op, &[input], input.num_rows() as u64);
+        stages.push(sorted);
+    }
+    let order: Vec<usize> = stages[stages.len() - 1]
         .column_values("__idx")
         .ok_or_else(|| MpcError::Exec("enumeration column missing".into()))?
         .iter()
@@ -291,13 +297,13 @@ pub fn hybrid_aggregate(
         oblivious::aggregate_sorted(&reordered, group_by, func, over, out, engine.protocol())?;
     let result = Table::from_rows(engine.reconstruct(&aggregated));
     let mpc_stats = engine.drain_stats(input.num_rows() as u64, result.num_rows() as u64);
-    let conversions = intermediate_conversions(&[&keys_clear, &enumerated, &sorted]);
+    let conversions = intermediate_conversions(std::iter::once(&keys_clear).chain(&stages));
 
     Ok(HybridOutcome {
         result,
         mpc_stats,
         stp_time,
-        revealed_columns: vec![key.clone()],
+        revealed_columns: group_by.to_vec(),
         revealed_to: stp,
         conversions,
     })
@@ -366,7 +372,6 @@ mod tests {
             &Operator::Join {
                 left_keys: vec!["ssn".into()],
                 right_keys: vec!["ssn".into()],
-                kind: conclave_ir::ops::JoinKind::Inner,
             },
             &[&left_rel, &right_rel],
         )
@@ -416,7 +421,6 @@ mod tests {
         let join = Operator::Join {
             left_keys: vec!["k".into()],
             right_keys: vec!["k".into()],
-            kind: conclave_ir::ops::JoinKind::Inner,
         };
         let inputs = vec![
             StepInput::Table(left.into()),
@@ -449,7 +453,6 @@ mod tests {
             &Operator::Join {
                 left_keys: vec!["ssn".into()],
                 right_keys: vec!["ssn".into()],
-                kind: conclave_ir::ops::JoinKind::Inner,
             },
             &[&left_rel, &right_rel],
         )
@@ -519,6 +522,50 @@ mod tests {
                 ..Default::default()
             };
             assert_eq!(outcome.mpc_stats.counts, pinned, "{func}");
+        }
+    }
+
+    #[test]
+    fn hybrid_aggregate_groups_by_every_key() {
+        let rows: Vec<Vec<i64>> = (0..12).map(|i| vec![i % 3, (i * 7) % 2, i]).collect();
+        let input_rel = Relation::from_ints(&["k1", "k2", "v"], &rows);
+        let group_by = vec!["k1".to_string(), "k2".to_string()];
+        let expected = execute(
+            &Operator::Aggregate {
+                group_by: group_by.clone(),
+                func: AggFunc::Sum,
+                over: Some("v".into()),
+                out: "s".into(),
+            },
+            &[&input_rel],
+        )
+        .unwrap();
+        for seed in 0..8 {
+            let mut eng = MpcEngine::new(MpcBackendConfig {
+                seed,
+                ..MpcBackendConfig::sharemind()
+            });
+            let outcome = hybrid_aggregate(
+                &mut eng,
+                &RowExecutor::new(),
+                &Table::from_rows(input_rel.clone()),
+                &group_by,
+                AggFunc::Sum,
+                Some("v"),
+                "s",
+                1,
+            )
+            .unwrap();
+            assert!(
+                outcome.result.as_rows().same_rows_unordered(&expected),
+                "seed {seed}"
+            );
+            assert_eq!(outcome.revealed_columns, group_by);
+            // Both keys and the group-end flags are opened, then the result.
+            assert_eq!(
+                outcome.mpc_stats.counts.opened_elems,
+                3 * 12 + 3 * expected.num_rows() as u64
+            );
         }
     }
 

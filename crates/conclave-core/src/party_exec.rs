@@ -1033,7 +1033,7 @@ mod tests {
     fn missing_dealer_files_surface_as_errors() {
         let dir = std::env::temp_dir().join("conclave-no-such-dealer-dir");
         let table = sales_table();
-        let op = Operator::Shuffle;
+        let op = Operator::Limit { n: 1 };
         // The failure reaches the caller through whichever call collects the
         // step first: the reveal, or — the retained-mesh wind-down — the
         // query's end. Neither hangs: poisoned workers still acknowledge.

@@ -6,8 +6,6 @@
 //! information-flow lattice of [`conclave_ir::flow`] over the final DAG and
 //! verifies every disclosure point:
 //!
-//! * `RevealTo` / mid-plan `Open` — every recipient must be within the trust
-//!   set of every revealed column;
 //! * hybrid operators (`HybridJoin`, `HybridAggregate`, `PublicJoin`) — the
 //!   STP/helper must be trusted with the join/group key columns it learns;
 //! * cleartext placements (`ExecSite::Local` / `ExecSite::Stp`) consuming an
@@ -49,8 +47,6 @@ pub enum DisclosureKind {
     /// An MPC-produced relation opened for cleartext post-processing at a
     /// party.
     CleartextOpen,
-    /// An explicit `RevealTo`/`Open` operator in the plan.
-    Reveal,
 }
 
 impl fmt::Display for DisclosureKind {
@@ -59,7 +55,6 @@ impl fmt::Display for DisclosureKind {
             DisclosureKind::QueryOutput => "query-output",
             DisclosureKind::StpKeys => "stp-keys",
             DisclosureKind::CleartextOpen => "cleartext-open",
-            DisclosureKind::Reveal => "reveal",
         };
         f.write_str(s)
     }
@@ -212,53 +207,6 @@ pub fn run(dag: &OpDag, universe: &PartySet) -> CompileResult<LeakageReport> {
                         columns: node.schema.names().iter().map(|s| s.to_string()).collect(),
                         kind: DisclosureKind::QueryOutput,
                         justification: "declared output recipient".into(),
-                    });
-                }
-            }
-            Operator::RevealTo { party, columns } => {
-                let parent = input_of(dag, node.id, 0)?;
-                let revealed: Vec<String> = match columns {
-                    Some(cols) => cols.clone(),
-                    None => column_names(dag, parent)?,
-                };
-                check_columns(
-                    dag,
-                    &flow,
-                    parent,
-                    &revealed,
-                    *party,
-                    node.id,
-                    "explicit mid-plan reveal",
-                )?;
-                disclosures.push(Disclosure {
-                    node: parent,
-                    at_node: node.id,
-                    to_party: *party,
-                    columns: revealed,
-                    kind: DisclosureKind::Reveal,
-                    justification: "trust annotations authorize this reveal".into(),
-                });
-            }
-            Operator::Open { recipients } => {
-                let parent = input_of(dag, node.id, 0)?;
-                let revealed = column_names(dag, parent)?;
-                for r in recipients.iter() {
-                    check_columns(
-                        dag,
-                        &flow,
-                        parent,
-                        &revealed,
-                        r,
-                        node.id,
-                        "mid-plan open of an MPC-resident relation",
-                    )?;
-                    disclosures.push(Disclosure {
-                        node: parent,
-                        at_node: node.id,
-                        to_party: r,
-                        columns: revealed.clone(),
-                        kind: DisclosureKind::Reveal,
-                        justification: "trust annotations authorize this open".into(),
                     });
                 }
             }
@@ -477,7 +425,7 @@ fn check_columns(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use conclave_ir::ops::{AggFunc, JoinKind};
+    use conclave_ir::ops::AggFunc;
     use conclave_ir::schema::{ColumnDef, Schema};
     use conclave_ir::trust::TrustSet;
     use conclave_ir::types::DataType;
@@ -533,87 +481,6 @@ mod tests {
     }
 
     #[test]
-    fn mid_plan_reveal_to_untrusted_party_is_rejected() {
-        let (mut dag, cat, universe) = base_dag();
-        let reveal = dag
-            .insert_after(
-                cat,
-                Operator::RevealTo {
-                    party: 2,
-                    columns: None,
-                },
-            )
-            .unwrap();
-        dag.insert_after(
-            reveal,
-            Operator::Collect {
-                recipients: PartySet::singleton(1),
-            },
-        )
-        .unwrap();
-        let err = run(&dag, &universe).unwrap_err();
-        let CompileError::Leakage(v) = err else {
-            panic!("expected a leakage violation, got {err}");
-        };
-        assert_eq!(v.party, 2);
-        assert_eq!(v.column, "v");
-        assert_eq!(v.node, reveal);
-        assert!(!v.chain.is_empty(), "diagnostic carries a derivation chain");
-        assert!(v.chain[0].contains("input"), "chain starts at the source");
-    }
-
-    #[test]
-    fn mid_plan_reveal_to_trusted_party_passes() {
-        let (mut dag, cat, universe) = base_dag();
-        let reveal = dag
-            .insert_after(
-                cat,
-                Operator::RevealTo {
-                    party: 1,
-                    columns: None,
-                },
-            )
-            .unwrap();
-        dag.insert_after(
-            reveal,
-            Operator::Collect {
-                recipients: PartySet::singleton(1),
-            },
-        )
-        .unwrap();
-        let report = run(&dag, &universe).unwrap();
-        assert!(report.covers(cat, 1));
-    }
-
-    #[test]
-    fn open_of_private_operands_is_rejected() {
-        // The PR 7 bug shape, statically: a mid-plan Open of a relation with
-        // a private column to every party.
-        let (mut dag, cat, universe) = base_dag();
-        let open = dag
-            .insert_after(
-                cat,
-                Operator::Open {
-                    recipients: PartySet::from_ids([1, 2]),
-                },
-            )
-            .unwrap();
-        dag.insert_after(
-            open,
-            Operator::Collect {
-                recipients: PartySet::singleton(1),
-            },
-        )
-        .unwrap();
-        let err = run(&dag, &universe).unwrap_err();
-        let CompileError::Leakage(v) = err else {
-            panic!("expected a leakage violation, got {err}");
-        };
-        assert_eq!(v.column, "v");
-        assert_eq!(v.party, 2, "P1 is trusted with v, P2 is not");
-    }
-
-    #[test]
     fn cleartext_site_over_untrusted_column_is_rejected() {
         let (mut dag, cat, universe) = base_dag();
         // A cleartext join at P2 over the concat (which holds v trusted only
@@ -628,7 +495,6 @@ mod tests {
         let join_schema = Operator::Join {
             left_keys: vec!["k".into()],
             right_keys: vec!["k".into()],
-            kind: JoinKind::Inner,
         }
         .output_schema(&[dag.node(cat).unwrap().schema.clone(), proj_schema])
         .unwrap();
@@ -636,7 +502,6 @@ mod tests {
             Operator::Join {
                 left_keys: vec!["k".into()],
                 right_keys: vec!["k".into()],
-                kind: JoinKind::Inner,
             },
             vec![cat, proj],
             join_schema.clone(),
@@ -659,6 +524,7 @@ mod tests {
         assert_eq!(v.party, 2);
         assert_eq!(v.column, "v");
         assert_eq!(v.node, join);
+        assert!(v.chain[0].contains("input"), "chain starts at the source");
         assert!(v.to_string().contains("derivation"));
     }
 

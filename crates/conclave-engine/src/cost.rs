@@ -55,10 +55,6 @@ impl SequentialCostModel {
             | Operator::Concat
             | Operator::Limit { .. }
             | Operator::Enumerate { .. }
-            | Operator::Shuffle
-            | Operator::RevealTo { .. }
-            | Operator::CloseTo
-            | Operator::Open { .. }
             | Operator::Collect { .. }
             | Operator::ObliviousSelect { .. } => n * self.per_row_simple,
             Operator::Join { .. } | Operator::PublicJoin { .. } | Operator::HybridJoin { .. } => {
@@ -115,7 +111,6 @@ mod tests {
             &Operator::Join {
                 left_keys: vec!["a".into()],
                 right_keys: vec!["a".into()],
-                kind: conclave_ir::ops::JoinKind::Inner,
             },
             1_000_000,
             1_000_000,

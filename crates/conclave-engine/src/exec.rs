@@ -91,25 +91,9 @@ pub fn execute(op: &Operator, inputs: &[&Relation]) -> EngineResult<Relation> {
             need(op, inputs, 1)?;
             distinct_count(inputs[0], column, out)
         }
-        Operator::Collect { .. } | Operator::Open { .. } | Operator::CloseTo => {
+        Operator::Collect { .. } => {
             need(op, inputs, 1)?;
             Ok(inputs[0].clone())
-        }
-        Operator::RevealTo { columns, .. } => {
-            need(op, inputs, 1)?;
-            match columns {
-                Some(cols) => project(&inputs[0].schema, &inputs[0].rows, cols),
-                None => Ok(inputs[0].clone()),
-            }
-        }
-        Operator::Shuffle => {
-            need(op, inputs, 1)?;
-            // In cleartext the shuffle permutes deterministically by reversing
-            // blocks; the *oblivious* shuffle lives in `conclave-mpc`. Any
-            // permutation preserves multiset semantics.
-            let mut rel = inputs[0].clone();
-            rel.rows.reverse();
-            Ok(rel)
         }
         Operator::Enumerate { out } => {
             need(op, inputs, 1)?;
@@ -206,7 +190,6 @@ fn join(
     let op = Operator::Join {
         left_keys: left_keys.to_vec(),
         right_keys: right_keys.to_vec(),
-        kind: conclave_ir::ops::JoinKind::Inner,
     };
     let schema = out_schema(&op, &[&left.schema, &right.schema]);
 
@@ -575,7 +558,6 @@ mod tests {
             &Operator::Join {
                 left_keys: vec!["ssn".into()],
                 right_keys: vec!["ssn".into()],
-                kind: conclave_ir::ops::JoinKind::Inner,
             },
             &[&left, &right],
         )
@@ -800,31 +782,12 @@ mod tests {
     }
 
     #[test]
-    fn passthrough_operators() {
+    fn collect_passes_its_input_through() {
         let r = sales();
-        for op in [
-            Operator::CloseTo,
-            Operator::Open {
-                recipients: PartySet::singleton(1),
-            },
-            Operator::Collect {
-                recipients: PartySet::singleton(1),
-            },
-        ] {
-            let out = execute(&op, &[&r]).unwrap();
-            assert_eq!(out.num_rows(), r.num_rows());
-        }
-        let revealed = execute(
-            &Operator::RevealTo {
-                party: 1,
-                columns: Some(vec!["companyID".into()]),
-            },
-            &[&r],
-        )
-        .unwrap();
-        assert_eq!(revealed.num_cols(), 1);
-        let shuffled = execute(&Operator::Shuffle, &[&r]).unwrap();
-        assert!(shuffled.same_rows_unordered(&r));
+        let op = Operator::Collect {
+            recipients: PartySet::singleton(1),
+        };
+        assert_eq!(execute(&op, &[&r]).unwrap(), r);
     }
 
     #[test]
@@ -871,7 +834,6 @@ mod tests {
             Operator::Distinct {
                 columns: vec!["companyID".into()],
             },
-            Operator::Shuffle,
             Operator::Enumerate { out: "i".into() },
             Operator::Multiply {
                 out: "x".into(),
@@ -914,7 +876,6 @@ mod tests {
         let join = Operator::Join {
             left_keys: vec!["companyID".into()],
             right_keys: vec!["companyID".into()],
-            kind: conclave_ir::ops::JoinKind::Inner,
         };
         assert_eq!(execute(&join, &[&empty, &some]).unwrap().num_rows(), 0);
         assert_eq!(execute(&join, &[&some, &empty]).unwrap().num_rows(), 0);
@@ -928,7 +889,6 @@ mod tests {
             &Operator::Join {
                 left_keys: vec!["k".into()],
                 right_keys: vec!["k".into()],
-                kind: conclave_ir::ops::JoinKind::Inner,
             },
             &[&left, &right],
         )
@@ -972,7 +932,6 @@ mod tests {
             &Operator::Join {
                 left_keys: vec!["companyID".into()],
                 right_keys: vec!["companyID".into()],
-                kind: conclave_ir::ops::JoinKind::Inner,
             },
             &[&one, &one],
         )
@@ -1041,7 +1000,6 @@ mod tests {
         let join = Operator::Join {
             left_keys: vec!["k".into()],
             right_keys: vec!["k".into()],
-            kind: conclave_ir::ops::JoinKind::Inner,
         };
         let out = execute(&join, &[&nulled_keys, &nulled_keys]).unwrap();
         assert_eq!(out.num_rows(), 1);

@@ -86,24 +86,9 @@ pub fn execute_columnar(
             need(op, inputs, 1)?;
             distinct_count(inputs[0], column, out)
         }
-        Operator::Collect { .. } | Operator::Open { .. } | Operator::CloseTo => {
+        Operator::Collect { .. } => {
             need(op, inputs, 1)?;
             Ok(inputs[0].clone())
-        }
-        Operator::RevealTo { columns, .. } => {
-            need(op, inputs, 1)?;
-            match columns {
-                Some(cols) => project(inputs[0], cols),
-                None => Ok(inputs[0].clone()),
-            }
-        }
-        Operator::Shuffle => {
-            // Deterministic block-reversing permutation, matching the row
-            // engine; the *oblivious* shuffle lives in `conclave-mpc`.
-            need(op, inputs, 1)?;
-            let n = inputs[0].num_rows();
-            let reversed: Vec<usize> = (0..n).rev().collect();
-            Ok(inputs[0].gather(&reversed))
         }
         Operator::Enumerate { out } => {
             need(op, inputs, 1)?;
@@ -210,7 +195,6 @@ fn join(
     let op = Operator::Join {
         left_keys: left_keys.to_vec(),
         right_keys: right_keys.to_vec(),
-        kind: conclave_ir::ops::JoinKind::Inner,
     };
     let schema = out_schema(&op, &[left, right]);
 
@@ -622,7 +606,6 @@ fn select_by_index(
 mod tests {
     use super::*;
     use crate::exec::execute;
-    use conclave_ir::ops::JoinKind;
     use conclave_ir::schema::{ColumnDef, Schema};
     use conclave_ir::types::DataType;
 
@@ -711,7 +694,6 @@ mod tests {
                 column: "price".into(),
                 out: "n".into(),
             },
-            Operator::Shuffle,
             Operator::Enumerate { out: "idx".into() },
         ]
     }
@@ -800,7 +782,6 @@ mod tests {
         let op = Operator::Join {
             left_keys: vec!["k".into()],
             right_keys: vec!["k".into()],
-            kind: JoinKind::Inner,
         };
         assert_engines_agree(&op, &[&left, &right]);
         // All-duplicate keys: full cross product of the key group.
@@ -856,25 +837,12 @@ mod tests {
     fn passthrough_and_unsupported_match_row_engine() {
         use conclave_ir::party::PartySet;
         let rel = sales();
-        for op in [
-            Operator::CloseTo,
-            Operator::Open {
+        assert_engines_agree(
+            &Operator::Collect {
                 recipients: PartySet::singleton(1),
             },
-            Operator::Collect {
-                recipients: PartySet::singleton(1),
-            },
-            Operator::RevealTo {
-                party: 1,
-                columns: Some(vec!["price".into()]),
-            },
-            Operator::RevealTo {
-                party: 1,
-                columns: None,
-            },
-        ] {
-            assert_engines_agree(&op, &[&rel]);
-        }
+            &[&rel],
+        );
         assert!(matches!(
             execute_vectorized(
                 &Operator::HybridJoin {

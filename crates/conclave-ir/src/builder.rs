@@ -37,7 +37,7 @@
 use crate::dag::{NodeId, OpDag};
 use crate::error::{IrError, IrResult};
 use crate::expr::Expr;
-use crate::ops::{AggFunc, JoinKind, Operand, Operator};
+use crate::ops::{AggFunc, Operand, Operator};
 use crate::party::{Party, PartySet};
 use crate::schema::Schema;
 use serde::{Deserialize, Serialize};
@@ -196,7 +196,6 @@ impl QueryBuilder {
             Operator::Join {
                 left_keys: left_keys.iter().map(|c| c.to_string()).collect(),
                 right_keys: right_keys.iter().map(|c| c.to_string()).collect(),
-                kind: JoinKind::Inner,
             },
         )
     }

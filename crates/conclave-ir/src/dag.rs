@@ -417,7 +417,7 @@ mod tests {
     fn insert_after_rewires_children() {
         let (mut dag, _a, _b, cat, _col) = simple_dag();
         let children_before = dag.children_of(cat);
-        let new = dag.insert_after(cat, Operator::Shuffle).unwrap();
+        let new = dag.insert_after(cat, Operator::Limit { n: 1 }).unwrap();
         assert_eq!(dag.children_of(cat), vec![new]);
         assert_eq!(dag.children_of(new), children_before);
         assert!(dag.validate().is_ok());
@@ -460,7 +460,6 @@ mod tests {
             Operator::Join {
                 left_keys: vec!["k".into()],
                 right_keys: vec!["k".into()],
-                kind: crate::ops::JoinKind::Inner,
             },
             vec![a],
             schema.clone(),

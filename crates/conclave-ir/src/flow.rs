@@ -7,9 +7,9 @@
 //! * **visibility** — a [`TrustSet`]: which parties are authorized to learn
 //!   the column's values in cleartext. Derived columns take the
 //!   *intersection* of their operands' trust sets (§5.1 of the paper), and
-//!   are *widened* by declassification points: `RevealTo`/`Open`/`Collect`
-//!   recipients and the executing party of every cleartext placement the
-//!   sites/hybrid passes chose.
+//!   are *widened* by declassification points: the `Collect` recipients and
+//!   the executing party of every cleartext placement the sites/hybrid
+//!   passes chose.
 //! * **provenance** — the set of `(relation, column)` source pairs the
 //!   column transitively derives from, used to render derivation chains in
 //!   diagnostics.
@@ -136,13 +136,11 @@ impl Flow {
     }
 }
 
-/// Parties a node's operator declassifies its output to, by construction.
+/// Parties a node's operator declassifies its output to: a `Collect`'s
+/// recipients.
 fn declassified_to(op: &Operator) -> Vec<PartyId> {
     match op {
-        Operator::RevealTo { party, .. } => vec![*party],
-        Operator::Open { recipients } | Operator::Collect { recipients } => {
-            recipients.iter().collect()
-        }
+        Operator::Collect { recipients } => recipients.iter().collect(),
         _ => Vec::new(),
     }
 }
@@ -152,7 +150,7 @@ fn declassified_to(op: &Operator) -> Vec<PartyId> {
 ///
 /// Trust is re-derived from the *input schemas* (so the analysis does not
 /// depend on `propagate_trust` having run) and widened at declassification
-/// points: reveal/open/collect recipients learn the revealed columns, and
+/// points: collect recipients learn the revealed columns, and
 /// the executing party of a cleartext placement (`ExecSite::Local` /
 /// `ExecSite::Stp`) learns every column the node materializes.
 pub fn compute_flow(dag: &OpDag) -> IrResult<Flow> {
@@ -303,28 +301,18 @@ mod tests {
     }
 
     #[test]
-    fn reveal_and_collect_widen_trust() {
+    fn collect_widens_trust_to_its_recipients() {
         let (mut dag, _, _, cat) = two_input_dag();
-        let reveal = dag
-            .insert_after(
-                cat,
-                Operator::RevealTo {
-                    party: 3,
-                    columns: None,
-                },
-            )
-            .unwrap();
         let collect = dag
             .insert_after(
-                reveal,
+                cat,
                 Operator::Collect {
-                    recipients: PartySet::singleton(2),
+                    recipients: PartySet::from_ids([2, 3]),
                 },
             )
             .unwrap();
         let flow = compute_flow(&dag).unwrap();
         assert!(flow.value(cat, "v").unwrap().trust == TrustSet::of([1]));
-        assert_eq!(flow.value(reveal, "v").unwrap().trust, TrustSet::of([1, 3]));
         assert_eq!(
             flow.value(collect, "v").unwrap().trust,
             TrustSet::of([1, 2, 3])

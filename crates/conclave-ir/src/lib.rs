@@ -42,7 +42,7 @@ pub use dag::{DagNode, NodeId, OpDag};
 pub use error::{IrError, IrResult};
 pub use expr::Expr;
 pub use flow::{compute_flow, Flow, FlowValue};
-pub use ops::{AggFunc, ExecSite, JoinKind, Operator};
+pub use ops::{AggFunc, ExecSite, Operator};
 pub use party::{Party, PartyId, PartySet};
 pub use schema::{ColumnDef, Schema};
 pub use trust::TrustSet;

@@ -3,9 +3,9 @@
 //! The operator set mirrors the paper's prototype (§6): table inputs,
 //! `concat`, `project`, `filter`, `join`, grouped and scalar `aggregate`,
 //! column arithmetic (`multiply`, `divide`), sorting, limits and distinct
-//! counts — plus the *physical* operators the compiler inserts: oblivious
-//! shuffles, enumeration, oblivious selection, reveals, MPC open/close, and
-//! the three hybrid operators of §5.3.
+//! counts — plus the *physical* operators: the three hybrid operators of §5.3,
+//! which the compiler inserts, and enumeration, oblivious selection and
+//! oblivious merge.
 
 use crate::error::{IrError, IrResult};
 use crate::expr::Expr;
@@ -51,13 +51,6 @@ impl fmt::Display for AggFunc {
         };
         f.write_str(s)
     }
-}
-
-/// Join kinds. The prototype (like the paper's) supports inner equi-joins.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum JoinKind {
-    /// Inner equi-join.
-    Inner,
 }
 
 /// A column reference or literal operand for column arithmetic.
@@ -163,8 +156,6 @@ pub enum Operator {
         left_keys: Vec<String>,
         /// Join key columns of the right input.
         right_keys: Vec<String>,
-        /// Join kind.
-        kind: JoinKind,
     },
     /// Grouped (or scalar, if `group_by` is empty) aggregation.
     Aggregate {
@@ -224,10 +215,10 @@ pub enum Operator {
     },
 
     // ------------------------------------------------------------------
-    // Physical / compiler-inserted operators.
+    // Physical operators. The hybrid pass inserts the three hybrids, and
+    // `hybrid_exec` runs `Enumerate` as the STP's step; no pass inserts
+    // `ObliviousSelect` or `Merge`.
     // ------------------------------------------------------------------
-    /// Obliviously permute the rows (under MPC).
-    Shuffle,
     /// Append a row-index column `out` (0-based, in current row order).
     Enumerate {
         /// Name of the index column.
@@ -239,20 +230,6 @@ pub enum Operator {
     ObliviousSelect {
         /// Column of the second input holding the indexes.
         index_column: String,
-    },
-    /// Reveal (a projection of) an MPC-resident relation to one party.
-    RevealTo {
-        /// Receiving party (the STP in hybrid protocols).
-        party: PartyId,
-        /// Columns revealed; `None` means all columns.
-        columns: Option<Vec<String>>,
-    },
-    /// Secret-share a locally-held cleartext relation into the MPC.
-    CloseTo,
-    /// Open an MPC-resident relation to the listed recipients.
-    Open {
-        /// Parties that learn the cleartext relation.
-        recipients: PartySet,
     },
     /// Obliviously merge sorted inputs into one sorted relation.
     Merge {
@@ -311,12 +288,8 @@ impl Operator {
             Operator::Distinct { .. } => "distinct",
             Operator::DistinctCount { .. } => "distinct_count",
             Operator::Collect { .. } => "collect",
-            Operator::Shuffle => "shuffle",
             Operator::Enumerate { .. } => "enumerate",
             Operator::ObliviousSelect { .. } => "oblivious_select",
-            Operator::RevealTo { .. } => "reveal_to",
-            Operator::CloseTo => "close_to",
-            Operator::Open { .. } => "open",
             Operator::Merge { .. } => "merge",
             Operator::HybridJoin { .. } => "hybrid_join",
             Operator::PublicJoin { .. } => "public_join",
@@ -345,7 +318,7 @@ impl Operator {
 
     /// Returns `true` if this operator is a query output (DAG leaf).
     pub fn is_output(&self) -> bool {
-        matches!(self, Operator::Collect { .. } | Operator::Open { .. })
+        matches!(self, Operator::Collect { .. })
     }
 
     /// Returns `true` if this is one of the hybrid operators of §5.3.
@@ -397,9 +370,6 @@ impl Operator {
                 | Operator::Divide { .. }
                 | Operator::Limit { .. }
                 | Operator::Enumerate { .. }
-                | Operator::RevealTo { .. }
-                | Operator::CloseTo
-                | Operator::Open { .. }
                 | Operator::Collect { .. }
         )
     }
@@ -525,11 +495,7 @@ impl Operator {
                 inputs[0].require(column, self.name())?;
                 Ok(inputs[0].clone())
             }
-            Operator::Limit { .. } | Operator::Shuffle | Operator::CloseTo => {
-                need(1)?;
-                Ok(inputs[0].clone())
-            }
-            Operator::Collect { .. } | Operator::Open { .. } => {
+            Operator::Limit { .. } | Operator::Collect { .. } => {
                 need(1)?;
                 Ok(inputs[0].clone())
             }
@@ -557,13 +523,6 @@ impl Operator {
                 need(2)?;
                 inputs[1].require(index_column, "oblivious_select")?;
                 Ok(inputs[0].clone())
-            }
-            Operator::RevealTo { columns, .. } => {
-                need(1)?;
-                match columns {
-                    Some(cols) => inputs[0].project(cols),
-                    None => Ok(inputs[0].clone()),
-                }
             }
         }
     }
@@ -837,8 +796,6 @@ impl fmt::Display for Operator {
                 write!(f, "hybrid_aggregate({func}, stp=P{stp})")
             }
             Operator::Collect { recipients } => write!(f, "collect(to={recipients})"),
-            Operator::Open { recipients } => write!(f, "open(to={recipients})"),
-            Operator::RevealTo { party, .. } => write!(f, "reveal_to(P{party})"),
             other => write!(f, "{}", other.name()),
         }
     }
@@ -1007,24 +964,8 @@ mod tests {
     }
 
     #[test]
-    fn reveal_and_collect_schema() {
+    fn collect_schema() {
         let s = two_col("a", "b");
-        let r = Operator::RevealTo {
-            party: 1,
-            columns: Some(vec!["a".into()]),
-        };
-        assert_eq!(
-            r.output_schema(std::slice::from_ref(&s)).unwrap().names(),
-            vec!["a"]
-        );
-        let r_all = Operator::RevealTo {
-            party: 1,
-            columns: None,
-        };
-        assert_eq!(
-            r_all.output_schema(std::slice::from_ref(&s)).unwrap().len(),
-            2
-        );
         let c = Operator::Collect {
             recipients: PartySet::singleton(1),
         };
@@ -1059,7 +1000,7 @@ mod tests {
             den: Operand::col("b")
         }
         .is_reversible());
-        assert!(!Operator::Shuffle.preserves_order());
+        assert!(!Operator::Concat.preserves_order());
         assert!(Operator::Filter {
             predicate: Expr::col("a").gt(Expr::lit(0))
         }
@@ -1069,7 +1010,6 @@ mod tests {
             Operator::Join {
                 left_keys: vec!["a".into()],
                 right_keys: vec!["a".into()],
-                kind: JoinKind::Inner
             }
             .arity(),
             Some(2)
@@ -1111,7 +1051,6 @@ mod tests {
         let op = Operator::Join {
             left_keys: vec!["ssn".into()],
             right_keys: vec!["ssn".into()],
-            kind: JoinKind::Inner,
         };
         let out = op.output_schema(&[left.clone(), right.clone()]).unwrap();
         let deps = op.column_dependencies(&[left, right], &out).unwrap();
@@ -1156,10 +1095,9 @@ mod tests {
         let j = Operator::Join {
             left_keys: vec!["ssn".into()],
             right_keys: vec!["ssn".into()],
-            kind: JoinKind::Inner,
         };
         assert_eq!(j.to_string(), "join(ssn=ssn)");
-        assert!(Operator::Shuffle.to_string().contains("shuffle"));
+        assert_eq!(Operator::Concat.to_string(), "concat");
         let h = Operator::HybridAggregate {
             group_by: vec!["zip".into()],
             func: AggFunc::Sum,

@@ -414,12 +414,12 @@ impl MpcEngine {
                     ..Default::default()
                 }
             }
-            // Hybrid aggregation: a shuffle, the group-by column revealed,
+            // Hybrid aggregation: a shuffle, the group-by columns revealed,
             // the STP's equality flags shared back, a linear accumulation
             // scan of muxes, a final shuffle-and-reveal of the flags.
-            Operator::HybridAggregate { .. } => PrimitiveCounts {
+            Operator::HybridAggregate { group_by, .. } => PrimitiveCounts {
                 shuffled_elems: 2 * n * cols,
-                opened_elems: 2 * n,
+                opened_elems: (group_by.len() as u64 + 1) * n,
                 input_elems: n,
                 mults: 2 * n,
                 ..Default::default()
@@ -491,10 +491,6 @@ impl MpcEngine {
                 comparisons: DIVIDE_COMPARISONS_PER_ROW * n,
                 ..Default::default()
             },
-            Operator::Shuffle => PrimitiveCounts {
-                shuffled_elems: n * cols,
-                ..Default::default()
-            },
             Operator::ObliviousSelect { .. } => PrimitiveCounts {
                 mults: (n + output_rows) * log2(n + output_rows) * cols,
                 ..Default::default()
@@ -503,9 +499,6 @@ impl MpcEngine {
             | Operator::Concat
             | Operator::Limit { .. }
             | Operator::Enumerate { .. }
-            | Operator::RevealTo { .. }
-            | Operator::CloseTo
-            | Operator::Open { .. }
             | Operator::Collect { .. } => PrimitiveCounts::default(),
             other => {
                 return Err(MpcError::Unsupported(format!(
@@ -568,7 +561,7 @@ mod tests {
     use crate::operators;
     use conclave_engine::execute;
     use conclave_ir::expr::Expr;
-    use conclave_ir::ops::{AggFunc, JoinKind, Operand};
+    use conclave_ir::ops::{AggFunc, Operand};
 
     fn sharemind() -> MpcEngine {
         MpcEngine::new(MpcBackendConfig::sharemind())
@@ -627,7 +620,6 @@ mod tests {
         let op = Operator::Join {
             left_keys: vec!["k".into()],
             right_keys: vec!["k".into()],
-            kind: JoinKind::Inner,
         };
         let (out, counts) = run_shared(&op, &[&left, &right]).unwrap();
         let expected = execute(&op, &[&left, &right]).unwrap();
@@ -811,7 +803,6 @@ mod tests {
                 Operator::Join {
                     left_keys: vec!["k".into()],
                     right_keys: vec!["k".into()],
-                    kind: JoinKind::Inner,
                 },
                 vec![&rel, &rel],
             ),
@@ -874,7 +865,6 @@ mod tests {
         let op = Operator::Join {
             left_keys: vec!["k".into()],
             right_keys: vec!["k".into()],
-            kind: JoinKind::Inner,
         };
         match eng.execute_op(&op, &[&big, &big]) {
             Err(MpcError::OutOfMemory { needed, limit }) => {
@@ -895,7 +885,6 @@ mod tests {
         let join = Operator::Join {
             left_keys: vec!["k".into()],
             right_keys: vec!["k".into()],
-            kind: JoinKind::Inner,
         };
         let t1 = eng
             .estimate_op(&join, &[1_000, 1_000], &[2, 2], 1_000)
@@ -948,6 +937,18 @@ mod tests {
             stp: 1,
         };
         assert!(time(&hybrid_agg, &[100_000], 10_000) < time(&agg, &[100_000], 10_000));
+        // It opens every group-by key column to the STP, then the flags.
+        for keys in [1, 3] {
+            let op = Operator::HybridAggregate {
+                group_by: (0..keys).map(|i| format!("k{i}")).collect(),
+                func: AggFunc::Sum,
+                over: Some("v".into()),
+                out: "s".into(),
+                stp: 1,
+            };
+            let counts = eng.estimate_op(&op, &[1_000], &[4], 100).unwrap().counts;
+            assert_eq!(counts.opened_elems, (keys + 1) * 1_000);
+        }
 
         // The hybrids are priced the same under a garbled configuration:
         // their MPC half is secret-shared whatever the configured kind.

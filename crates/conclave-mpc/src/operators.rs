@@ -780,7 +780,6 @@ pub fn execute_op<E: Engine>(
             rel.rows.truncate(*n);
             Ok(rel)
         }
-        Operator::Shuffle => Ok(shuffle(eng, inputs[0])),
         Operator::Enumerate { out } => {
             let mut rel = inputs[0].clone();
             rel.schema = with_int_column(&rel.schema, out)?;
@@ -811,10 +810,7 @@ pub fn execute_op<E: Engine>(
                 rows: vec![vec![eng.constant(n)]],
             })
         }
-        Operator::RevealTo { .. }
-        | Operator::Open { .. }
-        | Operator::CloseTo
-        | Operator::Collect { .. } => Ok(inputs[0].clone()),
+        Operator::Collect { .. } => Ok(inputs[0].clone()),
         Operator::Divide { .. } => Err(OpError::Unsupported(
             "division under MPC; Conclave pushes divisions out of the MPC frontier".into(),
         )
@@ -836,7 +832,6 @@ mod tests {
     use crate::protocol::Protocol;
     use crate::relation::SharedRelation;
     use conclave_engine::{execute, Relation};
-    use conclave_ir::ops::JoinKind;
 
     fn share(rel: &Relation, proto: &mut Protocol) -> SharedRelation {
         SharedRelation::from_relation(rel, proto).unwrap()
@@ -1083,7 +1078,6 @@ mod tests {
             &Operator::Join {
                 left_keys: keys.clone(),
                 right_keys: keys.clone(),
-                kind: JoinKind::Inner,
             },
             &[&left, &right],
         )

@@ -67,11 +67,7 @@ impl ClusterCostModel {
             | Operator::Concat
             | Operator::Limit { .. }
             | Operator::Enumerate { .. }
-            | Operator::RevealTo { .. }
-            | Operator::CloseTo
-            | Operator::Open { .. }
             | Operator::Collect { .. }
-            | Operator::Shuffle
             | Operator::ObliviousSelect { .. } => {
                 self.stage_overhead + n * self.per_row_narrow / cores
             }

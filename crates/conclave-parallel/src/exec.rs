@@ -325,7 +325,7 @@ mod tests {
     use super::*;
     use conclave_engine::execute;
     use conclave_ir::expr::Expr;
-    use conclave_ir::ops::{JoinKind, Operand};
+    use conclave_ir::ops::Operand;
     use conclave_ir::types::Value;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -498,7 +498,6 @@ mod tests {
         let op = Operator::Join {
             left_keys: vec!["companyID".into()],
             right_keys: vec!["companyID".into()],
-            kind: JoinKind::Inner,
         };
         let parallel = run(EngineMode::Row, &op, &[&left, &right]).unwrap();
         let sequential = execute(&op, &[&left, &right]).unwrap();
@@ -512,7 +511,6 @@ mod tests {
         let op = Operator::Join {
             left_keys: vec!["companyID".into()],
             right_keys: vec!["companyID".into()],
-            kind: JoinKind::Inner,
         };
         assert!(run(EngineMode::Row, &op, &[&rel]).is_err());
         let bad = Operator::Aggregate {
@@ -589,7 +587,6 @@ mod tests {
         let join = Operator::Join {
             left_keys: vec!["companyID".into()],
             right_keys: vec!["companyID".into()],
-            kind: JoinKind::Inner,
         };
         let row = run(EngineMode::Row, &join, &[&rel, &right]).unwrap();
         let col = run(EngineMode::Columnar, &join, &[&rel, &right]).unwrap();
@@ -634,7 +631,6 @@ mod tests {
             Operator::Join {
                 left_keys: vec!["companyID".into()],
                 right_keys: vec!["companyID".into()],
-                kind: JoinKind::Inner,
             },
             Operator::SortBy {
                 column: "price".into(),

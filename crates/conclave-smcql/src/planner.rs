@@ -9,7 +9,7 @@
 //! secret-sharing backend, no sort elimination) is exactly what Figure 7
 //! measures.
 
-use conclave_ir::ops::{AggFunc, JoinKind, Operator};
+use conclave_ir::ops::{AggFunc, Operator};
 use conclave_mpc::backend::{MpcBackendConfig, MpcEngine, MpcResult, MpcStepStats};
 use std::time::Duration;
 
@@ -96,7 +96,6 @@ impl SmcqlPlanner {
         let join = Operator::Join {
             left_keys: vec!["k".into()],
             right_keys: vec!["k".into()],
-            kind: JoinKind::Inner,
         };
         let stats = self
             .engine
@@ -174,7 +173,6 @@ mod tests {
         let join = Operator::Join {
             left_keys: vec!["k".into()],
             right_keys: vec!["k".into()],
-            kind: JoinKind::Inner,
         };
         let oom = p
             .engine()

@@ -12,7 +12,7 @@ use crate::slicing::slice_by_key;
 use conclave_data::health::{ASPIRIN, HEART_DISEASE};
 use conclave_engine::{execute, Relation, SequentialCostModel};
 use conclave_ir::expr::Expr;
-use conclave_ir::ops::{AggFunc, JoinKind, Operator};
+use conclave_ir::ops::{AggFunc, Operator};
 use conclave_mpc::backend::MpcResult;
 use std::collections::HashSet;
 use std::time::Duration;
@@ -76,7 +76,6 @@ pub fn aspirin_count(
     let join_op = Operator::Join {
         left_keys: vec!["patientID".into()],
         right_keys: vec!["patientID".into()],
-        kind: JoinKind::Inner,
     };
 
     // The join result (and hence the distinct patient count) is the same
@@ -202,7 +201,6 @@ pub fn estimate_aspirin_count(
             &Operator::Join {
                 left_keys: vec!["patientID".into()],
                 right_keys: vec!["patientID".into()],
-                kind: JoinKind::Inner,
             },
             2 * rows_per_party,
             filtered,

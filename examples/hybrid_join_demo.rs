@@ -10,7 +10,7 @@
 use conclave::prelude::*;
 use conclave_core::hybrid_exec;
 use conclave_core::party_exec::{PartyMeshRuntime, StepInput};
-use conclave_ir::ops::{JoinKind, Operator};
+use conclave_ir::ops::Operator;
 use conclave_mpc::backend::MpcEngine;
 
 fn main() {
@@ -39,7 +39,6 @@ fn main() {
     let join = Operator::Join {
         left_keys: vec!["key".into()],
         right_keys: vec!["key".into()],
-        kind: JoinKind::Inner,
     };
     let inputs = vec![
         StepInput::Table(left.into()),

@@ -457,6 +457,60 @@ fn hybrid_plan_reveals_only_to_the_stp_and_is_cheaper() {
     assert!(hybrid.leakage.iter().all(|e| e.to_party == 1));
 }
 
+/// A two-key `GROUP BY` whose keys the STP is trusted with runs as a hybrid
+/// aggregation. The STP must order the rows by the whole key tuple: ordered
+/// by the first key alone, one group's rows need not be adjacent after the
+/// shuffle, and the group comes back split.
+#[test]
+fn multi_key_hybrid_aggregation_matches_the_cleartext_reference() {
+    let rows = |salt: i64| -> Vec<Vec<i64>> {
+        (0..12)
+            .map(|i| vec![(i + salt) % 3, (i * 7 + salt) % 2, i + 10 * salt])
+            .collect()
+    };
+    let (ta, tb) = (rows(0), rows(1));
+    let mut reference: HashMap<(i64, i64), i64> = HashMap::new();
+    for row in ta.iter().chain(&tb) {
+        *reference.entry((row[0], row[1])).or_insert(0) += row[2];
+    }
+    let session = |config: ConclaveConfig| {
+        Session::new(config.with_sequential_local())
+            .bind("ta", Relation::from_ints(&["k1", "k2", "v"], &ta))
+            .bind("tb", Relation::from_ints(&["k1", "k2", "v"], &tb))
+    };
+    let query = session(ConclaveConfig::standard())
+        .sql_query(
+            "CREATE TABLE ta (k1 INT TRUSTED BY (p1), k2 INT TRUSTED BY (p1), v INT) WITH OWNER p1;
+             CREATE TABLE tb (k1 INT TRUSTED BY (p1), k2 INT TRUSTED BY (p1), v INT) WITH OWNER p2;
+             SELECT k1, k2, SUM(v) AS total FROM (ta UNION ALL tb) GROUP BY k1, k2 REVEAL TO p1;",
+        )
+        .unwrap();
+    let plan = conclave_core::compile(&query, &ConclaveConfig::standard()).unwrap();
+    assert!(
+        plan.dag.iter().any(|n| matches!(
+            &n.op,
+            conclave_ir::ops::Operator::HybridAggregate { group_by, .. } if group_by.len() == 2
+        )),
+        "the plan aggregates with the STP"
+    );
+    for seed in 0..12 {
+        let mut config = ConclaveConfig::standard();
+        config.mpc.seed = seed;
+        let report = session(config).run_plan(&plan).unwrap();
+        let out = report.output_for(1).unwrap();
+        let got: HashMap<(i64, i64), i64> = out
+            .rows
+            .iter()
+            .map(|r| {
+                let int = |i: usize| r[i].as_int().unwrap();
+                ((int(0), int(1)), int(2))
+            })
+            .collect();
+        assert_eq!(out.num_rows(), reference.len(), "seed {seed}: split groups");
+        assert_eq!(got, reference, "seed {seed}");
+    }
+}
+
 #[test]
 fn aspirin_count_conclave_and_smcql_agree_with_reference() {
     let rows = 300;

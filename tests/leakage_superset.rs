@@ -13,17 +13,19 @@
 //!   that under-approximates shows here as a query failing with
 //!   `UnauthorizedReveal`. The linter may over-approximate; it must never
 //!   under-approximate.
-//! * Deliberately leaky plans — a mid-plan reveal to an untrusted party, and
-//!   the operand-opening shape of the pre-circuit comparison bug — are
-//!   rejected at compile time with a diagnostic naming the node, column,
-//!   party and derivation chain.
+//! * A deliberately leaky plan — a compiled plan whose MPC step is moved into
+//!   the clear at a party not trusted with its input — is refused twice: the
+//!   linter rejects it with a diagnostic naming the node, column, party and
+//!   derivation chain, and the driver, which re-lints every plan it is
+//!   handed, refuses to run it.
 
 // Demo/test target: panicking on bad setup is the desired behavior here
 // (the workspace-level clippy::unwrap_used lint targets library code).
 #![allow(clippy::unwrap_used)]
 
-use conclave::ir::ops::Operator;
-use conclave::ir::party::PartySet;
+use conclave::core::driver::DriverError;
+use conclave::core::passes::leakage;
+use conclave::ir::ops::{ExecSite, Operator};
 use conclave::prelude::*;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -143,56 +145,43 @@ fn node_named(query: &conclave::ir::builder::Query, name: &str) -> usize {
 }
 
 #[test]
-fn tampered_mid_plan_reveal_is_rejected_at_compile_time() {
-    // An adversarial (or buggy) pass inserts a reveal of the whole relation
-    // to P2, who is not trusted with `v`. The linter must reject the plan
-    // and name the node, column, party and derivation chain.
-    let mut query = trusted_sum_query();
-    let concat = node_named(&query, "concat");
-    let reveal = query
-        .dag
-        .insert_after(
-            concat,
-            Operator::RevealTo {
-                party: 2,
-                columns: None,
-            },
-        )
-        .unwrap();
-    let err = compile(&query, &ConclaveConfig::standard()).unwrap_err();
-    let CompileError::Leakage(v) = err else {
-        panic!("expected a leakage violation, got: {err}");
-    };
-    assert_eq!(v.node, reveal);
-    assert_eq!(v.party, 2);
-    assert_eq!(v.column, "v");
-    assert!(!v.chain.is_empty(), "diagnostic carries a derivation chain");
-    let shown = v.to_string();
-    assert!(shown.contains("P2") && shown.contains("`v`"), "{shown}");
-}
-
-#[test]
-fn operand_opening_shape_is_rejected_statically() {
-    // The pre-circuit comparison bug opened raw operands to every computing
-    // party mid-plan. Expressed as a plan node, that shape must now be
-    // impossible to compile.
+fn tampered_cleartext_placement_is_refused_by_the_linter_and_the_driver() {
+    // An adversarial (or buggy) pass moves an MPC step into the clear at P2,
+    // who is not trusted with `v`: running it there would open the MPC
+    // concat to P2. A `Limit` stands in for the step because push-down would
+    // move a `Project` away from the concat.
     let mut query = trusted_sum_query();
     let concat = node_named(&query, "concat");
     query
         .dag
-        .insert_after(
-            concat,
-            Operator::Open {
-                recipients: PartySet::from_ids([1, 2]),
-            },
-        )
+        .insert_after(concat, Operator::Limit { n: 10 })
         .unwrap();
-    let err = compile(&query, &ConclaveConfig::standard()).unwrap_err();
+    let mut plan = compile(&query, &ConclaveConfig::standard()).unwrap();
+    let limit = plan
+        .dag
+        .iter()
+        .find(|n| matches!(n.op, Operator::Limit { .. }))
+        .unwrap();
+    assert!(limit.site.is_mpc());
+    assert!(plan.dag.node(limit.inputs[0]).unwrap().site.is_mpc());
+    let limit = limit.id;
+    plan.dag.node_mut(limit).unwrap().site = ExecSite::Local(2);
+
+    let err = leakage::run(&plan.dag, &plan.parties).unwrap_err();
     let CompileError::Leakage(v) = err else {
         panic!("expected a leakage violation, got: {err}");
     };
-    assert_eq!(v.party, 2);
-    assert_eq!(v.column, "v");
+    assert_eq!((v.node, v.party, v.column.as_str()), (limit, 2, "v"));
+    assert!(!v.chain.is_empty(), "diagnostic carries a derivation chain");
+    let shown = v.to_string();
+    assert!(shown.contains("P2") && shown.contains("`v`"), "{shown}");
+
+    match session().run_plan(&plan) {
+        Err(SessionError::Driver(DriverError::UnauthorizedReveal { node, to_party, .. })) => {
+            assert_eq!((node, to_party), (limit, 2));
+        }
+        other => panic!("expected the driver to refuse the plan, got {other:?}"),
+    }
 }
 
 #[test]

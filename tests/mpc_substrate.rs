@@ -11,7 +11,7 @@ use conclave::mpc::backend::{BackendKind, MpcBackendConfig, MpcEngine};
 use conclave::mpc::cost::GarbledCostModel;
 use conclave::prelude::*;
 use conclave_data::SyntheticGenerator;
-use conclave_ir::ops::{JoinKind, Operator};
+use conclave_ir::ops::Operator;
 
 fn agg_op() -> Operator {
     Operator::Aggregate {
@@ -51,7 +51,6 @@ fn join_results_agree_across_backends() {
     let op = Operator::Join {
         left_keys: vec!["key".into()],
         right_keys: vec!["key".into()],
-        kind: JoinKind::Inner,
     };
     let expected = conclave_engine::execute(&op, &[&left, &right]).unwrap();
     let ss_stats = assert_engines_match_cleartext(&op, &[&left, &right], 22, Order::Any);
@@ -87,7 +86,6 @@ fn hybrid_protocol_estimates_beat_full_mpc_at_scale_for_all_sizes() {
     let join = Operator::Join {
         left_keys: vec!["key".into()],
         right_keys: vec!["key".into()],
-        kind: JoinKind::Inner,
     };
     let keys = vec!["key".to_string()];
     let hybrid_join = Operator::HybridJoin {

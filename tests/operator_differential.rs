@@ -19,7 +19,7 @@ use conclave::core::config::PartyRuntime;
 use conclave::core::party_exec::op_is_party_capable;
 use conclave::prelude::*;
 use conclave_ir::expr::Expr;
-use conclave_ir::ops::{JoinKind, Operand, Operator};
+use conclave_ir::ops::{Operand, Operator};
 
 fn names(cols: &[&str]) -> Vec<String> {
     cols.iter().map(|c| c.to_string()).collect()
@@ -116,7 +116,6 @@ fn unary_cases() -> Vec<(Operator, Order)> {
         },
         Order::Exact,
     ));
-    cases.push((Operator::Shuffle, Order::Any));
     cases.push((Operator::Concat, Order::Exact));
     cases
 }
@@ -181,7 +180,6 @@ fn n_ary_operators_match_cleartext_on_all_engines() {
         let join = Operator::Join {
             left_keys: keys.clone(),
             right_keys: keys,
-            kind: JoinKind::Inner,
         };
         assert_engines_match_cleartext(&join, &[&left, &right], 1, Order::Any);
         assert_engines_match_cleartext(&join, &[&left, &empty], 2, Order::Any);

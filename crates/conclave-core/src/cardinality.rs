@@ -164,7 +164,7 @@ impl CardinalityEstimator {
             let n_in: u64 = in_rows.iter().sum();
 
             match node.site {
-                ExecSite::Local(party) | ExecSite::Stp(party) => {
+                ExecSite::Local(party) => {
                     let row_bytes = node.schema.row_byte_size() as u64;
                     let t = self.local_time(&node.op, n_in, out_rows, row_bytes);
                     *est.modeled.local_time.entry(party).or_default() += t;

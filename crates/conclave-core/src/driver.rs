@@ -286,7 +286,7 @@ impl Driver {
             // A cleartext step consuming an MPC-produced relation has that
             // relation revealed to its executing party: certify it before
             // anything is opened.
-            if let ExecSite::Local(party) | ExecSite::Stp(party) = node.site {
+            if let ExecSite::Local(party) = node.site {
                 for &input in &node.inputs {
                     let parent = plan.dag.node(input)?;
                     if parent.site.is_mpc() && !parent.op.is_output() {
@@ -412,7 +412,7 @@ impl Driver {
                     report.mpc_stats.merge(&stats);
                     (table, stats.simulated_time)
                 }
-                (op, ExecSite::Local(party)) | (op, ExecSite::Stp(party)) => {
+                (op, ExecSite::Local(party)) => {
                     let (table, time) = self.run_local_op(op, &input_tables)?;
                     *report.modeled.local_time.entry(party).or_default() += time;
                     (table, time)

@@ -4,19 +4,19 @@
 //! relational query over relations distributed across mutually-distrusting
 //! parties, it
 //!
-//! 1. propagates *ownership* and *trust* annotations through the operator DAG
-//!    ([`analysis`]),
+//! 1. propagates *ownership* through the operator DAG ([`analysis`]); column
+//!    *trust* is derived once, by `conclave_ir::flow`,
 //! 2. pushes the MPC frontier down into local, per-party pre-processing and
 //!    up into cleartext post-processing at the output recipient
 //!    ([`passes::pushdown`], [`passes::pushup`]),
 //! 3. replaces expensive MPC joins and aggregations with hybrid MPC–cleartext
-//!    operators when the trust annotations authorize a selectively-trusted
+//!    operators when the derived trust authorizes a selectively-trusted
 //!    party ([`passes::hybrid`]),
 //! 4. eliminates redundant oblivious sorts ([`passes::sort_elim`]),
 //! 5. statically certifies the final plan with the leakage linter
 //!    ([`passes::leakage`]): every cleartext placement and reveal is proven
 //!    to honor the trust annotations, or compilation fails,
-//! 6. partitions the DAG into local, STP and MPC stages and produces a
+//! 6. partitions the DAG into local and MPC stages and produces a
 //!    [`plan::PhysicalPlan`], and
 //! 7. executes the plan with the [`driver::Driver`], which combines the
 //!    cleartext engines (`conclave-engine`, `conclave-parallel`) with the MPC
@@ -51,7 +51,7 @@ pub mod plan;
 pub mod report;
 pub mod session;
 
-pub use analysis::{propagate_ownership, propagate_trust};
+pub use analysis::propagate_ownership;
 pub use cardinality::{CardinalityEstimator, RuntimeEstimate, WorkloadStats};
 pub use config::{ConclaveConfig, DealerMode, PartyRuntime};
 pub use driver::Driver;

@@ -6,9 +6,9 @@
 //! an MPC half and a cleartext half executed by a *selectively-trusted
 //! party* (STP), turning O(n·m) oblivious work into an oblivious shuffle, a
 //! narrow key reveal, and a cleartext join or sort at the STP.
-//! MPC joins and grouped aggregations dominate query cost. When the
-//! propagated trust annotations show that some party is authorized to learn
-//! the key columns involved, Conclave rewrites:
+//! MPC joins and grouped aggregations dominate query cost. When the trust
+//! [`compute_flow`] derives for the key columns shows that some party is
+//! authorized to learn them, Conclave rewrites:
 //!
 //! * an MPC join whose key columns are **public** into a [`Operator::PublicJoin`]
 //!   performed in the clear by an arbitrarily chosen helper party;
@@ -18,16 +18,17 @@
 //!   [`Operator::HybridAggregate`].
 //!
 //! The rewrite never widens leakage beyond the input annotations: the STP
-//! must already be in the intersection of the relevant columns' trust sets,
-//! which the analysis derives only from the parties' own annotations
-//! (Corollary A.5).
+//! must already be in the joint trust of the key columns, which the flow
+//! derives only from the parties' own annotations (Corollary A.5). The pass
+//! runs after `sites` and reads one [`compute_flow`] of that DAG — the same
+//! derivation the leakage linter certifies the final plan with.
 
 use crate::config::ConclaveConfig;
 use conclave_ir::dag::{NodeId, OpDag};
 use conclave_ir::error::IrResult;
+use conclave_ir::flow::compute_flow;
 use conclave_ir::ops::Operator;
 use conclave_ir::party::{PartyId, PartySet};
-use conclave_ir::trust::TrustSet;
 
 /// Applies hybrid-operator rewrites to all eligible MPC nodes. Returns a log
 /// of the transformations applied.
@@ -36,6 +37,9 @@ pub fn run(dag: &mut OpDag, universe: &PartySet, config: &ConclaveConfig) -> IrR
     if !config.use_hybrid_operators && !config.use_public_join {
         return Ok(log);
     }
+    // A rewrite keeps its node's site and column dependencies, so the flow
+    // computed up front holds for every rewrite below.
+    let flow = compute_flow(dag)?;
     let mpc_nodes: Vec<NodeId> = dag
         .iter()
         .filter(|n| n.site.is_mpc())
@@ -49,24 +53,12 @@ pub fn run(dag: &mut OpDag, universe: &PartySet, config: &ConclaveConfig) -> IrR
                 right_keys,
                 ..
             } => {
-                let left_schema = dag.node(node.inputs[0])?.schema.clone();
-                let right_schema = dag.node(node.inputs[1])?.schema.clone();
-                let mut trust = TrustSet::Public;
-                for k in &left_keys {
-                    trust = trust.intersect(
-                        &left_schema
-                            .require(k, "hybrid join")
-                            .map(|i| left_schema.columns[i].trust.clone())?,
-                    );
-                }
-                for k in &right_keys {
-                    trust = trust.intersect(
-                        &right_schema
-                            .require(k, "hybrid join")
-                            .map(|i| right_schema.columns[i].trust.clone())?,
-                    );
-                }
-                let trusted = trust.trusted_within(universe);
+                let (left, right) = (node.inputs[0], node.inputs[1]);
+                let keys = left_keys
+                    .iter()
+                    .map(|k| (left, k.as_str()))
+                    .chain(right_keys.iter().map(|k| (right, k.as_str())));
+                let trusted = flow.joint_trust(keys)?.trusted_within(universe);
                 if config.use_public_join && trusted.len() == universe.len() && !universe.is_empty()
                 {
                     let helper = pick_helper(&trusted);
@@ -96,13 +88,9 @@ pub fn run(dag: &mut OpDag, universe: &PartySet, config: &ConclaveConfig) -> IrR
                 over,
                 out,
             } if !group_by.is_empty() && config.use_hybrid_operators => {
-                let input_schema = dag.node(node.inputs[0])?.schema.clone();
-                let mut trust = TrustSet::Public;
-                for g in &group_by {
-                    let idx = input_schema.require(g, "hybrid aggregate")?;
-                    trust = trust.intersect(&input_schema.columns[idx].trust);
-                }
-                let trusted = trust.trusted_within(universe);
+                let input = node.inputs[0];
+                let keys = group_by.iter().map(|g| (input, g.as_str()));
+                let trusted = flow.joint_trust(keys)?.trusted_within(universe);
                 if !trusted.is_empty() {
                     let stp = pick_helper(&trusted);
                     dag.node_mut(id)?.op = Operator::HybridAggregate {
@@ -133,18 +121,18 @@ fn pick_helper(trusted: &PartySet) -> PartyId {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::{propagate_ownership, propagate_trust};
+    use crate::analysis::propagate_ownership;
     use crate::passes::sites;
     use conclave_ir::builder::QueryBuilder;
     use conclave_ir::ops::AggFunc;
     use conclave_ir::party::Party;
     use conclave_ir::schema::{ColumnDef, Schema};
+    use conclave_ir::trust::TrustSet;
     use conclave_ir::types::DataType;
 
     fn prepare(query: &conclave_ir::builder::Query) -> OpDag {
         let mut dag = query.dag.clone();
         propagate_ownership(&mut dag).unwrap();
-        propagate_trust(&mut dag).unwrap();
         sites::run(&mut dag).unwrap();
         dag
     }

@@ -8,10 +8,15 @@
 //!
 //! * hybrid operators (`HybridJoin`, `HybridAggregate`, `PublicJoin`) — the
 //!   STP/helper must be trusted with the join/group key columns it learns;
-//! * cleartext placements (`ExecSite::Local` / `ExecSite::Stp`) consuming an
-//!   MPC-produced relation — the executing party must be an authorized
-//!   viewer of that relation, unless the consuming operator is reversible
-//!   (push-up, simulatable from the output) or the declared `Collect`.
+//! * cleartext placements (`ExecSite::Local`) consuming an MPC-produced
+//!   relation — the executing party must be an authorized viewer of that
+//!   relation, unless the consuming operator is reversible (push-up,
+//!   simulatable from the output) or the declared `Collect`.
+//!
+//! The flow is the one trust derivation of the compiler: the hybrid pass
+//! picked every STP from it, and here it is recomputed over the final DAG.
+//! Every lookup fails closed: a key or column the flow does not hold is a
+//! compile error, never an authorized disclosure.
 //!
 //! `Collect` itself is declassification by declaration: its recipients are
 //! the query's stated output policy, so it contributes a *disclosure* to the
@@ -280,11 +285,11 @@ pub fn run(dag: &OpDag, universe: &PartySet) -> CompileResult<LeakageReport> {
             _ => {}
         }
 
-        // Cleartext placements: a Local/Stp node consuming an MPC-produced
+        // Cleartext placements: a Local node consuming an MPC-produced
         // relation opens that relation to its executing party. A reversible
         // operator (push-up) or the declared `Collect` is exempt from the
         // trust check: what it opens is simulatable from the query output.
-        if let ExecSite::Local(party) | ExecSite::Stp(party) = node.site {
+        if let ExecSite::Local(party) = node.site {
             let mut seen: BTreeSet<NodeId> = BTreeSet::new();
             for &input in &node.inputs {
                 if !seen.insert(input) {
@@ -389,7 +394,8 @@ fn column_names(dag: &OpDag, node: NodeId) -> CompileResult<Vec<String>> {
 }
 
 /// Verifies that `party` is trusted with every listed column of `parent`'s
-/// output (the relation's owner is always trusted with its own data).
+/// output (the relation's owner is always trusted with its own data). A
+/// column the flow does not hold is an error, whoever asks.
 fn check_columns(
     dag: &OpDag,
     flow: &Flow,
@@ -399,15 +405,10 @@ fn check_columns(
     at_node: NodeId,
     reason: &str,
 ) -> CompileResult<()> {
-    if dag.node(parent)?.owner == Some(party) {
-        return Ok(());
-    }
+    let owner = dag.node(parent)?.owner;
     for col in columns {
-        let trusted = flow
-            .value(parent, col)
-            .map(|v| v.trust.trusts(party))
-            .unwrap_or(true);
-        if !trusted {
+        let trusted = flow.require(parent, col)?.trust.trusts(party);
+        if !trusted && owner != Some(party) {
             let at = dag.node(at_node)?;
             return Err(CompileError::Leakage(LeakageViolation {
                 node: at_node,
@@ -563,6 +564,66 @@ mod tests {
         }
         let report = run(&dag, &universe).unwrap();
         assert!(report.covers(h, 1));
+    }
+
+    #[test]
+    fn hybrid_key_missing_from_its_input_is_an_error_not_trusted() {
+        // ta@P2's `k` is trusted by P2 alone, and it has no column `zz`. A
+        // hybrid join keyed on `zz` names nothing the flow can place, so
+        // the linter must refuse it rather than certify P1 as its STP.
+        let mut dag = OpDag::new();
+        let sa = Schema::new(vec![
+            ColumnDef::with_trust("k", DataType::Int, TrustSet::of([2])),
+            ColumnDef::new("v", DataType::Int),
+        ]);
+        let sb = Schema::new(vec![
+            ColumnDef::with_trust("k", DataType::Int, TrustSet::of([1, 2])),
+            ColumnDef::new("w", DataType::Int),
+        ]);
+        let ta = dag.add_node(
+            Operator::Input {
+                name: "ta".into(),
+                party: 2,
+            },
+            vec![],
+            sa.clone(),
+        );
+        let tb = dag.add_node(
+            Operator::Input {
+                name: "tb".into(),
+                party: 1,
+            },
+            vec![],
+            sb.clone(),
+        );
+        let keys = vec!["k".to_string()];
+        let schema = conclave_ir::ops::join_schema(&sa, &sb, &keys, &keys).unwrap();
+        let join = dag.add_node(
+            Operator::HybridJoin {
+                left_keys: vec!["zz".into()],
+                right_keys: keys,
+                stp: 1,
+            },
+            vec![ta, tb],
+            schema.clone(),
+        );
+        dag.node_mut(join).unwrap().site = ExecSite::Mpc;
+        dag.add_node(
+            Operator::Collect {
+                recipients: PartySet::singleton(2),
+            },
+            vec![join],
+            schema,
+        );
+        let err = run(&dag, &PartySet::from_ids([1, 2])).unwrap_err();
+        assert!(
+            matches!(
+                &err,
+                CompileError::Ir(conclave_ir::error::IrError::UnknownColumn { column, .. })
+                    if column == "zz"
+            ),
+            "{err}"
+        );
     }
 
     #[test]

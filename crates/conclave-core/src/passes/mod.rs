@@ -1,17 +1,22 @@
 //! Query rewrite passes (§5.2–§5.4): the pipeline that decides what runs
 //! under MPC.
 //!
-//! After `analysis` propagates ownership and trust annotations through the
-//! operator DAG, [`crate::plan::compile`] runs the passes in this order:
+//! After `analysis` propagates ownership through the operator DAG,
+//! [`crate::plan::compile`] runs the passes in this order:
 //!
 //! | # | Pass | Direction across the MPC frontier |
 //! |---|------|-----------------------------------|
 //! | 1 | [`pushdown`] | moves distributive operators and aggregation splits *below* the frontier, into per-party local cleartext |
-//! | 2 | [`sites`] | draws the frontier: assigns every node `Local(p)`, `Stp(p)` or `Mpc` |
-//! | 3 | [`pushup`] | moves reversible operators *above* the frontier, into cleartext at the output recipient |
-//! | 4 | [`hybrid`] | splits expensive MPC joins/aggregations into MPC + selectively-trusted-party cleartext halves |
+//! | 2 | [`sites`] | draws the frontier: assigns every node `Local(p)` or `Mpc` |
+//! | 3 | [`hybrid`] | splits expensive MPC joins/aggregations into MPC + selectively-trusted-party cleartext halves |
+//! | 4 | [`pushup`] | moves reversible operators *above* the frontier, into cleartext at the output recipient |
 //! | 5 | [`sort_elim`] | deletes oblivious sorts whose input is already sorted and annotates order for MPC aggregations |
 //! | 6 | [`leakage`] | *verifies* (never rewrites): proves every cleartext placement and reveal honors the trust annotations, or rejects the plan |
+//!
+//! Column trust has one derivation, `conclave_ir::flow::compute_flow`, read
+//! from the `Input` annotations. [`hybrid`] computes it on the sited DAG and
+//! picks each STP from it; [`leakage`] recomputes it on the final DAG and
+//! certifies with it. No pass stores trust in a schema.
 //!
 //! Each pass returns a human-readable log of the rewrites it applied; the
 //! logs surface in [`crate::plan::PhysicalPlan::transformations`] and in the

@@ -6,11 +6,14 @@
 //! recipient (they only re-label data that the MPC boundary already revealed).
 //!
 //! The *MPC frontier* the other passes talk about is precisely the boundary
-//! this pass draws between `Local(p)`/`Stp(p)` sites and `Mpc` sites: every
+//! this pass draws between `Local(p)` sites and `Mpc` sites: every
 //! `Local → Mpc` edge is a secret-sharing step, every `Mpc → Local` edge a
-//! reveal. Push-up and the hybrid rewrites run after this pass and re-label
-//! nodes to move or split that boundary; the driver later dispatches each
-//! node to the engine its final site calls for.
+//! reveal. The hybrid rewrites and push-up run after this pass: push-up
+//! re-labels nodes to move that boundary, and a hybrid node stays at `Mpc`
+//! with its STP named in the operator. The hybrid pass derives trust on the
+//! DAG this pass sites, so a cleartext placement counts as a disclosure to
+//! its party. The driver later dispatches each node to the engine its final
+//! site calls for.
 
 use conclave_ir::dag::OpDag;
 use conclave_ir::error::IrResult;

@@ -151,13 +151,11 @@ pub fn compile(query: &Query, config: &ConclaveConfig) -> CompileResult<Physical
         analysis::propagate_ownership(&mut dag)?;
     }
 
-    // Stage 3: propagate trust annotations through the (rewritten) DAG.
-    analysis::propagate_trust(&mut dag)?;
-
     // Site assignment for the remaining operators.
     passes::sites::run(&mut dag)?;
 
-    // Stage 4: hybrid operator insertion.
+    // Stage 4: hybrid operator insertion. Each STP is picked from the trust
+    // `conclave_ir::flow` derives on the site-assigned DAG.
     if config.use_hybrid_operators || config.use_public_join {
         let log = passes::hybrid::run(&mut dag, &universe, config)?;
         transformations.extend(log);

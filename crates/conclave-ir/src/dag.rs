@@ -315,24 +315,6 @@ impl OpDag {
             .map(|n| n.id)
             .collect()
     }
-
-    /// Number of live nodes per execution-site class `(local, stp, mpc,
-    /// undecided)` — handy in tests and reports.
-    pub fn site_histogram(&self) -> (usize, usize, usize, usize) {
-        let mut local = 0;
-        let mut stp = 0;
-        let mut mpc = 0;
-        let mut undecided = 0;
-        for n in self.iter() {
-            match n.site {
-                ExecSite::Local(_) => local += 1,
-                ExecSite::Stp(_) => stp += 1,
-                ExecSite::Mpc => mpc += 1,
-                ExecSite::Undecided => undecided += 1,
-            }
-        }
-        (local, stp, mpc, undecided)
-    }
 }
 
 #[cfg(test)]
@@ -516,14 +498,12 @@ mod tests {
     }
 
     #[test]
-    fn site_histogram_counts() {
+    fn mpc_nodes_lists_only_mpc_sites() {
         let (mut dag, a, b, cat, col) = simple_dag();
         dag.node_mut(a).unwrap().site = ExecSite::Local(1);
         dag.node_mut(b).unwrap().site = ExecSite::Local(2);
         dag.node_mut(cat).unwrap().site = ExecSite::Mpc;
-        dag.node_mut(col).unwrap().site = ExecSite::Stp(1);
-        let (local, stp, mpc, undecided) = dag.site_histogram();
-        assert_eq!((local, stp, mpc, undecided), (2, 1, 1, 1));
+        dag.node_mut(col).unwrap().site = ExecSite::Local(1);
         assert_eq!(dag.mpc_nodes(), vec![cat]);
     }
 

@@ -1,18 +1,20 @@
 //! Human-readable and Graphviz renderings of operator DAGs.
 
 use crate::dag::OpDag;
+use crate::flow::compute_flow;
 use crate::ops::ExecSite;
 use std::fmt::Write as _;
 
 /// Renders the DAG as an indented, topologically ordered text plan.
 ///
-/// Each line shows the node id, operator, execution site, owner and schema —
-/// the same information the compiler's passes reason about, which makes the
-/// output useful both for debugging rewrites and for documentation.
+/// Each line shows the node id, operator, execution site, owner and schema,
+/// each column with the trust [`compute_flow`] derives for it — the labels
+/// the leakage linter certifies — which makes the output useful both for
+/// debugging rewrites and for documentation.
 pub fn render_text(dag: &OpDag) -> String {
     let mut out = String::new();
-    let order = match dag.topo_order() {
-        Ok(o) => o,
+    let (order, flow) = match dag.topo_order().and_then(|o| Ok((o, compute_flow(dag)?))) {
+        Ok(v) => v,
         Err(e) => return format!("<malformed dag: {e}>"),
     };
     for id in order {
@@ -26,30 +28,36 @@ pub fn render_text(dag: &OpDag) -> String {
             .as_deref()
             .map(|c| format!(" sorted_by={c}"))
             .unwrap_or_default();
+        let columns: Vec<String> = node
+            .schema
+            .columns
+            .iter()
+            .zip(flow.columns(id).unwrap_or_default())
+            .map(|(c, (_, v))| format!("{}:{} [{}]", c.name, c.dtype, v.trust))
+            .collect();
         let _ = writeln!(
             out,
-            "#{:<3} {:<40} site={:<10} owner={:<4} inputs={:?}{} {}",
+            "#{:<3} {:<40} site={:<10} owner={:<4} inputs={:?}{} ({})",
             node.id,
             node.op.to_string(),
             node.site.to_string(),
             owner,
             node.inputs,
             sorted,
-            node.schema,
+            columns.join(", "),
         );
     }
     out
 }
 
-/// Renders the DAG in Graphviz DOT format. MPC nodes are drawn as red boxes,
-/// STP nodes as blue diamonds and local cleartext nodes as green ellipses,
-/// mirroring Figure 2 of the paper.
+/// Renders the DAG in Graphviz DOT format. MPC nodes are drawn as red boxes
+/// and local cleartext nodes as green ellipses, mirroring Figure 2 of the
+/// paper.
 pub fn render_dot(dag: &OpDag) -> String {
     let mut out = String::from("digraph conclave {\n  rankdir=BT;\n");
     for node in dag.iter() {
         let (shape, color) = match node.site {
             ExecSite::Mpc => ("box", "red"),
-            ExecSite::Stp(_) => ("diamond", "blue"),
             ExecSite::Local(_) => ("ellipse", "darkgreen"),
             ExecSite::Undecided => ("ellipse", "gray"),
         };
@@ -93,6 +101,49 @@ mod tests {
         assert_eq!(text.lines().count(), dag.node_count());
         assert!(text.contains("aggregate"));
         assert!(text.contains("concat"));
+    }
+
+    #[test]
+    fn text_rendering_shows_the_flow_trust_not_the_stored_schema() {
+        use crate::ops::Operator;
+        use crate::schema::ColumnDef;
+        use crate::trust::TrustSet;
+        use crate::types::DataType;
+        let wide = Schema::new(vec![ColumnDef::with_trust(
+            "v",
+            DataType::Int,
+            TrustSet::of([1, 2]),
+        )]);
+        let narrow = Schema::new(vec![ColumnDef::with_trust(
+            "v",
+            DataType::Int,
+            TrustSet::of([1]),
+        )]);
+        let mut dag = OpDag::new();
+        let a = dag.add_node(
+            Operator::Input {
+                name: "a".into(),
+                party: 1,
+            },
+            vec![],
+            wide.clone(),
+        );
+        let b = dag.add_node(
+            Operator::Input {
+                name: "b".into(),
+                party: 2,
+            },
+            vec![],
+            narrow.clone(),
+        );
+        // The stored concat schema copies the first input's annotation.
+        let cat = dag.add_node(Operator::Concat, vec![a, b], wide);
+        let text = render_text(&dag);
+        let line = text
+            .lines()
+            .find(|l| l.starts_with(&format!("#{cat} ")))
+            .unwrap();
+        assert!(line.contains("v:INT [trust{1}]"), "{line}");
     }
 
     #[test]

@@ -11,7 +11,6 @@ use crate::error::{IrError, IrResult};
 use crate::expr::Expr;
 use crate::party::{PartyId, PartySet};
 use crate::schema::{ColumnDef, Schema};
-use crate::trust::TrustSet;
 use crate::types::{DataType, Value};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -98,9 +97,6 @@ pub enum ExecSite {
     Undecided,
     /// Local cleartext processing at the given party.
     Local(PartyId),
-    /// Cleartext processing at the selectively-trusted party as part of a
-    /// hybrid protocol.
-    Stp(PartyId),
     /// Secure multi-party computation across all computing parties.
     Mpc,
 }
@@ -111,9 +107,9 @@ impl ExecSite {
         matches!(self, ExecSite::Mpc)
     }
 
-    /// Returns `true` for any cleartext (local or STP) execution.
+    /// Returns `true` for cleartext execution at one party.
     pub fn is_cleartext(self) -> bool {
-        matches!(self, ExecSite::Local(_) | ExecSite::Stp(_))
+        matches!(self, ExecSite::Local(_))
     }
 }
 
@@ -122,7 +118,6 @@ impl fmt::Display for ExecSite {
         match self {
             ExecSite::Undecided => write!(f, "?"),
             ExecSite::Local(p) => write!(f, "local@P{p}"),
-            ExecSite::Stp(p) => write!(f, "stp@P{p}"),
             ExecSite::Mpc => write!(f, "mpc"),
         }
     }
@@ -398,15 +393,10 @@ impl Operator {
                         detail: "needs at least one input".into(),
                     });
                 }
-                let mut schema = inputs[0].clone();
                 for other in &inputs[1..] {
-                    schema.union_compatible(other)?;
-                    // Trust of each column is the intersection across inputs.
-                    for (i, col) in schema.columns.iter_mut().enumerate() {
-                        col.trust = col.trust.intersect(&other.columns[i].trust);
-                    }
+                    inputs[0].union_compatible(other)?;
                 }
-                Ok(schema)
+                Ok(inputs[0].clone())
             }
             Operator::Project { columns } => {
                 need(1)?;
@@ -456,12 +446,10 @@ impl Operator {
             Operator::Multiply { out, operands } => {
                 need(1)?;
                 let mut schema = inputs[0].clone();
-                let mut trust = TrustSet::Public;
                 let mut dtype = DataType::Int;
                 for o in operands {
                     if let Operand::Col(c) = o {
                         let idx = schema.require(c, "multiply")?;
-                        trust = trust.intersect(&schema.columns[idx].trust);
                         if schema.columns[idx].dtype == DataType::Float {
                             dtype = DataType::Float;
                         }
@@ -469,20 +457,16 @@ impl Operator {
                         dtype = DataType::Float;
                     }
                 }
-                upsert_column(&mut schema, out, dtype, trust);
+                upsert_column(&mut schema, out, dtype);
                 Ok(schema)
             }
             Operator::Divide { out, num, den } => {
                 need(1)?;
                 let mut schema = inputs[0].clone();
-                let mut trust = TrustSet::Public;
-                for o in [num, den] {
-                    if let Operand::Col(c) = o {
-                        let idx = schema.require(c, "divide")?;
-                        trust = trust.intersect(&schema.columns[idx].trust);
-                    }
+                for c in [num, den].into_iter().filter_map(|o| o.column_name()) {
+                    schema.require(c, "divide")?;
                 }
-                upsert_column(&mut schema, out, DataType::Float, trust);
+                upsert_column(&mut schema, out, DataType::Float);
                 Ok(schema)
             }
             Operator::SortBy { column, .. } | Operator::Merge { column, .. } => {
@@ -505,18 +489,16 @@ impl Operator {
             }
             Operator::DistinctCount { column, out } => {
                 need(1)?;
-                let idx = inputs[0].require(column, "distinct_count")?;
-                let trust = inputs[0].columns[idx].trust.clone();
-                Ok(Schema::new(vec![ColumnDef::with_trust(
+                inputs[0].require(column, "distinct_count")?;
+                Ok(Schema::new(vec![ColumnDef::new(
                     out.clone(),
                     DataType::Int,
-                    trust,
                 )]))
             }
             Operator::Enumerate { out } => {
                 need(1)?;
                 let mut schema = inputs[0].clone();
-                upsert_column(&mut schema, out, DataType::Int, TrustSet::Public);
+                upsert_column(&mut schema, out, DataType::Int);
                 Ok(schema)
             }
             Operator::ObliviousSelect { index_column } => {
@@ -559,22 +541,29 @@ impl Operator {
                 right_keys,
                 ..
             } => {
-                // Every output column depends on all join keys; additionally
-                // each column depends on its source column.
-                let mut key_deps: Vec<(usize, String)> = Vec::new();
-                for k in left_keys {
-                    key_deps.push((0, k.clone()));
-                }
-                for k in right_keys {
-                    key_deps.push((1, k.clone()));
-                }
-                for col in &output.columns {
+                // Every output column depends on all join keys and on its
+                // source column, paired by position in `join_schema`'s layout
+                // (a renamed `<name>_r` column derives from the right `<name>`).
+                // A schema of another width is caught by `compute_flow`.
+                let [left, right] = inputs else {
+                    return Err(IrError::InvalidOperator {
+                        op: self.name().into(),
+                        detail: format!("expected 2 inputs, got {}", inputs.len()),
+                    });
+                };
+                let key_deps: Vec<(usize, String)> = left_keys
+                    .iter()
+                    .map(|k| (0, k.clone()))
+                    .chain(right_keys.iter().map(|k| (1, k.clone())))
+                    .collect();
+                let sources = left
+                    .columns
+                    .iter()
+                    .map(|c| (0, c.name.clone()))
+                    .chain(right_payload(right, right_keys).map(|c| (1, c.name.clone())));
+                for (col, source) in output.columns.iter().zip(sources) {
                     let mut d = key_deps.clone();
-                    if inputs[0].index_of(&col.name).is_some() {
-                        d.push((0, col.name.clone()));
-                    } else if inputs[1].index_of(&col.name).is_some() {
-                        d.push((1, col.name.clone()));
-                    }
+                    d.push(source);
                     deps.push((col.name.clone(), d));
                 }
             }
@@ -642,15 +631,23 @@ impl Operator {
             Operator::DistinctCount { column, out } => {
                 deps.push((out.clone(), vec![(0, column.clone())]));
             }
+            // The row index depends on no column: it is public.
+            Operator::Enumerate { out } => default_unary_deps(&mut deps, output, out, Vec::new),
             _ => {
                 // Default: each output column depends on the same-named input
                 // column from whichever input provides it.
                 for col in &output.columns {
-                    let mut d = Vec::new();
-                    for (k, input) in inputs.iter().enumerate() {
-                        if input.index_of(&col.name).is_some() {
-                            d.push((k, col.name.clone()));
-                        }
+                    let d: Vec<(usize, String)> = inputs
+                        .iter()
+                        .enumerate()
+                        .filter(|(_, input)| input.index_of(&col.name).is_some())
+                        .map(|(k, _)| (k, col.name.clone()))
+                        .collect();
+                    if d.is_empty() {
+                        return Err(IrError::UnknownColumn {
+                            column: col.name.clone(),
+                            context: format!("{} dependencies", self.name()),
+                        });
                     }
                     deps.push((col.name.clone(), d));
                 }
@@ -675,20 +672,29 @@ fn default_unary_deps(
     }
 }
 
-fn upsert_column(schema: &mut Schema, name: &str, dtype: DataType, trust: TrustSet) {
+/// The right-side columns a join's output carries: all but the right keys.
+fn right_payload<'a>(
+    right: &'a Schema,
+    right_keys: &'a [String],
+) -> impl Iterator<Item = &'a ColumnDef> {
+    right
+        .columns
+        .iter()
+        .filter(|c| !right_keys.contains(&c.name))
+}
+
+fn upsert_column(schema: &mut Schema, name: &str, dtype: DataType) {
     if let Some(c) = schema.column_mut(name) {
         c.dtype = dtype;
-        c.trust = trust;
     } else {
-        schema
-            .columns
-            .push(ColumnDef::with_trust(name, dtype, trust));
+        schema.columns.push(ColumnDef::new(name, dtype));
     }
 }
 
 /// Output schema of an equi-join: all left columns, then right columns other
-/// than the right join keys. Key columns' trust is the intersection of both
-/// sides' key trust sets.
+/// than the right join keys, a right column whose name the left side already
+/// has renamed to `<name>_r`. [`Operator::column_dependencies`] pairs each
+/// output column with its source by this layout.
 pub fn join_schema(
     left: &Schema,
     right: &Schema,
@@ -707,25 +713,13 @@ pub fn join_schema(
     for k in right_keys {
         right.require(k, "join(right)")?;
     }
-    let mut cols = Vec::new();
-    for c in &left.columns {
-        let mut col = c.clone();
-        if let Some(pos) = left_keys.iter().position(|k| k == &c.name) {
-            let rk = &right_keys[pos];
-            let rcol = right.column(rk).expect("checked above");
-            col.trust = col.trust.intersect(&rcol.trust);
-        }
-        cols.push(col);
-    }
-    for c in &right.columns {
-        if right_keys.contains(&c.name) {
-            continue;
-        }
-        let mut col = c.clone();
+    let mut cols = left.columns.clone();
+    for c in right_payload(right, right_keys) {
         if left.index_of(&c.name).is_some() {
-            col.name = format!("{}_r", c.name);
+            cols.push(c.renamed(format!("{}_r", c.name)));
+        } else {
+            cols.push(c.clone());
         }
-        cols.push(col);
     }
     Ok(Schema::new(cols))
 }
@@ -746,16 +740,13 @@ pub fn aggregate_schema(
         });
     }
     let mut cols = Vec::new();
-    let mut trust = TrustSet::Public;
     for g in group_by {
         let idx = input.require(g, "aggregate(group_by)")?;
         cols.push(input.columns[idx].clone());
-        trust = trust.intersect(&input.columns[idx].trust);
     }
     let dtype = match over {
         Some(o) => {
             let idx = input.require(o, "aggregate(over)")?;
-            trust = trust.intersect(&input.columns[idx].trust);
             if func == AggFunc::Count {
                 DataType::Int
             } else {
@@ -764,7 +755,7 @@ pub fn aggregate_schema(
         }
         None => DataType::Int,
     };
-    cols.push(ColumnDef::with_trust(out, dtype, trust));
+    cols.push(ColumnDef::new(out, dtype));
     Ok(Schema::new(cols))
 }
 
@@ -820,23 +811,11 @@ mod tests {
     fn exec_site_predicates() {
         assert!(ExecSite::Mpc.is_mpc());
         assert!(ExecSite::Local(1).is_cleartext());
-        assert!(ExecSite::Stp(2).is_cleartext());
+        assert!(!ExecSite::Mpc.is_cleartext());
         assert!(!ExecSite::Undecided.is_cleartext());
         assert_eq!(ExecSite::Local(3).to_string(), "local@P3");
-        assert_eq!(ExecSite::Stp(3).to_string(), "stp@P3");
         assert_eq!(ExecSite::Mpc.to_string(), "mpc");
         assert_eq!(ExecSite::Undecided.to_string(), "?");
-    }
-
-    #[test]
-    fn concat_schema_intersects_trust() {
-        let mut a = Schema::ints(&["k", "v"]);
-        a.column_mut("k").unwrap().trust = TrustSet::of([1, 2]);
-        let mut b = Schema::ints(&["k", "v"]);
-        b.column_mut("k").unwrap().trust = TrustSet::of([2, 3]);
-        let out = Operator::Concat.output_schema(&[a, b]).unwrap();
-        assert!(out.column("k").unwrap().trust.trusts(2));
-        assert!(!out.column("k").unwrap().trust.trusts(1));
     }
 
     #[test]
@@ -868,15 +847,11 @@ mod tests {
     }
 
     #[test]
-    fn join_schema_renames_collisions_and_merges_trust() {
-        let mut left = Schema::ints(&["ssn", "zip"]);
-        left.column_mut("ssn").unwrap().trust = TrustSet::of([1]);
-        let mut right = Schema::ints(&["ssn", "score", "zip"]);
-        right.column_mut("ssn").unwrap().trust = TrustSet::of([1, 2]);
+    fn join_schema_renames_collisions() {
+        let left = Schema::ints(&["ssn", "zip"]);
+        let right = Schema::ints(&["ssn", "score", "zip"]);
         let out = join_schema(&left, &right, &["ssn".to_string()], &["ssn".to_string()]).unwrap();
         assert_eq!(out.names(), vec!["ssn", "zip", "score", "zip_r"]);
-        assert!(out.column("ssn").unwrap().trust.trusts(1));
-        assert!(!out.column("ssn").unwrap().trust.trusts(2));
     }
 
     #[test]
@@ -1047,7 +1022,7 @@ mod tests {
     #[test]
     fn column_dependencies_join_include_keys() {
         let left = Schema::ints(&["ssn", "zip"]);
-        let right = Schema::ints(&["ssn", "score"]);
+        let right = Schema::ints(&["ssn", "score", "zip"]);
         let op = Operator::Join {
             left_keys: vec!["ssn".into()],
             right_keys: vec!["ssn".into()],
@@ -1058,6 +1033,11 @@ mod tests {
         assert!(score_deps.contains(&(0, "ssn".to_string())));
         assert!(score_deps.contains(&(1, "ssn".to_string())));
         assert!(score_deps.contains(&(1, "score".to_string())));
+        // The right `zip`, renamed because the left has one too, derives from
+        // the right `zip`, not from the keys alone.
+        let zip_r_deps = &deps.iter().find(|(n, _)| n == "zip_r").unwrap().1;
+        assert!(zip_r_deps.contains(&(1, "zip".to_string())));
+        assert!(!zip_r_deps.contains(&(0, "zip".to_string())));
     }
 
     #[test]

@@ -89,13 +89,6 @@ impl PartySet {
         self.ids.iter().copied()
     }
 
-    /// Set union.
-    pub fn union(&self, other: &PartySet) -> PartySet {
-        PartySet {
-            ids: self.ids.union(&other.ids).copied().collect(),
-        }
-    }
-
     /// Set intersection.
     pub fn intersection(&self, other: &PartySet) -> PartySet {
         PartySet {
@@ -170,7 +163,6 @@ mod tests {
     fn set_algebra() {
         let a = PartySet::from_ids([1, 2, 3]);
         let b = PartySet::from_ids([2, 3, 4]);
-        assert_eq!(a.union(&b).iter().collect::<Vec<_>>(), vec![1, 2, 3, 4]);
         assert_eq!(a.intersection(&b).iter().collect::<Vec<_>>(), vec![2, 3]);
         assert!(PartySet::singleton(2).is_subset(&a));
         assert!(!a.is_subset(&b));

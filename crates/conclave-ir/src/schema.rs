@@ -13,7 +13,10 @@ pub struct ColumnDef {
     pub name: String,
     /// Static type of the column's values.
     pub dtype: DataType,
-    /// Parties trusted to see this column in the clear (§4.3).
+    /// Parties trusted to see this column in the clear (§4.3): the party's
+    /// annotation, read on `Input` schemas only. A derived column's trust is
+    /// computed by [`crate::flow::compute_flow`]; the schema helpers copy or
+    /// default this field and nothing reads it on a derived schema.
     pub trust: TrustSet,
 }
 

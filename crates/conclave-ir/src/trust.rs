@@ -66,17 +66,6 @@ impl TrustSet {
         }
     }
 
-    /// Union of two trust sets (used when a party contributes several
-    /// annotations for the same logical column, e.g. across `concat` inputs
-    /// the result is the *intersection*, but within one schema definition the
-    /// analyst may widen trust).
-    pub fn union(&self, other: &TrustSet) -> TrustSet {
-        match (self, other) {
-            (TrustSet::Public, _) | (_, TrustSet::Public) => TrustSet::Public,
-            (TrustSet::Parties(a), TrustSet::Parties(b)) => TrustSet::Parties(a.union(b)),
-        }
-    }
-
     /// The explicit party set, if the trust set is not public.
     pub fn parties(&self) -> Option<&PartySet> {
         match self {
@@ -149,15 +138,6 @@ mod tests {
         // Public is the identity for intersection.
         assert_eq!(TrustSet::Public.intersect(&a), a);
         assert_eq!(a.intersect(&TrustSet::Public), a);
-    }
-
-    #[test]
-    fn union_rules() {
-        let a = TrustSet::of([1]);
-        let b = TrustSet::of([2]);
-        let u = a.union(&b);
-        assert!(u.trusts(1) && u.trusts(2));
-        assert!(a.union(&TrustSet::Public).is_public());
     }
 
     #[test]

@@ -25,6 +25,7 @@
 
 use conclave::core::driver::DriverError;
 use conclave::core::passes::leakage;
+use conclave::ir::flow::compute_flow;
 use conclave::ir::ops::{ExecSite, Operator};
 use conclave::prelude::*;
 use proptest::prelude::*;
@@ -54,11 +55,13 @@ fn gen_annotated_script(rng: &mut StdRng) -> String {
         gen_trust(rng),
     );
     let recipient = rng.gen_range(1..3u32);
-    let query = match rng.gen_range(0..5) {
+    let query = match rng.gen_range(0..6) {
         0 => "SELECT k, SUM(v) AS total FROM (ta UNION ALL tb) GROUP BY k".to_string(),
         1 => "SELECT COUNT(*) AS n FROM ta JOIN tb ON k = k".to_string(),
         2 => "SELECT k, SUM(v) AS total FROM ta JOIN tb ON k = k GROUP BY k".to_string(),
         3 => "SELECT DISTINCT k FROM (ta UNION ALL tb)".to_string(),
+        // `tb.v` collides with `ta.v`, so the join renames it to `v_r`.
+        4 => "SELECT tb.v, SUM(ta.v) AS s FROM ta JOIN tb ON ta.k = tb.k GROUP BY tb.v".to_string(),
         _ => format!(
             "SELECT k, v FROM (ta UNION ALL tb) WHERE v > {}",
             rng.gen_range(0..4)
@@ -85,6 +88,55 @@ fn session() -> Session {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The hybrid pass and the linter read one trust derivation: every STP
+    /// or helper the pass picks is inside the `Flow` trust of every key
+    /// column on its inputs. Compile-only.
+    #[test]
+    fn every_stp_is_inside_the_flow_trust_of_its_keys(seed in 0u64..1_000_000) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let sql = gen_annotated_script(&mut rng);
+        let session = Session::new(ConclaveConfig::standard());
+        let query = session.sql_query(&sql).unwrap();
+        let plan = match session.compile(&query) {
+            Ok(plan) => plan,
+            // The linter refusing an operator the hybrid pass chose is the
+            // disagreement this property rules out; refusing anything else
+            // leaves nothing to check.
+            Err(SessionError::Compile(CompileError::Leakage(v))) => {
+                prop_assert!(
+                    !["hybrid_join", "public_join", "hybrid_aggregate"].contains(&v.op.as_str()),
+                    "the linter refused the hybrid pass's choice: {v}\nquery: {sql}"
+                );
+                return;
+            }
+            Err(other) => panic!("compile failed for a non-leakage reason: {other}\n{sql}"),
+        };
+        let flow = compute_flow(&plan.dag).unwrap();
+        for node in plan.dag.iter() {
+            let (party, keys): (u32, Vec<&Vec<String>>) = match &node.op {
+                Operator::HybridJoin { left_keys, right_keys, stp: p }
+                | Operator::PublicJoin { left_keys, right_keys, helper: p } => {
+                    (*p, vec![left_keys, right_keys])
+                }
+                Operator::HybridAggregate { group_by, stp, .. } => (*stp, vec![group_by]),
+                _ => continue,
+            };
+            for (&input, keys) in node.inputs.iter().zip(keys) {
+                for key in keys {
+                    let trust = &flow.value(input, key).unwrap().trust;
+                    prop_assert!(
+                        trust.trusts(party),
+                        "node #{} ({}) gives key `{key}` of #{input} ({trust}) to P{party}\n\
+                         query: {sql}\nplan:\n{}",
+                        node.id,
+                        node.op,
+                        plan.render(),
+                    );
+                }
+            }
+        }
+    }
 
     /// The superset property: static report ⊇ dynamic leakage events.
     #[test]
@@ -245,4 +297,49 @@ fn divide_on_a_mesh_opens_its_input_outside_the_certificate() {
     assert!(report.leakage.iter().all(|d| d.node != opened));
     let certificate = report.static_leakage.as_ref().unwrap();
     assert!(certificate.disclosures.iter().all(|d| d.node != opened));
+}
+
+/// A join renames the right `v` to `v_r`, and `v_r` is P3's unannotated
+/// column: it is trusted by P3 alone, whatever the keys' trust. Grouping by
+/// it must not make P1 (trusted with the keys only) an STP.
+#[test]
+fn a_renamed_join_column_keeps_its_own_trust() {
+    let sql = "CREATE TABLE t1 (k INT, v INT) WITH OWNER p1;
+               CREATE TABLE t3 (k INT TRUSTED BY (p1), v INT) WITH OWNER p3;
+               SELECT t3.v, SUM(t1.v) AS s FROM t1 JOIN t3 ON t1.k = t3.k
+               GROUP BY t3.v REVEAL TO p3;";
+    let session = Session::new(ConclaveConfig::standard())
+        .bind(
+            "t1",
+            Relation::from_ints(&["k", "v"], &[vec![1, 10], vec![2, 20], vec![3, 30]]),
+        )
+        .bind(
+            "t3",
+            Relation::from_ints(
+                &["k", "v"],
+                &[vec![1, 7], vec![2, 7], vec![3, 8], vec![4, 9]],
+            ),
+        );
+    let plan = session.compile(&session.sql_query(sql).unwrap()).unwrap();
+    assert!(
+        plan.dag
+            .iter()
+            .all(|n| !matches!(n.op, Operator::HybridAggregate { .. })),
+        "{}",
+        plan.render()
+    );
+    let p1 = plan.leakage.for_party(1);
+    assert_eq!(p1.len(), 1, "{}", plan.leakage);
+    assert_eq!(
+        (p1[0].kind, p1[0].columns.clone()),
+        (DisclosureKind::StpKeys, vec!["k".to_string()]),
+        "{}",
+        plan.leakage
+    );
+
+    let report = session.run_plan(&plan).unwrap();
+    // Cleartext: t3.v = 7 joins t1.k 1 and 2 (10 + 20), 8 joins k 3 (30).
+    let expected = Relation::from_ints(&["v_r", "s"], &[vec![7, 30], vec![8, 30]]);
+    let got = report.output_for(3).unwrap();
+    assert!(got.same_rows_unordered(&expected), "{got:?}");
 }

@@ -10,6 +10,10 @@
 //! table's columns are already materialized. The returned statistics separate
 //! MPC time from STP cleartext time so the driver can account them like the
 //! paper's deployment would (the STP works while the other parties wait).
+//!
+//! The trailing `PartyId` argument names the STP (or helper) at the call
+//! site; the simulation runs the same either way. What that party sees is
+//! recorded once, in the plan's leakage certificate, not in the outcome.
 
 use conclave_engine::{ConversionCounts, Executor, Table};
 use conclave_ir::ops::{join_schema, AggFunc, Operator};
@@ -28,11 +32,6 @@ pub struct HybridOutcome {
     pub mpc_stats: MpcStepStats,
     /// Simulated cleartext time spent at the STP / helper party.
     pub stp_time: Duration,
-    /// Columns whose (shuffled) cleartext values the STP / helper saw
-    /// (column names per input).
-    pub revealed_columns: Vec<String>,
-    /// The party that received the revealed columns.
-    pub revealed_to: PartyId,
     /// Row↔columnar conversion work performed by the protocol's internal
     /// intermediate tables (revealed keys, enumerations, index relations) —
     /// the driver folds this into `RunReport::conversions` so the per-run
@@ -70,7 +69,7 @@ pub fn hybrid_join(
     right: &Table,
     left_keys: &[String],
     right_keys: &[String],
-    stp: PartyId,
+    _stp: PartyId,
 ) -> MpcResult<HybridOutcome> {
     engine.protocol().reset_counts();
     // 1. Share and obliviously shuffle both inputs (column-at-a-time when the
@@ -180,8 +179,6 @@ pub fn hybrid_join(
         result,
         mpc_stats,
         stp_time,
-        revealed_columns: left_keys.iter().chain(right_keys.iter()).cloned().collect(),
-        revealed_to: stp,
         conversions,
     })
 }
@@ -195,7 +192,7 @@ pub fn public_join(
     right: &Table,
     left_keys: &[String],
     right_keys: &[String],
-    helper: PartyId,
+    _helper: PartyId,
 ) -> MpcResult<HybridOutcome> {
     let op = Operator::Join {
         left_keys: left_keys.to_vec(),
@@ -215,8 +212,6 @@ pub fn public_join(
         result,
         mpc_stats,
         stp_time,
-        revealed_columns: left_keys.iter().chain(right_keys.iter()).cloned().collect(),
-        revealed_to: helper,
         // The helper consumes the driver-tracked inputs directly; no
         // protocol-internal tables exist.
         conversions: ConversionCounts::default(),
@@ -238,7 +233,7 @@ pub fn hybrid_aggregate(
     func: AggFunc,
     over: Option<&str>,
     out: &str,
-    stp: PartyId,
+    _stp: PartyId,
 ) -> MpcResult<HybridOutcome> {
     engine.protocol().reset_counts();
     if group_by.is_empty() {
@@ -303,8 +298,6 @@ pub fn hybrid_aggregate(
         result,
         mpc_stats,
         stp_time,
-        revealed_columns: group_by.to_vec(),
-        revealed_to: stp,
         conversions,
     })
 }
@@ -378,8 +371,6 @@ mod tests {
         .unwrap();
         assert!(outcome.result.as_rows().same_rows_unordered(&expected));
         assert_eq!(outcome.result.column_names(), vec!["ssn", "zip", "score"]);
-        assert_eq!(outcome.revealed_to, 1);
-        assert_eq!(outcome.revealed_columns, vec!["ssn", "ssn"]);
         assert!(outcome.stp_time > Duration::ZERO);
         // The MPC side performed shuffles and oblivious selects but NO
         // quadratic equality scan.
@@ -459,7 +450,6 @@ mod tests {
         .unwrap();
         assert!(outcome.result.as_rows().same_rows_unordered(&expected));
         assert_eq!(outcome.mpc_stats.counts.nonlinear_ops(), 0);
-        assert_eq!(outcome.revealed_to, 2);
     }
 
     #[test]
@@ -508,7 +498,6 @@ mod tests {
                 outcome.result.as_rows().same_rows_unordered(&expected),
                 "{func} hybrid aggregation mismatch"
             );
-            assert_eq!(outcome.revealed_columns, vec!["zip"]);
             // No oblivious sort: comparisons stay linear in n (no n·log²n blowup).
             assert!(outcome.mpc_stats.counts.comparisons <= input.num_rows() as u64);
             // The exact charge, pinned: the figures consume these counts.
@@ -560,7 +549,6 @@ mod tests {
                 outcome.result.as_rows().same_rows_unordered(&expected),
                 "seed {seed}"
             );
-            assert_eq!(outcome.revealed_columns, group_by);
             // Both keys and the group-end flags are opened, then the result.
             assert_eq!(
                 outcome.mpc_stats.counts.opened_elems,

@@ -11,12 +11,12 @@
 //!
 //! Non-linear work is issued in batches (one `eq_batch_groups` for all key
 //! columns of a join or aggregation, one `mul_batch` per extra factor of a
-//! multiply; per batch of ≤ `LAYER_CHUNK` = 32 disjoint comparators of a
-//! sorting-network layer, one `lt_batch` + one `mux_batch`, and for a
-//! lexicographic order over m keys one `eq_batch_groups` and m − 1 `mul_batch`
-//! folds between them), so an engine that communicates pays rounds per
-//! *batch* — except in the grouped aggregate's scan, which is still one row
-//! per batch (ROADMAP item 1, Stage C).
+//! multiply; per sorting-network layer, one `lt_batch` + one `mux_batch` over
+//! all of its disjoint comparators, and for a lexicographic order over m keys
+//! one `eq_batch_groups` and m − 1 `mul_batch` folds between them), so an
+//! engine that communicates pays rounds per *batch* — a sort per layer, not
+//! per comparator — except in the grouped aggregate's scan, which is still
+//! one row per batch (ROADMAP item 1, Stage C).
 
 use crate::cost::PrimitiveCounts;
 use crate::engine::{Engine, EngineResult, OpError};
@@ -65,15 +65,6 @@ type Comparator = (usize, usize);
 /// distinct positions, so they commute and can share their round trips.
 type Layer = Vec<Comparator>;
 
-/// How many comparators of a layer share one round-trip batch.
-///
-/// Staging debt of ROADMAP item 1, not a tuning knob: a whole layer is one
-/// vector operation, and this constant exists only so that each step from
-/// one comparator per batch lands in a size the benchmark gate can resolve
-/// (3 at Stage A, 32 now — staged). The next step deletes it and issues
-/// `layer` where this one issues `layer.chunks(LAYER_CHUNK)`.
-const LAYER_CHUNK: usize = 32;
-
 /// Oblivious compare-exchanges of pairwise-disjoint comparators, across all
 /// columns and in place, ordering rows lexicographically by `keys`: one
 /// comparison batch over keys × comparators; for m > 1 keys one equality
@@ -82,13 +73,13 @@ const LAYER_CHUNK: usize = 32;
 fn compare_exchange<E: Engine>(
     eng: &mut E,
     rows: &mut [Vec<E::Share>],
-    batch: &[Comparator],
+    layer: &[Comparator],
     keys: &[usize],
     ascending: bool,
 ) -> EngineResult<E, ()> {
     // swap = 1 iff row `lt` precedes row `than`, i.e. the pair is out of
     // order: lt₀ + eq₀·(lt₁ + eq₁·(…)) over the keys.
-    let sides: Vec<_> = batch
+    let sides: Vec<_> = layer
         .iter()
         .map(|&(i, j)| if ascending { (j, i) } else { (i, j) })
         .collect();
@@ -107,14 +98,14 @@ fn compare_exchange<E: Engine>(
         eng.eq_batch_groups(&groups)?
     };
     // Fold from the last key outwards.
-    let mut per_key = lts.chunks(batch.len()).rev();
+    let mut per_key = lts.chunks(layer.len()).rev();
     let mut swaps = per_key.next().expect("at least one sort key").to_vec();
     for (lt, eq) in per_key.zip(eqs.into_iter().rev()) {
         let tied: Vec<_> = eq.into_iter().zip(swaps).collect();
         let later = eng.mul_batch(&tied)?;
         swaps = lt.iter().zip(later).map(|(&l, t)| eng.add(l, t)).collect();
     }
-    let selectors: Vec<_> = batch
+    let selectors: Vec<_> = layer
         .iter()
         .zip(swaps)
         .flat_map(|(&(i, j), swap)| {
@@ -125,7 +116,7 @@ fn compare_exchange<E: Engine>(
         })
         .collect();
     let mut muxed = eng.mux_batch(&selectors)?.into_iter();
-    for &(i, j) in batch {
+    for &(i, j) in layer {
         for c in 0..rows[i].len() {
             rows[i][c] = muxed.next().expect("two results per column");
             rows[j][c] = muxed.next().expect("two results per column");
@@ -166,8 +157,7 @@ fn batcher_layers(n: usize) -> Vec<Layer> {
 }
 
 /// Runs a comparator network over `rows` in place, ordering by `keys`
-/// lexicographically: each layer in batches of at most `LAYER_CHUNK`
-/// comparators.
+/// lexicographically: each layer is one compare-exchange batch.
 fn run_network<E: Engine>(
     eng: &mut E,
     rows: &mut [Vec<E::Share>],
@@ -176,9 +166,7 @@ fn run_network<E: Engine>(
     ascending: bool,
 ) -> EngineResult<E, ()> {
     for layer in layers {
-        for batch in layer.chunks(LAYER_CHUNK) {
-            compare_exchange(eng, rows, batch, keys, ascending)?;
-        }
+        compare_exchange(eng, rows, &layer, keys, ascending)?;
     }
     Ok(())
 }
@@ -884,13 +872,9 @@ mod tests {
         }
     }
 
-    /// (comparators, layers, round-trip batches at the current `LAYER_CHUNK`).
-    fn shape(layers: &[Layer]) -> (usize, usize, usize) {
-        (
-            layers.iter().map(Vec::len).sum(),
-            layers.len(),
-            layers.iter().map(|l| l.len().div_ceil(LAYER_CHUNK)).sum(),
-        )
+    /// (comparators, layers); a layer is one round-trip batch.
+    fn shape(layers: &[Layer]) -> (usize, usize) {
+        (layers.iter().map(Vec::len).sum(), layers.len())
     }
 
     #[test]
@@ -907,30 +891,29 @@ mod tests {
         }
     }
 
-    /// The network is the one-comparator-per-batch network of before, cut
-    /// into layers: comparator and layer counts are pinned, and so is the
-    /// number of batches (10 rounds each on a mesh for one key) as a
-    /// function of `LAYER_CHUNK`. Once the constant is deleted the batch
-    /// count is the layer count.
+    /// Comparator and layer counts are pinned; each layer is one batch (10
+    /// rounds on a mesh for one key).
     #[test]
     fn network_shapes_are_pinned() {
         let sort = |n| shape(&batcher_layers(n));
-        assert_eq!(sort(16), (63, 10, 10));
-        assert_eq!(sort(80), (849, 28, 40));
-        assert_eq!(sort(120), (1372, 28, 50));
-        assert_eq!(sort(128), (1471, 28, 50));
-        assert_eq!(sort(1000), (23521, 55, 756));
+        assert_eq!(sort(16), (63, 10));
+        assert_eq!(sort(80), (849, 28));
+        assert_eq!(sort(120), (1372, 28));
+        assert_eq!(sort(128), (1471, 28));
+        assert_eq!(sort(1000), (23521, 55));
         let merge = |m: usize, n: usize| {
             let layers = merge_layers((0..m).collect(), (m..m + n).collect()).1;
             assert_disjoint(&layers, m + n, &format!("m={m} n={n}"));
             shape(&layers)
         };
-        assert_eq!(merge(8, 8), (25, 4, 4));
-        assert_eq!(merge(40, 40), (217, 7, 11));
-        assert_eq!(merge(50, 70), (373, 8, 14));
+        assert_eq!(merge(8, 8), (25, 4));
+        assert_eq!(merge(40, 40), (217, 7));
+        assert_eq!(merge(50, 70), (373, 8));
     }
 
-    /// Batcher's depth bound: ⌈log₂n⌉·(⌈log₂n⌉+1)/2 layers at most.
+    /// Batcher's depth bound: k·(k+1)/2 layers at most for k = ⌈log₂n⌉. A
+    /// layer is one 10-round batch on a mesh, so a one-key sort of n rows
+    /// takes at most 5·k·(k+1) rounds.
     #[test]
     fn batcher_depth_is_at_most_the_triangle_of_log_n() {
         for n in 1..=1000usize {

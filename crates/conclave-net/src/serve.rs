@@ -136,6 +136,7 @@ mod tests {
 
     use super::*;
     use crate::transport::ChannelTransport;
+    use proptest::prelude::*;
 
     #[test]
     fn text_packing_round_trips() {
@@ -177,5 +178,60 @@ mod tests {
         assert!(msg.contains("ghost"));
         drop(client);
         server.join().unwrap().unwrap();
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Arbitrary words unpack to text or a defect, never a panic; text
+        /// is accepted only at the length its first word declares.
+        #[test]
+        fn unpacking_arbitrary_words_never_panics(
+            words in prop::collection::vec(any::<u64>(), 0..8),
+            short in any::<bool>(),
+        ) {
+            let mut words = words;
+            if short && !words.is_empty() {
+                words[0] %= 64; // often a length the body can carry
+            }
+            if let Ok(text) = unpack_text(&words) {
+                prop_assert_eq!(text.len() as u64, words[0]);
+            }
+            if let Ok((code, text)) = unpack_error(&words) {
+                prop_assert_eq!(code, words[0]);
+                prop_assert_eq!(text.len() as u64, words[1]);
+            }
+        }
+
+        /// A request of the wrong kind (any but an abort, which ends the
+        /// link), or a submit-sql frame whose payload does not unpack, is
+        /// answered with a `WIRE_ERR_MALFORMED` error, and the loop goes on
+        /// to serve the next request.
+        #[test]
+        fn malformed_requests_are_answered_and_the_loop_goes_on(
+            code in 0u8..10,
+            payload in prop::collection::vec(any::<u64>(), 0..6),
+        ) {
+            let kind = MessageKind::from_code(code).unwrap();
+            let mut mesh = ChannelTransport::mesh(2);
+            let server_end = mesh.pop().unwrap();
+            let client = mesh.pop().unwrap();
+            let server = std::thread::spawn(move || {
+                serve_queries(&server_end, |_, sql| Ok(pack_text(sql)))
+            });
+            client.send_to(1, kind, "t", &payload).unwrap();
+            let reply = client.recv_from(1).unwrap();
+            if kind == MessageKind::SubmitSql && unpack_text(&payload).is_ok() {
+                prop_assert_eq!(reply.kind, MessageKind::QueryResult);
+            } else {
+                prop_assert_eq!(reply.kind, MessageKind::QueryError);
+                prop_assert_eq!(unpack_error(&reply.payload).unwrap().0, WIRE_ERR_MALFORMED);
+            }
+            let next = submit_sql(&client, "t", "SELECT 1").unwrap();
+            prop_assert_eq!(next.kind, MessageKind::QueryResult);
+            prop_assert_eq!(unpack_text(&next.payload).unwrap(), "SELECT 1");
+            drop(client);
+            prop_assert!(server.join().unwrap().is_ok());
+        }
     }
 }

@@ -19,12 +19,12 @@
 //! stream tag, label length, payload length — followed by the label and the
 //! payload words. `encode_frame_into` builds it in the link's reusable write
 //! buffer; `decode_frame` takes the header in one read and validates every
-//! length in it before anything is allocated, then reads the label, then the
-//! payload `RECV_CHUNK_WORDS` words per read. A length the header cannot
-//! carry is refused by the sender before a byte is written; a timeout with no
-//! byte of a frame read is an idle, retryable [`TransportError::Timeout`],
-//! while a timeout or EOF once a frame has begun is not retryable — the link
-//! has lost its framing.
+//! length in it before anything is allocated, then reads the body — label and
+//! payload — in one read into a buffer of the size the header declared. A
+//! length the header cannot carry is refused by the sender before a byte is
+//! written; a timeout with no byte of a frame read is an idle, retryable
+//! [`TransportError::Timeout`], while a timeout or EOF once a frame has begun
+//! is not retryable — the link has lost its framing.
 //!
 //! Sends are full-duplex on the party's own thread. Each link is a receive
 //! half (the socket plus an inbox of bytes read ahead of their frame) and a
@@ -39,11 +39,6 @@
 //! [`TransportError::Timeout`] naming the peer, and a send that fails once
 //! part of its frame went out breaks the link: every later send on it returns
 //! an error instead of writing a header into the middle of the torn frame.
-//!
-//! `RECV_CHUNK_WORDS` (ten words per read) is staged debt, not a setting: the
-//! per-read cost of the payload is what still keeps a TCP mesh slower than a
-//! channel mesh on big frames, and ROADMAP open item 2 deletes it for a
-//! whole-frame read.
 //!
 //! # Aborts
 //!
@@ -95,10 +90,6 @@ pub const DEFAULT_RECV_TIMEOUT: Duration = Duration::from_secs(10);
 /// treated as a corrupt/desynchronized stream rather than an allocation
 /// request.
 pub const MAX_FRAME_WORDS: usize = 1 << 24;
-
-/// Payload words `decode_frame` takes per read. Staged (ROADMAP open item 2):
-/// deleted next for a whole-body read; never a setting.
-const RECV_CHUNK_WORDS: usize = 10;
 
 /// The label of every [`MessageKind::Abort`] frame.
 const ABORT_LABEL: &str = "abort";
@@ -776,10 +767,10 @@ fn encode_frame_into(
     Ok(buf.len() as u64)
 }
 
-/// Reads one envelope frame: the fixed header in one read, every length in
-/// it checked before anything is allocated, then the label in one read and
-/// the payload `RECV_CHUNK_WORDS` words per read. The peer id of the returned
-/// errors is a placeholder the caller, which knows the link, substitutes.
+/// Reads one envelope frame: the fixed header, every length in it checked
+/// before anything is allocated, then the label and payload in one read. The
+/// peer id of the returned errors is a placeholder the caller, which knows
+/// the link, substitutes.
 ///
 /// A timeout before the first byte of a frame means the link is idle and is
 /// the retryable [`TransportError::Timeout`]. Once a frame has begun, a
@@ -818,21 +809,15 @@ fn decode_frame(stream: &mut impl Read) -> Result<Envelope, TransportError> {
         ErrorKind::UnexpectedEof => TransportError::Disconnected { party: u32::MAX },
         _ => truncated_frame(&e, "body"),
     };
-    let mut label = vec![0u8; label_len];
-    stream.read_exact(&mut label).map_err(body_err)?;
-    let label =
-        String::from_utf8(label).map_err(|_| TransportError::Io("non-UTF-8 label".into()))?;
-    let mut payload = Vec::with_capacity(len);
-    let mut chunk = [0u8; 8 * RECV_CHUNK_WORDS];
-    while payload.len() < len {
-        let bytes = &mut chunk[..8 * (len - payload.len()).min(RECV_CHUNK_WORDS)];
-        stream.read_exact(bytes).map_err(body_err)?;
-        payload.extend(
-            bytes
-                .chunks_exact(8)
-                .map(|w| u64::from_le_bytes(w.try_into().expect("an 8-byte chunk"))),
-        );
-    }
+    let mut body = vec![0u8; label_len + 8 * len];
+    stream.read_exact(&mut body).map_err(body_err)?;
+    let (label, words) = body.split_at(label_len);
+    let label = String::from_utf8(label.to_vec())
+        .map_err(|_| TransportError::Io("non-UTF-8 label".into()))?;
+    let payload = words
+        .chunks_exact(8)
+        .map(|w| u64::from_le_bytes(w.try_into().expect("an 8-byte chunk")))
+        .collect();
     Ok(Envelope {
         from,
         kind,
@@ -1286,19 +1271,40 @@ mod tests {
         );
     }
 
-    /// Serves `rest` at most `max` bytes per read, counting the reads.
+    /// Serves `rest` at most `max` bytes per read, recording the widest
+    /// buffer a read asked to fill.
     struct Pinched<'a> {
         rest: &'a [u8],
         max: usize,
-        reads: usize,
+        widest: usize,
     }
 
     impl Read for Pinched<'_> {
         fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-            self.reads += 1;
+            self.widest = self.widest.max(buf.len());
             let n = buf.len().min(self.max);
             self.rest.read(&mut buf[..n])
         }
+    }
+
+    /// Decodes `bytes`, also returning the widest buffer a read asked to
+    /// fill: the body buffer the decoder allocated from the header.
+    fn decode_widest(bytes: &[u8]) -> (Result<Envelope, TransportError>, usize) {
+        let mut reader = Pinched {
+            rest: bytes,
+            max: usize::MAX,
+            widest: 0,
+        };
+        (decode_frame(&mut reader), reader.widest)
+    }
+
+    /// An outcome a hostile byte string may decode to: an envelope, or a
+    /// framing error — never the retryable idle timeout.
+    fn is_typed(decoded: &Result<Envelope, TransportError>) -> bool {
+        matches!(
+            decoded,
+            Ok(_) | Err(TransportError::Io(_) | TransportError::Disconnected { .. })
+        )
     }
 
     proptest! {
@@ -1307,7 +1313,7 @@ mod tests {
         /// `decode(encode(x)) == x`, and the bytes written are the bytes the
         /// statistics charge — for any tag, kind, label and payload, the
         /// empty label and the empty payload included — also when every
-        /// read returns only 1–7 bytes, so chunk boundaries split words.
+        /// read returns only 1–7 bytes, so read boundaries split words.
         #[test]
         fn codec_round_trips(
             from in any::<u32>(),
@@ -1330,35 +1336,45 @@ mod tests {
             let mut rest = &wire[..];
             prop_assert_eq!(decode_frame(&mut rest).unwrap(), env.clone());
             prop_assert!(rest.is_empty());
-            let mut pinched = Pinched { rest: &wire, max: max_read, reads: 0 };
+            let mut pinched = Pinched { rest: &wire, max: max_read, widest: 0 };
             prop_assert_eq!(decode_frame(&mut pinched).unwrap(), env);
             prop_assert!(pinched.rest.is_empty());
         }
-    }
 
-    /// Pins `RECV_CHUNK_WORDS = 10`: an `n`-word frame with a label takes one
-    /// read for the header, one for the label and ⌈n / 10⌉ for the payload.
-    #[test]
-    fn the_payload_is_read_ten_words_at_a_time() {
-        for (n, reads) in [(0, 2), (1, 3), (10, 3), (11, 4), (300, 32)] {
-            let payload: Vec<u64> = (0..n).collect();
+        /// Hostile bytes — an arbitrary string, and a valid frame cut or with
+        /// one byte flipped at every offset — decode to an envelope or a
+        /// framing error, never a panic, and no buffer is sized past the
+        /// header's caps. A cut frame is a disconnect, and its buffer is no
+        /// larger than the frame it was cut from.
+        #[test]
+        fn hostile_bytes_decode_to_a_typed_error(
+            noise in prop::collection::vec(any::<u64>(), 0..8),
+            noise_len in 0usize..64,
+            label in prop::collection::vec(32u8..127, 0..8),
+            payload in prop::collection::vec(any::<u64>(), 0..24),
+            flip in 1u8..u8::MAX,
+        ) {
+            let noise: Vec<u8> = noise.iter().flat_map(|w| w.to_le_bytes()).take(noise_len).collect();
+            let cap = usize::from(u16::MAX) + 8 * MAX_FRAME_WORDS;
+            let (decoded, widest) = decode_widest(&noise);
+            prop_assert!(is_typed(&decoded), "{:?}", decoded);
+            prop_assert!(widest <= cap);
+            let label = String::from_utf8(label).unwrap();
             let mut wire = Vec::new();
             encode_frame_into(
-                &mut wire,
-                0,
-                StreamTag::default(),
-                MessageKind::SecretShare,
-                "w",
-                &payload,
+                &mut wire, 1, StreamTag::new(2, 3), MessageKind::Reveal, &label, &payload,
             )
             .unwrap();
-            let mut reader = Pinched {
-                rest: &wire,
-                max: usize::MAX,
-                reads: 0,
-            };
-            assert_eq!(decode_frame(&mut reader).unwrap().payload, payload);
-            assert_eq!(reader.reads, reads, "a {n}-word frame");
+            for at in 0..wire.len() {
+                let (decoded, widest) = decode_widest(&wire[..at]);
+                prop_assert_eq!(decoded, Err(TransportError::Disconnected { party: u32::MAX }));
+                prop_assert!(widest <= wire.len());
+                let mut flipped = wire.clone();
+                flipped[at] ^= flip;
+                let (decoded, widest) = decode_widest(&flipped);
+                prop_assert!(is_typed(&decoded), "{:?}", decoded);
+                prop_assert!(widest <= cap);
+            }
         }
     }
 

@@ -18,6 +18,8 @@ fn main() {
     // see the key values (it is the STP).
     let mut gen = conclave_data::SyntheticGenerator::new(3);
     let (left, right) = gen.overlapping_pair(300, 0.5);
+    let stp = 1;
+    let keys = ["key".to_string()];
 
     // Hybrid join.
     let mut engine = MpcEngine::new(MpcBackendConfig::sharemind());
@@ -26,9 +28,9 @@ fn main() {
         &ColumnarExecutor::new(),
         &Table::from_rows(left.clone()),
         &Table::from_rows(right.clone()),
-        &["key".to_string()],
-        &["key".to_string()],
-        1,
+        &keys,
+        &keys,
+        stp,
     )
     .expect("hybrid join runs");
 
@@ -61,11 +63,8 @@ fn main() {
         mpc_result.num_rows()
     );
 
-    println!("hybrid join (STP = P{}):", outcome.revealed_to);
-    println!(
-        "  revealed to STP      : {:?} (shuffled order only)",
-        outcome.revealed_columns
-    );
+    println!("hybrid join (STP = P{stp}):");
+    println!("  revealed to STP      : {keys:?} of each input (shuffled order only)");
     println!(
         "  oblivious shuffles   : {} elements",
         outcome.mpc_stats.counts.shuffled_elems

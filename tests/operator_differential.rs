@@ -300,22 +300,18 @@ fn mesh_merge_takes_fewer_rounds_than_sort() {
         "merge {merge_rounds} vs sort {sort_rounds} rounds"
     );
     // 16 rows: a (8, 8) odd-even merge is 25 comparators in 4 layers, the
-    // Batcher sort 63 in 10. No layer of either is wider than 8, so with
-    // batches of at most `LAYER_CHUNK` = 32 comparators every layer is one
-    // batch: a 9-round comparison plus a 1-round multiplexer. The step pays
-    // 1 reveal and 2 MAC-check rounds on top. (One comparator per batch was
-    // 253 and 633 rounds; three per batch 103 and 253.)
+    // Batcher sort 63 in 10. Every layer is one batch: a 9-round comparison
+    // plus a 1-round multiplexer. The step pays 1 reveal and 2 MAC-check
+    // rounds on top.
     assert_eq!(merge_rounds, 4 * 10 + 3);
     assert_eq!(sort_rounds, 10 * 10 + 3);
 }
 
-/// Networks with layers wider than `LAYER_CHUNK` = 32 comparators split
-/// them into several batches: an 80-row sort (28 layers of up to 40
-/// comparators, 40 batches) and a (40, 40) merge (7 layers of up to 40, 11
-/// batches) match the cleartext oracle on a channel mesh and pay
-/// 10 × Σ⌈|layer| / 32⌉ + 3 rounds.
+/// A layer is one batch however wide it is: an 80-row sort (28 layers of up
+/// to 40 comparators) and a (40, 40) merge (7 layers of up to 40) match the
+/// cleartext oracle on a channel mesh and pay 10 × layers + 3 rounds.
 #[test]
-fn mesh_networks_wider_than_a_batch_split_their_layers() {
+fn mesh_networks_issue_one_batch_per_layer() {
     let value = |i: i64| (i * 37) % 101 - 50;
     let rows = |range: std::ops::Range<i64>, sorted: bool| {
         let mut vals: Vec<i64> = range.map(value).collect();
@@ -325,21 +321,21 @@ fn mesh_networks_wider_than_a_batch_split_their_layers() {
         let rows: Vec<Vec<i64>> = vals.iter().map(|&v| vec![v, -v]).collect();
         Relation::from_ints(&["v", "w"], &rows)
     };
-    let check = |op: Operator, inputs: &[&Relation], batches: u64| {
+    let check = |op: Operator, inputs: &[&Relation], layers: u64| {
         let (opened, summary) = run_on_mesh(&op, inputs, 31, PartyRuntime::Channel);
         let expected = conclave_engine::execute(&op, inputs).unwrap();
         assert!(opened.same_rows_unordered(&expected), "{}", op.name());
         assert!(opened.is_sorted_by("v", true), "{}", op.name());
-        assert_eq!(summary.net.rounds, 10 * batches + 3, "{}", op.name());
+        assert_eq!(summary.net.rounds, 10 * layers + 3, "{}", op.name());
     };
     let sort = Operator::SortBy {
         column: "v".into(),
         ascending: true,
     };
-    check(sort, &[&rows(0..80, false)], 40);
+    check(sort, &[&rows(0..80, false)], 28);
     let merge = Operator::Merge {
         column: "v".into(),
         ascending: true,
     };
-    check(merge, &[&rows(0..40, true), &rows(40..80, true)], 11);
+    check(merge, &[&rows(0..40, true), &rows(40..80, true)], 7);
 }

@@ -196,6 +196,16 @@ impl Driver {
         plan: &PhysicalPlan,
         inputs: &HashMap<String, Table>,
     ) -> Result<RunReport, DriverError> {
+        // Every node must have a site before any runs: an unsited one would
+        // run in the clear and open its MPC inputs without a certificate
+        // lookup, and an MPC step feeding it would start that open at once.
+        if let Some(n) = plan.dag.iter().find(|n| n.site == ExecSite::Undecided) {
+            return Err(DriverError::Ir(IrError::MalformedDag(format!(
+                "node #{} ({}) has no execution site",
+                n.id,
+                n.op.name()
+            ))));
+        }
         // Re-verify the plan before executing a single node: even a plan
         // tampered with after compilation (or built by hand) must pass the
         // static leakage linter. Its report is this run's certificate: the
@@ -417,12 +427,7 @@ impl Driver {
                     *report.modeled.local_time.entry(party).or_default() += time;
                     (table, time)
                 }
-                (op, ExecSite::Undecided) => {
-                    // Uncompiled DAGs (unit tests, direct execution) run in
-                    // the clear sequentially.
-                    let (table, time) = self.run_local_op(op, &input_tables)?;
-                    (table, time)
-                }
+                (_, ExecSite::Undecided) => unreachable!("unsited plans are refused up front"),
             };
             report.per_node.push((id, node.site, elapsed));
             tracked.push((result.clone(), result.conversion_counts()));
@@ -867,6 +872,38 @@ mod tests {
         match driver.run_tables(&plan, &credit_inputs()) {
             Err(DriverError::UnauthorizedReveal { to_party, .. }) => assert_eq!(to_party, 2),
             other => panic!("expected UnauthorizedReveal, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn driver_refuses_an_unsited_node_before_anything_runs() {
+        use crate::config::PartyRuntime;
+        // Re-site the MPC join of both banks' SSNs. Run unsited, it would
+        // open its MPC inputs with no certificate lookup; at P2 the
+        // certificate refuses it. Each refusal comes before the first node
+        // runs: with no input bound it would otherwise be `MissingInput`.
+        for (site, unsited) in [(ExecSite::Undecided, true), (ExecSite::Local(2), false)] {
+            let mut plan = compile(&credit_query(), &ConclaveConfig::mpc_only()).unwrap();
+            let join = plan
+                .dag
+                .iter()
+                .find(|n| matches!(n.op, Operator::Join { .. }))
+                .unwrap()
+                .id;
+            plan.dag.node_mut(join).unwrap().site = site;
+            let config = ConclaveConfig::mpc_only()
+                .with_sequential_local()
+                .with_party_runtime(PartyRuntime::Channel);
+            for inputs in [credit_inputs(), HashMap::new()] {
+                match (
+                    Driver::new(config.clone()).run_tables(&plan, &inputs),
+                    unsited,
+                ) {
+                    (Err(DriverError::Ir(IrError::MalformedDag(_))), true) => {}
+                    (Err(DriverError::UnauthorizedReveal { to_party: 2, .. }), false) => {}
+                    (other, _) => panic!("{site}: expected a refusal, got {other:?}"),
+                }
+            }
         }
     }
 

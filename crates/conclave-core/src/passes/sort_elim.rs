@@ -45,9 +45,7 @@ fn annotate(dag: &mut OpDag) -> IrResult<()> {
             .and_then(|&i| dag.node(i).ok())
             .and_then(|n| n.sorted_by.clone());
         let sorted_by = match &node.op {
-            Operator::SortBy { column, .. } | Operator::Merge { column, .. } => {
-                Some(column.clone())
-            }
+            Operator::SortBy { column, .. } => Some(column.clone()),
             // The public join's helper sorts the joined result by the join
             // key in the clear (§7.4: "Conclave performs the sort in the
             // clear, as part of the public join").

@@ -55,8 +55,7 @@ impl SequentialCostModel {
             | Operator::Concat
             | Operator::Limit { .. }
             | Operator::Enumerate { .. }
-            | Operator::Collect { .. }
-            | Operator::ObliviousSelect { .. } => n * self.per_row_simple,
+            | Operator::Collect { .. } => n * self.per_row_simple,
             Operator::Join { .. } | Operator::PublicJoin { .. } | Operator::HybridJoin { .. } => {
                 (n + m) * self.per_row_hash
             }
@@ -64,9 +63,7 @@ impl SequentialCostModel {
             | Operator::HybridAggregate { .. }
             | Operator::Distinct { .. }
             | Operator::DistinctCount { .. } => n * self.per_row_hash,
-            Operator::SortBy { .. } | Operator::Merge { .. } => {
-                n * self.per_row_sort * (n.max(2.0)).log2()
-            }
+            Operator::SortBy { .. } => n * self.per_row_sort * (n.max(2.0)).log2(),
             Operator::Input { .. } => 0.0,
         };
         Duration::from_secs_f64(secs + self.op_overhead)

@@ -99,20 +99,6 @@ pub fn execute(op: &Operator, inputs: &[&Relation]) -> EngineResult<Relation> {
             need(op, inputs, 1)?;
             enumerate(inputs[0], out)
         }
-        Operator::ObliviousSelect { index_column } => {
-            need(op, inputs, 2)?;
-            select_by_index(inputs[0], inputs[1], index_column)
-        }
-        Operator::Merge { column, ascending } => {
-            if inputs.is_empty() {
-                return Err(EngineError::Arity {
-                    op: "merge".into(),
-                    expected: ">=1".into(),
-                    got: 0,
-                });
-            }
-            merge_sorted(inputs, column, *ascending)
-        }
         Operator::HybridJoin { .. }
         | Operator::PublicJoin { .. }
         | Operator::HybridAggregate { .. } => Err(EngineError::Unsupported(op.name().to_string())),
@@ -417,36 +403,6 @@ fn enumerate(rel: &Relation, out: &str) -> EngineResult<Relation> {
     Ok(Relation { schema, rows })
 }
 
-fn select_by_index(
-    data: &Relation,
-    indexes: &Relation,
-    index_column: &str,
-) -> EngineResult<Relation> {
-    let idx_col = col_idx(&indexes.schema, index_column)?;
-    let mut rows = Vec::with_capacity(indexes.num_rows());
-    for row in &indexes.rows {
-        let i = row[idx_col]
-            .as_int()
-            .ok_or_else(|| EngineError::Eval("non-integer index".to_string()))?;
-        let i = usize::try_from(i).map_err(|_| EngineError::Eval("negative index".to_string()))?;
-        let data_row = data
-            .rows
-            .get(i)
-            .ok_or_else(|| EngineError::Eval(format!("index {i} out of bounds")))?;
-        rows.push(data_row.clone());
-    }
-    Ok(Relation {
-        schema: data.schema.clone(),
-        rows,
-    })
-}
-
-fn merge_sorted(inputs: &[&Relation], column: &str, ascending: bool) -> EngineResult<Relation> {
-    let mut merged = Relation::concat(inputs)?;
-    merged.sort_by_column(column, ascending)?;
-    Ok(merged)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -730,55 +686,10 @@ mod tests {
     }
 
     #[test]
-    fn enumerate_and_select_round_trip() {
+    fn enumerate_appends_the_row_index() {
         let r = sales();
         let idx = execute(&Operator::Enumerate { out: "idx".into() }, &[&r]).unwrap();
         assert_eq!(idx.rows[3][2], Value::Int(3));
-        let indexes = Relation::from_ints(&["idx"], &[vec![4], vec![0]]);
-        let sel = execute(
-            &Operator::ObliviousSelect {
-                index_column: "idx".into(),
-            },
-            &[&r, &indexes],
-        )
-        .unwrap();
-        assert_eq!(sel.num_rows(), 2);
-        assert_eq!(sel.rows[0], r.rows[4]);
-        assert_eq!(sel.rows[1], r.rows[0]);
-        // Out-of-bounds and negative indexes error.
-        let bad = Relation::from_ints(&["idx"], &[vec![99]]);
-        assert!(execute(
-            &Operator::ObliviousSelect {
-                index_column: "idx".into()
-            },
-            &[&r, &bad]
-        )
-        .is_err());
-        let neg = Relation::from_ints(&["idx"], &[vec![-1]]);
-        assert!(execute(
-            &Operator::ObliviousSelect {
-                index_column: "idx".into()
-            },
-            &[&r, &neg]
-        )
-        .is_err());
-    }
-
-    #[test]
-    fn merge_produces_sorted_output() {
-        let mut a = Relation::from_ints(&["k"], &[vec![1], vec![5], vec![9]]);
-        let b = Relation::from_ints(&["k"], &[vec![2], vec![6]]);
-        a.sort_by_column("k", true).unwrap();
-        let out = execute(
-            &Operator::Merge {
-                column: "k".into(),
-                ascending: true,
-            },
-            &[&a, &b],
-        )
-        .unwrap();
-        assert!(out.is_sorted_by("k", true));
-        assert_eq!(out.num_rows(), 5);
     }
 
     #[test]

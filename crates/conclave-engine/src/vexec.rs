@@ -94,21 +94,6 @@ pub fn execute_columnar(
             need(op, inputs, 1)?;
             enumerate(inputs[0], out)
         }
-        Operator::ObliviousSelect { index_column } => {
-            need(op, inputs, 2)?;
-            select_by_index(inputs[0], inputs[1], index_column)
-        }
-        Operator::Merge { column, ascending } => {
-            if inputs.is_empty() {
-                return Err(EngineError::Arity {
-                    op: "merge".into(),
-                    expected: ">=1".into(),
-                    got: 0,
-                });
-            }
-            let merged = ColumnarRelation::concat(inputs)?;
-            sort_by(&merged, column, *ascending)
-        }
         Operator::HybridJoin { .. }
         | Operator::PublicJoin { .. }
         | Operator::HybridAggregate { .. } => Err(EngineError::Unsupported(op.name().to_string())),
@@ -580,28 +565,6 @@ fn enumerate(rel: &ColumnarRelation, out: &str) -> EngineResult<ColumnarRelation
     ColumnarRelation::with_columns(schema, cols)
 }
 
-fn select_by_index(
-    data: &ColumnarRelation,
-    indexes: &ColumnarRelation,
-    index_column: &str,
-) -> EngineResult<ColumnarRelation> {
-    let idx_col = col_idx(indexes, index_column)?;
-    let mut gather_idx = Vec::with_capacity(indexes.num_rows());
-    for i in 0..indexes.num_rows() {
-        let v = indexes.value(i, idx_col);
-        let raw = v
-            .as_int()
-            .ok_or_else(|| EngineError::Eval("non-integer index".to_string()))?;
-        let j =
-            usize::try_from(raw).map_err(|_| EngineError::Eval("negative index".to_string()))?;
-        if j >= data.num_rows() {
-            return Err(EngineError::Eval(format!("index {j} out of bounds")));
-        }
-        gather_idx.push(j);
-    }
-    Ok(data.gather(&gather_idx))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -797,40 +760,11 @@ mod tests {
     }
 
     #[test]
-    fn nary_and_binary_operators_match_row_engine() {
+    fn concat_matches_row_engine() {
         let a = sales();
         let mut b = sales();
         b.sort_by_column("price", true).unwrap();
         assert_engines_agree(&Operator::Concat, &[&a, &b]);
-        assert_engines_agree(
-            &Operator::Merge {
-                column: "price".into(),
-                ascending: true,
-            },
-            &[&b, &b],
-        );
-        let indexes = Relation::from_ints(&["i"], &[vec![4], vec![0], vec![2]]);
-        assert_engines_agree(
-            &Operator::ObliviousSelect {
-                index_column: "i".into(),
-            },
-            &[&a, &indexes],
-        );
-        // Error cases agree too.
-        let bad = Relation::from_ints(&["i"], &[vec![99]]);
-        assert_engines_agree(
-            &Operator::ObliviousSelect {
-                index_column: "i".into(),
-            },
-            &[&a, &bad],
-        );
-        let neg = Relation::from_ints(&["i"], &[vec![-2]]);
-        assert_engines_agree(
-            &Operator::ObliviousSelect {
-                index_column: "i".into(),
-            },
-            &[&a, &neg],
-        );
     }
 
     #[test]
@@ -864,14 +798,6 @@ mod tests {
         .is_err());
         assert!(execute_vectorized(&Operator::Concat, &[]).is_err());
         assert!(execute_vectorized(&Operator::Limit { n: 1 }, &[&rel, &rel]).is_err());
-        assert!(execute_vectorized(
-            &Operator::Merge {
-                column: "k".into(),
-                ascending: true
-            },
-            &[]
-        )
-        .is_err());
     }
 
     #[test]

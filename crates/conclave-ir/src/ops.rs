@@ -4,8 +4,9 @@
 //! `concat`, `project`, `filter`, `join`, grouped and scalar `aggregate`,
 //! column arithmetic (`multiply`, `divide`), sorting, limits and distinct
 //! counts — plus the *physical* operators: the three hybrid operators of §5.3,
-//! which the compiler inserts, and enumeration, oblivious selection and
-//! oblivious merge.
+//! which the compiler inserts, and the enumeration a hybrid join's STP runs.
+//! The MPC building blocks that have no query form (oblivious selection and
+//! merge) are functions of `conclave_mpc::operators`, not operators.
 
 use crate::error::{IrError, IrResult};
 use crate::expr::Expr;
@@ -211,27 +212,12 @@ pub enum Operator {
 
     // ------------------------------------------------------------------
     // Physical operators. The hybrid pass inserts the three hybrids, and
-    // `hybrid_exec` runs `Enumerate` as the STP's step; no pass inserts
-    // `ObliviousSelect` or `Merge`.
+    // `hybrid_exec` runs `Enumerate` as the STP's step.
     // ------------------------------------------------------------------
     /// Append a row-index column `out` (0-based, in current row order).
     Enumerate {
         /// Name of the index column.
         out: String,
-    },
-    /// Oblivious indexing (Laud-style `select`): the first input is the data
-    /// relation, the second a single-column relation of row indexes; the
-    /// output contains the data rows at those indexes, in index order.
-    ObliviousSelect {
-        /// Column of the second input holding the indexes.
-        index_column: String,
-    },
-    /// Obliviously merge sorted inputs into one sorted relation.
-    Merge {
-        /// Sort key column.
-        column: String,
-        /// Ascending order if `true`.
-        ascending: bool,
     },
     /// Hybrid MPC–cleartext join using an STP (§5.3, Figure 3).
     HybridJoin {
@@ -284,8 +270,6 @@ impl Operator {
             Operator::DistinctCount { .. } => "distinct_count",
             Operator::Collect { .. } => "collect",
             Operator::Enumerate { .. } => "enumerate",
-            Operator::ObliviousSelect { .. } => "oblivious_select",
-            Operator::Merge { .. } => "merge",
             Operator::HybridJoin { .. } => "hybrid_join",
             Operator::PublicJoin { .. } => "public_join",
             Operator::HybridAggregate { .. } => "hybrid_aggregate",
@@ -297,11 +281,10 @@ impl Operator {
     pub fn arity(&self) -> Option<usize> {
         match self {
             Operator::Input { .. } => Some(0),
-            Operator::Concat | Operator::Merge { .. } => None,
-            Operator::Join { .. }
-            | Operator::HybridJoin { .. }
-            | Operator::PublicJoin { .. }
-            | Operator::ObliviousSelect { .. } => Some(2),
+            Operator::Concat => None,
+            Operator::Join { .. } | Operator::HybridJoin { .. } | Operator::PublicJoin { .. } => {
+                Some(2)
+            }
             _ => Some(1),
         }
     }
@@ -469,14 +452,9 @@ impl Operator {
                 upsert_column(&mut schema, out, DataType::Float);
                 Ok(schema)
             }
-            Operator::SortBy { column, .. } | Operator::Merge { column, .. } => {
-                if inputs.is_empty() {
-                    return Err(IrError::InvalidOperator {
-                        op: self.name().into(),
-                        detail: "needs at least one input".into(),
-                    });
-                }
-                inputs[0].require(column, self.name())?;
+            Operator::SortBy { column, .. } => {
+                need(1)?;
+                inputs[0].require(column, "sort_by")?;
                 Ok(inputs[0].clone())
             }
             Operator::Limit { .. } | Operator::Collect { .. } => {
@@ -500,11 +478,6 @@ impl Operator {
                 let mut schema = inputs[0].clone();
                 upsert_column(&mut schema, out, DataType::Int);
                 Ok(schema)
-            }
-            Operator::ObliviousSelect { index_column } => {
-                need(2)?;
-                inputs[1].require(index_column, "oblivious_select")?;
-                Ok(inputs[0].clone())
             }
         }
     }
@@ -619,7 +592,7 @@ impl Operator {
                         .collect()
                 });
             }
-            Operator::SortBy { column, .. } | Operator::Merge { column, .. } => {
+            Operator::SortBy { column, .. } => {
                 for col in &output.columns {
                     let mut d = vec![(0, col.name.clone())];
                     if &col.name != column {
@@ -927,15 +900,6 @@ mod tests {
             e.output_schema(std::slice::from_ref(&s)).unwrap().names(),
             vec!["pid", "diag", "idx"]
         );
-        let sel = Operator::ObliviousSelect {
-            index_column: "idx".into(),
-        };
-        let idx_schema = Schema::ints(&["idx"]);
-        assert_eq!(
-            sel.output_schema(&[s.clone(), idx_schema]).unwrap().names(),
-            vec!["pid", "diag"]
-        );
-        assert!(sel.output_schema(&[s.clone(), s]).is_err());
     }
 
     #[test]
@@ -1068,6 +1032,55 @@ mod tests {
         let deps = op.column_dependencies(&[s], &out).unwrap();
         let a_deps = &deps.iter().find(|(n, _)| n == "a").unwrap().1;
         assert!(a_deps.contains(&(0, "b".to_string())));
+    }
+
+    /// §5.1 completeness: every output column of an operator with two or
+    /// more inputs depends on at least one column of every input, so no
+    /// input can flow into the result without its trust being counted.
+    #[test]
+    fn multi_input_outputs_depend_on_every_input() {
+        let keys = || vec!["k".to_string()];
+        let cases = [
+            (Operator::Concat, 3),
+            (
+                Operator::Join {
+                    left_keys: keys(),
+                    right_keys: keys(),
+                },
+                2,
+            ),
+            (
+                Operator::HybridJoin {
+                    left_keys: keys(),
+                    right_keys: keys(),
+                    stp: 1,
+                },
+                2,
+            ),
+            (
+                Operator::PublicJoin {
+                    left_keys: keys(),
+                    right_keys: keys(),
+                    helper: 1,
+                },
+                2,
+            ),
+        ];
+        let mut blind = Vec::new();
+        for (op, n) in cases {
+            let inputs: Vec<_> = (0..n)
+                .map(|i| Schema::ints(&["k", &format!("v{i}")]))
+                .collect();
+            let out = op.output_schema(&inputs).unwrap();
+            let deps = op.column_dependencies(&inputs, &out).unwrap();
+            assert_eq!(deps.len(), out.len(), "{op}");
+            for (col, d) in &deps {
+                for k in (0..n).filter(|k| !d.iter().any(|(i, _)| i == k)) {
+                    blind.push(format!("{op}: `{col}` reads nothing of input {k}"));
+                }
+            }
+        }
+        assert!(blind.is_empty(), "{blind:#?}");
     }
 
     #[test]

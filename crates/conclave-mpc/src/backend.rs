@@ -472,11 +472,6 @@ impl MpcEngine {
                 });
                 c
             }
-            Operator::Merge { .. } => PrimitiveCounts {
-                comparisons: n * log2(n),
-                mults: 2 * n * log2(n) * cols,
-                ..Default::default()
-            },
             Operator::Filter { predicate } => PrimitiveCounts {
                 comparisons: n * predicate.op_count() as u64,
                 shuffled_elems: n * cols,
@@ -489,10 +484,6 @@ impl MpcEngine {
             },
             Operator::Divide { .. } => PrimitiveCounts {
                 comparisons: DIVIDE_COMPARISONS_PER_ROW * n,
-                ..Default::default()
-            },
-            Operator::ObliviousSelect { .. } => PrimitiveCounts {
-                mults: (n + output_rows) * log2(n + output_rows) * cols,
                 ..Default::default()
             },
             Operator::Project { .. }

@@ -4,10 +4,13 @@
 //! oblivious shuffles, Batcher sorting networks, odd-even merges, Laud-style
 //! oblivious indexing (`select`), Cartesian-product joins, the sorting-based
 //! aggregation of Jónsson et al., filters and column arithmetic — plus
-//! [`execute_op`], the one dispatcher from an IR [`Operator`] to them. Every
-//! body is generic: the in-process [`crate::protocol::Protocol`] and the
-//! per-party [`crate::runtime::StepCtx`] run the same code, so they charge
-//! the same primitive counts, open the same values and leak the same sizes.
+//! [`execute_op`], the one dispatcher from an IR [`Operator`] to them. Two of
+//! them have no IR operator, so `execute_op` never reaches them: callers use
+//! [`oblivious_select`] (the hybrid join's step) and [`merge_sorted`]
+//! directly. Every body is generic: the in-process
+//! [`crate::protocol::Protocol`] and the per-party
+//! [`crate::runtime::StepCtx`] run the same code, so they charge the same
+//! primitive counts, open the same values and leak the same sizes.
 //!
 //! Non-linear work is issued in batches (one `eq_batch_groups` for all key
 //! columns of a join or aggregation, one `mul_batch` per extra factor of a
@@ -717,10 +720,9 @@ pub fn execute_op<E: Engine>(
     presorted: bool,
 ) -> EngineResult<E, Rel<E::Share>> {
     let arity = match op {
-        Operator::Join { .. } | Operator::ObliviousSelect { .. } => 2,
+        Operator::Join { .. } => 2,
         // Variadic, or rejected below whatever it is given.
         Operator::Concat
-        | Operator::Merge { .. }
         | Operator::Divide { .. }
         | Operator::Input { .. }
         | Operator::HybridJoin { .. }
@@ -762,7 +764,6 @@ pub fn execute_op<E: Engine>(
         }
         Operator::Multiply { out, operands } => multiply_columns(eng, inputs[0], out, operands),
         Operator::SortBy { column, ascending } => sort_by(eng, inputs[0], column, *ascending),
-        Operator::Merge { column, ascending } => merge_sorted(eng, inputs, column, *ascending),
         Operator::Limit { n } => {
             let mut rel = inputs[0].clone();
             rel.rows.truncate(*n);
@@ -775,9 +776,6 @@ pub fn execute_op<E: Engine>(
                 row.push(eng.constant(i as i64));
             }
             Ok(rel)
-        }
-        Operator::ObliviousSelect { index_column } => {
-            oblivious_select(eng, inputs[0], inputs[1], index_column)
         }
         Operator::Distinct { columns } => {
             if columns.is_empty() {
@@ -819,6 +817,7 @@ mod tests {
     use super::*;
     use crate::protocol::Protocol;
     use crate::relation::SharedRelation;
+    use crate::runtime::{open_relation, run_parties, share_relation};
     use conclave_engine::{execute, Relation};
 
     fn share(rel: &Relation, proto: &mut Protocol) -> SharedRelation {
@@ -1028,20 +1027,174 @@ mod tests {
         let selected = oblivious_select(&mut p, &sdata, &sidx, "idx").unwrap();
         assert!(p.counts().mults > 0, "select must charge its cost");
         assert_eq!(p.counts().opened_elems, 2, "the index opens are accounted");
-        let expected = execute(
-            &Operator::ObliviousSelect {
-                index_column: "idx".into(),
-            },
-            &[&data, &idx],
-        )
-        .unwrap();
-        assert_eq!(selected.reconstruct(&mut p).rows, expected.rows);
+        let expected = vec![data.rows[3].clone(), data.rows[1].clone()];
+        assert_eq!(selected.reconstruct(&mut p).rows, expected);
         // Errors.
         for bad in [99, -1] {
             let sbad = share(&Relation::from_ints(&["idx"], &[vec![bad]]), &mut p);
             assert!(oblivious_select(&mut p, &sdata, &sbad, "idx").is_err());
         }
         assert!(oblivious_select(&mut p, &sdata, &sidx, "nope").is_err());
+    }
+
+    /// A building block run by name, so one generic body serves both
+    /// engines of [`on_both_engines`].
+    #[derive(Debug, Clone, Copy)]
+    enum Block {
+        /// `merge_sorted` of every input by `v`.
+        Merge(bool),
+        /// An ascending `sort_by` of the one input by `v`.
+        Sort,
+        /// `oblivious_select` of input 0's rows at input 1's `i`.
+        Select,
+    }
+
+    impl Block {
+        fn run<E: Engine>(
+            self,
+            eng: &mut E,
+            parts: &[&Rel<E::Share>],
+        ) -> EngineResult<E, Rel<E::Share>> {
+            match self {
+                Block::Merge(ascending) => merge_sorted(eng, parts, "v", ascending),
+                Block::Sort => sort_by(eng, parts[0], "v", true),
+                Block::Select => oblivious_select(eng, parts[0], parts[1], "i"),
+            }
+        }
+    }
+
+    /// Runs `block` over shares of `inputs` on the in-process `Protocol` and
+    /// on every party of a three-party channel mesh, and requires them to
+    /// open the same rows and to charge the same engine-independent counts
+    /// (all but the circuit tallies and MAC checks only a mesh has). Returns
+    /// the opened relation and the rounds the mesh took, its open included.
+    fn on_both_engines(block: Block, inputs: &[Relation], seed: u64) -> (Relation, u64) {
+        let independent = |c: PrimitiveCounts| PrimitiveCounts {
+            bit_ands: 0,
+            circuit_rounds: 0,
+            mac_checks: 0,
+            ..c
+        };
+        let mut p = Protocol::new(3, seed);
+        let shared: Vec<SharedRelation> = inputs.iter().map(|r| share(r, &mut p)).collect();
+        let before = p.counts();
+        let out = block
+            .run(&mut p, &shared.iter().collect::<Vec<_>>())
+            .unwrap();
+        let counts = independent(p.counts().since(&before));
+        let expected = out.reconstruct(&mut p);
+        let parties = run_parties(3, seed, |ctx| {
+            let mut shared = Vec::new();
+            for (owner, rel) in (0..3).cycle().zip(inputs) {
+                let data = (ctx.party() == owner).then_some(rel);
+                shared.push(share_relation(
+                    ctx,
+                    owner,
+                    data,
+                    &rel.schema,
+                    rel.num_rows(),
+                )?);
+            }
+            let before = ctx.counts();
+            let out = block.run(ctx, &shared.iter().collect::<Vec<_>>())?;
+            let counts = independent(ctx.counts().since(&before));
+            let opened = open_relation(ctx, &out)?;
+            Ok((opened, counts, ctx.session().net().stats().rounds))
+        });
+        let rounds = parties[0].2;
+        for (opened, mesh_counts, mesh_rounds) in parties {
+            assert_eq!(opened.rows, expected.rows, "{block:?}: mesh vs Protocol");
+            assert_eq!(mesh_counts, counts, "{block:?}: mesh vs Protocol counts");
+            assert_eq!(mesh_rounds, rounds, "{block:?}: every party's rounds");
+        }
+        (expected, rounds)
+    }
+
+    /// One column `v` holding `vals`.
+    fn column_v(vals: &[i64]) -> Relation {
+        Relation::from_ints(&["v"], &vals.iter().map(|&v| vec![v]).collect::<Vec<_>>())
+    }
+
+    /// `merge_sorted` and `oblivious_select` on both engines against the
+    /// cleartext reference: a sort of the concatenation for the merge, direct
+    /// indexing for the select.
+    #[test]
+    fn merge_and_select_match_cleartext_on_both_engines() {
+        for ascending in [true, false] {
+            let mut runs = vec![
+                column_v(&[-4, 1, 1, 6, 9]),
+                column_v(&[0, 1, 7]),
+                column_v(&[]),
+                column_v(&[-9, 8]),
+            ];
+            if !ascending {
+                for r in &mut runs {
+                    r.rows.reverse();
+                }
+            }
+            for (seed, parts) in [(4, &runs[..2]), (5, &runs[..]), (6, &runs[1..2])] {
+                let (merged, _) = on_both_engines(Block::Merge(ascending), parts, seed);
+                let cat = execute(&Operator::Concat, &parts.iter().collect::<Vec<_>>()).unwrap();
+                let sort = Operator::SortBy {
+                    column: "v".into(),
+                    ascending,
+                };
+                assert_eq!(merged.rows, execute(&sort, &[&cat]).unwrap().rows);
+            }
+        }
+        let data = Relation::from_ints(
+            &["k", "a", "b"],
+            &(0..7)
+                .map(|i| vec![i % 3, i * 5 - 9, -i])
+                .collect::<Vec<_>>(),
+        );
+        for (seed, picks) in [(7, vec![6, 0, 0, 3]), (8, vec![])] {
+            let idx =
+                Relation::from_ints(&["i"], &picks.iter().map(|&i| vec![i]).collect::<Vec<_>>());
+            let (selected, _) = on_both_engines(Block::Select, &[data.clone(), idx], seed);
+            let expected: Vec<_> = picks
+                .iter()
+                .map(|&i| data.rows[i as usize].clone())
+                .collect();
+            assert_eq!(selected.rows, expected);
+        }
+    }
+
+    /// A mesh merges sorted runs with one merge network instead of
+    /// re-sorting their concatenation. 16 rows: a (8, 8) odd-even merge is 25
+    /// comparators in 4 layers, the Batcher sort 63 in 10. Every layer is one
+    /// batch, a 9-round comparison plus a 1-round multiplexer, and the open
+    /// adds 1 reveal and 2 MAC-check rounds.
+    #[test]
+    fn mesh_merge_takes_fewer_rounds_than_sort() {
+        let evens = column_v(&(0..8).map(|i| 2 * i).collect::<Vec<_>>());
+        let odds = column_v(&(0..8).map(|i| 2 * i + 1).collect::<Vec<_>>());
+        let cat = execute(&Operator::Concat, &[&evens, &odds]).unwrap();
+        let (merged, merge_rounds) = on_both_engines(Block::Merge(true), &[evens, odds], 21);
+        let (sorted, sort_rounds) = on_both_engines(Block::Sort, &[cat], 21);
+        assert_eq!(merged.rows, sorted.rows);
+        assert!(merged.is_sorted_by("v", true));
+        assert_eq!(merge_rounds, 4 * 10 + 3);
+        assert_eq!(sort_rounds, 10 * 10 + 3);
+    }
+
+    /// A layer is one batch however wide it is: a (40, 40) merge (7 layers of
+    /// up to 40 comparators) matches the cleartext sort of its rows on a
+    /// channel mesh and pays 10 × layers + 3 rounds.
+    #[test]
+    fn mesh_merge_issues_one_batch_per_layer() {
+        let run = |range: std::ops::Range<i64>| {
+            let mut vals: Vec<i64> = range.map(|i| (i * 37) % 101 - 50).collect();
+            vals.sort_unstable();
+            let rows: Vec<Vec<i64>> = vals.iter().map(|&v| vec![v, -v]).collect();
+            Relation::from_ints(&["v", "w"], &rows)
+        };
+        let runs = [run(0..40), run(40..80)];
+        let (merged, rounds) = on_both_engines(Block::Merge(true), &runs, 31);
+        let cat = execute(&Operator::Concat, &[&runs[0], &runs[1]]).unwrap();
+        assert!(merged.same_rows_unordered(&cat));
+        assert!(merged.is_sorted_by("v", true));
+        assert_eq!(rounds, 10 * 7 + 3);
     }
 
     #[test]

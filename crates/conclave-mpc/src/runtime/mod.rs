@@ -187,6 +187,9 @@ pub type PartyResult<T> = Result<T, PartyError>;
 pub use crate::operators::{aggregate_sorted, execute_op as execute_party_op, sort_by};
 
 #[cfg(test)]
+pub(crate) use step::tests::run_parties;
+
+#[cfg(test)]
 mod tests {
     use super::*;
 

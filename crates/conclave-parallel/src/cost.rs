@@ -67,10 +67,7 @@ impl ClusterCostModel {
             | Operator::Concat
             | Operator::Limit { .. }
             | Operator::Enumerate { .. }
-            | Operator::Collect { .. }
-            | Operator::ObliviousSelect { .. } => {
-                self.stage_overhead + n * self.per_row_narrow / cores
-            }
+            | Operator::Collect { .. } => self.stage_overhead + n * self.per_row_narrow / cores,
             // Wide transformations: shuffle the input by key, then reduce.
             Operator::Join { .. }
             | Operator::PublicJoin { .. }
@@ -79,8 +76,7 @@ impl ClusterCostModel {
             | Operator::HybridAggregate { .. }
             | Operator::Distinct { .. }
             | Operator::DistinctCount { .. }
-            | Operator::SortBy { .. }
-            | Operator::Merge { .. } => {
+            | Operator::SortBy { .. } => {
                 let shuffle_bytes = (n + m) * row_bytes as f64;
                 2.0 * self.stage_overhead
                     + (n + m) * self.per_row_wide / cores

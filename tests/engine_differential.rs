@@ -270,26 +270,11 @@ proptest! {
     }
 
     #[test]
-    fn differential_nary_ops(a in rows_strategy(20), b in rows_strategy(20), asc in 0u8..2) {
+    fn differential_nary_ops(a in rows_strategy(20), b in rows_strategy(20)) {
         let ra = to_relation(&a);
         let rb = to_relation(&b);
         assert_engines_identical(&Operator::Concat, &[&ra, &rb]);
         assert_engines_identical(&Operator::Concat, &[&ra, &rb, &ra]);
-        let merge = Operator::Merge { column: "c".into(), ascending: asc == 0 };
-        assert_engines_identical(&merge, &[&ra, &rb]);
-    }
-
-    #[test]
-    fn differential_select_by_index(rows in rows_strategy(25), picks in prop::collection::vec(0i64..40, 0..10)) {
-        let rel = to_relation(&rows);
-        // Indices may fall out of bounds; both engines must then agree on the
-        // error.
-        let indexes = Relation::from_ints(
-            &["i"],
-            &picks.iter().map(|&p| vec![p]).collect::<Vec<_>>(),
-        );
-        let op = Operator::ObliviousSelect { index_column: "i".into() };
-        assert_engines_identical(&op, &[&rel, &indexes]);
     }
 
     #[test]

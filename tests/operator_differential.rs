@@ -185,40 +185,6 @@ fn n_ary_operators_match_cleartext_on_all_engines() {
         assert_engines_match_cleartext(&join, &[&left, &empty], 2, Order::Any);
     }
     assert_engines_match_cleartext(&Operator::Concat, &[&left, &left, &left], 3, Order::Exact);
-
-    let run = |vals: &[i64]| {
-        Relation::from_ints(&["v"], &vals.iter().map(|&v| vec![v]).collect::<Vec<_>>())
-    };
-    for ascending in [true, false] {
-        let mut runs = vec![
-            run(&[-4, 1, 1, 6, 9]),
-            run(&[0, 1, 7]),
-            run(&[]),
-            run(&[-9, 8]),
-        ];
-        if !ascending {
-            for r in &mut runs {
-                r.rows.reverse();
-            }
-        }
-        let merge = Operator::Merge {
-            column: "v".into(),
-            ascending,
-        };
-        let order = Order::SortedBy("v", ascending);
-        assert_engines_match_cleartext(&merge, &[&runs[0], &runs[1]], 4, order);
-        let all: Vec<&Relation> = runs.iter().collect();
-        assert_engines_match_cleartext(&merge, &all, 5, order);
-        assert_engines_match_cleartext(&merge, &[&runs[1]], 6, order);
-    }
-
-    let select = Operator::ObliviousSelect {
-        index_column: "i".into(),
-    };
-    let indexes = Relation::from_ints(&["i"], &[vec![6], vec![0], vec![0], vec![3]]);
-    assert_engines_match_cleartext(&select, &[&left, &indexes], 7, Order::Exact);
-    let no_indexes = Relation::from_ints(&["i"], &[]);
-    assert_engines_match_cleartext(&select, &[&left, &no_indexes], 8, Order::Exact);
 }
 
 /// Comparisons on the values where a naive (unsigned) bit decomposition
@@ -265,77 +231,23 @@ fn signed_boundaries_match_cleartext_on_all_engines() {
     }
 }
 
-/// The mesh merges sorted runs with one merge network instead of re-sorting
-/// the concatenation: a two-run `Merge` takes fewer rounds than a `SortBy`
-/// over the same rows.
-#[test]
-fn mesh_merge_takes_fewer_rounds_than_sort() {
-    let runs = [
-        Relation::from_ints(&["v"], &(0..8).map(|i| vec![2 * i]).collect::<Vec<_>>()),
-        Relation::from_ints(&["v"], &(0..8).map(|i| vec![2 * i + 1]).collect::<Vec<_>>()),
-    ];
-    let cat = conclave_engine::execute(&Operator::Concat, &[&runs[0], &runs[1]]).unwrap();
-    let rounds = |op: &Operator, inputs: &[&Relation]| {
-        run_on_mesh(op, inputs, 21, PartyRuntime::Channel)
-            .1
-            .net
-            .rounds
-    };
-    let merge_rounds = rounds(
-        &Operator::Merge {
-            column: "v".into(),
-            ascending: true,
-        },
-        &[&runs[0], &runs[1]],
-    );
-    let sort_rounds = rounds(
-        &Operator::SortBy {
-            column: "v".into(),
-            ascending: true,
-        },
-        &[&cat],
-    );
-    assert!(
-        merge_rounds < sort_rounds,
-        "merge {merge_rounds} vs sort {sort_rounds} rounds"
-    );
-    // 16 rows: a (8, 8) odd-even merge is 25 comparators in 4 layers, the
-    // Batcher sort 63 in 10. Every layer is one batch: a 9-round comparison
-    // plus a 1-round multiplexer. The step pays 1 reveal and 2 MAC-check
-    // rounds on top.
-    assert_eq!(merge_rounds, 4 * 10 + 3);
-    assert_eq!(sort_rounds, 10 * 10 + 3);
-}
-
 /// A layer is one batch however wide it is: an 80-row sort (28 layers of up
-/// to 40 comparators) and a (40, 40) merge (7 layers of up to 40) match the
-/// cleartext oracle on a channel mesh and pay 10 × layers + 3 rounds.
+/// to 40 comparators) matches the cleartext oracle on a channel mesh and pays
+/// 10 × layers + 3 rounds.
 #[test]
 fn mesh_networks_issue_one_batch_per_layer() {
-    let value = |i: i64| (i * 37) % 101 - 50;
-    let rows = |range: std::ops::Range<i64>, sorted: bool| {
-        let mut vals: Vec<i64> = range.map(value).collect();
-        if sorted {
-            vals.sort_unstable();
-        }
-        let rows: Vec<Vec<i64>> = vals.iter().map(|&v| vec![v, -v]).collect();
-        Relation::from_ints(&["v", "w"], &rows)
-    };
-    let check = |op: Operator, inputs: &[&Relation], layers: u64| {
-        let (opened, summary) = run_on_mesh(&op, inputs, 31, PartyRuntime::Channel);
-        let expected = conclave_engine::execute(&op, inputs).unwrap();
-        assert!(opened.same_rows_unordered(&expected), "{}", op.name());
-        assert!(opened.is_sorted_by("v", true), "{}", op.name());
-        assert_eq!(summary.net.rounds, 10 * layers + 3, "{}", op.name());
-    };
+    let rows: Vec<Vec<i64>> = (0..80)
+        .map(|i| (i * 37) % 101 - 50)
+        .map(|v| vec![v, -v])
+        .collect();
+    let rel = Relation::from_ints(&["v", "w"], &rows);
     let sort = Operator::SortBy {
         column: "v".into(),
         ascending: true,
     };
-    check(sort, &[&rows(0..80, false)], 28);
-    let merge = Operator::Merge {
-        column: "v".into(),
-        ascending: true,
-    };
-    check(merge, &[&rows(0..40, true), &rows(40..80, true)], 7);
+    let (opened, summary) = run_on_mesh(&sort, &[&rel], 31, PartyRuntime::Channel);
+    let expected = conclave_engine::execute(&sort, &[&rel]).unwrap();
+    assert!(opened.same_rows_unordered(&expected));
+    assert!(opened.is_sorted_by("v", true));
+    assert_eq!(summary.net.rounds, 10 * 28 + 3);
 }

@@ -12,18 +12,22 @@
 //!
 //! # Protocol
 //!
-//! 1. **Bit decomposition** ([`bit_decompose` internally]): for a shared
+//! 1. **Sign-bit extraction** ([`msb_bits` internally]): for a shared
 //!    `z`, take a dealer mask `r` held in *dual* representation (XOR-shared
-//!    bits + additive share), open the uniform value `c = z − r`, and
-//!    compute the bits of `z = c + r` with a Kogge-Stone parallel-prefix
-//!    adder on the XOR-shared bits of `r` against the public bits of `c`.
-//!    Every 64-bit value packs into one machine word per party, so the
-//!    adder's six carry levels cost six batched AND rounds *for the whole
-//!    batch*, not per value.
+//!    bits + additive share) and open the uniform value `c = z − r`. The
+//!    sign bit of `z = c + r` is `p₆₃ ⊕ carry₆₃` with `p = r ⊕ c`, so only
+//!    the carry into bit 63 is computed, not the sum: a binary tree over the
+//!    generate/propagate leaves `g = r ∧ c`, `p = r ⊕ c` of bits 0..62
+//!    (63 → 32 → 16 → 8 → 4 → 2 → 1 nodes, six AND rounds *for the whole
+//!    batch*) that ANDs 61, 31, 15, 7, 3 and 1 live bits per value.
 //! 2. **Binary AND** ([`and_words` internally]): AND of two XOR-shared
 //!    words via a binary Beaver triple word `(a, b, c = a & b)`: open
 //!    `d = x ⊕ a`, `e = y ⊕ b`, then `z = c ⊕ (d ∧ b) ⊕ (e ∧ a)` with
-//!    party 0 adding `d ∧ e`. XOR is free (local).
+//!    party 0 adding `d ∧ e`. XOR is free (local). Each circuit level
+//!    packs its per-value operands by live width ([`and_packed`
+//!    internally]): ⌊64 / slot⌋ values per wire word, `slot` the width
+//!    rounded up to a power of two, so a word carries only live bits and
+//!    padding that is a zero share under the same triple mask.
 //! 3. **Signed less-than** ([`lt_batch`]): with `sa = msb(a)`,
 //!    `sb = msb(b)`, `sd = msb(a − b)` (two's-complement sign bits from the
 //!    decomposition), `a < b ⟺ (sa ∧ ¬sb) ⊕ (¬(sa ⊕ sb) ∧ sd)`. Same-sign
@@ -31,10 +35,10 @@
 //!    mixed-sign term handles `i64::MIN`/`i64::MAX` correctly.
 //! 4. **Equality** ([`eq_batch`]): `z = x − y` is zero iff the dealer mask
 //!    `r` equals `−c` where `c = z − r` was opened; `t = ¬(r ⊕ (−c))` is
-//!    local, then an AND-fold of `t`'s 64 bits (`t ∧= t >> s` for
-//!    `s = 32,16,8,4,2,1`) leaves the all-bits AND in bit 0. Only that bit
-//!    is extracted and converted; the fold's intermediate bits are
-//!    secret-dependent and never opened.
+//!    local, then a halving fold ANDs the low and high halves of the live
+//!    bits (32, 16, 8, 4, 2, 1 wide) and leaves the all-bits AND in bit 0.
+//!    Only that bit is extracted and converted; the fold's partial
+//!    conjunctions are secret-dependent and never opened.
 //! 5. **Bit-to-arithmetic** ([`bits_to_additive` internally]): a *daBit*
 //!    (random bit ρ held both XOR-shared and additively shared) converts
 //!    each XOR-shared result bit `t` to an additive sharing: open
@@ -42,12 +46,15 @@
 //!
 //! # Round complexity
 //!
-//! For a batch of any size: `lt_batch` = 1 masked-open + 6 Kogge-Stone
+//! For a batch of any size: `lt_batch` = 1 masked-open + 6 carry-tree
 //! levels + 1 sign-combine AND + 1 bit-to-arithmetic open = **9 rounds**;
-//! `eq_batch` = 1 masked-open + 6 AND-folds + 1 bit-to-arithmetic open =
+//! `eq_batch` = 1 masked-open + 6 fold levels + 1 bit-to-arithmetic open =
 //! **8 rounds**. All per-level ANDs across the batch coalesce into one
 //! exchange, preserving the round-coalescing the runtime's callers (sorting
-//! network, filter, join, aggregate) rely on.
+//! network, filter, join, aggregate) rely on. In AND words on the wire, a
+//! less-than pair costs ≈ 5.9 (3 values × ≈ 1.95 packed carry words) plus
+//! 2 sign-combine words per 64 pairs, ≈ 377 gates; an equality pair
+//! costs ≈ 1 word, ≈ 63 gates. A single pair costs 11 and 6 words.
 //!
 //! # Where the masks come from
 //!
@@ -64,10 +71,8 @@ use crate::ring::RingElem;
 use crate::runtime::{PartyResult, StepCtx};
 use crate::share::AuthShare;
 
-/// Kogge-Stone carry-prefix shift schedule for 64-bit words.
-const KS_SHIFTS: [u32; 6] = [1, 2, 4, 8, 16, 32];
-
-/// AND-fold shift schedule reducing 64 bits to their conjunction in bit 0.
+/// Live widths of the equality fold: each level ANDs the low and high
+/// halves of the bits still live, leaving the all-bits AND in bit 0.
 const EQ_FOLDS: [u32; 6] = [32, 16, 8, 4, 2, 1];
 
 /// Batched signed less-than on shares: returns an additive sharing of `1`
@@ -80,12 +85,12 @@ pub fn lt_batch(
     if m == 0 {
         return Ok(Vec::new());
     }
-    // Decompose a, b and d = a − b in one shot: [a₀..aₘ, b₀..bₘ, d₀..dₘ].
+    // Sign bits of a, b and d = a − b in one batch: [a₀..aₘ, b₀..bₘ, d₀..dₘ].
     let mut values = Vec::with_capacity(3 * m);
     values.extend(pairs.iter().map(|&(x, _)| x));
     values.extend(pairs.iter().map(|&(_, y)| y));
     values.extend(pairs.iter().map(|&(x, y)| x - y));
-    let bits = bit_decompose(ctx, &values)?;
+    let msb = msb_bits(ctx, &values)?;
 
     // Pack the three sign bits across the batch: bit j of word j/64.
     let words = m.div_ceil(64);
@@ -93,9 +98,9 @@ pub fn lt_batch(
     let mut sb = vec![0u64; words];
     let mut sd = vec![0u64; words];
     for j in 0..m {
-        sa[j / 64] |= (bits[j] >> 63) << (j % 64);
-        sb[j / 64] |= (bits[m + j] >> 63) << (j % 64);
-        sd[j / 64] |= (bits[2 * m + j] >> 63) << (j % 64);
+        sa[j / 64] |= msb[j] << (j % 64);
+        sb[j / 64] |= msb[m + j] << (j % 64);
+        sd[j / 64] |= msb[2 * m + j] << (j % 64);
     }
 
     // lt = (sa ∧ ¬sb) ⊕ (¬(sa ⊕ sb) ∧ sd). Complements are public-constant
@@ -153,25 +158,25 @@ pub fn eq_batch(
             *ti ^= (RingElem::ZERO - *ci).0 ^ u64::MAX;
         }
     }
-    // AND-fold the 64 bits down to bit 0. The fold's upper bits hold
-    // secret-dependent partial conjunctions — they are never opened; only
-    // bit 0 is extracted (a local public-mask AND) and packed below.
-    for &s in &EQ_FOLDS {
-        let shifted: Vec<u64> = t.iter().map(|w| w >> s).collect();
-        t = and_words(ctx, &t, &shifted, "eq fold")?;
+    // Halving fold: AND the low half of the live bits with the high half
+    // until bit 0 holds the conjunction of all 64. The partial conjunctions
+    // are secret-dependent and never opened.
+    for &w in &EQ_FOLDS {
+        let high: Vec<u64> = t.iter().map(|tw| tw >> w).collect();
+        t = and_packed(ctx, &t, &high, w, "eq fold")?;
     }
     let words = m.div_ceil(64);
     let mut packed = vec![0u64; words];
     for (j, tw) in t.iter().enumerate() {
-        packed[j / 64] |= (tw & 1) << (j % 64);
+        packed[j / 64] |= tw << (j % 64);
     }
     bits_to_additive(ctx, &packed, m)
 }
 
 /// Opens `c = z − r` for dealer masks `r` (uniform, reveals nothing on the
-/// wire) and runs the carry adder to produce one XOR-shared word of the bits
-/// of each `z`.
-fn bit_decompose(ctx: &mut StepCtx, values: &[AuthShare]) -> PartyResult<Vec<u64>> {
+/// wire) and returns, per `z = c + r`, an XOR-shared word holding its sign
+/// bit in bit 0: `msb(z) = p₆₃ ⊕ carry₆₃` with `p = r ⊕ c`.
+fn msb_bits(ctx: &mut StepCtx, values: &[AuthShare]) -> PartyResult<Vec<u64>> {
     let masks = ctx.take_shared_bits(values.len())?;
     let masked: Vec<AuthShare> = values
         .iter()
@@ -179,57 +184,117 @@ fn bit_decompose(ctx: &mut StepCtx, values: &[AuthShare]) -> PartyResult<Vec<u64
         .map(|(&z, &(_, r_add))| z - r_add)
         .collect();
     let c = ctx.open_masked(&masked, "bitdec mask open")?;
-    let c_words: Vec<u64> = c.iter().map(|e| e.0).collect();
-    let r_words: Vec<u64> = masks.iter().map(|&(r_bits, _)| r_bits).collect();
-    add_public_bits(ctx, &c_words, &r_words)
+    // Leaves: g = r ∧ c (public mask, local), p = r ⊕ c (party 0 adds the
+    // public c).
+    let party0 = ctx.party() == 0;
+    let mut g = Vec::with_capacity(values.len());
+    let mut p = Vec::with_capacity(values.len());
+    for (&(r, _), ci) in masks.iter().zip(&c) {
+        g.push(r & ci.0);
+        p.push(if party0 { r ^ ci.0 } else { r });
+    }
+    let p63: Vec<u64> = p.iter().map(|pw| pw >> 63).collect();
+    let carry = carry_into_msb(ctx, g, p)?;
+    Ok(p63.iter().zip(carry).map(|(pi, ci)| pi ^ ci).collect())
 }
 
-/// Kogge-Stone addition of a public word `c` to an XOR-shared word `r`,
-/// element-wise over the batch: returns XOR-shared words of `c + r`
-/// (mod 2^64). Six AND levels; the final level only needs the carry term,
-/// not the propagate update.
+/// The carry into bit 63 of `c + r` — the group generate of bits 0..62 —
+/// in bit 0 of each result, from per-value leaf words `g`, `p`.
 ///
-/// The generate/propagate pair stays *exclusive* (`G ∧ P = 0` per bit) at
-/// every level, which is what lets the carry merge use ⊕ instead of ∨ on
-/// XOR shares.
-fn add_public_bits(ctx: &mut StepCtx, c: &[u64], r: &[u64]) -> PartyResult<Vec<u64>> {
-    let party0 = ctx.party() == 0;
-    // p = r ⊕ c (public XOR, party 0), g = r ∧ c (public mask, local).
-    let p0: Vec<u64> = if party0 {
-        r.iter().zip(c).map(|(ri, ci)| ri ^ ci).collect()
-    } else {
-        r.to_vec()
-    };
-    let g0: Vec<u64> = r.iter().zip(c).map(|(ri, ci)| ri & ci).collect();
-    let n = r.len();
-    let mut gg = g0;
-    let mut pp = p0.clone();
-    for (level, &s) in KS_SHIFTS.iter().enumerate() {
-        let gs: Vec<u64> = gg.iter().map(|w| w << s).collect();
-        if level + 1 == KS_SHIFTS.len() {
-            // Last level: the propagate span is never consumed again.
-            let t = and_words(ctx, &pp, &gs, "ks carry")?;
-            for (g, ti) in gg.iter_mut().zip(t) {
-                *g ^= ti;
-            }
-        } else {
-            let ps: Vec<u64> = pp.iter().map(|w| w << s).collect();
-            let mut lhs = Vec::with_capacity(2 * n);
-            lhs.extend_from_slice(&pp);
-            lhs.extend_from_slice(&pp);
-            let mut rhs = Vec::with_capacity(2 * n);
-            rhs.extend_from_slice(&gs);
-            rhs.extend_from_slice(&ps);
-            let anded = and_words(ctx, &lhs, &rhs, "ks level")?;
-            for (g, ti) in gg.iter_mut().zip(&anded[..n]) {
-                *g ^= ti;
-            }
-            pp = anded[n..].to_vec();
-        }
+/// A binary tree over the 63 leaves: each level combines node pairs
+/// (hi = 2k+1, lo = 2k) as `G = G_hi ⊕ (P_hi ∧ G_lo)`, `P = P_hi ∧ P_lo`.
+/// An odd top node passes through, and node 0's `P` is never formed
+/// because no level reads it. 63 → 32 → 16 → 8 → 4 → 2 → 1 nodes is six AND
+/// rounds with 61, 31, 15, 7, 3 and 1 live bits per value.
+///
+/// `G ∧ P = 0` holds per node at every level (it does for the leaves
+/// `g = r ∧ c`, `p = r ⊕ c`), which is what lets the merge use ⊕ instead
+/// of ∨ on XOR shares.
+fn carry_into_msb(ctx: &mut StepCtx, mut g: Vec<u64>, mut p: Vec<u64>) -> PartyResult<Vec<u64>> {
+    let mut nodes = 63u32;
+    for w in g.iter_mut().chain(p.iter_mut()) {
+        *w &= low_bits(nodes);
     }
-    // sum = p ⊕ (G << 1): the carry into bit i is the prefix generate of
-    // bit i−1; bit 0 has no carry-in (structural zero shifted in).
-    Ok(p0.iter().zip(&gg).map(|(pi, gi)| pi ^ (gi << 1)).collect())
+    while nodes > 1 {
+        let pairs = nodes / 2;
+        let low = low_bits(pairs);
+        // One operand word per value: bits 0..pairs pair P_hi with G_lo for
+        // every pair; the bits above pair P_hi with P_lo for pairs 1.. only.
+        let mut x = Vec::with_capacity(g.len());
+        let mut y = Vec::with_capacity(g.len());
+        for (&gw, &pw) in g.iter().zip(&p) {
+            let p_hi = odd_bits(pw);
+            x.push(p_hi | (p_hi >> 1) << pairs);
+            y.push(even_bits(gw) & low | (even_bits(pw) & low) >> 1 << pairs);
+        }
+        let t = and_packed(ctx, &x, &y, 2 * pairs - 1, "lt carry level")?;
+        let top = nodes - 1;
+        for ((gw, pw), ti) in g.iter_mut().zip(p.iter_mut()).zip(t) {
+            let mut next_g = odd_bits(*gw) ^ (ti & low);
+            let mut next_p = ti >> pairs << 1;
+            if nodes % 2 == 1 {
+                next_g |= (*gw >> top & 1) << pairs;
+                next_p |= (*pw >> top & 1) << pairs;
+            }
+            *gw = next_g;
+            *pw = next_p;
+        }
+        nodes = pairs + nodes % 2;
+    }
+    Ok(g)
+}
+
+/// The low `n` bits set, for `n` in `1..=64`.
+fn low_bits(n: u32) -> u64 {
+    u64::MAX >> (64 - n)
+}
+
+/// Gathers the even-indexed bits of `w` into its low 32 bits, in order.
+fn even_bits(w: u64) -> u64 {
+    let mut x = w & 0x5555_5555_5555_5555;
+    x = (x | x >> 1) & 0x3333_3333_3333_3333;
+    x = (x | x >> 2) & 0x0F0F_0F0F_0F0F_0F0F;
+    x = (x | x >> 4) & 0x00FF_00FF_00FF_00FF;
+    x = (x | x >> 8) & 0x0000_FFFF_0000_FFFF;
+    (x | x >> 16) & 0x0000_0000_FFFF_FFFF
+}
+
+/// Gathers the odd-indexed bits of `w` into its low 32 bits, in order.
+fn odd_bits(w: u64) -> u64 {
+    even_bits(w >> 1)
+}
+
+/// ANDs the low `width` bits of each `x[i]` with those of `y[i]` and returns
+/// them in the low `width` bits of each result; bits above `width` are
+/// ignored on input and zero on output. Packs `⌊64 / slot⌋` values per wire
+/// word (`slot` = `width` rounded up to a power of two) into one
+/// [`and_words`] round. A slot's padding bits are zero shares, masked on the
+/// wire by the word's triple like every live bit.
+fn and_packed(
+    ctx: &mut StepCtx,
+    x: &[u64],
+    y: &[u64],
+    width: u32,
+    label: &str,
+) -> PartyResult<Vec<u64>> {
+    let slot = width.next_power_of_two();
+    let per_word = (64 / slot) as usize;
+    let mask = low_bits(width);
+    let pack = |v: &[u64]| -> Vec<u64> {
+        v.chunks(per_word)
+            .map(|chunk| {
+                chunk
+                    .iter()
+                    .enumerate()
+                    .fold(0, |w, (k, vi)| w | (vi & mask) << (k as u32 * slot))
+            })
+            .collect()
+    };
+    let z = and_words(ctx, &pack(x), &pack(y), label)?;
+    Ok(z.iter()
+        .flat_map(|zw| (0..per_word as u32).map(move |k| zw >> (k * slot) & mask))
+        .take(x.len())
+        .collect())
 }
 
 /// Batched AND of XOR-shared words via binary Beaver triples: one masked
@@ -410,22 +475,33 @@ mod tests {
         }
     }
 
+    /// Shares `pairs_clear` from party 0 and runs `f` on the shared pairs.
+    fn with_shared_pairs<R, F>(n: u32, seed: u64, pairs_clear: &[(i64, i64)], f: F) -> Vec<R>
+    where
+        R: Send,
+        F: Fn(&mut StepCtx, &[(AuthShare, AuthShare)]) -> PartyResult<R> + Sync,
+    {
+        run_parties(n, seed, |proto| {
+            let xs: Vec<i64> = pairs_clear.iter().map(|p| p.0).collect();
+            let ys: Vec<i64> = pairs_clear.iter().map(|p| p.1).collect();
+            let own = proto.party() == 0;
+            let sx = proto.input_column(0, own.then_some(xs.as_slice()), xs.len())?;
+            let sy = proto.input_column(0, own.then_some(ys.as_slice()), ys.len())?;
+            let pairs: Vec<(AuthShare, AuthShare)> = sx.into_iter().zip(sy).collect();
+            f(proto, &pairs)
+        })
+    }
+
     #[test]
     fn circuit_rounds_are_batch_size_independent() {
-        for batch in [1usize, 5, 100] {
-            let counts = run_parties(2, 44, |proto| {
-                let owner = 0;
-                let xs: Vec<i64> = (0..batch as i64).collect();
-                let ys: Vec<i64> = (0..batch as i64).rev().collect();
-                let own = proto.party() == owner;
-                let sx = proto.input_column(owner, own.then_some(xs.as_slice()), xs.len())?;
-                let sy = proto.input_column(owner, own.then_some(ys.as_slice()), ys.len())?;
-                let pairs: Vec<(AuthShare, AuthShare)> = sx.into_iter().zip(sy).collect();
+        for batch in [1usize, 2, 3, 63, 64, 65, 1000] {
+            let pairs_clear: Vec<(i64, i64)> = (0..batch as i64).map(|i| (i, -i)).collect();
+            let counts = with_shared_pairs(2, 44, &pairs_clear, |proto, pairs| {
                 let before = proto.counts();
-                proto.lt_batch(&pairs)?;
+                proto.lt_batch(pairs)?;
                 let lt_rounds = proto.counts().since(&before).circuit_rounds;
                 let before = proto.counts();
-                proto.eq_batch(&pairs)?;
+                proto.eq_batch(pairs)?;
                 let eq_rounds = proto.counts().since(&before).circuit_rounds;
                 Ok((lt_rounds, eq_rounds))
             });
@@ -436,23 +512,113 @@ mod tests {
         }
     }
 
+    /// AND words of one packed level: `values` operands of `width` live
+    /// bits, `⌊64 / slot⌋` per word.
+    fn level_words(values: usize, width: u32) -> u64 {
+        values.div_ceil(64 / width.next_power_of_two() as usize) as u64
+    }
+
+    /// `lt` AND words for `m` pairs, level by level: the carry tree over the
+    /// 3m decomposed values (63 → 32 → … → 1 nodes, `2·pairs − 1` live bits
+    /// per value), then two sign-combine words per 64 pairs.
+    fn lt_words(m: usize) -> u64 {
+        let mut words = 2 * m.div_ceil(64) as u64;
+        let mut nodes = 63u32;
+        while nodes > 1 {
+            words += level_words(3 * m, 2 * (nodes / 2) - 1);
+            nodes = nodes / 2 + nodes % 2;
+        }
+        words
+    }
+
+    /// `eq` AND words for `m` pairs: the halving fold, 32, 16, …, 1 bits.
+    fn eq_words(m: usize) -> u64 {
+        EQ_FOLDS.iter().map(|&w| level_words(m, w)).sum()
+    }
+
     #[test]
     fn bit_and_tallies_follow_the_gate_count() {
-        let counts = run_parties(2, 45, |proto| {
-            let owner = 0;
-            let xs = [7i64, -9];
-            let own = proto.party() == owner;
-            let sx = proto.input_column(owner, own.then_some(xs.as_slice()), 2)?;
-            let before = proto.counts();
-            proto.lt_batch(&[(sx[0], sx[1])])?;
-            Ok(proto.counts().since(&before))
-        });
-        for c in &counts {
-            assert_eq!(c.comparisons, 1);
-            // 3 decomposed values × (5 levels × 2 + 1 level × 1) AND-words
-            // × 64 bits, plus 2 sign-combine AND-words.
-            assert_eq!(c.bit_ands, (3 * 11 + 2) * 64);
-            assert_eq!(c.circuit_rounds, 9);
+        // 704 = (3 + 2 + 1 + 1 + 1 + 1 carry words + 2 sign words) × 64.
+        assert_eq!(64 * lt_words(1), 704);
+        assert_eq!(64 * eq_words(1), 384);
+        assert_eq!(64 * lt_words(640), 241_280);
+        assert_eq!(64 * eq_words(640), 40_320);
+        for m in [1usize, 640] {
+            let pairs_clear: Vec<(i64, i64)> = (0..m as i64).map(|i| (7 * i, -9 * i)).collect();
+            let counts = with_shared_pairs(2, 45, &pairs_clear, |proto, pairs| {
+                let before = proto.counts();
+                proto.lt_batch(pairs)?;
+                let lt = proto.counts().since(&before);
+                let before = proto.counts();
+                proto.eq_batch(pairs)?;
+                Ok((lt, proto.counts().since(&before)))
+            });
+            for (lt, eq) in &counts {
+                assert_eq!(lt.comparisons, m as u64);
+                assert_eq!(lt.bit_ands, 64 * lt_words(m), "lt gates for batch {m}");
+                assert_eq!(lt.circuit_rounds, 9);
+                assert_eq!(eq.equalities, m as u64);
+                assert_eq!(eq.bit_ands, 64 * eq_words(m), "eq gates for batch {m}");
+                assert_eq!(eq.circuit_rounds, 8);
+            }
+        }
+    }
+
+    /// Batch sizes around which a packed level fills its wire words: the
+    /// slots hold 1, 2, 4, 8, 16, 32 or 64 values, over m (`eq`) or 3m
+    /// (`lt`) operands.
+    const SLOT_EDGES: [usize; 12] = [1, 2, 4, 8, 16, 21, 32, 43, 64, 85, 128, 256];
+
+    /// Full-range pairs with the signed boundaries, equal pairs and
+    /// adjacent pairs injected.
+    fn random_pairs(m: usize, seed: u64) -> Vec<(i64, i64)> {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        (0..m)
+            .map(|_| {
+                let a: i64 = if rng.gen_range(0..4) == 0 {
+                    EDGE[rng.gen_range(0..EDGE.len())]
+                } else {
+                    rng.gen()
+                };
+                let b = match rng.gen_range(0..5) {
+                    0 => a,
+                    1 => a.wrapping_add(1),
+                    2 => a.wrapping_sub(1),
+                    3 => EDGE[rng.gen_range(0..EDGE.len())],
+                    _ => rng.gen(),
+                };
+                (a, b)
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn packed_circuits_match_the_cleartext(
+            size in (0usize..SLOT_EDGES.len() + 1, 0usize..3, 1usize..301),
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            // One draw in 13 is uniform over 1..=300; the rest sit on or
+            // beside a slot edge.
+            let (edge, offset, uniform) = size;
+            let m = SLOT_EDGES
+                .get(edge)
+                .map_or(uniform, |&e| (e + offset).saturating_sub(1).clamp(1, 300));
+            let pairs_clear = random_pairs(m, seed);
+            let outs = with_shared_pairs(3, seed, &pairs_clear, |proto, pairs| {
+                let lt = proto.lt_batch(pairs)?;
+                let eq = proto.eq_batch(pairs)?;
+                Ok((proto.open_column(&lt)?, proto.open_column(&eq)?))
+            });
+            let want_lt: Vec<i64> = pairs_clear.iter().map(|&(a, b)| i64::from(a < b)).collect();
+            let want_eq: Vec<i64> = pairs_clear.iter().map(|&(a, b)| i64::from(a == b)).collect();
+            for (lt, eq) in &outs {
+                proptest::prop_assert_eq!(lt, &want_lt, "lt, batch {}, seed {}", m, seed);
+                proptest::prop_assert_eq!(eq, &want_eq, "eq, batch {}, seed {}", m, seed);
+            }
         }
     }
 }

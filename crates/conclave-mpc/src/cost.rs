@@ -135,9 +135,12 @@ pub struct SecretShareCostModel {
     pub per_equality: f64,
     /// Seconds per binary AND gate on XOR-shared bits. Used instead of the
     /// flat `per_comparison`/`per_equality` charges when a count set carries
-    /// measured circuit gates (`bit_ands > 0`); calibrated so a 64-bit
-    /// Kogge-Stone less-than (~2100 gates across its three decomposed
-    /// values) lands near the 150 µs flat anchor.
+    /// measured circuit gates (`bit_ands > 0`). Calibrated so that a
+    /// less-than at the full-sum adder's ~2100 gates (2 240 measured, 35
+    /// AND words) landed near the 150 µs flat anchor. The sign-bit carry
+    /// tree measures ≈ 377 gates per compared pair in a large batch (≈ 63
+    /// per equality); the constant waits for recalibration against
+    /// measured wall time.
     pub per_bit_and: f64,
     /// Seconds per element secret-shared into the MPC (import + storage).
     pub per_input_elem: f64,
@@ -350,8 +353,9 @@ mod tests {
             comparisons: 1000,
             ..Default::default()
         };
-        // The same 1000 comparisons as measured by the circuit path: ~2100
-        // AND gates each, plus the log-depth rounds actually spent.
+        // The same 1000 comparisons as measured by the circuit path at the
+        // ~2100 AND gates each that `per_bit_and` is calibrated on, plus the
+        // log-depth rounds actually spent.
         let measured = PrimitiveCounts {
             comparisons: 1000,
             bit_ands: 2100 * 1000,

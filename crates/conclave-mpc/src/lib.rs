@@ -50,9 +50,9 @@
 //!   logic.
 //! * [`circuits`] — bit-decomposed comparison circuits for the party
 //!   runtime: signed less-than and equality computed entirely on shares
-//!   (Kogge-Stone carry adders over XOR-shared bits, binary Beaver ANDs,
-//!   daBit bit-to-arithmetic conversion), so no operand value ever crosses
-//!   the wire unmasked.
+//!   (a sign-bit carry tree and an equality fold over XOR-shared bits,
+//!   binary Beaver ANDs packed by live width, daBit bit-to-arithmetic
+//!   conversion), so no operand value ever crosses the wire unmasked.
 //! * [`dealer`] — the **offline phase**: a standalone dealer that
 //!   pregenerates SPDZ-authenticated Beaver triples, binary triples, dual
 //!   bit masks, daBits, and input masks, delivered to the online parties

@@ -93,8 +93,8 @@
 //!
 //! Comparisons are **not** simulated: `lt`/`eq` run the bit-decomposed
 //! comparison circuits of [`crate::circuits`] entirely on shares (9 rounds
-//! for a less-than batch, 8 for an equality batch, independent of batch
-//! size). No operand, bit, or intermediate ever appears on the wire
+//! for a less-than batch — a carry tree that computes only each operand's
+//! sign bit — and 8 for an equality batch, independent of batch size). No operand, bit, or intermediate ever appears on the wire
 //! unmasked — `tests/wire_privacy.rs` pins this against a sniffing
 //! transport.
 //!

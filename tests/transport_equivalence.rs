@@ -314,7 +314,7 @@ fn pipeline_rows(n: i64, salt: i64) -> Relation {
 /// (filter's operand-opening comparison, the filter-flag open, the final
 /// reveal). The bit-decomposed comparison circuits legitimately raised this
 /// to **11**: the filter predicate's `lt_batch` is now a 9-round circuit
-/// (1 masked decomposition open + 6 Kogge-Stone carry levels + 1
+/// (1 masked decomposition open + 6 carry-tree levels + 1
 /// sign-combine AND + 1 bit-to-arithmetic open) instead of a 1-round
 /// cleartext opening, while the flag open and final reveal still cost 1
 /// round each. SPDZ MAC authentication raised it to **13**: every opened

@@ -32,7 +32,14 @@
 //!    `sb = msb(b)`, `sd = msb(a − b)` (two's-complement sign bits from the
 //!    decomposition), `a < b ⟺ (sa ∧ ¬sb) ⊕ (¬(sa ⊕ sb) ∧ sd)`. Same-sign
 //!    subtraction cannot wrap, so `sd` is the true comparison there, and the
-//!    mixed-sign term handles `i64::MIN`/`i64::MAX` correctly.
+//!    mixed-sign term handles `i64::MIN`/`i64::MAX` correctly. Either side
+//!    may be a public constant ([`CmpArg::Public`]). A mixed pair becomes
+//!    `x < k` (`c < y ⟺ ¬(y < c + 1)`), and msb(k) is public, so only `x`
+//!    takes a mask: its one opened word `c = x − r` gives both leaves,
+//!    `x = c + r` and `x − k = (c − k) + r`. The combine is `sa ∨ sd` for
+//!    `k > 0` and `sa ∧ sd` for `k < 0`, one AND either way; for `k = 0` it
+//!    is `msb(x)` with no AND and no second leaf. A pair with both sides
+//!    public, or `i64::MAX < y`, is decided in the clear.
 //! 4. **Equality** ([`eq_batch`]): `z = x − y` is zero iff the dealer mask
 //!    `r` equals `−c` where `c = z − r` was opened; `t = ¬(r ⊕ (−c))` is
 //!    local, then a halving fold ANDs the low and high halves of the live
@@ -47,14 +54,18 @@
 //! # Round complexity
 //!
 //! For a batch of any size: `lt_batch` = 1 masked-open + 6 carry-tree
-//! levels + 1 sign-combine AND + 1 bit-to-arithmetic open = **9 rounds**;
-//! `eq_batch` = 1 masked-open + 6 fold levels + 1 bit-to-arithmetic open =
-//! **8 rounds**. All per-level ANDs across the batch coalesce into one
-//! exchange, preserving the round-coalescing the runtime's callers (sorting
-//! network, filter, join, aggregate) rely on. In AND words on the wire, a
-//! less-than pair costs ≈ 5.9 (3 values × ≈ 1.95 packed carry words) plus
-//! 2 sign-combine words per 64 pairs, ≈ 377 gates; an equality pair
-//! costs ≈ 1 word, ≈ 63 gates. A single pair costs 11 and 6 words.
+//! levels + 1 sign-combine AND + 1 bit-to-arithmetic open = **9 rounds**
+//! (**8** when every pair compares a shared value with 0: no sign-combine
+//! AND); `eq_batch` = 1 masked-open + 6 fold levels + 1 bit-to-arithmetic
+//! open = **8 rounds**. All per-level ANDs across the batch coalesce into
+//! one exchange, preserving the round-coalescing the runtime's callers
+//! (sorting network, filter, join, aggregate) rely on. In AND words on the
+//! wire, a shared less-than pair costs ≈ 5.9 (3 values × ≈ 1.95 packed
+//! carry words) plus 2 sign-combine words per 64 pairs, ≈ 377 gates; a
+//! pair against a public constant ≈ 3.9 (2 leaves) plus 1 sign-combine word
+//! per 64 pairs, ≈ 251 gates (≈ 1.95 words and no sign combine against 0);
+//! an equality pair costs ≈ 1 word, ≈ 63 gates. A single shared pair costs
+//! 11 and 6 words.
 //!
 //! # Where the masks come from
 //!
@@ -67,6 +78,7 @@
 //! opening carries its SPDZ MAC share into the session's deferred
 //! integrity check.
 
+use crate::engine::CmpArg;
 use crate::ring::RingElem;
 use crate::runtime::{PartyResult, StepCtx};
 use crate::share::AuthShare;
@@ -75,59 +87,166 @@ use crate::share::AuthShare;
 /// halves of the bits still live, leaving the all-bits AND in bit 0.
 const EQ_FOLDS: [u32; 6] = [32, 16, 8, 4, 2, 1];
 
+/// A less-than pair as the circuit evaluates it.
+enum LtForm {
+    /// `a < b` with both sides shared: the sign bits of a, b and a − b.
+    Shared(AuthShare, AuthShare),
+    /// `x < k` for shared `x` and public `k`, negated when `flip`: the sign
+    /// bits of x and x − k, from one mask.
+    Bound { x: AuthShare, k: i64, flip: bool },
+    /// An answer decided in the clear.
+    Clear(bool),
+}
+
+impl LtForm {
+    fn of<P: Into<CmpArg<AuthShare>>>((x, y): (P, P)) -> Self {
+        match (x.into(), y.into()) {
+            (CmpArg::Shared(a), CmpArg::Shared(b)) => LtForm::Shared(a, b),
+            (CmpArg::Shared(x), CmpArg::Public(k)) => LtForm::Bound { x, k, flip: false },
+            // c < y ⟺ ¬(y < c + 1), and nothing is above i64::MAX.
+            (CmpArg::Public(c), CmpArg::Shared(y)) => match c.checked_add(1) {
+                Some(k) => LtForm::Bound {
+                    x: y,
+                    k,
+                    flip: true,
+                },
+                None => LtForm::Clear(false),
+            },
+            (CmpArg::Public(a), CmpArg::Public(b)) => LtForm::Clear(a < b),
+        }
+    }
+}
+
 /// Batched signed less-than on shares: returns an additive sharing of `1`
-/// where `x < y` (as `i64`), `0` elsewhere. 9 rounds for the whole batch.
-pub fn lt_batch(
+/// where `x < y` (as `i64`), `0` elsewhere. Either side of a pair may be
+/// public. 9 rounds for the whole batch; 8 when every shared value is
+/// compared against 0, and none when every answer is public.
+pub fn lt_batch<P: Copy + Into<CmpArg<AuthShare>>>(
     ctx: &mut StepCtx,
-    pairs: &[(AuthShare, AuthShare)],
+    pairs: &[(P, P)],
 ) -> PartyResult<Vec<AuthShare>> {
-    let m = pairs.len();
-    if m == 0 {
-        return Ok(Vec::new());
-    }
-    // Sign bits of a, b and d = a − b in one batch: [a₀..aₘ, b₀..bₘ, d₀..dₘ].
-    let mut values = Vec::with_capacity(3 * m);
-    values.extend(pairs.iter().map(|&(x, _)| x));
-    values.extend(pairs.iter().map(|&(_, y)| y));
-    values.extend(pairs.iter().map(|&(x, y)| x - y));
-    let msb = msb_bits(ctx, &values)?;
+    let shared = || {
+        pairs.iter().filter_map(|&p| match LtForm::of(p) {
+            LtForm::Shared(a, b) => Some((a, b)),
+            _ => None,
+        })
+    };
+    let bounds: Vec<(AuthShare, i64, bool)> = pairs
+        .iter()
+        .filter_map(|&p| match LtForm::of(p) {
+            LtForm::Bound { x, k, flip } => Some((x, k, flip)),
+            _ => None,
+        })
+        .collect();
+    let m = shared().count();
+    let mut bits = Vec::new();
+    if m + bounds.len() > 0 {
+        // Sign bits in one batch, one mask and one opened word per shared
+        // value: [a₀..aₘ, b₀..bₘ, d₀..dₘ] with d = a − b, then x of each
+        // bound pair. The x − k leaves of the bound pairs with k ≠ 0 follow,
+        // built from x's opened word.
+        let mut values = Vec::with_capacity(3 * m + bounds.len());
+        values.extend(shared().map(|(x, _)| x));
+        values.extend(shared().map(|(_, y)| y));
+        values.extend(shared().map(|(x, y)| x - y));
+        values.extend(bounds.iter().map(|&(x, _, _)| x));
+        let offsets: Vec<(usize, i64)> = (3 * m..)
+            .zip(&bounds)
+            .filter(|&(_, &(_, k, _))| k != 0)
+            .map(|(i, &(_, k, _))| (i, k))
+            .collect();
+        let msb = msb_bits(ctx, &values, &offsets)?;
 
-    // Pack the three sign bits across the batch: bit j of word j/64.
-    let words = m.div_ceil(64);
-    let mut sa = vec![0u64; words];
-    let mut sb = vec![0u64; words];
-    let mut sd = vec![0u64; words];
-    for j in 0..m {
-        sa[j / 64] |= msb[j] << (j % 64);
-        sb[j / 64] |= msb[m + j] << (j % 64);
-        sd[j / 64] |= msb[2 * m + j] << (j % 64);
-    }
+        // Pack the three sign bits of the shared pairs: bit j of word j/64.
+        let words = m.div_ceil(64);
+        let mut sa = vec![0u64; words];
+        let mut sb = vec![0u64; words];
+        let mut sd = vec![0u64; words];
+        for j in 0..m {
+            sa[j / 64] |= msb[j] << (j % 64);
+            sb[j / 64] |= msb[m + j] << (j % 64);
+            sd[j / 64] |= msb[2 * m + j] << (j % 64);
+        }
+        // And the two of the bound pairs with k ≠ 0: x's and (x − k)'s.
+        let mut xa = vec![0u64; offsets.len().div_ceil(64)];
+        let mut xd = xa.clone();
+        for (z, &(i, _)) in offsets.iter().enumerate() {
+            xa[z / 64] |= msb[i] << (z % 64);
+            xd[z / 64] |= msb[values.len() + z] << (z % 64);
+        }
 
-    // lt = (sa ∧ ¬sb) ⊕ (¬(sa ⊕ sb) ∧ sd). Complements are public-constant
-    // XORs (party 0 flips); both ANDs share one exchange. Padding bits past
-    // `m` stay structurally zero: ¬ makes the padding of one operand all-ones
-    // but the other side is a shared zero, so the AND result's padding is a
-    // shared zero again.
-    let party0 = ctx.party() == 0;
-    let mut not_sb = sb.clone();
-    let mut nxor: Vec<u64> = sa.iter().zip(&sb).map(|(a, b)| a ^ b).collect();
-    if party0 {
-        for w in &mut not_sb {
-            *w = !*w;
+        // lt = (sa ∧ ¬sb) ⊕ (¬(sa ⊕ sb) ∧ sd). Complements are
+        // public-constant XORs (party 0 flips); every AND shares one
+        // exchange. Padding bits past `m` stay structurally zero: ¬ makes the
+        // padding of one operand all-ones but the other side is a shared
+        // zero, so the AND result's padding is a shared zero again.
+        let party0 = ctx.party() == 0;
+        let mut not_sb = sb.clone();
+        let mut nxor: Vec<u64> = sa.iter().zip(&sb).map(|(a, b)| a ^ b).collect();
+        if party0 {
+            for w in &mut not_sb {
+                *w = !*w;
+            }
+            for w in &mut nxor {
+                *w = !*w;
+            }
         }
-        for w in &mut nxor {
-            *w = !*w;
+        let mut lhs = Vec::with_capacity(2 * words + xa.len());
+        lhs.extend_from_slice(&sa);
+        lhs.extend_from_slice(&nxor);
+        lhs.extend_from_slice(&xa);
+        let mut rhs = Vec::with_capacity(2 * words + xd.len());
+        rhs.extend_from_slice(&not_sb);
+        rhs.extend_from_slice(&sd);
+        rhs.extend_from_slice(&xd);
+        let anded = and_words(ctx, &lhs, &rhs, "lt sign combine")?;
+        let mut lt_bits: Vec<u64> = (0..words).map(|w| anded[w] ^ anded[words + w]).collect();
+
+        // x < k from sa = msb(x) and sd = msb(x − k): same-sign subtraction
+        // cannot wrap, so it is sa ∨ sd for k > 0, sa ∧ sd for k < 0 and sa
+        // for k = 0. A bound pair's bit sits after the shared pairs' (XORed
+        // into a shared zero padding bit, or a new word).
+        lt_bits.resize((m + bounds.len()).div_ceil(64), 0);
+        let mut z = 0;
+        for (i, &(_, k, flip)) in bounds.iter().enumerate() {
+            let sa = msb[3 * m + i];
+            let mut bit = sa;
+            if k != 0 {
+                let and = anded[2 * words + z / 64] >> (z % 64) & 1;
+                bit = if k > 0 {
+                    sa ^ msb[values.len() + z] ^ and
+                } else {
+                    and
+                };
+                z += 1;
+            }
+            if flip && party0 {
+                bit ^= 1;
+            }
+            lt_bits[(m + i) / 64] ^= bit << ((m + i) % 64);
         }
+        bits = bits_to_additive(ctx, &lt_bits, m + bounds.len())?;
     }
-    let mut lhs = Vec::with_capacity(2 * words);
-    lhs.extend_from_slice(&sa);
-    lhs.extend_from_slice(&nxor);
-    let mut rhs = Vec::with_capacity(2 * words);
-    rhs.extend_from_slice(&not_sb);
-    rhs.extend_from_slice(&sd);
-    let anded = and_words(ctx, &lhs, &rhs, "lt sign combine")?;
-    let lt_bits: Vec<u64> = (0..words).map(|w| anded[w] ^ anded[words + w]).collect();
-    bits_to_additive(ctx, &lt_bits, m)
+    if m == pairs.len() {
+        return Ok(bits);
+    }
+    // Back to pair order: the shared pairs' bits come first, then the bound
+    // pairs'.
+    let (mut next_shared, mut next_bound) = (0, m);
+    Ok(pairs
+        .iter()
+        .map(|&p| match LtForm::of(p) {
+            LtForm::Shared(..) => {
+                next_shared += 1;
+                bits[next_shared - 1]
+            }
+            LtForm::Bound { .. } => {
+                next_bound += 1;
+                bits[next_bound - 1]
+            }
+            LtForm::Clear(t) => ctx.constant_elem(RingElem(u64::from(t))),
+        })
+        .collect())
 }
 
 /// Batched equality on shares: returns an additive sharing of `1` where
@@ -175,8 +294,14 @@ pub fn eq_batch(
 
 /// Opens `c = z − r` for dealer masks `r` (uniform, reveals nothing on the
 /// wire) and returns, per `z = c + r`, an XOR-shared word holding its sign
-/// bit in bit 0: `msb(z) = p₆₃ ⊕ carry₆₃` with `p = r ⊕ c`.
-fn msb_bits(ctx: &mut StepCtx, values: &[AuthShare]) -> PartyResult<Vec<u64>> {
+/// bit in bit 0: `msb(z) = p₆₃ ⊕ carry₆₃` with `p = r ⊕ c`. Each `(i, k)` of
+/// `offsets` appends the sign bit of `values[i] − k = (c − k) + r`, from the
+/// same mask and opened word.
+fn msb_bits(
+    ctx: &mut StepCtx,
+    values: &[AuthShare],
+    offsets: &[(usize, i64)],
+) -> PartyResult<Vec<u64>> {
     let masks = ctx.take_shared_bits(values.len())?;
     let masked: Vec<AuthShare> = values
         .iter()
@@ -187,11 +312,18 @@ fn msb_bits(ctx: &mut StepCtx, values: &[AuthShare]) -> PartyResult<Vec<u64>> {
     // Leaves: g = r ∧ c (public mask, local), p = r ⊕ c (party 0 adds the
     // public c).
     let party0 = ctx.party() == 0;
-    let mut g = Vec::with_capacity(values.len());
-    let mut p = Vec::with_capacity(values.len());
-    for (&(r, _), ci) in masks.iter().zip(&c) {
-        g.push(r & ci.0);
-        p.push(if party0 { r ^ ci.0 } else { r });
+    let n = values.len() + offsets.len();
+    let mut g = Vec::with_capacity(n);
+    let mut p = Vec::with_capacity(n);
+    let mut leaf = |r: u64, c: RingElem| {
+        g.push(r & c.0);
+        p.push(if party0 { r ^ c.0 } else { r });
+    };
+    for (&ci, &(r, _)) in c.iter().zip(&masks) {
+        leaf(r, ci);
+    }
+    for &(i, k) in offsets {
+        leaf(masks[i].0, c[i] - RingElem::from_i64(k));
     }
     let p63: Vec<u64> = p.iter().map(|pw| pw >> 63).collect();
     let carry = carry_into_msb(ctx, g, p)?;
@@ -518,17 +650,32 @@ mod tests {
         values.div_ceil(64 / width.next_power_of_two() as usize) as u64
     }
 
-    /// `lt` AND words for `m` pairs, level by level: the carry tree over the
-    /// 3m decomposed values (63 → 32 → … → 1 nodes, `2·pairs − 1` live bits
-    /// per value), then two sign-combine words per 64 pairs.
-    fn lt_words(m: usize) -> u64 {
-        let mut words = 2 * m.div_ceil(64) as u64;
+    /// AND words of the carry tree over `leaves` decomposed values, level by
+    /// level: 63 → 32 → … → 1 nodes, `2·pairs − 1` live bits per value.
+    fn carry_words(leaves: usize) -> u64 {
+        let mut words = 0;
         let mut nodes = 63u32;
         while nodes > 1 {
-            words += level_words(3 * m, 2 * (nodes / 2) - 1);
+            words += level_words(leaves, 2 * (nodes / 2) - 1);
             nodes = nodes / 2 + nodes % 2;
         }
         words
+    }
+
+    /// `lt` AND words for `m` shared pairs: the carry tree over the 3m
+    /// decomposed values, then two sign-combine words per 64 pairs.
+    fn lt_words(m: usize) -> u64 {
+        carry_words(3 * m) + 2 * m.div_ceil(64) as u64
+    }
+
+    /// `x < k` AND words for `m` pairs with public `k`: the carry tree over
+    /// the 2m leaves x and x − k, then one sign-combine word per 64 pairs;
+    /// for k = 0, the m leaves x and no sign combine.
+    fn lt_public_words(m: usize, k: i64) -> u64 {
+        match k {
+            0 => carry_words(m),
+            _ => carry_words(2 * m) + m.div_ceil(64) as u64,
+        }
     }
 
     /// `eq` AND words for `m` pairs: the halving fold, 32, 16, …, 1 bits.
@@ -561,6 +708,63 @@ mod tests {
                 assert_eq!(eq.bit_ands, 64 * eq_words(m), "eq gates for batch {m}");
                 assert_eq!(eq.circuit_rounds, 8);
             }
+        }
+    }
+
+    #[test]
+    fn public_operands_decompose_only_the_shared_side() {
+        // 512 = (2 + 1 + 1 + 1 + 1 + 1 carry words + 1 sign word) × 64;
+        // against 0, 384 = (1 + 1 + 1 + 1 + 1 + 1) × 64.
+        assert_eq!(64 * lt_public_words(1, 5), 512);
+        assert_eq!(64 * lt_public_words(1, 0), 384);
+        assert_eq!(64 * lt_public_words(640, 5), 160_640);
+        assert_eq!(64 * lt_public_words(640, 0), 80_000);
+        // `c < x` is `¬(x < c + 1)`: c = −1 is a comparison against 0.
+        for (k, c) in [(5, 4), (-5, -6), (0, -1), (i64::MAX, i64::MAX - 1)] {
+            for m in [1usize, 640] {
+                let xs: Vec<(i64, i64)> = (0..m as i64).map(|i| (i - 320, 0)).collect();
+                let counts = with_shared_pairs(3, 46, &xs, |proto, pairs| {
+                    let below: Vec<_> = pairs
+                        .iter()
+                        .map(|&(x, _)| (CmpArg::Shared(x), CmpArg::Public(k)))
+                        .collect();
+                    let above: Vec<_> = pairs
+                        .iter()
+                        .map(|&(x, _)| (CmpArg::Public(c), CmpArg::Shared(x)))
+                        .collect();
+                    let mut out = Vec::new();
+                    for batch in [below, above] {
+                        let before = proto.counts();
+                        let bits = proto.lt_batch(&batch)?;
+                        out.push((proto.counts().since(&before), proto.open_column(&bits)?));
+                    }
+                    Ok(out)
+                });
+                let want_below: Vec<i64> = xs.iter().map(|&(x, _)| i64::from(x < k)).collect();
+                let want_above: Vec<i64> = xs.iter().map(|&(x, _)| i64::from(c < x)).collect();
+                for party in &counts {
+                    for ((n, bits), want) in party.iter().zip([&want_below, &want_above]) {
+                        assert_eq!(bits, want, "x < {k} / {c} < x, batch {m}");
+                        assert_eq!(n.comparisons, m as u64);
+                        assert_eq!(n.bit_ands, 64 * lt_public_words(m, k), "k = {k}, batch {m}");
+                        assert_eq!(n.circuit_rounds, if k == 0 { 8 } else { 9 }, "k = {k}");
+                    }
+                }
+            }
+        }
+        // Answers decided in the clear open no word and AND nothing.
+        let counts = with_shared_pairs(2, 47, &[(3, 0)], |proto, pairs| {
+            let batch = [
+                (CmpArg::Public(i64::MAX), CmpArg::Shared(pairs[0].0)),
+                (CmpArg::Public(-1), CmpArg::Public(1)),
+            ];
+            let before = proto.counts();
+            let bits = proto.lt_batch(&batch)?;
+            Ok((proto.counts().since(&before), proto.open_column(&bits)?))
+        });
+        for (n, bits) in &counts {
+            assert_eq!(bits, &[0, 1]);
+            assert_eq!((n.comparisons, n.bit_ands, n.circuit_rounds), (2, 0, 0));
         }
     }
 
@@ -608,15 +812,37 @@ mod tests {
                 .get(edge)
                 .map_or(uniform, |&e| (e + offset).saturating_sub(1).clamp(1, 300));
             let pairs_clear = random_pairs(m, seed);
+            // Each side of each pair is public with probability 1/3, on its
+            // own: shared, mixed and public pairs all land in one batch.
+            let public: Vec<(bool, bool)> = {
+                use rand::{Rng, SeedableRng};
+                let mut rng = rand::rngs::StdRng::seed_from_u64(!seed);
+                (0..m).map(|_| (rng.gen_range(0..3) == 0, rng.gen_range(0..3) == 0)).collect()
+            };
             let outs = with_shared_pairs(3, seed, &pairs_clear, |proto, pairs| {
+                let arg = |public: bool, clear: i64, share: AuthShare| {
+                    if public { CmpArg::Public(clear) } else { CmpArg::Shared(share) }
+                };
+                let mixed: Vec<_> = pairs_clear
+                    .iter()
+                    .zip(pairs)
+                    .zip(&public)
+                    .map(|((&(a, b), &(x, y)), &(pa, pb))| (arg(pa, a, x), arg(pb, b, y)))
+                    .collect();
                 let lt = proto.lt_batch(pairs)?;
+                let mixed_lt = proto.lt_batch(&mixed)?;
                 let eq = proto.eq_batch(pairs)?;
-                Ok((proto.open_column(&lt)?, proto.open_column(&eq)?))
+                Ok((
+                    proto.open_column(&lt)?,
+                    proto.open_column(&mixed_lt)?,
+                    proto.open_column(&eq)?,
+                ))
             });
             let want_lt: Vec<i64> = pairs_clear.iter().map(|&(a, b)| i64::from(a < b)).collect();
             let want_eq: Vec<i64> = pairs_clear.iter().map(|&(a, b)| i64::from(a == b)).collect();
-            for (lt, eq) in &outs {
+            for (lt, mixed_lt, eq) in &outs {
                 proptest::prop_assert_eq!(lt, &want_lt, "lt, batch {}, seed {}", m, seed);
+                proptest::prop_assert_eq!(mixed_lt, &want_lt, "public lt, batch {}, seed {}", m, seed);
                 proptest::prop_assert_eq!(eq, &want_eq, "eq, batch {}, seed {}", m, seed);
             }
         }

@@ -45,6 +45,23 @@ impl std::error::Error for OpError {}
 /// Result of an engine primitive or a generic operator.
 pub type EngineResult<E, T> = Result<T, <E as Engine>::Error>;
 
+/// One side of a comparison: a shared value or a public constant. A share
+/// converts into [`CmpArg::Shared`], so a batch of plain share pairs is a
+/// valid comparison batch as it is.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CmpArg<S> {
+    /// A secret-shared operand.
+    Shared(S),
+    /// An operand every party knows, such as a predicate's literal.
+    Public(i64),
+}
+
+impl<S> From<S> for CmpArg<S> {
+    fn from(s: S) -> Self {
+        CmpArg::Shared(s)
+    }
+}
+
 /// Share-level primitives of one MPC engine. Every non-linear method is a
 /// *batch*: an engine that communicates pays its rounds once per call, not
 /// once per element.
@@ -71,9 +88,10 @@ pub trait Engine {
         pairs: &[(Self::Share, Self::Share)],
     ) -> EngineResult<Self, Vec<Self::Share>>;
     /// Element-wise signed less-than: a sharing of `1` where `x < y`, else `0`.
-    fn lt_batch(
+    /// Either side of a pair may be public ([`CmpArg`]).
+    fn lt_batch<P: Copy + Into<CmpArg<Self::Share>>>(
         &mut self,
-        pairs: &[(Self::Share, Self::Share)],
+        pairs: &[(P, P)],
     ) -> EngineResult<Self, Vec<Self::Share>>;
     /// Element-wise equality over several independent batches at once (one
     /// flag vector per group), so an engine can coalesce them into the rounds

@@ -86,7 +86,7 @@ pub use dealer::{
     generate_blocks, load_party_file, serve_party, write_party_files, DealerSource, DealerStream,
     InputMask, MaterialBlocks, MaterialSpec, Request,
 };
-pub use engine::{Engine, OpError};
+pub use engine::{CmpArg, Engine, OpError};
 pub use protocol::Protocol;
 pub use relation::{Rel, SharedRelation};
 pub use ring::RingElem;

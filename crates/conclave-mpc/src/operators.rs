@@ -22,7 +22,7 @@
 //! one row per batch (ROADMAP item 1, Stage C).
 
 use crate::cost::PrimitiveCounts;
-use crate::engine::{Engine, EngineResult, OpError};
+use crate::engine::{CmpArg, Engine, EngineResult, OpError};
 use crate::relation::Rel;
 use conclave_ir::expr::{BinOp, Expr};
 use conclave_ir::ops::{aggregate_schema, join_schema, AggFunc, Operand, Operator};
@@ -556,14 +556,21 @@ fn eval_predicate<E: Engine>(
                     .collect())
             }
             BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
-                let l = eval_operand(eng, rel, left)?;
-                let r = eval_operand(eng, rel, right)?;
+                let l = eval_operand(rel, left)?;
+                let r = eval_operand(rel, right)?;
                 let pairs: Vec<_> = match op {
                     BinOp::Gt | BinOp::Le => r.into_iter().zip(l).collect(),
                     _ => l.into_iter().zip(r).collect(),
                 };
                 let raw = match op {
-                    BinOp::Eq | BinOp::Ne => only(eng.eq_batch_groups(&[pairs])?),
+                    BinOp::Eq | BinOp::Ne => {
+                        let share = |a| match a {
+                            CmpArg::Shared(s) => s,
+                            CmpArg::Public(v) => eng.constant(v),
+                        };
+                        let pairs = pairs.into_iter().map(|(x, y)| (share(x), share(y)));
+                        only(eng.eq_batch_groups(&[pairs.collect()])?)
+                    }
                     _ => eng.lt_batch(&pairs)?,
                 };
                 Ok(match op {
@@ -584,18 +591,18 @@ fn eval_predicate<E: Engine>(
     }
 }
 
-/// One comparison operand per row: a column's shares or a literal constant.
-fn eval_operand<E: Engine>(
-    eng: &E,
-    rel: &Rel<E::Share>,
-    expr: &Expr,
-) -> Result<Vec<E::Share>, OpError> {
+/// One comparison operand per row: a column's shares or a public literal.
+fn eval_operand<S: Copy>(rel: &Rel<S>, expr: &Expr) -> Result<Vec<CmpArg<S>>, OpError> {
     match expr {
         Expr::Col(name) => {
             let idx = rel.require(name)?;
-            Ok(rel.column(idx))
+            Ok(rel
+                .rows
+                .iter()
+                .map(|row| CmpArg::Shared(row[idx]))
+                .collect())
         }
-        Expr::Const(v) => Ok(vec![eng.constant(literal(v)?); rel.num_rows()]),
+        Expr::Const(v) => Ok(vec![CmpArg::Public(literal(v)?); rel.num_rows()]),
         other => Err(OpError::Unsupported(format!(
             "operand form `{other}` under MPC"
         ))),

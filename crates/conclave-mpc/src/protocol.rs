@@ -20,7 +20,7 @@
 //! party runtime, not of this engine.
 
 use crate::cost::PrimitiveCounts;
-use crate::engine::{Engine, OpError};
+use crate::engine::{CmpArg, Engine, OpError};
 use crate::ring::RingElem;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -119,11 +119,18 @@ impl Engine for Protocol {
         Ok(pairs.iter().map(|&(x, y)| x * y).collect())
     }
 
-    fn lt_batch(&mut self, pairs: &[(RingElem, RingElem)]) -> Result<Vec<RingElem>, OpError> {
+    fn lt_batch<P: Copy + Into<CmpArg<RingElem>>>(
+        &mut self,
+        pairs: &[(P, P)],
+    ) -> Result<Vec<RingElem>, OpError> {
         self.counts.comparisons += pairs.len() as u64;
+        let value = |a: P| match a.into() {
+            CmpArg::Shared(x) => x.to_i64(),
+            CmpArg::Public(v) => v,
+        };
         Ok(pairs
             .iter()
-            .map(|(x, y)| bit(x.to_i64() < y.to_i64()))
+            .map(|&(x, y)| bit(value(x) < value(y)))
             .collect())
     }
 
@@ -235,11 +242,17 @@ mod tests {
         let neg = p.share_value(-1);
         let lt = p.lt_batch(&[(a, b), (b, a), (neg, a)]).unwrap();
         let eq = p.eq_batch_groups(&[vec![(a, a)], vec![(a, b)]]).unwrap();
+        // Either side may be public; each pair is still one comparison.
+        let (x, k) = (CmpArg::Shared(neg), CmpArg::Public);
+        let public = p
+            .lt_batch(&[(k(-2), x), (x, k(-1)), (k(i64::MIN), k(i64::MAX))])
+            .unwrap();
         // Signed: −1 < 3 although its ring element is the larger word.
         assert_eq!(p.open_column(&lt).unwrap(), vec![1, 0, 1]);
         assert_eq!(p.open_column(&eq.concat()).unwrap(), vec![1, 0]);
+        assert_eq!(p.open_column(&public).unwrap(), vec![1, 0, 1]);
         let c = p.counts();
-        assert_eq!(c.comparisons, 3);
+        assert_eq!(c.comparisons, 6);
         assert_eq!(c.equalities, 2);
     }
 

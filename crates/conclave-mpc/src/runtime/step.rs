@@ -5,7 +5,7 @@
 
 use super::{PartyError, PartyResult, PartySession};
 use crate::cost::PrimitiveCounts;
-use crate::engine::Engine;
+use crate::engine::{CmpArg, Engine};
 use crate::relation::{check_shareable, shareable_int, Rel};
 use crate::ring::RingElem;
 use crate::share::AuthShare;
@@ -367,10 +367,15 @@ impl<'n> StepCtx<'_, 'n> {
     }
 
     /// Oblivious less-than over a batch of pairs: shared `1` where `x < y`
-    /// as signed 64-bit values. Runs the bit-decomposed comparison circuit
-    /// of [`crate::circuits`] entirely on shares — 9 synchronous rounds for
-    /// the whole batch, independent of its size.
-    pub fn lt_batch(&mut self, pairs: &[(AuthShare, AuthShare)]) -> PartyResult<Vec<AuthShare>> {
+    /// as signed 64-bit values. Either side of a pair may be public
+    /// ([`CmpArg`]). Runs the bit-decomposed comparison circuit of
+    /// [`crate::circuits`] entirely on shares — 9 synchronous rounds for the
+    /// whole batch, independent of its size (8 when every pair compares a
+    /// shared value against 0).
+    pub fn lt_batch<P: Copy + Into<CmpArg<AuthShare>>>(
+        &mut self,
+        pairs: &[(P, P)],
+    ) -> PartyResult<Vec<AuthShare>> {
         self.sess.counts.comparisons += pairs.len() as u64;
         crate::circuits::lt_batch(self, pairs)
     }
@@ -420,7 +425,10 @@ impl Engine for StepCtx<'_, '_> {
         StepCtx::mul_batch(self, pairs)
     }
 
-    fn lt_batch(&mut self, pairs: &[(AuthShare, AuthShare)]) -> PartyResult<Vec<AuthShare>> {
+    fn lt_batch<P: Copy + Into<CmpArg<AuthShare>>>(
+        &mut self,
+        pairs: &[(P, P)],
+    ) -> PartyResult<Vec<AuthShare>> {
         StepCtx::lt_batch(self, pairs)
     }
 

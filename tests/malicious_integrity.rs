@@ -21,6 +21,10 @@
 //!   Z_2^64: a consistent Δ = 2^63 lie escapes the check whenever
 //!   `α · Σρ` is even (≈ 3/4 of seeds), while any low-bit Δ is always
 //!   caught. See the "high-bit soundness gap" section below;
+//! * a pinned escape documents the unauthenticated binary layer: a
+//!   consistent XOR lie on the daBit open of a comparison flips its result
+//!   bit, and every party accepts it (see "comparison bits carry no MAC"
+//!   below);
 //! * a kill-a-party case drops one frame so that one party times out, and
 //!   pins that its abort frame fails the other two at once, naming it,
 //!   instead of leaving them to their own receive timeouts.
@@ -303,6 +307,46 @@ fn low_bit_delta_is_still_caught_at_the_escaping_seed() {
         assert!(
             matches!(r, Err(PartyError::Integrity(_))),
             "P{p} must abort with an integrity violation, got {r:?}"
+        );
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Comparison bits carry no MAC.
+// ---------------------------------------------------------------------------
+//
+// The binary layer of the comparison circuits (the AND-gate `d`/`e` words
+// and the daBit open `v = t ⊕ ρ`) has no arithmetic MAC. The deferred check
+// only cross-compares a digest of the binary words each party opened, which
+// catches parties that *disagree* and not a lie every party sees alike. See
+// docs/SECURITY.md and ROADMAP item 18.
+
+/// Pinned escape: every receiver flips bit 0 of its successor's first
+/// `bit2a open` word, so every party converts the first less-than bit of
+/// [`party_program`] as its complement. All three parties return the honest
+/// products with that bit flipped, and none raises an error. When the binary
+/// layer is authenticated this test must flip to "caught".
+#[test]
+fn consistent_lie_on_a_comparison_bit_escapes() {
+    let (results, fired) = run_attacked_mesh(true, 555, |p| {
+        Some(
+            FaultSpec::new(Fault::FlipBits { mask: 1 })
+                .label_contains("bit2a open")
+                .from((p + 1) % 3),
+        )
+    });
+    assert!(
+        fired.iter().all(|&f| f),
+        "the attack must land on every link"
+    );
+    let mut expected_forgery = honest_output();
+    expected_forgery[INPUTS_X.len()] ^= 1;
+    assert_eq!(expected_forgery[INPUTS_X.len()..], [1, 1, 0]);
+    for r in results {
+        assert_eq!(
+            r.expect("the binary layer's digest check passes a consistent lie"),
+            expected_forgery,
+            "every party accepts the same flipped comparison bit"
         );
     }
 }

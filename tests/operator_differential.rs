@@ -207,11 +207,22 @@ fn signed_boundaries_match_cleartext_on_all_engines() {
         };
         assert_engines_match_cleartext(&sort, &[&rel], 11, Order::SortedBy("v", ascending));
     }
+    // A literal is a public operand: `c < v` runs as `¬(v < c + 1)`, and
+    // `i64::MAX < v` and a literal-vs-literal comparison are decided in
+    // the clear.
     for predicate in [
         Expr::col("v").lt(Expr::lit(0)),
         Expr::col("v").ge(Expr::lit(i64::MAX)),
         Expr::col("v").eq(Expr::lit(i64::MIN)),
         Expr::col("v").gt(Expr::lit(i64::MIN)).not(),
+        Expr::lit(i64::MAX).lt(Expr::col("v")),
+        Expr::lit(i64::MIN).ge(Expr::col("v")),
+        Expr::lit(-1).lt(Expr::col("v")),
+        Expr::col("v").gt(Expr::lit(i64::MAX)),
+        Expr::lit(2).le(Expr::lit(-3)),
+        Expr::lit(-1)
+            .lt(Expr::lit(0))
+            .and(Expr::lit(i64::MIN).gt(Expr::col("v")).not()),
     ] {
         assert_engines_match_cleartext(&Operator::Filter { predicate }, &[&rel], 12, Order::Any);
     }

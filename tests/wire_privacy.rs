@@ -21,7 +21,7 @@ mod common;
 use common::{SniffTransport, SniffedFrame};
 use conclave::mpc::dealer::{serve_party, DealerSource};
 use conclave::mpc::runtime::{share_relation, sort_by, PartyResult, PartySession, StepCtx};
-use conclave::mpc::{AuthShare, RingElem};
+use conclave::mpc::{AuthShare, CmpArg, RingElem};
 use conclave::net::{ChannelTransport, MessageKind, StreamTag, Transport};
 use conclave::prelude::*;
 use std::sync::{Arc, Mutex};
@@ -40,6 +40,9 @@ const SECRETS_Y: [i64; 4] = [
     444_555_666_777_888_999, // equal pair against SECRETS_X[2]
     999_888_777_666_555_444,
 ];
+
+/// The public bound the sentinels are compared against.
+const PUBLIC_K: i64 = 1_000_000_007;
 
 /// Runs lt/eq/sort over the sentinels on a sniffed 3-party mesh and returns
 /// the complete wire capture plus the (correct) opened comparison bits.
@@ -72,9 +75,10 @@ fn capture_comparison_traffic() -> (Vec<SniffedFrame>, Vec<Vec<i64>>) {
     (frames, opened)
 }
 
-/// The party program: share the sentinels, compare them (lt + eq), sort a
-/// relation keyed by them, and open **only the comparison bits** — the
-/// operands themselves stay shared, so nothing on the wire may expose them.
+/// The party program: share the sentinels, compare them (lt + eq, and each
+/// x against the public [`PUBLIC_K`] from both sides), sort a relation keyed
+/// by them, and open **only the comparison bits** — the operands themselves
+/// stay shared, so nothing on the wire may expose them.
 fn program(proto: &mut StepCtx) -> PartyResult<Vec<i64>> {
     let own0 = proto.party() == 0;
     let own1 = proto.party() == 1;
@@ -83,6 +87,13 @@ fn program(proto: &mut StepCtx) -> PartyResult<Vec<i64>> {
     let pairs: Vec<(AuthShare, AuthShare)> = sx.iter().copied().zip(sy.iter().copied()).collect();
     let lt = proto.lt_batch(&pairs)?;
     let eq = proto.eq_batch(&pairs)?;
+    let k = CmpArg::Public(PUBLIC_K);
+    let bounded: Vec<(CmpArg<AuthShare>, CmpArg<AuthShare>)> = sx
+        .iter()
+        .map(|&x| (x.into(), k))
+        .chain(sx.iter().map(|&x| (k, x.into())))
+        .collect();
+    let public_lt = proto.lt_batch(&bounded)?;
 
     // Sort a relation keyed by the secret column; keep the result shared.
     let rel = Relation::from_ints(
@@ -101,16 +112,39 @@ fn program(proto: &mut StepCtx) -> PartyResult<Vec<i64>> {
 
     let mut bits = lt;
     bits.extend(eq);
+    bits.extend(public_lt);
     proto.open_column(&bits)
 }
 
-/// Every u64 bit pattern that would constitute an operand leak.
+/// Every u64 bit pattern that would constitute an operand leak: the
+/// operands, and the second leaf x − k of each comparison against the
+/// public bound (`x < k` decomposes x − k, `k < x` decomposes x − (k + 1)).
 fn secret_patterns() -> Vec<u64> {
+    let leaves = SECRETS_X
+        .iter()
+        .flat_map(|&x| [x - PUBLIC_K, x - (PUBLIC_K + 1)]);
     SECRETS_X
         .iter()
         .chain(SECRETS_Y.iter())
-        .map(|&v| RingElem::from_i64(v).0)
+        .copied()
+        .chain(leaves)
+        .map(|v| RingElem::from_i64(v).0)
         .collect()
+}
+
+/// Every difference of two distinct operands: what two words opened under
+/// one shared mask differ by.
+fn difference_patterns() -> Vec<u64> {
+    let operands: Vec<i64> = SECRETS_X.iter().chain(SECRETS_Y.iter()).copied().collect();
+    let mut diffs = Vec::new();
+    for &a in &operands {
+        for &b in &operands {
+            if a != b {
+                diffs.push(RingElem::from_i64(a.wrapping_sub(b)).0);
+            }
+        }
+    }
+    diffs
 }
 
 #[test]
@@ -130,6 +164,8 @@ fn comparison_traffic_never_carries_operands() {
             .zip(&SECRETS_Y)
             .map(|(&x, &y)| i64::from(x == y)),
     );
+    expected.extend(SECRETS_X.iter().map(|&x| i64::from(x < PUBLIC_K)));
+    expected.extend(SECRETS_X.iter().map(|&x| i64::from(PUBLIC_K < x)));
     for out in &opened {
         assert_eq!(out, &expected);
     }
@@ -150,6 +186,65 @@ fn comparison_traffic_never_carries_operands() {
 
     // Attack 2: cross-sender reconstruction.
     assert_no_cross_sender_reconstruction(&frames, &patterns);
+
+    // Attack 3: two opened words of one exchange, subtracted. Each shared
+    // value has a mask of its own, so the difference is uniform; a mask
+    // reused across two operands would open their difference.
+    assert_no_shared_mask(&frames, &difference_patterns());
+}
+
+/// Reconstructs each exchange by summing its senders' words and requires
+/// that no two of its words differ by a pattern.
+fn assert_no_shared_mask(frames: &[SniffedFrame], diffs: &[u64]) {
+    for (tag, opened) in reconstructed_sums(frames) {
+        for (i, &a) in opened.iter().enumerate() {
+            for &b in &opened[i + 1..] {
+                assert!(
+                    !diffs.contains(&a.wrapping_sub(b)) && !diffs.contains(&b.wrapping_sub(a)),
+                    "two words opened on {tag:?} differ by an operand difference: \
+                     one mask masked two shared values"
+                );
+            }
+        }
+    }
+}
+
+/// Per stream tag, one contribution per sender (broadcasts repeat the same
+/// words to every receiver).
+fn per_sender_payloads(frames: &[SniffedFrame]) -> Vec<(StreamTag, Vec<&[u64]>)> {
+    let mut tags: Vec<StreamTag> = frames.iter().map(|f| f.tag).collect();
+    tags.sort_unstable_by_key(|t| format!("{t:?}"));
+    tags.dedup();
+    tags.into_iter()
+        .map(|tag| {
+            let mut per_sender: Vec<(u32, &[u64])> = Vec::new();
+            for f in frames.iter().filter(|f| f.tag == tag) {
+                if !per_sender.iter().any(|(from, _)| *from == f.from) {
+                    per_sender.push((f.from, &f.payload));
+                }
+            }
+            (tag, per_sender.into_iter().map(|(_, p)| p).collect())
+        })
+        .collect()
+}
+
+/// Per stream tag, the senders' words summed element-wise: the value an
+/// additive exchange opens.
+fn reconstructed_sums(frames: &[SniffedFrame]) -> Vec<(StreamTag, Vec<u64>)> {
+    per_sender_payloads(frames)
+        .into_iter()
+        .map(|(tag, payloads)| {
+            let len = payloads.iter().map(|p| p.len()).max().unwrap_or(0);
+            let sums = (0..len)
+                .map(|i| {
+                    payloads
+                        .iter()
+                        .fold(0u64, |s, p| s.wrapping_add(p.get(i).copied().unwrap_or(0)))
+                })
+                .collect();
+            (tag, sums)
+        })
+        .collect()
 }
 
 /// Reconstruction attack: broadcast exchanges send each party's words to
@@ -158,23 +253,12 @@ fn comparison_traffic_never_carries_operands() {
 /// pre-circuit runtime's comparison openings reconstruct (additive shares);
 /// XOR-combining covers the binary-shared exchanges.
 fn assert_no_cross_sender_reconstruction(frames: &[SniffedFrame], patterns: &[u64]) {
-    let mut tags: Vec<StreamTag> = frames.iter().map(|f| f.tag).collect();
-    tags.sort_unstable_by_key(|t| format!("{t:?}"));
-    tags.dedup();
-    for tag in tags {
-        // One contribution per sender (broadcasts repeat the same words to
-        // every receiver).
-        let mut per_sender: Vec<(u32, &[u64])> = Vec::new();
-        for f in frames.iter().filter(|f| f.tag == tag) {
-            if !per_sender.iter().any(|(from, _)| *from == f.from) {
-                per_sender.push((f.from, &f.payload));
-            }
-        }
-        let len = per_sender.iter().map(|(_, p)| p.len()).max().unwrap_or(0);
+    for (tag, per_sender) in per_sender_payloads(frames) {
+        let len = per_sender.iter().map(|p| p.len()).max().unwrap_or(0);
         for i in 0..len {
             let mut sum = 0u64;
             let mut xor = 0u64;
-            for (_, payload) in &per_sender {
+            for payload in &per_sender {
                 let w = payload.get(i).copied().unwrap_or(0);
                 sum = sum.wrapping_add(w);
                 xor ^= w;

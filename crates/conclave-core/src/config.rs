@@ -116,8 +116,10 @@ pub struct ConclaveConfig {
     pub allow_cardinality_leaking_pushdown: bool,
     /// Local cleartext backend.
     pub local_backend: LocalBackend,
-    /// Cleartext execution strategy used by the local backends and STP steps:
-    /// row-at-a-time or vectorized columnar.
+    /// The local backend's data layout: row-at-a-time or vectorized columnar
+    /// (the `ParallelEngine` tasks, or the sequential engine under
+    /// [`ConclaveConfig::with_sequential_local`]). STP and helper steps of
+    /// the hybrid protocols are always vectorized, whatever this says.
     pub engine_mode: EngineMode,
     /// Per-party cluster used when `local_backend` is parallel.
     pub cluster: ClusterSpec,

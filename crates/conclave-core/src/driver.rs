@@ -3,10 +3,11 @@
 //! The driver plays the role of the per-party Conclave agents (§4.1): it
 //! walks the compiled DAG in topological order and dispatches every node to
 //! the engine its execution site calls for — a cleartext [`Executor`]
-//! (sequential or data-parallel, row or columnar) for local and STP steps,
-//! the party runtime of [`party_exec`] for secret-sharing operators inside
-//! the MPC frontier, and the dedicated hybrid-protocol implementations for
-//! the operators §5.3 introduces.
+//! (sequential or data-parallel, row or columnar, as configured) for local
+//! steps, the party runtime of [`party_exec`] for secret-sharing operators
+//! inside the MPC frontier, and the dedicated hybrid-protocol
+//! implementations for the operators §5.3 introduces, whose STP steps always
+//! run on the sequential vectorized engine.
 //!
 //! All intermediate results move through the unified [`Table`] data plane:
 //! the result store is a `HashMap<NodeId, Table>`, executors produce tables
@@ -30,7 +31,8 @@ use crate::passes::leakage::{Disclosure, LeakageReport};
 use crate::plan::PhysicalPlan;
 use crate::report::RunReport;
 use conclave_engine::{
-    execute, sequential_executor, ConversionCounts, EngineError, Executor, Relation, Table,
+    execute, sequential_executor, ColumnarExecutor, ConversionCounts, EngineError, Executor,
+    Relation, Table,
 };
 use conclave_ir::dag::NodeId;
 use conclave_ir::error::IrError;
@@ -144,9 +146,11 @@ pub struct Driver {
     mpc: MpcEngine,
     /// Executor for local per-party cleartext steps (site-selected backend).
     local_exec: Box<dyn Executor + Send + Sync>,
-    /// Executor for STP/helper steps of hybrid protocols (always sequential:
-    /// the trusted party runs them single-site).
-    stp_exec: Box<dyn Executor + Send + Sync>,
+    /// Executor for STP/helper steps of hybrid protocols: always the
+    /// sequential vectorized engine, whatever `engine_mode` the local backend
+    /// runs in (the trusted party runs them single-site, on the integer
+    /// columns the hybrid protocols open).
+    stp_exec: ColumnarExecutor,
     /// The party runtime, once a run has needed one. [`Driver::run_tables`]
     /// takes it out while a plan runs and puts it back on success.
     mesh: Option<party_exec::PartyMeshRuntime>,
@@ -162,12 +166,11 @@ impl Driver {
             }
             LocalBackend::Sequential => sequential_executor(config.engine_mode),
         };
-        let stp_exec = sequential_executor(config.engine_mode);
         Driver {
             config,
             mpc,
             local_exec,
-            stp_exec,
+            stp_exec: ColumnarExecutor::new(),
             mesh: None,
         }
     }
@@ -352,7 +355,7 @@ impl Driver {
                     reveal(&certificate, &mut report.leakage, id, id, *stp)?;
                     let outcome = hybrid_exec::hybrid_join(
                         &mut self.mpc,
-                        &*self.stp_exec,
+                        &self.stp_exec,
                         input_tables[0],
                         input_tables[1],
                         left_keys,
@@ -372,7 +375,7 @@ impl Driver {
                 ) => {
                     reveal(&certificate, &mut report.leakage, id, id, *helper)?;
                     let mut outcome = hybrid_exec::public_join(
-                        &*self.stp_exec,
+                        &self.stp_exec,
                         input_tables[0],
                         input_tables[1],
                         left_keys,
@@ -402,7 +405,7 @@ impl Driver {
                     reveal(&certificate, &mut report.leakage, id, id, *stp)?;
                     let outcome = hybrid_exec::hybrid_aggregate(
                         &mut self.mpc,
-                        &*self.stp_exec,
+                        &self.stp_exec,
                         input_tables[0],
                         group_by,
                         *func,

@@ -3,11 +3,15 @@
 //! These functions implement the three hybrid operators end to end, using the
 //! in-process counting engine of `conclave-mpc` for the MPC steps (under every
 //! party runtime) and a cleartext [`Executor`] for the selectively-trusted
-//! party's local steps.
-//! All cleartext data moves as [`Table`]s: the STP-side intermediates stay in
-//! the executor's native representation (columnar executors keep them
-//! columnar), and secret-sharing picks the column-at-a-time path whenever a
-//! table's columns are already materialized. The returned statistics separate
+//! party's local steps. The driver always hands them the sequential
+//! vectorized engine ([`conclave_engine::ColumnarExecutor`]), whatever
+//! `engine_mode` the local backend runs in: the STP works on columns.
+//! All cleartext data moves as [`Table`]s. Every opening of a shared
+//! relation — the revealed join and group-by keys and both results — yields
+//! integer columns ([`SharedRelation::open`]), so the STP never boxes a value
+//! per row; its intermediates stay in the executor's native representation,
+//! and secret-sharing picks the column-at-a-time path whenever a table's
+//! columns are already materialized. The returned statistics separate
 //! MPC time from STP cleartext time so the driver can account them like the
 //! paper's deployment would (the STP works while the other parties wait).
 //!
@@ -56,6 +60,33 @@ fn intermediate_conversions<'a>(tables: impl IntoIterator<Item = &'a Table>) -> 
     total
 }
 
+/// Reads the STP's sort order from the `__idx` column of its sorted
+/// enumeration. The parties reorder their shares by it, so it must be a
+/// permutation of `0..n`: a null, a repeated or out-of-range index or a
+/// short column would duplicate or drop a row, and is refused.
+fn stp_permutation(sorted: &Table, n: usize) -> MpcResult<Vec<usize>> {
+    let bad = |why: &str| MpcError::Exec(format!("the STP's sort order {why}"));
+    let cols = sorted.as_columns();
+    let idx = cols
+        .col_index("__idx")
+        .ok_or_else(|| bad("has no `__idx` column"))?;
+    let order = cols
+        .column(idx)
+        .as_ints()
+        .ok_or_else(|| bad("has a null or non-integer index"))?;
+    if order.len() != n {
+        return Err(bad(&format!("has {} indexes for {n} rows", order.len())));
+    }
+    let mut seen = vec![false; n];
+    order
+        .iter()
+        .map(|&i| match usize::try_from(i) {
+            Ok(i) if i < n && !std::mem::replace(&mut seen[i], true) => Ok(i),
+            _ => Err(bad(&format!("repeats or overruns index {i}"))),
+        })
+        .collect()
+}
+
 /// Executes the hybrid join of Figure 3.
 ///
 /// MPC steps: oblivious shuffles of both inputs, revealing the key columns to
@@ -82,8 +113,8 @@ pub fn hybrid_join(
     // 2. Project the key columns and reveal them to the STP.
     let left_keys_shared = left_shuffled.project(left_keys)?;
     let right_keys_shared = right_shuffled.project(right_keys)?;
-    let left_keys_clear = Table::from_rows(engine.reconstruct(&left_keys_shared));
-    let right_keys_clear = Table::from_rows(engine.reconstruct(&right_keys_shared));
+    let left_keys_clear = Table::from_columns(left_keys_shared.open(engine.protocol()));
+    let right_keys_clear = Table::from_columns(right_keys_shared.open(engine.protocol()));
 
     // 3–5. STP: enumerate both key relations, join in the clear, and project
     // the row-index columns into two index relations.
@@ -162,7 +193,7 @@ pub fn hybrid_join(
     }
     let combined = SharedRelation { schema, rows };
     let shuffled_result = oblivious::shuffle(&combined, engine.protocol());
-    let result = Table::from_rows(engine.reconstruct(&shuffled_result));
+    let result = Table::from_columns(shuffled_result.open(engine.protocol()));
     let input_rows = (left.num_rows() + right.num_rows()) as u64;
     let mpc_stats = engine.drain_stats(input_rows, result.num_rows() as u64);
     let conversions = intermediate_conversions([
@@ -248,7 +279,7 @@ pub fn hybrid_aggregate(
 
     // 2. Reveal the (shuffled) group-by columns to the STP.
     let keys_shared = shuffled.project(group_by)?;
-    let keys_clear = Table::from_rows(engine.reconstruct(&keys_shared));
+    let keys_clear = Table::from_columns(keys_shared.open(engine.protocol()));
 
     // 3–4. STP: enumerate and sort by the keys in the clear, one stable sort
     // per key from the last to the first, so rows with equal key tuples end
@@ -272,12 +303,7 @@ pub fn hybrid_aggregate(
         stp_time += stp_exec.estimate_tables(&sort_op, &[input], input.num_rows() as u64);
         stages.push(sorted);
     }
-    let order: Vec<usize> = stages[stages.len() - 1]
-        .column_values("__idx")
-        .ok_or_else(|| MpcError::Exec("enumeration column missing".into()))?
-        .iter()
-        .map(|v| v.as_int().unwrap_or(0) as usize)
-        .collect();
+    let order = stp_permutation(&stages[stages.len() - 1], shuffled.num_rows())?;
 
     // 5–6. The parties reorder the shuffled shared relation by the public
     // ordering, grouping equal keys together.
@@ -290,7 +316,7 @@ pub fn hybrid_aggregate(
     // of the linear scan either way.
     let aggregated =
         oblivious::aggregate_sorted(&reordered, group_by, func, over, out, engine.protocol())?;
-    let result = Table::from_rows(engine.reconstruct(&aggregated));
+    let result = Table::from_columns(aggregated.open(engine.protocol()));
     let mpc_stats = engine.drain_stats(input.num_rows() as u64, result.num_rows() as u64);
     let conversions = intermediate_conversions(std::iter::once(&keys_clear).chain(&stages));
 
@@ -308,8 +334,11 @@ mod tests {
     use crate::config::{DealerMode, PartyRuntime};
     use crate::party_exec::{PartyMeshRuntime, StepInput};
     use conclave_engine::{
-        execute, sequential_executor, ColumnarRelation, EngineMode, Relation, RowExecutor,
+        execute, sequential_executor, Column, ColumnarExecutor, ColumnarRelation, EngineError,
+        EngineMode, Relation,
     };
+    use conclave_ir::schema::Schema;
+    use conclave_ir::types::Value;
     use conclave_mpc::backend::MpcBackendConfig;
     use conclave_mpc::cost::PrimitiveCounts;
 
@@ -353,7 +382,7 @@ mod tests {
         let (left, right) = demo_tables();
         let outcome = hybrid_join(
             &mut eng,
-            &RowExecutor::new(),
+            &ColumnarExecutor::new(),
             &left,
             &right,
             &["ssn".to_string()],
@@ -397,7 +426,7 @@ mod tests {
         let right = Relation::from_ints(&["k", "b"], &rows);
         let hybrid = hybrid_join(
             &mut eng,
-            &RowExecutor::new(),
+            &ColumnarExecutor::new(),
             &Table::from_rows(left.clone()),
             &Table::from_rows(right.clone()),
             &["k".to_string()],
@@ -432,7 +461,7 @@ mod tests {
         let (left_rel, right_rel) = demo_relations();
         let (left, right) = demo_tables();
         let outcome = public_join(
-            &RowExecutor::new(),
+            &ColumnarExecutor::new(),
             &left,
             &right,
             &["ssn".to_string()],
@@ -475,7 +504,7 @@ mod tests {
         ] {
             let outcome = hybrid_aggregate(
                 &mut eng,
-                &RowExecutor::new(),
+                &ColumnarExecutor::new(),
                 &input,
                 &["zip".to_string()],
                 func,
@@ -536,7 +565,7 @@ mod tests {
             });
             let outcome = hybrid_aggregate(
                 &mut eng,
-                &RowExecutor::new(),
+                &ColumnarExecutor::new(),
                 &Table::from_rows(input_rel.clone()),
                 &group_by,
                 AggFunc::Sum,
@@ -588,6 +617,9 @@ mod tests {
             1,
         )
         .unwrap();
+        // The result opens into columns (checked before the comparison below
+        // forces row materialization).
+        assert!(col.result.has_columns() && !col.result.has_rows());
         assert!(row
             .result
             .as_rows()
@@ -595,12 +627,13 @@ mod tests {
         // Sharing the column-backed inputs forced no conversion on them.
         assert_eq!(left_cols.conversion_counts().total(), 0);
         assert_eq!(right_cols.conversion_counts().total(), 0);
-        // Row-mode intermediates stay row-native; columnar mode converts the
-        // two revealed key relations once each at the reveal boundary, and
-        // nothing else (reported so the driver can fold it into RunReport).
-        assert_eq!(row.conversions.total(), 0);
-        assert_eq!(col.conversions.row_to_columnar, 2);
-        assert_eq!(col.conversions.columnar_to_row, 0);
+        // The revealed keys open as integer columns, so the columnar STP runs
+        // the whole protocol without a conversion; a row executor converts
+        // the two key relations to rows once each, and nothing else
+        // (reported so the driver can fold it into RunReport).
+        assert_eq!(col.conversions.total(), 0);
+        assert_eq!(row.conversions.columnar_to_row, 2);
+        assert_eq!(row.conversions.row_to_columnar, 0);
         // Column-at-a-time sharing charges the same number of input elements.
         assert_eq!(
             row.mpc_stats.counts.input_elems,
@@ -673,7 +706,7 @@ mod tests {
         let input = Table::from_rows(Relation::from_ints(&["v"], &[vec![1]]));
         assert!(hybrid_aggregate(
             &mut eng,
-            &RowExecutor::new(),
+            &ColumnarExecutor::new(),
             &input,
             &[],
             AggFunc::Sum,
@@ -682,5 +715,72 @@ mod tests {
             1,
         )
         .is_err());
+    }
+
+    /// An STP that enumerates honestly but answers every sort with a fixed
+    /// `__idx` column.
+    struct LyingStp(Column);
+
+    impl Executor for LyingStp {
+        fn execute(&self, op: &Operator, inputs: &[&Table]) -> Result<Table, EngineError> {
+            match op {
+                Operator::SortBy { .. } => {
+                    let rel =
+                        ColumnarRelation::new(Schema::ints(&["__idx"]), vec![self.0.clone()])?;
+                    Ok(Table::from_columns(rel))
+                }
+                _ => ColumnarExecutor::new().execute(op, inputs),
+            }
+        }
+
+        fn estimate(&self, op: &Operator, input_rows: u64, output_rows: u64, _: u64) -> Duration {
+            ColumnarExecutor::new().estimate(op, input_rows, output_rows, 0)
+        }
+
+        fn name(&self) -> &'static str {
+            "lying-stp"
+        }
+    }
+
+    #[test]
+    fn hybrid_aggregate_refuses_an_order_that_is_not_a_permutation() {
+        let input = Table::from_rows(Relation::from_ints(
+            &["k", "v"],
+            &[vec![1, 10], vec![2, 20], vec![1, 30], vec![3, 40]],
+        ));
+        let run = |order: Column| {
+            hybrid_aggregate(
+                &mut engine(),
+                &LyingStp(order),
+                &input,
+                &["k".to_string()],
+                AggFunc::Sum,
+                Some("v"),
+                "s",
+                1,
+            )
+        };
+        // The stub itself is sound: an honest permutation aggregates.
+        assert!(run(Column::ints(vec![3, 1, 0, 2])).is_ok());
+        for (what, order) in [
+            ("a repeated index", Column::ints(vec![0, 1, 1, 3])),
+            ("an out-of-range index", Column::ints(vec![0, 1, 2, 4])),
+            ("a negative index", Column::ints(vec![0, -1, 2, 3])),
+            (
+                "a null",
+                Column::from_values(vec![
+                    Value::Int(0),
+                    Value::Null,
+                    Value::Int(2),
+                    Value::Int(3),
+                ]),
+            ),
+            ("a short column", Column::ints(vec![0, 1, 2])),
+        ] {
+            assert!(
+                matches!(run(order), Err(MpcError::Exec(_))),
+                "{what} must be refused"
+            );
+        }
     }
 }

@@ -369,7 +369,7 @@ impl PartyMeshRuntime {
             let refs: Vec<&SharedRelation> = shared.iter().map(|r| r.as_ref()).collect();
             let result =
                 operators::execute_op(proto, op, &refs, presorted).map_err(MpcError::from)?;
-            let opened = reveal.then(|| result.reconstruct(proto));
+            let opened = reveal.then(|| result.open(proto).to_rows());
             let outcome = StepOutcome {
                 step,
                 input_rows: refs.iter().map(|r| r.num_rows() as u64).sum(),

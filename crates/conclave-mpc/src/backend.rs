@@ -223,11 +223,6 @@ impl MpcEngine {
         SharedRelation::from_table(table, &mut self.proto).map_err(MpcError::Exec)
     }
 
-    /// Opens a shared relation back to cleartext.
-    pub fn reconstruct(&mut self, rel: &SharedRelation) -> Relation {
-        rel.reconstruct(&mut self.proto)
-    }
-
     /// Converts the protocol's current primitive counters into step stats and
     /// resets them.
     pub fn drain_stats(&mut self, input_rows: u64, output_rows: u64) -> MpcStepStats {
@@ -584,7 +579,7 @@ mod tests {
             .collect::<MpcResult<Vec<_>>>()?;
         let refs: Vec<&SharedRelation> = shared.iter().collect();
         let out = operators::execute_op(&mut proto, op, &refs, false)?;
-        Ok((out.reconstruct(&mut proto), proto.counts()))
+        Ok((out.open(&mut proto).to_rows(), proto.counts()))
     }
 
     #[test]
@@ -750,8 +745,8 @@ mod tests {
         assert_eq!(table.conversion_counts().total(), 0);
         assert_eq!(eng2.protocol().counts().input_elems, row_inputs);
         assert_eq!(
-            eng2.reconstruct(&by_columns).rows,
-            eng.reconstruct(&by_rows).rows
+            by_columns.open(eng2.protocol()),
+            by_rows.open(eng.protocol())
         );
         // Garbled backends take the row path through the table entry point.
         let op = Operator::Aggregate {

@@ -844,7 +844,7 @@ mod tests {
         );
         let shared = share(&rel, &mut p);
         let shuffled = shuffle(&mut p, &shared);
-        assert!(shuffled.reconstruct(&mut p).same_rows_unordered(&rel));
+        assert!(shuffled.open(&mut p).to_rows().same_rows_unordered(&rel));
         assert_eq!(p.counts().shuffled_elems, 40);
     }
 
@@ -976,12 +976,13 @@ mod tests {
         let shared = share(&rel, &mut p);
         let back = sort_by(&mut p, &shared, "k", true)
             .unwrap()
-            .reconstruct(&mut p);
+            .open(&mut p)
+            .to_rows();
         assert!(back.is_sorted_by("k", true));
         assert!(back.same_rows_unordered(&rel));
         assert!(p.counts().comparisons > 0);
         let desc = sort_by(&mut p, &shared, "k", false).unwrap();
-        assert!(desc.reconstruct(&mut p).is_sorted_by("k", false));
+        assert!(desc.open(&mut p).to_rows().is_sorted_by("k", false));
         assert!(sort_by(&mut p, &shared, "zzz", true).is_err());
     }
 
@@ -999,10 +1000,10 @@ mod tests {
             p.reset_counts();
             let merged = merge_sorted(&mut p, &parts, "k", true).unwrap();
             let merge_comparisons = p.counts().comparisons;
-            let back = merged.reconstruct(&mut p);
+            let back = merged.open(&mut p).to_rows();
             assert!(back.is_sorted_by("k", true));
             let cat = SharedRelation::concat(&parts).unwrap();
-            assert!(back.same_rows_unordered(&cat.reconstruct(&mut p)));
+            assert!(back.same_rows_unordered(&cat.open(&mut p).to_rows()));
             p.reset_counts();
             sort_by(&mut p, &cat, "k", true).unwrap();
             assert!(merge_comparisons < p.counts().comparisons);
@@ -1016,7 +1017,7 @@ mod tests {
             ),
         ];
         let merged = merge_sorted(&mut p, &[&desc[0], &desc[1]], "k", false).unwrap();
-        assert!(merged.reconstruct(&mut p).is_sorted_by("k", false));
+        assert!(merged.open(&mut p).to_rows().is_sorted_by("k", false));
         assert!(merge_sorted(&mut p, &[], "k", true).is_err());
     }
 
@@ -1035,7 +1036,7 @@ mod tests {
         assert!(p.counts().mults > 0, "select must charge its cost");
         assert_eq!(p.counts().opened_elems, 2, "the index opens are accounted");
         let expected = vec![data.rows[3].clone(), data.rows[1].clone()];
-        assert_eq!(selected.reconstruct(&mut p).rows, expected);
+        assert_eq!(selected.open(&mut p).to_rows().rows, expected);
         // Errors.
         for bad in [99, -1] {
             let sbad = share(&Relation::from_ints(&["idx"], &[vec![bad]]), &mut p);
@@ -1089,7 +1090,7 @@ mod tests {
             .run(&mut p, &shared.iter().collect::<Vec<_>>())
             .unwrap();
         let counts = independent(p.counts().since(&before));
-        let expected = out.reconstruct(&mut p);
+        let expected = out.open(&mut p).to_rows();
         let parties = run_parties(3, seed, |ctx| {
             let mut shared = Vec::new();
             for (owner, rel) in (0..3).cycle().zip(inputs) {
@@ -1225,7 +1226,7 @@ mod tests {
             &[&left, &right],
         )
         .unwrap();
-        assert!(joined.reconstruct(&mut p).same_rows_unordered(&expected));
+        assert!(joined.open(&mut p).to_rows().same_rows_unordered(&expected));
         assert!(cartesian_join(&mut p, &sl, &sr, &names(&["zzz"]), &keys).is_err());
     }
 
@@ -1261,7 +1262,7 @@ mod tests {
                     &[&rel],
                 )
                 .unwrap();
-                let back = agg.reconstruct(&mut p);
+                let back = agg.open(&mut p).to_rows();
                 assert!(
                     back.same_rows_unordered(&expected),
                     "{func} by {group_by:?}:\n{back}\nvs\n{expected}"
@@ -1287,7 +1288,7 @@ mod tests {
         assert_eq!(agg.schema.names(), vec!["k", "s"]);
         // A scalar SUM over nothing is one zero, a scalar MIN no row at all.
         let sum = aggregate_sorted(&mut p, &empty, &[], AggFunc::Sum, Some("v"), "s").unwrap();
-        assert_eq!(sum.reconstruct(&mut p).rows, vec![vec![Value::Int(0)]]);
+        assert_eq!(sum.open(&mut p).to_rows().rows, vec![vec![Value::Int(0)]]);
         let min = aggregate_sorted(&mut p, &empty, &[], AggFunc::Min, Some("v"), "s").unwrap();
         assert_eq!(min.num_rows(), 0);
         // Joining with an empty side yields no rows and no equality tests.
@@ -1320,7 +1321,7 @@ mod tests {
         let sorted = sort_by(&mut p, &sl, "k", true).unwrap();
         let agg = aggregate_sorted(&mut p, &sorted, &keys, AggFunc::Sum, Some("v"), "s").unwrap();
         assert_eq!(
-            agg.reconstruct(&mut p).rows,
+            agg.open(&mut p).to_rows().rows,
             vec![vec![Value::Int(7), Value::Int(6)]]
         );
     }
@@ -1347,7 +1348,7 @@ mod tests {
             let op = Operator::Distinct { columns };
             let out = execute_op(&mut p, &op, &[&shared], false).unwrap();
             let expected = execute(&op, &[&rel]).unwrap();
-            assert!(out.reconstruct(&mut p).same_rows_unordered(&expected));
+            assert!(out.open(&mut p).to_rows().same_rows_unordered(&expected));
         }
         let both = Operator::Distinct {
             columns: names(&["k", "a"]),
@@ -1372,7 +1373,8 @@ mod tests {
             for ascending in [true, false] {
                 let back = sort_by_keys(&mut p, &shared, &keys, ascending)
                     .unwrap()
-                    .reconstruct(&mut p);
+                    .open(&mut p)
+                    .to_rows();
                 assert!(back.same_rows_unordered(&rel));
                 let key_of = |row: &Vec<Value>| -> Vec<i64> {
                     keys.iter().map(|&k| row[k].as_int().unwrap()).collect()
@@ -1421,11 +1423,14 @@ mod tests {
         let rel = Relation::from_ints(&["k", "v"], &[vec![3, 4]]);
         let shared = share(&rel, &mut p);
         let keys = names(&["k"]);
-        assert_eq!(shuffle(&mut p, &shared).reconstruct(&mut p).rows, rel.rows);
+        assert_eq!(
+            shuffle(&mut p, &shared).open(&mut p).to_rows().rows,
+            rel.rows
+        );
         let sorted = sort_by(&mut p, &shared, "k", true).unwrap();
-        assert_eq!(sorted.reconstruct(&mut p).rows, rel.rows);
+        assert_eq!(sorted.open(&mut p).to_rows().rows, rel.rows);
         let agg = aggregate_sorted(&mut p, &shared, &keys, AggFunc::Min, Some("v"), "m").unwrap();
-        assert_eq!(agg.reconstruct(&mut p).rows, rel.rows);
+        assert_eq!(agg.open(&mut p).to_rows().rows, rel.rows);
         let joined = cartesian_join(&mut p, &shared, &shared, &keys, &keys).unwrap();
         assert_eq!(joined.num_rows(), 1);
     }
@@ -1440,7 +1445,7 @@ mod tests {
         let out = multiply_columns(&mut p, &shared, "ab", &operands).unwrap();
         assert_eq!(p.counts().mults, 2, "literals are free");
         assert_eq!(
-            out.reconstruct(&mut p).column_values("ab").unwrap(),
+            out.open(&mut p).to_rows().column_values("ab").unwrap(),
             vec![Value::Int(18), Value::Int(-60)]
         );
         // Replacing an existing column; literal-only and empty products.
@@ -1454,7 +1459,7 @@ mod tests {
         assert_eq!(squared.num_cols(), 2);
         let lit = multiply_columns(&mut p, &shared, "c", &[Operand::lit(7)]).unwrap();
         assert_eq!(
-            lit.reconstruct(&mut p).column_values("c").unwrap(),
+            lit.open(&mut p).to_rows().column_values("c").unwrap(),
             vec![Value::Int(7); 2]
         );
         assert!(multiply_columns(&mut p, &shared, "x", &[Operand::col("zzz")]).is_err());

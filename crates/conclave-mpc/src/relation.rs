@@ -11,7 +11,7 @@
 use crate::engine::OpError;
 use crate::protocol::Protocol;
 use crate::ring::RingElem;
-use conclave_engine::{ColumnarRelation, Relation, Table};
+use conclave_engine::{Column, ColumnarRelation, Relation, Table};
 use conclave_ir::schema::Schema;
 use conclave_ir::types::{DataType, Value};
 
@@ -209,17 +209,16 @@ impl SharedRelation {
         }
     }
 
-    /// Opens the whole relation to cleartext (an `open` per cell is charged).
-    pub fn reconstruct(&self, proto: &mut Protocol) -> Relation {
-        let rows = self
-            .rows
-            .iter()
-            .map(|row| row.iter().map(|&s| Value::Int(proto.open(s))).collect())
+    /// Opens the whole relation to cleartext, one integer column per shared
+    /// column (an `open` per cell is charged). Opened cells are integers, so
+    /// the columns carry [`Rel::opened_schema`]; a caller that needs rows
+    /// takes [`ColumnarRelation::to_rows`].
+    pub fn open(&self, proto: &mut Protocol) -> ColumnarRelation {
+        let columns = (0..self.num_cols())
+            .map(|c| Column::ints(self.rows.iter().map(|row| proto.open(row[c])).collect()))
             .collect();
-        Relation {
-            schema: self.opened_schema(),
-            rows,
-        }
+        ColumnarRelation::new(self.opened_schema(), columns)
+            .expect("every opened column has one value per row")
     }
 }
 
@@ -233,17 +232,51 @@ mod tests {
     }
 
     #[test]
-    fn share_and_reconstruct_round_trip() {
+    fn share_and_open_round_trip() {
         let mut p = Protocol::new(3, 1);
         let rel = demo();
         let shared = SharedRelation::from_relation(&rel, &mut p).unwrap();
         assert_eq!(shared.num_rows(), 3);
         assert_eq!(shared.num_cols(), 2);
         assert_eq!(shared.num_elems(), 6);
-        let back = shared.reconstruct(&mut p);
-        assert_eq!(back.rows, rel.rows);
+        let back = shared.open(&mut p);
+        // Opened straight into integer columns: no boxed value per cell.
+        assert_eq!(back.column(0).as_ints(), Some(&[1, 2, 3][..]));
+        assert_eq!(back.column(1).as_ints(), Some(&[10, 20, 30][..]));
+        assert_eq!(back.schema, rel.schema);
+        assert_eq!(back.to_rows().rows, rel.rows);
         assert_eq!(p.counts().input_elems, 6);
-        assert_eq!(p.counts().opened_elems, 6);
+    }
+
+    #[test]
+    fn opening_charges_one_open_per_cell() {
+        // One open per cell: rows × columns.
+        let rel = Relation::from_ints(
+            &["a", "b", "c"],
+            &(0..7).map(|i| vec![i, -i, i * i]).collect::<Vec<_>>(),
+        );
+        let mut p = Protocol::new(3, 5);
+        let shared = SharedRelation::from_relation(&rel, &mut p).unwrap();
+        shared.open(&mut p);
+        assert_eq!(p.counts().opened_elems, 21);
+        assert_eq!(p.counts().opened_elems, shared.num_elems());
+        shared.project(&["b".to_string()]).unwrap().open(&mut p);
+        assert_eq!(p.counts().opened_elems, 21 + 7);
+    }
+
+    #[test]
+    fn opening_zero_rows_keeps_the_schema() {
+        let mut p = Protocol::new(3, 6);
+        let schema = Schema::new(vec![
+            ColumnDef::new("k", DataType::Int),
+            ColumnDef::new("b", DataType::Bool),
+        ]);
+        let back = SharedRelation::empty(schema).open(&mut p);
+        assert_eq!(back.num_rows(), 0);
+        assert_eq!(back.num_cols(), 2);
+        assert_eq!(back.schema, Schema::ints(&["k", "b"]));
+        assert!(back.columns().iter().all(|c| c.as_ints() == Some(&[][..])));
+        assert_eq!(p.counts().opened_elems, 0);
     }
 
     #[test]
@@ -255,8 +288,7 @@ mod tests {
         assert_eq!(shared.num_rows(), 3);
         assert_eq!(shared.num_cols(), 2);
         assert_eq!(p.counts().input_elems, 6);
-        let back = shared.reconstruct(&mut p);
-        assert_eq!(back.rows, rel.rows);
+        assert_eq!(shared.open(&mut p).to_rows().rows, rel.rows);
         // Row-wise and column-wise sharing cost the same number of inputs.
         let mut p2 = Protocol::new(3, 1);
         SharedRelation::from_relation(&rel, &mut p2).unwrap();
@@ -271,13 +303,13 @@ mod tests {
         let rows_table = Table::from_rows(rel.clone());
         let shared = SharedRelation::from_table(&rows_table, &mut p).unwrap();
         assert_eq!(rows_table.conversion_counts().total(), 0);
-        assert_eq!(shared.reconstruct(&mut p).rows, rel.rows);
+        assert_eq!(shared.open(&mut p).to_rows().rows, rel.rows);
         // Column-backed table: shares whole columns.
         let mut p2 = Protocol::new(3, 1);
         let cols_table = Table::from_columns(ColumnarRelation::from_rows(&rel));
         let shared2 = SharedRelation::from_table(&cols_table, &mut p2).unwrap();
         assert_eq!(cols_table.conversion_counts().total(), 0);
-        assert_eq!(shared2.reconstruct(&mut p2).rows, rel.rows);
+        assert_eq!(shared2.open(&mut p2).to_rows().rows, rel.rows);
         assert_eq!(p.counts().input_elems, p2.counts().input_elems);
     }
 
@@ -314,8 +346,8 @@ mod tests {
         let proj = shared.project(&["v".to_string()]).unwrap();
         assert_eq!(proj.num_cols(), 1);
         assert_eq!(
-            proj.reconstruct(&mut p).column_values("v").unwrap(),
-            vec![Value::Int(10), Value::Int(20), Value::Int(30)]
+            proj.open(&mut p).column(0).as_ints(),
+            Some(&[10, 20, 30][..])
         );
         assert!(shared.project(&["zzz".to_string()]).is_err());
 
@@ -332,14 +364,14 @@ mod tests {
         let rel = demo();
         let shared = SharedRelation::from_relation(&rel, &mut p).unwrap();
         let permuted = shared.permute(&[2, 0, 1]);
-        let back = permuted.reconstruct(&mut p);
+        let back = permuted.open(&mut p).to_rows();
         assert_eq!(back.rows[0][0], Value::Int(3));
         assert_eq!(back.rows[1][0], Value::Int(1));
         assert!(back.same_rows_unordered(&rel));
     }
 
     #[test]
-    fn bool_columns_are_shareable() {
+    fn bool_columns_are_shareable_and_open_as_ints() {
         let mut p = Protocol::new(2, 4);
         let schema = Schema::new(vec![ColumnDef::new("b", DataType::Bool)]);
         let rel = Relation::new(
@@ -348,8 +380,8 @@ mod tests {
         )
         .unwrap();
         let shared = SharedRelation::from_relation(&rel, &mut p).unwrap();
-        let back = shared.reconstruct(&mut p);
-        assert_eq!(back.rows[0][0], Value::Int(1));
-        assert_eq!(back.rows[1][0], Value::Int(0));
+        let back = shared.open(&mut p);
+        assert_eq!(back.schema, Schema::ints(&["b"]));
+        assert_eq!(back.column(0).as_ints(), Some(&[1, 0][..]));
     }
 }

@@ -596,3 +596,71 @@ fn garbled_circuit_backend_runs_small_queries_and_fails_predictably_at_scale() {
         "GC backend counts gates"
     );
 }
+
+/// The STP's steps run on the vectorized engine whatever layout the local
+/// backend has: under `standard()` (row local backend) the credit query's
+/// two hybrid joins and two hybrid aggregations open into integer columns
+/// and their STP steps never box a value, on the in-process runtime and on
+/// the channel mesh alike. The output equals `standard().with_columnar()`'s
+/// and the cleartext reference.
+#[test]
+fn stp_runs_on_columns_under_a_row_local_backend() {
+    let population = 300;
+    let mut gen = CreditGenerator::new(9);
+    let demographics = gen.demographics(population);
+    let s1 = gen.agency_scores(population);
+    let s2 = gen.agency_scores(population);
+    let reference =
+        CreditGenerator::reference_average_by_zip(&demographics, &[s1.clone(), s2.clone()]);
+    let mut inputs = HashMap::new();
+    inputs.insert("demographics".to_string(), Table::from_rows(demographics));
+    inputs.insert("scores1".to_string(), Table::from_rows(s1));
+    inputs.insert("scores2".to_string(), Table::from_rows(s2));
+
+    let mut outputs: Vec<(String, Relation)> = Vec::new();
+    for runtime in [PartyRuntime::Simulated, PartyRuntime::Channel] {
+        for config in [
+            ConclaveConfig::standard(),
+            ConclaveConfig::standard().with_columnar(),
+        ] {
+            let config = config.with_party_runtime(runtime);
+            let name = format!("{runtime:?}/{}", config.engine_mode);
+            let plan = conclave_core::compile(&credit_query(true), &config).unwrap();
+            assert_eq!(plan.hybrid_node_count(), 4, "{name}");
+            let report = Driver::new(config).run_tables(&plan, &inputs).unwrap();
+            // Exactly one conversion under either layout: the second hybrid
+            // join opens its result as columns, and the regulator's local
+            // `divide` reads it as rows (row backend) or `collect` hands the
+            // columnar `divide`'s result out as rows (columnar backend). The
+            // MPC `concat` opens as rows, and the hybrid protocols share and
+            // open columns and run their STP steps on them, so nothing else
+            // converts.
+            assert_eq!(
+                report.conversions,
+                ConversionCounts {
+                    row_to_columnar: 0,
+                    columnar_to_row: 1,
+                },
+                "{name}"
+            );
+            let out = report.output_for(1).unwrap();
+            let zip_idx = out.schema.index_of("zip").unwrap();
+            let avg_idx = out.schema.index_of("avg_score").unwrap();
+            assert_eq!(out.num_rows(), reference.len(), "{name}: group count");
+            for row in &out.rows {
+                let zip = row[zip_idx].as_int().unwrap();
+                let avg = row[avg_idx].as_float().unwrap();
+                let (_, expected) = reference.iter().find(|(z, _)| *z == zip).unwrap();
+                assert!((avg - expected).abs() < 1e-9, "{name}: zip {zip}");
+            }
+            outputs.push((name, out.clone()));
+        }
+    }
+    let (first_name, first) = &outputs[0];
+    for (name, out) in &outputs[1..] {
+        assert!(
+            out.same_rows_unordered(first),
+            "{name} disagrees with {first_name}"
+        );
+    }
+}

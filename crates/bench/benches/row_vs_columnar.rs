@@ -16,7 +16,7 @@
 
 use conclave_core::config::ConclaveConfig;
 use conclave_core::session::Session;
-use conclave_engine::{execute, execute_columnar, ColumnarRelation, Relation, Table};
+use conclave_engine::{execute, execute_columnar, ColumnarRelation, EngineMode, Relation, Table};
 use conclave_ir::builder::{Query, QueryBuilder};
 use conclave_ir::expr::Expr;
 use conclave_ir::ops::{AggFunc, Operator};
@@ -111,9 +111,13 @@ fn driven(c: &mut Criterion) {
         let rows = dataset(n);
         let cols = ColumnarRelation::from_rows(&rows);
 
-        // Row-mode driver (pre-redesign default).
-        let row_session = Session::new(ConclaveConfig::standard().with_sequential_local())
-            .bind("sales", rows.clone());
+        // Row-engine driver (the differential oracle).
+        let row_session = Session::new(
+            ConclaveConfig::standard()
+                .with_sequential_local()
+                .with_engine_mode(EngineMode::Row),
+        )
+        .bind("sales", rows.clone());
         group.bench_with_input(BenchmarkId::new("driver_row", n), &row_session, |b, s| {
             b.iter(|| {
                 criterion::black_box(s)
@@ -124,12 +128,8 @@ fn driven(c: &mut Criterion) {
 
         // Columnar-mode driver on the unified Table plane: column-backed
         // inputs, zero mid-plan conversions (the report asserts it).
-        let col_session = Session::new(
-            ConclaveConfig::standard()
-                .with_sequential_local()
-                .with_columnar(),
-        )
-        .bind("sales", Table::from_columns(cols.clone()));
+        let col_session = Session::new(ConclaveConfig::standard().with_sequential_local())
+            .bind("sales", Table::from_columns(cols.clone()));
         let report = col_session.run(&query).expect("columnar driver runs");
         assert_eq!(
             report.conversions.row_to_columnar, 0,

@@ -116,10 +116,11 @@ pub struct ConclaveConfig {
     pub allow_cardinality_leaking_pushdown: bool,
     /// Local cleartext backend.
     pub local_backend: LocalBackend,
-    /// The local backend's data layout: row-at-a-time or vectorized columnar
-    /// (the `ParallelEngine` tasks, or the sequential engine under
-    /// [`ConclaveConfig::with_sequential_local`]). STP and helper steps of
-    /// the hybrid protocols are always vectorized, whatever this says.
+    /// The sequential local backend's data layout
+    /// ([`ConclaveConfig::with_sequential_local`]): vectorized columnar (the
+    /// default) or row-at-a-time, the differential oracle. The parallel
+    /// backend's tasks and the STP and helper steps of the hybrid protocols
+    /// are always vectorized, whatever this says.
     pub engine_mode: EngineMode,
     /// Per-party cluster used when `local_backend` is parallel.
     pub cluster: ClusterSpec,
@@ -145,7 +146,7 @@ impl ConclaveConfig {
             use_sort_elimination: true,
             allow_cardinality_leaking_pushdown: true,
             local_backend: LocalBackend::Parallel,
-            engine_mode: EngineMode::Row,
+            engine_mode: EngineMode::Columnar,
             cluster: ClusterSpec::paper_party_cluster(),
             mpc: MpcBackendConfig::sharemind(),
             party_runtime: PartyRuntime::Simulated,
@@ -184,15 +185,13 @@ impl ConclaveConfig {
         self
     }
 
-    /// Returns a copy using the given cleartext engine mode.
+    /// Returns a copy whose sequential local backend
+    /// ([`Self::with_sequential_local`]) runs in the given layout. The
+    /// parallel backend and the STP always run on columns, so under
+    /// [`LocalBackend::Parallel`] the mode has no effect.
     pub fn with_engine_mode(mut self, mode: EngineMode) -> Self {
         self.engine_mode = mode;
         self
-    }
-
-    /// Returns a copy using the vectorized columnar cleartext engine.
-    pub fn with_columnar(self) -> Self {
-        self.with_engine_mode(EngineMode::Columnar)
     }
 
     /// Returns a copy using the given MPC backend configuration.
@@ -278,9 +277,11 @@ mod tests {
         assert_eq!(c.local_backend, LocalBackend::Sequential);
         let c = ConclaveConfig::standard().with_mpc(MpcBackendConfig::obliv_c());
         assert_eq!(c.mpc.kind, BackendKind::Garbled);
-        assert_eq!(ConclaveConfig::standard().engine_mode, EngineMode::Row);
-        let c = ConclaveConfig::standard().with_columnar();
-        assert_eq!(c.engine_mode, EngineMode::Columnar);
+        assert_eq!(ConclaveConfig::standard().engine_mode, EngineMode::Columnar);
+        assert_eq!(
+            ConclaveConfig::standard().engine_mode,
+            EngineMode::default()
+        );
         let c = ConclaveConfig::standard().with_engine_mode(EngineMode::Row);
         assert_eq!(c.engine_mode, EngineMode::Row);
     }

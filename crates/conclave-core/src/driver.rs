@@ -147,9 +147,9 @@ pub struct Driver {
     /// Executor for local per-party cleartext steps (site-selected backend).
     local_exec: Box<dyn Executor + Send + Sync>,
     /// Executor for STP/helper steps of hybrid protocols: always the
-    /// sequential vectorized engine, whatever `engine_mode` the local backend
-    /// runs in (the trusted party runs them single-site, on the integer
-    /// columns the hybrid protocols open).
+    /// sequential vectorized engine, whatever the local backend (the trusted
+    /// party runs them single-site, on the integer columns the hybrid
+    /// protocols open).
     stp_exec: ColumnarExecutor,
     /// The party runtime, once a run has needed one. [`Driver::run_tables`]
     /// takes it out while a plan runs and puts it back on success.
@@ -161,9 +161,7 @@ impl Driver {
     pub fn new(config: ConclaveConfig) -> Self {
         let mpc = MpcEngine::new(config.mpc);
         let local_exec: Box<dyn Executor + Send + Sync> = match config.local_backend {
-            LocalBackend::Parallel => {
-                Box::new(ParallelEngine::new(config.cluster).with_mode(config.engine_mode))
-            }
+            LocalBackend::Parallel => Box::new(ParallelEngine::new(config.cluster)),
             LocalBackend::Sequential => sequential_executor(config.engine_mode),
         };
         Driver {
@@ -567,6 +565,7 @@ mod tests {
     use super::*;
     use crate::passes::leakage::DisclosureKind;
     use crate::plan::compile;
+    use conclave_engine::EngineMode;
     use conclave_ir::builder::QueryBuilder;
     use conclave_ir::expr::Expr;
     use conclave_ir::ops::{AggFunc, Operand};
@@ -627,7 +626,9 @@ mod tests {
         let query = market_query();
         for config in [
             ConclaveConfig::standard(),
-            ConclaveConfig::standard().with_sequential_local(),
+            ConclaveConfig::standard()
+                .with_sequential_local()
+                .with_engine_mode(EngineMode::Row),
             ConclaveConfig::mpc_only(),
         ] {
             let plan = compile(&query, &config).unwrap();

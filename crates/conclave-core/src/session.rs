@@ -481,16 +481,12 @@ mod tests {
     #[test]
     fn session_accepts_columnar_bindings_and_exposes_state() {
         let query = two_party_sum_query();
-        let session = Session::new(
-            ConclaveConfig::standard()
-                .with_sequential_local()
-                .with_columnar(),
-        )
-        .bind(
-            "ta",
-            ColumnarRelation::from_rows(&Relation::from_ints(&["k", "v"], &[vec![1, 2]])),
-        )
-        .bind("tb", Relation::from_ints(&["k", "v"], &[vec![2, 3]]));
+        let session = Session::new(ConclaveConfig::standard().with_sequential_local())
+            .bind(
+                "ta",
+                ColumnarRelation::from_rows(&Relation::from_ints(&["k", "v"], &[vec![1, 2]])),
+            )
+            .bind("tb", Relation::from_ints(&["k", "v"], &[vec![2, 3]]));
         assert_eq!(session.config().engine_mode, EngineMode::Columnar);
         assert_eq!(session.bindings().len(), 2);
         assert!(session.bindings()["ta"].has_columns());

@@ -56,14 +56,41 @@ pub fn execute(op: &Operator, inputs: &[&Relation]) -> EngineResult<Relation> {
             }
             Relation::concat(inputs)
         }
-        Operator::Project { .. }
-        | Operator::Filter { .. }
-        | Operator::Aggregate { .. }
-        | Operator::Multiply { .. }
-        | Operator::Divide { .. }
-        | Operator::Distinct { .. } => {
+        Operator::Project { columns } => {
             need(op, inputs, 1)?;
-            execute_rows(op, &inputs[0].schema, &inputs[0].rows)
+            project(&inputs[0].schema, &inputs[0].rows, columns)
+        }
+        Operator::Filter { predicate } => {
+            need(op, inputs, 1)?;
+            filter(&inputs[0].schema, &inputs[0].rows, predicate)
+        }
+        Operator::Aggregate {
+            group_by,
+            func,
+            over,
+            out,
+        } => {
+            need(op, inputs, 1)?;
+            aggregate(
+                &inputs[0].schema,
+                &inputs[0].rows,
+                group_by,
+                *func,
+                over.as_deref(),
+                out,
+            )
+        }
+        Operator::Multiply { out, operands } => {
+            need(op, inputs, 1)?;
+            multiply(&inputs[0].schema, &inputs[0].rows, out, operands)
+        }
+        Operator::Divide { out, num, den } => {
+            need(op, inputs, 1)?;
+            divide(&inputs[0].schema, &inputs[0].rows, out, num, den)
+        }
+        Operator::Distinct { columns } => {
+            need(op, inputs, 1)?;
+            distinct(&inputs[0].schema, &inputs[0].rows, columns)
         }
         Operator::Join {
             left_keys,
@@ -102,30 +129,6 @@ pub fn execute(op: &Operator, inputs: &[&Relation]) -> EngineResult<Relation> {
         Operator::HybridJoin { .. }
         | Operator::PublicJoin { .. }
         | Operator::HybridAggregate { .. } => Err(EngineError::Unsupported(op.name().to_string())),
-    }
-}
-
-/// Executes a unary operator that reads its input one row or one group at a
-/// time (`Project`, `Filter`, `Multiply`, `Divide`, `Aggregate`, `Distinct`)
-/// over a borrowed run of rows under `schema`: all of a relation's rows (what
-/// [`execute`] passes) or one partition of them, which then costs no copy.
-pub fn execute_rows(op: &Operator, schema: &Schema, rows: &[Vec<Value>]) -> EngineResult<Relation> {
-    match op {
-        Operator::Project { columns } => project(schema, rows, columns),
-        Operator::Filter { predicate } => filter(schema, rows, predicate),
-        Operator::Aggregate {
-            group_by,
-            func,
-            over,
-            out,
-        } => aggregate(schema, rows, group_by, *func, over.as_deref(), out),
-        Operator::Multiply { out, operands } => multiply(schema, rows, out, operands),
-        Operator::Divide { out, num, den } => divide(schema, rows, out, num, den),
-        Operator::Distinct { columns } => distinct(schema, rows, columns),
-        _ => Err(EngineError::Unsupported(format!(
-            "{} over a row range",
-            op.name()
-        ))),
     }
 }
 
@@ -437,34 +440,6 @@ mod tests {
         assert!(matches!(
             execute(&Operator::Concat, &[&a, &narrow]),
             Err(EngineError::Eval(_))
-        ));
-    }
-
-    #[test]
-    fn a_row_range_runs_the_same_kernels_as_the_whole_relation() {
-        let r = sales();
-        let op = Operator::Aggregate {
-            group_by: vec!["companyID".into()],
-            func: AggFunc::Sum,
-            over: Some("price".into()),
-            out: "rev".into(),
-        };
-        let tail = execute_rows(&op, &r.schema, &r.rows[2..]).unwrap();
-        assert_eq!(
-            tail,
-            Relation::from_ints(
-                &["companyID", "rev"],
-                &[vec![1, 20], vec![3, 7], vec![2, 5]]
-            )
-        );
-        assert_eq!(
-            execute_rows(&op, &r.schema, &r.rows).unwrap(),
-            execute(&op, &[&r]).unwrap()
-        );
-        // Operators that need the whole input, or two inputs, have no range form.
-        assert!(matches!(
-            execute_rows(&Operator::Limit { n: 1 }, &r.schema, &r.rows),
-            Err(EngineError::Unsupported(_))
         ));
     }
 

@@ -3,10 +3,11 @@
 //! An executor evaluates a single relational operator over [`Table`] inputs
 //! and produces a [`Table`] output *in its native representation*: the row
 //! engine returns row-backed tables, the vectorized engine returns
-//! column-backed tables, and the data-parallel engine in `conclave-parallel`
-//! returns whichever its configured mode produces. Because tables convert
-//! lazily and cache the result, chaining same-representation executors incurs
-//! zero conversions — the property the driver's conversion counter asserts.
+//! column-backed tables, and so does the data-parallel engine in
+//! `conclave-parallel`, whose tasks run the vectorized engine. Because tables
+//! convert lazily and cache the result, chaining same-representation
+//! executors incurs zero conversions — the property the driver's conversion
+//! counter asserts.
 //!
 //! Executors also estimate the *simulated* wall-clock time of a step, so the
 //! driver can charge cluster-like costs regardless of the host machine.

@@ -12,7 +12,8 @@
 //!
 //! The two are semantically identical — the workspace's differential test
 //! suite (`tests/engine_differential.rs`) holds them to cell-for-cell
-//! equality — and callers select between them with [`EngineMode`]. Simulated
+//! equality — and callers select between them with [`EngineMode`]: columnar
+//! by default, the row engine being the differential oracle. Simulated
 //! wall-clock costs come from [`cost::SequentialCostModel`], so end-to-end
 //! experiment harnesses can reproduce the paper's runtime comparisons
 //! without a cluster.
@@ -41,7 +42,7 @@ pub mod vexec;
 pub use columnar::{Column, ColumnData, ColumnarRelation};
 pub use cost::SequentialCostModel;
 pub use error::{EngineError, EngineResult};
-pub use exec::{execute, execute_rows, key_indices};
+pub use exec::{execute, key_indices};
 pub use executor::{sequential_executor, ColumnarExecutor, Executor, RowExecutor};
 pub use relation::Relation;
 pub use table::{ConversionCounts, Table};
@@ -50,10 +51,11 @@ pub use vexec::{execute_columnar, execute_vectorized};
 /// Which cleartext execution strategy an engine uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EngineMode {
-    /// Row-at-a-time execution over `Vec<Vec<Value>>` rows.
-    #[default]
+    /// Row-at-a-time execution over `Vec<Vec<Value>>` rows: the
+    /// differential oracle.
     Row,
     /// Vectorized execution over typed columns.
+    #[default]
     Columnar,
 }
 
@@ -71,8 +73,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn engine_mode_defaults_to_row() {
-        assert_eq!(EngineMode::default(), EngineMode::Row);
+    fn engine_mode_defaults_to_columnar() {
+        assert_eq!(EngineMode::default(), EngineMode::Columnar);
         assert_eq!(EngineMode::Row.to_string(), "row");
         assert_eq!(EngineMode::Columnar.to_string(), "columnar");
     }

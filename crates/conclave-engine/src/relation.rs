@@ -126,23 +126,23 @@ impl Relation {
     /// Concatenates borrowed relations with identical arity into one (union
     /// all), copying every row once. The result takes the first schema.
     pub fn concat<R: Borrow<Relation>>(parts: &[R]) -> EngineResult<Relation> {
-        let schema = concat_schema(parts.iter().map(Borrow::borrow))?;
+        let Some(first) = parts.first().map(Borrow::borrow) else {
+            return Err(EngineError::Eval("concat of zero relations".to_string()));
+        };
+        if parts
+            .iter()
+            .any(|p| p.borrow().num_cols() != first.num_cols())
+        {
+            return Err(EngineError::Eval("concat arity mismatch".to_string()));
+        }
         let mut rows = Vec::with_capacity(parts.iter().map(|p| p.borrow().num_rows()).sum());
         for p in parts {
             rows.extend_from_slice(&p.borrow().rows);
         }
-        Ok(Relation { schema, rows })
-    }
-
-    /// [`Relation::concat`] for parts the caller is done with: their rows are
-    /// moved into the result, not copied.
-    pub fn concat_owned(parts: Vec<Relation>) -> EngineResult<Relation> {
-        let schema = concat_schema(parts.iter())?;
-        let mut rows = Vec::with_capacity(parts.iter().map(Relation::num_rows).sum());
-        for mut p in parts {
-            rows.append(&mut p.rows);
-        }
-        Ok(Relation { schema, rows })
+        Ok(Relation {
+            schema: first.schema.clone(),
+            rows,
+        })
     }
 
     /// Compares contents ignoring row order (used by tests that check MPC and
@@ -159,21 +159,8 @@ impl Relation {
     }
 }
 
-/// The schema a concatenation of `parts` takes (the first one's), after
-/// checking that there is a first part and that every part has its arity.
-fn concat_schema<'a>(mut parts: impl Iterator<Item = &'a Relation>) -> EngineResult<Schema> {
-    let Some(first) = parts.next() else {
-        return Err(EngineError::Eval("concat of zero relations".to_string()));
-    };
-    if parts.any(|p| p.num_cols() != first.num_cols()) {
-        return Err(EngineError::Eval("concat arity mismatch".to_string()));
-    }
-    Ok(first.schema.clone())
-}
-
 /// Groups the indices of `rows` by the values of the given key columns,
-/// preserving first-seen key order. `rows` may be any run of a relation's
-/// rows; the indices are relative to it.
+/// preserving first-seen key order.
 pub(crate) fn group_indices(
     rows: &[Vec<Value>],
     key_cols: &[usize],
@@ -277,7 +264,7 @@ mod tests {
     }
 
     #[test]
-    fn concat_round_trip_borrowed_and_owned() {
+    fn concat_round_trip_borrowed() {
         let r = Relation::from_ints(&["a"], &(0..10).map(|i| vec![i]).collect::<Vec<_>>());
         let parts: Vec<Relation> = [0..4, 4..4, 4..10]
             .into_iter()
@@ -289,17 +276,14 @@ mod tests {
         assert_eq!(Relation::concat(&parts).unwrap(), r);
         let refs: Vec<&Relation> = parts.iter().collect();
         assert_eq!(Relation::concat(&refs).unwrap(), r);
-        assert_eq!(Relation::concat_owned(parts).unwrap(), r);
     }
 
     #[test]
     fn concat_errors() {
         assert!(Relation::concat::<Relation>(&[]).is_err());
-        assert!(Relation::concat_owned(vec![]).is_err());
         let a = Relation::from_ints(&["a"], &[vec![1]]);
         let b = Relation::from_ints(&["a", "b"], &[vec![1, 2]]);
         assert!(Relation::concat(&[&a, &b]).is_err());
-        assert!(Relation::concat_owned(vec![a, b]).is_err());
     }
 
     #[test]

@@ -101,9 +101,9 @@ pub fn execute_columnar(
 }
 
 /// Executes one operator on row-major inputs through the vectorized engine:
-/// converts to columnar form, runs [`execute_columnar`], converts back. This
-/// is the entry point the driver uses when [`crate::EngineMode::Columnar`] is
-/// selected at plan-execution boundaries that traffic in row relations.
+/// converts to columnar form, runs [`execute_columnar`], converts back — the
+/// differential suites' entry point, comparable cell for cell with
+/// [`crate::execute`].
 pub fn execute_vectorized(op: &Operator, inputs: &[&Relation]) -> EngineResult<Relation> {
     let columnar: Vec<ColumnarRelation> = inputs
         .iter()

@@ -2,9 +2,10 @@
 
 use crate::error::{IrError, IrResult};
 use crate::schema::Schema;
-use crate::types::{DataType, Value};
+use crate::types::{int_cmp_float, DataType, Value};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
+use std::cmp::Ordering;
 use std::fmt;
 
 /// Binary operators on scalar values.
@@ -405,12 +406,13 @@ impl IntView<'_> {
     }
 }
 
-/// Borrowed float operand: a slice (possibly int-sourced) or a constant.
+/// Borrowed float operand: a slice or a constant, possibly int-sourced.
 #[derive(Clone, Copy)]
 enum FloatView<'a> {
     Floats(&'a [f64]),
     Ints(&'a [i64]),
     Splat(f64),
+    IntSplat(i64),
 }
 
 impl FloatView<'_> {
@@ -420,7 +422,31 @@ impl FloatView<'_> {
             FloatView::Floats(v) => v[i],
             FloatView::Ints(v) => v[i] as f64,
             FloatView::Splat(k) => *k,
+            FloatView::IntSplat(k) => *k as f64,
         }
+    }
+
+    /// The `i`-th operand as an integer, if it is int-sourced.
+    #[inline]
+    fn int(&self, i: usize) -> Option<i64> {
+        match self {
+            FloatView::Ints(v) => Some(v[i]),
+            FloatView::IntSplat(k) => Some(*k),
+            _ => None,
+        }
+    }
+}
+
+/// Orders the `i`-th operands as `Value::cmp` does: floats in their total
+/// order, an integer against a float exactly (not through `as f64`, which
+/// rounds above 2^53).
+#[inline]
+fn num_cmp(a: FloatView<'_>, b: FloatView<'_>, i: usize) -> Ordering {
+    match (a.int(i), b.int(i)) {
+        (Some(x), Some(y)) => x.cmp(&y),
+        (Some(x), None) => int_cmp_float(x, b.get(i)),
+        (None, Some(y)) => int_cmp_float(y, a.get(i)).reverse(),
+        (None, None) => a.get(i).total_cmp(&b.get(i)),
     }
 }
 
@@ -457,7 +483,7 @@ fn float_view(b: &ValueBatch) -> Option<FloatView<'_>> {
     match b {
         ValueBatch::Int(v) => Some(FloatView::Ints(v)),
         ValueBatch::Float(v) => Some(FloatView::Floats(v)),
-        ValueBatch::Splat(Value::Int(k), _) => Some(FloatView::Splat(*k as f64)),
+        ValueBatch::Splat(Value::Int(k), _) => Some(FloatView::IntSplat(*k)),
         ValueBatch::Splat(Value::Float(k), _) => Some(FloatView::Splat(*k)),
         _ => None,
     }
@@ -511,43 +537,22 @@ pub fn apply_binop_batch(op: BinOp, l: &ValueBatch, r: &ValueBatch) -> ValueBatc
         };
     }
     // Mixed int/float numeric fast path (matches the float arm of
-    // `numeric_binop` and `total_f64_cmp` comparisons).
+    // `numeric_binop` and `Value::cmp`'s order).
     if let (Some(a), Some(b)) = (float_view(l), float_view(r)) {
+        let cmp = |keep: fn(Ordering) -> bool| {
+            ValueBatch::Bool((0..n).map(|i| keep(num_cmp(a, b, i))).collect())
+        };
         return match op {
             BinOp::Add => ValueBatch::Float((0..n).map(|i| a.get(i) + b.get(i)).collect()),
             BinOp::Sub => ValueBatch::Float((0..n).map(|i| a.get(i) - b.get(i)).collect()),
             BinOp::Mul => ValueBatch::Float((0..n).map(|i| a.get(i) * b.get(i)).collect()),
             BinOp::Div => div_batch(FloatViewPair(a, b), n),
-            BinOp::Eq => ValueBatch::Bool(
-                (0..n)
-                    .map(|i| a.get(i).total_cmp(&b.get(i)).is_eq())
-                    .collect(),
-            ),
-            BinOp::Ne => ValueBatch::Bool(
-                (0..n)
-                    .map(|i| !a.get(i).total_cmp(&b.get(i)).is_eq())
-                    .collect(),
-            ),
-            BinOp::Lt => ValueBatch::Bool(
-                (0..n)
-                    .map(|i| a.get(i).total_cmp(&b.get(i)).is_lt())
-                    .collect(),
-            ),
-            BinOp::Le => ValueBatch::Bool(
-                (0..n)
-                    .map(|i| a.get(i).total_cmp(&b.get(i)).is_le())
-                    .collect(),
-            ),
-            BinOp::Gt => ValueBatch::Bool(
-                (0..n)
-                    .map(|i| a.get(i).total_cmp(&b.get(i)).is_gt())
-                    .collect(),
-            ),
-            BinOp::Ge => ValueBatch::Bool(
-                (0..n)
-                    .map(|i| a.get(i).total_cmp(&b.get(i)).is_ge())
-                    .collect(),
-            ),
+            BinOp::Eq => cmp(Ordering::is_eq),
+            BinOp::Ne => cmp(Ordering::is_ne),
+            BinOp::Lt => cmp(Ordering::is_lt),
+            BinOp::Le => cmp(Ordering::is_le),
+            BinOp::Gt => cmp(Ordering::is_gt),
+            BinOp::Ge => cmp(Ordering::is_ge),
             BinOp::And => {
                 ValueBatch::Bool((0..n).map(|i| a.get(i) != 0.0 && b.get(i) != 0.0).collect())
             }

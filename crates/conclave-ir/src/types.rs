@@ -203,8 +203,8 @@ impl Ord for Value {
         match (self, other) {
             (Value::Int(a), Value::Int(b)) => a.cmp(b),
             (Value::Float(a), Value::Float(b)) => total_f64_cmp(*a, *b),
-            (Value::Int(a), Value::Float(b)) => total_f64_cmp(*a as f64, *b),
-            (Value::Float(a), Value::Int(b)) => total_f64_cmp(*a, *b as f64),
+            (Value::Int(a), Value::Float(b)) => int_cmp_float(*a, *b),
+            (Value::Float(a), Value::Int(b)) => int_cmp_float(*b, *a).reverse(),
             (Value::Str(a), Value::Str(b)) => a.cmp(b),
             (Value::Bool(a), Value::Bool(b)) => a.cmp(b),
             (Value::Null, Value::Null) => Ordering::Equal,
@@ -217,18 +217,50 @@ fn total_f64_cmp(a: f64, b: f64) -> Ordering {
     a.total_cmp(&b)
 }
 
+/// 2^63, the least float above every `i64`.
+const TWO_POW_63: f64 = 9_223_372_036_854_775_808.0;
+
+/// Compares an integer with a float exactly, in the floats' total order: an
+/// integral float in `i64`'s range compares as that integer, any other float
+/// by where it lies relative to `a` — `-0.0` just below `0`, a NaN beyond
+/// the infinity of its sign. (Rounding `a` to a float instead would make
+/// `Int(2^53 + 1) == Float(2^53) == Int(2^53)`: not transitive, and equal
+/// values that hash apart.)
+pub(crate) fn int_cmp_float(a: i64, b: f64) -> Ordering {
+    if b.is_nan() {
+        return if b.is_sign_negative() {
+            Ordering::Greater
+        } else {
+            Ordering::Less
+        };
+    }
+    if b >= TWO_POW_63 {
+        return Ordering::Less;
+    }
+    if b < -TWO_POW_63 {
+        return Ordering::Greater;
+    }
+    // In range, the truncation is an integer an `i64` holds exactly.
+    let t = b.trunc();
+    match a.cmp(&(t as i64)) {
+        Ordering::Equal if b > t => Ordering::Less,
+        Ordering::Equal if b < t || (b == 0.0 && b.is_sign_negative()) => Ordering::Greater,
+        order => order,
+    }
+}
+
 impl Hash for Value {
     fn hash<H: Hasher>(&self, state: &mut H) {
         match self {
             Value::Int(v) => {
                 state.write_u8(2);
-                // Hash integers and integral floats identically so that
-                // `Int(2)` and `Float(2.0)` (which compare equal) collide.
+                // Hash integers and integral in-range floats identically so
+                // that `Int(2)` and `Float(2.0)` (which compare equal) collide.
                 state.write_i64(*v);
             }
             Value::Float(v) => {
                 state.write_u8(2);
-                if v.fract() == 0.0 && *v >= i64::MIN as f64 && *v <= i64::MAX as f64 {
+                if v.fract() == 0.0 && (-TWO_POW_63..TWO_POW_63).contains(v) {
                     state.write_i64(*v as i64);
                 } else {
                     state.write_u64(v.to_bits());
@@ -367,6 +399,66 @@ mod tests {
         let b = Value::Float(7.0);
         assert_eq!(a, b);
         assert_eq!(hash_of(&a), hash_of(&b));
+    }
+
+    #[test]
+    fn int_float_comparison_is_exact_transitive_and_agrees_with_hash() {
+        let p53 = 1i64 << 53;
+        let vals = [
+            Value::Int(p53 - 1),
+            Value::Int(p53),
+            Value::Int(p53 + 1),
+            Value::Float(p53 as f64),
+            Value::Float((p53 + 2) as f64),
+            Value::Int(-p53 - 1),
+            Value::Float(-(p53 as f64)),
+            Value::Int(i64::MAX),
+            Value::Int(i64::MAX - 1),
+            Value::Int(i64::MIN),
+            Value::Float(TWO_POW_63),
+            Value::Float(-TWO_POW_63),
+            Value::Int(0),
+            Value::Int(-1),
+            Value::Float(0.0),
+            Value::Float(-0.0),
+            Value::Float(0.5),
+            Value::Float(-0.5),
+            Value::Float(f64::NAN),
+            Value::Float(-f64::NAN),
+            Value::Float(f64::INFINITY),
+            Value::Float(f64::NEG_INFINITY),
+        ];
+        for a in &vals {
+            for b in &vals {
+                assert_eq!(a.cmp(b), b.cmp(a).reverse(), "{a:?} vs {b:?}");
+                if a == b {
+                    assert_eq!(hash_of(a), hash_of(b), "{a:?} == {b:?}");
+                }
+                for c in &vals {
+                    if a <= b && b <= c {
+                        assert!(a <= c, "{a:?} <= {b:?} <= {c:?}");
+                    }
+                }
+            }
+        }
+        assert_ne!(Value::Int(p53 + 1), Value::Float(p53 as f64));
+        assert!(Value::Int(p53 + 1) > Value::Float(p53 as f64));
+        assert_eq!(Value::Int(p53), Value::Float(p53 as f64));
+        assert!(Value::Int(i64::MAX) < Value::Float(TWO_POW_63));
+        assert!(Value::Int(i64::MAX - 1) < Value::Float(TWO_POW_63));
+        assert_eq!(Value::Int(i64::MIN), Value::Float(-TWO_POW_63));
+        assert_eq!(Value::Int(0), Value::Float(0.0));
+        assert!(Value::Int(-1) < Value::Float(-0.0) && Value::Float(-0.0) < Value::Int(0));
+        assert!(Value::Int(i64::MAX) < Value::Float(f64::INFINITY));
+        assert!(Value::Int(i64::MAX) < Value::Float(f64::NAN));
+        assert!(Value::Int(i64::MIN) > Value::Float(-f64::NAN));
+        // Sorted, the values lie in numeric order (ties in input order).
+        let mut sorted = vals.to_vec();
+        sorted.sort();
+        let floats = |v: &Value| v.as_float().unwrap();
+        assert!(sorted[1..sorted.len() - 1]
+            .windows(2)
+            .all(|w| floats(&w[0]) <= floats(&w[1])));
     }
 
     #[test]

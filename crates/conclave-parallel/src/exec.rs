@@ -1,12 +1,13 @@
 //! Parallel execution of relational operators.
 //!
 //! [`ParallelEngine`] executes one operator at a time, the way a Spark job
-//! stage would, as *task waves that borrow*. Its [`Executor::execute`] is the
-//! one statement of the policy, over [`Table`]s:
+//! stage would, as *task waves* on the vectorized engine. Its
+//! [`Executor::execute`] is the one statement of the policy, over [`Table`]s:
 //!
 //! * Narrow operators (`Project`, `Filter`, `Multiply`, `Divide`) run
 //!   independently on every range of the input's rows
-//!   ([`crate::partition::row_ranges`]).
+//!   ([`crate::partition::row_ranges`]; one per partition, or more while
+//!   `STAGE_TASK_ROWS` caps a range's length).
 //! * Wide operators combine before they shuffle: grouped and scalar
 //!   `Aggregate` and `Distinct` compute a partial per range and one final
 //!   pass folds the partials (the final of `COUNT` is `SUM`; `SUM`, `MIN`,
@@ -16,13 +17,12 @@
 //! * Only `Join` moves rows: it co-partitions both sides by key hash.
 //! * Everything else runs on the collected data.
 //!
-//! What depends on the layout a task runs in ([`EngineMode`]) is confined to
-//! four private leaves of the engine — `whole` (the operator on whole
-//! tables), `on_range` (on one range: a row task borrows `&rows[range]`, a
-//! columnar task slices every typed column), `shuffle` (a join side's
-//! buckets) and `concat` (task outputs into one table: rows are moved,
-//! columns copied once). A table a leaf reads in its own layout is never
-//! converted, and every output holds that layout only.
+//! Every task runs the sequential vectorized engine on typed columns: a range
+//! task reads a slice of every column, a join task one bucket of each side,
+//! and the task outputs are concatenated column by column. An input bound as
+//! rows is converted once, on first use, and the conversion is cached in the
+//! [`Table`] its clones share; every output is columnar only, so chained
+//! stages never convert.
 //!
 //! A wave is as wide as the *host's* available parallelism, not the simulated
 //! cluster's core count; [`ClusterSpec`] sizes the partitions and the modeled
@@ -33,43 +33,37 @@
 
 use crate::cluster::ClusterSpec;
 use crate::cost::ClusterCostModel;
-use crate::partition::{row_ranges, shuffle_columns, shuffle_rows};
+use crate::partition::{row_ranges, shuffle_columns};
 use conclave_engine::{
-    execute_columnar, execute_rows, key_indices, ColumnarExecutor, ColumnarRelation, EngineError,
-    EngineMode, EngineResult, Executor, Relation, RowExecutor, Table,
+    execute_columnar, key_indices, ColumnarExecutor, ColumnarRelation, EngineError, EngineResult,
+    Executor, Table,
 };
 use conclave_ir::ops::{AggFunc, Operator};
-use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
+
+/// Most rows one range task hands the vectorized kernels; a longer input is
+/// cut into more ranges than the cluster has partitions. A throw-away
+/// staging constant, not a tuning knob: it holds the move of every task from
+/// rows to columns to a speed-up one benchmark comparison can resolve
+/// (≈ 2× on `market_pushdown` instead of ≈ 5×). The next step of ROADMAP
+/// item 5 deletes it, which leaves one range per partition.
+const STAGE_TASK_ROWS: usize = 48;
 
 /// A party's data-parallel execution engine.
 #[derive(Debug, Clone)]
 pub struct ParallelEngine {
     cluster: ClusterSpec,
     cost: ClusterCostModel,
-    mode: EngineMode,
 }
 
 impl ParallelEngine {
-    /// Creates an engine for the given cluster (row-mode tasks by default).
+    /// Creates an engine for the given cluster.
     pub fn new(cluster: ClusterSpec) -> Self {
         ParallelEngine {
             cluster,
             cost: ClusterCostModel::default(),
-            mode: EngineMode::Row,
         }
-    }
-
-    /// Returns a copy whose tasks run in the given mode's layout.
-    pub fn with_mode(mut self, mode: EngineMode) -> Self {
-        self.mode = mode;
-        self
-    }
-
-    /// The per-task engine mode.
-    pub fn mode(&self) -> EngineMode {
-        self.mode
     }
 
     /// The engine's cluster description.
@@ -83,91 +77,49 @@ impl ParallelEngine {
         self.cost.estimate_job(&self.cluster, steps)
     }
 
-    /// One task wave of `op` over the row ranges of its single input, the
-    /// task outputs concatenated in range order.
+    /// One task wave of `op` over the row ranges of its single input, each
+    /// task on a slice of every column, the outputs concatenated in range
+    /// order.
     fn per_range(&self, op: &Operator, inputs: &[&Table]) -> EngineResult<Table> {
         let [input] = inputs else {
             return arity_error(op, "1", inputs.len());
         };
-        let ranges = row_ranges(input.num_rows(), self.cluster.default_partitions());
+        let rows = input.num_rows();
+        let tasks = rows.div_ceil(STAGE_TASK_ROWS);
+        let ranges = row_ranges(rows, tasks.max(self.cluster.default_partitions()));
         if ranges.is_empty() {
             // No rows, no tasks: what `op` makes of nothing (a schema, a
             // scalar aggregate's identity row) is the sequential engine's.
-            return self.whole(op, inputs);
+            return whole(op, inputs);
         }
-        self.concat(run_per_partition(&ranges, |r| {
-            self.on_range(op, input, r.clone())
+        let columns = input.as_columns();
+        concat(run_per_partition(&ranges, |r| {
+            execute_columnar(op, &[&columns.slice(r.start, r.end)])
         })?)
-    }
-
-    /// Leaf: `op` on whole tables, in the mode's sequential engine.
-    fn whole(&self, op: &Operator, inputs: &[&Table]) -> EngineResult<Table> {
-        match self.mode {
-            EngineMode::Row => RowExecutor::new().execute(op, inputs),
-            EngineMode::Columnar => ColumnarExecutor::new().execute(op, inputs),
-        }
-    }
-
-    /// Leaf: `op` on one range of `input`'s rows. A row task borrows the
-    /// range; a columnar task slices it out of every typed column.
-    fn on_range(&self, op: &Operator, input: &Table, r: Range<usize>) -> EngineResult<Table> {
-        match self.mode {
-            EngineMode::Row => {
-                let rel = input.as_rows();
-                execute_rows(op, &rel.schema, &rel.rows[r]).map(Table::from_rows)
-            }
-            EngineMode::Columnar => {
-                let slice = input.as_columns().slice(r.start, r.end);
-                execute_columnar(op, &[&slice]).map(Table::from_columns)
-            }
-        }
-    }
-
-    /// Leaf: a join side hash-partitioned by its key columns, one bucket per
-    /// partition; equal keys share a bucket whatever the layout.
-    fn shuffle(&self, input: &Table, key_cols: &[usize]) -> Vec<Table> {
-        let buckets = self.cluster.default_partitions();
-        match self.mode {
-            EngineMode::Row => shuffle_rows(input.as_rows(), key_cols, buckets)
-                .into_iter()
-                .map(Table::from_rows)
-                .collect(),
-            EngineMode::Columnar => shuffle_columns(input.as_columns(), key_cols, buckets)
-                .into_iter()
-                .map(Table::from_columns)
-                .collect(),
-        }
-    }
-
-    /// Leaf: the task outputs as one table, in task order. Rows are moved
-    /// out of their tasks' tables; columns are copied once.
-    fn concat(&self, mut parts: Vec<Table>) -> EngineResult<Table> {
-        // Every part has the operator's output schema, but an empty columnar
-        // part need not have a full one's column types: only the full parts
-        // are joined up, or, if there is none, one empty part stands for all.
-        if parts.iter().all(Table::is_empty) {
-            parts.truncate(1);
-        } else {
-            parts.retain(|part| !part.is_empty());
-        }
-        match self.mode {
-            EngineMode::Row => {
-                Relation::concat_owned(parts.into_iter().map(Table::into_rows).collect())
-                    .map(Table::from_rows)
-            }
-            EngineMode::Columnar => {
-                let columns: Vec<&ColumnarRelation> =
-                    parts.iter().map(|part| part.as_columns()).collect();
-                ColumnarRelation::concat(&columns).map(Table::from_columns)
-            }
-        }
     }
 }
 
+/// `op` on whole tables, in the sequential vectorized engine.
+fn whole(op: &Operator, inputs: &[&Table]) -> EngineResult<Table> {
+    ColumnarExecutor::new().execute(op, inputs)
+}
+
+/// The task outputs as one table, in task order, every column copied once.
+fn concat(mut parts: Vec<ColumnarRelation>) -> EngineResult<Table> {
+    // Every part has the operator's output schema, but an empty part need
+    // not have a full one's column types: only the full parts are joined up,
+    // or, if there is none, one empty part stands for all.
+    if parts.iter().all(ColumnarRelation::is_empty) {
+        parts.truncate(1);
+    } else {
+        parts.retain(|part| !part.is_empty());
+    }
+    ColumnarRelation::concat(&parts).map(Table::from_columns)
+}
+
 impl Executor for ParallelEngine {
-    /// Executes one operator as task waves in the configured mode's layout:
-    /// the output holds that layout only, so chained stages of one mode never
-    /// convert between rows and columns.
+    /// Executes one operator as task waves on columns: the output is
+    /// columnar only, so chained stages never convert between layouts.
     fn execute(&self, op: &Operator, inputs: &[&Table]) -> Result<Table, EngineError> {
         match (op, final_pass(op)) {
             // Narrow, partition-wise operators.
@@ -179,7 +131,7 @@ impl Executor for ParallelEngine {
                 _,
             ) => self.per_range(op, inputs),
             // Aggregations and distinct: a partial per range, one final pass.
-            (_, Some(fin)) => self.whole(&fin, &[&self.per_range(op, inputs)?]),
+            (_, Some(fin)) => whole(&fin, &[&self.per_range(op, inputs)?]),
             // Joins: co-partition both sides by the join key.
             (
                 Operator::Join {
@@ -194,17 +146,20 @@ impl Executor for ParallelEngine {
                 };
                 let left_cols = key_indices(left.schema(), left_keys)?;
                 let right_cols = key_indices(right.schema(), right_keys)?;
-                let pairs: Vec<(Table, Table)> = self
-                    .shuffle(left, &left_cols)
-                    .into_iter()
-                    .zip(self.shuffle(right, &right_cols))
-                    .collect();
-                self.concat(run_per_partition(&pairs, |(l, r)| self.whole(op, &[l, r]))?)
+                let buckets = self.cluster.default_partitions();
+                let pairs: Vec<(ColumnarRelation, ColumnarRelation)> =
+                    shuffle_columns(left.as_columns(), &left_cols, buckets)
+                        .into_iter()
+                        .zip(shuffle_columns(right.as_columns(), &right_cols, buckets))
+                        .collect();
+                concat(run_per_partition(&pairs, |(l, r)| {
+                    execute_columnar(op, &[l, r])
+                })?)
             }
             // Everything else is executed on the collected data (sorts,
             // limits, scalar steps, compiler-inserted physical operators);
             // these are either cheap or already tiny after local reduction.
-            _ => self.whole(op, inputs),
+            _ => whole(op, inputs),
         }
     }
 
@@ -220,10 +175,7 @@ impl Executor for ParallelEngine {
     }
 
     fn name(&self) -> &'static str {
-        match self.mode {
-            EngineMode::Row => "parallel-row",
-            EngineMode::Columnar => "parallel-columnar",
-        }
+        "parallel"
     }
 }
 
@@ -273,9 +225,9 @@ fn arity_error<T>(op: &Operator, expected: &str, got: usize) -> EngineResult<T> 
 /// threads run it: a thread per partition on a host with fewer cores buys no
 /// speed, and rows allocated on many threads sit in as many allocator arenas,
 /// each of which keeps its high-water mark after the wave (measured on
-/// `market_pushdown`, pinned to one core: 265 MB peak RSS at 272–297 ms per
-/// query with a host-sized wave, 518–543 MB at 299–315 ms with a thread per
-/// partition).
+/// `market_pushdown` with row tasks, pinned to one core: 265 MB peak RSS at
+/// 272–297 ms per query with a host-sized wave, 518–543 MB at 299–315 ms
+/// with a thread per partition).
 fn run_per_partition<T: Sync, R: Send>(
     items: &[T],
     f: impl Fn(&T) -> EngineResult<R> + Sync,
@@ -323,7 +275,7 @@ fn run_wave<T: Sync, R: Send>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use conclave_engine::execute;
+    use conclave_engine::{execute, Relation};
     use conclave_ir::expr::Expr;
     use conclave_ir::ops::Operand;
     use conclave_ir::types::Value;
@@ -334,11 +286,11 @@ mod tests {
         ParallelEngine::new(ClusterSpec::paper_party_cluster())
     }
 
-    /// `op` through the [`Executor`] of a `mode` engine, rows in and rows out.
-    fn run(mode: EngineMode, op: &Operator, inputs: &[&Relation]) -> EngineResult<Relation> {
+    /// `op` through the engine's [`Executor`], rows in and rows out.
+    fn run(op: &Operator, inputs: &[&Relation]) -> EngineResult<Relation> {
         let tables: Vec<Table> = inputs.iter().map(|&r| r.clone().into()).collect();
         let refs: Vec<&Table> = tables.iter().collect();
-        let out = engine().with_mode(mode).execute(op, &refs)?;
+        let out = engine().execute(op, &refs)?;
         Ok(out.into_rows())
     }
 
@@ -372,7 +324,7 @@ mod tests {
                 den: Operand::lit(10),
             },
         ] {
-            let parallel = run(EngineMode::Row, &op, &[&rel]).unwrap();
+            let parallel = run(&op, &[&rel]).unwrap();
             let sequential = execute(&op, &[&rel]).unwrap();
             assert_eq!(parallel, sequential, "{op} mismatch");
         }
@@ -381,16 +333,24 @@ mod tests {
     #[test]
     fn grouped_aggregation_matches_sequential() {
         let rel = random_sales(10_000, 2);
-        let op = Operator::Aggregate {
-            group_by: vec!["companyID".into()],
-            func: AggFunc::Sum,
-            over: Some("price".into()),
-            out: "rev".into(),
-        };
-        let parallel = run(EngineMode::Row, &op, &[&rel]).unwrap();
-        // Partials combine in range order and grouping is first-seen ordered:
-        // the groups come out in the sequential engine's order.
-        assert_eq!(parallel, execute(&op, &[&rel]).unwrap());
+        for op in [
+            Operator::Aggregate {
+                group_by: vec!["companyID".into()],
+                func: AggFunc::Sum,
+                over: Some("price".into()),
+                out: "rev".into(),
+            },
+            Operator::Aggregate {
+                group_by: vec![],
+                func: AggFunc::Max,
+                over: Some("price".into()),
+                out: "hi".into(),
+            },
+        ] {
+            // Partials combine in range order and grouping is first-seen
+            // ordered: the groups come out in the sequential engine's order.
+            assert_eq!(run(&op, &[&rel]).unwrap(), execute(&op, &[&rel]).unwrap());
+        }
     }
 
     #[test]
@@ -404,29 +364,24 @@ mod tests {
             out: "n".into(),
         };
         let scalar = agg(&[], AggFunc::Count, None);
-        let out = run(EngineMode::Row, &scalar, &[&rel]).unwrap();
+        let out = run(&scalar, &[&rel]).unwrap();
         assert_eq!(out.rows, vec![vec![Value::Int(100)]]);
         assert_eq!(out, execute(&scalar, &[&rel]).unwrap());
         let grouped = agg(&["companyID"], AggFunc::Count, None);
-        let out = run(EngineMode::Row, &grouped, &[&rel]).unwrap();
+        let out = run(&grouped, &[&rel]).unwrap();
         assert_eq!(out, execute(&grouped, &[&rel]).unwrap());
         let total: i64 = out.rows.iter().map(|r| r[1].as_int().unwrap()).sum();
         assert_eq!(total, 100);
         // No rows, no ranges, no partials: still the one identity row.
         let none = Relation::from_ints(&["companyID", "price"], &[]);
         for op in [scalar, agg(&[], AggFunc::Sum, Some("price"))] {
-            for mode in [EngineMode::Row, EngineMode::Columnar] {
-                let out = run(mode, &op, &[&none]).unwrap();
-                assert_eq!(out.rows, vec![vec![Value::Int(0)]], "{op} {mode}");
-            }
+            let out = run(&op, &[&none]).unwrap();
+            assert_eq!(out.rows, vec![vec![Value::Int(0)]], "{op}");
         }
         // Fewer rows than partitions: MIN sees no empty range's NULL.
         let few = random_sales(5, 9);
         let min = agg(&[], AggFunc::Min, Some("price"));
-        for mode in [EngineMode::Row, EngineMode::Columnar] {
-            let out = run(mode, &min, &[&few]).unwrap();
-            assert_eq!(out, execute(&min, &[&few]).unwrap(), "{mode}");
-        }
+        assert_eq!(run(&min, &[&few]).unwrap(), execute(&min, &[&few]).unwrap());
     }
 
     #[test]
@@ -439,7 +394,7 @@ mod tests {
         };
         assert!(final_pass(&op).is_none());
         let rel = random_sales(200, 10);
-        let out = run(EngineMode::Row, &op, &[&rel]).unwrap();
+        let out = run(&op, &[&rel]).unwrap();
         assert_eq!(out, execute(&op, &[&rel]).unwrap());
     }
 
@@ -469,15 +424,16 @@ mod tests {
             over: Some("price".into()),
             out: "total".into(),
         };
-        let out = run(EngineMode::Row, &sum, &[&rel]).unwrap();
+        let out = run(&sum, &[&rel]).unwrap();
         assert_eq!(out.rows, execute(&sum, &[&rel]).unwrap().rows);
 
         let sort = Operator::SortBy {
             column: "price".into(),
             ascending: true,
         };
-        let out = run(EngineMode::Row, &sort, &[&rel]).unwrap();
+        let out = run(&sort, &[&rel]).unwrap();
         assert!(out.is_sorted_by("price", true));
+        assert_eq!(out, execute(&sort, &[&rel]).unwrap());
     }
 
     #[test]
@@ -486,7 +442,7 @@ mod tests {
         let op = Operator::Distinct {
             columns: vec!["companyID".into()],
         };
-        let parallel = run(EngineMode::Row, &op, &[&rel]).unwrap();
+        let parallel = run(&op, &[&rel]).unwrap();
         assert_eq!(parallel, execute(&op, &[&rel]).unwrap());
     }
 
@@ -499,7 +455,7 @@ mod tests {
             left_keys: vec!["companyID".into()],
             right_keys: vec!["companyID".into()],
         };
-        let parallel = run(EngineMode::Row, &op, &[&left, &right]).unwrap();
+        let parallel = run(&op, &[&left, &right]).unwrap();
         let sequential = execute(&op, &[&left, &right]).unwrap();
         assert!(parallel.same_rows_unordered(&sequential));
         assert_eq!(parallel.schema.names(), sequential.schema.names());
@@ -512,14 +468,14 @@ mod tests {
             left_keys: vec!["companyID".into()],
             right_keys: vec!["companyID".into()],
         };
-        assert!(run(EngineMode::Row, &op, &[&rel]).is_err());
+        assert!(run(&op, &[&rel]).is_err());
         let bad = Operator::Aggregate {
             group_by: vec!["zzz".into()],
             func: AggFunc::Count,
             over: None,
             out: "n".into(),
         };
-        assert!(run(EngineMode::Row, &bad, &[&rel]).is_err());
+        assert!(run(&bad, &[&rel]).is_err());
     }
 
     #[test]
@@ -531,84 +487,15 @@ mod tests {
             over: Some("price".into()),
             out: "rev".into(),
         };
-        let out = run(EngineMode::Row, &op, &[&rel]).unwrap();
+        let out = run(&op, &[&rel]).unwrap();
         assert_eq!(out.num_rows(), 0);
         assert_eq!(out.schema.names(), vec!["companyID", "rev"]);
     }
 
     #[test]
-    fn columnar_mode_matches_row_mode_across_operators() {
-        let rel = random_sales(4_000, 11);
-        let mut right = random_sales(2_000, 12);
-        right.schema = conclave_ir::schema::Schema::ints(&["companyID", "weight"]);
-        let unary = [
-            Operator::Project {
-                columns: vec!["price".into()],
-            },
-            Operator::Filter {
-                predicate: Expr::col("price").gt(Expr::lit(500)),
-            },
-            Operator::Multiply {
-                out: "x".into(),
-                operands: vec![Operand::col("price"), Operand::lit(3)],
-            },
-            Operator::Divide {
-                out: "r".into(),
-                num: Operand::col("price"),
-                den: Operand::lit(10),
-            },
-            Operator::Aggregate {
-                group_by: vec!["companyID".into()],
-                func: AggFunc::Sum,
-                over: Some("price".into()),
-                out: "rev".into(),
-            },
-            Operator::Aggregate {
-                group_by: vec![],
-                func: AggFunc::Max,
-                over: Some("price".into()),
-                out: "hi".into(),
-            },
-            Operator::Distinct {
-                columns: vec!["companyID".into()],
-            },
-            Operator::SortBy {
-                column: "price".into(),
-                ascending: true,
-            },
-        ];
-        for op in unary {
-            // Ranges are cut and partials folded alike in both layouts: the
-            // same rows in the same order.
-            let row = run(EngineMode::Row, &op, &[&rel]).unwrap();
-            let col = run(EngineMode::Columnar, &op, &[&rel]).unwrap();
-            assert_eq!(col, row, "{op} mismatch");
-        }
-        let join = Operator::Join {
-            left_keys: vec!["companyID".into()],
-            right_keys: vec!["companyID".into()],
-        };
-        let row = run(EngineMode::Row, &join, &[&rel, &right]).unwrap();
-        let col = run(EngineMode::Columnar, &join, &[&rel, &right]).unwrap();
-        assert!(col.same_rows_unordered(&row));
-        assert_eq!(col.schema.names(), row.schema.names());
-        // Errors surface in columnar mode too.
-        assert!(run(EngineMode::Columnar, &join, &[&rel]).is_err());
-        let bad = Operator::Aggregate {
-            group_by: vec!["zzz".into()],
-            func: AggFunc::Count,
-            over: None,
-            out: "n".into(),
-        };
-        assert!(run(EngineMode::Columnar, &bad, &[&rel]).is_err());
-    }
-
-    #[test]
-    fn executor_trait_keeps_native_layout_and_matches_row_results() {
-        let row_exec = engine();
-        let col_exec = engine().with_mode(EngineMode::Columnar);
-        assert_eq!(Executor::name(&row_exec), "parallel-row");
-        assert_eq!(Executor::name(&col_exec), "parallel-columnar");
+    fn outputs_are_columnar_and_inputs_convert_once() {
+        let exec = engine();
+        assert_eq!(Executor::name(&exec), "parallel");
         let rel = random_sales(3_000, 21);
         let mut right = random_sales(500, 22);
         right.schema = conclave_ir::schema::Schema::ints(&["companyID", "weight"]);
@@ -638,57 +525,53 @@ mod tests {
             },
         ];
         for op in ops {
-            let binary = matches!(op, Operator::Join { .. });
+            let inputs: Vec<&Relation> = if matches!(op, Operator::Join { .. }) {
+                vec![&rel, &right]
+            } else {
+                vec![&rel]
+            };
+            let expected = execute(&op, &inputs).unwrap();
             // Columnar in, columnar out: no input converts, no output holds rows.
-            let cols = [&rel, &right].map(|r| Table::from_columns(ColumnarRelation::from_rows(r)));
-            let inputs: &[&Table] = if binary {
-                &[&cols[0], &cols[1]]
-            } else {
-                &[&cols[0]]
-            };
-            let col_out = col_exec.execute(&op, inputs).unwrap();
+            let cols: Vec<Table> = inputs
+                .iter()
+                .map(|&r| Table::from_columns(ColumnarRelation::from_rows(r)))
+                .collect();
+            let refs: Vec<&Table> = cols.iter().collect();
+            let col_out = exec.execute(&op, &refs).unwrap();
             assert!(col_out.has_columns() && !col_out.has_rows(), "{op}");
-            // Rows in, rows out, likewise.
-            let rows = [&rel, &right].map(|r| Table::from_rows(r.clone()));
-            let inputs: &[&Table] = if binary {
-                &[&rows[0], &rows[1]]
-            } else {
-                &[&rows[0]]
-            };
-            let row_out = row_exec.execute(&op, inputs).unwrap();
-            assert!(row_out.has_rows() && !row_out.has_columns(), "{op}");
-            for input in cols.iter().chain(&rows) {
-                assert_eq!(input.conversion_counts().total(), 0, "{op}");
+            assert!(cols.iter().all(|t| t.conversion_counts().total() == 0));
+            // Rows in: each input converts once, the output is columnar, and
+            // a second run on the same tables converts nothing more.
+            let rows: Vec<Table> = inputs
+                .iter()
+                .map(|&r| Table::from_rows(r.clone()))
+                .collect();
+            let refs: Vec<&Table> = rows.iter().collect();
+            for _ in 0..2 {
+                let row_out = exec.execute(&op, &refs).unwrap();
+                assert!(row_out.has_columns() && !row_out.has_rows(), "{op}");
+                for input in &rows {
+                    assert_eq!(input.conversion_counts().row_to_columnar, 1, "{op}");
+                    assert_eq!(input.conversion_counts().columnar_to_row, 0, "{op}");
+                }
+                assert!(row_out.as_rows().same_rows_unordered(&expected), "{op}");
             }
-            assert!(
-                row_out.as_rows().same_rows_unordered(col_out.as_rows()),
-                "{op}"
-            );
+            assert!(col_out.as_rows().same_rows_unordered(&expected), "{op}");
         }
         // Cost estimates flow through the trait.
-        assert!(Executor::estimate(&row_exec, &aggregate, 3_000, 50, 16) > Duration::ZERO);
+        assert!(Executor::estimate(&exec, &aggregate, 3_000, 50, 16) > Duration::ZERO);
         let table = Table::from_rows(rel);
-        assert!(row_exec.estimate_tables(&aggregate, &[&table], 50) > Duration::ZERO);
-    }
-
-    #[test]
-    fn columnar_mode_empty_input_keeps_schema() {
-        let rel = Relation::from_ints(&["companyID", "price"], &[]);
-        let op = Operator::Aggregate {
-            group_by: vec!["companyID".into()],
-            func: AggFunc::Sum,
-            over: Some("price".into()),
-            out: "rev".into(),
-        };
-        let out = run(EngineMode::Columnar, &op, &[&rel]).unwrap();
-        assert_eq!(out.num_rows(), 0);
-        assert_eq!(out.schema.names(), vec!["companyID", "rev"]);
+        assert!(exec.estimate_tables(&aggregate, &[&table], 50) > Duration::ZERO);
+        assert_eq!(
+            table.conversion_counts().total(),
+            0,
+            "estimates read no data"
+        );
     }
 
     #[test]
     fn accessors_and_estimate_job() {
-        let eng = ParallelEngine::new(ClusterSpec::new(2, 2)).with_mode(EngineMode::Columnar);
-        assert_eq!(eng.mode(), EngineMode::Columnar);
+        let eng = ParallelEngine::new(ClusterSpec::new(2, 2));
         assert_eq!(eng.cluster().total_cores(), 4);
         let t = eng.estimate_job(&[(
             Operator::Project {

@@ -1,18 +1,13 @@
 //! Partitions: the unit of parallelism.
 //!
 //! A partition of a relation is a *range of its rows*. [`row_ranges`] cuts
-//! `0..num_rows` into near-equal, non-empty ranges; a row task reads
-//! `&input.rows[range]` under the input's schema — nothing is copied to make
-//! it — and a columnar task reads a slice of every typed column (a `memcpy`
-//! of primitives). Owned partitions exist only where rows really have to
-//! move: `shuffle_rows` and `shuffle_columns` fill the buckets of a join's
-//! co-partitioning shuffle, one per layout and the same buckets in both.
-//! Aggregations and `Distinct` never shuffle: they combine per range first
-//! (see [`crate::exec`]).
+//! `0..num_rows` into near-equal, non-empty ranges, and a task reads a slice
+//! of every typed column (a `memcpy` of primitives). Owned partitions exist
+//! only where rows really have to move: `shuffle_columns` fills the buckets
+//! of a join's co-partitioning shuffle. Aggregations and `Distinct` never
+//! shuffle: they combine per range first (see [`crate::exec`]).
 
-use conclave_engine::{ColumnarRelation, Relation};
-use conclave_ir::types::Value;
-use std::borrow::Borrow;
+use conclave_engine::ColumnarRelation;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::ops::Range;
@@ -29,42 +24,12 @@ pub fn row_ranges(num_rows: usize, n: usize) -> Vec<Range<usize>> {
         .collect()
 }
 
-/// The bucket a row's key lands in. Both layouts hash `Value`s into a copy of
-/// one seed state, so they agree on every row's bucket.
-fn bucket_of<V: Borrow<Value>>(
-    seed: &DefaultHasher,
-    key: impl Iterator<Item = V>,
-    buckets: usize,
-) -> usize {
-    let mut hasher = seed.clone();
-    for v in key {
-        v.borrow().hash(&mut hasher);
-    }
-    (hasher.finish() % buckets as u64) as usize
-}
-
-/// Hash-partitions `rel` by the given key columns, so that all rows with
-/// equal keys land in the same bucket, in their input order (the shuffle
-/// before a join). This is the one place a row is copied to be partitioned.
-pub(crate) fn shuffle_rows(rel: &Relation, key_cols: &[usize], buckets: usize) -> Vec<Relation> {
-    let buckets = buckets.max(1);
-    let seed = DefaultHasher::new();
-    let mut rows: Vec<Vec<Vec<Value>>> = vec![Vec::new(); buckets];
-    for row in &rel.rows {
-        let bucket = bucket_of(&seed, key_cols.iter().map(|&c| &row[c]), buckets);
-        rows[bucket].push(row.clone());
-    }
-    rows.into_iter()
-        .map(|rows| Relation {
-            schema: rel.schema.clone(),
-            rows,
-        })
-        .collect()
-}
-
-/// [`shuffle_rows`] over typed columns, into the same buckets: one gather
-/// index list per bucket, then every column is gathered once, so a join task
-/// runs the vectorized engine with no row materialized.
+/// Hash-partitions `rel` by the given key columns into `buckets` buckets, so
+/// that all rows with equal keys land in the same bucket, in their input
+/// order (the shuffle before a join). Keys are hashed as `Value`s, so an
+/// `Int` key and an equal `Float` key share a bucket. One gather index list
+/// is built per bucket, then every column is gathered once: a join task runs
+/// the vectorized engine with no row materialized.
 pub(crate) fn shuffle_columns(
     rel: &ColumnarRelation,
     key_cols: &[usize],
@@ -74,8 +39,11 @@ pub(crate) fn shuffle_columns(
     let seed = DefaultHasher::new();
     let mut indices: Vec<Vec<usize>> = vec![Vec::new(); buckets];
     for i in 0..rel.num_rows() {
-        let key = key_cols.iter().map(|&c| rel.value(i, c));
-        indices[bucket_of(&seed, key, buckets)].push(i);
+        let mut hasher = seed.clone();
+        for &c in key_cols {
+            rel.value(i, c).hash(&mut hasher);
+        }
+        indices[(hasher.finish() % buckets as u64) as usize].push(i);
     }
     indices.iter().map(|idx| rel.gather(idx)).collect()
 }
@@ -83,6 +51,9 @@ pub(crate) fn shuffle_columns(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use conclave_engine::Relation;
+    use conclave_ir::schema::{ColumnDef, Schema};
+    use conclave_ir::types::{DataType, Value};
 
     fn rel(n: i64) -> Relation {
         Relation::from_ints(
@@ -113,53 +84,49 @@ mod tests {
     }
 
     #[test]
-    fn shuffle_by_key_groups_equal_keys_together() {
+    fn shuffle_by_key_groups_equal_keys_together_in_input_order() {
         let r = rel(200);
-        let shuffled = shuffle_rows(&r, &[0], 5);
-        assert_eq!(shuffled.iter().map(Relation::num_rows).sum::<usize>(), 200);
+        let shuffled = shuffle_columns(&ColumnarRelation::from_rows(&r), &[0], 5);
         assert_eq!(shuffled.len(), 5);
+        assert_eq!(shuffled.iter().map(|p| p.num_rows()).sum::<usize>(), 200);
         // Every distinct key must appear in exactly one partition.
         for key in 0..7i64 {
             let holders = shuffled
-                .iter()
-                .filter(|part| part.rows.iter().any(|row| row[0] == Value::Int(key)))
-                .count();
-            assert_eq!(holders, 1, "key {key} appears in {holders} partitions");
-        }
-        // All rows survive the shuffle.
-        let collected = Relation::concat_owned(shuffled).unwrap();
-        assert!(collected.same_rows_unordered(&r));
-    }
-
-    #[test]
-    fn shuffle_with_zero_partitions_is_clamped() {
-        let shuffled = shuffle_rows(&rel(10), &[0], 0);
-        assert_eq!(shuffled, [rel(10)]);
-    }
-
-    #[test]
-    fn columnar_shuffle_matches_row_shuffle_semantics() {
-        let r = rel(200);
-        let row_part = shuffle_rows(&r, &[0], 5);
-        let columnar = ColumnarRelation::from_rows(&r);
-        let col_part = shuffle_columns(&columnar, &[0], 5);
-        assert_eq!(col_part.len(), 5);
-        assert_eq!(col_part.iter().map(|p| p.num_rows()).sum::<usize>(), 200);
-        // Same bucketing (both hash `Value`s with the same hasher), and every
-        // key lands in exactly one partition.
-        for (rp, cp) in row_part.iter().zip(&col_part) {
-            assert_eq!(cp.to_rows().rows, rp.rows);
-        }
-        for key in 0..7i64 {
-            let holders = col_part
                 .iter()
                 .filter(|part| (0..part.num_rows()).any(|i| part.value(i, 0) == Value::Int(key)))
                 .count();
             assert_eq!(holders, 1, "key {key} appears in {holders} partitions");
         }
-        let collected = ColumnarRelation::concat(&col_part).unwrap();
+        // A bucket keeps its rows in input order (`v` counts up).
+        for part in &shuffled {
+            let v: Vec<Value> = part.column(1).values();
+            assert!(v.windows(2).all(|w| w[0] < w[1]));
+        }
+        // All rows survive the shuffle.
+        let collected = ColumnarRelation::concat(&shuffled).unwrap();
         assert!(collected.to_rows().same_rows_unordered(&r));
-        // Zero-partition shuffles clamp.
-        assert_eq!(shuffle_columns(&columnar, &[0], 0).len(), 1);
+    }
+
+    #[test]
+    fn shuffle_with_zero_partitions_is_clamped() {
+        let columnar = ColumnarRelation::from_rows(&rel(10));
+        let shuffled = shuffle_columns(&columnar, &[0], 0);
+        assert_eq!(shuffled.len(), 1);
+        assert_eq!(shuffled[0].to_rows(), rel(10));
+    }
+
+    #[test]
+    fn equal_int_and_float_keys_share_a_bucket() {
+        let ints = Relation::from_ints(&["k"], &(0..50).map(|i| vec![i]).collect::<Vec<_>>());
+        let floats = Relation::new(
+            Schema::new(vec![ColumnDef::new("k", DataType::Float)]),
+            (0..50).map(|i| vec![Value::Float(i as f64)]).collect(),
+        )
+        .unwrap();
+        let by_int = shuffle_columns(&ColumnarRelation::from_rows(&ints), &[0], 7);
+        let by_float = shuffle_columns(&ColumnarRelation::from_rows(&floats), &[0], 7);
+        for (i, f) in by_int.iter().zip(&by_float) {
+            assert_eq!(i.column(0).values(), f.column(0).values());
+        }
     }
 }

@@ -97,8 +97,8 @@ fn market_query_is_correct_under_all_configurations() {
     }
 }
 
-/// The full oracle matrix: {sequential row, parallel row, sequential
-/// vectorized, parallel vectorized} × {hybrid operators on, off}.
+/// The full oracle matrix: {sequential row, sequential vectorized, parallel
+/// (always vectorized)} × {hybrid operators on, off}.
 fn engine_hybrid_matrix() -> Vec<(String, ConclaveConfig)> {
     let mut out = Vec::new();
     for (hybrid_name, base) in [
@@ -106,13 +106,14 @@ fn engine_hybrid_matrix() -> Vec<(String, ConclaveConfig)> {
         ("no-hybrid", ConclaveConfig::without_hybrid()),
     ] {
         for (engine_name, config) in [
-            ("seq-row", base.clone().with_sequential_local()),
             (
-                "seq-vectorized",
-                base.clone().with_sequential_local().with_columnar(),
+                "seq-row",
+                base.clone()
+                    .with_sequential_local()
+                    .with_engine_mode(EngineMode::Row),
             ),
-            ("parallel-row", base.clone()),
-            ("parallel-vectorized", base.clone().with_columnar()),
+            ("seq-vectorized", base.clone().with_sequential_local()),
+            ("parallel-vectorized", base.clone()),
         ] {
             out.push((format!("{hybrid_name}/{engine_name}"), config));
         }
@@ -232,9 +233,7 @@ fn columnar_driven_query_converts_only_at_input_and_collect_boundaries() {
             .map(|i| vec![i % 7, (i * 13) % 100])
             .collect::<Vec<_>>(),
     );
-    let config = ConclaveConfig::standard()
-        .with_sequential_local()
-        .with_columnar();
+    let config = ConclaveConfig::standard().with_sequential_local();
 
     // Column-backed inputs: ZERO mid-plan conversions; the single
     // columnar→row conversion happens at the collect (reveal) boundary.
@@ -261,11 +260,15 @@ fn columnar_driven_query_converts_only_at_input_and_collect_boundaries() {
     assert_eq!(report.conversions.row_to_columnar, 1, "input binding only");
     assert_eq!(report.conversions.columnar_to_row, 1, "collect only");
 
-    // Row mode never converts at all.
-    let row_report = Session::new(ConclaveConfig::standard().with_sequential_local())
-        .bind("sales", rel)
-        .run(&query)
-        .unwrap();
+    // The sequential row engine never converts at all.
+    let row_report = Session::new(
+        ConclaveConfig::standard()
+            .with_sequential_local()
+            .with_engine_mode(EngineMode::Row),
+    )
+    .bind("sales", rel)
+    .run(&query)
+    .unwrap();
     assert_eq!(row_report.conversions.total(), 0);
 }
 
@@ -284,12 +287,8 @@ fn multi_party_columnar_queries_convert_only_at_boundaries() {
         .collect();
     let n_inputs = tables.len() as u64;
     for config in [
-        ConclaveConfig::standard()
-            .with_sequential_local()
-            .with_columnar(),
-        ConclaveConfig::mpc_only()
-            .with_sequential_local()
-            .with_columnar(),
+        ConclaveConfig::standard().with_sequential_local(),
+        ConclaveConfig::mpc_only().with_sequential_local(),
     ] {
         let plan = conclave_core::compile(&query, &config).unwrap();
         let node_count = plan.dag.node_count() as u64;
@@ -310,12 +309,55 @@ fn multi_party_columnar_queries_convert_only_at_boundaries() {
     }
 }
 
+/// Under `standard()` the parallel backend runs on columns: each row-bound
+/// input converts once, on the first run, and the conversion is cached in
+/// the table the caller binds again, so a second run through the same driver
+/// converts nothing. Both runs equal the sequential row oracle.
+#[test]
+fn standard_converts_each_row_bound_input_once_across_runs() {
+    let query = market_query();
+    let (inputs, _) = taxi_inputs(900, 13);
+    let (oracle_inputs, _) = taxi_inputs(900, 13);
+    let oracle_config = ConclaveConfig::standard()
+        .with_sequential_local()
+        .with_engine_mode(EngineMode::Row);
+    let oracle_plan = conclave_core::compile(&query, &oracle_config).unwrap();
+    let oracle = Driver::new(oracle_config)
+        .run_tables(&oracle_plan, &oracle_inputs)
+        .unwrap();
+    assert_eq!(oracle.conversions.total(), 0);
+    let oracle = oracle.output_for(1).unwrap();
+
+    let config = ConclaveConfig::standard();
+    let plan = conclave_core::compile(&query, &config).unwrap();
+    let mut driver = Driver::new(config);
+    let first = driver.run_tables(&plan, &inputs).unwrap();
+    assert_eq!(
+        first.conversions,
+        ConversionCounts {
+            row_to_columnar: inputs.len() as u64,
+            columnar_to_row: 0,
+        },
+        "one row → column conversion per bound input"
+    );
+    assert!(inputs.values().all(|t| t.has_columns()));
+    let second = driver.run_tables(&plan, &inputs).unwrap();
+    assert_eq!(second.conversions, ConversionCounts::default());
+    for report in [&first, &second] {
+        assert!(report.output_for(1).unwrap().same_rows_unordered(oracle));
+    }
+}
+
 #[test]
 fn parallel_and_sequential_local_backends_agree() {
     let query = market_query();
     let (inputs, _) = taxi_inputs(2_000, 2);
     let plan = conclave_core::compile(&query, &ConclaveConfig::standard()).unwrap();
-    let mut seq_driver = Driver::new(ConclaveConfig::standard().with_sequential_local());
+    let mut seq_driver = Driver::new(
+        ConclaveConfig::standard()
+            .with_sequential_local()
+            .with_engine_mode(EngineMode::Row),
+    );
     let mut par_driver = Driver::new(ConclaveConfig::standard());
     assert_eq!(
         ConclaveConfig::standard().local_backend,
@@ -598,11 +640,11 @@ fn garbled_circuit_backend_runs_small_queries_and_fails_predictably_at_scale() {
 }
 
 /// The STP's steps run on the vectorized engine whatever layout the local
-/// backend has: under `standard()` (row local backend) the credit query's
-/// two hybrid joins and two hybrid aggregations open into integer columns
-/// and their STP steps never box a value, on the in-process runtime and on
-/// the channel mesh alike. The output equals `standard().with_columnar()`'s
-/// and the cleartext reference.
+/// backend has: under the sequential row backend the credit query's two
+/// hybrid joins and two hybrid aggregations open into integer columns and
+/// their STP steps never box a value, on the in-process runtime and on the
+/// channel mesh alike. The output equals `standard()`'s and the cleartext
+/// reference.
 #[test]
 fn stp_runs_on_columns_under_a_row_local_backend() {
     let population = 300;
@@ -620,8 +662,10 @@ fn stp_runs_on_columns_under_a_row_local_backend() {
     let mut outputs: Vec<(String, Relation)> = Vec::new();
     for runtime in [PartyRuntime::Simulated, PartyRuntime::Channel] {
         for config in [
+            ConclaveConfig::standard()
+                .with_sequential_local()
+                .with_engine_mode(EngineMode::Row),
             ConclaveConfig::standard(),
-            ConclaveConfig::standard().with_columnar(),
         ] {
             let config = config.with_party_runtime(runtime);
             let name = format!("{runtime:?}/{}", config.engine_mode);

@@ -11,18 +11,15 @@
 //! The `differential_parallel_*` cases hold `conclave_parallel`'s engine to
 //! the sequential row engine the same way, on a two-partition cluster and on
 //! the paper's twelve-partition one (so most generated inputs have fewer rows
-//! than partitions): row and columnar tasks alike must reproduce the
-//! sequential result *row order included* — ranges are cut and partials
-//! combined in order — and only the join's hash shuffle is held to the same
-//! rows in any order.
+//! than partitions): its columnar tasks must reproduce the sequential result
+//! *row order included* — ranges are cut and partials combined in order —
+//! and only the join's hash shuffle is held to the same rows in any order.
 
 // Demo/test target: panicking on bad setup is the desired behavior here
 // (the workspace-level clippy::unwrap_used lint targets library code).
 #![allow(clippy::unwrap_used)]
 
-use conclave_engine::{
-    execute, execute_vectorized, EngineMode, EngineResult, Executor, Relation, Table,
-};
+use conclave_engine::{execute, execute_vectorized, EngineResult, Executor, Relation, Table};
 use conclave_ir::expr::Expr;
 use conclave_ir::ops::{AggFunc, Operand, Operator};
 use conclave_ir::schema::{ColumnDef, Schema};
@@ -106,30 +103,28 @@ fn run_parallel(
     Ok(engine.execute(op, &refs)?.into_rows())
 }
 
-/// Executes `op` on the parallel engine — row and columnar tasks, two and
-/// twelve partitions — and holds every outcome to the sequential row engine's.
+/// Executes `op` on the parallel engine — two and twelve partitions — and
+/// holds every outcome to the sequential row engine's.
 fn assert_parallel_matches_sequential(op: &Operator, inputs: &[&Relation]) {
     let sequential = execute(op, inputs);
     for cluster in [ClusterSpec::new(1, 1), ClusterSpec::paper_party_cluster()] {
-        for mode in [EngineMode::Row, EngineMode::Columnar] {
-            let engine = ParallelEngine::new(cluster).with_mode(mode);
-            let parallel = run_parallel(&engine, op, inputs);
-            let what = format!("{op} on {} {mode} partitions", cluster.default_partitions());
-            match (&sequential, parallel) {
-                (Ok(s), Ok(p)) if !matches!(op, Operator::Join { .. }) => {
-                    assert_eq!(&p, s, "{what}: result or order divergence");
-                }
-                (Ok(s), Ok(p)) => {
-                    assert_eq!(
-                        p.schema.names(),
-                        s.schema.names(),
-                        "{what}: schema divergence"
-                    );
-                    assert!(p.same_rows_unordered(s), "{what}: {p:?} vs {s:?}");
-                }
-                (Err(_), Err(_)) => {}
-                (s, p) => panic!("{what}: disagree on success: sequential={s:?} parallel={p:?}"),
+        let engine = ParallelEngine::new(cluster);
+        let parallel = run_parallel(&engine, op, inputs);
+        let what = format!("{op} on {} partitions", cluster.default_partitions());
+        match (&sequential, parallel) {
+            (Ok(s), Ok(p)) if !matches!(op, Operator::Join { .. }) => {
+                assert_eq!(&p, s, "{what}: result or order divergence");
             }
+            (Ok(s), Ok(p)) => {
+                assert_eq!(
+                    p.schema.names(),
+                    s.schema.names(),
+                    "{what}: schema divergence"
+                );
+                assert!(p.same_rows_unordered(s), "{what}: {p:?} vs {s:?}");
+            }
+            (Err(_), Err(_)) => {}
+            (s, p) => panic!("{what}: disagree on success: sequential={s:?} parallel={p:?}"),
         }
     }
 }
@@ -415,5 +410,118 @@ fn differential_edge_shapes() {
         };
         assert_engines_identical(&join, &[rel, &dup_rel]);
         assert_parallel_matches_sequential(&join, &[rel, &dup_rel]);
+    }
+}
+
+/// An `Int` key joined with a `Float` key around 2^53, where `i64 → f64`
+/// rounds: an integer matches only a float it equals exactly, and the row,
+/// vectorized and parallel engines return the same rows.
+#[test]
+fn int_float_join_keys_near_two_pow_53_match_exactly() {
+    let p53 = 1i64 << 53;
+    let keyed = |key: DataType, value: &str, cell: &dyn Fn(i64) -> Value| {
+        Relation::new(
+            Schema::new(vec![
+                ColumnDef::new("k", key),
+                ColumnDef::new(value, DataType::Int),
+            ]),
+            (-3..=3)
+                .map(|d| vec![cell(p53 + d), Value::Int(d)])
+                .collect(),
+        )
+        .unwrap()
+    };
+    let ints = keyed(DataType::Int, "l", &|k| Value::Int(k));
+    // 2^53 + 1 rounds to 2^53 and 2^53 + 3 to 2^53 + 4.
+    let floats = keyed(DataType::Float, "r", &|k| Value::Float(k as f64));
+    let join = Operator::Join {
+        left_keys: vec!["k".into()],
+        right_keys: vec!["k".into()],
+    };
+    let out = execute(&join, &[&ints, &floats]).unwrap();
+    let pairs: Vec<(i64, i64)> = out
+        .rows
+        .iter()
+        .map(|row| (row[1].as_int().unwrap(), row[2].as_int().unwrap()))
+        .collect();
+    assert_eq!(
+        pairs,
+        [(-3, -3), (-2, -2), (-1, -1), (0, 0), (0, 1), (2, 2)]
+    );
+    for inputs in [[&ints, &floats], [&floats, &ints]] {
+        assert_engines_identical(&join, &inputs);
+        assert_parallel_matches_sequential(&join, &inputs);
+    }
+}
+
+/// Filters comparing an `Int` column with a `Float` column, and each with a
+/// literal of the other type, around 2^53 and ±2^63, where `i64 → f64`
+/// rounds: the vectorized and parallel engines keep exactly the rows the
+/// row engine's `Value` order keeps.
+#[test]
+fn int_float_filters_near_two_pow_53_and_63_match_exactly() {
+    let p53 = 1i64 << 53;
+    let p63 = 9_223_372_036_854_775_808.0_f64;
+    let ints = [
+        p53 - 1,
+        p53,
+        p53 + 1,
+        p53 + 3,
+        -p53 - 1,
+        i64::MAX - 1,
+        i64::MAX,
+        i64::MIN,
+        0,
+    ];
+    let floats = [
+        p53 as f64,
+        (p53 + 4) as f64,
+        -(p53 as f64),
+        p63,
+        -p63,
+        -0.0,
+        0.5,
+        f64::INFINITY,
+        f64::NAN,
+    ];
+    let rel = Relation::new(
+        Schema::new(vec![
+            ColumnDef::new("k", DataType::Int),
+            ColumnDef::new("f", DataType::Float),
+        ]),
+        ints.iter()
+            .flat_map(|&k| {
+                floats
+                    .iter()
+                    .map(move |&f| vec![Value::Int(k), Value::Float(f)])
+            })
+            .collect(),
+    )
+    .unwrap();
+    let (k, f) = (|| Expr::col("k"), || Expr::col("f"));
+    let filter = |predicate: Expr| Operator::Filter { predicate };
+    // Only the row holding 2^53 exactly equals the float 2^53.
+    let exact = filter(k().eq(Expr::lit(p53 as f64)));
+    let kept = execute(&exact, &[&rel]).unwrap();
+    assert_eq!(kept.num_rows(), floats.len());
+    assert!(kept.rows.iter().all(|row| row[0] == Value::Int(p53)));
+    for op in [
+        exact,
+        filter(k().eq(f())),
+        filter(k().lt(f())),
+        filter(k().ge(f())),
+        filter(f().gt(k())),
+        filter(f().le(k())),
+        filter(k().ne(f())),
+        filter(k().lt(Expr::lit(p63))),
+        filter(k().ge(Expr::lit(-p63))),
+        filter(k().gt(Expr::lit((p53 + 2) as f64))),
+        filter(f().eq(Expr::lit(p53 + 1))),
+        filter(f().lt(Expr::lit(i64::MAX))),
+        filter(f().ge(Expr::lit(i64::MIN))),
+        filter(Expr::lit(i64::MAX).lt(f())),
+    ] {
+        assert_engines_identical(&op, &[&rel]);
+        assert_parallel_matches_sequential(&op, &[&rel]);
     }
 }

@@ -18,23 +18,23 @@ fn config_matrix() -> Vec<(&'static str, ConclaveConfig)> {
     vec![
         (
             "row+hybrid",
-            ConclaveConfig::standard().with_sequential_local(),
+            ConclaveConfig::standard()
+                .with_sequential_local()
+                .with_engine_mode(EngineMode::Row),
         ),
         (
             "columnar+hybrid",
-            ConclaveConfig::standard()
-                .with_sequential_local()
-                .with_columnar(),
+            ConclaveConfig::standard().with_sequential_local(),
         ),
         (
             "row+nohybrid",
-            ConclaveConfig::without_hybrid().with_sequential_local(),
+            ConclaveConfig::without_hybrid()
+                .with_sequential_local()
+                .with_engine_mode(EngineMode::Row),
         ),
         (
             "columnar+nohybrid",
-            ConclaveConfig::without_hybrid()
-                .with_sequential_local()
-                .with_columnar(),
+            ConclaveConfig::without_hybrid().with_sequential_local(),
         ),
     ]
 }

@@ -7,6 +7,14 @@
 //! workloads — the common case in Conclave queries — run entirely over `i64`
 //! slices: filters evaluate predicates in batch, aggregations accumulate into
 //! per-group slots, and hash joins build primitive-key tables.
+//!
+//! The three `i64`-keyed tables (the join's build side, the grouped
+//! aggregate's slots, `DistinctCount`'s set) hash with `IntKeys`, a
+//! multiply-xorshift keyed afresh for every table. Their keys can be join and
+//! group-by columns another party chose (the selectively-trusted party runs
+//! this engine), and a per-table random key means no input can be built to
+//! collide in advance. `Value`-keyed tables keep std's hasher, which hashes
+//! an `Int` and an equal `Float` alike.
 
 use crate::columnar::{Column, ColumnarRelation};
 use crate::error::{EngineError, EngineResult};
@@ -15,7 +23,70 @@ use conclave_ir::expr::{apply_binop_batch, BinOp, Expr, ValueBatch};
 use conclave_ir::ops::{AggFunc, Operand, Operator};
 use conclave_ir::schema::Schema;
 use conclave_ir::types::Value;
+use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasher, Hasher};
+
+/// The hash of the `i64`-keyed tables: a multiply-xorshift keyed per table.
+/// A key is xored with `xor` and multiplied by the odd `mul` into 128 bits,
+/// whose high half is xored onto the low half; that is multiplied by `mul`
+/// again and its high 32 bits xored onto its low ones. Every key bit reaches
+/// both ends of the hash (hashbrown takes its bucket from the low bits and
+/// its tag from the top seven). The second multiply is needed: with the first
+/// alone, keys that differ only in their low bits (a run of negative ids)
+/// fall on a handful of tags under about one draw of `mul` in a hundred.
+/// Two multiplies instead of SipHash's rounds; the key is drawn from
+/// [`RandomState`] once per table.
+#[derive(Clone, Copy)]
+struct IntKeys {
+    mul: u64,
+    xor: u64,
+}
+
+impl IntKeys {
+    /// A fresh key: std's `RandomState` differs from one call to the next.
+    fn new() -> Self {
+        let seed = RandomState::new();
+        IntKeys {
+            mul: seed.hash_one(0u8) | 1,
+            xor: seed.hash_one(1u8),
+        }
+    }
+}
+
+impl BuildHasher for IntKeys {
+    type Hasher = IntHasher;
+
+    fn build_hasher(&self) -> IntHasher {
+        IntHasher {
+            keys: *self,
+            hash: 0,
+        }
+    }
+}
+
+/// [`IntKeys`]'s hasher; it hashes one `i64` and nothing else.
+struct IntHasher {
+    keys: IntKeys,
+    hash: u64,
+}
+
+impl Hasher for IntHasher {
+    fn write_i64(&mut self, key: i64) {
+        let IntKeys { mul, xor } = self.keys;
+        let product = u128::from(key as u64 ^ xor) * u128::from(mul);
+        let folded = (product as u64 ^ (product >> 64) as u64).wrapping_mul(mul);
+        self.hash = folded ^ (folded >> 32);
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("IntKeys hashes i64 keys only")
+    }
+
+    fn finish(&self) -> u64 {
+        self.hash
+    }
+}
 
 /// Executes one operator over columnar inputs, producing a columnar output.
 pub fn execute_columnar(
@@ -186,7 +257,8 @@ fn join(
     let (left_idx, right_idx) = match (single_int_key(left, &lk), single_int_key(right, &rk)) {
         // Primitive-key fast path: single integer key on both sides.
         (Some(lkeys), Some(rkeys)) => {
-            let mut table: HashMap<i64, Vec<u32>> = HashMap::with_capacity(rkeys.len());
+            let mut table: HashMap<i64, Vec<u32>, IntKeys> =
+                HashMap::with_capacity_and_hasher(rkeys.len(), IntKeys::new());
             for (i, &k) in rkeys.iter().enumerate() {
                 table.entry(k).or_default().push(i as u32);
             }
@@ -293,7 +365,7 @@ fn aggregate(
         };
         if over_ok {
             let vals: Option<&[i64]> = over_ints.flatten();
-            let mut slots: HashMap<i64, usize> = HashMap::new();
+            let mut slots: HashMap<i64, usize, IntKeys> = HashMap::with_hasher(IntKeys::new());
             let mut group_keys: Vec<i64> = Vec::new();
             let mut accs: Vec<i64> = Vec::new();
             for (i, &k) in keys.iter().enumerate() {
@@ -541,7 +613,9 @@ fn distinct_count(
 ) -> EngineResult<ColumnarRelation> {
     let idx = col_idx(rel, column)?;
     let count = if let Some(ints) = rel.column(idx).as_ints() {
-        let seen: HashSet<i64> = ints.iter().copied().collect();
+        let mut seen: HashSet<i64, IntKeys> =
+            HashSet::with_capacity_and_hasher(ints.len(), IntKeys::new());
+        seen.extend(ints);
         seen.len()
     } else {
         let seen: HashSet<Value> = (0..rel.num_rows()).map(|i| rel.value(i, idx)).collect();
@@ -913,5 +987,36 @@ mod tests {
         ] {
             assert_engines_agree(&op, &[&rel]);
         }
+    }
+
+    #[test]
+    fn the_integer_hash_spreads_structured_keys_over_both_ends_and_is_keyed() {
+        let families: [(&str, Vec<i64>); 3] = [
+            ("k << 32", (0..4096).map(|k| k << 32).collect()),
+            ("k << 48", (0..4096).map(|k| k << 48).collect()),
+            ("negative", (1..=4096).map(|k| -k).collect()),
+        ];
+        for (name, keys) in families {
+            let keyed = IntKeys::new();
+            // Hashbrown's bucket comes from the low bits, its tag from the
+            // top seven: count the keys on every value of the low twelve
+            // bits (fair share 1) and of the top seven (fair share 32).
+            let mut low = [0usize; 1 << 12];
+            let mut top = [0usize; 1 << 7];
+            for k in keys {
+                let hash = keyed.hash_one(k);
+                low[(hash & 0xfff) as usize] += 1;
+                top[(hash >> 57) as usize] += 1;
+            }
+            // A random hash passes 16 in the low bits or 3× the fair share
+            // in the top ones with odds below 1e-11; over 20 000 draws of
+            // `IntKeys` the worst this one read was 11 and 66.
+            let most_low = low.into_iter().max().unwrap_or(0);
+            let most_top = top.into_iter().max().unwrap_or(0);
+            assert!(most_low <= 16, "{name}: {most_low} keys on one low value");
+            assert!(most_top <= 96, "{name}: {most_top} keys on one tag");
+        }
+        let (first, second) = (IntKeys::new(), IntKeys::new());
+        assert_ne!(first.hash_one(42i64), second.hash_one(42i64));
     }
 }

@@ -6,8 +6,7 @@
 //!
 //! * Narrow operators (`Project`, `Filter`, `Multiply`, `Divide`) run
 //!   independently on every range of the input's rows
-//!   ([`crate::partition::row_ranges`]; one per partition, or more while
-//!   `STAGE_TASK_ROWS` caps a range's length).
+//!   ([`crate::partition::row_ranges`], one per partition).
 //! * Wide operators combine before they shuffle: grouped and scalar
 //!   `Aggregate` and `Distinct` compute a partial per range and one final
 //!   pass folds the partials (the final of `COUNT` is `SUM`; `SUM`, `MIN`,
@@ -42,14 +41,6 @@ use conclave_ir::ops::{AggFunc, Operator};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
-/// Most rows one range task hands the vectorized kernels; a longer input is
-/// cut into more ranges than the cluster has partitions. A throw-away
-/// staging constant, not a tuning knob: it holds the move of every task from
-/// rows to columns to a speed-up one benchmark comparison can resolve
-/// (≈ 2× on `market_pushdown` instead of ≈ 5×). The next step of ROADMAP
-/// item 5 deletes it, which leaves one range per partition.
-const STAGE_TASK_ROWS: usize = 48;
-
 /// A party's data-parallel execution engine.
 #[derive(Debug, Clone)]
 pub struct ParallelEngine {
@@ -77,16 +68,14 @@ impl ParallelEngine {
         self.cost.estimate_job(&self.cluster, steps)
     }
 
-    /// One task wave of `op` over the row ranges of its single input, each
-    /// task on a slice of every column, the outputs concatenated in range
-    /// order.
+    /// One task wave of `op` over the row ranges of its single input, one
+    /// range per partition, each task on a slice of every column, the
+    /// outputs concatenated in range order.
     fn per_range(&self, op: &Operator, inputs: &[&Table]) -> EngineResult<Table> {
         let [input] = inputs else {
             return arity_error(op, "1", inputs.len());
         };
-        let rows = input.num_rows();
-        let tasks = rows.div_ceil(STAGE_TASK_ROWS);
-        let ranges = row_ranges(rows, tasks.max(self.cluster.default_partitions()));
+        let ranges = row_ranges(input.num_rows(), self.cluster.default_partitions());
         if ranges.is_empty() {
             // No rows, no tasks: what `op` makes of nothing (a schema, a
             // scalar aggregate's identity row) is the sequential engine's.

@@ -525,3 +525,65 @@ fn int_float_filters_near_two_pow_53_and_63_match_exactly() {
         assert_parallel_matches_sequential(&op, &[&rel]);
     }
 }
+
+/// Integer keys shaped to defeat a weak hash — multiples of 2^32 and 2^48
+/// (equal low bits), a run of negatives, `i64::MIN` and `i64::MAX` — each
+/// repeated out of order. The grouped aggregates, the join and the distinct
+/// count run on the vectorized engine's keyed `i64` tables, whose hash
+/// changes from table to table; the row, vectorized and parallel engines
+/// still return the same rows in the same order (groups first-seen).
+#[test]
+fn integer_keys_that_stress_the_hash_give_identical_results() {
+    let mut keys: Vec<i64> = (-40i64..40)
+        .flat_map(|k| [k << 32, k << 48, -1 - (k + 40)])
+        .collect();
+    keys.extend([i64::MIN, i64::MAX, i64::MIN + 1, i64::MAX - 1]);
+    let repeats: Vec<i64> = keys.iter().rev().step_by(3).copied().collect();
+    keys.extend(&repeats);
+    let rows: Vec<Vec<i64>> = keys
+        .iter()
+        .enumerate()
+        .map(|(i, &k)| vec![k, (i as i64 * 37) % 101 - 50])
+        .collect();
+    let facts = Relation::from_ints(&["k", "v"], &rows);
+    let dims = Relation::from_ints(
+        &["k", "w"],
+        &rows
+            .iter()
+            .step_by(4)
+            .chain(rows.iter().rev().step_by(9))
+            .map(|row| vec![row[0], -row[1]])
+            .collect::<Vec<_>>(),
+    );
+    let aggregate = |func: AggFunc, over: Option<&str>| Operator::Aggregate {
+        group_by: vec!["k".into()],
+        func,
+        over: over.map(Into::into),
+        out: "a".into(),
+    };
+    let groups = execute(&aggregate(AggFunc::Count, None), &[&facts]).unwrap();
+    // 80 keys of each shape and four extremes; `0 << 32` and `0 << 48` are
+    // one key.
+    assert_eq!(groups.num_rows(), 243);
+    for op in [
+        aggregate(AggFunc::Sum, Some("v")),
+        aggregate(AggFunc::Count, None),
+        aggregate(AggFunc::Min, Some("v")),
+        aggregate(AggFunc::Max, Some("v")),
+        Operator::DistinctCount {
+            column: "k".into(),
+            out: "n".into(),
+        },
+    ] {
+        assert_engines_identical(&op, &[&facts]);
+        assert_parallel_matches_sequential(&op, &[&facts]);
+    }
+    let join = Operator::Join {
+        left_keys: vec!["k".into()],
+        right_keys: vec!["k".into()],
+    };
+    for inputs in [[&facts, &dims], [&dims, &facts]] {
+        assert_engines_identical(&join, &inputs);
+        assert_parallel_matches_sequential(&join, &inputs);
+    }
+}

@@ -4,7 +4,8 @@
 //! walks the compiled DAG in topological order and dispatches every node to
 //! the engine its execution site calls for — a cleartext [`Executor`]
 //! (sequential or data-parallel, row or columnar, as configured) for local
-//! steps, the party runtime of [`party_exec`] for secret-sharing operators
+//! steps, each chain of narrow local steps (ending in at most one aggregate
+//! or distinct) run as one fused stage, the party runtime of [`party_exec`] for secret-sharing operators
 //! inside the MPC frontier, and the dedicated hybrid-protocol
 //! implementations for the operators §5.3 introduces, whose STP steps always
 //! run on the sequential vectorized engine.
@@ -32,9 +33,9 @@ use crate::plan::PhysicalPlan;
 use crate::report::RunReport;
 use conclave_engine::{
     execute, sequential_executor, ColumnarExecutor, ConversionCounts, EngineError, Executor,
-    Relation, Table,
+    Relation, StageRole, Table,
 };
-use conclave_ir::dag::NodeId;
+use conclave_ir::dag::{DagNode, NodeId};
 use conclave_ir::error::IrError;
 use conclave_ir::ops::{ExecSite, Operator};
 use conclave_ir::party::PartyId;
@@ -257,6 +258,11 @@ impl Driver {
                 consumers.entry(i).or_default().push(node.id);
             }
         }
+        // Local chains run as fused stages when their head's turn comes; a
+        // member's duration waits here for the member's own turn, so
+        // `per_node` keeps the topological order.
+        let stages = local_stages(plan, &consumers)?;
+        let mut staged: HashMap<NodeId, Duration> = HashMap::new();
 
         for id in order {
             let node = plan.dag.node(id)?;
@@ -320,6 +326,24 @@ impl Driver {
                         e.insert(table);
                     }
                 }
+            }
+            if let (Some(members), ExecSite::Local(party)) = (stages.get(&id), node.site) {
+                let ops = members
+                    .iter()
+                    .map(|&m| plan.dag.node(m).map(|n| &n.op))
+                    .collect::<Result<Vec<_>, _>>()?;
+                let input = results.get(&node.inputs[0]).expect("topological order");
+                let (table, times) = self.run_local_stage(&ops, input)?;
+                for (&member, time) in members.iter().zip(times) {
+                    *report.modeled.local_time.entry(party).or_default() += time;
+                    staged.insert(member, time);
+                }
+                tracked.push((table.clone(), table.conversion_counts()));
+                results.insert(*members.last().expect("a stage has a head"), table);
+            }
+            if let Some(elapsed) = staged.remove(&id) {
+                report.per_node.push((id, node.site, elapsed));
+                continue;
             }
             let input_tables: Vec<&Table> = node
                 .inputs
@@ -509,6 +533,30 @@ impl Driver {
         Ok((table, time))
     }
 
+    /// Runs a fused stage on the local executor, and prices each of its
+    /// operators from that operator's own input and output shape, as if it
+    /// had run alone.
+    fn run_local_stage(
+        &self,
+        ops: &[&Operator],
+        input: &Table,
+    ) -> Result<(Table, Vec<Duration>), DriverError> {
+        let run = self.local_exec.execute_stage(ops, input)?;
+        let mut shape = (input.num_rows(), input.schema());
+        let times = ops
+            .iter()
+            .zip(&run.steps)
+            .map(|(op, step)| {
+                let time = self
+                    .local_exec
+                    .estimate_shapes(op, &[shape], step.rows as u64);
+                shape = (step.rows, &step.schema);
+                time
+            })
+            .collect();
+        Ok((run.output, times))
+    }
+
     fn run_mpc_op(
         &mut self,
         op: &Operator,
@@ -535,6 +583,45 @@ impl Driver {
         let (rel, stats) = self.mpc.execute_op_tables(op, inputs)?;
         Ok((Table::from_rows(rel), stats))
     }
+}
+
+/// The plan's fused local stages, by head node. A stage is a maximal chain
+/// of single-input local nodes at one party whose operators can share a pass
+/// ([`StageRole`]): narrow ones, ending in at most one aggregate or distinct,
+/// each but the last consumed by the next alone. A lone such node is a stage
+/// of one.
+fn local_stages(
+    plan: &PhysicalPlan,
+    consumers: &HashMap<NodeId, Vec<NodeId>>,
+) -> Result<HashMap<NodeId, Vec<NodeId>>, DriverError> {
+    let staged = |n: &DagNode| {
+        matches!(n.site, ExecSite::Local(_))
+            && n.inputs.len() == 1
+            && StageRole::of(&n.op).is_some()
+    };
+    // The node `parent` hands its output to within a stage, if any.
+    let next = |parent: &DagNode| -> Result<Option<NodeId>, DriverError> {
+        if !staged(parent) || StageRole::of(&parent.op) != Some(StageRole::Narrow) {
+            return Ok(None);
+        }
+        let Some(&[child]) = consumers.get(&parent.id).map(Vec::as_slice) else {
+            return Ok(None);
+        };
+        let child_node = plan.dag.node(child)?;
+        Ok((staged(child_node) && child_node.site == parent.site).then_some(child))
+    };
+    let mut stages = HashMap::new();
+    for node in plan.dag.iter().filter(|&n| staged(n)) {
+        if next(plan.dag.node(node.inputs[0])?)? == Some(node.id) {
+            continue;
+        }
+        let mut members = vec![node.id];
+        while let Some(child) = next(plan.dag.node(*members.last().expect("a head"))?)? {
+            members.push(child);
+        }
+        stages.insert(node.id, members);
+    }
+    Ok(stages)
 }
 
 /// The driver's one authorization: `party` may be handed the output of `node`
@@ -569,7 +656,7 @@ mod tests {
     use conclave_ir::builder::QueryBuilder;
     use conclave_ir::expr::Expr;
     use conclave_ir::ops::{AggFunc, Operand};
-    use conclave_ir::party::Party;
+    use conclave_ir::party::{Party, PartyId};
     use conclave_ir::schema::{ColumnDef, Schema};
     use conclave_ir::trust::TrustSet;
     use conclave_ir::types::{DataType, Value};
@@ -640,6 +727,149 @@ mod tests {
                 "wrong result:\n{out}"
             );
             assert!(report.modeled.total_time() > Duration::ZERO);
+        }
+    }
+
+    /// The local executor with stages run one operator at a time: the
+    /// accounting a fused stage is held to.
+    struct OneAtATime(Box<dyn Executor + Send + Sync>);
+
+    impl Executor for OneAtATime {
+        fn execute(&self, op: &Operator, inputs: &[&Table]) -> Result<Table, EngineError> {
+            self.0.execute(op, inputs)
+        }
+
+        fn estimate(
+            &self,
+            op: &Operator,
+            input_rows: u64,
+            output_rows: u64,
+            bytes: u64,
+        ) -> Duration {
+            self.0.estimate(op, input_rows, output_rows, bytes)
+        }
+
+        fn name(&self) -> &'static str {
+            self.0.name()
+        }
+    }
+
+    #[test]
+    fn fused_local_stages_keep_the_node_at_a_time_accounting() {
+        // The paper's market query (HHI numerator), each party's chain
+        // filter → project → grouped SUM fused into one stage.
+        let query = conclave_sql::compile_sql(
+            "CREATE TABLE inputA (companyID INT, price INT, airport INT) WITH OWNER p1;
+             CREATE TABLE inputB (companyID INT, price INT, airport INT) WITH OWNER p2;
+             CREATE TABLE inputC (companyID INT, price INT, airport INT) WITH OWNER p3;
+             SELECT SUM(rev_sq) AS hhi_numerator
+             FROM (SELECT companyID, local_rev, local_rev * local_rev AS rev_sq
+                   FROM (SELECT companyID, SUM(price) AS local_rev
+                         FROM (SELECT companyID, price
+                               FROM (inputA UNION ALL inputB UNION ALL inputC)
+                               WHERE price > 0)
+                         GROUP BY companyID))
+             REVEAL TO p1;",
+        )
+        .unwrap();
+        let config = ConclaveConfig::standard();
+        let plan = compile(&query, &config).unwrap();
+        // Several morsels per party, zero fares to filter, a company that
+        // first trades late.
+        let trips = |party: i64| -> Table {
+            let rows: Vec<Vec<i64>> = (0..20_000i64)
+                .map(|i| {
+                    let company = if i > 15_000 { 12 } else { (i * 7 + party) % 12 };
+                    vec![company, (i * 13 + party) % 97, i % 5]
+                })
+                .collect();
+            Relation::from_ints(&["companyID", "price", "airport"], &rows).into()
+        };
+        let inputs: HashMap<String, Table> = ["inputA", "inputB", "inputC"]
+            .iter()
+            .zip(1..)
+            .map(|(name, party)| (name.to_string(), trips(party)))
+            .collect();
+        let mut consumers: HashMap<NodeId, Vec<NodeId>> = HashMap::new();
+        for node in plan.dag.iter() {
+            for &i in &node.inputs {
+                consumers.entry(i).or_default().push(node.id);
+            }
+        }
+        let mut chains: Vec<Vec<&str>> = local_stages(&plan, &consumers)
+            .unwrap()
+            .values()
+            .map(|members| {
+                let names = members.iter().map(|&m| plan.dag.node(m).unwrap().op.name());
+                names.collect()
+            })
+            .collect();
+        chains.sort();
+        assert_eq!(chains, vec![vec!["filter", "project", "aggregate"]; 3]);
+
+        let fused = Driver::new(config.clone())
+            .run_tables(&plan, &inputs)
+            .unwrap();
+        let mut node_at_a_time = Driver::new(config.clone());
+        let local = Driver::new(config).local_exec;
+        node_at_a_time.local_exec = Box::new(OneAtATime(local));
+        let fresh: HashMap<String, Table> = inputs
+            .iter()
+            .map(|(n, t)| (n.clone(), t.as_rows().clone().into()))
+            .collect();
+        let expected = node_at_a_time.run_tables(&plan, &fresh).unwrap();
+        assert_eq!(fused.outputs, expected.outputs);
+        assert_eq!(fused.modeled.local_time, expected.modeled.local_time);
+        assert_eq!(fused.modeled.local_time.len(), 3);
+        assert_eq!(fused.per_node, expected.per_node);
+        assert_eq!(fused.leakage, expected.leakage);
+        assert_eq!(fused.conversions, expected.conversions);
+        assert_eq!(
+            (
+                fused.conversions.row_to_columnar,
+                fused.conversions.columnar_to_row
+            ),
+            (3, 0)
+        );
+        // Each local node is priced as it was when every node ran alone:
+        // replay the local nodes one at a time through the driver's own
+        // executor and price each from its input and output tables.
+        let driver = Driver::new(ConclaveConfig::standard());
+        let exec = driver.local_executor();
+        let mut tables: HashMap<NodeId, Table> = HashMap::new();
+        let mut priced: HashMap<NodeId, Duration> = HashMap::new();
+        let mut local_time: std::collections::BTreeMap<PartyId, Duration> = Default::default();
+        for id in plan.dag.topo_order().unwrap() {
+            let node = plan.dag.node(id).unwrap();
+            let ExecSite::Local(party) = node.site else {
+                continue;
+            };
+            let (table, time) = match &node.op {
+                Operator::Input { name, .. } => (fresh[name].clone(), Duration::ZERO),
+                op => {
+                    let Some(ins) = node
+                        .inputs
+                        .iter()
+                        .map(|i| tables.get(i))
+                        .collect::<Option<Vec<_>>>()
+                    else {
+                        continue;
+                    };
+                    let out = exec.execute(op, &ins).unwrap();
+                    let time = exec.estimate_tables(op, &ins, out.num_rows() as u64);
+                    (out, time)
+                }
+            };
+            *local_time.entry(party).or_default() += time;
+            priced.insert(id, time);
+            tables.insert(id, table);
+        }
+        assert_eq!(priced.len(), 12, "three inputs and three three-node stages");
+        assert_eq!(fused.modeled.local_time, local_time);
+        for (id, _, time) in &fused.per_node {
+            if let Some(expected) = priced.get(id) {
+                assert_eq!(time, expected, "node #{id}");
+            }
         }
     }
 

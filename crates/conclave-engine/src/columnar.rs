@@ -11,11 +11,12 @@
 
 use crate::error::{EngineError, EngineResult};
 use crate::relation::Relation;
-use conclave_ir::expr::{BatchRef, ColumnSource, ValueBatch};
+use conclave_ir::expr::{BatchRef, ValueBatch};
 use conclave_ir::schema::Schema;
 use conclave_ir::types::{DataType, Value};
 use std::borrow::Borrow;
 use std::fmt;
+use std::ops::Range;
 
 /// Typed storage for one column's values. Null slots in typed variants hold
 /// a placeholder (`0`, `0.0`, `""`, `false`) and are marked in the owning
@@ -172,15 +173,21 @@ impl Column {
         self.nulls.as_deref()
     }
 
-    /// A borrowed batch view for vectorized expression evaluation.
-    pub fn batch_ref(&self) -> BatchRef<'_> {
+    /// A borrowed batch view of the rows `rows` for vectorized expression
+    /// evaluation: a window, nothing copied.
+    pub fn window(&self, rows: Range<usize>) -> BatchRef<'_> {
         match &self.data {
-            ColumnData::Int(v) => BatchRef::Int(v),
-            ColumnData::Float(v) => BatchRef::Float(v),
-            ColumnData::Str(v) => BatchRef::Str(v),
-            ColumnData::Bool(v) => BatchRef::Bool(v),
-            ColumnData::Mixed(v) => BatchRef::Mixed(v),
+            ColumnData::Int(v) => BatchRef::Int(&v[rows]),
+            ColumnData::Float(v) => BatchRef::Float(&v[rows]),
+            ColumnData::Str(v) => BatchRef::Str(&v[rows]),
+            ColumnData::Bool(v) => BatchRef::Bool(&v[rows]),
+            ColumnData::Mixed(v) => BatchRef::Mixed(&v[rows]),
         }
+    }
+
+    /// The null mask of the rows `rows`, if the column has one.
+    pub fn window_nulls(&self, rows: Range<usize>) -> Option<&[bool]> {
+        self.nulls.as_ref().map(|m| &m[rows])
     }
 
     /// The column as an `i64` slice, when it is a null-free integer column.
@@ -218,16 +225,6 @@ impl Column {
     /// All values, materialized.
     pub fn values(&self) -> Vec<Value> {
         (0..self.len()).map(|i| self.value(i)).collect()
-    }
-
-    /// An owned batch of the column for expression pipelines.
-    pub fn to_batch(&self) -> ValueBatch {
-        match (&self.data, &self.nulls) {
-            (ColumnData::Int(v), None) => ValueBatch::Int(v.clone()),
-            (ColumnData::Float(v), None) => ValueBatch::Float(v.clone()),
-            (ColumnData::Bool(v), None) => ValueBatch::Bool(v.clone()),
-            _ => ValueBatch::Values(self.values()),
-        }
     }
 
     /// The rows at the given indices, in index order.
@@ -461,16 +458,6 @@ impl ColumnarRelation {
         }
     }
 
-    /// A new relation holding the rows where `keep[i]` is `true`.
-    pub fn filter(&self, keep: &[bool]) -> ColumnarRelation {
-        let kept = keep.iter().filter(|&&k| k).count();
-        ColumnarRelation {
-            schema: self.schema.clone(),
-            columns: self.columns.iter().map(|c| c.filter(keep)).collect(),
-            rows: kept,
-        }
-    }
-
     /// The contiguous rows `start..end` of every column.
     pub fn slice(&self, start: usize, end: usize) -> ColumnarRelation {
         ColumnarRelation {
@@ -508,20 +495,6 @@ impl ColumnarRelation {
             columns,
             rows: parts.iter().map(|p| p.borrow().rows).sum(),
         })
-    }
-}
-
-impl ColumnSource for ColumnarRelation {
-    fn batch_rows(&self) -> usize {
-        self.rows
-    }
-
-    fn batch(&self, col: usize) -> BatchRef<'_> {
-        self.columns[col].batch_ref()
-    }
-
-    fn batch_nulls(&self, col: usize) -> Option<&[bool]> {
-        self.columns[col].null_mask()
     }
 }
 
@@ -618,9 +591,13 @@ mod tests {
         let gathered = col.gather(&[2, 0]);
         assert_eq!(gathered.to_rows().rows[0], rel.rows[2]);
         assert_eq!(gathered.to_rows().rows[1], rel.rows[0]);
-        let filtered = col.filter(&[true, false, true]);
-        assert_eq!(filtered.num_rows(), 2);
-        assert_eq!(filtered.to_rows().rows[1], rel.rows[2]);
+        let filtered = col.column(4).filter(&[true, false, true]);
+        assert_eq!(
+            filtered.values(),
+            [&rel.rows[0][4], &rel.rows[2][4]].map(Clone::clone)
+        );
+        assert!(matches!(col.column(0).window(1..3), BatchRef::Int(v) if v.len() == 2));
+        assert_eq!(col.column(0).window_nulls(1..3), Some(&[false, true][..]));
         let sliced = col.slice(1, 3);
         assert_eq!(sliced.num_rows(), 2);
         assert_eq!(sliced.to_rows().rows[0], rel.rows[1]);
@@ -675,16 +652,10 @@ mod tests {
     fn batch_source_and_display() {
         let rel = mixed_relation();
         let col = ColumnarRelation::from_rows(&rel);
-        assert_eq!(col.batch_rows(), 3);
-        assert!(matches!(col.batch(0), BatchRef::Int(_)));
-        assert!(col.batch_nulls(0).is_some());
-        assert!(col.batch_nulls(3).is_some());
+        assert!(matches!(col.column(0).window(0..3), BatchRef::Int(_)));
+        assert!(col.column(0).window_nulls(0..3).is_some());
+        assert!(col.column(3).window_nulls(0..3).is_some());
         assert!(col.to_string().contains('x'));
-        // to_batch round trips.
-        assert_eq!(
-            Column::ints(vec![1, 2]).to_batch(),
-            ValueBatch::Int(vec![1, 2])
-        );
         assert_eq!(
             Column::from_batch(ValueBatch::Float(vec![1.0])).as_floats(),
             Some(&[1.0f64][..])

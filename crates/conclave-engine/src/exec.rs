@@ -29,7 +29,7 @@ fn need(op: &Operator, inputs: &[&Relation], n: usize) -> EngineResult<()> {
     }
 }
 
-fn col_idx(schema: &Schema, name: &str) -> EngineResult<usize> {
+pub(crate) fn col_idx(schema: &Schema, name: &str) -> EngineResult<usize> {
     schema
         .index_of(name)
         .ok_or_else(|| EngineError::UnknownColumn(name.to_string()))
@@ -132,7 +132,7 @@ pub fn execute(op: &Operator, inputs: &[&Relation]) -> EngineResult<Relation> {
     }
 }
 
-fn out_schema(op: &Operator, inputs: &[&Schema]) -> Schema {
+pub(crate) fn out_schema(op: &Operator, inputs: &[&Schema]) -> Schema {
     let schemas: Vec<Schema> = inputs.iter().map(|s| (*s).clone()).collect();
     op.output_schema(&schemas)
         .unwrap_or_else(|_| inputs[0].clone())

@@ -1,7 +1,7 @@
-//! The [`Executor`] trait: one operator-at-a-time execution over [`Table`]s.
+//! The [`Executor`] trait: operator and stage execution over [`Table`]s.
 //!
-//! An executor evaluates a single relational operator over [`Table`] inputs
-//! and produces a [`Table`] output *in its native representation*: the row
+//! An executor evaluates a relational operator over [`Table`] inputs and
+//! produces a [`Table`] output *in its native representation*: the row
 //! engine returns row-backed tables, the vectorized engine returns
 //! column-backed tables, and so does the data-parallel engine in
 //! `conclave-parallel`, whose tasks run the vectorized engine. Because tables
@@ -9,25 +9,43 @@
 //! executors incurs zero conversions — the property the driver's conversion
 //! counter asserts.
 //!
+//! An executor also runs a *stage* ([`Executor::execute_stage`]): a chain of
+//! single-input operators, of which only the last one's output is returned.
+//! The row engine runs it one operator at a time; the vectorized and
+//! data-parallel engines run a chain of narrow operators ending in at most
+//! one aggregate or distinct as one pass ([`crate::stage`]).
+//!
 //! Executors also estimate the *simulated* wall-clock time of a step, so the
 //! driver can charge cluster-like costs regardless of the host machine.
 
 use crate::cost::SequentialCostModel;
 use crate::error::{EngineError, EngineResult};
 use crate::relation::Relation;
+use crate::stage::{Pipeline, StageOutput, StepShape};
 use crate::table::Table;
 use crate::{exec, vexec, EngineMode};
 use conclave_ir::ops::Operator;
+use conclave_ir::schema::Schema;
 use std::time::Duration;
 
-/// Executes single relational operators over the unified [`Table`] data
-/// plane. Implemented by the sequential row engine ([`RowExecutor`]), the
+/// Executes relational operators, one at a time or chained as a stage, over
+/// the unified [`Table`] data plane. Implemented by the sequential row engine ([`RowExecutor`]), the
 /// vectorized columnar engine ([`ColumnarExecutor`]) and `conclave-parallel`'s
 /// `ParallelEngine`.
 pub trait Executor {
     /// Evaluates one operator over the inputs, producing the output table in
     /// this executor's native representation.
     fn execute(&self, op: &Operator, inputs: &[&Table]) -> Result<Table, EngineError>;
+
+    /// Runs a stage: `ops` is a chain of single-input operators, the first
+    /// consuming `input` and each later one the output of the one before.
+    /// Returns the last operator's output and every operator's output shape,
+    /// in chain order. The default runs the operators one at a time; an
+    /// executor that fuses a chain must give exactly what that gives, errors
+    /// included.
+    fn execute_stage(&self, ops: &[&Operator], input: &Table) -> EngineResult<StageOutput> {
+        one_at_a_time(self, ops, input)
+    }
 
     /// Simulated wall-clock time of the step, from cardinalities. `row_bytes`
     /// is the (maximum) serialized row width of the inputs, which cluster
@@ -41,19 +59,52 @@ pub trait Executor {
     ) -> Duration;
 
     /// [`Executor::estimate`] with the cardinality/row-width preamble derived
-    /// from the input tables themselves — the one place that heuristic lives.
-    fn estimate_tables(&self, op: &Operator, inputs: &[&Table], output_rows: u64) -> Duration {
-        let input_rows: u64 = inputs.iter().map(|t| t.num_rows() as u64).sum();
+    /// from the inputs' row counts and schemas — the one place that
+    /// heuristic lives.
+    fn estimate_shapes(
+        &self,
+        op: &Operator,
+        inputs: &[(usize, &Schema)],
+        output_rows: u64,
+    ) -> Duration {
+        let input_rows: u64 = inputs.iter().map(|&(rows, _)| rows as u64).sum();
         let row_bytes = inputs
             .iter()
-            .map(|t| t.schema().row_byte_size() as u64)
+            .map(|(_, schema)| schema.row_byte_size() as u64)
             .max()
             .unwrap_or(16);
         self.estimate(op, input_rows, output_rows, row_bytes)
     }
 
+    /// [`Executor::estimate_shapes`] of the input tables themselves.
+    fn estimate_tables(&self, op: &Operator, inputs: &[&Table], output_rows: u64) -> Duration {
+        let shapes: Vec<(usize, &Schema)> =
+            inputs.iter().map(|t| (t.num_rows(), t.schema())).collect();
+        self.estimate_shapes(op, &shapes, output_rows)
+    }
+
     /// Short human-readable name for reports and logs.
     fn name(&self) -> &'static str;
+}
+
+/// Runs a stage one operator at a time through `exec`'s
+/// [`Executor::execute`]: [`Executor::execute_stage`]'s default, and what a
+/// fused stage is held to.
+pub fn one_at_a_time<E: Executor + ?Sized>(
+    exec: &E,
+    ops: &[&Operator],
+    input: &Table,
+) -> EngineResult<StageOutput> {
+    let mut output = input.clone();
+    let mut steps = Vec::with_capacity(ops.len());
+    for op in ops {
+        output = exec.execute(op, &[&output])?;
+        steps.push(StepShape {
+            rows: output.num_rows(),
+            schema: output.schema().clone(),
+        });
+    }
+    Ok(StageOutput { output, steps })
 }
 
 /// The sequential row-at-a-time executor (the paper's "sequential Python"
@@ -92,7 +143,8 @@ impl Executor for RowExecutor {
 }
 
 /// The sequential vectorized executor: operators evaluate one typed column
-/// at a time and results stay columnar.
+/// at a time and results stay columnar; a stage runs as one pass
+/// ([`Pipeline`]).
 #[derive(Debug, Clone, Default)]
 pub struct ColumnarExecutor {
     cost: SequentialCostModel,
@@ -110,6 +162,18 @@ impl Executor for ColumnarExecutor {
         let cols: Vec<&crate::columnar::ColumnarRelation> =
             inputs.iter().map(|t| t.as_columns()).collect();
         vexec::execute_columnar(op, &cols).map(Table::from_columns)
+    }
+
+    fn execute_stage(&self, ops: &[&Operator], input: &Table) -> EngineResult<StageOutput> {
+        let columns = input.as_columns();
+        let Some(pipeline) = Pipeline::new(ops, &columns.schema) else {
+            return one_at_a_time(self, ops, input);
+        };
+        let part = pipeline.run_whole(columns)?;
+        Ok(StageOutput {
+            steps: pipeline.shapes(&part.rows),
+            output: Table::from_columns(part.output),
+        })
     }
 
     fn estimate(

@@ -24,7 +24,10 @@
 //! [`executor::Executor`] trait ([`RowExecutor`], [`ColumnarExecutor`], and
 //! `conclave-parallel`'s engine), so a driven query pays row↔columnar
 //! conversion only at genuine domain boundaries instead of at every
-//! operator edge.
+//! operator edge. A chain of narrow operators ending in at most one
+//! aggregate or distinct runs as one stage ([`Executor::execute_stage`]);
+//! the vectorized engines fuse it into one morsel pipeline ([`stage`]), so
+//! only the stage's output is materialized.
 
 // Also enforced workspace-wide via [workspace.lints]; stated here so the
 // guarantee is visible at the crate root.
@@ -36,6 +39,7 @@ pub mod error;
 pub mod exec;
 pub mod executor;
 pub mod relation;
+pub mod stage;
 pub mod table;
 pub mod vexec;
 
@@ -43,8 +47,9 @@ pub use columnar::{Column, ColumnData, ColumnarRelation};
 pub use cost::SequentialCostModel;
 pub use error::{EngineError, EngineResult};
 pub use exec::{execute, key_indices};
-pub use executor::{sequential_executor, ColumnarExecutor, Executor, RowExecutor};
+pub use executor::{one_at_a_time, sequential_executor, ColumnarExecutor, Executor, RowExecutor};
 pub use relation::Relation;
+pub use stage::{Pipeline, StageOutput, StagePart, StageRole, StepShape};
 pub use table::{ConversionCounts, Table};
 pub use vexec::{execute_columnar, execute_vectorized};
 

@@ -6,10 +6,13 @@
 //! but implemented as tight loops over typed column vectors. Integer-only
 //! workloads — the common case in Conclave queries — run entirely over `i64`
 //! slices: filters evaluate predicates in batch, aggregations accumulate into
-//! per-group slots, and hash joins build primitive-key tables.
+//! per-group slots, and hash joins build primitive-key tables. The narrow
+//! operators, `Aggregate` and `Distinct` run as a fused stage of one
+//! ([`crate::stage::Pipeline`]), the same kernels a longer stage runs.
 //!
 //! The three `i64`-keyed tables (the join's build side, the grouped
-//! aggregate's slots, `DistinctCount`'s set) hash with `IntKeys`, a
+//! aggregate's slots in [`crate::stage`], `DistinctCount`'s set) hash with
+//! `IntKeys`, a
 //! multiply-xorshift keyed afresh for every table. Their keys can be join and
 //! group-by columns another party chose (the selectively-trusted party runs
 //! this engine), and a per-table random key means no input can be built to
@@ -18,10 +21,10 @@
 
 use crate::columnar::{Column, ColumnarRelation};
 use crate::error::{EngineError, EngineResult};
+use crate::exec::{col_idx, out_schema};
 use crate::relation::Relation;
-use conclave_ir::expr::{apply_binop_batch, BinOp, Expr, ValueBatch};
-use conclave_ir::ops::{AggFunc, Operand, Operator};
-use conclave_ir::schema::Schema;
+use crate::stage::Pipeline;
+use conclave_ir::ops::Operator;
 use conclave_ir::types::Value;
 use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, HashSet};
@@ -38,14 +41,14 @@ use std::hash::{BuildHasher, Hasher};
 /// Two multiplies instead of SipHash's rounds; the key is drawn from
 /// [`RandomState`] once per table.
 #[derive(Clone, Copy)]
-struct IntKeys {
+pub(crate) struct IntKeys {
     mul: u64,
     xor: u64,
 }
 
 impl IntKeys {
     /// A fresh key: std's `RandomState` differs from one call to the next.
-    fn new() -> Self {
+    pub(crate) fn new() -> Self {
         let seed = RandomState::new();
         IntKeys {
             mul: seed.hash_one(0u8) | 1,
@@ -66,7 +69,7 @@ impl BuildHasher for IntKeys {
 }
 
 /// [`IntKeys`]'s hasher; it hashes one `i64` and nothing else.
-struct IntHasher {
+pub(crate) struct IntHasher {
     keys: IntKeys,
     hash: u64,
 }
@@ -107,13 +110,18 @@ pub fn execute_columnar(
             }
             ColumnarRelation::concat(inputs)
         }
-        Operator::Project { columns } => {
+        // The narrow operators, aggregate and distinct are stages of one.
+        Operator::Project { .. }
+        | Operator::Filter { .. }
+        | Operator::Multiply { .. }
+        | Operator::Divide { .. }
+        | Operator::Aggregate { .. }
+        | Operator::Distinct { .. } => {
             need(op, inputs, 1)?;
-            project(inputs[0], columns)
-        }
-        Operator::Filter { predicate } => {
-            need(op, inputs, 1)?;
-            filter(inputs[0], predicate)
+            Pipeline::new(&[op], &inputs[0].schema)
+                .expect("a narrow or tail operator is a stage of one")
+                .run_whole(inputs[0])
+                .map(|part| part.output)
         }
         Operator::Join {
             left_keys,
@@ -123,23 +131,6 @@ pub fn execute_columnar(
             need(op, inputs, 2)?;
             join(inputs[0], inputs[1], left_keys, right_keys)
         }
-        Operator::Aggregate {
-            group_by,
-            func,
-            over,
-            out,
-        } => {
-            need(op, inputs, 1)?;
-            aggregate(inputs[0], group_by, *func, over.as_deref(), out)
-        }
-        Operator::Multiply { out, operands } => {
-            need(op, inputs, 1)?;
-            multiply(inputs[0], out, operands)
-        }
-        Operator::Divide { out, num, den } => {
-            need(op, inputs, 1)?;
-            divide(inputs[0], out, num, den)
-        }
         Operator::SortBy { column, ascending } => {
             need(op, inputs, 1)?;
             sort_by(inputs[0], column, *ascending)
@@ -148,10 +139,6 @@ pub fn execute_columnar(
             need(op, inputs, 1)?;
             let end = (*n).min(inputs[0].num_rows());
             Ok(inputs[0].slice(0, end))
-        }
-        Operator::Distinct { columns } => {
-            need(op, inputs, 1)?;
-            distinct(inputs[0], columns)
         }
         Operator::DistinctCount { column, out } => {
             need(op, inputs, 1)?;
@@ -196,42 +183,6 @@ fn need(op: &Operator, inputs: &[&ColumnarRelation], n: usize) -> EngineResult<(
     }
 }
 
-fn col_idx(rel: &ColumnarRelation, name: &str) -> EngineResult<usize> {
-    rel.col_index(name)
-        .ok_or_else(|| EngineError::UnknownColumn(name.to_string()))
-}
-
-fn out_schema(op: &Operator, inputs: &[&ColumnarRelation]) -> Schema {
-    let schemas: Vec<Schema> = inputs.iter().map(|r| r.schema.clone()).collect();
-    op.output_schema(&schemas)
-        .unwrap_or_else(|_| inputs[0].schema.clone())
-}
-
-fn project(rel: &ColumnarRelation, columns: &[String]) -> EngineResult<ColumnarRelation> {
-    let idxs: Vec<usize> = columns
-        .iter()
-        .map(|c| col_idx(rel, c))
-        .collect::<EngineResult<_>>()?;
-    let op = Operator::Project {
-        columns: columns.to_vec(),
-    };
-    let schema = out_schema(&op, &[rel]);
-    let cols = idxs.iter().map(|&i| rel.column(i).clone()).collect();
-    ColumnarRelation::with_columns(schema, cols)
-}
-
-fn filter(rel: &ColumnarRelation, predicate: &Expr) -> EngineResult<ColumnarRelation> {
-    // The row engine evaluates the predicate per row, so an empty input never
-    // evaluates it at all (and thus never errors); mirror that.
-    if rel.is_empty() {
-        return Ok(rel.clone());
-    }
-    let batch = predicate
-        .eval_batch(&rel.schema, rel)
-        .map_err(|e| EngineError::Eval(e.to_string()))?;
-    Ok(rel.filter(&batch.to_mask()))
-}
-
 /// Hash equi-join (inner), vectorized: match row indices first, then gather
 /// whole columns once.
 fn join(
@@ -242,17 +193,17 @@ fn join(
 ) -> EngineResult<ColumnarRelation> {
     let lk: Vec<usize> = left_keys
         .iter()
-        .map(|c| col_idx(left, c))
+        .map(|c| col_idx(&left.schema, c))
         .collect::<EngineResult<_>>()?;
     let rk: Vec<usize> = right_keys
         .iter()
-        .map(|c| col_idx(right, c))
+        .map(|c| col_idx(&right.schema, c))
         .collect::<EngineResult<_>>()?;
     let op = Operator::Join {
         left_keys: left_keys.to_vec(),
         right_keys: right_keys.to_vec(),
     };
-    let schema = out_schema(&op, &[left, right]);
+    let schema = out_schema(&op, &[&left.schema, &right.schema]);
 
     let (left_idx, right_idx) = match (single_int_key(left, &lk), single_int_key(right, &rk)) {
         // Primitive-key fast path: single integer key on both sides.
@@ -317,265 +268,12 @@ fn single_int_key<'a>(rel: &'a ColumnarRelation, key_cols: &[usize]) -> Option<&
     }
 }
 
-fn aggregate(
-    rel: &ColumnarRelation,
-    group_by: &[String],
-    func: AggFunc,
-    over: Option<&str>,
-    out: &str,
-) -> EngineResult<ColumnarRelation> {
-    let key_cols: Vec<usize> = group_by
-        .iter()
-        .map(|c| col_idx(rel, c))
-        .collect::<EngineResult<_>>()?;
-    let over_col = match over {
-        Some(o) => Some(col_idx(rel, o)?),
-        None => {
-            if func.needs_over() {
-                return Err(EngineError::Eval(format!("{func} requires an over column")));
-            }
-            None
-        }
-    };
-    let op = Operator::Aggregate {
-        group_by: group_by.to_vec(),
-        func,
-        over: over.map(|s| s.to_string()),
-        out: out.to_string(),
-    };
-    let schema = out_schema(&op, &[rel]);
-
-    // Scalar aggregation (no group-by): one output row.
-    if key_cols.is_empty() {
-        let value = scalar_aggregate(rel, func, over_col);
-        let cols = vec![Column::from_values(vec![value])];
-        return ColumnarRelation::with_columns(schema, cols);
-    }
-
-    let n = rel.num_rows();
-
-    // Primitive fast path: single null-free integer group key with either no
-    // over column (COUNT) or a null-free integer over column.
-    if let Some(keys) = single_int_key(rel, &key_cols) {
-        let over_ints = over_col.map(|c| rel.column(c).as_ints());
-        let over_ok = match over_ints {
-            None => true,
-            Some(Some(_)) => true,
-            Some(None) => false,
-        };
-        if over_ok {
-            let vals: Option<&[i64]> = over_ints.flatten();
-            let mut slots: HashMap<i64, usize, IntKeys> = HashMap::with_hasher(IntKeys::new());
-            let mut group_keys: Vec<i64> = Vec::new();
-            let mut accs: Vec<i64> = Vec::new();
-            for (i, &k) in keys.iter().enumerate() {
-                let slot = *slots.entry(k).or_insert_with(|| {
-                    group_keys.push(k);
-                    accs.push(match func {
-                        AggFunc::Count => 0,
-                        AggFunc::Sum => 0,
-                        AggFunc::Min => i64::MAX,
-                        AggFunc::Max => i64::MIN,
-                    });
-                    accs.len() - 1
-                });
-                match func {
-                    AggFunc::Count => accs[slot] += 1,
-                    AggFunc::Sum => accs[slot] = accs[slot].wrapping_add(vals.expect("over")[i]),
-                    AggFunc::Min => accs[slot] = accs[slot].min(vals.expect("over")[i]),
-                    AggFunc::Max => accs[slot] = accs[slot].max(vals.expect("over")[i]),
-                }
-            }
-            let cols = vec![Column::ints(group_keys), Column::ints(accs)];
-            return ColumnarRelation::with_columns(schema, cols);
-        }
-    }
-
-    // General path: `Value` keys and `Value` accumulation, reproducing the
-    // row engine's coercion rules (nulls poison sums, floats promote, NULL
-    // sorts below everything for min/max).
-    let mut slots: HashMap<Vec<Value>, usize> = HashMap::new();
-    let mut group_keys: Vec<Vec<Value>> = Vec::new();
-    let mut accs: Vec<Value> = Vec::new();
-    for i in 0..n {
-        let key: Vec<Value> = key_cols.iter().map(|&c| rel.value(i, c)).collect();
-        let over_value = || rel.value(i, over_col.expect("checked above"));
-        match slots.get(&key) {
-            None => {
-                group_keys.push(key.clone());
-                slots.insert(key, accs.len());
-                // Each group is seeded from its first row, so min/max never
-                // need a sentinel that could be confused with a real NULL.
-                accs.push(match func {
-                    AggFunc::Count => Value::Int(1),
-                    AggFunc::Sum => Value::Int(0).add(&over_value()),
-                    AggFunc::Min | AggFunc::Max => over_value(),
-                });
-            }
-            Some(&slot) => match func {
-                AggFunc::Count => {
-                    accs[slot] = Value::Int(accs[slot].as_int().unwrap_or(0) + 1);
-                }
-                AggFunc::Sum => {
-                    accs[slot] = accs[slot].add(&over_value());
-                }
-                AggFunc::Min | AggFunc::Max => {
-                    // Tie-breaking mirrors the row engine's Iterator::min/max:
-                    // min keeps the first of equal elements (strict <), max
-                    // keeps the last (non-strict >=) — observable when cells
-                    // compare equal but differ (e.g. Int(2) vs Float(2.0)).
-                    let v = over_value();
-                    let replace = if func == AggFunc::Min {
-                        v < accs[slot]
-                    } else {
-                        v >= accs[slot]
-                    };
-                    if replace {
-                        accs[slot] = v;
-                    }
-                }
-            },
-        }
-    }
-    let mut cols: Vec<Column> = Vec::with_capacity(key_cols.len() + 1);
-    for k in 0..key_cols.len() {
-        cols.push(Column::from_values(
-            group_keys.iter().map(|g| g[k].clone()).collect(),
-        ));
-    }
-    cols.push(Column::from_values(accs));
-    ColumnarRelation::with_columns(schema, cols)
-}
-
-fn scalar_aggregate(rel: &ColumnarRelation, func: AggFunc, over_col: Option<usize>) -> Value {
-    let n = rel.num_rows();
-    match func {
-        AggFunc::Count => Value::Int(n as i64),
-        AggFunc::Sum => {
-            let c = over_col.expect("validated by caller");
-            if let Some(ints) = rel.column(c).as_ints() {
-                let mut acc = 0i64;
-                for &v in ints {
-                    acc = acc.wrapping_add(v);
-                }
-                Value::Int(acc)
-            } else if let Some(floats) = rel.column(c).as_floats() {
-                // The row engine starts from Int(0) and promotes on the first
-                // float: 0.0 + x1 + x2 + ... in the same order.
-                if floats.is_empty() {
-                    Value::Int(0)
-                } else {
-                    let mut acc = 0.0f64;
-                    for &v in floats {
-                        acc += v;
-                    }
-                    Value::Float(acc)
-                }
-            } else {
-                let mut acc = Value::Int(0);
-                for i in 0..n {
-                    acc = acc.add(&rel.value(i, c));
-                }
-                acc
-            }
-        }
-        AggFunc::Min | AggFunc::Max => {
-            let c = over_col.expect("validated by caller");
-            let mut best: Option<Value> = None;
-            for i in 0..n {
-                let v = rel.value(i, c);
-                best = Some(match best {
-                    None => v,
-                    // Same tie-breaking as Iterator::min/max: first minimal
-                    // element wins, last maximal element wins.
-                    Some(b) => {
-                        if (func == AggFunc::Min && v < b) || (func == AggFunc::Max && v >= b) {
-                            v
-                        } else {
-                            b
-                        }
-                    }
-                });
-            }
-            best.unwrap_or(Value::Null)
-        }
-    }
-}
-
-fn operand_batch(rel: &ColumnarRelation, operand: &Operand) -> EngineResult<ValueBatch> {
-    match operand {
-        Operand::Col(c) => {
-            let idx = col_idx(rel, c)?;
-            Ok(rel.column(idx).to_batch())
-        }
-        Operand::Lit(v) => Ok(ValueBatch::Splat(v.clone(), rel.num_rows())),
-    }
-}
-
-fn replace_or_append(
-    rel: &ColumnarRelation,
-    schema: Schema,
-    out: &str,
-    col: Column,
-) -> EngineResult<ColumnarRelation> {
-    let mut cols: Vec<Column> = rel.columns().to_vec();
-    match rel.col_index(out) {
-        Some(i) => cols[i] = col,
-        None => cols.push(col),
-    }
-    ColumnarRelation::with_columns(schema, cols)
-}
-
-fn multiply(
-    rel: &ColumnarRelation,
-    out: &str,
-    operands: &[Operand],
-) -> EngineResult<ColumnarRelation> {
-    let op = Operator::Multiply {
-        out: out.to_string(),
-        operands: operands.to_vec(),
-    };
-    let schema = out_schema(&op, &[rel]);
-    // The row engine resolves operand columns inside the per-row loop, so an
-    // empty input cannot raise unknown-column errors; mirror that.
-    if rel.is_empty() {
-        return Ok(ColumnarRelation::empty(schema));
-    }
-    let mut acc = ValueBatch::Splat(Value::Int(1), rel.num_rows());
-    for o in operands {
-        let b = operand_batch(rel, o)?;
-        acc = apply_binop_batch(BinOp::Mul, &acc, &b);
-    }
-    replace_or_append(rel, schema, out, Column::from_batch(acc))
-}
-
-fn divide(
-    rel: &ColumnarRelation,
-    out: &str,
-    num: &Operand,
-    den: &Operand,
-) -> EngineResult<ColumnarRelation> {
-    let op = Operator::Divide {
-        out: out.to_string(),
-        num: num.clone(),
-        den: den.clone(),
-    };
-    let schema = out_schema(&op, &[rel]);
-    if rel.is_empty() {
-        return Ok(ColumnarRelation::empty(schema));
-    }
-    let n = operand_batch(rel, num)?;
-    let d = operand_batch(rel, den)?;
-    let result = apply_binop_batch(BinOp::Div, &n, &d);
-    replace_or_append(rel, schema, out, Column::from_batch(result))
-}
-
 fn sort_by(
     rel: &ColumnarRelation,
     column: &str,
     ascending: bool,
 ) -> EngineResult<ColumnarRelation> {
-    let idx = col_idx(rel, column)?;
+    let idx = col_idx(&rel.schema, column)?;
     let n = rel.num_rows();
     let mut indices: Vec<usize> = (0..n).collect();
     if let Some(ints) = rel.column(idx).as_ints() {
@@ -593,25 +291,12 @@ fn sort_by(
     Ok(rel.gather(&indices))
 }
 
-fn distinct(rel: &ColumnarRelation, columns: &[String]) -> EngineResult<ColumnarRelation> {
-    let proj = project(rel, columns)?;
-    let mut seen: HashSet<Vec<Value>> = HashSet::new();
-    let mut keep: Vec<usize> = Vec::new();
-    for i in 0..proj.num_rows() {
-        let key: Vec<Value> = (0..proj.num_cols()).map(|c| proj.value(i, c)).collect();
-        if seen.insert(key) {
-            keep.push(i);
-        }
-    }
-    Ok(proj.gather(&keep))
-}
-
 fn distinct_count(
     rel: &ColumnarRelation,
     column: &str,
     out: &str,
 ) -> EngineResult<ColumnarRelation> {
-    let idx = col_idx(rel, column)?;
+    let idx = col_idx(&rel.schema, column)?;
     let count = if let Some(ints) = rel.column(idx).as_ints() {
         let mut seen: HashSet<i64, IntKeys> =
             HashSet::with_capacity_and_hasher(ints.len(), IntKeys::new());
@@ -625,7 +310,7 @@ fn distinct_count(
         column: column.to_string(),
         out: out.to_string(),
     };
-    let schema = out_schema(&op, &[rel]);
+    let schema = out_schema(&op, &[&rel.schema]);
     ColumnarRelation::with_columns(schema, vec![Column::ints(vec![count as i64])])
 }
 
@@ -633,7 +318,7 @@ fn enumerate(rel: &ColumnarRelation, out: &str) -> EngineResult<ColumnarRelation
     let op = Operator::Enumerate {
         out: out.to_string(),
     };
-    let schema = out_schema(&op, &[rel]);
+    let schema = out_schema(&op, &[&rel.schema]);
     let mut cols: Vec<Column> = rel.columns().to_vec();
     cols.push(Column::ints((0..rel.num_rows() as i64).collect()));
     ColumnarRelation::with_columns(schema, cols)
@@ -643,6 +328,8 @@ fn enumerate(rel: &ColumnarRelation, out: &str) -> EngineResult<ColumnarRelation
 mod tests {
     use super::*;
     use crate::exec::execute;
+    use conclave_ir::expr::Expr;
+    use conclave_ir::ops::{AggFunc, Operand};
     use conclave_ir::schema::{ColumnDef, Schema};
     use conclave_ir::types::DataType;
 

@@ -310,8 +310,9 @@ pub enum BatchRef<'a> {
     Mixed(&'a [Value]),
 }
 
-/// A provider of column batches: implemented by columnar relation storage so
-/// expressions can be evaluated without materializing rows.
+/// A provider of column batches: implemented by the vectorized engine's
+/// windows over columnar storage, so expressions can be evaluated without
+/// materializing rows.
 pub trait ColumnSource {
     /// Number of rows in every column.
     fn batch_rows(&self) -> usize;
@@ -707,7 +708,7 @@ impl Expr {
 
 /// Loads a stored column into an owned batch, demoting to generic values when
 /// a null mask is present (typed loops cannot represent NULL).
-fn load_column(src: &dyn ColumnSource, idx: usize) -> ValueBatch {
+pub fn load_column(src: &dyn ColumnSource, idx: usize) -> ValueBatch {
     let nulls = src.batch_nulls(idx);
     match (src.batch(idx), nulls) {
         (BatchRef::Int(v), None) => ValueBatch::Int(v.to_vec()),

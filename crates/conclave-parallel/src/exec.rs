@@ -1,13 +1,18 @@
-//! Parallel execution of relational operators.
+//! Parallel execution of relational operators and stages.
 //!
-//! [`ParallelEngine`] executes one operator at a time, the way a Spark job
-//! stage would, as *task waves* on the vectorized engine. Its
-//! [`Executor::execute`] is the one statement of the policy, over [`Table`]s:
+//! [`ParallelEngine`] runs the way a Spark job runs its stages: as *task
+//! waves* on the vectorized engine. Its [`Executor`] is the one statement of
+//! the policy, over [`Table`]s:
 //!
-//! * Narrow operators (`Project`, `Filter`, `Multiply`, `Divide`) run
-//!   independently on every range of the input's rows
-//!   ([`crate::partition::row_ranges`], one per partition).
-//! * Wide operators combine before they shuffle: grouped and scalar
+//! * A stage — a chain of narrow operators (`Filter`, `Project`, `Multiply`,
+//!   `Divide`) ending in at most one `Aggregate` or `Distinct`
+//!   ([`Executor::execute_stage`]) — runs as one task per range of the
+//!   input's rows ([`crate::partition::row_ranges`], one per partition).
+//!   Each task runs the fused stage ([`Pipeline`]) over a borrowed window of
+//!   the input's columns, so no range is copied and only the stage's output
+//!   is materialized. A lone narrow operator, aggregate or distinct is a
+//!   stage of one.
+//! * A stage's tail combines before it shuffles: grouped and scalar
 //!   `Aggregate` and `Distinct` compute a partial per range and one final
 //!   pass folds the partials (the final of `COUNT` is `SUM`; `SUM`, `MIN`,
 //!   `MAX` and `Distinct` are their own finals) — the paper's aggregation
@@ -16,12 +21,11 @@
 //! * Only `Join` moves rows: it co-partitions both sides by key hash.
 //! * Everything else runs on the collected data.
 //!
-//! Every task runs the sequential vectorized engine on typed columns: a range
-//! task reads a slice of every column, a join task one bucket of each side,
-//! and the task outputs are concatenated column by column. An input bound as
-//! rows is converted once, on first use, and the conversion is cached in the
-//! [`Table`] its clones share; every output is columnar only, so chained
-//! stages never convert.
+//! A join task runs the sequential vectorized engine on one bucket of each
+//! side, and the task outputs are concatenated column by column. An input
+//! bound as rows is converted once, on first use, and the conversion is
+//! cached in the [`Table`] its clones share; every output is columnar only,
+//! so chained stages never convert.
 //!
 //! A wave is as wide as the *host's* available parallelism, not the simulated
 //! cluster's core count; [`ClusterSpec`] sizes the partitions and the modeled
@@ -34,8 +38,8 @@ use crate::cluster::ClusterSpec;
 use crate::cost::ClusterCostModel;
 use crate::partition::{row_ranges, shuffle_columns};
 use conclave_engine::{
-    execute_columnar, key_indices, ColumnarExecutor, ColumnarRelation, EngineError, EngineResult,
-    Executor, Table,
+    execute_columnar, key_indices, one_at_a_time, ColumnarExecutor, ColumnarRelation, EngineError,
+    EngineResult, Executor, Pipeline, StageOutput, StagePart, StageRole, StepShape, Table,
 };
 use conclave_ir::ops::{AggFunc, Operator};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -61,31 +65,6 @@ impl ParallelEngine {
     pub fn cluster(&self) -> &ClusterSpec {
         &self.cluster
     }
-
-    /// Estimates the simulated time of a whole local job (a pipeline of
-    /// operators with known cardinalities) without executing it.
-    pub fn estimate_job(&self, steps: &[(Operator, u64, u64, u64)]) -> Duration {
-        self.cost.estimate_job(&self.cluster, steps)
-    }
-
-    /// One task wave of `op` over the row ranges of its single input, one
-    /// range per partition, each task on a slice of every column, the
-    /// outputs concatenated in range order.
-    fn per_range(&self, op: &Operator, inputs: &[&Table]) -> EngineResult<Table> {
-        let [input] = inputs else {
-            return arity_error(op, "1", inputs.len());
-        };
-        let ranges = row_ranges(input.num_rows(), self.cluster.default_partitions());
-        if ranges.is_empty() {
-            // No rows, no tasks: what `op` makes of nothing (a schema, a
-            // scalar aggregate's identity row) is the sequential engine's.
-            return whole(op, inputs);
-        }
-        let columns = input.as_columns();
-        concat(run_per_partition(&ranges, |r| {
-            execute_columnar(op, &[&columns.slice(r.start, r.end)])
-        })?)
-    }
 }
 
 /// `op` on whole tables, in the sequential vectorized engine.
@@ -106,30 +85,24 @@ fn concat(mut parts: Vec<ColumnarRelation>) -> EngineResult<Table> {
     ColumnarRelation::concat(&parts).map(Table::from_columns)
 }
 
+fn shape(table: &Table) -> StepShape {
+    StepShape {
+        rows: table.num_rows(),
+        schema: table.schema().clone(),
+    }
+}
+
 impl Executor for ParallelEngine {
     /// Executes one operator as task waves on columns: the output is
     /// columnar only, so chained stages never convert between layouts.
     fn execute(&self, op: &Operator, inputs: &[&Table]) -> Result<Table, EngineError> {
-        match (op, final_pass(op)) {
-            // Narrow, partition-wise operators.
-            (
-                Operator::Project { .. }
-                | Operator::Filter { .. }
-                | Operator::Multiply { .. }
-                | Operator::Divide { .. },
-                _,
-            ) => self.per_range(op, inputs),
-            // Aggregations and distinct: a partial per range, one final pass.
-            (_, Some(fin)) => whole(&fin, &[&self.per_range(op, inputs)?]),
+        match op {
             // Joins: co-partition both sides by the join key.
-            (
-                Operator::Join {
-                    left_keys,
-                    right_keys,
-                    ..
-                },
-                _,
-            ) => {
+            Operator::Join {
+                left_keys,
+                right_keys,
+                ..
+            } => {
                 let [left, right] = inputs else {
                     return arity_error(op, "2", inputs.len());
                 };
@@ -145,11 +118,78 @@ impl Executor for ParallelEngine {
                     execute_columnar(op, &[l, r])
                 })?)
             }
+            // Narrow operators, and the tails that split into partials: a
+            // stage of one.
+            _ if StageRole::of(op) == Some(StageRole::Narrow) || final_pass(op).is_some() => {
+                let [input] = inputs else {
+                    return arity_error(op, "1", inputs.len());
+                };
+                Ok(self.execute_stage(&[op], input)?.output)
+            }
             // Everything else is executed on the collected data (sorts,
-            // limits, scalar steps, compiler-inserted physical operators);
-            // these are either cheap or already tiny after local reduction.
+            // limits, scalar steps, compiler-inserted physical operators, a
+            // tail that does not split); these are either cheap or already
+            // tiny after local reduction.
             _ => whole(op, inputs),
         }
+    }
+
+    /// Runs a stage as one task wave: every range of the input's rows, one
+    /// per partition, goes through the fused stage on a borrowed window, and
+    /// a tail's partials are folded by one final pass.
+    fn execute_stage(&self, ops: &[&Operator], input: &Table) -> EngineResult<StageOutput> {
+        // A tail that does not split into partials runs once, on the
+        // collected output of the narrow steps before it.
+        let (ranged, collected) = match ops.split_last() {
+            Some((&tail, narrow))
+                if StageRole::of(tail) == Some(StageRole::Tail) && final_pass(tail).is_none() =>
+            {
+                (narrow, Some(tail))
+            }
+            _ => (ops, None),
+        };
+        let ranges = row_ranges(input.num_rows(), self.cluster.default_partitions());
+        let pipeline = match Pipeline::new(ranged, input.schema()) {
+            // No rows, no tasks: what the stage makes of nothing (a schema,
+            // a scalar aggregate's identity row) is the sequential engine's.
+            Some(_) if ranges.is_empty() => {
+                return ColumnarExecutor::new().execute_stage(ops, input)
+            }
+            Some(pipeline) => pipeline,
+            None => return one_at_a_time(self, ops, input),
+        };
+        let columns = input.as_columns();
+        let mut parts = run_per_partition(&ranges, |r| pipeline.run(columns, r.clone()))?;
+        pipeline.check()?;
+        let mut rows = vec![0; parts.first().map_or(0, |part| part.rows.len())];
+        for part in &parts {
+            for (total, n) in rows.iter_mut().zip(&part.rows) {
+                *total += n;
+            }
+        }
+        let mut steps = pipeline.shapes(&rows);
+        let fin = ranged.last().and_then(|&tail| final_pass(tail));
+        if fin.is_some() {
+            // Fold only the partials of ranges some row reached the tail in
+            // (a scalar MIN's NULL from an emptied range would win the final
+            // pass), or, if none did, one identity partial.
+            let reached = |part: &StagePart| part.rows[part.rows.len() - 2] > 0;
+            if parts.iter().any(reached) {
+                parts.retain(reached);
+            } else {
+                parts.truncate(1);
+            }
+        }
+        let mut output = concat(parts.into_iter().map(|part| part.output).collect())?;
+        if let Some(fin) = fin {
+            output = whole(&fin, &[&output])?;
+            *steps.last_mut().expect("a tail has a shape") = shape(&output);
+        }
+        if let Some(tail) = collected {
+            output = whole(tail, &[&output])?;
+            steps.push(shape(&output));
+        }
+        Ok(StageOutput { output, steps })
     }
 
     fn estimate(
@@ -559,17 +599,8 @@ mod tests {
     }
 
     #[test]
-    fn accessors_and_estimate_job() {
+    fn accessors() {
         let eng = ParallelEngine::new(ClusterSpec::new(2, 2));
         assert_eq!(eng.cluster().total_cores(), 4);
-        let t = eng.estimate_job(&[(
-            Operator::Project {
-                columns: vec!["a".into()],
-            },
-            1_000_000,
-            1_000_000,
-            16,
-        )]);
-        assert!(t > Duration::from_secs_f64(ClusterCostModel::default().job_overhead - 0.1));
     }
 }

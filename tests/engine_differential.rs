@@ -14,12 +14,20 @@
 //! than partitions): its columnar tasks must reproduce the sequential result
 //! *row order included* — ranges are cut and partials combined in order —
 //! and only the join's hash shuffle is held to the same rows in any order.
+//!
+//! The `fused_stage` cases hold fused stages — a chain of narrow operators
+//! ending in at most one aggregate or distinct, run as one morsel pipeline —
+//! to the same chain run one operator at a time, on one, two and twelve
+//! partitions, and both to the row oracle.
 
 // Demo/test target: panicking on bad setup is the desired behavior here
 // (the workspace-level clippy::unwrap_used lint targets library code).
 #![allow(clippy::unwrap_used)]
 
-use conclave_engine::{execute, execute_vectorized, EngineResult, Executor, Relation, Table};
+use conclave_engine::{
+    execute, execute_vectorized, one_at_a_time, ColumnarExecutor, EngineResult, Executor, Relation,
+    RowExecutor, StageOutput, Table,
+};
 use conclave_ir::expr::Expr;
 use conclave_ir::ops::{AggFunc, Operand, Operator};
 use conclave_ir::schema::{ColumnDef, Schema};
@@ -126,6 +134,136 @@ fn assert_parallel_matches_sequential(op: &Operator, inputs: &[&Relation]) {
             (Err(_), Err(_)) => {}
             (s, p) => panic!("{what}: disagree on success: sequential={s:?} parallel={p:?}"),
         }
+    }
+}
+
+/// Runs the chain `ops` as one stage on the sequential vectorized engine (one
+/// partition) and the parallel engine (two and twelve), fused and one
+/// operator at a time, and holds every outcome to the row oracle's one
+/// operator at a time: the same rows in the same order and the same rows out
+/// of every operator, or an error exactly when the oracle errs — the same
+/// error fused as one at a time.
+fn assert_stage_matches_oracle(ops: &[Operator], rel: &Relation) {
+    let refs: Vec<&Operator> = ops.iter().collect();
+    let chain: Vec<String> = ops.iter().map(ToString::to_string).collect();
+    let oracle = one_at_a_time(&RowExecutor::new(), &refs, &Table::from_rows(rel.clone()));
+    let rows = |out: &StageOutput| out.steps.iter().map(|s| s.rows).collect::<Vec<_>>();
+    let engines: [(&str, Box<dyn Executor>); 3] = [
+        ("1 partition", Box::new(ColumnarExecutor::new())),
+        (
+            "2 partitions",
+            Box::new(ParallelEngine::new(ClusterSpec::new(1, 1))),
+        ),
+        (
+            "12 partitions",
+            Box::new(ParallelEngine::new(ClusterSpec::paper_party_cluster())),
+        ),
+    ];
+    for (partitions, engine) in &engines {
+        let input = Table::from_rows(rel.clone());
+        let fused = engine.execute_stage(&refs, &input);
+        let stepwise = one_at_a_time(engine.as_ref(), &refs, &input);
+        match (&fused, &stepwise) {
+            (Ok(f), Ok(s)) => {
+                assert_eq!(
+                    f.output.as_rows(),
+                    s.output.as_rows(),
+                    "{chain:?} on {partitions}"
+                );
+                assert_eq!(
+                    rows(f),
+                    rows(s),
+                    "{chain:?} on {partitions}: rows per operator"
+                );
+            }
+            (Err(f), Err(s)) => assert_eq!(f, s, "{chain:?} on {partitions}: error"),
+            _ => panic!("{chain:?} on {partitions}: fused {fused:?}, one at a time {stepwise:?}"),
+        }
+        match (&oracle, fused) {
+            (Ok(o), Ok(f)) => {
+                let (o_rel, f_rel) = (o.output.as_rows(), f.output.as_rows());
+                assert_eq!(f_rel.schema.names(), o_rel.schema.names(), "{chain:?}");
+                assert_eq!(f_rel.rows, o_rel.rows, "{chain:?} on {partitions}");
+                assert_eq!(
+                    rows(&f),
+                    rows(o),
+                    "{chain:?} on {partitions}: rows per operator"
+                );
+            }
+            (Err(_), Err(_)) => {}
+            (o, f) => panic!("{chain:?} on {partitions}: oracle {o:?}, fused {f:?}"),
+        }
+    }
+}
+
+/// A random narrow operator: filters (one on an unknown column, which only a
+/// row reaching it may evaluate), projects that reorder, duplicate or drop
+/// columns, multiplies that replace or append, and a divide. Sums of its
+/// outputs stay exact in `f64`, so partials may combine in any order.
+fn narrow_from_seed(kind: u8, p: i64) -> Operator {
+    let col = |i: i64| Operand::col(["a", "b", "c"][i.rem_euclid(3) as usize]);
+    match kind % 7 {
+        0 | 1 => Operator::Filter {
+            predicate: predicate_from_seed(p.rem_euclid(24), p),
+        },
+        2 => Operator::Filter {
+            predicate: Expr::col("zzz").gt(Expr::lit(p)),
+        },
+        3 => Operator::Project {
+            columns: [
+                &["c", "a", "b"][..],
+                &["a", "b", "c", "prod"],
+                &["b", "a", "b", "c"],
+                &["a", "c"],
+            ][p.rem_euclid(4) as usize]
+                .iter()
+                .map(|c| c.to_string())
+                .collect(),
+        },
+        4 | 5 => Operator::Multiply {
+            out: if p % 2 == 0 {
+                "c".into()
+            } else {
+                "prod".into()
+            },
+            operands: vec![
+                col(p),
+                if p % 3 == 0 {
+                    Operand::lit(p)
+                } else {
+                    col(p / 3)
+                },
+            ],
+        },
+        _ => Operator::Divide {
+            out: "ratio".into(),
+            num: col(p),
+            den: col(p + 1), // includes division by zero
+        },
+    }
+}
+
+/// A random stage tail: a distinct, or a grouped or scalar aggregate.
+fn tail_from_seed(keys: u8, func: u8, over: u8) -> Operator {
+    let over = ["a", "b", "c", "prod"][usize::from(over % 4)];
+    let group_by: Vec<String> = match keys % 4 {
+        0 => vec!["a".into()],
+        1 => vec!["b".into()],
+        2 => vec!["b".into(), "a".into()],
+        _ => vec![],
+    };
+    let Some(&func) =
+        [AggFunc::Count, AggFunc::Sum, AggFunc::Min, AggFunc::Max].get(usize::from(func % 5))
+    else {
+        return Operator::Distinct {
+            columns: group_by.into_iter().chain(["c".to_string()]).collect(),
+        };
+    };
+    Operator::Aggregate {
+        group_by,
+        func,
+        over: (func != AggFunc::Count).then(|| over.to_string()),
+        out: "agg".into(),
     }
 }
 
@@ -336,6 +474,23 @@ proptest! {
         for op in &ops {
             assert_parallel_matches_sequential(op, &[&rel]);
         }
+    }
+
+    #[test]
+    fn differential_fused_stages(
+        rows in rows_strategy(40),
+        narrow in prop::collection::vec((0u8..7, -12i64..12), 0..5),
+        tail in (0u8..5, 0u8..5, 0u8..4),
+        ints in 0u8..4,
+    ) {
+        // Mixed types and nulls, or all integers (the typed fast paths).
+        let rel = if ints == 0 { to_int_relation(&rows, ["a", "b", "c"]) } else { to_relation(&rows) };
+        let mut ops: Vec<Operator> = narrow.iter().map(|&(kind, p)| narrow_from_seed(kind, p)).collect();
+        let (keys, func, over) = tail;
+        if keys < 4 || ops.is_empty() {
+            ops.push(tail_from_seed(keys, func, over));
+        }
+        assert_stage_matches_oracle(&ops, &rel);
     }
 
     #[test]
@@ -586,4 +741,136 @@ fn integer_keys_that_stress_the_hash_give_identical_results() {
         assert_engines_identical(&join, &inputs);
         assert_parallel_matches_sequential(&join, &inputs);
     }
+}
+
+/// Fused stages over inputs of several morsels per range task: every row
+/// range of twelve partitions spans three morsels and a part. The filter
+/// empties a whole morsel (rows 4 096..8 192) and a multiply follows it, and
+/// it empties the second range of twelve (rows 12 500..25 000), whose
+/// partials must not reach the final pass (a scalar `MIN`'s `NULL` would);
+/// company 99 first trades in the last rows, so its group is first seen in a
+/// late morsel of the last range; and a filter that empties every morsel
+/// keeps a multiply over an unknown column from ever running.
+#[test]
+#[cfg_attr(debug_assertions, ignore)]
+fn fused_stages_over_many_morsels_match_one_operator_at_a_time() {
+    let rows: Vec<Vec<i64>> = (0..150_000i64)
+        .map(|i| {
+            let company = if i >= 149_000 { 99 } else { (i * 7) % 12 };
+            let unpriced = (4_096..8_192).contains(&i) || (12_500..25_000).contains(&i);
+            let price = if unpriced { 0 } else { (i * 13) % 97 + 1 };
+            vec![company, price, i % 5]
+        })
+        .collect();
+    let rel = Relation::from_ints(&["a", "b", "c"], &rows);
+    let filter = |predicate: Expr| Operator::Filter { predicate };
+    let revenue = Operator::Multiply {
+        out: "prod".into(),
+        operands: vec![Operand::col("b"), Operand::col("c")],
+    };
+    let project = Operator::Project {
+        columns: vec!["a".into(), "prod".into(), "b".into()],
+    };
+    let priced = filter(Expr::col("b").gt(Expr::lit(0)));
+    for func in [AggFunc::Sum, AggFunc::Count, AggFunc::Min, AggFunc::Max] {
+        for group_by in [vec!["a".to_string()], vec![]] {
+            let aggregate = Operator::Aggregate {
+                group_by,
+                func,
+                over: (func != AggFunc::Count).then(|| "prod".to_string()),
+                out: "agg".into(),
+            };
+            let ops = [priced.clone(), revenue.clone(), project.clone(), aggregate];
+            assert_stage_matches_oracle(&ops, &rel);
+        }
+    }
+    let distinct = Operator::Distinct {
+        columns: vec!["a".into()],
+    };
+    assert_stage_matches_oracle(&[priced.clone(), revenue.clone(), distinct], &rel);
+    // No tail: the output is materialized.
+    assert_stage_matches_oracle(&[priced.clone(), revenue.clone(), project.clone()], &rel);
+    // The groups come out first-seen, company 99 last.
+    let sum = Operator::Aggregate {
+        group_by: vec!["a".into()],
+        func: AggFunc::Sum,
+        over: Some("prod".into()),
+        out: "agg".into(),
+    };
+    let stage = [&priced, &revenue, &sum];
+    let input = Table::from_rows(rel.clone());
+    let out = ColumnarExecutor::new()
+        .execute_stage(&stage, &input)
+        .unwrap();
+    let companies = out.output.column_values("a").unwrap();
+    assert_eq!(companies.len(), 13);
+    assert_eq!(companies.last(), Some(&Value::Int(99)));
+    // Every row filtered out: the multiply's unknown operand never resolves,
+    // as one operator at a time on the empty filter output.
+    let nothing = filter(Expr::col("b").lt(Expr::lit(0)));
+    let unknown = Operator::Multiply {
+        out: "x".into(),
+        operands: vec![Operand::col("zzz")],
+    };
+    assert_stage_matches_oracle(&[nothing.clone(), unknown.clone(), sum.clone()], &rel);
+    let stage = [&nothing, &unknown];
+    assert_eq!(
+        ColumnarExecutor::new()
+            .execute_stage(&stage, &input)
+            .unwrap()
+            .output
+            .num_rows(),
+        0
+    );
+    // With rows left, it fails as one operator at a time does.
+    assert!(ColumnarExecutor::new()
+        .execute_stage(&[&priced, &unknown], &input)
+        .is_err());
+}
+
+/// On an empty input no predicate is evaluated and no operand resolved, so
+/// unknown columns there fail nothing; a project, aggregate or distinct over
+/// an unknown column fails on any input, but only after an earlier step's
+/// error, which rows raise.
+#[test]
+fn fused_stages_fail_exactly_when_one_operator_at_a_time_does() {
+    let empty = to_int_relation(&[], ["a", "b", "c"]);
+    let rows = to_int_relation(&[(1, 2, 3, 0), (4, 5, 6, 0)], ["a", "b", "c"]);
+    let unknown_filter = Operator::Filter {
+        predicate: Expr::col("zzz").gt(Expr::lit(0)),
+    };
+    let unknown_project = Operator::Project {
+        columns: vec!["zzz".into()],
+    };
+    let count = Operator::Aggregate {
+        group_by: vec![],
+        func: AggFunc::Count,
+        over: None,
+        out: "n".into(),
+    };
+    let input = Table::from_rows(empty.clone());
+    let out = ColumnarExecutor::new()
+        .execute_stage(&[&unknown_filter, &count], &input)
+        .unwrap();
+    assert_eq!(out.output.as_rows().rows, vec![vec![Value::Int(0)]]);
+    for rel in [&empty, &rows] {
+        assert_stage_matches_oracle(&[unknown_filter.clone(), count.clone()], rel);
+        assert_stage_matches_oracle(&[unknown_filter.clone(), unknown_project.clone()], rel);
+        assert_stage_matches_oracle(&[unknown_project.clone(), unknown_filter.clone()], rel);
+    }
+    // Rows reach the filter: its error, not the project's.
+    let input = Table::from_rows(rows);
+    let err = |engine: &dyn Executor| {
+        engine
+            .execute_stage(&[&unknown_filter, &unknown_project], &input)
+            .unwrap_err()
+    };
+    let row_err = err(&RowExecutor::new());
+    assert!(
+        matches!(row_err, conclave_engine::EngineError::Eval(_)),
+        "{row_err:?}"
+    );
+    assert_eq!(err(&ColumnarExecutor::new()), row_err);
+    let parallel = ParallelEngine::new(ClusterSpec::paper_party_cluster());
+    assert_eq!(err(&parallel), row_err);
 }

@@ -138,6 +138,13 @@ impl CardinalityEstimator {
         let mut est = RuntimeEstimate::default();
         let order = plan.dag.topo_order()?;
         let mut has_mpc_job = false;
+        // Sibling hybrid aggregations are one call, priced at its head; the
+        // other members' inputs and work are the head's.
+        let hybrid_groups = plan.hybrid_aggregate_groups()?;
+        let priced_at_head: Vec<NodeId> = hybrid_groups
+            .values()
+            .flat_map(|group| group.members[1..].iter().copied())
+            .collect();
         for id in order {
             let node = plan.dag.node(id)?;
             let in_rows: Vec<u64> = node
@@ -162,6 +169,9 @@ impl CardinalityEstimator {
                 continue;
             }
             let n_in: u64 = in_rows.iter().sum();
+            if priced_at_head.contains(&id) {
+                continue;
+            }
 
             match node.site {
                 ExecSite::Local(party) => {
@@ -172,10 +182,15 @@ impl CardinalityEstimator {
                 ExecSite::Mpc => {
                     has_mpc_job = true;
                     let presorted = plan.aggregate_is_presorted(id);
-                    match self
-                        .mpc
-                        .estimate_op_presorted(&node.op, &in_rows, &in_cols, out_rows, presorted)
-                    {
+                    let priced = match (&node.op, hybrid_groups.get(&id)) {
+                        (Operator::HybridAggregate { group_by, .. }, Some(group)) => Ok(self
+                            .mpc
+                            .estimate_hybrid_aggregate(group_by, &group.lanes, n_in, out_rows)),
+                        (op, _) => self
+                            .mpc
+                            .estimate_op_presorted(op, &in_rows, &in_cols, out_rows, presorted),
+                    };
+                    match priced {
                         Ok(stats) => {
                             est.modeled.charge_mpc(&stats);
                             est.modeled.stp_time += self.stp_time(&node.op, n_in, out_rows);

@@ -8,7 +8,9 @@
 //! or distinct) run as one fused stage, the party runtime of [`party_exec`] for secret-sharing operators
 //! inside the MPC frontier, and the dedicated hybrid-protocol
 //! implementations for the operators §5.3 introduces, whose STP steps always
-//! run on the sequential vectorized engine.
+//! run on the sequential vectorized engine; sibling hybrid aggregations
+//! (one input, one key list, one STP) run as one k-output call
+//! ([`PhysicalPlan::hybrid_aggregate_groups`]).
 //!
 //! All intermediate results move through the unified [`Table`] data plane:
 //! the result store is a `HashMap<NodeId, Table>`, executors produce tables
@@ -263,6 +265,7 @@ impl Driver {
         // `per_node` keeps the topological order.
         let stages = local_stages(plan, &consumers)?;
         let mut staged: HashMap<NodeId, Duration> = HashMap::new();
+        let hybrid_groups = plan.hybrid_aggregate_groups()?;
 
         for id in order {
             let node = plan.dag.node(id)?;
@@ -345,6 +348,36 @@ impl Driver {
                 report.per_node.push((id, node.site, elapsed));
                 continue;
             }
+            // Sibling hybrid aggregations run as one k-output call at their
+            // head's turn; each member is certified, logged and given its
+            // `per_node` entry at its own turn.
+            if let Operator::HybridAggregate { group_by, stp, .. } = &node.op {
+                reveal(&certificate, &mut report.leakage, id, id, *stp)?;
+                if let Some(group) = hybrid_groups.get(&id) {
+                    // The STP sees the keys once for every member: each must
+                    // be certified before it sees them.
+                    for &member in &group.members[1..] {
+                        certified(&certificate, member, member, *stp)?;
+                    }
+                    let input = results.get(&node.inputs[0]).expect("topological order");
+                    let outcome = hybrid_exec::hybrid_aggregate_lanes(
+                        &mut self.mpc,
+                        &self.stp_exec,
+                        input,
+                        group_by,
+                        &group.lanes,
+                        *stp,
+                    )?;
+                    self.absorb_hybrid(&mut report, &outcome);
+                    let tables = hybrid_exec::split_lanes(&outcome.result, group_by.len());
+                    for (&member, table) in group.members.iter().zip(tables) {
+                        tracked.push((table.clone(), table.conversion_counts()));
+                        results.insert(member, table);
+                    }
+                }
+                report.per_node.push((id, node.site, Duration::ZERO));
+                continue;
+            }
             let input_tables: Vec<&Table> = node
                 .inputs
                 .iter()
@@ -411,30 +444,6 @@ impl Driver {
                         .unzip();
                     let out_rows = outcome.result.num_rows() as u64;
                     outcome.mpc_stats = self.mpc.estimate_op(&node.op, &rows, &cols, out_rows)?;
-                    self.absorb_hybrid(&mut report, &outcome);
-                    (outcome.result, Duration::ZERO)
-                }
-                (
-                    Operator::HybridAggregate {
-                        group_by,
-                        func,
-                        over,
-                        out,
-                        stp,
-                    },
-                    _,
-                ) => {
-                    reveal(&certificate, &mut report.leakage, id, id, *stp)?;
-                    let outcome = hybrid_exec::hybrid_aggregate(
-                        &mut self.mpc,
-                        &self.stp_exec,
-                        input_tables[0],
-                        group_by,
-                        *func,
-                        over.as_deref(),
-                        out,
-                        *stp,
-                    )?;
                     self.absorb_hybrid(&mut report, &outcome);
                     (outcome.result, Duration::ZERO)
                 }
@@ -634,17 +643,28 @@ fn reveal(
     at_node: NodeId,
     party: PartyId,
 ) -> Result<(), DriverError> {
-    let disclosure = certificate
+    let disclosure = certified(certificate, node, at_node, party)?;
+    if !log.contains(disclosure) {
+        log.push(disclosure.clone());
+    }
+    Ok(())
+}
+
+/// The certificate's [`Disclosure`] letting `party` be handed the output of
+/// `node` at `at_node`, or the refusal: [`reveal`] without the logging.
+fn certified(
+    certificate: &LeakageReport,
+    node: NodeId,
+    at_node: NodeId,
+    party: PartyId,
+) -> Result<&Disclosure, DriverError> {
+    certificate
         .disclosure(node, at_node, party)
         .ok_or_else(|| DriverError::UnauthorizedReveal {
             node,
             to_party: party,
             what: format!("an output the leakage certificate does not cover (at node #{at_node})"),
-        })?;
-    if !log.contains(disclosure) {
-        log.push(disclosure.clone());
-    }
-    Ok(())
+        })
 }
 
 #[cfg(test)]
@@ -1282,5 +1302,88 @@ mod tests {
         );
         let shown = report.to_string();
         assert!(shown.contains("modeled (cost model × primitive counts)"));
+    }
+
+    /// Sibling hybrid aggregations — the credit query's `count` and `total`
+    /// of one `joined` relation by `zip` — run as one k-output call under
+    /// sort elimination and as two calls without it: the same output, one
+    /// `per_node` entry per node at its own turn and the same leakage log,
+    /// while the fused call shares and compares once.
+    #[test]
+    fn sibling_hybrid_aggregations_run_once_and_account_node_by_node() {
+        let regulator = Party::new(1, "gov");
+        let demo = Schema::new(vec![
+            ColumnDef::new("ssn", DataType::Int),
+            ColumnDef::with_trust("zip", DataType::Int, TrustSet::of([1])),
+        ]);
+        let bank = Schema::new(vec![
+            ColumnDef::with_trust("ssn", DataType::Int, TrustSet::of([1])),
+            ColumnDef::new("score", DataType::Int),
+        ]);
+        let mut q = QueryBuilder::new();
+        let demographics = q.input("demographics", demo, regulator.clone());
+        let s1 = q.input("scores1", bank.clone(), Party::new(2, "a"));
+        let s2 = q.input("scores2", bank, Party::new(3, "b"));
+        let scores = q.concat(&[s1, s2]);
+        let joined = q.join(demographics, scores, &["ssn"], &["ssn"]);
+        let count = q.count(joined, "count", &["zip"]);
+        let total = q.aggregate(joined, "total", AggFunc::Sum, &["zip"], "score");
+        let both = q.join(total, count, &["zip"], &["zip"]);
+        let avg = q.divide(both, "avg", Operand::col("total"), Operand::col("count"));
+        q.collect(avg, &[regulator]);
+        let query = q.build().unwrap();
+        let run = |config: ConclaveConfig| {
+            let plan = compile(&query, &config).unwrap();
+            let report = Driver::new(config)
+                .run_tables(&plan, &credit_inputs())
+                .unwrap();
+            (plan, report)
+        };
+        let (fused_plan, fused) = run(ConclaveConfig::standard());
+        let (apart_plan, apart) = run(ConclaveConfig {
+            use_sort_elimination: false,
+            ..ConclaveConfig::standard()
+        });
+        let group_sizes = |plan: &PhysicalPlan| {
+            let mut sizes: Vec<usize> = plan
+                .hybrid_aggregate_groups()
+                .unwrap()
+                .values()
+                .map(|group| group.members.len())
+                .collect();
+            sizes.sort_unstable();
+            sizes
+        };
+        assert_eq!(group_sizes(&fused_plan), vec![2]);
+        assert_eq!(group_sizes(&apart_plan), vec![1, 1]);
+
+        let out = fused.output_for(1).unwrap();
+        assert!(out.same_rows_unordered(apart.output_for(1).unwrap()));
+        assert_eq!(out.column_values("avg").unwrap().len(), 2, "zips 10 and 20");
+        for (plan, report) in [(&fused_plan, &fused), (&apart_plan, &apart)] {
+            let entries: Vec<NodeId> = report.per_node.iter().map(|e| e.0).collect();
+            assert_eq!(entries, plan.dag.topo_order().unwrap());
+        }
+        assert_eq!(fused.leakage, apart.leakage);
+        let stp_keys = |r: &RunReport| {
+            r.leakage
+                .iter()
+                .filter(|d| d.kind == DisclosureKind::StpKeys)
+                .count()
+        };
+        assert_eq!(
+            stp_keys(&fused),
+            4,
+            "the hybrid join's keys, each aggregation's and the public join's"
+        );
+
+        // `joined` has four rows: the two calls made 2 × 3 adjacent-key
+        // equality tests, the fused one 3, and the same multiplexers.
+        let (f, a) = (fused.mpc_stats.counts, apart.mpc_stats.counts);
+        assert_eq!(a.equalities - f.equalities, 3);
+        assert_eq!(f.mults, a.mults);
+        // COUNT read `zip` alone and SUM `zip` and `score`: three columns
+        // shared apart, two fused.
+        assert_eq!(a.input_elems - f.input_elems, 4);
     }
 }

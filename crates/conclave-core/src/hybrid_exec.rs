@@ -19,11 +19,13 @@
 //! site; the simulation runs the same either way. What that party sees is
 //! recorded once, in the plan's leakage certificate, not in the outcome.
 
-use conclave_engine::{ConversionCounts, Executor, Table};
+use conclave_engine::{ColumnarRelation, ConversionCounts, Executor, Table};
 use conclave_ir::ops::{join_schema, AggFunc, Operator};
 use conclave_ir::party::PartyId;
+use conclave_ir::schema::Schema;
 use conclave_mpc::backend::{MpcEngine, MpcError, MpcResult, MpcStepStats};
 use conclave_mpc::oblivious;
+use conclave_mpc::operators::{self, AggLane};
 use conclave_mpc::relation::SharedRelation;
 use std::time::Duration;
 
@@ -111,10 +113,10 @@ pub fn hybrid_join(
     let right_shuffled = oblivious::shuffle(&right_shared, engine.protocol());
 
     // 2. Project the key columns and reveal them to the STP.
-    let left_keys_shared = left_shuffled.project(left_keys)?;
-    let right_keys_shared = right_shuffled.project(right_keys)?;
-    let left_keys_clear = Table::from_columns(left_keys_shared.open(engine.protocol()));
-    let right_keys_clear = Table::from_columns(right_keys_shared.open(engine.protocol()));
+    let left_keys_clear =
+        Table::from_columns(left_shuffled.open_columns(left_keys, engine.protocol())?);
+    let right_keys_clear =
+        Table::from_columns(right_shuffled.open_columns(right_keys, engine.protocol())?);
 
     // 3–5. STP: enumerate both key relations, join in the clear, and project
     // the row-index columns into two index relations.
@@ -249,10 +251,8 @@ pub fn public_join(
     })
 }
 
-/// Executes the hybrid aggregation of §5.3: the input is obliviously
-/// shuffled, the group-by columns are revealed to the STP, the STP sorts them
-/// in the clear and returns the ordering, and the parties finish with a
-/// linear oblivious accumulation scan instead of an oblivious sort.
+/// Executes the hybrid aggregation of §5.3 — [`hybrid_aggregate_lanes`]
+/// with one lane.
 // The signature mirrors the aggregate operator's fields one-to-one; bundling
 // them into a struct would just duplicate `Operator::Aggregate`.
 #[allow(clippy::too_many_arguments)]
@@ -264,6 +264,26 @@ pub fn hybrid_aggregate(
     func: AggFunc,
     over: Option<&str>,
     out: &str,
+    stp: PartyId,
+) -> MpcResult<HybridOutcome> {
+    let lane = AggLane { func, over, out };
+    hybrid_aggregate_lanes(engine, stp_exec, input, group_by, &[lane], stp)
+}
+
+/// Executes the hybrid aggregation of §5.3 for k sibling aggregations of one
+/// input by the same keys: the columns the `lanes` read (the group-by keys
+/// and every `over` column) are shared and obliviously shuffled, the
+/// group-by columns are revealed to the STP, the STP sorts them in the clear
+/// and returns the ordering, and the parties finish with one linear
+/// oblivious accumulation scan of k lanes instead of an oblivious sort. The
+/// result is the group-by columns followed by one column per lane
+/// ([`split_lanes`] cuts it into one table per lane).
+pub fn hybrid_aggregate_lanes(
+    engine: &mut MpcEngine,
+    stp_exec: &dyn Executor,
+    input: &Table,
+    group_by: &[String],
+    lanes: &[AggLane],
     _stp: PartyId,
 ) -> MpcResult<HybridOutcome> {
     engine.protocol().reset_counts();
@@ -273,13 +293,14 @@ pub fn hybrid_aggregate(
         ));
     }
 
-    // 1. Share and obliviously shuffle the input.
-    let shared = engine.share_table(input)?;
+    // 1. Share the columns the lanes read and obliviously shuffle them.
+    let read = operators::lanes_read(group_by, lanes);
+    let shared = SharedRelation::from_table_columns(input, &read, engine.protocol())
+        .map_err(MpcError::Exec)?;
     let shuffled = oblivious::shuffle(&shared, engine.protocol());
 
     // 2. Reveal the (shuffled) group-by columns to the STP.
-    let keys_shared = shuffled.project(group_by)?;
-    let keys_clear = Table::from_columns(keys_shared.open(engine.protocol()));
+    let keys_clear = Table::from_columns(shuffled.open_columns(group_by, engine.protocol())?);
 
     // 3–4. STP: enumerate and sort by the keys in the clear, one stable sort
     // per key from the last to the first, so rows with equal key tuples end
@@ -309,13 +330,13 @@ pub fn hybrid_aggregate(
     // ordering, grouping equal keys together.
     let reordered = shuffled.permute(&order);
 
-    // 7–8. Linear oblivious accumulation over the key-grouped relation,
-    // followed by a shuffle-and-reveal of the group-end flags (performed
-    // inside `aggregate_sorted`). The oblivious equality tests stand in for
-    // the STP-provided equality flags; their cost is a small constant factor
-    // of the linear scan either way.
+    // 7–8. One linear oblivious accumulation of every lane over the
+    // key-grouped relation, followed by a shuffle-and-reveal of the
+    // group-end flags (performed inside `aggregate_sorted_lanes`). The
+    // oblivious equality tests stand in for the STP-provided equality flags;
+    // their cost is a small constant factor of the linear scan either way.
     let aggregated =
-        oblivious::aggregate_sorted(&reordered, group_by, func, over, out, engine.protocol())?;
+        oblivious::aggregate_sorted_lanes(&reordered, group_by, lanes, engine.protocol())?;
     let result = Table::from_columns(aggregated.open(engine.protocol()));
     let mpc_stats = engine.drain_stats(input.num_rows() as u64, result.num_rows() as u64);
     let conversions = intermediate_conversions(std::iter::once(&keys_clear).chain(&stages));
@@ -326,6 +347,32 @@ pub fn hybrid_aggregate(
         stp_time,
         conversions,
     })
+}
+
+/// Cuts the result of a k-output aggregation — `keys` group-by columns, then
+/// one column per lane — into one table per lane: the group-by columns and
+/// that lane's column, as the lane's aggregation would have returned alone.
+/// Lanes are cut by position, so two lanes may share an output name.
+pub fn split_lanes(result: &Table, keys: usize) -> Vec<Table> {
+    let rel = result.as_columns();
+    if rel.num_cols() == keys + 1 {
+        return vec![result.clone()];
+    }
+    (keys..rel.num_cols())
+        .map(|lane| {
+            let picked = (0..keys).chain([lane]);
+            let schema = Schema::new(
+                picked
+                    .clone()
+                    .map(|c| rel.schema.columns[c].clone())
+                    .collect(),
+            );
+            let columns = picked.map(|c| rel.column(c).clone()).collect();
+            let table = ColumnarRelation::new(schema, columns)
+                .expect("the lane's columns have the result's rows");
+            Table::from_columns(table)
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -496,11 +543,13 @@ mod tests {
             ],
         );
         let input = Table::from_rows(input_rel.clone());
-        // (mults, comparisons): MAX pays a comparison and a second mux per row pair.
-        for (func, over, out, (mults, comparisons)) in [
-            (AggFunc::Sum, Some("score"), "total", (5, 0)),
-            (AggFunc::Count, None, "n", (5, 0)),
-            (AggFunc::Max, Some("score"), "hi", (10, 5)),
+        // (mults, comparisons, input_elems, shuffled_elems): MAX pays a
+        // comparison and a second mux per row pair; COUNT reads, shares and
+        // shuffles the key column alone.
+        for (func, over, out, (mults, comparisons, input_elems, shuffled_elems)) in [
+            (AggFunc::Sum, Some("score"), "total", (5, 0, 12, 30)),
+            (AggFunc::Count, None, "n", (5, 0, 6, 24)),
+            (AggFunc::Max, Some("score"), "hi", (10, 5, 12, 30)),
         ] {
             let outcome = hybrid_aggregate(
                 &mut eng,
@@ -534,13 +583,90 @@ mod tests {
                 mults,
                 comparisons,
                 equalities: 5,
-                shuffled_elems: 30,
-                input_elems: 12,
+                shuffled_elems,
+                input_elems,
                 opened_elems: 18,
                 ..Default::default()
             };
             assert_eq!(outcome.mpc_stats.counts, pinned, "{func}");
         }
+    }
+
+    /// Sibling aggregations of one input by one key, as one k-output call:
+    /// every lane equals its own single call, and the call shares the
+    /// columns the lanes read once, shuffles, reveals the keys and scans
+    /// once — counts the price list gives before the result's open.
+    #[test]
+    fn k_output_hybrid_aggregation_equals_k_single_calls() {
+        let rows: Vec<Vec<i64>> = (0..12)
+            .map(|i| vec![100 + i, 10 * (i % 3 + 1), (i * 37) % 50 - 20, i % 4])
+            .collect();
+        let input = Table::from_rows(Relation::from_ints(
+            &["ssn", "zip", "score", "unread"],
+            &rows,
+        ));
+        let group_by = vec!["zip".to_string()];
+        let lane = |func, over, out| AggLane { func, over, out };
+        let lanes = [
+            lane(AggFunc::Count, None, "n"),
+            lane(AggFunc::Sum, Some("score"), "total"),
+            lane(AggFunc::Min, Some("score"), "lo"),
+            // Lanes are positional: a repeated output name is cut apart.
+            lane(AggFunc::Max, Some("ssn"), "total"),
+        ];
+        let fused = hybrid_aggregate_lanes(
+            &mut engine(),
+            &ColumnarExecutor::new(),
+            &input,
+            &group_by,
+            &lanes,
+            1,
+        )
+        .unwrap();
+        let tables = split_lanes(&fused.result, group_by.len());
+        assert_eq!(tables.len(), lanes.len());
+        for (lane, table) in lanes.iter().zip(&tables) {
+            let single = hybrid_aggregate(
+                &mut engine(),
+                &ColumnarExecutor::new(),
+                &input,
+                &group_by,
+                lane.func,
+                lane.over,
+                lane.out,
+                1,
+            )
+            .unwrap();
+            assert_eq!(table.schema(), single.result.schema(), "{}", lane.func);
+            assert!(
+                table.as_rows().same_rows_unordered(single.result.as_rows()),
+                "{} lane",
+                lane.func
+            );
+        }
+        // 12 rows in 3 zips; `zip`, `score` and `ssn` read, `unread` not.
+        let pinned = PrimitiveCounts {
+            input_elems: 12 * 3,
+            // The read columns, then the candidates: key, 4 lanes, flag.
+            shuffled_elems: 12 * 3 + 12 * 6,
+            // The keys and the flags, then 3 groups × (key + 4 lanes).
+            opened_elems: 12 + 12 + 3 * 5,
+            // One equality batch over the 11 adjacent pairs.
+            equalities: 11,
+            // Per pair: 4 carries and the MIN/MAX lanes' selections.
+            mults: 11 * 6,
+            comparisons: 11 * 2,
+            ..Default::default()
+        };
+        assert_eq!(fused.mpc_stats.counts, pinned);
+        let priced = engine().estimate_hybrid_aggregate(&group_by, &lanes, 12, 3);
+        assert_eq!(
+            priced.counts,
+            PrimitiveCounts {
+                opened_elems: pinned.opened_elems - 3 * 5,
+                ..pinned
+            }
+        );
     }
 
     #[test]

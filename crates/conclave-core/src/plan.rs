@@ -9,7 +9,9 @@ use conclave_ir::builder::Query;
 use conclave_ir::dag::{NodeId, OpDag};
 use conclave_ir::error::IrError;
 use conclave_ir::ops::{ExecSite, Operator};
-use conclave_ir::party::PartySet;
+use conclave_ir::party::{PartyId, PartySet};
+use conclave_mpc::operators::AggLane;
+use std::collections::HashMap;
 use std::fmt;
 
 /// Errors raised during compilation.
@@ -53,6 +55,16 @@ pub struct Stage {
     pub site: ExecSite,
     /// Node ids in topological order.
     pub nodes: Vec<NodeId>,
+}
+
+/// Sibling hybrid aggregations that run as one k-output call
+/// ([`PhysicalPlan::hybrid_aggregate_groups`]).
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct SiblingGroup<'p> {
+    /// The `HybridAggregate` nodes, in topological order, head first.
+    pub members: Vec<NodeId>,
+    /// Each member's output lane, in the same order.
+    pub lanes: Vec<AggLane<'p>>,
 }
 
 /// The compiled query plan.
@@ -124,6 +136,34 @@ impl PhysicalPlan {
             Some(input.sorted_by.as_deref()? == key.as_str())
         };
         presorted().unwrap_or(false)
+    }
+
+    /// The plan's hybrid aggregations grouped into sibling calls, by head
+    /// node: under `use_sort_elimination` (§5.4) the `HybridAggregate` nodes
+    /// with the same input node, group-by keys and STP are one group, run
+    /// as one k-output call ([`crate::hybrid_exec::hybrid_aggregate_lanes`])
+    /// at its first member's topological turn; otherwise every one is a
+    /// group of one. The driver executes by this answer and the estimator
+    /// prices by it.
+    pub fn hybrid_aggregate_groups(&self) -> Result<HashMap<NodeId, SiblingGroup<'_>>, IrError> {
+        let mut groups: HashMap<NodeId, SiblingGroup<'_>> = HashMap::new();
+        let mut heads: HashMap<(&[NodeId], &[String], PartyId), NodeId> = HashMap::new();
+        for id in self.dag.topo_order()? {
+            let node = self.dag.node(id)?;
+            let (Operator::HybridAggregate { group_by, stp, .. }, Some(lane)) =
+                (&node.op, AggLane::of(&node.op))
+            else {
+                continue;
+            };
+            let head = match self.config.use_sort_elimination {
+                true => *heads.entry((&node.inputs, group_by, *stp)).or_insert(id),
+                false => id,
+            };
+            let group = groups.entry(head).or_default();
+            group.members.push(id);
+            group.lanes.push(lane);
+        }
+        Ok(groups)
     }
 
     /// Renders the plan as text (one node per line, grouped implicitly by the

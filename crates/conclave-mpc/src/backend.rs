@@ -14,10 +14,11 @@ use crate::cost::{
     DIVIDE_COMPARISONS_PER_ROW,
 };
 use crate::engine::OpError;
+use crate::operators::{lanes_read, AggLane};
 use crate::protocol::Protocol;
 use crate::relation::SharedRelation;
 use conclave_engine::Relation;
-use conclave_ir::ops::Operator;
+use conclave_ir::ops::{AggFunc, Operator};
 use conclave_net::NetworkModel;
 use std::fmt;
 use std::time::Duration;
@@ -409,16 +410,11 @@ impl MpcEngine {
                     ..Default::default()
                 }
             }
-            // Hybrid aggregation: a shuffle, the group-by columns revealed,
-            // the STP's equality flags shared back, a linear accumulation
-            // scan of muxes, a final shuffle-and-reveal of the flags.
-            Operator::HybridAggregate { group_by, .. } => PrimitiveCounts {
-                shuffled_elems: 2 * n * cols,
-                opened_elems: (group_by.len() as u64 + 1) * n,
-                input_elems: n,
-                mults: 2 * n,
-                ..Default::default()
-            },
+            // Hybrid aggregation: one lane of `hybrid_aggregate_counts`.
+            Operator::HybridAggregate { group_by, .. } => {
+                let lane = AggLane::of(op).expect("a hybrid aggregation has one lane");
+                hybrid_aggregate_counts(group_by, &[lane], n)
+            }
             // Public join: no MPC at all. The parties exchange key columns
             // in the clear and the helper joins locally, so the only cost
             // charged here is that data movement.
@@ -496,6 +492,22 @@ impl MpcEngine {
         Ok(self.stats_from_counts(counts, n, output_rows))
     }
 
+    /// Estimates one k-output hybrid aggregation (§5.3): the sibling
+    /// aggregations `lanes` of one relation of `input_rows` rows by
+    /// `group_by`, run as one call — [`MpcEngine::estimate_op`]'s
+    /// `HybridAggregate` arm is its one-lane case. The result's open is
+    /// priced where it crosses the frontier, as for every operator.
+    pub fn estimate_hybrid_aggregate(
+        &self,
+        group_by: &[String],
+        lanes: &[AggLane],
+        input_rows: u64,
+        output_rows: u64,
+    ) -> MpcStepStats {
+        let counts = hybrid_aggregate_counts(group_by, lanes, input_rows);
+        self.stats_from_counts(counts, input_rows, output_rows)
+    }
+
     /// Builds step statistics from primitive counts, without the per-job
     /// overhead (a plan is one MPC job however many steps it has). The entry
     /// point for executed counts: every party runtime reports its steps'
@@ -517,6 +529,33 @@ impl MpcEngine {
             input_rows,
             output_rows,
         }
+    }
+}
+
+/// Primitive counts of a hybrid aggregation of `n` rows with k output
+/// `lanes`, as `conclave_core::hybrid_exec` runs it, its result's open aside:
+/// the columns the lanes read shared and shuffled once, the keys and the
+/// group-end flags opened, per adjacent pair one equality per key (AND-folded
+/// over the keys) and one carry multiplexer per lane, a comparison and a
+/// second multiplexer per MIN/MAX lane, and the candidate rows (keys, lanes,
+/// flag) shuffled.
+fn hybrid_aggregate_counts(group_by: &[String], lanes: &[AggLane], n: u64) -> PrimitiveCounts {
+    let cols = lanes_read(group_by, lanes).len() as u64;
+    let keys = group_by.len() as u64;
+    let k = lanes.len() as u64;
+    let selecting = lanes
+        .iter()
+        .filter(|l| matches!(l.func, AggFunc::Min | AggFunc::Max))
+        .count() as u64;
+    let pairs = n.saturating_sub(1);
+    PrimitiveCounts {
+        input_elems: n * cols,
+        shuffled_elems: n * cols + n * (keys + k + 1),
+        opened_elems: n * (keys + 1),
+        equalities: pairs * keys,
+        mults: pairs * (keys.saturating_sub(1) + k + selecting),
+        comparisons: pairs * selecting,
+        ..Default::default()
     }
 }
 

@@ -87,6 +87,7 @@ pub use dealer::{
     InputMask, MaterialBlocks, MaterialSpec, Request,
 };
 pub use engine::{CmpArg, Engine, OpError};
+pub use operators::AggLane;
 pub use protocol::Protocol;
 pub use relation::{Rel, SharedRelation};
 pub use ring::RingElem;

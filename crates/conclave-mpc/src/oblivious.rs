@@ -6,7 +6,7 @@
 //! protocols and the benchmark harness call them with.
 
 use crate::engine::OpError;
-use crate::operators;
+use crate::operators::{self, AggLane};
 use crate::protocol::Protocol;
 use crate::relation::SharedRelation;
 use conclave_ir::ops::AggFunc;
@@ -46,4 +46,14 @@ pub fn aggregate_sorted(
     proto: &mut Protocol,
 ) -> Result<SharedRelation, OpError> {
     operators::aggregate_sorted(proto, rel, group_by, func, over, out)
+}
+
+/// [`operators::aggregate_sorted_lanes`] on the in-process engine.
+pub fn aggregate_sorted_lanes(
+    rel: &SharedRelation,
+    group_by: &[String],
+    lanes: &[AggLane],
+    proto: &mut Protocol,
+) -> Result<SharedRelation, OpError> {
+    operators::aggregate_sorted_lanes(proto, rel, group_by, lanes)
 }

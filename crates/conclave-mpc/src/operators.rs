@@ -19,7 +19,10 @@
 //! one `eq_batch_groups` and m − 1 `mul_batch` folds between them), so an
 //! engine that communicates pays rounds per *batch* — a sort per layer, not
 //! per comparator — except in the grouped aggregate's scan, which is still
-//! one row per batch (ROADMAP item 1, Stage C).
+//! one row per batch (ROADMAP item 1, Stage C). That scan carries k output
+//! lanes ([`aggregate_sorted_lanes`]), so sibling aggregations of one
+//! relation by the same keys pay its rounds, its equality batch and its
+//! shuffle once.
 
 use crate::cost::PrimitiveCounts;
 use crate::engine::{CmpArg, Engine, EngineResult, OpError};
@@ -57,7 +60,7 @@ fn only<S>(mut batch: Vec<S>) -> S {
 pub fn shuffle<E: Engine>(eng: &mut E, rel: &Rel<E::Share>) -> Rel<E::Share> {
     eng.charge_shuffle(rel.num_elems());
     let perm = eng.random_permutation(rel.num_rows());
-    rel.permute(&perm)
+    rel.clone().permute(&perm)
 }
 
 /// A compare-exchange between two row positions: afterwards the key at the
@@ -354,26 +357,32 @@ fn all_equal<E: Engine>(
     Ok(all)
 }
 
-/// Opens the trailing 0/1 flag column of `flagged` and keeps the flagged
-/// rows (without the flag) under `schema` — revealing only the output size.
-fn keep_flagged<E: Engine>(
+/// Obliviously shuffles `flagged` (as [`shuffle`] does), opens its trailing
+/// 0/1 flag column and keeps the flagged rows (without the flag) under
+/// `schema` — revealing only the output size. The rows are moved, not
+/// copied, into their shuffled places.
+fn shuffle_keep_flagged<E: Engine>(
     eng: &mut E,
     flagged: Rel<E::Share>,
     schema: Schema,
 ) -> EngineResult<E, Rel<E::Share>> {
+    eng.charge_shuffle(flagged.num_elems());
+    let order = eng.random_permutation(flagged.num_rows());
     let flag_col = flagged.num_cols() - 1;
-    let opened = eng.open_column(&flagged.column(flag_col))?;
-    let rows = flagged
-        .rows
+    let flags: Vec<E::Share> = order.iter().map(|&i| flagged.rows[i][flag_col]).collect();
+    let opened = eng.open_column(&flags)?;
+    let mut rows = flagged.rows;
+    let kept = order
         .into_iter()
         .zip(opened)
         .filter(|(_, flag)| *flag == 1)
-        .map(|(mut row, _)| {
+        .map(|(i, _)| {
+            let mut row = std::mem::take(&mut rows[i]);
             row.truncate(flag_col);
             row
         })
         .collect();
-    Ok(Rel { schema, rows })
+    Ok(Rel { schema, rows: kept })
 }
 
 /// Standard MPC join: a Cartesian-product comparison of all row pairs
@@ -421,11 +430,79 @@ pub fn cartesian_join<E: Engine>(
     Ok(Rel { schema, rows })
 }
 
-/// Sorting-based oblivious aggregation (Jónsson et al.), as used by the
-/// paper's prototype: the input must already be sorted (or grouped) by the
-/// group-by column; the scan accumulates each group into its last row and the
-/// non-final rows are discarded after a shuffle-and-reveal of the
-/// group-boundary flags.
+/// One output lane of a sorting-based aggregation: `func` over the column
+/// `over` (none for COUNT), written to the column `out`. Sibling
+/// aggregations of one relation by the same keys are one scan of several
+/// lanes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AggLane<'a> {
+    /// The aggregate function.
+    pub func: AggFunc,
+    /// The column aggregated over (`None` only for COUNT).
+    pub over: Option<&'a str>,
+    /// The output column's name.
+    pub out: &'a str,
+}
+
+impl<'a> AggLane<'a> {
+    /// The lane of an `Aggregate` or `HybridAggregate` operator.
+    pub fn of(op: &'a Operator) -> Option<Self> {
+        match op {
+            Operator::Aggregate {
+                func, over, out, ..
+            }
+            | Operator::HybridAggregate {
+                func, over, out, ..
+            } => Some(AggLane {
+                func: *func,
+                over: over.as_deref(),
+                out,
+            }),
+            _ => None,
+        }
+    }
+
+    /// Whether the lane selects (MIN/MAX) rather than adds (SUM/COUNT).
+    fn selects(&self) -> bool {
+        matches!(self.func, AggFunc::Min | AggFunc::Max)
+    }
+}
+
+/// The schema of a k-output aggregation: the group-by columns, then one
+/// column per lane, each typed as [`aggregate_schema`] types it alone. Lanes
+/// are positional: like a single output, a lane's name is not checked
+/// against the others'.
+fn lanes_schema(input: &Schema, group_by: &[String], lanes: &[AggLane]) -> Result<Schema, OpError> {
+    let lane_schema = |lane: &AggLane| {
+        aggregate_schema(input, group_by, lane.func, lane.over, lane.out)
+            .map_err(|e| OpError::Invalid(e.to_string()))
+    };
+    let Some((first, rest)) = lanes.split_first() else {
+        return Err(OpError::Invalid(
+            "an aggregation needs at least one output".into(),
+        ));
+    };
+    let mut schema = lane_schema(first)?;
+    for lane in rest {
+        let out = lane_schema(lane)?.columns.pop();
+        schema.columns.extend(out);
+    }
+    Ok(schema)
+}
+
+/// The columns k-output aggregation `lanes` read: the group-by columns, then
+/// every other column a lane aggregates over, once, in lane order.
+pub fn lanes_read<'a>(group_by: &'a [String], lanes: &[AggLane<'a>]) -> Vec<&'a str> {
+    let mut read: Vec<&str> = group_by.iter().map(String::as_str).collect();
+    for over in lanes.iter().filter_map(|lane| lane.over) {
+        if !read.contains(&over) {
+            read.push(over);
+        }
+    }
+    read
+}
+
+/// [`aggregate_sorted_lanes`] with one lane: the single-output aggregation.
 pub fn aggregate_sorted<E: Engine>(
     eng: &mut E,
     rel: &Rel<E::Share>,
@@ -434,58 +511,119 @@ pub fn aggregate_sorted<E: Engine>(
     over: Option<&str>,
     out: &str,
 ) -> EngineResult<E, Rel<E::Share>> {
+    aggregate_sorted_lanes(eng, rel, group_by, &[AggLane { func, over, out }])
+}
+
+/// Sorting-based oblivious aggregation (Jónsson et al.), as used by the
+/// paper's prototype, with k output lanes: the input must already be sorted
+/// (or grouped) by the group-by columns; the scan accumulates each group into
+/// its last row and the non-final rows are discarded after a
+/// shuffle-and-reveal of the group-boundary flags. The lanes share the one
+/// equality batch over adjacent keys, the one shuffle and the one flag
+/// reveal; per row, SUM/COUNT lanes add locally, the MIN/MAX lanes share one
+/// comparison batch and one multiplexer batch, and one multiplexer batch
+/// carries every lane into the next row. The output is the group-by columns
+/// followed by one column per lane, each typed as that lane's aggregation
+/// alone would type it.
+pub fn aggregate_sorted_lanes<E: Engine>(
+    eng: &mut E,
+    rel: &Rel<E::Share>,
+    group_by: &[String],
+    lanes: &[AggLane],
+) -> EngineResult<E, Rel<E::Share>> {
     let key_cols = rel.require_all(group_by)?;
-    let over_col = over.map(|o| rel.require(o)).transpose()?;
-    if func.needs_over() && over_col.is_none() {
-        return Err(OpError::Invalid(format!("{func} requires an over column")).into());
-    }
-    let schema = aggregate_schema(&rel.schema, group_by, func, over, out)
-        .map_err(|e| OpError::Invalid(e.to_string()))?;
+    let schema = lanes_schema(&rel.schema, group_by, lanes)?;
+    // The column each lane takes in per row; COUNT takes in a one.
+    let reads = lanes
+        .iter()
+        .map(|lane| {
+            let col = lane.over.map(|o| rel.require(o)).transpose()?;
+            Ok((lane.func != AggFunc::Count).then_some(col).flatten())
+        })
+        .collect::<Result<Vec<Option<usize>>, OpError>>()?;
+    let selecting: Vec<usize> = (0..lanes.len()).filter(|&l| lanes[l].selects()).collect();
     let n = rel.num_rows();
     if n == 0 {
         // Like the cleartext engines, a scalar SUM/COUNT over nothing is one
         // row holding the additive identity. (MIN/MAX would be NULL, which no
-        // share can represent: they yield no row.)
-        let identity = key_cols.is_empty() && matches!(func, AggFunc::Sum | AggFunc::Count);
-        let rows = Vec::from_iter(identity.then(|| vec![eng.constant(0)]));
+        // share can represent: they yield no row, so they cannot share one
+        // with a SUM/COUNT.)
+        let mut rows = Vec::new();
+        if key_cols.is_empty() && selecting.len() < lanes.len() {
+            if !selecting.is_empty() {
+                return Err(OpError::Invalid(
+                    "a scalar MIN/MAX over no rows has no value to share a row with SUM/COUNT"
+                        .into(),
+                )
+                .into());
+            }
+            rows.push(vec![eng.constant(0); lanes.len()]);
+        }
         return Ok(Rel { schema, rows });
     }
-    // A row's own contribution, and the running aggregate after taking it in.
-    let init = |eng: &E, row: &[E::Share]| match func {
-        AggFunc::Count => eng.constant(1),
-        _ => row[over_col.expect("checked above")],
+    // A row's own contribution to every lane, into `current`.
+    let take_in = |eng: &E, row: &[E::Share], current: &mut Vec<E::Share>| {
+        current.clear();
+        current.extend(
+            reads
+                .iter()
+                .map(|read| read.map_or_else(|| eng.constant(1), |c| row[c])),
+        );
     };
-    let combine = |eng: &mut E, acc: E::Share, current: E::Share| -> EngineResult<E, _> {
-        match func {
-            AggFunc::Count | AggFunc::Sum => Ok(eng.add(acc, current)),
-            AggFunc::Min | AggFunc::Max => {
-                let pair = if func == AggFunc::Min {
-                    (acc, current)
-                } else {
-                    (current, acc)
-                };
-                let keep_acc = only(eng.lt_batch(&[pair])?);
-                eng.mux_batch(&[(keep_acc, acc, current)]).map(only)
+    // Every lane's running aggregate after taking in `current`, into
+    // `combined`.
+    let combine = |eng: &mut E,
+                   acc: &[E::Share],
+                   current: &[E::Share],
+                   combined: &mut Vec<E::Share>|
+     -> EngineResult<E, ()> {
+        combined.clear();
+        combined.extend((0..lanes.len()).map(|l| match lanes[l].selects() {
+            true => current[l],
+            false => eng.add(acc[l], current[l]),
+        }));
+        if !selecting.is_empty() {
+            let pairs: Vec<_> = selecting
+                .iter()
+                .map(|&l| match lanes[l].func {
+                    AggFunc::Min => (acc[l], current[l]),
+                    _ => (current[l], acc[l]),
+                })
+                .collect();
+            let keep_acc = eng.lt_batch(&pairs)?;
+            let selectors: Vec<_> = selecting
+                .iter()
+                .zip(keep_acc)
+                .map(|(&l, keep)| (keep, acc[l], current[l]))
+                .collect();
+            for (&l, chosen) in selecting.iter().zip(eng.mux_batch(&selectors)?) {
+                combined[l] = chosen;
             }
         }
+        Ok(())
     };
+    let (mut current, mut combined) = (Vec::new(), Vec::new());
 
-    // Scalar aggregation: a linear scan of local additions (SUM/COUNT) or
-    // oblivious min/max selection.
+    // Scalar aggregation: a linear scan of local additions (SUM) or
+    // oblivious min/max selection; COUNT is the public row count.
     if key_cols.is_empty() {
-        let value = if func == AggFunc::Count {
-            eng.constant(n as i64)
-        } else {
-            let mut acc = init(eng, &rel.rows[0]);
+        let mut acc = Vec::new();
+        take_in(eng, &rel.rows[0], &mut acc);
+        if reads.iter().any(Option::is_some) {
             for row in &rel.rows[1..] {
-                let current = init(eng, row);
-                acc = combine(eng, acc, current)?;
+                take_in(eng, row, &mut current);
+                combine(eng, &acc, &current, &mut combined)?;
+                std::mem::swap(&mut acc, &mut combined);
             }
-            acc
-        };
+        }
+        for (value, read) in acc.iter_mut().zip(&reads) {
+            if read.is_none() {
+                *value = eng.constant(n as i64);
+            }
+        }
         return Ok(Rel {
             schema,
-            rows: vec![vec![value]],
+            rows: vec![acc],
         });
     }
 
@@ -496,22 +634,32 @@ pub fn aggregate_sorted<E: Engine>(
         .collect();
     let same_group = all_equal(eng, &groups)?;
 
-    // Candidate output rows: group keys + running aggregate + a flag that is
-    // 1 on the last row of each group (the final row always is).
+    // Candidate output rows: group keys + every lane's running aggregate + a
+    // flag that is 1 on the last row of each group (the final row always is).
     let one = eng.constant(1);
-    let mut acc = init(eng, &rel.rows[0]);
+    let mut acc = Vec::new();
+    take_in(eng, &rel.rows[0], &mut acc);
+    let mut carries = Vec::new();
     let mut candidates = Vec::with_capacity(n);
     for i in 0..n {
-        let mut row: Vec<E::Share> = key_cols.iter().map(|&k| rel.rows[i][k]).collect();
-        row.push(acc);
+        let mut row: Vec<E::Share> = Vec::with_capacity(schema.len() + 1);
+        row.extend(key_cols.iter().map(|&k| rel.rows[i][k]));
+        row.extend_from_slice(&acc);
         match same_group.get(i) {
             Some(&same) => {
                 row.push(eng.sub(one, same));
                 // If the next row continues the group, carry the combined
-                // aggregate into it; otherwise it restarts.
-                let current = init(eng, &rel.rows[i + 1]);
-                let combined = combine(eng, acc, current)?;
-                acc = only(eng.mux_batch(&[(same, combined, current)])?);
+                // aggregates into it; otherwise they restart.
+                take_in(eng, &rel.rows[i + 1], &mut current);
+                combine(eng, &acc, &current, &mut combined)?;
+                carries.clear();
+                carries.extend(
+                    combined
+                        .iter()
+                        .zip(&current)
+                        .map(|(&combined, &current)| (same, combined, current)),
+                );
+                acc = eng.mux_batch(&carries)?;
             }
             None => row.push(one),
         }
@@ -524,8 +672,7 @@ pub fn aggregate_sorted<E: Engine>(
         schema: with_int_column(&schema, "__last_of_group")?,
         rows: candidates,
     };
-    let shuffled = shuffle(eng, &flagged);
-    keep_flagged(eng, shuffled, schema)
+    shuffle_keep_flagged(eng, flagged, schema)
 }
 
 /// Evaluates a (restricted) predicate over every row at once, producing a
@@ -631,8 +778,7 @@ pub fn filter<E: Engine>(
             .map(|(row, flag)| row.iter().copied().chain([flag]).collect())
             .collect(),
     };
-    let shuffled = shuffle(eng, &flagged);
-    keep_flagged(eng, shuffled, rel.schema.clone())
+    shuffle_keep_flagged(eng, flagged, rel.schema.clone())
 }
 
 /// Column arithmetic: multiplies operand columns/literals into a new (or
@@ -1272,6 +1418,49 @@ mod tests {
         // Missing or unknown over column.
         assert!(aggregate_sorted(&mut p, &shared, &[], AggFunc::Sum, None, "t").is_err());
         assert!(aggregate_sorted(&mut p, &shared, &[], AggFunc::Sum, Some("zzz"), "t").is_err());
+    }
+
+    #[test]
+    fn lanes_share_one_scan_and_refuse_what_no_row_can_hold() {
+        let mut p = Protocol::new(3, 24);
+        let (sum, min, count) = (
+            AggLane {
+                func: AggFunc::Sum,
+                over: Some("v"),
+                out: "s",
+            },
+            AggLane {
+                func: AggFunc::Min,
+                over: Some("v"),
+                out: "m",
+            },
+            AggLane {
+                func: AggFunc::Count,
+                over: None,
+                out: "n",
+            },
+        );
+        let rel = Relation::from_ints(&["k", "v"], &[vec![1, 4], vec![2, -3], vec![9, 7]]);
+        let shared = share(&rel, &mut p);
+        let scalar = aggregate_sorted_lanes(&mut p, &shared, &[], &[sum, min, count]).unwrap();
+        let ints = |vs: &[i64]| vs.iter().map(|&v| Value::Int(v)).collect::<Vec<_>>();
+        assert_eq!(scalar.open(&mut p).to_rows().rows, vec![ints(&[8, -3, 3])]);
+        assert_eq!(
+            lanes_read(&names(&["k"]), &[sum, min, count]),
+            vec!["k", "v"]
+        );
+
+        let empty = SharedRelation::empty(Schema::ints(&["k", "v"]));
+        let keys = names(&["k"]);
+        assert!(aggregate_sorted_lanes(&mut p, &empty, &keys, &[]).is_err());
+        // A scalar MIN over nothing is no row; a scalar SUM is one: they
+        // cannot share a result.
+        assert!(aggregate_sorted_lanes(&mut p, &empty, &[], &[sum, min]).is_err());
+        let zeros = aggregate_sorted_lanes(&mut p, &empty, &[], &[sum, count]).unwrap();
+        assert_eq!(zeros.open(&mut p).to_rows().rows, vec![ints(&[0, 0])]);
+        let grouped = aggregate_sorted_lanes(&mut p, &empty, &keys, &[sum, min]).unwrap();
+        assert_eq!(grouped.num_rows(), 0);
+        assert_eq!(grouped.schema.names(), vec!["k", "s", "m"]);
     }
 
     #[test]

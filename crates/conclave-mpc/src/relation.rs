@@ -117,14 +117,15 @@ impl<S: Copy> Rel<S> {
         })
     }
 
-    /// Applies a row permutation (used by shuffles; the permutation itself
-    /// never leaves the engine).
-    pub fn permute(&self, perm: &[usize]) -> Self {
+    /// Applies a row permutation, moving each row to its place (used by
+    /// shuffles; the permutation itself never leaves the engine).
+    pub fn permute(mut self, perm: &[usize]) -> Self {
         assert_eq!(perm.len(), self.num_rows());
-        Rel {
-            schema: self.schema.clone(),
-            rows: perm.iter().map(|&i| self.rows[i].clone()).collect(),
-        }
+        self.rows = perm
+            .iter()
+            .map(|&i| std::mem::take(&mut self.rows[i]))
+            .collect();
+        self
     }
 }
 
@@ -137,6 +138,11 @@ pub(crate) fn check_shareable(schema: &Schema) -> Result<(), String> {
         )),
         None => Ok(()),
     }
+}
+
+/// The columns of `schema` at `idxs`, in that order.
+fn picked(schema: &Schema, idxs: &[usize]) -> Schema {
+    Schema::new(idxs.iter().map(|&c| schema.columns[c].clone()).collect())
 }
 
 /// The integer a cell is shared as.
@@ -170,13 +176,25 @@ impl SharedRelation {
     /// to [`Protocol::share_column`] in a single bulk call, instead of
     /// walking boxed row values cell by cell.
     pub fn from_columnar(rel: &ColumnarRelation, proto: &mut Protocol) -> Result<Self, String> {
-        check_shareable(&rel.schema)?;
+        let all: Vec<usize> = (0..rel.num_cols()).collect();
+        SharedRelation::from_columnar_picked(rel, &all, proto)
+    }
+
+    /// [`SharedRelation::from_columnar`] over the columns at `idxs` alone,
+    /// in that order.
+    fn from_columnar_picked(
+        rel: &ColumnarRelation,
+        idxs: &[usize],
+        proto: &mut Protocol,
+    ) -> Result<Self, String> {
+        let schema = picked(&rel.schema, idxs);
+        check_shareable(&schema)?;
         let n = rel.num_rows();
-        let mut shared_columns: Vec<Vec<RingElem>> = Vec::with_capacity(rel.num_cols());
-        for (c, col) in rel.columns().iter().enumerate() {
+        let mut shared_columns: Vec<Vec<RingElem>> = Vec::with_capacity(idxs.len());
+        for &c in idxs {
             // Fast path: a null-free integer column shares its slice directly,
             // with no intermediate copy.
-            let shared = if let Some(slice) = col.as_ints() {
+            let shared = if let Some(slice) = rel.column(c).as_ints() {
                 proto.share_column(slice)
             } else {
                 let ints: Vec<i64> = (0..n)
@@ -191,10 +209,7 @@ impl SharedRelation {
         let rows = (0..n)
             .map(|i| shared_columns.iter().map(|col| col[i]).collect())
             .collect();
-        Ok(Rel {
-            schema: rel.schema.clone(),
-            rows,
-        })
+        Ok(Rel { schema, rows })
     }
 
     /// Secret-shares a [`Table`] into the MPC, picking the column-at-a-time
@@ -209,16 +224,65 @@ impl SharedRelation {
         }
     }
 
+    /// Secret-shares the named columns of a [`Table`] into the MPC, in the
+    /// given order, by the path [`SharedRelation::from_table`] would take;
+    /// the table's other columns are neither read nor charged.
+    pub fn from_table_columns(
+        table: &Table,
+        columns: &[&str],
+        proto: &mut Protocol,
+    ) -> Result<Self, String> {
+        let idxs = columns
+            .iter()
+            .map(|c| {
+                table
+                    .schema()
+                    .index_of(c)
+                    .ok_or_else(|| format!("unknown column `{c}`"))
+            })
+            .collect::<Result<Vec<usize>, String>>()?;
+        if table.has_columns() {
+            SharedRelation::from_columnar_picked(table.as_columns(), &idxs, proto)
+        } else {
+            let rel = table.as_rows();
+            let narrowed = Relation {
+                schema: picked(&rel.schema, &idxs),
+                rows: rel
+                    .rows
+                    .iter()
+                    .map(|row| idxs.iter().map(|&i| row[i].clone()).collect())
+                    .collect(),
+            };
+            SharedRelation::from_relation(&narrowed, proto)
+        }
+    }
+
     /// Opens the whole relation to cleartext, one integer column per shared
     /// column (an `open` per cell is charged). Opened cells are integers, so
     /// the columns carry [`Rel::opened_schema`]; a caller that needs rows
     /// takes [`ColumnarRelation::to_rows`].
     pub fn open(&self, proto: &mut Protocol) -> ColumnarRelation {
-        let columns = (0..self.num_cols())
-            .map(|c| Column::ints(self.rows.iter().map(|row| proto.open(row[c])).collect()))
+        let all: Vec<usize> = (0..self.num_cols()).collect();
+        self.open_picked(&all, proto)
+    }
+
+    /// [`SharedRelation::open`] of the named columns alone, in the given
+    /// order: what opening a projection opens, without building it.
+    pub fn open_columns(
+        &self,
+        columns: &[String],
+        proto: &mut Protocol,
+    ) -> Result<ColumnarRelation, OpError> {
+        Ok(self.open_picked(&self.require_all(columns)?, proto))
+    }
+
+    fn open_picked(&self, idxs: &[usize], proto: &mut Protocol) -> ColumnarRelation {
+        let schema = picked(&self.opened_schema(), idxs);
+        let columns = idxs
+            .iter()
+            .map(|&c| Column::ints(self.rows.iter().map(|row| proto.open(row[c])).collect()))
             .collect();
-        ColumnarRelation::new(self.opened_schema(), columns)
-            .expect("every opened column has one value per row")
+        ColumnarRelation::new(schema, columns).expect("every opened column has one value per row")
     }
 }
 

@@ -24,7 +24,8 @@
 //!   operators of [`crate::operators`] — written once, generic over the
 //!   engine — run on it unchanged: [`PartyRelation`] is the engine-generic
 //!   relation holding one [`AuthShare`] per cell, and [`sort_by`],
-//!   [`aggregate_sorted`] and the dispatcher [`execute_party_op`] are
+//!   [`aggregate_sorted`] (the one-lane call of [`aggregate_sorted_lanes`])
+//!   and the dispatcher [`execute_party_op`] are
 //!   re-exports of the generic functions, not ports of them.
 //!   A driver can therefore swap the in-process engine for a party mesh
 //!   without changing plan semantics, primitive counts or leakage.
@@ -184,7 +185,9 @@ pub type PartyResult<T> = Result<T, PartyError>;
 
 // The oblivious relational operators are engine-generic; these are the names
 // party workers call them by, with a [`StepCtx`] as the engine.
-pub use crate::operators::{aggregate_sorted, execute_op as execute_party_op, sort_by};
+pub use crate::operators::{
+    aggregate_sorted, aggregate_sorted_lanes, execute_op as execute_party_op, sort_by,
+};
 
 #[cfg(test)]
 pub(crate) use step::tests::run_parties;

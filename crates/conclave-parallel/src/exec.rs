@@ -18,6 +18,9 @@
 //!   `MAX` and `Distinct` are their own finals) — the paper's aggregation
 //!   split applied inside the engine. No row is hashed into a bucket, and the
 //!   output order is the sequential engine's whatever the partition count.
+//!   So are the values of integer aggregates, which are exact; a float `SUM`
+//!   is re-associated (per-range partial sums, then one sum of those), so it
+//!   may differ from the sequential engine's in the last bits.
 //! * Only `Join` moves rows: it co-partitions both sides by key hash.
 //! * Everything else runs on the collected data.
 //!
@@ -411,6 +414,51 @@ mod tests {
         let few = random_sales(5, 9);
         let min = agg(&[], AggFunc::Min, Some("price"));
         assert_eq!(run(&min, &[&few]).unwrap(), execute(&min, &[&few]).unwrap());
+    }
+
+    /// Integer aggregates are exact. A float `SUM` is re-associated — a
+    /// partial per range, then one sum of the partials — so it may leave the
+    /// sequential engine's result in the last bits, by at most `n·ε·Σ|x|`.
+    #[test]
+    fn integer_sums_are_exact_and_float_sums_are_reassociated() {
+        use conclave_ir::schema::{ColumnDef, Schema};
+        use conclave_ir::types::DataType;
+        let n = 1_000;
+        let rel = Relation {
+            schema: Schema::new(vec![
+                ColumnDef::new("i", DataType::Int),
+                ColumnDef::new("x", DataType::Float),
+            ]),
+            // Integers past 2^53, where a float sum would round.
+            rows: (0..n)
+                .map(|i| {
+                    vec![
+                        Value::Int((1 << 53) + i),
+                        Value::Float(1.0 / (i as f64 + 3.0)),
+                    ]
+                })
+                .collect(),
+        };
+        let sum = |over: &str| Operator::Aggregate {
+            group_by: vec![],
+            func: AggFunc::Sum,
+            over: Some(over.into()),
+            out: "s".into(),
+        };
+        assert_eq!(engine().cluster().default_partitions(), 12);
+        assert_eq!(
+            run(&sum("i"), &[&rel]).unwrap(),
+            execute(&sum("i"), &[&rel]).unwrap()
+        );
+        let total = |r: Relation| r.rows[0][0].as_float().unwrap();
+        let parallel = total(run(&sum("x"), &[&rel]).unwrap());
+        let sequential = total(execute(&sum("x"), &[&rel]).unwrap());
+        let magnitude: f64 = (0..n).map(|i| 1.0 / (i as f64 + 3.0)).sum();
+        let bound = n as f64 * f64::EPSILON * magnitude;
+        assert!(
+            (parallel - sequential).abs() <= bound,
+            "{parallel} vs {sequential}"
+        );
     }
 
     #[test]

@@ -14,9 +14,14 @@
 
 mod common;
 
-use common::{assert_engines_match_cleartext, run_on_mesh, Order};
+use common::{assert_engines_match_cleartext, engine_independent, run_on_mesh, Order};
 use conclave::core::config::PartyRuntime;
 use conclave::core::party_exec::op_is_party_capable;
+use conclave::mpc::runtime::{
+    aggregate_sorted_lanes, open_relation, share_relation, PartyResult, PartySession,
+};
+use conclave::mpc::{AggLane, PrimitiveCounts, Protocol, SharedRelation};
+use conclave::net::{ChannelTransport, TcpTransport, Transport};
 use conclave::prelude::*;
 use conclave_ir::expr::Expr;
 use conclave_ir::ops::{Operand, Operator};
@@ -261,4 +266,245 @@ fn mesh_networks_issue_one_batch_per_layer() {
     assert!(opened.same_rows_unordered(&expected));
     assert!(opened.is_sorted_by("v", true));
     assert_eq!(summary.net.rounds, 10 * 28 + 3);
+}
+
+/// Where a k-output aggregation runs: the in-process `Protocol` engine or
+/// one `StepCtx` per party over a channel or localhost-TCP mesh.
+#[derive(Debug, Clone, Copy)]
+enum LaneEngine {
+    Protocol,
+    Channel,
+    Tcp,
+}
+
+/// What one k-output aggregation returned: the opened result, the primitive
+/// counts of sharing, aggregating and opening, and the mesh's rounds (0 on
+/// `Protocol`).
+struct LaneRun {
+    opened: Relation,
+    counts: PrimitiveCounts,
+    rounds: u64,
+}
+
+/// Shares `rel` (grouped by its keys), runs one [`aggregate_sorted_lanes`]
+/// over it and opens the result, on one engine.
+fn run_lanes(
+    engine: LaneEngine,
+    rel: &Relation,
+    group_by: &[String],
+    lanes: &[AggLane],
+    seed: u64,
+) -> LaneRun {
+    fn on_mesh<T: Transport>(
+        mesh: Vec<T>,
+        rel: &Relation,
+        group_by: &[String],
+        lanes: &[AggLane],
+        seed: u64,
+    ) -> LaneRun {
+        let runs: Vec<LaneRun> = std::thread::scope(|s| {
+            let parties: Vec<_> = mesh
+                .into_iter()
+                .map(|t| {
+                    s.spawn(move || {
+                        let mut session = PartySession::new(&t, seed);
+                        let mut proto = session.step(0);
+                        let own = (proto.party() == 0).then_some(rel);
+                        let shared =
+                            share_relation(&mut proto, 0, own, &rel.schema, rel.num_rows())?;
+                        let out = aggregate_sorted_lanes(&mut proto, &shared, group_by, lanes)?;
+                        let opened = open_relation(&mut proto, &out)?;
+                        let counts = proto.counts();
+                        PartyResult::Ok(LaneRun {
+                            opened,
+                            counts,
+                            rounds: t.stats().rounds,
+                        })
+                    })
+                })
+                .collect();
+            parties
+                .into_iter()
+                .map(|p| p.join().expect("party thread").expect("party program"))
+                .collect()
+        });
+        let mut runs = runs.into_iter();
+        let first = runs.next().expect("three parties");
+        for other in runs {
+            assert!(other.opened.same_rows_unordered(&first.opened));
+        }
+        first
+    }
+    match engine {
+        LaneEngine::Protocol => {
+            let mut p = Protocol::new(3, seed);
+            let shared = SharedRelation::from_relation(rel, &mut p).unwrap();
+            let out = aggregate_sorted_lanes(&mut p, &shared, group_by, lanes).unwrap();
+            LaneRun {
+                opened: out.open(&mut p).to_rows(),
+                counts: p.counts(),
+                rounds: 0,
+            }
+        }
+        LaneEngine::Channel => on_mesh(ChannelTransport::mesh(3), rel, group_by, lanes, seed),
+        LaneEngine::Tcp => on_mesh(
+            TcpTransport::localhost_mesh(3).expect("localhost mesh"),
+            rel,
+            group_by,
+            lanes,
+            seed,
+        ),
+    }
+}
+
+/// `rel`'s group-by columns and the column at `col`, row for row.
+fn keys_and(rel: &Relation, keys: usize, col: usize) -> Relation {
+    let picked: Vec<usize> = (0..keys).chain([col]).collect();
+    Relation {
+        schema: Schema::new(
+            picked
+                .iter()
+                .map(|&c| rel.schema.columns[c].clone())
+                .collect(),
+        ),
+        rows: rel
+            .rows
+            .iter()
+            .map(|row| picked.iter().map(|&c| row[c].clone()).collect())
+            .collect(),
+    }
+}
+
+/// A k-output sorted aggregation is k single-output ones run as one scan:
+/// every lane equals its own single-output run and the cleartext, on
+/// `Protocol`, channel and TCP alike; the engines charge the same counts;
+/// the k lanes pay one equality batch, one flag shuffle and one open, and
+/// the rounds of the costliest lane alone.
+#[test]
+fn k_output_aggregations_equal_k_single_runs_on_all_engines() {
+    let rows: Vec<Vec<i64>> = demo()
+        .rows
+        .iter()
+        .map(|r| r.iter().map(|v| v.as_int().unwrap()).collect())
+        .collect();
+    let relation = |mut rows: Vec<Vec<i64>>| {
+        // The scan needs its input grouped: sort by (k, a), the longest key.
+        rows.sort_unstable();
+        Relation::from_ints(&["k", "a", "b"], &rows)
+    };
+    let inputs = [
+        ("seven rows", relation(rows.clone())),
+        ("empty", relation(Vec::new())),
+        ("single row", relation(vec![vec![4, -1, 9]])),
+        (
+            "single group",
+            relation(rows.iter().map(|r| vec![2, r[1], r[2]]).collect()),
+        ),
+    ];
+    let lane_sets: [&[AggLane]; 2] = [
+        &[
+            AggLane {
+                func: AggFunc::Count,
+                over: None,
+                out: "n",
+            },
+            AggLane {
+                func: AggFunc::Sum,
+                over: Some("b"),
+                out: "total",
+            },
+            AggLane {
+                func: AggFunc::Min,
+                over: Some("b"),
+                out: "lo",
+            },
+            AggLane {
+                func: AggFunc::Max,
+                over: Some("a"),
+                out: "hi",
+            },
+        ],
+        &[
+            AggLane {
+                func: AggFunc::Sum,
+                over: Some("a"),
+                out: "sa",
+            },
+            AggLane {
+                func: AggFunc::Count,
+                over: None,
+                out: "n",
+            },
+        ],
+    ];
+    let mut seed = 400;
+    for group_by in [names(&["k"]), names(&["k", "a"])] {
+        for (what, rel) in &inputs {
+            for lanes in lane_sets {
+                seed += 1;
+                let case = format!("{what}, by {group_by:?}, {} lanes", lanes.len());
+                let n = rel.num_rows() as u64;
+                let keys = group_by.len();
+                let fused = run_lanes(LaneEngine::Protocol, rel, &group_by, lanes, seed);
+                let expected_cols: Vec<&str> = group_by
+                    .iter()
+                    .map(String::as_str)
+                    .chain(lanes.iter().map(|l| l.out))
+                    .collect();
+                assert_eq!(fused.opened.schema.names(), expected_cols, "{case}");
+                // One equality batch over adjacent keys and one shuffle of
+                // the candidates (keys, every lane, the flag), however many
+                // lanes.
+                let pairs = n.saturating_sub(1);
+                assert_eq!(fused.counts.equalities, pairs * keys as u64, "{case}");
+                let candidates = if n == 0 {
+                    0
+                } else {
+                    n * (keys + lanes.len() + 1) as u64
+                };
+                assert_eq!(fused.counts.shuffled_elems, candidates, "{case}");
+
+                let mut single_rounds = 0;
+                for (l, lane) in lanes.iter().enumerate() {
+                    let single = run_lanes(LaneEngine::Protocol, rel, &group_by, &[*lane], seed);
+                    let reference = conclave_engine::execute(
+                        &Operator::Aggregate {
+                            group_by: group_by.clone(),
+                            func: lane.func,
+                            over: lane.over.map(str::to_string),
+                            out: lane.out.into(),
+                        },
+                        &[rel],
+                    )
+                    .unwrap();
+                    let own = keys_and(&fused.opened, keys, keys + l);
+                    assert!(
+                        own.same_rows_unordered(&single.opened),
+                        "{case}: {}",
+                        lane.out
+                    );
+                    assert!(own.same_rows_unordered(&reference), "{case}: {}", lane.out);
+                    assert_eq!(single.counts.equalities, fused.counts.equalities, "{case}");
+                    let on_channel = run_lanes(LaneEngine::Channel, rel, &group_by, &[*lane], seed);
+                    single_rounds = single_rounds.max(on_channel.rounds);
+                }
+
+                for engine in [LaneEngine::Channel, LaneEngine::Tcp] {
+                    let run = run_lanes(engine, rel, &group_by, lanes, seed);
+                    assert!(
+                        run.opened.same_rows_unordered(&fused.opened),
+                        "{case}: {engine:?} diverged from Protocol"
+                    );
+                    assert_eq!(
+                        engine_independent(run.counts),
+                        engine_independent(fused.counts),
+                        "{case}: {engine:?} and Protocol charged different primitives"
+                    );
+                    // Every per-row batch carries every lane: the rounds of
+                    // the costliest lane run alone.
+                    assert_eq!(run.rounds, single_rounds, "{case}: {engine:?} rounds");
+                }
+            }
+        }
+    }
 }

@@ -11,6 +11,10 @@
 //! pre-circuit runtime the summed reconstruction recovers the operands and
 //! the test fails; on the circuit path everything that crosses the wire is
 //! either a share or a uniformly-masked value.
+//!
+//! The last case pins a hole that is still open: meshes built from one
+//! configuration deal the same input masks, so an observer of two sessions
+//! reads the difference of their inputs.
 
 // Demo/test target: panicking on bad setup is the desired behavior here
 // (the workspace-level clippy::unwrap_used lint targets library code).
@@ -436,5 +440,72 @@ fn dealer_stream_traffic_never_exposes_inputs() {
                 assert!(!patterns.contains(&d.wrapping_sub(pair)));
             }
         }
+    }
+}
+
+/// Party 0's input broadcast (the δ words of its first `input_column`) on a
+/// fresh sniffed channel mesh whose parties deal from `seed` — as every
+/// worker of a `PartyMeshRuntime` built from one `ConclaveConfig` does
+/// (`config.mpc.seed` → `PartySession::with_dealer(.., Seeded)` →
+/// `DealerStream::new(seed, ..)`).
+fn input_broadcast(seed: u64, inputs: &[i64]) -> Vec<u64> {
+    let log = Arc::new(Mutex::new(Vec::new()));
+    let mesh: Vec<SniffTransport> = ChannelTransport::mesh(3)
+        .into_iter()
+        .map(|inner| SniffTransport {
+            inner,
+            log: Arc::clone(&log),
+        })
+        .collect();
+    std::thread::scope(|s| {
+        let parties: Vec<_> = mesh
+            .into_iter()
+            .map(|t| {
+                s.spawn(move || -> PartyResult<()> {
+                    let mut sess = PartySession::new(&t, seed);
+                    let mut proto = sess.step(0);
+                    let own = (proto.party() == 0).then_some(inputs);
+                    proto.input_column(0, own, inputs.len())?;
+                    Ok(())
+                })
+            })
+            .collect();
+        for party in parties {
+            party.join().expect("party panicked").expect("party failed");
+        }
+    });
+    let frames = log.lock().unwrap().clone();
+    frames
+        .into_iter()
+        .find(|f| f.from == 0 && f.kind == MessageKind::SecretShare)
+        .expect("the owner broadcasts its input offsets")
+        .payload
+}
+
+/// Pinned open (SECURITY.md, "Masks repeat across meshes"): two meshes
+/// built from one configuration deal the same input masks r. Two one-shot
+/// sessions of the same query therefore broadcast δ₁ = x₁ − r and
+/// δ₂ = x₂ − r, and an observer of both wires reads δ₁ − δ₂ = x₁ − x₂
+/// without any share — and all of x₂ once x₁ is known. This test asserts
+/// the leak; when every mesh deals from a nonce of its own, it must flip.
+#[test]
+fn meshes_of_one_configuration_repeat_their_input_masks() {
+    let seed = ConclaveConfig::standard().with_channel_runtime().mpc.seed;
+    let first = input_broadcast(seed, &SECRETS_X);
+    let second = input_broadcast(seed, &SECRETS_Y);
+    assert_eq!(first.len(), SECRETS_X.len());
+    for ((x1, x2), (d1, d2)) in SECRETS_X
+        .iter()
+        .zip(&SECRETS_Y)
+        .zip(first.iter().zip(&second))
+    {
+        // Each broadcast alone is masked...
+        assert_ne!(*d1, RingElem::from_i64(*x1).0);
+        // ...but the two share one mask: their difference is the inputs'.
+        assert_eq!(
+            d1.wrapping_sub(*d2),
+            RingElem::from_i64(x1.wrapping_sub(*x2)).0,
+            "the two meshes drew different masks: flip this pin"
+        );
     }
 }

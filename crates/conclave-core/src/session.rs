@@ -501,6 +501,74 @@ mod tests {
         SELECT k, SUM(v) AS total FROM (ta UNION ALL tb) GROUP BY k REVEAL TO p1;
     ";
 
+    /// The `serve_small` query shape — two owners, tables of at most four
+    /// rows, `GROUP BY k` over one key — runs on one pool bundle of that
+    /// benchmark's frozen spec and takes exactly the pinned amount of each
+    /// kind: one item fewer of any kind fails the query.
+    #[test]
+    fn the_serve_small_query_fits_its_frozen_bundle() {
+        use conclave_mpc::dealer::{MaterialPool, MaterialSpec};
+        // A copy of `POOL_SPEC` in `conclave_bench/src/serve.rs`, which is
+        // frozen: a pooled query that needs more of any kind than one bundle
+        // fails with "dealer material exhausted", and then so does every
+        // `serve_small` query.
+        const SERVE_SMALL_BUNDLE: MaterialSpec = MaterialSpec {
+            triples: 8,
+            bit_triples: 48,
+            shared_bits: 8,
+            dabits: 4,
+            input_masks: 4,
+        };
+        // 13 bit-triple words are the 832 AND gates of one less-than and
+        // one equality of one pair each.
+        let used = MaterialSpec {
+            triples: 5,
+            bit_triples: 13,
+            shared_bits: 4,
+            dabits: 2,
+            input_masks: 2,
+        };
+        let run = |spec: MaterialSpec, (na, nb): (i64, i64)| {
+            let table = |n: i64, base: i64| {
+                let rows: Vec<Vec<i64>> = (0..n).map(|i| vec![1, base + i]).collect();
+                Relation::from_ints(&["k", "v"], &rows)
+            };
+            let config = ConclaveConfig::standard()
+                .with_sequential_local()
+                .with_channel_runtime()
+                .with_pooled_dealer(MaterialPool::start(7, 3, spec, 1));
+            let total =
+                (0..na).map(|i| 10 + i).sum::<i64>() + (0..nb).map(|i| 100 + i).sum::<i64>();
+            let report = Session::new(config)
+                .bind("ta", table(na, 10))
+                .bind("tb", table(nb, 100))
+                .run_sql(SUM_SQL)?;
+            let expected = Relation::from_ints(&["k", "total"], &[vec![1, total]]);
+            assert!(report.output_for(1).unwrap().same_rows_unordered(&expected));
+            Ok::<_, SessionError>(())
+        };
+        for rows in [(1, 1), (2, 1), (4, 4)] {
+            run(SERVE_SMALL_BUNDLE, rows).unwrap();
+            run(used, rows).unwrap();
+        }
+        let fields: [fn(&mut MaterialSpec) -> &mut usize; 5] = [
+            |s| &mut s.triples,
+            |s| &mut s.bit_triples,
+            |s| &mut s.shared_bits,
+            |s| &mut s.dabits,
+            |s| &mut s.input_masks,
+        ];
+        for field in fields {
+            let mut short = used;
+            *field(&mut short) -= 1;
+            let err = run(short, (2, 1)).unwrap_err().to_string();
+            assert!(
+                err.contains("dealer material exhausted"),
+                "{short:?}: {err}"
+            );
+        }
+    }
+
     #[test]
     fn run_sql_matches_builder_query() {
         let session = Session::new(ConclaveConfig::standard().with_sequential_local())

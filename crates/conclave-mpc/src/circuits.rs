@@ -14,21 +14,36 @@
 //!
 //! 1. **Sign-bit extraction** ([`msb_bits` internally]): for a shared
 //!    `z`, take a dealer mask `r` held in *dual* representation (XOR-shared
-//!    bits + additive share) and open the uniform value `c = z − r`. The
-//!    sign bit of `z = c + r` is `p₆₃ ⊕ carry₆₃` with `p = r ⊕ c`, so only
-//!    the carry into bit 63 is computed, not the sum: a binary tree over the
-//!    generate/propagate leaves `g = r ∧ c`, `p = r ⊕ c` of bits 0..62
-//!    (63 → 32 → 16 → 8 → 4 → 2 → 1 nodes, six AND rounds *for the whole
-//!    batch*) that ANDs 61, 31, 15, 7, 3 and 1 live bits per value.
-//! 2. **Binary AND** ([`and_words` internally]): AND of two XOR-shared
+//!    bits + additive share, plus the XOR-shared products `r₂ᵢ ∧ r₂ᵢ₊₁` of
+//!    its adjacent bits, [`crate::dealer::SharedMask`]) and open the uniform
+//!    value `c = z − r`. The sign bit of `z = c + r` is `p₆₃ ⊕ carry₆₃` with
+//!    `p = r ⊕ c`, so only the carry into bit 63 is computed, not the sum: a
+//!    binary tree over the generate/propagate leaves `g = r ∧ c`,
+//!    `p = r ⊕ c` of bits 0..62.
+//! 2. **Bit slicing**: the circuits run on *planes*, not on values. Each
+//!    block of 64 leaves is transposed ([`transpose64` internally]) so that
+//!    plane `j` holds bit `j` of all 64 leaves, leaf `i` in lane `i`: each
+//!    party transposes its own XOR shares of `r` and of the products, and
+//!    the public `c`. Every tree level is then word-wise AND/XOR over planes,
+//!    with one AND exchange for all blocks.
+//! 3. **The dealt first level**: the tree's first level merges adjacent
+//!    bits `l = 2i`, `h = 2i + 1` into `G = g_h ⊕ (p_h ∧ g_l)`,
+//!    `P = p_h ∧ p_l`. With `c` public and `rr = r_l ∧ r_h` dealt, both are
+//!    linear in the shares: `G = (r_h ∧ c_h) ⊕ c_l·(rr ⊕ c_h·r_l)` and
+//!    `P = rr ⊕ c_l·r_h ⊕ c_h·r_l ⊕ c_h·c_l`, party 0 adding the public
+//!    `c_h·c_l`. The 63 leaves become 32 nodes (bit 62 passes through)
+//!    without an exchange, and five AND levels remain: 32 → 16 → 8 → 4 → 2 →
+//!    1 nodes, 31, 15, 7, 3 and 1 AND planes per block.
+//! 4. **Binary AND** ([`and_words` internally]): AND of two XOR-shared
 //!    words via a binary Beaver triple word `(a, b, c = a & b)`: open
 //!    `d = x ⊕ a`, `e = y ⊕ b`, then `z = c ⊕ (d ∧ b) ⊕ (e ∧ a)` with
-//!    party 0 adding `d ∧ e`. XOR is free (local). Each circuit level
-//!    packs its per-value operands by live width ([`and_packed`
-//!    internally]): ⌊64 / slot⌋ values per wire word, `slot` the width
-//!    rounded up to a power of two, so a word carries only live bits and
-//!    padding that is a zero share under the same triple mask.
-//! 3. **Signed less-than** ([`lt_batch`]): with `sa = msb(a)`,
+//!    party 0 adding `d ∧ e`. XOR is free (local). A full block sends each
+//!    AND plane as one wire word; the last block packs its planes by live
+//!    lanes ([`and_planes` internally]): ⌊64 / slot⌋ planes per wire word,
+//!    `slot` the live lanes rounded up to a power of two, so a word carries
+//!    only live lanes and padding that is a zero share under the same triple
+//!    mask.
+//! 5. **Signed less-than** ([`lt_batch`]): with `sa = msb(a)`,
 //!    `sb = msb(b)`, `sd = msb(a − b)` (two's-complement sign bits from the
 //!    decomposition), `a < b ⟺ (sa ∧ ¬sb) ⊕ (¬(sa ⊕ sb) ∧ sd)`. Same-sign
 //!    subtraction cannot wrap, so `sd` is the true comparison there, and the
@@ -39,33 +54,37 @@
 //!    `x = c + r` and `x − k = (c − k) + r`. The combine is `sa ∨ sd` for
 //!    `k > 0` and `sa ∧ sd` for `k < 0`, one AND either way; for `k = 0` it
 //!    is `msb(x)` with no AND and no second leaf. A pair with both sides
-//!    public, or `i64::MAX < y`, is decided in the clear.
-//! 4. **Equality** ([`eq_batch`]): `z = x − y` is zero iff the dealer mask
-//!    `r` equals `−c` where `c = z − r` was opened; `t = ¬(r ⊕ (−c))` is
-//!    local, then a halving fold ANDs the low and high halves of the live
-//!    bits (32, 16, 8, 4, 2, 1 wide) and leaves the all-bits AND in bit 0.
-//!    Only that bit is extracted and converted; the fold's partial
+//!    public, or `i64::MAX < y`, is decided in the clear. The sign bits come
+//!    out of the tree lane-packed, 64 leaves to a word, and the combine
+//!    works on those words directly.
+//! 6. **Equality** ([`eq_batch`]): `z = x − y` is zero iff the dealer mask
+//!    `r` equals `−c` where `c = z − r` was opened; `t = r ⊕ ¬(−c)` is
+//!    local, and its first fold level over adjacent bits, `t_l ∧ t_h`, is
+//!    the same dealt product as `P` above. A halving fold over the remaining
+//!    32 planes (16, 8, 4, 2, 1 ANDs per block) leaves the all-bits AND in
+//!    plane 0, whose lanes are the packed result bits. The fold's partial
 //!    conjunctions are secret-dependent and never opened.
-//! 5. **Bit-to-arithmetic** ([`bits_to_additive` internally]): a *daBit*
+//! 7. **Bit-to-arithmetic** ([`bits_to_additive` internally]): a *daBit*
 //!    (random bit ρ held both XOR-shared and additively shared) converts
 //!    each XOR-shared result bit `t` to an additive sharing: open
 //!    `v = t ⊕ ρ` (uniform), then `[t] = v + (1 − 2v)·[ρ]` locally.
 //!
 //! # Round complexity
 //!
-//! For a batch of any size: `lt_batch` = 1 masked-open + 6 carry-tree
-//! levels + 1 sign-combine AND + 1 bit-to-arithmetic open = **9 rounds**
-//! (**8** when every pair compares a shared value with 0: no sign-combine
-//! AND); `eq_batch` = 1 masked-open + 6 fold levels + 1 bit-to-arithmetic
-//! open = **8 rounds**. All per-level ANDs across the batch coalesce into
+//! For a batch of any size: `lt_batch` = 1 masked-open + 5 carry-tree
+//! levels + 1 sign-combine AND + 1 bit-to-arithmetic open = **8 rounds**
+//! (**7** when every pair compares a shared value with 0: no sign-combine
+//! AND); `eq_batch` = 1 masked-open + 5 fold levels + 1 bit-to-arithmetic
+//! open = **7 rounds**. All per-level ANDs across the batch coalesce into
 //! one exchange, preserving the round-coalescing the runtime's callers
 //! (sorting network, filter, join, aggregate) rely on. In AND words on the
-//! wire, a shared less-than pair costs ≈ 5.9 (3 values × ≈ 1.95 packed
-//! carry words) plus 2 sign-combine words per 64 pairs, ≈ 377 gates; a
-//! pair against a public constant ≈ 3.9 (2 leaves) plus 1 sign-combine word
-//! per 64 pairs, ≈ 251 gates (≈ 1.95 words and no sign combine against 0);
-//! an equality pair costs ≈ 1 word, ≈ 63 gates. A single shared pair costs
-//! 11 and 6 words.
+//! wire, a decomposed value costs 57/64 ≈ 0.89 (31 + 15 + 7 + 3 + 1 planes
+//! per block of 64), so a shared less-than pair costs ≈ 2.7 words (3
+//! values) plus 2 sign-combine words per 64 pairs, ≈ 173 gates; a pair
+//! against a public constant ≈ 1.8 words (2 leaves) plus 1 sign-combine
+//! word per 64 pairs, ≈ 115 gates (57 gates and no sign combine against 0);
+//! an equality pair costs 31/64 words, 31 gates. A single shared pair
+//! costs 8 words (6 carry, 2 sign combine) and 5 equality words.
 //!
 //! # Where the masks come from
 //!
@@ -78,14 +97,11 @@
 //! opening carries its SPDZ MAC share into the session's deferred
 //! integrity check.
 
+use crate::dealer::SharedMask;
 use crate::engine::CmpArg;
 use crate::ring::RingElem;
 use crate::runtime::{PartyResult, StepCtx};
 use crate::share::AuthShare;
-
-/// Live widths of the equality fold: each level ANDs the low and high
-/// halves of the bits still live, leaving the all-bits AND in bit 0.
-const EQ_FOLDS: [u32; 6] = [32, 16, 8, 4, 2, 1];
 
 /// A less-than pair as the circuit evaluates it.
 enum LtForm {
@@ -119,138 +135,109 @@ impl LtForm {
 
 /// Batched signed less-than on shares: returns an additive sharing of `1`
 /// where `x < y` (as `i64`), `0` elsewhere. Either side of a pair may be
-/// public. 9 rounds for the whole batch; 8 when every shared value is
+/// public. 8 rounds for the whole batch; 7 when every shared value is
 /// compared against 0, and none when every answer is public.
 pub fn lt_batch<P: Copy + Into<CmpArg<AuthShare>>>(
     ctx: &mut StepCtx,
     pairs: &[(P, P)],
 ) -> PartyResult<Vec<AuthShare>> {
+    let forms: Vec<LtForm> = pairs.iter().map(|&p| LtForm::of(p)).collect();
+    // The decomposed leaves, one mask and one opened word per value:
+    // [a₀..aₘ, b₀..bₘ, d₀..dₘ] with d = a − b, then x of each bound pair
+    // with k ≠ 0, then x of each with k = 0. The x − k leaves of the k ≠ 0
+    // pairs follow, built from x's opened word.
     let shared = || {
-        pairs.iter().filter_map(|&p| match LtForm::of(p) {
+        forms.iter().filter_map(|f| match *f {
             LtForm::Shared(a, b) => Some((a, b)),
             _ => None,
         })
     };
-    let bounds: Vec<(AuthShare, i64, bool)> = pairs
-        .iter()
-        .filter_map(|&p| match LtForm::of(p) {
-            LtForm::Bound { x, k, flip } => Some((x, k, flip)),
+    let bound = |nonzero: bool| {
+        forms.iter().filter_map(move |f| match *f {
+            LtForm::Bound { x, k, flip } if (k != 0) == nonzero => Some((x, k, flip)),
             _ => None,
         })
-        .collect();
+    };
     let m = shared().count();
+    let (nk, n0) = (bound(true).count(), bound(false).count());
     let mut bits = Vec::new();
-    if m + bounds.len() > 0 {
-        // Sign bits in one batch, one mask and one opened word per shared
-        // value: [a₀..aₘ, b₀..bₘ, d₀..dₘ] with d = a − b, then x of each
-        // bound pair. The x − k leaves of the bound pairs with k ≠ 0 follow,
-        // built from x's opened word.
-        let mut values = Vec::with_capacity(3 * m + bounds.len());
+    if m + nk + n0 > 0 {
+        let mut values = Vec::with_capacity(3 * m + nk + n0);
         values.extend(shared().map(|(x, _)| x));
         values.extend(shared().map(|(_, y)| y));
         values.extend(shared().map(|(x, y)| x - y));
-        values.extend(bounds.iter().map(|&(x, _, _)| x));
-        let offsets: Vec<(usize, i64)> = (3 * m..)
-            .zip(&bounds)
-            .filter(|&(_, &(_, k, _))| k != 0)
-            .map(|(i, &(_, k, _))| (i, k))
-            .collect();
+        values.extend(bound(true).chain(bound(false)).map(|(x, _, _)| x));
+        let offsets: Vec<(usize, i64)> = (3 * m..).zip(bound(true).map(|(_, k, _)| k)).collect();
         let msb = msb_bits(ctx, &values, &offsets)?;
-
-        // Pack the three sign bits of the shared pairs: bit j of word j/64.
-        let words = m.div_ceil(64);
-        let mut sa = vec![0u64; words];
-        let mut sb = vec![0u64; words];
-        let mut sd = vec![0u64; words];
-        for j in 0..m {
-            sa[j / 64] |= msb[j] << (j % 64);
-            sb[j / 64] |= msb[m + j] << (j % 64);
-            sd[j / 64] |= msb[2 * m + j] << (j % 64);
-        }
-        // And the two of the bound pairs with k ≠ 0: x's and (x − k)'s.
-        let mut xa = vec![0u64; offsets.len().div_ceil(64)];
-        let mut xd = xa.clone();
-        for (z, &(i, _)) in offsets.iter().enumerate() {
-            xa[z / 64] |= msb[i] << (z % 64);
-            xd[z / 64] |= msb[values.len() + z] << (z % 64);
-        }
+        let sa = bit_range(&msb, 0, m);
+        let sb = bit_range(&msb, m, m);
+        let sd = bit_range(&msb, 2 * m, m);
+        // x's and (x − k)'s sign bits of the k ≠ 0 pairs, then x's of k = 0.
+        let xa = bit_range(&msb, 3 * m, nk);
+        let x0 = bit_range(&msb, 3 * m + nk, n0);
+        let xd = bit_range(&msb, values.len(), nk);
 
         // lt = (sa ∧ ¬sb) ⊕ (¬(sa ⊕ sb) ∧ sd). Complements are
         // public-constant XORs (party 0 flips); every AND shares one
         // exchange. Padding bits past `m` stay structurally zero: ¬ makes the
         // padding of one operand all-ones but the other side is a shared
         // zero, so the AND result's padding is a shared zero again.
-        let party0 = ctx.party() == 0;
-        let mut not_sb = sb.clone();
-        let mut nxor: Vec<u64> = sa.iter().zip(&sb).map(|(a, b)| a ^ b).collect();
-        if party0 {
-            for w in &mut not_sb {
-                *w = !*w;
-            }
-            for w in &mut nxor {
-                *w = !*w;
-            }
-        }
+        let public = if ctx.party() == 0 { u64::MAX } else { 0 };
+        let words = sa.len();
         let mut lhs = Vec::with_capacity(2 * words + xa.len());
         lhs.extend_from_slice(&sa);
-        lhs.extend_from_slice(&nxor);
+        lhs.extend(sa.iter().zip(&sb).map(|(a, b)| a ^ b ^ public));
         lhs.extend_from_slice(&xa);
-        let mut rhs = Vec::with_capacity(2 * words + xd.len());
-        rhs.extend_from_slice(&not_sb);
+        let mut rhs = Vec::with_capacity(lhs.len());
+        rhs.extend(sb.iter().map(|b| b ^ public));
         rhs.extend_from_slice(&sd);
         rhs.extend_from_slice(&xd);
         let anded = and_words(ctx, &lhs, &rhs, "lt sign combine")?;
-        let mut lt_bits: Vec<u64> = (0..words).map(|w| anded[w] ^ anded[words + w]).collect();
+        let lt_shared: Vec<u64> = (0..words).map(|w| anded[w] ^ anded[words + w]).collect();
 
         // x < k from sa = msb(x) and sd = msb(x − k): same-sign subtraction
-        // cannot wrap, so it is sa ∨ sd for k > 0, sa ∧ sd for k < 0 and sa
-        // for k = 0. A bound pair's bit sits after the shared pairs' (XORed
-        // into a shared zero padding bit, or a new word).
-        lt_bits.resize((m + bounds.len()).div_ceil(64), 0);
-        let mut z = 0;
-        for (i, &(_, k, flip)) in bounds.iter().enumerate() {
-            let sa = msb[3 * m + i];
-            let mut bit = sa;
-            if k != 0 {
-                let and = anded[2 * words + z / 64] >> (z % 64) & 1;
-                bit = if k > 0 {
-                    sa ^ msb[values.len() + z] ^ and
-                } else {
-                    and
-                };
-                z += 1;
+        // cannot wrap, so it is sa ∨ sd = sa ⊕ sd ⊕ (sa ∧ sd) for k > 0,
+        // sa ∧ sd for k < 0 and sa for k = 0; party 0 negates the flipped.
+        let mut above = vec![0u64; xa.len()];
+        let mut flips = vec![0u64; (m + nk + n0).div_ceil(64)];
+        for (j, (_, k, flip)) in bound(true).chain(bound(false)).enumerate() {
+            if j < nk {
+                above[j / 64] |= u64::from(k > 0) << (j % 64);
             }
-            if flip && party0 {
-                bit ^= 1;
-            }
-            lt_bits[(m + i) / 64] ^= bit << ((m + i) % 64);
+            flips[(m + j) / 64] |= u64::from(flip) << ((m + j) % 64);
         }
-        bits = bits_to_additive(ctx, &lt_bits, m + bounds.len())?;
+        let lt_k: Vec<u64> = (0..xa.len())
+            .map(|w| anded[2 * words + w] ^ above[w] & (xa[w] ^ xd[w]))
+            .collect();
+        let mut lt_bits = concat_bits(&[(&lt_shared, m), (&lt_k, nk), (&x0, n0)]);
+        for (w, flip) in lt_bits.iter_mut().zip(&flips) {
+            *w ^= flip & public;
+        }
+        bits = bits_to_additive(ctx, &lt_bits, m + nk + n0)?;
     }
     if m == pairs.len() {
         return Ok(bits);
     }
     // Back to pair order: the shared pairs' bits come first, then the bound
-    // pairs'.
-    let (mut next_shared, mut next_bound) = (0, m);
-    Ok(pairs
+    // pairs' with k ≠ 0, then those with k = 0.
+    let (mut next_shared, mut next_k, mut next_0) = (0, m, m + nk);
+    Ok(forms
         .iter()
-        .map(|&p| match LtForm::of(p) {
-            LtForm::Shared(..) => {
-                next_shared += 1;
-                bits[next_shared - 1]
-            }
-            LtForm::Bound { .. } => {
-                next_bound += 1;
-                bits[next_bound - 1]
-            }
-            LtForm::Clear(t) => ctx.constant_elem(RingElem(u64::from(t))),
+        .map(|f| {
+            let next = match *f {
+                LtForm::Shared(..) => &mut next_shared,
+                LtForm::Bound { k: 0, .. } => &mut next_0,
+                LtForm::Bound { .. } => &mut next_k,
+                LtForm::Clear(t) => return ctx.constant_elem(RingElem(u64::from(t))),
+            };
+            *next += 1;
+            bits[*next - 1]
         })
         .collect())
 }
 
 /// Batched equality on shares: returns an additive sharing of `1` where
-/// `x == y`, `0` elsewhere. 8 rounds for the whole batch.
+/// `x == y`, `0` elsewhere. 7 rounds for the whole batch.
 pub fn eq_batch(
     ctx: &mut StepCtx,
     pairs: &[(AuthShare, AuthShare)],
@@ -260,43 +247,46 @@ pub fn eq_batch(
         return Ok(Vec::new());
     }
     // z = x − y; z == 0 ⟺ r == −c for the opened mask c = z − r.
-    let z: Vec<AuthShare> = pairs.iter().map(|&(x, y)| x - y).collect();
     let masks = ctx.take_shared_bits(m)?;
-    let masked: Vec<AuthShare> = z
+    let masked: Vec<AuthShare> = pairs
         .iter()
         .zip(&masks)
-        .map(|(&zi, &(_, r_add))| zi - r_add)
+        .map(|(&(x, y), mask)| x - y - mask.value)
         .collect();
     let c = ctx.open_masked(&masked, "eq mask open")?;
 
-    // t = ¬(r ⊕ (−c)): all 64 bits of t are 1 iff r == −c. Local.
-    let party0 = ctx.party() == 0;
-    let mut t: Vec<u64> = masks.iter().map(|&(r_bits, _)| r_bits).collect();
-    if party0 {
-        for (ti, ci) in t.iter_mut().zip(&c) {
-            *ti ^= (RingElem::ZERO - *ci).0 ^ u64::MAX;
-        }
+    // t = r ⊕ e with e = ¬(−c): all 64 bits of t are 1 iff r == −c. The
+    // first fold level, t_l ∧ t_h over adjacent bits, is a dealt product.
+    let public = if ctx.party() == 0 { u64::MAX } else { 0 };
+    let leaves: Vec<(&SharedMask, u64)> = masks
+        .iter()
+        .zip(&c)
+        .map(|(mask, &ci)| (mask, !(RingElem::ZERO - ci).0))
+        .collect();
+    let mut t = Vec::with_capacity(32 * m.div_ceil(64));
+    for block in leaves.chunks(64) {
+        let (r, rr, e) = planes(block);
+        t.extend((0..32).map(|i| dealt_and(&r, &rr, &e, 2 * i, public)));
     }
-    // Halving fold: AND the low half of the live bits with the high half
-    // until bit 0 holds the conjunction of all 64. The partial conjunctions
-    // are secret-dependent and never opened.
-    for &w in &EQ_FOLDS {
-        let high: Vec<u64> = t.iter().map(|tw| tw >> w).collect();
-        t = and_packed(ctx, &t, &high, w, "eq fold")?;
+    // Halving fold over the remaining planes: AND plane 2i with 2i + 1 until
+    // plane 0 holds the conjunction of all 64 bits. The partial
+    // conjunctions are secret-dependent and never opened.
+    let tail = m - 64 * (m.div_ceil(64) - 1);
+    let mut nodes = 32;
+    while nodes > 1 {
+        let pairs = nodes / 2;
+        let (x, y) = t.chunks_exact(2).map(|p| (p[0], p[1])).unzip();
+        t = and_planes(ctx, x, y, pairs, tail, "eq fold")?;
+        nodes = pairs;
     }
-    let words = m.div_ceil(64);
-    let mut packed = vec![0u64; words];
-    for (j, tw) in t.iter().enumerate() {
-        packed[j / 64] |= tw << (j % 64);
-    }
-    bits_to_additive(ctx, &packed, m)
+    bits_to_additive(ctx, &t, m)
 }
 
 /// Opens `c = z − r` for dealer masks `r` (uniform, reveals nothing on the
-/// wire) and returns, per `z = c + r`, an XOR-shared word holding its sign
-/// bit in bit 0: `msb(z) = p₆₃ ⊕ carry₆₃` with `p = r ⊕ c`. Each `(i, k)` of
-/// `offsets` appends the sign bit of `values[i] − k = (c − k) + r`, from the
-/// same mask and opened word.
+/// wire) and returns the sign bits of every `z = c + r`, lane-packed: leaf
+/// `i`'s in bit `i % 64` of word `i / 64`, as `msb(z) = p₆₃ ⊕ carry₆₃` with
+/// `p = r ⊕ c`. Each `(i, k)` of `offsets` appends the sign bit of
+/// `values[i] − k = (c − k) + r`, from the same mask and opened word.
 fn msb_bits(
     ctx: &mut StepCtx,
     values: &[AuthShare],
@@ -306,127 +296,217 @@ fn msb_bits(
     let masked: Vec<AuthShare> = values
         .iter()
         .zip(&masks)
-        .map(|(&z, &(_, r_add))| z - r_add)
+        .map(|(&z, mask)| z - mask.value)
         .collect();
     let c = ctx.open_masked(&masked, "bitdec mask open")?;
-    // Leaves: g = r ∧ c (public mask, local), p = r ⊕ c (party 0 adds the
-    // public c).
-    let party0 = ctx.party() == 0;
-    let n = values.len() + offsets.len();
-    let mut g = Vec::with_capacity(n);
-    let mut p = Vec::with_capacity(n);
-    let mut leaf = |r: u64, c: RingElem| {
-        g.push(r & c.0);
-        p.push(if party0 { r ^ c.0 } else { r });
-    };
-    for (&ci, &(r, _)) in c.iter().zip(&masks) {
-        leaf(r, ci);
+    let leaves: Vec<(&SharedMask, u64)> = masks
+        .iter()
+        .zip(c.iter().map(|ci| ci.0))
+        .chain(
+            offsets
+                .iter()
+                .map(|&(i, k)| (&masks[i], (c[i] - RingElem::from_i64(k)).0)),
+        )
+        .collect();
+    // The dealt first level, block by block: nodes 0..31 merge bits 2i and
+    // 2i + 1, node 31 is bit 62 alone. Leaves g = r ∧ c (public c, local)
+    // and p = r ⊕ c (party 0 adds the public c); node 0's P is never read.
+    let public = if ctx.party() == 0 { u64::MAX } else { 0 };
+    let blocks = leaves.len().div_ceil(64);
+    let (mut g, mut p) = (
+        Vec::with_capacity(32 * blocks),
+        Vec::with_capacity(32 * blocks),
+    );
+    let mut p63 = Vec::with_capacity(blocks);
+    for block in leaves.chunks(64) {
+        let (r, rr, c) = planes(block);
+        for i in 0..31 {
+            let (l, h) = (2 * i, 2 * i + 1);
+            g.push(r[h] & c[h] ^ c[l] & (rr[l] ^ c[h] & r[l]));
+            p.push(dealt_and(&r, &rr, &c, l, public));
+        }
+        g.push(r[62] & c[62]);
+        p.push(r[62] ^ c[62] & public);
+        p63.push(r[63] ^ c[63] & public);
     }
-    for &(i, k) in offsets {
-        leaf(masks[i].0, c[i] - RingElem::from_i64(k));
-    }
-    let p63: Vec<u64> = p.iter().map(|pw| pw >> 63).collect();
-    let carry = carry_into_msb(ctx, g, p)?;
+    let tail = leaves.len() - 64 * (blocks - 1);
+    let carry = carry_into_msb(ctx, g, p, tail)?;
     Ok(p63.iter().zip(carry).map(|(pi, ci)| pi ^ ci).collect())
 }
 
+/// Bit-slices one block of up to 64 leaves: the planes of this party's XOR
+/// shares of the masks `r`, of their dealt products `rr`, and of the leaves'
+/// public words. Lanes past the block's leaves are zero in every plane.
+fn planes(block: &[(&SharedMask, u64)]) -> ([u64; 64], [u64; 64], [u64; 64]) {
+    let (mut r, mut rr, mut c) = ([0u64; 64], [0u64; 64], [0u64; 64]);
+    for (lane, &(mask, public)) in block.iter().enumerate() {
+        r[lane] = mask.bits;
+        rr[lane] = mask.products;
+        c[lane] = public;
+    }
+    transpose64(&mut r);
+    transpose64(&mut rr);
+    transpose64(&mut c);
+    (r, rr, c)
+}
+
+/// This party's share of `(r_l ⊕ c_l) ∧ (r_h ⊕ c_h)` for `h = l + 1` and
+/// public `c`, from the dealt products `rr_l = r_l ∧ r_h`: local, with
+/// `public` all-ones at party 0 only.
+fn dealt_and(r: &[u64; 64], rr: &[u64; 64], c: &[u64; 64], l: usize, public: u64) -> u64 {
+    let h = l + 1;
+    rr[l] ^ c[l] & r[h] ^ c[h] & r[l] ^ c[l] & c[h] & public
+}
+
 /// The carry into bit 63 of `c + r` — the group generate of bits 0..62 —
-/// in bit 0 of each result, from per-value leaf words `g`, `p`.
+/// as one plane per block, from the 32 nodes per block of the dealt first
+/// level (`g`, `p`, 32 planes per block; the last block has `tail` live
+/// lanes).
 ///
-/// A binary tree over the 63 leaves: each level combines node pairs
-/// (hi = 2k+1, lo = 2k) as `G = G_hi ⊕ (P_hi ∧ G_lo)`, `P = P_hi ∧ P_lo`.
-/// An odd top node passes through, and node 0's `P` is never formed
-/// because no level reads it. 63 → 32 → 16 → 8 → 4 → 2 → 1 nodes is six AND
-/// rounds with 61, 31, 15, 7, 3 and 1 live bits per value.
+/// A binary tree over the nodes: each level combines node pairs
+/// (hi = 2k+1, lo = 2k) as `G = G_hi ⊕ (P_hi ∧ G_lo)`, `P = P_hi ∧ P_lo`;
+/// node 0's `P` is never formed because no level reads it. 32 → 16 → 8 →
+/// 4 → 2 → 1 nodes is five AND rounds of 31, 15, 7, 3 and 1 planes per
+/// block.
 ///
 /// `G ∧ P = 0` holds per node at every level (it does for the leaves
 /// `g = r ∧ c`, `p = r ⊕ c`), which is what lets the merge use ⊕ instead
 /// of ∨ on XOR shares.
-fn carry_into_msb(ctx: &mut StepCtx, mut g: Vec<u64>, mut p: Vec<u64>) -> PartyResult<Vec<u64>> {
-    let mut nodes = 63u32;
-    for w in g.iter_mut().chain(p.iter_mut()) {
-        *w &= low_bits(nodes);
-    }
+fn carry_into_msb(
+    ctx: &mut StepCtx,
+    mut g: Vec<u64>,
+    mut p: Vec<u64>,
+    tail: usize,
+) -> PartyResult<Vec<u64>> {
+    let mut nodes = 32;
     while nodes > 1 {
         let pairs = nodes / 2;
-        let low = low_bits(pairs);
-        // One operand word per value: bits 0..pairs pair P_hi with G_lo for
-        // every pair; the bits above pair P_hi with P_lo for pairs 1.. only.
-        let mut x = Vec::with_capacity(g.len());
-        let mut y = Vec::with_capacity(g.len());
-        for (&gw, &pw) in g.iter().zip(&p) {
-            let p_hi = odd_bits(pw);
-            x.push(p_hi | (p_hi >> 1) << pairs);
-            y.push(even_bits(gw) & low | (even_bits(pw) & low) >> 1 << pairs);
+        let ands = 2 * pairs - 1;
+        // Per block: P_hi with G_lo for every pair, then P_hi with P_lo for
+        // pairs 1.. only.
+        let (mut x, mut y) = (Vec::with_capacity(p.len()), Vec::with_capacity(p.len()));
+        for (gb, pb) in g.chunks_exact(nodes).zip(p.chunks_exact(nodes)) {
+            x.extend(pb.iter().skip(1).step_by(2));
+            y.extend(gb.iter().step_by(2));
+            x.extend(pb.iter().skip(3).step_by(2));
+            y.extend(pb.iter().skip(2).step_by(2));
         }
-        let t = and_packed(ctx, &x, &y, 2 * pairs - 1, "lt carry level")?;
-        let top = nodes - 1;
-        for ((gw, pw), ti) in g.iter_mut().zip(p.iter_mut()).zip(t) {
-            let mut next_g = odd_bits(*gw) ^ (ti & low);
-            let mut next_p = ti >> pairs << 1;
-            if nodes % 2 == 1 {
-                next_g |= (*gw >> top & 1) << pairs;
-                next_p |= (*pw >> top & 1) << pairs;
-            }
-            *gw = next_g;
-            *pw = next_p;
+        let t = and_planes(ctx, x, y, ands, tail, "lt carry level")?;
+        let (mut next_g, mut next_p) = (Vec::with_capacity(t.len()), Vec::with_capacity(t.len()));
+        for (gb, tb) in g.chunks_exact(nodes).zip(t.chunks_exact(ands)) {
+            next_g.extend(gb.iter().skip(1).step_by(2).zip(tb).map(|(gh, ti)| gh ^ ti));
+            next_p.push(0);
+            next_p.extend_from_slice(&tb[pairs..]);
         }
-        nodes = pairs + nodes % 2;
+        (g, p, nodes) = (next_g, next_p, pairs);
     }
     Ok(g)
 }
 
+/// Transposes a 64 × 64 bit matrix in place: bit `j` of row `i` moves to
+/// bit `i` of row `j`. Six rounds of block swaps, halving the block size
+/// each round.
+fn transpose64(a: &mut [u64; 64]) {
+    let mut width = 32;
+    let mut mask = 0x0000_0000_FFFF_FFFF_u64;
+    while width != 0 {
+        let mut k = 0;
+        while k < 64 {
+            // Swap the high half of row k's block with the low half of row
+            // k + width's.
+            let t = (a[k] >> width ^ a[k + width]) & mask;
+            a[k + width] ^= t;
+            a[k] ^= t << width;
+            k = (k + width + 1) & !width;
+        }
+        width >>= 1;
+        mask ^= mask << width;
+    }
+}
+
 /// The low `n` bits set, for `n` in `1..=64`.
-fn low_bits(n: u32) -> u64 {
+fn low_bits(n: usize) -> u64 {
     u64::MAX >> (64 - n)
 }
 
-/// Gathers the even-indexed bits of `w` into its low 32 bits, in order.
-fn even_bits(w: u64) -> u64 {
-    let mut x = w & 0x5555_5555_5555_5555;
-    x = (x | x >> 1) & 0x3333_3333_3333_3333;
-    x = (x | x >> 2) & 0x0F0F_0F0F_0F0F_0F0F;
-    x = (x | x >> 4) & 0x00FF_00FF_00FF_00FF;
-    x = (x | x >> 8) & 0x0000_FFFF_0000_FFFF;
-    (x | x >> 16) & 0x0000_0000_FFFF_FFFF
+/// Bits `start..start + len` of the packed bit vector `words`, repacked
+/// from bit 0; the bits past `len` in the last word are zero.
+fn bit_range(words: &[u64], start: usize, len: usize) -> Vec<u64> {
+    (0..len.div_ceil(64))
+        .map(|w| {
+            let (at, shift) = ((start + 64 * w) / 64, (start + 64 * w) % 64);
+            let mut v = words[at] >> shift;
+            if shift > 0 {
+                v |= words.get(at + 1).map_or(0, |next| next << (64 - shift));
+            }
+            v & low_bits((len - 64 * w).min(64))
+        })
+        .collect()
 }
 
-/// Gathers the odd-indexed bits of `w` into its low 32 bits, in order.
-fn odd_bits(w: u64) -> u64 {
-    even_bits(w >> 1)
+/// Concatenates the low `n` bits of each `(words, n)` part into one packed
+/// bit vector.
+fn concat_bits(parts: &[(&[u64], usize)]) -> Vec<u64> {
+    let mut out = vec![0u64; parts.iter().map(|&(_, n)| n).sum::<usize>().div_ceil(64)];
+    let mut at = 0;
+    for &(words, n) in parts {
+        for (w, word) in bit_range(words, 0, n).into_iter().enumerate() {
+            let (i, shift) = ((at + 64 * w) / 64, (at + 64 * w) % 64);
+            out[i] |= word << shift;
+            if shift > 0 && i + 1 < out.len() {
+                out[i + 1] |= word >> (64 - shift);
+            }
+        }
+        at += n;
+    }
+    out
 }
 
-/// ANDs the low `width` bits of each `x[i]` with those of `y[i]` and returns
-/// them in the low `width` bits of each result; bits above `width` are
-/// ignored on input and zero on output. Packs `⌊64 / slot⌋` values per wire
-/// word (`slot` = `width` rounded up to a power of two) into one
-/// [`and_words`] round. A slot's padding bits are zero shares, masked on the
-/// wire by the word's triple like every live bit.
-fn and_packed(
+/// ANDs plane `x[i]` with plane `y[i]`, the planes laid out `per_block` to a
+/// block, block by block, the last block with `tail` live lanes (1..=64):
+/// one [`and_words`] round. A full block sends each plane as one wire word;
+/// the last packs ⌊64 / slot⌋ planes to a word (`slot` = `tail` rounded up
+/// to a power of two). A slot's padding lanes are zero shares, masked on the
+/// wire by the word's triple like every live lane, and zero in the result.
+fn and_planes(
     ctx: &mut StepCtx,
-    x: &[u64],
-    y: &[u64],
-    width: u32,
+    mut x: Vec<u64>,
+    mut y: Vec<u64>,
+    per_block: usize,
+    tail: usize,
     label: &str,
 ) -> PartyResult<Vec<u64>> {
-    let slot = width.next_power_of_two();
-    let per_word = (64 / slot) as usize;
-    let mask = low_bits(width);
-    let pack = |v: &[u64]| -> Vec<u64> {
-        v.chunks(per_word)
-            .map(|chunk| {
-                chunk
+    let slot = tail.next_power_of_two();
+    if slot == 64 {
+        return and_words(ctx, &x, &y, label);
+    }
+    let per_word = 64 / slot;
+    let lanes = low_bits(tail);
+    let full = x.len() - per_block;
+    let pack = |v: &mut Vec<u64>| {
+        let packed: Vec<u64> = v[full..]
+            .chunks(per_word)
+            .map(|planes| {
+                planes
                     .iter()
                     .enumerate()
-                    .fold(0, |w, (k, vi)| w | (vi & mask) << (k as u32 * slot))
+                    .fold(0, |w, (k, plane)| w | (plane & lanes) << (k * slot))
             })
-            .collect()
+            .collect();
+        v.truncate(full);
+        v.extend(packed);
     };
-    let z = and_words(ctx, &pack(x), &pack(y), label)?;
-    Ok(z.iter()
-        .flat_map(|zw| (0..per_word as u32).map(move |k| zw >> (k * slot) & mask))
-        .take(x.len())
-        .collect())
+    pack(&mut x);
+    pack(&mut y);
+    let mut z = and_words(ctx, &x, &y, label)?;
+    let packed = z.split_off(full);
+    z.extend(
+        packed
+            .iter()
+            .flat_map(|w| (0..per_word).map(move |k| w >> (k * slot) & lanes))
+            .take(per_block),
+    );
+    Ok(z)
 }
 
 /// Batched AND of XOR-shared words via binary Beaver triples: one masked
@@ -638,28 +718,30 @@ mod tests {
                 Ok((lt_rounds, eq_rounds))
             });
             for &(lt_rounds, eq_rounds) in &counts {
-                assert_eq!(lt_rounds, 9, "lt rounds for batch {batch}");
-                assert_eq!(eq_rounds, 8, "eq rounds for batch {batch}");
+                assert_eq!(lt_rounds, 8, "lt rounds for batch {batch}");
+                assert_eq!(eq_rounds, 7, "eq rounds for batch {batch}");
             }
         }
     }
 
-    /// AND words of one packed level: `values` operands of `width` live
-    /// bits, `⌊64 / slot⌋` per word.
-    fn level_words(values: usize, width: u32) -> u64 {
-        values.div_ceil(64 / width.next_power_of_two() as usize) as u64
+    /// AND words of one level over `leaves` bit-sliced leaves that ANDs
+    /// `planes` planes per block: a word per plane of each full block, and
+    /// ⌊64 / slot⌋ planes per word in the last block (`slot` its live lanes
+    /// rounded up to a power of two).
+    fn level_words(leaves: usize, planes: usize) -> u64 {
+        let full = (leaves - 1) / 64;
+        let tail = leaves - 64 * full;
+        (full * planes + planes.div_ceil(64 / tail.next_power_of_two())) as u64
     }
 
     /// AND words of the carry tree over `leaves` decomposed values, level by
-    /// level: 63 → 32 → … → 1 nodes, `2·pairs − 1` live bits per value.
+    /// level after the dealt first: 32 → 16 → … → 1 nodes, `2·pairs − 1`
+    /// planes per block.
     fn carry_words(leaves: usize) -> u64 {
-        let mut words = 0;
-        let mut nodes = 63u32;
-        while nodes > 1 {
-            words += level_words(leaves, 2 * (nodes / 2) - 1);
-            nodes = nodes / 2 + nodes % 2;
-        }
-        words
+        [31, 15, 7, 3, 1]
+            .iter()
+            .map(|&q| level_words(leaves, q))
+            .sum()
     }
 
     /// `lt` AND words for `m` shared pairs: the carry tree over the 3m
@@ -678,18 +760,22 @@ mod tests {
         }
     }
 
-    /// `eq` AND words for `m` pairs: the halving fold, 32, 16, …, 1 bits.
+    /// `eq` AND words for `m` pairs: the fold after the dealt first level,
+    /// 16, 8, 4, 2 and 1 planes per block.
     fn eq_words(m: usize) -> u64 {
-        EQ_FOLDS.iter().map(|&w| level_words(m, w)).sum()
+        [16, 8, 4, 2, 1].iter().map(|&q| level_words(m, q)).sum()
     }
 
     #[test]
     fn bit_and_tallies_follow_the_gate_count() {
-        // 704 = (3 + 2 + 1 + 1 + 1 + 1 carry words + 2 sign words) × 64.
-        assert_eq!(64 * lt_words(1), 704);
-        assert_eq!(64 * eq_words(1), 384);
-        assert_eq!(64 * lt_words(640), 241_280);
-        assert_eq!(64 * eq_words(640), 40_320);
+        // One pair's three leaves pack 16 planes to a word: 512 = (2 + 1 +
+        // 1 + 1 + 1 carry words + 2 sign words) × 64. One leaf packs 64, so
+        // each fold level is one word: 320 = 5 × 64. 640 pairs fill whole
+        // blocks: 57 carry planes per 64 leaves, 31 fold planes per 64 pairs.
+        assert_eq!(64 * lt_words(1), 512);
+        assert_eq!(64 * eq_words(1), 320);
+        assert_eq!(64 * lt_words(640), 110_720);
+        assert_eq!(64 * eq_words(640), 19_840);
         for m in [1usize, 640] {
             let pairs_clear: Vec<(i64, i64)> = (0..m as i64).map(|i| (7 * i, -9 * i)).collect();
             let counts = with_shared_pairs(2, 45, &pairs_clear, |proto, pairs| {
@@ -703,22 +789,22 @@ mod tests {
             for (lt, eq) in &counts {
                 assert_eq!(lt.comparisons, m as u64);
                 assert_eq!(lt.bit_ands, 64 * lt_words(m), "lt gates for batch {m}");
-                assert_eq!(lt.circuit_rounds, 9);
+                assert_eq!(lt.circuit_rounds, 8);
                 assert_eq!(eq.equalities, m as u64);
                 assert_eq!(eq.bit_ands, 64 * eq_words(m), "eq gates for batch {m}");
-                assert_eq!(eq.circuit_rounds, 8);
+                assert_eq!(eq.circuit_rounds, 7);
             }
         }
     }
 
     #[test]
     fn public_operands_decompose_only_the_shared_side() {
-        // 512 = (2 + 1 + 1 + 1 + 1 + 1 carry words + 1 sign word) × 64;
-        // against 0, 384 = (1 + 1 + 1 + 1 + 1 + 1) × 64.
-        assert_eq!(64 * lt_public_words(1, 5), 512);
-        assert_eq!(64 * lt_public_words(1, 0), 384);
-        assert_eq!(64 * lt_public_words(640, 5), 160_640);
-        assert_eq!(64 * lt_public_words(640, 0), 80_000);
+        // 384 = (1 + 1 + 1 + 1 + 1 carry words + 1 sign word) × 64;
+        // against 0, 320 = (1 + 1 + 1 + 1 + 1) × 64.
+        assert_eq!(64 * lt_public_words(1, 5), 384);
+        assert_eq!(64 * lt_public_words(1, 0), 320);
+        assert_eq!(64 * lt_public_words(640, 5), 73_600);
+        assert_eq!(64 * lt_public_words(640, 0), 36_480);
         // `c < x` is `¬(x < c + 1)`: c = −1 is a comparison against 0.
         for (k, c) in [(5, 4), (-5, -6), (0, -1), (i64::MAX, i64::MAX - 1)] {
             for m in [1usize, 640] {
@@ -747,7 +833,7 @@ mod tests {
                         assert_eq!(bits, want, "x < {k} / {c} < x, batch {m}");
                         assert_eq!(n.comparisons, m as u64);
                         assert_eq!(n.bit_ands, 64 * lt_public_words(m, k), "k = {k}, batch {m}");
-                        assert_eq!(n.circuit_rounds, if k == 0 { 8 } else { 9 }, "k = {k}");
+                        assert_eq!(n.circuit_rounds, if k == 0 { 7 } else { 8 }, "k = {k}");
                     }
                 }
             }
@@ -768,10 +854,42 @@ mod tests {
         }
     }
 
-    /// Batch sizes around which a packed level fills its wire words: the
-    /// slots hold 1, 2, 4, 8, 16, 32 or 64 values, over m (`eq`) or 3m
-    /// (`lt`) operands.
-    const SLOT_EDGES: [usize; 12] = [1, 2, 4, 8, 16, 21, 32, 43, 64, 85, 128, 256];
+    /// Batch sizes whose neighbours (one less, one more) put the leaf
+    /// counts on the block edges and on every tail that changes the packing
+    /// slot. `eq` has m leaves: 63/64/65 and 127/128/129 around 64 and 128,
+    /// tails of 1, 2, 3, 5, 9, 17 and 33 live lanes around 2, 5, 9, 17 and
+    /// 33. Shared `lt` has 3m: 63/66/69 around 22, 126/129 around 43, and
+    /// tails of 1 (129), 2 (66), 3, 5 (69), 9, 17 (81, around 27) and 33
+    /// (around 11).
+    const SLOT_EDGES: [usize; 14] = [2, 3, 5, 9, 11, 17, 22, 23, 27, 33, 43, 64, 128, 256];
+
+    #[test]
+    fn transpose64_matches_a_naive_transpose() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(64);
+        for case in 0..32 {
+            let mut rows = [0u64; 64];
+            for row in &mut rows {
+                // Sparse, dense and uniform rows.
+                *row = match case % 3 {
+                    0 => 1u64 << rng.gen_range(0..64u32),
+                    1 => !(1u64 << rng.gen_range(0..64u32)),
+                    _ => rng.gen(),
+                };
+            }
+            let mut naive = [0u64; 64];
+            for (i, row) in rows.iter().enumerate() {
+                for (j, plane) in naive.iter_mut().enumerate() {
+                    *plane |= (row >> j & 1) << i;
+                }
+            }
+            let mut sliced = rows;
+            transpose64(&mut sliced);
+            assert_eq!(sliced, naive, "case {case}");
+            transpose64(&mut sliced);
+            assert_eq!(sliced, rows, "an involution, case {case}");
+        }
+    }
 
     /// Full-range pairs with the signed boundaries, equal pairs and
     /// adjacent pairs injected.
@@ -797,6 +915,41 @@ mod tests {
             .collect()
     }
 
+    /// Every batch size beside a slot edge, once each, in one mesh: the
+    /// proptest below samples them, this walks them all.
+    #[test]
+    fn every_block_edge_and_tail_slot_matches_the_cleartext() {
+        let sizes: Vec<usize> = SLOT_EDGES.iter().flat_map(|&e| [e - 1, e, e + 1]).collect();
+        let all: Vec<(i64, i64)> = sizes
+            .iter()
+            .flat_map(|&m| random_pairs(m, m as u64))
+            .collect();
+        let outs = with_shared_pairs(3, 48, &all, |proto, pairs| {
+            let mut out = Vec::new();
+            let mut rest = pairs;
+            for &m in &sizes {
+                let (batch, after) = rest.split_at(m);
+                rest = after;
+                let lt = proto.lt_batch(batch)?;
+                let eq = proto.eq_batch(batch)?;
+                out.extend(
+                    proto
+                        .open_column(&lt)?
+                        .into_iter()
+                        .zip(proto.open_column(&eq)?),
+                );
+            }
+            Ok(out)
+        });
+        let want: Vec<(i64, i64)> = all
+            .iter()
+            .map(|&(a, b)| (i64::from(a < b), i64::from(a == b)))
+            .collect();
+        for out in &outs {
+            assert_eq!(out, &want);
+        }
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
 
@@ -805,7 +958,7 @@ mod tests {
             size in (0usize..SLOT_EDGES.len() + 1, 0usize..3, 1usize..301),
             seed in proptest::prelude::any::<u64>(),
         ) {
-            // One draw in 13 is uniform over 1..=300; the rest sit on or
+            // One draw in 15 is uniform over 1..=300; the rest sit on or
             // beside a slot edge.
             let (edge, offset, uniform) = size;
             let m = SLOT_EDGES

@@ -137,10 +137,11 @@ pub struct SecretShareCostModel {
     /// flat `per_comparison`/`per_equality` charges when a count set carries
     /// measured circuit gates (`bit_ands > 0`). Calibrated so that a
     /// less-than at the full-sum adder's ~2100 gates (2 240 measured, 35
-    /// AND words) landed near the 150 µs flat anchor. The sign-bit carry
-    /// tree measures ≈ 377 gates per compared pair in a large batch (≈ 63
-    /// per equality); the constant waits for recalibration against
-    /// measured wall time.
+    /// AND words) landed near the 150 µs flat anchor. The bit-sliced
+    /// sign-bit carry tree, its first level dealt, measures ≈ 173 gates per
+    /// shared pair in a large batch (≈ 115 against a public constant, ≈ 31
+    /// per equality; 512 and 320 for a batch of one); the constant waits for
+    /// recalibration against measured wall time.
     pub per_bit_and: f64,
     /// Seconds per element secret-shared into the MPC (import + storage).
     pub per_input_elem: f64,

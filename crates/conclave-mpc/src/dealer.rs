@@ -14,6 +14,14 @@
 //! * Every arithmetic value is dealt as a SPDZ-authenticated sharing
 //!   ([`crate::share::AuthShare`]): additive shares of the value plus
 //!   additive shares of its MAC `α·x` under the dealer's global key `α`.
+//! * A shared-bit item ([`SharedMask`]) is four words per party: the XOR
+//!   share of a mask `r`, its authenticated additive share, then the XOR
+//!   share of `r & (r >> 1) & 0x5555…` — the products `r₂ᵢ ∧ r₂ᵢ₊₁` of its
+//!   adjacent bits, which make the comparison circuits' first AND level
+//!   local. The products come from a dealer domain of their own (not the
+//!   masks' stream, not tag 0 — the sessions' common stream — and not an
+//!   owner's input-mask domain), so they take no draw from any other
+//!   stream.
 //! * Each material kind has **one** generator ([`DealerStream::deal`] and
 //!   [`DealerStream::blocks`] are its single-party and all-party
 //!   projections), driven by a typed [`Request`] and emitting the block in
@@ -61,6 +69,13 @@ const DOMAIN_BIT_TRIPLES: u64 = 3;
 const DOMAIN_SHARED_BITS: u64 = 4;
 const DOMAIN_DABITS: u64 = 5;
 const DOMAIN_INPUT_MASKS: u64 = 6;
+/// The shared bits' adjacent products. Tags `DOMAIN_INPUT_MASKS + p` belong
+/// to the owners' mask streams and tag 0 is the sessions' common stream, so
+/// the products take the top tag: drawing them moves no other stream.
+const DOMAIN_SHARED_BIT_PRODUCTS: u64 = u64::MAX;
+
+/// Bits 0, 2, …, 62: where a products word holds `r₂ᵢ ∧ r₂ᵢ₊₁`.
+const EVEN_BITS: u64 = 0x5555_5555_5555_5555;
 
 /// Words per authenticated share: the value share, then the MAC share.
 const AUTH_WORDS: usize = 2;
@@ -68,8 +83,9 @@ const AUTH_WORDS: usize = 2;
 const TRIPLE_WORDS: usize = 3 * AUTH_WORDS;
 /// Words per binary triple share.
 const BIT_TRIPLE_WORDS: usize = 3;
-/// Words per shared-bit share: the XOR-share word plus one authenticated share.
-const SHARED_BIT_WORDS: usize = 1 + AUTH_WORDS;
+/// Words per shared-bit share: the XOR-share word, one authenticated share,
+/// then the XOR share of the adjacent products.
+const SHARED_BIT_WORDS: usize = 2 + AUTH_WORDS;
 /// Words per daBit share: the XOR-share word plus 64 authenticated shares.
 const DABIT_WORDS: usize = 1 + 64 * AUTH_WORDS;
 
@@ -127,8 +143,9 @@ pub enum Request {
     Triples(usize),
     /// Binary (bitwise-AND) Beaver triple words.
     BitTriples(usize),
-    /// Shared random bits: an XOR-shared word plus an authenticated
-    /// arithmetic sharing of the same value.
+    /// Shared random bits: an XOR-shared word, an authenticated arithmetic
+    /// sharing of the same value, and an XOR-shared word of the products
+    /// of its adjacent bits ([`SharedMask`]).
     SharedBits(usize),
     /// daBits: an XOR-shared word plus an authenticated arithmetic sharing
     /// of each of its 64 bits.
@@ -235,6 +252,21 @@ pub struct InputMask {
     pub clear: Option<RingElem>,
 }
 
+/// One party's share of a bit-decomposition mask `r`, dealt in dual
+/// representation for the comparison circuits: `[bits, value (2 words),
+/// products]` in a dealer block.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SharedMask {
+    /// XOR share of the 64 bits of `r`.
+    pub bits: u64,
+    /// Authenticated additive share of `r`.
+    pub value: AuthShare,
+    /// XOR share of `r & (r >> 1) & 0x5555…`: bit `2i` holds
+    /// `r₂ᵢ ∧ r₂ᵢ₊₁`, the odd bits are zero. It makes the circuits' first AND
+    /// level over adjacent bits local.
+    pub products: u64,
+}
+
 /// Deterministic generator for all offline material, seeded by the dealer
 /// seed. Each material type draws from its own domain-separated RNG, so two
 /// `DealerStream`s with the same seed produce identical global streams even
@@ -250,6 +282,7 @@ pub struct DealerStream {
     triples: StdRng,
     bit_triples: StdRng,
     shared_bits: StdRng,
+    shared_bit_products: StdRng,
     dabits: StdRng,
     input_masks: Vec<StdRng>,
 }
@@ -271,6 +304,7 @@ impl DealerStream {
             triples: domain_rng(seed, DOMAIN_TRIPLES),
             bit_triples: domain_rng(seed, DOMAIN_BIT_TRIPLES),
             shared_bits: domain_rng(seed, DOMAIN_SHARED_BITS),
+            shared_bit_products: domain_rng(seed, DOMAIN_SHARED_BIT_PRODUCTS),
             dabits: domain_rng(seed, DOMAIN_DABITS),
             input_masks: (0..parties)
                 .map(|p| domain_rng(seed, DOMAIN_INPUT_MASKS + p as u64))
@@ -338,11 +372,12 @@ impl DealerStream {
                 }
             }
             Request::SharedBits(count) => {
-                let rng = &mut self.shared_bits;
+                let (rng, products) = (&mut self.shared_bits, &mut self.shared_bit_products);
                 for _ in 0..count {
                     let r = rng.gen::<u64>();
                     xor_share(rng, r, n, put);
                     auth_share(rng, alpha, RingElem(r), n, put);
+                    xor_share(products, r & (r >> 1) & EVEN_BITS, n, put);
                 }
             }
             Request::DaBits(count) => {
@@ -389,7 +424,8 @@ pub struct MaterialSpec {
     pub triples: usize,
     /// Binary triples (each covers 64 bit-ANDs).
     pub bit_triples: usize,
-    /// Shared random bits (each covers one 64-bit mask).
+    /// Shared random bits (each covers one 64-bit mask and its adjacent
+    /// products).
     pub shared_bits: usize,
     /// daBits (each covers 64 bit-to-arithmetic conversions).
     pub dabits: usize,
@@ -443,7 +479,7 @@ pub struct MaterialBlocks {
     /// Binary triples.
     pub bit_triples: VecDeque<(u64, u64, u64)>,
     /// Shared random bits.
-    pub shared_bits: VecDeque<(u64, AuthShare)>,
+    pub shared_bits: VecDeque<SharedMask>,
     /// daBits.
     pub dabits: VecDeque<(u64, Vec<AuthShare>)>,
     /// Input masks, indexed by owning party.
@@ -485,9 +521,11 @@ impl MaterialBlocks {
                 .triples
                 .extend(items.map(|c| (auth(c), auth(&c[2..]), auth(&c[4..])))),
             Request::BitTriples(_) => self.bit_triples.extend(items.map(|c| (c[0], c[1], c[2]))),
-            Request::SharedBits(_) => self
-                .shared_bits
-                .extend(items.map(|c| (c[0], auth(&c[1..])))),
+            Request::SharedBits(_) => self.shared_bits.extend(items.map(|c| SharedMask {
+                bits: c[0],
+                value: auth(&c[1..]),
+                products: c[1 + AUTH_WORDS],
+            })),
             Request::DaBits(_) => self
                 .dabits
                 .extend(items.map(|c| (c[0], c[1..].chunks_exact(AUTH_WORDS).map(auth).collect()))),
@@ -994,8 +1032,8 @@ mod tests {
         }
 
         for i in 0..spec.shared_bits {
-            let r = (0..3).fold(0u64, |acc, p| acc ^ blocks[p].shared_bits[i].0);
-            let (v, m) = reconstruct((0..3).map(|p| blocks[p].shared_bits[i].1));
+            let r = (0..3).fold(0u64, |acc, p| acc ^ blocks[p].shared_bits[i].bits);
+            let (v, m) = reconstruct((0..3).map(|p| blocks[p].shared_bits[i].value));
             assert_eq!(v, RingElem(r), "XOR and arithmetic views disagree");
             assert_eq!(m, alpha * v);
         }
@@ -1017,6 +1055,63 @@ mod tests {
                     let clear = blocks[p].input_masks[owner][i].clear;
                     assert_eq!(clear, (p == owner).then_some(v), "clear mask: owner only");
                 }
+            }
+        }
+    }
+
+    /// A shared bit's products word reconstructs to `r & (r >> 1) &
+    /// 0x5555…` of its reconstructed mask `r`, for 2, 3 and 4 parties, and
+    /// the seeded, streamed and file deliveries hand each party the same
+    /// words.
+    #[test]
+    fn shared_bit_products_reconstruct_in_every_delivery() {
+        let spec = MaterialSpec {
+            shared_bits: 70,
+            ..tiny_spec()
+        };
+        let req = Request::SharedBits(spec.shared_bits);
+        for parties in [2, 3, 4] {
+            let seed = 60 + parties as u64;
+            let dir = std::env::temp_dir().join(format!(
+                "conclave-dealer-products-{}-{parties}",
+                std::process::id()
+            ));
+            let files = write_party_files(&dir, seed, parties, spec).unwrap();
+            let mut held = Vec::new();
+            for p in 0..parties {
+                let absorbed = |words: &[u64]| {
+                    let mut block = MaterialBlocks::empty(p, parties, RingElem::ZERO);
+                    block.absorb(req, words).unwrap();
+                    block.shared_bits
+                };
+                let seeded = absorbed(&DealerStream::new(seed, parties).deal(p, req));
+                let mut mesh = ChannelTransport::mesh(2);
+                let dealer_end = mesh.pop().unwrap();
+                let link = mesh.pop().unwrap();
+                let server = std::thread::spawn(move || {
+                    serve_party(&dealer_end, p as u32, parties as u32, seed)
+                });
+                link.send_to(1, MessageKind::Dealer, "dealer request", &req.encode())
+                    .unwrap();
+                let streamed = absorbed(&link.recv_from(1).unwrap().payload);
+                drop(link);
+                server.join().unwrap().unwrap();
+                let filed = load_party_file(&files[p]).unwrap().shared_bits;
+                assert_eq!(streamed, seeded, "P{p} of {parties}: streamed");
+                assert_eq!(filed, seeded, "P{p} of {parties}: file");
+                held.push(seeded);
+            }
+            std::fs::remove_dir_all(&dir).unwrap();
+            for i in 0..spec.shared_bits {
+                let r = held.iter().fold(0, |acc, b| acc ^ b[i].bits);
+                let rr = held.iter().fold(0, |acc, b| acc ^ b[i].products);
+                assert_eq!(
+                    rr,
+                    r & (r >> 1) & 0x5555_5555_5555_5555,
+                    "{parties} parties, item {i}"
+                );
+                let (v, _) = reconstruct(held.iter().map(|b| b[i].value));
+                assert_eq!(v, RingElem(r));
             }
         }
     }

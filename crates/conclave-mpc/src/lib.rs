@@ -50,12 +50,15 @@
 //!   logic.
 //! * [`circuits`] — bit-decomposed comparison circuits for the party
 //!   runtime: signed less-than and equality computed entirely on shares
-//!   (a sign-bit carry tree and an equality fold over XOR-shared bits,
-//!   binary Beaver ANDs packed by live width, daBit bit-to-arithmetic
-//!   conversion), so no operand value ever crosses the wire unmasked.
+//!   (a sign-bit carry tree and an equality fold, bit-sliced 64 values to a
+//!   block over XOR-shared bit planes, their first AND level local on dealt
+//!   products of adjacent mask bits, binary Beaver ANDs for the rest, daBit
+//!   bit-to-arithmetic conversion), so no operand value ever crosses the
+//!   wire unmasked.
 //! * [`dealer`] — the **offline phase**: a standalone dealer that
 //!   pregenerates SPDZ-authenticated Beaver triples, binary triples, dual
-//!   bit masks, daBits, and input masks, delivered to the online parties
+//!   bit masks with the products of their adjacent bits, daBits, and input
+//!   masks, delivered to the online parties
 //!   over a dedicated dealer link ([`dealer::serve_party`]), as per-party
 //!   files that are that link recorded ([`dealer::write_party_files`]), or
 //!   by every party running the same [`dealer::DealerStream`] locally on
@@ -84,7 +87,7 @@ pub use backend::{BackendKind, MpcBackendConfig, MpcEngine, MpcError, MpcResult,
 pub use cost::{GarbledCostModel, PrimitiveCounts, SecretShareCostModel};
 pub use dealer::{
     generate_blocks, load_party_file, serve_party, write_party_files, DealerSource, DealerStream,
-    InputMask, MaterialBlocks, MaterialSpec, Request,
+    InputMask, MaterialBlocks, MaterialSpec, Request, SharedMask,
 };
 pub use engine::{CmpArg, Engine, OpError};
 pub use operators::AggLane;

@@ -1064,8 +1064,8 @@ mod tests {
     }
 
     /// Batcher's depth bound: k·(k+1)/2 layers at most for k = ⌈log₂n⌉. A
-    /// layer is one 10-round batch on a mesh, so a one-key sort of n rows
-    /// takes at most 5·k·(k+1) rounds.
+    /// layer is one 9-round batch on a mesh, so a one-key sort of n rows
+    /// takes at most 9·k·(k+1)/2 rounds.
     #[test]
     fn batcher_depth_is_at_most_the_triangle_of_log_n() {
         for n in 1..=1000usize {
@@ -1317,7 +1317,7 @@ mod tests {
     /// A mesh merges sorted runs with one merge network instead of
     /// re-sorting their concatenation. 16 rows: a (8, 8) odd-even merge is 25
     /// comparators in 4 layers, the Batcher sort 63 in 10. Every layer is one
-    /// batch, a 9-round comparison plus a 1-round multiplexer, and the open
+    /// batch, an 8-round comparison plus a 1-round multiplexer, and the open
     /// adds 1 reveal and 2 MAC-check rounds.
     #[test]
     fn mesh_merge_takes_fewer_rounds_than_sort() {
@@ -1328,13 +1328,13 @@ mod tests {
         let (sorted, sort_rounds) = on_both_engines(Block::Sort, &[cat], 21);
         assert_eq!(merged.rows, sorted.rows);
         assert!(merged.is_sorted_by("v", true));
-        assert_eq!(merge_rounds, 4 * 10 + 3);
-        assert_eq!(sort_rounds, 10 * 10 + 3);
+        assert_eq!(merge_rounds, 4 * 9 + 3);
+        assert_eq!(sort_rounds, 10 * 9 + 3);
     }
 
     /// A layer is one batch however wide it is: a (40, 40) merge (7 layers of
     /// up to 40 comparators) matches the cleartext sort of its rows on a
-    /// channel mesh and pays 10 × layers + 3 rounds.
+    /// channel mesh and pays 9 × layers + 3 rounds.
     #[test]
     fn mesh_merge_issues_one_batch_per_layer() {
         let run = |range: std::ops::Range<i64>| {
@@ -1348,7 +1348,7 @@ mod tests {
         let cat = execute(&Operator::Concat, &[&runs[0], &runs[1]]).unwrap();
         assert!(merged.same_rows_unordered(&cat));
         assert!(merged.is_sorted_by("v", true));
-        assert_eq!(rounds, 10 * 7 + 3);
+        assert_eq!(rounds, 9 * 7 + 3);
     }
 
     #[test]

@@ -93,9 +93,11 @@
 //! baselines and the silent-forgery regression pin.
 //!
 //! Comparisons are **not** simulated: `lt`/`eq` run the bit-decomposed
-//! comparison circuits of [`crate::circuits`] entirely on shares (9 rounds
-//! for a less-than batch — a carry tree that computes only each operand's
-//! sign bit — and 8 for an equality batch, independent of batch size). No operand, bit, or intermediate ever appears on the wire
+//! comparison circuits of [`crate::circuits`] entirely on shares (8 rounds
+//! for a less-than batch — a bit-sliced carry tree that computes only each
+//! operand's sign bit, its first AND level local on dealt products — and 7
+//! for an equality batch, independent of batch size). No operand, bit, or
+//! intermediate ever appears on the wire
 //! unmasked — `tests/wire_privacy.rs` pins this against a sniffing
 //! transport.
 //!

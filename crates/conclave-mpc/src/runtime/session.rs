@@ -5,7 +5,7 @@
 use super::step::{Round, StepCtx};
 use super::{PartyError, PartyResult};
 use crate::cost::PrimitiveCounts;
-use crate::dealer::{DealerSource, DealerStream, InputMask, MaterialBlocks, Request};
+use crate::dealer::{DealerSource, DealerStream, InputMask, MaterialBlocks, Request, SharedMask};
 use crate::ring::RingElem;
 use crate::share::AuthShare;
 use conclave_net::{MessageKind, NetStats, StreamTag, Transport};
@@ -352,9 +352,10 @@ impl<'n> PartySession<'n> {
         })
     }
 
-    /// Takes `n` dual-shared bit-decomposition masks (XOR-shared bits plus
-    /// an authenticated additive share of the same 64-bit value).
-    pub(super) fn take_shared_bits(&mut self, n: usize) -> PartyResult<Vec<(u64, AuthShare)>> {
+    /// Takes `n` dual-shared bit-decomposition masks (XOR-shared bits, an
+    /// authenticated additive share of the same 64-bit value, and the
+    /// XOR-shared products of its adjacent bits).
+    pub(super) fn take_shared_bits(&mut self, n: usize) -> PartyResult<Vec<SharedMask>> {
         self.take(n, SHARED_BITS_BLOCK, Request::SharedBits, |s| {
             &mut s.shared_bits
         })

@@ -5,6 +5,7 @@
 
 use super::{PartyError, PartyResult, PartySession};
 use crate::cost::PrimitiveCounts;
+use crate::dealer::SharedMask;
 use crate::engine::{CmpArg, Engine};
 use crate::relation::{check_shareable, shareable_int, Rel};
 use crate::ring::RingElem;
@@ -297,7 +298,7 @@ impl<'n> StepCtx<'_, 'n> {
     }
 
     /// Takes dual-shared bit-decomposition masks from the dealer cache.
-    pub(crate) fn take_shared_bits(&mut self, n: usize) -> PartyResult<Vec<(u64, AuthShare)>> {
+    pub(crate) fn take_shared_bits(&mut self, n: usize) -> PartyResult<Vec<SharedMask>> {
         self.sess.take_shared_bits(n)
     }
 
@@ -433,8 +434,8 @@ impl Engine for StepCtx<'_, '_> {
     }
 
     /// All groups flatten into a single circuit execution, so the whole set
-    /// costs the same 8 rounds as one `eq_batch` call, where a per-group
-    /// loop would pay 8 rounds per group.
+    /// costs the same 7 rounds as one `eq_batch` call, where a per-group
+    /// loop would pay 7 rounds per group.
     fn eq_batch_groups(
         &mut self,
         groups: &[Vec<(AuthShare, AuthShare)>],

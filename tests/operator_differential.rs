@@ -249,7 +249,8 @@ fn signed_boundaries_match_cleartext_on_all_engines() {
 
 /// A layer is one batch however wide it is: an 80-row sort (28 layers of up
 /// to 40 comparators) matches the cleartext oracle on a channel mesh and pays
-/// 10 × layers + 3 rounds.
+/// 9 × layers + 3 rounds: an 8-round comparison and a 1-round multiplexer per
+/// layer.
 #[test]
 fn mesh_networks_issue_one_batch_per_layer() {
     let rows: Vec<Vec<i64>> = (0..80)
@@ -265,7 +266,7 @@ fn mesh_networks_issue_one_batch_per_layer() {
     let expected = conclave_engine::execute(&sort, &[&rel]).unwrap();
     assert!(opened.same_rows_unordered(&expected));
     assert!(opened.is_sorted_by("v", true));
-    assert_eq!(summary.net.rounds, 10 * 28 + 3);
+    assert_eq!(summary.net.rounds, 9 * 28 + 3);
 }
 
 /// Where a k-output aggregation runs: the in-process `Protocol` engine or

@@ -7,11 +7,8 @@
 //! ```
 //!
 //! The output is the same series the paper plots (system, input size,
-//! runtime); EXPERIMENTS.md records a captured copy next to the paper's
-//! reported numbers.
-
-use bench::figures::{self, MicroOp};
-use bench::render_table;
+//! runtime); `tests/golden/reproduce.txt` holds a captured copy, which the
+//! bench crate's `reproduce_golden` test pins.
 
 fn main() {
     std::process::exit(run());
@@ -21,72 +18,21 @@ fn run() -> i32 {
     let mut status = 0;
     let args: Vec<String> = std::env::args().skip(1).collect();
     let selected: Vec<&str> = if args.is_empty() {
-        vec![
-            "fig1a",
-            "fig1b",
-            "fig1c",
-            "fig4",
-            "fig5a",
-            "fig5b",
-            "fig6",
-            "fig7a",
-            "fig7b",
-            "ablations",
-        ]
+        bench::EXPERIMENTS.to_vec()
     } else {
         args.iter().map(|s| s.as_str()).collect()
     };
 
     for name in selected {
-        match name {
-            "fig1a" => print_table(
-                "Figure 1a — single SUM aggregation (Spark vs Sharemind vs Obliv-C)",
-                &figures::fig1(MicroOp::Aggregate),
-            ),
-            "fig1b" => print_table(
-                "Figure 1b — single JOIN (Spark vs Sharemind vs Obliv-C)",
-                &figures::fig1(MicroOp::Join),
-            ),
-            "fig1c" => print_table(
-                "Figure 1c — single PROJECT (Spark vs Sharemind vs Obliv-C)",
-                &figures::fig1(MicroOp::Project),
-            ),
-            "fig4" => print_table(
-                "Figure 4 — market concentration query (HHI) end to end",
-                &figures::fig4(),
-            ),
-            "fig5a" => print_table(
-                "Figure 5a — hybrid join vs MPC join vs public join",
-                &figures::fig5a(),
-            ),
-            "fig5b" => print_table(
-                "Figure 5b — hybrid aggregation vs MPC aggregation",
-                &figures::fig5b(),
-            ),
-            "fig6" => print_table("Figure 6 — credit-card regulation query", &figures::fig6()),
-            "fig7a" => print_table(
-                "Figure 7a — aspirin count: Conclave vs SMCQL",
-                &figures::fig7a(),
-            ),
-            "fig7b" => print_table(
-                "Figure 7b — comorbidity: Conclave vs SMCQL",
-                &figures::fig7b(),
-            ),
-            "ablations" => print_table(
-                "Ablations — market query (1 M records) under each optimization toggle",
-                &figures::ablations(1_000_000),
-            ),
-            other => {
+        match bench::render_experiment(name) {
+            Some(table) => println!("{table}"),
+            None => {
                 // Keep running the remaining requested figures; report the
                 // failure via the exit code at the end.
-                eprintln!("unknown experiment `{other}` (expected fig1a..fig7b, ablations)");
+                eprintln!("unknown experiment `{name}` (expected fig1a..fig7b, ablations)");
                 status = 2;
             }
         }
     }
     status
-}
-
-fn print_table(title: &str, points: &[bench::DataPoint]) {
-    println!("{}", render_table(title, points));
 }

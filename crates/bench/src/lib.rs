@@ -68,6 +68,68 @@ pub fn render_table(title: &str, points: &[DataPoint]) -> String {
     out
 }
 
+/// Every experiment the `reproduce` binary knows, in the order it prints
+/// them when given none.
+pub const EXPERIMENTS: [&str; 10] = [
+    "fig1a",
+    "fig1b",
+    "fig1c",
+    "fig4",
+    "fig5a",
+    "fig5b",
+    "fig6",
+    "fig7a",
+    "fig7b",
+    "ablations",
+];
+
+/// The text table of experiment `name` (one of [`EXPERIMENTS`]), as the
+/// `reproduce` binary prints it, or `None` for a name it does not know.
+pub fn render_experiment(name: &str) -> Option<String> {
+    use figures::MicroOp;
+    let (title, points) = match name {
+        "fig1a" => (
+            "Figure 1a — single SUM aggregation (Spark vs Sharemind vs Obliv-C)",
+            figures::fig1(MicroOp::Aggregate),
+        ),
+        "fig1b" => (
+            "Figure 1b — single JOIN (Spark vs Sharemind vs Obliv-C)",
+            figures::fig1(MicroOp::Join),
+        ),
+        "fig1c" => (
+            "Figure 1c — single PROJECT (Spark vs Sharemind vs Obliv-C)",
+            figures::fig1(MicroOp::Project),
+        ),
+        "fig4" => (
+            "Figure 4 — market concentration query (HHI) end to end",
+            figures::fig4(),
+        ),
+        "fig5a" => (
+            "Figure 5a — hybrid join vs MPC join vs public join",
+            figures::fig5a(),
+        ),
+        "fig5b" => (
+            "Figure 5b — hybrid aggregation vs MPC aggregation",
+            figures::fig5b(),
+        ),
+        "fig6" => ("Figure 6 — credit-card regulation query", figures::fig6()),
+        "fig7a" => (
+            "Figure 7a — aspirin count: Conclave vs SMCQL",
+            figures::fig7a(),
+        ),
+        "fig7b" => (
+            "Figure 7b — comorbidity: Conclave vs SMCQL",
+            figures::fig7b(),
+        ),
+        "ablations" => (
+            "Ablations — market query (1 M records) under each optimization toggle",
+            figures::ablations(1_000_000),
+        ),
+        _ => return None,
+    };
+    Some(render_table(title, &points))
+}
+
 /// Runs one secret-sharing operator for real at small scale: a one-step
 /// query on the in-process party runtime (`PartyRuntime::Simulated`), its
 /// inputs shared and its result opened.

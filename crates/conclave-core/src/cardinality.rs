@@ -202,11 +202,12 @@ impl CardinalityEstimator {
                 ExecSite::Undecided => {}
             }
 
-            // Data crossing the MPC frontier pays sharing / opening costs.
+            // Data crossing the MPC frontier pays sharing / opening costs. A
+            // hybrid protocol shares its inputs itself, as its price says.
             for (idx, &input) in node.inputs.iter().enumerate() {
                 let parent = plan.dag.node(input)?;
                 let cols = parent.schema.len() as u64;
-                if node.site.is_mpc() && parent.site.is_cleartext() {
+                if node.site.is_mpc() && parent.site.is_cleartext() && !node.op.is_hybrid() {
                     let stats = self.mpc.estimate_input(in_rows[idx], cols);
                     est.modeled.charge_mpc(&stats);
                 } else if node.site.is_cleartext() && parent.site.is_mpc() {

@@ -42,7 +42,6 @@ use conclave_ir::error::IrError;
 use conclave_ir::ops::{ExecSite, Operator};
 use conclave_ir::party::PartyId;
 use conclave_mpc::backend::{MpcEngine, MpcError};
-use conclave_mpc::cost::DIVIDE_COMPARISONS_PER_ROW;
 use conclave_parallel::ParallelEngine;
 use std::collections::HashMap;
 use std::fmt;
@@ -573,20 +572,19 @@ impl Driver {
     ) -> Result<(Table, conclave_mpc::backend::MpcStepStats), DriverError> {
         // Division under MPC: Sharemind supports fixed-point division, but our
         // secret-sharing layer stays integer-only. The result is computed by
-        // the simulator while the cost of an oblivious division protocol is
+        // the simulator while the price list's oblivious division is
         // charged, so the "whole query under MPC" baselines of Figures 4 and 6
         // remain runnable. This holds under every party runtime.
         if matches!(op, Operator::Divide { .. }) && self.mpc.config().kind.is_secret_sharing() {
-            let rows: Vec<&Relation> = inputs.iter().map(|t| t.as_rows()).collect();
-            let rel = execute(op, &rows).map_err(DriverError::Engine)?;
-            let n: u64 = inputs.iter().map(|t| t.num_rows() as u64).sum();
-            let counts = conclave_mpc::cost::PrimitiveCounts {
-                comparisons: DIVIDE_COMPARISONS_PER_ROW * n,
-                input_elems: n,
-                opened_elems: rel.num_rows() as u64,
-                ..Default::default()
-            };
-            let stats = self.mpc.stats_from_counts(counts, n, rel.num_rows() as u64);
+            let relations: Vec<&Relation> = inputs.iter().map(|t| t.as_rows()).collect();
+            let rel = execute(op, &relations).map_err(DriverError::Engine)?;
+            let (rows, cols): (Vec<u64>, Vec<u64>) = inputs
+                .iter()
+                .map(|t| (t.num_rows() as u64, t.schema().len() as u64))
+                .unzip();
+            let stats = self
+                .mpc
+                .estimate_op(op, &rows, &cols, rel.num_rows() as u64)?;
             return Ok((Table::from_rows(rel), stats));
         }
         let (rel, stats) = self.mpc.execute_op_tables(op, inputs)?;

@@ -669,6 +669,101 @@ mod tests {
         );
     }
 
+    /// The price list is what the hybrids run: `estimate_op`'s `HybridJoin`
+    /// arm and the k-lane `estimate_hybrid_aggregate` equal the executed
+    /// counts field by field, but for the result's open, which is priced
+    /// where it crosses the frontier.
+    #[test]
+    fn hybrid_estimates_equal_executed_counts() {
+        let table = |rows: i64, cols: &[&str]| {
+            let data: Vec<Vec<i64>> = (0..rows)
+                .map(|i| {
+                    (0..cols.len() as i64)
+                        .map(|c| (i * (c + 3)) % (c + 2))
+                        .collect()
+                })
+                .collect();
+            Table::from_rows(Relation::from_ints(cols, &data))
+        };
+        let without_result = |ran: PrimitiveCounts, result: &Table| PrimitiveCounts {
+            opened_elems: ran.opened_elems - (result.num_rows() * result.schema().len()) as u64,
+            ..ran
+        };
+        let keys = ["k".to_string(), "j".to_string()];
+        for (l, r) in [(0, 3), (1, 1), (5, 5), (12, 7), (40, 9)] {
+            let (left, right) = (table(l, &["k", "j", "a"]), table(r, &["k", "j", "b", "c"]));
+            for width in 1..=2 {
+                let keys = &keys[..width];
+                let ran = hybrid_join(
+                    &mut engine(),
+                    &ColumnarExecutor::new(),
+                    &left,
+                    &right,
+                    keys,
+                    keys,
+                    1,
+                )
+                .unwrap();
+                let op = Operator::HybridJoin {
+                    left_keys: keys.to_vec(),
+                    right_keys: keys.to_vec(),
+                    stp: 1,
+                };
+                let out = ran.result.num_rows() as u64;
+                let priced = engine()
+                    .estimate_op(&op, &[l as u64, r as u64], &[3, 4], out)
+                    .unwrap();
+                assert_eq!(
+                    priced.counts,
+                    without_result(ran.mpc_stats.counts, &ran.result),
+                    "{l} × {r} rows on {width} keys"
+                );
+            }
+        }
+        let lane = |func, over| AggLane {
+            func,
+            over,
+            out: "x",
+        };
+        let lane_sets = [
+            vec![lane(AggFunc::Sum, Some("v"))],
+            vec![lane(AggFunc::Count, None)],
+            vec![lane(AggFunc::Min, Some("v")), lane(AggFunc::Max, Some("w"))],
+            vec![
+                lane(AggFunc::Count, None),
+                lane(AggFunc::Sum, Some("w")),
+                lane(AggFunc::Max, Some("v")),
+                lane(AggFunc::Min, Some("k")),
+            ],
+        ];
+        for rows in [0, 1, 2, 7, 40] {
+            let input = table(rows, &["k", "j", "v", "w"]);
+            for width in 1..=2 {
+                let group_by = &keys[..width];
+                for lanes in &lane_sets {
+                    let ran = hybrid_aggregate_lanes(
+                        &mut engine(),
+                        &ColumnarExecutor::new(),
+                        &input,
+                        group_by,
+                        lanes,
+                        1,
+                    )
+                    .unwrap();
+                    let out = ran.result.num_rows() as u64;
+                    let priced =
+                        engine().estimate_hybrid_aggregate(group_by, lanes, rows as u64, out);
+                    assert_eq!(
+                        priced.counts,
+                        without_result(ran.mpc_stats.counts, &ran.result),
+                        "{rows} rows on {width} keys, {} lanes",
+                        lanes.len()
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn hybrid_aggregate_groups_by_every_key() {
         let rows: Vec<Vec<i64>> = (0..12).map(|i| vec![i % 3, (i * 7) % 2, i]).collect();

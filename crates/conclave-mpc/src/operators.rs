@@ -10,7 +10,9 @@
 //! directly. Every body is generic: the in-process
 //! [`crate::protocol::Protocol`] and the per-party
 //! [`crate::runtime::StepCtx`] run the same code, so they charge the same
-//! primitive counts, open the same values and leak the same sizes.
+//! primitive counts, open the same values and leak the same sizes. Beside
+//! each body sits the closed form of what it charges ([`counts`] for the
+//! dispatcher), which the price list reads at any scale.
 //!
 //! Non-linear work is issued in batches (one `eq_batch_groups` for all key
 //! columns of a join or aggregation, one `mul_batch` per extra factor of a
@@ -162,6 +164,33 @@ fn batcher_layers(n: usize) -> Vec<Layer> {
     layers
 }
 
+/// The comparators and non-empty layers of [`batcher_layers`]`(n)`, in
+/// closed form, one term per `(p, k)` step. Step `(p, k)` compares `a` with
+/// `a + k` for every `a < n − k` that lies, within its block of `2p`, in the
+/// first half (`k = p`) or in an odd block of `k` other than the last
+/// (`k < p`).
+fn batcher_shape(n: u64) -> (u64, u64) {
+    let (mut comparators, mut layers) = (0, 0);
+    let mut p = 1;
+    while p < n {
+        let mut k = p;
+        while k >= 1 {
+            let (whole, rest) = ((n - k) / (2 * p), (n - k) % (2 * p));
+            let step = if k == p {
+                whole * p + rest.min(p)
+            } else {
+                let rest = rest.min(2 * p - k);
+                whole * (p - k) + rest / (2 * k) * k + (rest % (2 * k)).saturating_sub(k)
+            };
+            comparators += step;
+            layers += u64::from(step > 0);
+            k /= 2;
+        }
+        p *= 2;
+    }
+    (comparators, layers)
+}
+
 /// Runs a comparator network over `rows` in place, ordering by `keys`
 /// lexicographically: each layer is one compare-exchange batch.
 fn run_network<E: Engine>(
@@ -205,6 +234,20 @@ fn sort_by_keys<E: Engine>(
         schema: rel.schema.clone(),
         rows,
     })
+}
+
+/// What [`sort_by_keys`] charges for `rows` rows of `cols` columns and `keys`
+/// keys: per comparator, a comparison per key, an equality and a fold
+/// multiplication per key but the last, and two multiplexers per column.
+fn sort_by_keys_counts(rows: u64, cols: u64, keys: u64) -> PrimitiveCounts {
+    let comparators = batcher_shape(rows).0;
+    let ties = comparators * keys.saturating_sub(1);
+    PrimitiveCounts {
+        comparisons: comparators * keys,
+        equalities: ties,
+        mults: ties + 2 * comparators * cols,
+        ..Default::default()
+    }
 }
 
 /// Lays the network `other` beside `layers`: the two touch disjoint
@@ -318,12 +361,11 @@ pub fn oblivious_select<E: Engine>(
     index_column: &str,
 ) -> EngineResult<E, Rel<E::Share>> {
     let idx_col = indexes.require(index_column)?;
-    let total = (data.num_rows() as u64 + indexes.num_rows() as u64).max(2);
-    let log = 64 - total.leading_zeros() as u64;
-    eng.charge(&PrimitiveCounts {
-        mults: total * log * data.num_cols() as u64,
-        ..Default::default()
-    });
+    eng.charge(&oblivious_select_charge(
+        data.num_rows() as u64,
+        data.num_cols() as u64,
+        indexes.num_rows() as u64,
+    ));
     let rows = eng
         .open_column(&indexes.column(idx_col))?
         .into_iter()
@@ -341,6 +383,16 @@ pub fn oblivious_select<E: Engine>(
     })
 }
 
+/// The charge [`oblivious_select`] makes for picking `indexes` rows out of
+/// `data` rows of `cols` columns, besides opening the index column.
+pub(crate) fn oblivious_select_charge(data: u64, cols: u64, indexes: u64) -> PrimitiveCounts {
+    let total = (data + indexes).max(2);
+    PrimitiveCounts {
+        mults: total * u64::from(64 - total.leading_zeros()) * cols,
+        ..Default::default()
+    }
+}
+
 /// AND-folds per-column equality flags into one flag per row pair: all
 /// columns' equality tests run as one coalesced batch, then one batched
 /// multiplication per extra column.
@@ -355,6 +407,15 @@ fn all_equal<E: Engine>(
         all = eng.mul_batch(&products)?;
     }
     Ok(all)
+}
+
+/// What [`all_equal`] charges for `pairs` row pairs over `cols` columns.
+fn all_equal_counts(pairs: u64, cols: u64) -> PrimitiveCounts {
+    PrimitiveCounts {
+        equalities: pairs * cols,
+        mults: pairs * cols.saturating_sub(1),
+        ..Default::default()
+    }
 }
 
 /// Obliviously shuffles `flagged` (as [`shuffle`] does), opens its trailing
@@ -383,6 +444,16 @@ fn shuffle_keep_flagged<E: Engine>(
         })
         .collect();
     Ok(Rel { schema, rows: kept })
+}
+
+/// What [`shuffle_keep_flagged`] charges for `rows` rows of `cols` columns
+/// besides the flag.
+fn shuffle_keep_flagged_counts(rows: u64, cols: u64) -> PrimitiveCounts {
+    PrimitiveCounts {
+        shuffled_elems: rows * (cols + 1),
+        opened_elems: rows,
+        ..Default::default()
+    }
 }
 
 /// Standard MPC join: a Cartesian-product comparison of all row pairs
@@ -675,9 +746,36 @@ pub fn aggregate_sorted_lanes<E: Engine>(
     shuffle_keep_flagged(eng, flagged, schema)
 }
 
+/// What [`aggregate_sorted_lanes`] charges for `rows` rows grouped by `keys`
+/// columns: per adjacent pair a comparison and a multiplexer per MIN/MAX
+/// lane and, grouped, the key equalities and a carry per lane, then the
+/// candidates' shuffle and flag reveal.
+pub(crate) fn aggregate_sorted_lanes_counts(
+    rows: u64,
+    keys: u64,
+    lanes: &[AggLane],
+) -> PrimitiveCounts {
+    let selecting = lanes.iter().filter(|lane| lane.selects()).count() as u64;
+    let (pairs, k) = (rows.saturating_sub(1), lanes.len() as u64);
+    let select = PrimitiveCounts {
+        comparisons: pairs * selecting,
+        mults: pairs * selecting,
+        ..Default::default()
+    };
+    if keys == 0 || rows == 0 {
+        return select;
+    }
+    let carry = PrimitiveCounts {
+        mults: pairs * (selecting + k),
+        ..select
+    };
+    carry + all_equal_counts(pairs, keys) + shuffle_keep_flagged_counts(rows, keys + k)
+}
+
 /// Evaluates a (restricted) predicate over every row at once, producing a
 /// shared 0/1 flag per row: comparisons between columns and integer literals
-/// and boolean combinations thereof. Each expression node is one batch.
+/// and boolean combinations thereof, the forms [`predicate_counts`] admits.
+/// Each expression node is one batch.
 fn eval_predicate<E: Engine>(
     eng: &mut E,
     rel: &Rel<E::Share>,
@@ -725,35 +823,82 @@ fn eval_predicate<E: Engine>(
                     _ => raw,
                 })
             }
-            _ => Err(OpError::Unsupported(format!(
-                "arithmetic operator {op} in an MPC filter predicate"
-            ))
-            .into()),
+            _ => unreachable!("`filter` refuses arithmetic up front"),
         },
         Expr::Not(inner) => {
             let bits = eval_predicate(eng, rel, inner)?;
             Ok(negate(eng, bits))
         }
-        other => Err(OpError::Unsupported(format!("predicate form `{other}` under MPC")).into()),
+        _ => unreachable!("`filter` refuses other forms up front"),
     }
 }
 
 /// One comparison operand per row: a column's shares or a public literal.
 fn eval_operand<S: Copy>(rel: &Rel<S>, expr: &Expr) -> Result<Vec<CmpArg<S>>, OpError> {
+    if let Expr::Col(name) = expr {
+        let idx = rel.require(name)?;
+        return Ok(rel
+            .rows
+            .iter()
+            .map(|row| CmpArg::Shared(row[idx]))
+            .collect());
+    }
+    Ok(vec![CmpArg::Public(public_operand(expr)?); rel.num_rows()])
+}
+
+/// A comparison operand other than a column: an integer literal.
+fn public_operand(expr: &Expr) -> Result<i64, OpError> {
     match expr {
-        Expr::Col(name) => {
-            let idx = rel.require(name)?;
-            Ok(rel
-                .rows
-                .iter()
-                .map(|row| CmpArg::Shared(row[idx]))
-                .collect())
-        }
-        Expr::Const(v) => Ok(vec![CmpArg::Public(literal(v)?); rel.num_rows()]),
+        Expr::Const(v) => literal(v),
         other => Err(OpError::Unsupported(format!(
             "operand form `{other}` under MPC"
         ))),
     }
+}
+
+/// What [`eval_predicate`] charges over `rows` rows — a batch of `rows` per
+/// comparison, equality test, AND and OR — or why MPC refuses the predicate.
+fn predicate_counts(expr: &Expr, rows: u64) -> Result<PrimitiveCounts, OpError> {
+    Ok(match expr {
+        Expr::Bin {
+            op: BinOp::And | BinOp::Or,
+            left,
+            right,
+        } => {
+            let both = predicate_counts(left, rows)? + predicate_counts(right, rows)?;
+            PrimitiveCounts {
+                mults: both.mults + rows,
+                ..both
+            }
+        }
+        Expr::Bin { op, left, right } if op.is_predicate() => {
+            for side in [left, right] {
+                if !matches!(**side, Expr::Col(_)) {
+                    public_operand(side)?;
+                }
+            }
+            let (equalities, comparisons) = match op {
+                BinOp::Eq | BinOp::Ne => (rows, 0),
+                _ => (0, rows),
+            };
+            PrimitiveCounts {
+                equalities,
+                comparisons,
+                ..Default::default()
+            }
+        }
+        Expr::Bin { op, .. } => {
+            return Err(OpError::Unsupported(format!(
+                "arithmetic operator {op} in an MPC filter predicate"
+            )))
+        }
+        Expr::Not(inner) => predicate_counts(inner, rows)?,
+        other => {
+            return Err(OpError::Unsupported(format!(
+                "predicate form `{other}` under MPC"
+            )))
+        }
+    })
 }
 
 /// Oblivious filter: computes the predicate flag per row, shuffles, reveals
@@ -764,7 +909,8 @@ pub fn filter<E: Engine>(
     rel: &Rel<E::Share>,
     predicate: &Expr,
 ) -> EngineResult<E, Rel<E::Share>> {
-    // On an empty input this still validates the predicate's shape.
+    // Refuses what MPC cannot evaluate, even on an empty input.
+    predicate_counts(predicate, 0)?;
     let flags = eval_predicate(eng, rel, predicate)?;
     if rel.num_rows() == 0 {
         return Ok(rel.clone());
@@ -862,35 +1008,53 @@ fn distinct_sorted<E: Engine>(eng: &mut E, rel: &Rel<E::Share>) -> EngineResult<
     })
 }
 
+/// Refuses `op` over `inputs` inputs if [`execute_op`] cannot run it: an
+/// operator with no secret-shared body here, a wrong number of inputs, or a
+/// distinct over no columns.
+fn admit(op: &Operator, inputs: usize) -> Result<(), OpError> {
+    let arity = match op {
+        Operator::Join { .. } => 2,
+        Operator::Concat => inputs,
+        Operator::Divide { .. } => {
+            return Err(OpError::Unsupported(
+                "division under MPC; Conclave pushes divisions out of the MPC frontier".into(),
+            ))
+        }
+        Operator::Input { .. } => return Err(OpError::Unsupported("input binding".into())),
+        Operator::HybridJoin { .. }
+        | Operator::PublicJoin { .. }
+        | Operator::HybridAggregate { .. } => {
+            return Err(OpError::Unsupported(format!(
+                "{} is a multi-site protocol orchestrated by the driver",
+                op.name()
+            )))
+        }
+        _ => 1,
+    };
+    if inputs != arity {
+        return Err(OpError::Invalid(format!(
+            "{} expects {arity} inputs, got {inputs}",
+            op.name()
+        )));
+    }
+    if matches!(op, Operator::Distinct { columns } if columns.is_empty()) {
+        return Err(OpError::Invalid("distinct needs columns".into()));
+    }
+    Ok(())
+}
+
 /// Executes one relational operator over already-shared relations — the one
 /// execution dispatcher of the crate, whichever engine runs it. `presorted`
 /// skips the oblivious sort in front of a grouped aggregation whose input is
 /// already sorted by its group-by keys (the §5.4 sort-elimination pay-off).
+/// [`counts`] is what it charges.
 pub fn execute_op<E: Engine>(
     eng: &mut E,
     op: &Operator,
     inputs: &[&Rel<E::Share>],
     presorted: bool,
 ) -> EngineResult<E, Rel<E::Share>> {
-    let arity = match op {
-        Operator::Join { .. } => 2,
-        // Variadic, or rejected below whatever it is given.
-        Operator::Concat
-        | Operator::Divide { .. }
-        | Operator::Input { .. }
-        | Operator::HybridJoin { .. }
-        | Operator::PublicJoin { .. }
-        | Operator::HybridAggregate { .. } => inputs.len(),
-        _ => 1,
-    };
-    if inputs.len() != arity {
-        return Err(OpError::Invalid(format!(
-            "{} expects {arity} inputs, got {}",
-            op.name(),
-            inputs.len()
-        ))
-        .into());
-    }
+    admit(op, inputs.len())?;
     match op {
         Operator::Project { columns } => Ok(inputs[0].project(columns)?),
         Operator::Concat => Ok(Rel::concat(inputs)?),
@@ -931,9 +1095,6 @@ pub fn execute_op<E: Engine>(
             Ok(rel)
         }
         Operator::Distinct { columns } => {
-            if columns.is_empty() {
-                return Err(OpError::Invalid("distinct needs columns".into()).into());
-            }
             // Sorting by every column makes equal rows adjacent.
             let proj = inputs[0].project(columns)?;
             let all: Vec<usize> = (0..proj.num_cols()).collect();
@@ -950,19 +1111,81 @@ pub fn execute_op<E: Engine>(
             })
         }
         Operator::Collect { .. } => Ok(inputs[0].clone()),
-        Operator::Divide { .. } => Err(OpError::Unsupported(
-            "division under MPC; Conclave pushes divisions out of the MPC frontier".into(),
-        )
-        .into()),
-        Operator::Input { .. } => Err(OpError::Unsupported("input binding".into()).into()),
-        Operator::HybridJoin { .. }
+        Operator::Divide { .. }
+        | Operator::Input { .. }
+        | Operator::HybridJoin { .. }
         | Operator::PublicJoin { .. }
-        | Operator::HybridAggregate { .. } => Err(OpError::Unsupported(format!(
-            "{} is a multi-site protocol orchestrated by the driver",
-            op.name()
-        ))
-        .into()),
+        | Operator::HybridAggregate { .. } => unreachable!("refused by `admit`"),
     }
+}
+
+/// The primitive counts [`execute_op`] charges for `op` over inputs of
+/// `input_rows` rows and `input_cols` columns, in closed form — what the
+/// price list ([`crate::backend::MpcEngine::estimate_op`]) charges for it at
+/// any scale. It refuses what [`execute_op`] refuses.
+pub fn counts(
+    op: &Operator,
+    input_rows: &[u64],
+    input_cols: &[u64],
+    presorted: bool,
+) -> Result<PrimitiveCounts, OpError> {
+    admit(op, input_rows.len())?;
+    let rows = input_rows.first().copied().unwrap_or(0);
+    let cols = input_cols.first().copied().unwrap_or(0);
+    let sort = |cols, keys| sort_by_keys_counts(rows, cols, keys);
+    // `distinct_sorted`: the adjacent all-column equalities, every flag opened.
+    let distinct = |cols| PrimitiveCounts {
+        opened_elems: rows,
+        ..all_equal_counts(rows.saturating_sub(1), cols)
+    };
+    Ok(match op {
+        Operator::Filter { predicate } => {
+            predicate_counts(predicate, rows)? + shuffle_keep_flagged_counts(rows, cols)
+        }
+        Operator::Join { left_keys, .. } => {
+            let pairs = rows * input_rows[1];
+            PrimitiveCounts {
+                opened_elems: pairs,
+                ..all_equal_counts(pairs, left_keys.len() as u64)
+            }
+        }
+        Operator::Aggregate { group_by, .. } => {
+            let keys = group_by.len() as u64;
+            let lane = AggLane::of(op).expect("an aggregation has one lane");
+            let scan = aggregate_sorted_lanes_counts(rows, keys, &[lane]);
+            if keys == 0 || presorted {
+                scan
+            } else {
+                sort(cols, keys) + scan
+            }
+        }
+        Operator::Multiply { operands, .. } => {
+            let factors = operands
+                .iter()
+                .skip(1)
+                .filter(|o| matches!(o, Operand::Col(_)));
+            PrimitiveCounts {
+                mults: rows * factors.count() as u64,
+                ..Default::default()
+            }
+        }
+        Operator::SortBy { .. } => sort(cols, 1),
+        Operator::Distinct { columns } => {
+            let width = columns.len() as u64;
+            sort(width, width) + distinct(width)
+        }
+        Operator::DistinctCount { .. } => sort(1, 1) + distinct(1),
+        Operator::Project { .. }
+        | Operator::Concat
+        | Operator::Limit { .. }
+        | Operator::Enumerate { .. }
+        | Operator::Collect { .. } => PrimitiveCounts::default(),
+        Operator::Divide { .. }
+        | Operator::Input { .. }
+        | Operator::HybridJoin { .. }
+        | Operator::PublicJoin { .. }
+        | Operator::HybridAggregate { .. } => unreachable!("refused by `admit`"),
+    })
 }
 
 #[cfg(test)]
@@ -1065,13 +1288,23 @@ mod tests {
 
     /// Batcher's depth bound: k·(k+1)/2 layers at most for k = ⌈log₂n⌉. A
     /// layer is one 9-round batch on a mesh, so a one-key sort of n rows
-    /// takes at most 9·k·(k+1)/2 rounds.
+    /// takes at most 9·k·(k+1)/2 rounds. The closed form the price list
+    /// counts with is the generator's shape, comparators and layers.
     #[test]
     fn batcher_depth_is_at_most_the_triangle_of_log_n() {
-        for n in 1..=1000usize {
+        for n in 0..=1024usize {
+            let layers = batcher_layers(n);
             let log = n.next_power_of_two().trailing_zeros() as usize;
-            assert!(batcher_layers(n).len() <= log * (log + 1) / 2, "n={n}");
+            assert!(layers.len() <= log * (log + 1) / 2, "n={n}");
+            let (comparators, depth) = shape(&layers);
+            assert_eq!(
+                batcher_shape(n as u64),
+                (comparators as u64, depth as u64),
+                "n={n}"
+            );
         }
+        // At paper scale: 16 000 rows, where n·log²n/4 would say 784 000.
+        assert_eq!(batcher_shape(16_000), (744_321, 105));
     }
 
     /// The 0–1 principle: a comparator network that merges every pair of

@@ -606,4 +606,39 @@ mod tests {
         assert!(get("no aggregation split") <= get("MPC only"));
         assert!(get("all optimizations") < get("MPC only") / 10.0);
     }
+
+    /// Figure 5a's public join, priced and run on 2 × 30 rows that match one
+    /// to one (the figure's join selectivity): the helper joins in the clear
+    /// and the run opens nothing, so the estimate charges no open for the
+    /// result either, and the two MPC times are equal.
+    #[test]
+    fn a_public_join_is_priced_as_it_runs() {
+        use conclave_core::driver::Driver;
+        use conclave_engine::{Relation, Table};
+        let config = ConclaveConfig::standard();
+        let plan = compile(&queries::single_join(false, true), &config).expect("compiles");
+        let side = |col: &str| {
+            let rows: Vec<Vec<i64>> = (0..30).map(|i| vec![i, 3 * i]).collect();
+            Table::from_rows(Relation::from_ints(&["key", col], &rows))
+        };
+        let tables: HashMap<String, Table> = [
+            ("left".to_string(), side("value")),
+            ("right".to_string(), side("weight")),
+        ]
+        .into();
+        let ran = Driver::new(config.clone())
+            .run_tables(&plan, &tables)
+            .expect("runs");
+        assert_eq!(ran.output_for(1).expect("p1's output").num_rows(), 30);
+        let stats = WorkloadStats {
+            join_selectivity: 1.0,
+            ..Default::default()
+        };
+        let rows: HashMap<String, u64> =
+            [("left".to_string(), 30), ("right".to_string(), 30)].into();
+        let priced = CardinalityEstimator::new(config, stats)
+            .estimate(&plan, &rows)
+            .expect("estimate");
+        assert_eq!(priced.modeled.mpc_time, ran.modeled.mpc_time);
+    }
 }

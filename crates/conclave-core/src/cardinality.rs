@@ -203,14 +203,19 @@ impl CardinalityEstimator {
             }
 
             // Data crossing the MPC frontier pays sharing / opening costs. A
-            // hybrid protocol shares its inputs itself, as its price says.
+            // hybrid protocol shares its inputs itself, as its price says,
+            // and a public join's helper computes its result in the clear,
+            // so nothing is opened when a cleartext node reads it.
             for (idx, &input) in node.inputs.iter().enumerate() {
                 let parent = plan.dag.node(input)?;
                 let cols = parent.schema.len() as u64;
                 if node.site.is_mpc() && parent.site.is_cleartext() && !node.op.is_hybrid() {
                     let stats = self.mpc.estimate_input(in_rows[idx], cols);
                     est.modeled.charge_mpc(&stats);
-                } else if node.site.is_cleartext() && parent.site.is_mpc() {
+                } else if node.site.is_cleartext()
+                    && parent.site.is_mpc()
+                    && !matches!(parent.op, Operator::PublicJoin { .. })
+                {
                     let stats = self.mpc.estimate_open(in_rows[idx], cols);
                     est.modeled.charge_mpc(&stats);
                 }

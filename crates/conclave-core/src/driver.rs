@@ -323,7 +323,7 @@ impl Driver {
                 if let Some(&s) = mpc_steps.get(&i) {
                     if let std::collections::hash_map::Entry::Vacant(e) = results.entry(i) {
                         let rt = mesh_rt.as_mut().expect("enqueued steps imply a runtime");
-                        let table = Table::from_rows(rt.wait_opened(s)?);
+                        let table = Table::from_columns(rt.wait_opened(s)?);
                         tracked.push((table.clone(), table.conversion_counts()));
                         e.insert(table);
                     }
@@ -842,12 +842,14 @@ mod tests {
         assert_eq!(fused.per_node, expected.per_node);
         assert_eq!(fused.leakage, expected.leakage);
         assert_eq!(fused.conversions, expected.conversions);
+        // One row → column conversion per bound input; the MPC result opens
+        // as columns, and the `collect` hands it to p1 as rows.
         assert_eq!(
             (
                 fused.conversions.row_to_columnar,
                 fused.conversions.columnar_to_row
             ),
-            (3, 0)
+            (3, 1)
         );
         // Each local node is priced as it was when every node ran alone:
         // replay the local nodes one at a time through the driver's own
@@ -1215,6 +1217,16 @@ mod tests {
                 ConclaveConfig::mpc_only(),
                 true,
             ),
+            // The hybrids run in process on every runtime; on a mesh their
+            // MPC input (the banks' `concat`) is a step of the pipeline
+            // whose reveal they read as columns.
+            (
+                "credit, standard (hybrids)",
+                credit_query(),
+                credit_inputs(),
+                ConclaveConfig::standard(),
+                false,
+            ),
         ] {
             let config = config.with_sequential_local();
             let plan = compile(&query, &config).unwrap();
@@ -1222,6 +1234,8 @@ mod tests {
                 matches!(n.op, Operator::Divide { .. }) && n.site.is_mpc()
             };
             assert_eq!(plan.dag.iter().any(mpc_divide), divides, "{case}");
+            let hybrids = plan.hybrid_node_count() > 0;
+            assert_eq!(hybrids, case.contains("hybrids"), "{case}");
             let run = |runtime| {
                 Driver::new(config.clone().with_party_runtime(runtime))
                     .run_tables(&plan, &inputs)
@@ -1257,9 +1271,9 @@ mod tests {
                 );
                 assert!(report.net.total_bytes() > 0);
                 assert!(report.net.rounds > 0);
-                // Every step but the `Divide` substitute ran on the mesh:
-                // nothing else is modeled as bytes.
-                if !divides {
+                // Every step but the `Divide` substitute and the hybrids ran
+                // on the mesh: nothing else is modeled as bytes.
+                if !divides && !hybrids {
                     assert_eq!(report.modeled.bytes, 0, "{case}: {runtime:?}");
                 }
                 let shown = report.to_string();

@@ -10,8 +10,13 @@
 //! relation — the revealed join and group-by keys and both results — yields
 //! integer columns ([`SharedRelation::open`]), so the STP never boxes a value
 //! per row; its intermediates stay in the executor's native representation,
-//! and secret-sharing picks the column-at-a-time path whenever a table's
-//! columns are already materialized. The returned statistics separate
+//! and every table is secret-shared from its integer columns (a row-only
+//! table converts once, and its clones share the conversion). A relation
+//! the driver hands in — on a party mesh, the reveal of an MPC step arrives
+//! as integer columns — is shared column at a time. Inside a protocol the
+//! shares move: each shuffle takes its relation by value
+//! ([`operators::shuffle`]), and the join's combine moves each left row and
+//! appends the right row's non-key cells. The returned statistics separate
 //! MPC time from STP cleartext time so the driver can account them like the
 //! paper's deployment would (the STP works while the other parties wait).
 //!
@@ -109,8 +114,8 @@ pub fn hybrid_join(
     // tables are column-backed).
     let left_shared = engine.share_table(left)?;
     let right_shared = engine.share_table(right)?;
-    let left_shuffled = oblivious::shuffle(&left_shared, engine.protocol());
-    let right_shuffled = oblivious::shuffle(&right_shared, engine.protocol());
+    let left_shuffled = operators::shuffle(engine.protocol(), left_shared);
+    let right_shuffled = operators::shuffle(engine.protocol(), right_shared);
 
     // 2. Project the key columns and reveal them to the STP.
     let left_keys_clear =
@@ -183,18 +188,23 @@ pub fn hybrid_join(
         .iter()
         .filter_map(|k| right_rows.col_index(k))
         .collect();
-    let mut rows = Vec::with_capacity(left_rows.num_rows());
-    for (lrow, rrow) in left_rows.rows.iter().zip(&right_rows.rows) {
-        let mut row = lrow.clone();
-        for (c, v) in rrow.iter().enumerate() {
-            if !right_key_idx.contains(&c) {
-                row.push(*v);
-            }
-        }
-        rows.push(row);
-    }
+    let rows = left_rows
+        .rows
+        .into_iter()
+        .zip(&right_rows.rows)
+        .map(|(mut row, rrow)| {
+            row.reserve(rrow.len().saturating_sub(right_key_idx.len()));
+            row.extend(
+                rrow.iter()
+                    .enumerate()
+                    .filter(|(c, _)| !right_key_idx.contains(c))
+                    .map(|(_, v)| *v),
+            );
+            row
+        })
+        .collect();
     let combined = SharedRelation { schema, rows };
-    let shuffled_result = oblivious::shuffle(&combined, engine.protocol());
+    let shuffled_result = operators::shuffle(engine.protocol(), combined);
     let result = Table::from_columns(shuffled_result.open(engine.protocol()));
     let input_rows = (left.num_rows() + right.num_rows()) as u64;
     let mpc_stats = engine.drain_stats(input_rows, result.num_rows() as u64);
@@ -297,7 +307,7 @@ pub fn hybrid_aggregate_lanes(
     let read = operators::lanes_read(group_by, lanes);
     let shared = SharedRelation::from_table_columns(input, &read, engine.protocol())
         .map_err(MpcError::Exec)?;
-    let shuffled = oblivious::shuffle(&shared, engine.protocol());
+    let shuffled = operators::shuffle(engine.protocol(), shared);
 
     // 2. Reveal the (shuffled) group-by columns to the STP.
     let keys_clear = Table::from_columns(shuffled.open_columns(group_by, engine.protocol())?);
@@ -850,11 +860,13 @@ mod tests {
         assert_eq!(right_cols.conversion_counts().total(), 0);
         // The revealed keys open as integer columns, so the columnar STP runs
         // the whole protocol without a conversion; a row executor converts
-        // the two key relations to rows once each, and nothing else
-        // (reported so the driver can fold it into RunReport).
+        // the two key relations to rows once each, and the two index
+        // relations it hands back to columns once each (every table is shared
+        // from its columns), and nothing else (reported so the driver can
+        // fold it into RunReport).
         assert_eq!(col.conversions.total(), 0);
         assert_eq!(row.conversions.columnar_to_row, 2);
-        assert_eq!(row.conversions.row_to_columnar, 0);
+        assert_eq!(row.conversions.row_to_columnar, 2);
         // Column-at-a-time sharing charges the same number of input elements.
         assert_eq!(
             row.mpc_stats.counts.input_elems,

@@ -23,13 +23,17 @@
 //!    workers as shares between steps — re-used by reference, not re-shared —
 //!    and results are opened only at *reveal boundaries* (steps whose output
 //!    leaves the MPC pipeline). Opens are split-phase
-//!    ([`begin_open_relation`] / [`finish_open_relation`]): the broadcast
+//!    ([`begin_open_relation`] / [`finish_open_columns`]): the broadcast
 //!    goes out as soon as a step finishes, but the peer shares are collected
 //!    only once the work queue drains, so a worker accepts the next step's
 //!    inputs while the previous step's final open is still in flight.
-//!    [`PartyMeshRuntime::wait_opened`] blocks on one reveal and verifies
+//!    [`PartyMeshRuntime::wait_opened`] blocks on one reveal, verifies
 //!    that all parties opened the *identical* relation (a built-in
-//!    consistency check of the share arithmetic).
+//!    consistency check of the share arithmetic) and moves it out as integer
+//!    columns. Relations cross the boundary without a deep copy either way:
+//!    a fresh input reaches its owner as a clone of the bound [`Table`], whose
+//!    integer columns (converted once per table, cached across clones) it
+//!    shares, and an open arrives as one `i64` column per column.
 //! 3. [`PartyMeshRuntime::end_query`] flushes every in-flight open, drains
 //!    this query's step outcomes, drops the workers' resident relations and
 //!    assembles the query's [`MeshSummary`] — the one place one is built.
@@ -69,7 +73,7 @@
 
 use crate::config::{DealerMode, PartyRuntime};
 use crate::driver::DriverError;
-use conclave_engine::{Relation, Table};
+use conclave_engine::{ColumnarRelation, Table};
 use conclave_ir::ops::Operator;
 use conclave_ir::schema::Schema;
 use conclave_mpc::cost::PrimitiveCounts;
@@ -77,8 +81,8 @@ use conclave_mpc::dealer::{
     load_party_file, party_file, serve_party, DealerSource, MaterialBlocks, MaterialPool,
 };
 use conclave_mpc::runtime::{
-    begin_open_relation, execute_party_op, finish_open_relation, share_relation, PartyError,
-    PartyRelation, PartyResult, PartySession, PendingOpen,
+    begin_open_relation, finish_open_columns, share_columns, PartyError, PartyRelation,
+    PartyResult, PartySession, PendingOpen,
 };
 use conclave_mpc::{operators, MpcError, Protocol, SharedRelation};
 use conclave_net::{merge_mesh_stats, ChannelTransport, Mesh, NetStats, Transport, TransportError};
@@ -131,8 +135,10 @@ pub struct StepOutcome {
     pub output_rows: u64,
     /// Primitive counts attributable to this step alone.
     pub counts: PrimitiveCounts,
-    /// The opened result — present only for reveal-boundary steps.
-    pub opened: Option<Relation>,
+    /// The opened result, one integer column per column — present only for
+    /// reveal-boundary steps, until [`PartyMeshRuntime::wait_opened`] takes
+    /// it.
+    pub opened: Option<ColumnarRelation>,
 }
 
 /// Everything one query measured: per-step outcomes plus the merged observed
@@ -152,7 +158,9 @@ pub struct MeshSummary {
 }
 
 /// A step as shipped to one worker: the owning parties' copies carry the
-/// cleartext input data, everyone else's carry schema and row count only.
+/// cleartext input table (a clone of the bound [`Table`], which shares its
+/// data and its conversion cache), everyone else's carry schema and row
+/// count only.
 struct StepSpec {
     step: u32,
     op: Operator,
@@ -166,7 +174,7 @@ enum WorkerInput {
         owner: u32,
         schema: Schema,
         num_rows: usize,
-        data: Option<Relation>,
+        data: Option<Table>,
     },
     Resident(u32),
 }
@@ -366,13 +374,13 @@ impl PartyMeshRuntime {
                     }
                 })
                 .collect::<Result<Vec<_>, _>>()?;
-            let refs: Vec<&SharedRelation> = shared.iter().map(|r| r.as_ref()).collect();
-            let result =
-                operators::execute_op(proto, op, &refs, presorted).map_err(MpcError::from)?;
-            let opened = reveal.then(|| result.open(proto).to_rows());
+            let input_rows = shared.iter().map(|r| r.num_rows() as u64).sum();
+            let result = operators::execute_op_parts(proto, op, shared, presorted)
+                .map_err(MpcError::from)?;
+            let opened = reveal.then(|| result.open(proto));
             let outcome = StepOutcome {
                 step,
-                input_rows: refs.iter().map(|r| r.num_rows() as u64).sum(),
+                input_rows,
                 output_rows: result.num_rows() as u64,
                 counts: proto.counts().since(&before),
                 opened,
@@ -395,7 +403,7 @@ impl PartyMeshRuntime {
                             owner,
                             schema: t.schema().clone(),
                             num_rows: t.num_rows(),
-                            data: (w as u32 == owner).then(|| t.as_rows().clone()),
+                            data: (w as u32 == owner).then(|| t.clone()),
                         }
                     }
                     StepInput::Resident(s) => WorkerInput::Resident(*s),
@@ -423,12 +431,13 @@ impl PartyMeshRuntime {
     }
 
     /// Blocks until every party has opened step `step`, cross-checks that
-    /// all opened relations are identical, and returns the relation.
-    pub fn wait_opened(&mut self, step: u32) -> Result<Relation, DriverError> {
+    /// all opened relations are identical, and moves the relation out of the
+    /// step's outcome (a second call for the step finds nothing to take).
+    pub fn wait_opened(&mut self, step: u32) -> Result<ColumnarRelation, DriverError> {
         let outcome = self.collect_step(step)?;
-        outcome.opened.clone().ok_or_else(|| {
+        outcome.opened.take().ok_or_else(|| {
             DriverError::Mpc(MpcError::Exec(format!(
-                "step {step} was not enqueued as a reveal step"
+                "step {step} was not enqueued as a reveal step, or its result was taken"
             )))
         })
     }
@@ -530,7 +539,7 @@ impl PartyMeshRuntime {
     /// identical on all parties). If the step failed, a party's own error is
     /// reported: a party that fails aborts its peers, and their
     /// [`TransportError::Aborted`] only relays its error.
-    fn collect_step(&mut self, step: u32) -> Result<&StepOutcome, DriverError> {
+    fn collect_step(&mut self, step: u32) -> Result<&mut StepOutcome, DriverError> {
         if !self.completed.contains_key(&step) {
             let replies = (0..self.workers.len())
                 .map(|w| self.take_reply(w, step))
@@ -560,7 +569,7 @@ impl PartyMeshRuntime {
             let outcome = agreed.expect("mesh has at least two parties");
             self.completed.insert(step, outcome);
         }
-        Ok(&self.completed[&step])
+        Ok(self.completed.get_mut(&step).expect("collected above"))
     }
 
     /// Receives worker `w`'s reply for `step`, buffering replies for other
@@ -722,7 +731,8 @@ fn worker_main(
 
 /// Shares fresh inputs, resolves resident ones, executes the operator, and —
 /// for reveal boundaries — *begins* the open (broadcast sent, peer shares
-/// left in flight) under the same step context.
+/// left in flight) under the same step context. The step owns its fresh
+/// inputs, so an operator that can move them (a `Concat`) does.
 fn run_step(
     sess: &mut PartySession,
     resident: &HashMap<u32, PartyRelation>,
@@ -730,46 +740,32 @@ fn run_step(
 ) -> Result<(u64, PartyRelation, Option<PendingOpen>), PartyError> {
     let mut proto = sess.step(spec.step);
     let mut input_rows = 0u64;
-    let mut fresh: Vec<Option<PartyRelation>> = Vec::with_capacity(spec.inputs.len());
+    let mut inputs: Vec<Cow<PartyRelation>> = Vec::with_capacity(spec.inputs.len());
     for input in &spec.inputs {
-        match input {
+        let rel = match input {
             WorkerInput::Share {
                 owner,
                 schema,
                 num_rows,
                 data,
-            } => {
-                input_rows += *num_rows as u64;
-                fresh.push(Some(share_relation(
-                    &mut proto,
-                    *owner,
-                    data.as_ref(),
-                    schema,
-                    *num_rows,
-                )?));
-            }
-            WorkerInput::Resident(s) => {
-                let rel = resident.get(s).ok_or_else(|| {
-                    PartyError::Proto(format!(
-                        "step {} references step {s}, which is not resident",
-                        spec.step
-                    ))
-                })?;
-                input_rows += rel.num_rows() as u64;
-                fresh.push(None);
-            }
-        }
+            } => Cow::Owned(share_columns(
+                &mut proto,
+                *owner,
+                data.as_ref().map(Table::as_columns),
+                schema,
+                *num_rows,
+            )?),
+            WorkerInput::Resident(s) => Cow::Borrowed(resident.get(s).ok_or_else(|| {
+                PartyError::Proto(format!(
+                    "step {} references step {s}, which is not resident",
+                    spec.step
+                ))
+            })?),
+        };
+        input_rows += rel.num_rows() as u64;
+        inputs.push(rel);
     }
-    let refs: Vec<&PartyRelation> = spec
-        .inputs
-        .iter()
-        .zip(&fresh)
-        .map(|(input, f)| match input {
-            WorkerInput::Resident(s) => &resident[s],
-            WorkerInput::Share { .. } => f.as_ref().expect("shared above"),
-        })
-        .collect();
-    let result = execute_party_op(&mut proto, &spec.op, &refs, spec.presorted)?;
+    let result = operators::execute_op_parts(&mut proto, &spec.op, inputs, spec.presorted)?;
     let pending = spec
         .reveal
         .then(|| begin_open_relation(&mut proto, &result))
@@ -796,7 +792,7 @@ fn flush_opens(
         let before = sess.counts();
         let opened = match poisoned {
             Some(e) => Err(e.clone()),
-            None => finish_open_relation(sess, d.pending)
+            None => finish_open_columns(sess, d.pending)
                 .and_then(|rel| sess.check_integrity().map(|()| rel)),
         };
         let reply = match opened {
@@ -840,6 +836,7 @@ fn party_to_driver_error(e: PartyError) -> DriverError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use conclave_engine::Relation;
     use conclave_ir::ops::AggFunc;
 
     fn sales_table() -> Table {
@@ -873,12 +870,22 @@ mod tests {
         runtime: PartyRuntime,
         dealer: &DealerMode,
     ) -> Result<(Relation, MeshSummary), DriverError> {
+        run_step_on(op, sales_table(), seed, runtime, dealer)
+    }
+
+    /// [`run_step`] over `input`.
+    fn run_step_on(
+        op: &Operator,
+        input: Table,
+        seed: u64,
+        runtime: PartyRuntime,
+        dealer: &DealerMode,
+    ) -> Result<(Relation, MeshSummary), DriverError> {
         let mut rt = PartyMeshRuntime::with_dealer(3, seed, runtime, dealer)?;
         rt.begin_query()?;
-        let input = StepInput::Table(sales_table());
-        let step = rt.enqueue(op, vec![input], false, true)?;
+        let step = rt.enqueue(op, vec![StepInput::Table(input)], false, true)?;
         let opened = rt.wait_opened(step)?;
-        Ok((opened, rt.finish()?))
+        Ok((opened.to_rows(), rt.finish()?))
     }
 
     fn run_with_dealer(dealer: &DealerMode) -> (Relation, MeshSummary) {
@@ -901,6 +908,34 @@ mod tests {
         assert!(summary.net.rounds > 0, "rounds must be measured");
         assert_eq!(summary.net.mesh_builds, 1);
         assert!(summary.steps[0].counts.nonlinear_ops() > 0);
+    }
+
+    /// Every runtime shares from the table's columns by one rule, so a NULL
+    /// cell is refused with one error, whether the in-process engine or the
+    /// owning worker of a mesh meets it.
+    #[test]
+    fn a_null_input_is_refused_with_one_error_on_every_runtime() {
+        use conclave_ir::types::Value;
+        let nulled = Relation::new(
+            Schema::ints(&["companyID", "price"]),
+            vec![
+                vec![Value::Int(1), Value::Int(10)],
+                vec![Value::Int(2), Value::Null],
+            ],
+        )
+        .unwrap();
+        let refusal = |runtime| {
+            let input = Table::from_rows(nulled.clone());
+            let err =
+                run_step_on(&sort_by_price(), input, 3, runtime, &DealerMode::Seeded).unwrap_err();
+            format!("{err:?}")
+        };
+        let simulated = refusal(PartyRuntime::Simulated);
+        assert!(
+            simulated.contains("cannot share non-integer value NULL"),
+            "{simulated}"
+        );
+        assert_eq!(refusal(PartyRuntime::Channel), simulated);
     }
 
     #[test]
@@ -1130,7 +1165,7 @@ mod tests {
             let step = rt
                 .enqueue(&op, vec![StepInput::Table(table.clone())], false, true)
                 .unwrap();
-            let opened = rt.wait_opened(step).unwrap();
+            let opened = rt.wait_opened(step).unwrap().to_rows();
             assert!(
                 opened.same_rows_unordered(&expected),
                 "query {q}:\n{opened}"
@@ -1174,7 +1209,7 @@ mod tests {
             let s1 = rt
                 .enqueue(&agg_op, vec![StepInput::Resident(s0)], false, true)
                 .unwrap();
-            let opened = rt.wait_opened(s1).unwrap();
+            let opened = rt.wait_opened(s1).unwrap().to_rows();
             (opened, rt.finish().unwrap())
         };
         let (expected, oracle) = pipeline(PartyRuntime::Simulated);
@@ -1188,7 +1223,9 @@ mod tests {
             // opened (sorting opens nothing), so every opened element belongs
             // to the reveal boundary.
             assert_eq!(summary.steps[0].counts.opened_elems, 0);
-            assert!(summary.steps[1].opened.is_some());
+            // Step 1 opened its result, which `wait_opened` moved out.
+            assert!(summary.steps[1].counts.opened_elems > 0);
+            assert!(summary.steps[1].opened.is_none());
         }
     }
 }

@@ -38,6 +38,7 @@ use conclave_ir::dag::{NodeId, OpDag};
 use conclave_ir::flow::{compute_flow, Flow};
 use conclave_ir::ops::{ExecSite, Operator};
 use conclave_ir::party::{PartyId, PartySet};
+use conclave_mpc::circuits::{EQ_ROUNDS, LT_ROUNDS};
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -340,11 +341,11 @@ pub fn run(dag: &OpDag, universe: &PartySet) -> CompileResult<LeakageReport> {
             .to_string(),
     ];
     if dag.iter().any(|n| n.site.is_mpc()) {
-        notes.push(
+        notes.push(format!(
             "MPC openings are uniformly masked (MaskedOpen c = z - r, binary Beaver d/e); \
-             comparison circuits run 9 (lt) / 8 (eq) rounds regardless of batch size"
-                .to_string(),
-        );
+             comparison circuits run {LT_ROUNDS} (lt) / {EQ_ROUNDS} (eq) rounds regardless of \
+             batch size"
+        ));
     }
 
     Ok(LeakageReport {

@@ -103,6 +103,13 @@ use crate::ring::RingElem;
 use crate::runtime::{PartyResult, StepCtx};
 use crate::share::AuthShare;
 
+/// Synchronous rounds of one [`lt_batch`] call, whatever its size (one
+/// fewer when every shared value is compared against 0).
+pub const LT_ROUNDS: u64 = 8;
+
+/// Synchronous rounds of one [`eq_batch`] call, whatever its size.
+pub const EQ_ROUNDS: u64 = 7;
+
 /// A less-than pair as the circuit evaluates it.
 enum LtForm {
     /// `a < b` with both sides shared: the sign bits of a, b and a − b.
@@ -135,8 +142,8 @@ impl LtForm {
 
 /// Batched signed less-than on shares: returns an additive sharing of `1`
 /// where `x < y` (as `i64`), `0` elsewhere. Either side of a pair may be
-/// public. 8 rounds for the whole batch; 7 when every shared value is
-/// compared against 0, and none when every answer is public.
+/// public. [`LT_ROUNDS`] rounds for the whole batch; one fewer when every
+/// shared value is compared against 0, and none when every answer is public.
 pub fn lt_batch<P: Copy + Into<CmpArg<AuthShare>>>(
     ctx: &mut StepCtx,
     pairs: &[(P, P)],
@@ -718,8 +725,8 @@ mod tests {
                 Ok((lt_rounds, eq_rounds))
             });
             for &(lt_rounds, eq_rounds) in &counts {
-                assert_eq!(lt_rounds, 8, "lt rounds for batch {batch}");
-                assert_eq!(eq_rounds, 7, "eq rounds for batch {batch}");
+                assert_eq!(lt_rounds, LT_ROUNDS, "lt rounds for batch {batch}");
+                assert_eq!(eq_rounds, EQ_ROUNDS, "eq rounds for batch {batch}");
             }
         }
     }
@@ -789,10 +796,10 @@ mod tests {
             for (lt, eq) in &counts {
                 assert_eq!(lt.comparisons, m as u64);
                 assert_eq!(lt.bit_ands, 64 * lt_words(m), "lt gates for batch {m}");
-                assert_eq!(lt.circuit_rounds, 8);
+                assert_eq!(lt.circuit_rounds, LT_ROUNDS);
                 assert_eq!(eq.equalities, m as u64);
                 assert_eq!(eq.bit_ands, 64 * eq_words(m), "eq gates for batch {m}");
-                assert_eq!(eq.circuit_rounds, 7);
+                assert_eq!(eq.circuit_rounds, EQ_ROUNDS);
             }
         }
     }
@@ -833,7 +840,8 @@ mod tests {
                         assert_eq!(bits, want, "x < {k} / {c} < x, batch {m}");
                         assert_eq!(n.comparisons, m as u64);
                         assert_eq!(n.bit_ands, 64 * lt_public_words(m, k), "k = {k}, batch {m}");
-                        assert_eq!(n.circuit_rounds, if k == 0 { 7 } else { 8 }, "k = {k}");
+                        let rounds = if k == 0 { LT_ROUNDS - 1 } else { LT_ROUNDS };
+                        assert_eq!(n.circuit_rounds, rounds, "k = {k}");
                     }
                 }
             }

@@ -11,9 +11,10 @@ use crate::protocol::Protocol;
 use crate::relation::SharedRelation;
 use conclave_ir::ops::AggFunc;
 
-/// [`operators::shuffle`] on the in-process engine.
+/// [`operators::shuffle`] on the in-process engine, of a copy of `rel` (a
+/// caller that owns its relation moves it into [`operators::shuffle`]).
 pub fn shuffle(rel: &SharedRelation, proto: &mut Protocol) -> SharedRelation {
-    operators::shuffle(proto, rel)
+    operators::shuffle(proto, rel.clone())
 }
 
 /// [`operators::sort_by`] on the in-process engine.

@@ -33,6 +33,7 @@ use conclave_ir::expr::{BinOp, Expr};
 use conclave_ir::ops::{aggregate_schema, join_schema, AggFunc, Operand, Operator};
 use conclave_ir::schema::{ColumnDef, Schema};
 use conclave_ir::types::{DataType, Value};
+use std::borrow::Cow;
 
 /// `schema` plus one integer column `name`.
 fn with_int_column(schema: &Schema, name: &str) -> Result<Schema, OpError> {
@@ -58,11 +59,12 @@ fn only<S>(mut batch: Vec<S>) -> S {
 ///
 /// The permutation is chosen inside the engine (standing in for a
 /// resharing-based shuffle); the cost charged is proportional to the number
-/// of shared elements moved.
-pub fn shuffle<E: Engine>(eng: &mut E, rel: &Rel<E::Share>) -> Rel<E::Share> {
+/// of shared elements moved. The relation is taken by value: its rows are
+/// moved to their new places, not copied.
+pub fn shuffle<E: Engine>(eng: &mut E, rel: Rel<E::Share>) -> Rel<E::Share> {
     eng.charge_shuffle(rel.num_elems());
     let perm = eng.random_permutation(rel.num_rows());
-    rel.clone().permute(&perm)
+    rel.permute(&perm)
 }
 
 /// A compare-exchange between two row positions: afterwards the key at the
@@ -1043,6 +1045,24 @@ fn admit(op: &Operator, inputs: usize) -> Result<(), OpError> {
     Ok(())
 }
 
+/// [`execute_op`] over inputs the caller may own: a `Concat` moves the rows
+/// of its owned inputs (a step's freshly shared ones) into the result, where
+/// [`execute_op`] clones every input's; every other operator reads its
+/// inputs as [`execute_op`] does.
+pub fn execute_op_parts<E: Engine>(
+    eng: &mut E,
+    op: &Operator,
+    inputs: Vec<Cow<'_, Rel<E::Share>>>,
+    presorted: bool,
+) -> EngineResult<E, Rel<E::Share>> {
+    if matches!(op, Operator::Concat) {
+        admit(op, inputs.len())?;
+        return Ok(Rel::concat_parts(inputs)?);
+    }
+    let refs: Vec<&Rel<E::Share>> = inputs.iter().map(|r| r.as_ref()).collect();
+    execute_op(eng, op, &refs, presorted)
+}
+
 /// Executes one relational operator over already-shared relations — the one
 /// execution dispatcher of the crate, whichever engine runs it. `presorted`
 /// skips the oblivious sort in front of a grouped aggregation whose input is
@@ -1212,9 +1232,28 @@ mod tests {
             &(0..20).map(|i| vec![i, i * 10]).collect::<Vec<_>>(),
         );
         let shared = share(&rel, &mut p);
-        let shuffled = shuffle(&mut p, &shared);
+        let shuffled = shuffle(&mut p, shared);
         assert!(shuffled.open(&mut p).to_rows().same_rows_unordered(&rel));
         assert_eq!(p.counts().shuffled_elems, 40);
+    }
+
+    /// Taking the relation by value charges what the by-reference call of
+    /// `oblivious::shuffle` charges, and draws the same permutation.
+    #[test]
+    fn shuffle_by_value_charges_what_it_charged_by_reference() {
+        let rel = Relation::from_ints(
+            &["k", "v", "w"],
+            &(0..17).map(|i| vec![i, -i, i * i]).collect::<Vec<_>>(),
+        );
+        let mut by_value = Protocol::new(3, 9);
+        let mut by_ref = Protocol::new(3, 9);
+        let shared = share(&rel, &mut by_value);
+        share(&rel, &mut by_ref);
+        let moved = shuffle(&mut by_value, shared.clone());
+        let copied = crate::oblivious::shuffle(&shared, &mut by_ref);
+        assert_eq!(by_value.counts(), by_ref.counts());
+        assert_eq!(by_value.counts().shuffled_elems, 17 * 3);
+        assert_eq!(moved.rows, copied.rows);
     }
 
     /// Runs a comparator network over cleartext values, taking each layer's
@@ -1701,7 +1740,7 @@ mod tests {
         let mut p = Protocol::new(3, 21);
         let empty = SharedRelation::empty(Schema::ints(&["k", "v"]));
         let keys = names(&["k"]);
-        assert_eq!(shuffle(&mut p, &empty).num_rows(), 0);
+        assert_eq!(shuffle(&mut p, empty.clone()).num_rows(), 0);
         assert_eq!(sort_by(&mut p, &empty, "k", true).unwrap().num_rows(), 0);
         let merged = merge_sorted(&mut p, &[&empty, &empty], "k", true).unwrap();
         assert_eq!(merged.num_rows(), 0);
@@ -1846,7 +1885,7 @@ mod tests {
         let shared = share(&rel, &mut p);
         let keys = names(&["k"]);
         assert_eq!(
-            shuffle(&mut p, &shared).open(&mut p).to_rows().rows,
+            shuffle(&mut p, shared.clone()).open(&mut p).to_rows().rows,
             rel.rows
         );
         let sorted = sort_by(&mut p, &shared, "k", true).unwrap();

@@ -14,6 +14,7 @@ use crate::ring::RingElem;
 use conclave_engine::{Column, ColumnarRelation, Relation, Table};
 use conclave_ir::schema::Schema;
 use conclave_ir::types::{DataType, Value};
+use std::borrow::Cow;
 
 /// A relation whose cells are secret-shared as `S`.
 #[derive(Debug, Clone)]
@@ -101,20 +102,27 @@ impl<S: Copy> Rel<S> {
 
     /// Concatenates shared relations with identical arity (free).
     pub fn concat(parts: &[&Self]) -> Result<Self, OpError> {
+        Rel::concat_parts(parts.iter().map(|&p| Cow::Borrowed(p)).collect())
+    }
+
+    /// [`Rel::concat`] over parts the caller may own: an owned part's rows
+    /// are moved into the result, a borrowed part's are cloned.
+    pub(crate) fn concat_parts(parts: Vec<Cow<'_, Self>>) -> Result<Self, OpError> {
         let Some(first) = parts.first() else {
             return Err(OpError::Invalid("concat of zero relations".into()));
         };
-        let mut rows = Vec::new();
-        for p in parts {
-            if p.num_cols() != first.num_cols() {
-                return Err(OpError::Invalid("concat arity mismatch".into()));
-            }
-            rows.extend(p.rows.iter().cloned());
+        if parts.iter().any(|p| p.num_cols() != first.num_cols()) {
+            return Err(OpError::Invalid("concat arity mismatch".into()));
         }
-        Ok(Rel {
-            schema: first.schema.clone(),
-            rows,
-        })
+        let schema = first.schema.clone();
+        let mut rows = Vec::with_capacity(parts.iter().map(|p| p.num_rows()).sum());
+        for part in parts {
+            match part {
+                Cow::Owned(p) => rows.extend(p.rows),
+                Cow::Borrowed(p) => rows.extend(p.rows.iter().cloned()),
+            }
+        }
+        Ok(Rel { schema, rows })
     }
 
     /// Applies a row permutation, moving each row to its place (used by
@@ -146,9 +154,37 @@ fn picked(schema: &Schema, idxs: &[usize]) -> Schema {
 }
 
 /// The integer a cell is shared as.
-pub(crate) fn shareable_int(v: &Value) -> Result<i64, String> {
+fn shareable_int(v: &Value) -> Result<i64, String> {
     v.as_int()
         .ok_or_else(|| format!("cannot share non-integer value {v}"))
+}
+
+/// The integers a column is shared as: a null-free integer column as it is,
+/// any other cell by cell (a `Bool` as 0/1; a NULL is refused).
+fn shareable_column(col: &Column) -> Result<Cow<'_, [i64]>, String> {
+    match col.as_ints() {
+        Some(ints) => Ok(Cow::Borrowed(ints)),
+        None => (0..col.len())
+            .map(|i| shareable_int(&col.value(i)))
+            .collect::<Result<_, _>>()
+            .map(Cow::Owned),
+    }
+}
+
+/// The cells of a columnar relation as the integers they are shared as, in
+/// row-major order (every column is converted, and checked, before the
+/// first cell is laid out).
+pub(crate) fn row_major_ints(rel: &ColumnarRelation) -> Result<Vec<i64>, String> {
+    let columns = rel
+        .columns()
+        .iter()
+        .map(shareable_column)
+        .collect::<Result<Vec<_>, _>>()?;
+    let mut flat = Vec::with_capacity(rel.num_rows() * columns.len());
+    for i in 0..rel.num_rows() {
+        flat.extend(columns.iter().map(|c| c[i]));
+    }
+    Ok(flat)
 }
 
 impl SharedRelation {
@@ -192,17 +228,9 @@ impl SharedRelation {
         let n = rel.num_rows();
         let mut shared_columns: Vec<Vec<RingElem>> = Vec::with_capacity(idxs.len());
         for &c in idxs {
-            // Fast path: a null-free integer column shares its slice directly,
-            // with no intermediate copy.
-            let shared = if let Some(slice) = rel.column(c).as_ints() {
-                proto.share_column(slice)
-            } else {
-                let ints: Vec<i64> = (0..n)
-                    .map(|i| shareable_int(&rel.value(i, c)))
-                    .collect::<Result<_, _>>()?;
-                proto.share_column(&ints)
-            };
-            shared_columns.push(shared);
+            // A null-free integer column shares its slice directly, with no
+            // intermediate copy.
+            shared_columns.push(proto.share_column(&shareable_column(rel.column(c))?));
         }
         // Transpose into the row-major share layout the oblivious operators
         // consume.
@@ -212,21 +240,16 @@ impl SharedRelation {
         Ok(Rel { schema, rows })
     }
 
-    /// Secret-shares a [`Table`] into the MPC, picking the column-at-a-time
-    /// sharing path whenever the table's columnar representation is already
-    /// materialized (no conversion is ever forced: a row-only table shares
-    /// row by row).
+    /// Secret-shares a [`Table`] into the MPC from its integer columns, as
+    /// the party runtime's input owners do: a row-only table converts once,
+    /// and the conversion is cached for every clone of the table.
     pub fn from_table(table: &Table, proto: &mut Protocol) -> Result<Self, String> {
-        if table.has_columns() {
-            SharedRelation::from_columnar(table.as_columns(), proto)
-        } else {
-            SharedRelation::from_relation(table.as_rows(), proto)
-        }
+        SharedRelation::from_columnar(table.as_columns(), proto)
     }
 
     /// Secret-shares the named columns of a [`Table`] into the MPC, in the
-    /// given order, by the path [`SharedRelation::from_table`] would take;
-    /// the table's other columns are neither read nor charged.
+    /// given order, from its integer columns as [`SharedRelation::from_table`]
+    /// does; the table's other columns are neither read nor charged.
     pub fn from_table_columns(
         table: &Table,
         columns: &[&str],
@@ -241,20 +264,7 @@ impl SharedRelation {
                     .ok_or_else(|| format!("unknown column `{c}`"))
             })
             .collect::<Result<Vec<usize>, String>>()?;
-        if table.has_columns() {
-            SharedRelation::from_columnar_picked(table.as_columns(), &idxs, proto)
-        } else {
-            let rel = table.as_rows();
-            let narrowed = Relation {
-                schema: picked(&rel.schema, &idxs),
-                rows: rel
-                    .rows
-                    .iter()
-                    .map(|row| idxs.iter().map(|&i| row[i].clone()).collect())
-                    .collect(),
-            };
-            SharedRelation::from_relation(&narrowed, proto)
-        }
+        SharedRelation::from_columnar_picked(table.as_columns(), &idxs, proto)
     }
 
     /// Opens the whole relation to cleartext, one integer column per shared
@@ -360,21 +370,47 @@ mod tests {
     }
 
     #[test]
-    fn from_table_picks_the_materialized_representation() {
+    fn from_table_shares_from_columns_and_converts_a_row_table_once() {
         let rel = demo();
-        // Row-only table: shares row by row, forcing no conversion.
+        // Row-only table: converted to columns once, and every clone reads
+        // the cached conversion.
         let mut p = Protocol::new(3, 1);
         let rows_table = Table::from_rows(rel.clone());
         let shared = SharedRelation::from_table(&rows_table, &mut p).unwrap();
-        assert_eq!(rows_table.conversion_counts().total(), 0);
+        SharedRelation::from_table(&rows_table.clone(), &mut p).unwrap();
+        assert_eq!(rows_table.conversion_counts().row_to_columnar, 1);
+        assert_eq!(rows_table.conversion_counts().total(), 1);
         assert_eq!(shared.open(&mut p).to_rows().rows, rel.rows);
-        // Column-backed table: shares whole columns.
+        // Column-backed table: shares whole columns, converting nothing.
         let mut p2 = Protocol::new(3, 1);
         let cols_table = Table::from_columns(ColumnarRelation::from_rows(&rel));
         let shared2 = SharedRelation::from_table(&cols_table, &mut p2).unwrap();
         assert_eq!(cols_table.conversion_counts().total(), 0);
         assert_eq!(shared2.open(&mut p2).to_rows().rows, rel.rows);
-        assert_eq!(p.counts().input_elems, p2.counts().input_elems);
+        assert_eq!(p.counts().input_elems, 2 * p2.counts().input_elems);
+    }
+
+    #[test]
+    fn row_major_ints_lays_out_rows_and_refuses_a_null() {
+        let schema = Schema::new(vec![
+            ColumnDef::new("k", DataType::Int),
+            ColumnDef::new("b", DataType::Bool),
+        ]);
+        let rel = Relation::new(
+            schema.clone(),
+            vec![
+                vec![Value::Int(7), Value::Bool(true)],
+                vec![Value::Int(-2), Value::Bool(false)],
+            ],
+        )
+        .unwrap();
+        let columns = ColumnarRelation::from_rows(&rel);
+        assert_eq!(row_major_ints(&columns), Ok(vec![7, 1, -2, 0]));
+        let nulled = Relation::new(schema, vec![vec![Value::Null, Value::Bool(true)]]).unwrap();
+        assert_eq!(
+            row_major_ints(&ColumnarRelation::from_rows(&nulled)),
+            Err("cannot share non-integer value NULL".to_string())
+        );
     }
 
     #[test]

@@ -50,9 +50,13 @@
 //! step, a hybrid protocol, or the query output) needs the cleartext.
 //! [`begin_open_relation`] is the exchange's *begin* — it broadcasts this
 //! party's shares immediately and returns a [`PendingOpen`];
-//! [`finish_open_relation`] is its *finish*, so a worker can start the *next*
-//! step's rounds while the previous step's final open is still in flight
-//! (the stream tags keep the interleaved frames apart).
+//! [`finish_open_columns`] is its *finish* — one integer column per shared
+//! column ([`finish_open_relation`] is the same call returning rows) — so a
+//! worker can start the *next* step's rounds while the previous step's final
+//! open is still in flight (the stream tags keep the interleaved frames
+//! apart). Input sharing is column-first the same way: [`share_columns`]
+//! takes the owner's integer columns, and [`share_relation`] converts rows
+//! to columns and calls it.
 //!
 //! ## Offline/online split and SPDZ MACs
 //!
@@ -122,8 +126,8 @@ mod step;
 
 pub use session::PartySession;
 pub use step::{
-    begin_open_relation, finish_open_relation, open_relation, share_relation, PartyRelation,
-    PendingOpen, StepCtx,
+    begin_open_relation, finish_open_columns, finish_open_relation, open_relation, share_columns,
+    share_relation, PartyRelation, PendingOpen, StepCtx,
 };
 
 use crate::engine::OpError;

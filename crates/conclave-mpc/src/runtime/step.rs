@@ -7,12 +7,11 @@ use super::{PartyError, PartyResult, PartySession};
 use crate::cost::PrimitiveCounts;
 use crate::dealer::SharedMask;
 use crate::engine::{CmpArg, Engine};
-use crate::relation::{check_shareable, shareable_int, Rel};
+use crate::relation::{check_shareable, row_major_ints, Rel};
 use crate::ring::RingElem;
 use crate::share::AuthShare;
-use conclave_engine::Relation;
+use conclave_engine::{Column, ColumnarRelation, Relation};
 use conclave_ir::schema::Schema;
-use conclave_ir::types::Value;
 use conclave_net::{MessageKind, StreamTag, Transport};
 use std::fmt;
 use std::iter::once;
@@ -370,9 +369,9 @@ impl<'n> StepCtx<'_, 'n> {
     /// Oblivious less-than over a batch of pairs: shared `1` where `x < y`
     /// as signed 64-bit values. Either side of a pair may be public
     /// ([`CmpArg`]). Runs the bit-decomposed comparison circuit of
-    /// [`crate::circuits`] entirely on shares — 9 synchronous rounds for the
-    /// whole batch, independent of its size (8 when every pair compares a
-    /// shared value against 0).
+    /// [`crate::circuits`] entirely on shares — [`crate::circuits::LT_ROUNDS`]
+    /// synchronous rounds for the whole batch, independent of its size (one
+    /// fewer when every pair compares a shared value against 0).
     pub fn lt_batch<P: Copy + Into<CmpArg<AuthShare>>>(
         &mut self,
         pairs: &[(P, P)],
@@ -382,8 +381,9 @@ impl<'n> StepCtx<'_, 'n> {
     }
 
     /// Oblivious equality over a batch of pairs: shared `1` where `x == y`.
-    /// Runs the equality circuit of [`crate::circuits`] on shares — 8
-    /// synchronous rounds for the whole batch, independent of its size.
+    /// Runs the equality circuit of [`crate::circuits`] on shares —
+    /// [`crate::circuits::EQ_ROUNDS`] synchronous rounds for the whole batch,
+    /// independent of its size.
     pub fn eq_batch(&mut self, pairs: &[(AuthShare, AuthShare)]) -> PartyResult<Vec<AuthShare>> {
         self.sess.counts.equalities += pairs.len() as u64;
         crate::circuits::eq_batch(self, pairs)
@@ -434,8 +434,8 @@ impl Engine for StepCtx<'_, '_> {
     }
 
     /// All groups flatten into a single circuit execution, so the whole set
-    /// costs the same 7 rounds as one `eq_batch` call, where a per-group
-    /// loop would pay 7 rounds per group.
+    /// costs the same [`crate::circuits::EQ_ROUNDS`] rounds as one
+    /// `eq_batch` call, where a per-group loop would pay them per group.
     fn eq_batch_groups(
         &mut self,
         groups: &[Vec<(AuthShare, AuthShare)>],
@@ -498,19 +498,21 @@ pub type PartyRelation = Rel<AuthShare>;
 // Relation-level protocol steps.
 // ---------------------------------------------------------------------------
 
-/// Collective sharing of a whole relation owned by `owner`. The owner passes
-/// the cleartext relation; everyone passes the (public) schema and row count.
-pub fn share_relation(
+/// Collective sharing of a whole relation owned by `owner`, from its integer
+/// columns. The owner passes the cleartext columns, which it lays out
+/// row-major for the one input round (a `Bool` column shares as 0/1, a NULL
+/// is refused); everyone passes the (public) schema and row count.
+pub fn share_columns(
     proto: &mut StepCtx,
     owner: u32,
-    cleartext: Option<&Relation>,
+    cleartext: Option<&ColumnarRelation>,
     schema: &Schema,
     num_rows: usize,
 ) -> PartyResult<PartyRelation> {
     check_shareable(schema).map_err(PartyError::Proto)?;
     let cols = schema.len();
     let flat: Option<Vec<i64>> = cleartext
-        .map(|rel| rel.rows.iter().flatten().map(shareable_int).collect())
+        .map(row_major_ints)
         .transpose()
         .map_err(PartyError::Proto)?;
     let shares = proto.input_column(owner, flat.as_deref(), num_rows * cols)?;
@@ -523,6 +525,19 @@ pub fn share_relation(
         schema: schema.clone(),
         rows,
     })
+}
+
+/// [`share_columns`] for an owner holding rows: the owner converts them to
+/// columns first.
+pub fn share_relation(
+    proto: &mut StepCtx,
+    owner: u32,
+    cleartext: Option<&Relation>,
+    schema: &Schema,
+    num_rows: usize,
+) -> PartyResult<PartyRelation> {
+    let columns = cleartext.map(ColumnarRelation::from_rows);
+    share_columns(proto, owner, columns.as_ref(), schema, num_rows)
 }
 
 /// Opens a whole shared relation to every party: one broadcast round plus a
@@ -570,12 +585,12 @@ pub fn begin_open_relation(proto: &mut StepCtx, rel: &PartyRelation) -> PartyRes
 
 /// Second half of a relation open: collects every peer's broadcast for the
 /// pending stream (frames that raced ahead of other streams were buffered by
-/// the transport), reconstructs the cleartext relation, and records the
-/// round.
-pub fn finish_open_relation(
+/// the transport), reconstructs the cleartext relation as one integer column
+/// per shared column under [`Rel::opened_schema`], and records the round.
+pub fn finish_open_columns(
     sess: &mut PartySession,
     pending: PendingOpen,
-) -> PartyResult<Relation> {
+) -> PartyResult<ColumnarRelation> {
     let PendingOpen {
         round,
         schema,
@@ -589,17 +604,28 @@ pub fn finish_open_relation(
         Ok(())
     })?;
     sess.log_opens(local.iter().map(|&w| RingElem(w)), macs.into_iter());
-    let rows = local
-        .chunks(cols.max(1))
-        .take(num_rows)
-        .map(|chunk| {
-            chunk
-                .iter()
-                .map(|&w| Value::Int(RingElem(w).to_i64()))
-                .collect()
+    let columns = (0..cols)
+        .map(|c| {
+            Column::ints(
+                local
+                    .iter()
+                    .skip(c)
+                    .step_by(cols)
+                    .take(num_rows)
+                    .map(|&w| RingElem(w).to_i64())
+                    .collect(),
+            )
         })
         .collect();
-    Ok(Relation { schema, rows })
+    Ok(ColumnarRelation::new(schema, columns).expect("every opened column has one word per row"))
+}
+
+/// [`finish_open_columns`], as rows.
+pub fn finish_open_relation(
+    sess: &mut PartySession,
+    pending: PendingOpen,
+) -> PartyResult<Relation> {
+    finish_open_columns(sess, pending).map(|rel| rel.to_rows())
 }
 
 #[cfg(test)]
@@ -663,6 +689,69 @@ pub(super) mod tests {
         });
         for out in &opened {
             assert_eq!(out.rows, rel.rows);
+        }
+    }
+
+    /// The replay's row open and the driver's column open agree on a channel
+    /// mesh: `finish_open_relation` is `finish_open_columns` as rows, and
+    /// both equal the owner's cleartext (a `Bool` column opens as 0/1 under
+    /// an `Int` schema) — for an empty relation, a `Bool` column and a wide
+    /// row.
+    #[test]
+    fn row_and_column_opens_agree_on_a_channel_mesh() {
+        use conclave_ir::schema::ColumnDef;
+        use conclave_ir::types::{DataType, Value};
+        let flags = Schema::new(vec![
+            ColumnDef::new("k", DataType::Int),
+            ColumnDef::new("b", DataType::Bool),
+        ]);
+        let wide: Vec<String> = (0..40).map(|c| format!("c{c}")).collect();
+        let wide: Vec<&str> = wide.iter().map(String::as_str).collect();
+        let cases = [
+            Relation::from_ints(&["k", "v"], &[]),
+            Relation::new(
+                flags,
+                vec![
+                    vec![Value::Int(-4), Value::Bool(true)],
+                    vec![Value::Int(9), Value::Bool(false)],
+                ],
+            )
+            .unwrap(),
+            Relation::from_ints(
+                &wide,
+                &[(0..40).map(|c| c * c - 700).collect(), vec![i64::MIN; 40]],
+            ),
+        ];
+        for rel in &cases {
+            let columns = ColumnarRelation::from_rows(rel);
+            let opened = run_parties(3, 12, |proto| {
+                let data = (proto.party() == 2).then_some(&columns);
+                let shared = share_columns(proto, 2, data, &rel.schema, rel.num_rows())?;
+                let pending = begin_open_relation(proto, &shared)?;
+                let cols = finish_open_columns(proto.session(), pending)?;
+                let pending = begin_open_relation(proto, &shared)?;
+                let rows = finish_open_relation(proto.session(), pending)?;
+                proto.session().check_integrity()?;
+                Ok((cols, rows))
+            });
+            let expected = ColumnarRelation::from_rows(rel).to_rows();
+            for (cols, rows) in &opened {
+                assert_eq!(cols.to_rows(), *rows);
+                assert_eq!(
+                    cols.schema,
+                    Rel::<AuthShare>::empty(rel.schema.clone()).opened_schema()
+                );
+                assert!(cols.columns().iter().all(|c| c.as_ints().is_some()));
+                assert_eq!(rows.num_rows(), rel.num_rows());
+                for (got, want) in rows
+                    .rows
+                    .iter()
+                    .flatten()
+                    .zip(expected.rows.iter().flatten())
+                {
+                    assert_eq!(got.as_int(), want.as_int());
+                }
+            }
         }
     }
 

@@ -6,6 +6,11 @@
 //! the regulator) see their SSN columns — the trust annotation that enables
 //! Conclave's hybrid join and hybrid aggregation.
 //!
+//! The annotated query also runs on the channel party runtime — one worker
+//! thread per party over real transports, the banks' `concat` on the mesh
+//! and its reveal handed to the hybrid join — and must give the same output
+//! as the default in-process runtime.
+//!
 //! Run with: `cargo run --release --example credit_regulation`
 
 // Demo/test target: panicking on bad setup is the desired behavior here
@@ -76,9 +81,21 @@ fn main() {
         let query = build_query(annotated);
         let config = ConclaveConfig::standard().with_sequential_local();
         let plan = compile(&query, &config).expect("compiles");
-        let mut driver = Driver::new(config);
+        let mut driver = Driver::new(config.clone());
         let report = driver.run_tables(&plan, &inputs).expect("runs");
         let output = report.output_for(1).expect("the regulator gets the output");
+        let mesh = annotated.then(|| {
+            let channel = config.with_party_runtime(PartyRuntime::Channel);
+            let report = Driver::new(channel)
+                .run_tables(&plan, &inputs)
+                .expect("runs on the channel mesh");
+            let mesh_output = report.output_for(1).expect("the regulator gets the output");
+            assert!(
+                mesh_output.same_rows_unordered(output),
+                "the channel mesh diverged from the in-process runtime"
+            );
+            report.net
+        });
 
         // Check a few averages against the cleartext reference.
         let mut checked = 0;
@@ -105,6 +122,13 @@ fn main() {
             report.modeled.total_time().as_secs_f64()
         );
         println!("  ZIP averages verified : {checked}");
+        if let Some(net) = mesh {
+            println!(
+                "  channel mesh          : same output, {} rounds, {} bytes",
+                net.rounds,
+                net.total_bytes()
+            );
+        }
         println!("  leakage audit entries : {}", report.leakage.len());
         for event in report.leakage.iter().take(3) {
             println!(

@@ -49,7 +49,7 @@ fn main() {
     let step = rt
         .enqueue(&join, inputs, false, true)
         .expect("MPC join runs");
-    let mpc_result = rt.wait_opened(step).expect("MPC join opens");
+    let mpc_result = rt.wait_opened(step).expect("MPC join opens").to_rows();
     let summary = rt.finish().expect("the query ends");
     let mpc_stats = engine.stats_from_counts(
         summary.steps[0].counts,

@@ -84,7 +84,7 @@ pub fn run_on_mesh(
     let step = rt
         .enqueue(op, step_inputs, false, true)
         .expect("step enqueues");
-    let opened = rt.wait_opened(step).expect("the step executes");
+    let opened = rt.wait_opened(step).expect("the step executes").to_rows();
     (opened, rt.finish().expect("mesh finishes"))
 }
 

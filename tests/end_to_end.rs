@@ -312,7 +312,7 @@ fn multi_party_columnar_queries_convert_only_at_boundaries() {
 /// Under `standard()` the parallel backend runs on columns: each row-bound
 /// input converts once, on the first run, and the conversion is cached in
 /// the table the caller binds again, so a second run through the same driver
-/// converts nothing. Both runs equal the sequential row oracle.
+/// converts no input. Both runs equal the sequential row oracle.
 #[test]
 fn standard_converts_each_row_bound_input_once_across_runs() {
     let query = market_query();
@@ -325,7 +325,16 @@ fn standard_converts_each_row_bound_input_once_across_runs() {
     let oracle = Driver::new(oracle_config)
         .run_tables(&oracle_plan, &oracle_inputs)
         .unwrap();
-    assert_eq!(oracle.conversions.total(), 0);
+    // The row oracle's local stages hand the MPC rows, which are shared
+    // from their columns (one conversion per party's stage result), and the
+    // MPC result opens as columns, which `collect` hands out as rows.
+    assert_eq!(
+        oracle.conversions,
+        ConversionCounts {
+            row_to_columnar: 3,
+            columnar_to_row: 1,
+        }
+    );
     let oracle = oracle.output_for(1).unwrap();
 
     let config = ConclaveConfig::standard();
@@ -336,13 +345,20 @@ fn standard_converts_each_row_bound_input_once_across_runs() {
         first.conversions,
         ConversionCounts {
             row_to_columnar: inputs.len() as u64,
-            columnar_to_row: 0,
+            columnar_to_row: 1,
         },
-        "one row → column conversion per bound input"
+        "one row → column conversion per bound input, one at the collect"
     );
     assert!(inputs.values().all(|t| t.has_columns()));
     let second = driver.run_tables(&plan, &inputs).unwrap();
-    assert_eq!(second.conversions, ConversionCounts::default());
+    assert_eq!(
+        second.conversions,
+        ConversionCounts {
+            row_to_columnar: 0,
+            columnar_to_row: 1,
+        },
+        "the opened result's rows are the run's own"
+    );
     for report in [&first, &second] {
         assert!(report.output_for(1).unwrap().same_rows_unordered(oracle));
     }
@@ -643,8 +659,9 @@ fn garbled_circuit_backend_runs_small_queries_and_fails_predictably_at_scale() {
 /// backend has: under the sequential row backend the credit query's two
 /// hybrid joins and two hybrid aggregations open into integer columns and
 /// their STP steps never box a value, on the in-process runtime and on the
-/// channel mesh alike. The output equals `standard()`'s and the cleartext
-/// reference.
+/// channel mesh alike. Every table is shared from its integer columns, so
+/// each row-bound input converts once whichever runtime shares it. The output
+/// equals `standard()`'s and the cleartext reference.
 #[test]
 fn stp_runs_on_columns_under_a_row_local_backend() {
     let population = 300;
@@ -654,10 +671,11 @@ fn stp_runs_on_columns_under_a_row_local_backend() {
     let s2 = gen.agency_scores(population);
     let reference =
         CreditGenerator::reference_average_by_zip(&demographics, &[s1.clone(), s2.clone()]);
-    let mut inputs = HashMap::new();
-    inputs.insert("demographics".to_string(), Table::from_rows(demographics));
-    inputs.insert("scores1".to_string(), Table::from_rows(s1));
-    inputs.insert("scores2".to_string(), Table::from_rows(s2));
+    let bound = [
+        ("demographics", demographics),
+        ("scores1", s1),
+        ("scores2", s2),
+    ];
 
     let mut outputs: Vec<(String, Relation)> = Vec::new();
     for runtime in [PartyRuntime::Simulated, PartyRuntime::Channel] {
@@ -671,18 +689,27 @@ fn stp_runs_on_columns_under_a_row_local_backend() {
             let name = format!("{runtime:?}/{}", config.engine_mode);
             let plan = conclave_core::compile(&credit_query(true), &config).unwrap();
             assert_eq!(plan.hybrid_node_count(), 4, "{name}");
+            // Freshly bound tables, so every run pays its own conversions.
+            let inputs: HashMap<String, Table> = bound
+                .iter()
+                .map(|(n, r)| (n.to_string(), Table::from_rows(r.clone())))
+                .collect();
             let report = Driver::new(config).run_tables(&plan, &inputs).unwrap();
-            // Exactly one conversion under either layout: the second hybrid
-            // join opens its result as columns, and the regulator's local
-            // `divide` reads it as rows (row backend) or `collect` hands the
-            // columnar `divide`'s result out as rows (columnar backend). The
-            // MPC `concat` opens as rows, and the hybrid protocols share and
-            // open columns and run their STP steps on them, so nothing else
-            // converts.
+            // The same conversions under either layout and either runtime:
+            // each bound input converts to columns once — the banks' tables
+            // where the MPC `concat` shares them (on the in-process engine
+            // or at their owners on the mesh), the regulator's where the
+            // hybrid join (columnar backend: the local engine) reads it. The
+            // second hybrid join opens its result as columns, and the
+            // regulator's local `divide` reads it as rows (row backend) or
+            // `collect` hands the columnar `divide`'s result out as rows
+            // (columnar backend). The `concat` opens as columns, and the
+            // hybrid protocols share and open columns and run their STP
+            // steps on them, so nothing else converts.
             assert_eq!(
                 report.conversions,
                 ConversionCounts {
-                    row_to_columnar: 0,
+                    row_to_columnar: 3,
                     columnar_to_row: 1,
                 },
                 "{name}"

@@ -299,6 +299,79 @@ fn divide_on_a_mesh_opens_its_input_outside_the_certificate() {
     assert!(certificate.disclosures.iter().all(|d| d.node != opened));
 }
 
+/// Pins a known gap the way the `Divide` test above does: a hybrid operator
+/// runs in process, so the driver opens
+/// every MPC node a hybrid consumes by a broadcast reveal, and every
+/// computing party's worker reconstructs it. In the paper's credit query
+/// that node is the `concat` of both banks' `(ssn, score)` rows, yet the
+/// certificate says P2 and P3 learn nothing beyond public metadata and
+/// certifies only `ssn` — at the hybrid join, to P1 — and the run-time log
+/// is as silent (docs/SECURITY.md, "Fidelity substitutions"). When the hybrid
+/// protocols run on the mesh (ROADMAP item 3) this test must be FLIPPED — the
+/// node is then never opened and the assertions on it hold for the right
+/// reason — not deleted.
+#[test]
+fn a_hybrid_input_on_a_mesh_is_opened_outside_the_certificate() {
+    use conclave::core::party_exec::op_is_party_capable;
+    use conclave::ir::trust::TrustSet;
+    let regulator = Party::new(1, "gov");
+    let demo = Schema::new(vec![
+        ColumnDef::new("ssn", DataType::Int),
+        ColumnDef::with_trust("zip", DataType::Int, TrustSet::of([1])),
+    ]);
+    let bank = Schema::new(vec![
+        ColumnDef::with_trust("ssn", DataType::Int, TrustSet::of([1])),
+        ColumnDef::new("score", DataType::Int),
+    ]);
+    let mut q = QueryBuilder::new();
+    let demographics = q.input("demographics", demo, regulator.clone());
+    let s1 = q.input("scores1", bank.clone(), Party::new(2, "a"));
+    let s2 = q.input("scores2", bank, Party::new(3, "b"));
+    let scores = q.concat(&[s1, s2]);
+    let joined = q.join(demographics, scores, &["ssn"], &["ssn"]);
+    let total = q.aggregate(joined, "total", AggFunc::Sum, &["zip"], "score");
+    q.collect(total, &[regulator]);
+    let config = ConclaveConfig::standard()
+        .with_sequential_local()
+        .with_channel_runtime();
+    let plan = compile(&q.build().unwrap(), &config).unwrap();
+    let join = plan
+        .dag
+        .iter()
+        .find(|n| matches!(n.op, Operator::HybridJoin { .. }))
+        .unwrap();
+    let opened = join.inputs[1];
+    let parent = plan.dag.node(opened).unwrap();
+    assert!(matches!(parent.op, Operator::Concat));
+    assert!(
+        parent.site.is_mpc() && op_is_party_capable(&parent.op),
+        "the hybrid's input is a mesh step"
+    );
+
+    let report = Session::new(config)
+        .bind(
+            "demographics",
+            Relation::from_ints(&["ssn", "zip"], &[vec![1, 10], vec![2, 20], vec![3, 10]]),
+        )
+        .bind(
+            "scores1",
+            Relation::from_ints(&["ssn", "score"], &[vec![1, 700], vec![2, 650]]),
+        )
+        .bind(
+            "scores2",
+            Relation::from_ints(&["ssn", "score"], &[vec![3, 600]]),
+        )
+        .run_plan(&plan)
+        .unwrap();
+    let expected = Relation::from_ints(&["zip", "total"], &[vec![10, 1300], vec![20, 650]]);
+    assert!(report.output_for(1).unwrap().same_rows_unordered(&expected));
+    assert!(report.net.rounds > 0, "the concat ran on the mesh");
+    // Both banks' rows were opened to every worker, and nobody says so.
+    assert!(report.leakage.iter().all(|d| d.node != opened));
+    let certificate = report.static_leakage.as_ref().unwrap();
+    assert!(certificate.disclosures.iter().all(|d| d.node != opened));
+}
+
 /// A join renames the right `v` to `v_r`, and `v_r` is P3's unannotated
 /// column: it is trusted by P3 alone, whatever the keys' trust. Grouping by
 /// it must not make P1 (trusted with the keys only) an STP.
